@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import configparser
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .estimate import GaugeRule, RhoEstimate, ValidationReport, VolatilityScale
-from .model import Dataset, FitResult, HestonParams, MarketObservation, PolicyCoefficients, Stage1Params
+from .model import Dataset, FitResult, HestonParams, PolicyCoefficients, Stage1Params
 from .nls import SolverOptions
 from .simulate import GenerationSpec, PathConfig, StructuralSpec
 
@@ -42,36 +46,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def read_dataset(path) -> Dataset:
-    """Parse an observation CSV.
+def _parse_fast(body: str, n_fields: int) -> np.ndarray | None:
+    """Parse a label-free CSV body with numpy's C reader.
 
-    Schema: UTF-8, comma-delimited, header line with columns ``pi_star``,
-    ``mu``, ``r`` and optionally ``label`` in any order; nothing else.  A
-    present label column tags the dataset as a time series, otherwise it
-    is a cross-section.  Error messages reference physical file lines
-    (the header is line 1).
+    Returns an ``(n, n_fields)`` array, or None whenever the body is not
+    plain finite numbers in ``n_fields`` columns (blank body, quoting,
+    short rows, ``1_0``, non-finite values, ...); the row loop then reads
+    it and raises the error the file deserves.  The C reader converts
+    with CPython's string-to-double, so accepted values are bit-identical
+    to ``float(cell.strip())``.
     """
+    if not body.strip():  # loadtxt warns on input with no rows
+        return None
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
-        raise OSError(f"cannot read dataset {path}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"empty dataset: {path} has no header")
-    header = [h.strip() for h in rows[0]]
-    for name in header:
-        if name not in _CSV_COLUMNS and name != "label":
-            raise ValueError(f"unknown column: {name}")
-    for name in _CSV_COLUMNS:
-        if name not in header:
-            raise ValueError(f"missing column: {name}")
-    if len(set(header)) != len(header):
-        raise ValueError(f"duplicate column in header of {path}")
-    has_label = "label" in header
-    col = {name: header.index(name) for name in header}
+        values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if values.shape[1] != n_fields or not np.all(np.isfinite(values)):
+        return None
+    return values
 
-    observations = []
-    for offset, row in enumerate(rows[1:]):
+
+def _parse_rows(body: str, header: list[str]) -> tuple[dict[str, list[float]], list[str | None] | None]:
+    """Reference reader: the CSV body row by row, with the row named in every error.
+
+    Row numbers count CSV records, the header being row 1.  Rows whose
+    cells are all blank are skipped.
+    """
+    col = {name: header.index(name) for name in header}
+    has_label = "label" in col
+    columns: dict[str, list[float]] = {name: [] for name in _CSV_COLUMNS}
+    labels: list[str | None] | None = [] if has_label else None
+    for offset, row in enumerate(csv.reader(io.StringIO(body, newline=""))):
         line = offset + 2
         if not row or all(cell.strip() == "" for cell in row):
             continue
@@ -84,31 +90,69 @@ def read_dataset(path) -> Dataset:
                 values[name] = float(cell)
             except ValueError:
                 raise ValueError(f"row parse error at row {line}: field {name} is not a number: {cell!r}") from None
-        label = None
-        if has_label:
+        for name in _CSV_COLUMNS:
+            if not math.isfinite(values[name]):
+                raise ValueError(f"row parse error at row {line}: invalid MarketObservation: {name} must be finite")
+            columns[name].append(values[name])
+        if labels is not None:
             raw = row[col["label"]].strip()
-            label = raw if raw else None
-        try:
-            observations.append(MarketObservation(label=label, **values))
-        except ValueError as exc:
-            raise ValueError(f"row parse error at row {line}: {exc}") from None
-    if not observations:
+            labels.append(raw if raw else None)
+    return columns, labels
+
+
+def read_dataset(path) -> Dataset:
+    """Parse an observation CSV.
+
+    Schema: UTF-8, comma-delimited, header line with columns ``pi_star``,
+    ``mu``, ``r`` and optionally ``label`` in any order; nothing else.  A
+    present label column tags the dataset as a time series, otherwise it
+    is a cross-section.  Error messages reference file rows (the header
+    is row 1).  A label-free body of plain numbers is parsed in C; any
+    other body, and every malformed one, goes through the row loop.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            header_row = next(csv.reader(handle), None)
+            body = handle.read()
+    except OSError as exc:
+        raise OSError(f"cannot read dataset {path}: {exc}") from exc
+    if header_row is None:
+        raise ValueError(f"empty dataset: {path} has no header")
+    header = [h.strip() for h in header_row]
+    for name in header:
+        if name not in _CSV_COLUMNS and name != "label":
+            raise ValueError(f"unknown column: {name}")
+    for name in _CSV_COLUMNS:
+        if name not in header:
+            raise ValueError(f"missing column: {name}")
+    if len(set(header)) != len(header):
+        raise ValueError(f"duplicate column in header of {path}")
+    has_label = "label" in header
+
+    values = None if has_label else _parse_fast(body, len(header))
+    if values is not None:
+        columns = {name: values[:, header.index(name)] for name in _CSV_COLUMNS}
+        labels = None
+    else:
+        columns, labels = _parse_rows(body, header)
+    if not len(columns["pi_star"]):
         raise ValueError(f"empty dataset: {path} has no data rows")
     mode = "time-series" if has_label else "cross-section"
-    return Dataset(observations=tuple(observations), source=str(path), mode=mode)
+    return Dataset(**columns, labels=labels, source=str(path), mode=mode)
 
 
 def write_dataset(data: Dataset, path) -> None:
     """Write a Dataset as CSV; inverse of :func:`read_dataset` for finite values."""
     with_label = data.mode == "time-series"
+    # Dataset columns are finite, so this is _fmt's float rendering.
+    columns = [map(format, column.tolist(), repeat(".17g")) for column in (data.pi_star, data.mu, data.r)]
+    if with_label:
+        labels = data.labels if data.labels is not None else (None,) * data.n_rows
+        columns.insert(0, ("" if label is None else label for label in labels))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        header = (["label"] if with_label else []) + list(_CSV_COLUMNS)
-        writer.writerow(header)
-        for o in data.observations:
-            row = [o.label if o.label is not None else ""] if with_label else []
-            row += [_fmt(o.pi_star), _fmt(o.mu), _fmt(o.r)]
-            writer.writerow(row)
+        writer.writerow((["label"] if with_label else []) + list(_CSV_COLUMNS))
+        writer.writerows(zip(*columns))
 
 
 def _fit_lines(section: str, fit: FitResult, param_names: tuple[str, ...]) -> list[str]:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .model import Dataset, FitResult, Stage1Params, Stage2Params
 from .nls import (
-    PoleError,
     ResidualProblem,
     SolverOptions,
     _stage1_grad,
@@ -147,12 +146,6 @@ def volatility_scale_comparison(beta3_hat: float, sigma_bar: float) -> Volatilit
     )
 
 
-def _data_arrays(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    e = np.array([o.mu - o.r for o in data.observations], dtype=float)
-    pi = np.array([o.pi_star for o in data.observations], dtype=float)
-    return e, pi
-
-
 def _smallest_e_decile(e: np.ndarray) -> np.ndarray:
     k = max(1, len(e) // 10)
     return np.argsort(np.abs(e), kind="stable")[:k]
@@ -251,7 +244,7 @@ def identifiability_diagnostics(
     always carry ``GAUGE_UNIDENTIFIED``.
     """
     flags: set[str] = set()
-    e, _ = _data_arrays(data)
+    e = data.e
     if isinstance(fit.params, Stage1Params):
         b1, b2, b3 = fit.params.beta1, fit.params.beta2, fit.params.beta3
         if abs(b1 - b2) < 1e-6 * max(abs(b1), abs(b2), 1.0):
@@ -296,7 +289,7 @@ def fit_volatility(
         raise ValueError(
             f"insufficient data: stage-1 fit needs at least {_MIN_ROWS_STAGE1} rows, got {data.n_rows}"
         )
-    e, pi = _data_arrays(data)
+    e, pi = data.e, data.pi_star
     start = init.as_array() if init is not None else _stage1_init(e, pi)
     q0 = np.array([start[0], start[1], math.log(start[2])])
     raw = lm_fit(_stage1_problem_log(e, pi), q0, opts)
@@ -417,11 +410,13 @@ def fit_vol_of_vol(
     """
     if not (math.isfinite(beta3_hat) and beta3_hat > 0.0):
         raise ValueError("beta3_hat must be finite and > 0")
-    for i, o in enumerate(data.observations):
-        if o.pi_star == 0.0:
-            where = f"row {i}" if o.label is None else f"row {i} (label {o.label!r})"
-            raise ValueError(f"zero position at {where}: inverse positions are undefined")
-    e, pi = _data_arrays(data)
+    zeros = np.flatnonzero(data.pi_star == 0.0)
+    if zeros.size:
+        i = int(zeros[0])
+        label = None if data.labels is None else data.labels[i]
+        where = f"row {i}" if label is None else f"row {i} (label {label!r})"
+        raise ValueError(f"zero position at {where}: inverse positions are undefined")
+    e, pi = data.e, data.pi_star
     pib = 1.0 / pi
     b0 = _stage2_init(e, pi, gauge)
     log_problem, nat_problem, encode, decode = _stage2_problems(e, pib, beta3_hat, gauge)
@@ -475,6 +470,8 @@ class ValidationReport:
     standard errors.  For structural data there is no true parameter
     vector, so those fields are None and ``scale`` compares the mean
     ``beta3`` against both readings of the initial variance.
+    ``stage2_n_failed`` counts stage-2 fits that raised (None when stage 2
+    was not run); it is not written to the report.
     """
 
     replications: int
@@ -490,6 +487,7 @@ class ValidationReport:
     scale: VolatilityScale | None
     stage2_gamma_mean: float | None = None
     stage2_n_converged: int | None = None
+    stage2_n_failed: int | None = None
     fits: tuple[FitResult, ...] | None = None
 
     def __post_init__(self):
@@ -538,6 +536,7 @@ def monte_carlo_validation(
     kept: list[FitResult] = []
     gamma_hats: list[float] = []
     stage2_converged = 0
+    stage2_failed = 0
     n_converged = 0
     n_failed = 0
 
@@ -546,7 +545,7 @@ def monte_carlo_validation(
         try:
             data = generate_synthetic_dataset(mode, spec, seed)
             fit = fit_volatility(data, opts)
-        except (ValueError, PoleError):
+        except ValueError:
             n_failed += 1
             continue
         if keep_fits:
@@ -566,7 +565,8 @@ def monte_carlo_validation(
                     else GaugeRule(gauge_variant, pin)
                 )
                 fit2 = fit_vol_of_vol(data, fit.params.beta3, gauge, opts)
-            except (ValueError, PoleError):
+            except ValueError:
+                stage2_failed += 1
                 continue
             if fit2.converged:
                 stage2_converged += 1
@@ -610,5 +610,6 @@ def monte_carlo_validation(
         scale=scale,
         stage2_gamma_mean=(float(np.mean(gamma_hats)) if gamma_hats else None),
         stage2_n_converged=(stage2_converged if run_stage2 else None),
+        stage2_n_failed=(stage2_failed if run_stage2 else None),
         fits=tuple(kept) if keep_fits else None,
     )

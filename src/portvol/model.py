@@ -1,7 +1,9 @@
 """Domain types shared across the library.
 
-All containers are frozen dataclasses: construction validates every
-invariant, so a held instance is always safe to share between threads.
+Every container is immutable and validates its invariants on
+construction, so a held instance is always safe to share between threads.
+Parameter sets and results are frozen dataclasses; a :class:`Dataset`
+holds its rows as read-only float64 columns.
 Quantities follow the wealth-model conventions used throughout:
 
 * ``sigma_bar`` is the instantaneous *variance* of the risky asset
@@ -178,34 +180,111 @@ class MarketObservation:
         return self.mu - self.r
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Ordered collection of observations with provenance metadata.
+def _column(name: str, values) -> np.ndarray:
+    """Validated read-only float64 copy of one dataset column."""
+    raw = np.asarray(values)
+    if raw.ndim != 1 or raw.dtype.kind not in "biuf":
+        raise ValueError(f"invalid Dataset: {name} must be a one-dimensional numeric column")
+    column = raw.astype(float)
+    bad = np.flatnonzero(~np.isfinite(column))
+    if bad.size:
+        raise ValueError(f"invalid Dataset: {name} must be finite (first bad row {bad[0]})")
+    column.setflags(write=False)
+    return column
 
-    ``mode`` tags whether rows are a time series of one portfolio or a
-    cross-section of assets at one time; both feed the same fits.  The
-    minimum row count for fitting (4) is enforced by the fitting
-    routines, not here, so small files still load and round-trip.
+
+@dataclass(frozen=True, init=False, eq=False)
+class Dataset:
+    """Observed rows as four read-only float64 columns, with provenance.
+
+    ``pi_star``, ``mu`` and ``r`` are the observed columns, finite and of
+    equal length, and ``e = mu - r`` is the excess return both fits
+    regress on; all four are read-only.  ``labels`` is None or one label
+    (a string or None) per row.  ``mode`` tags whether rows are a time
+    series of one portfolio or a cross-section of assets at one time;
+    both feed the same fits.  The minimum row count for fitting (4) is
+    enforced by the fitting routines, not here, so small files still
+    load and round-trip.
+
+    ``Dataset(observations=rows)`` builds the columns from
+    :class:`MarketObservation` rows, and :attr:`observations` rebuilds
+    them on demand; datasets compare equal when their values are equal.
     """
 
-    observations: tuple[MarketObservation, ...]
-    source: str | None = None
-    mode: str = "cross-section"
+    pi_star: np.ndarray
+    mu: np.ndarray
+    r: np.ndarray
+    e: np.ndarray = field(init=False)
+    labels: tuple[str | None, ...] | None
+    source: str | None
+    mode: str
 
-    def __post_init__(self):
-        if self.mode not in ("cross-section", "time-series"):
-            raise ValueError(f"invalid Dataset: unknown mode {self.mode!r}")
-        object.__setattr__(self, "observations", tuple(self.observations))
+    def __init__(
+        self,
+        *,
+        pi_star=None,
+        mu=None,
+        r=None,
+        labels=None,
+        source: str | None = None,
+        mode: str = "cross-section",
+        observations=None,
+    ):
+        if observations is not None:
+            if pi_star is not None or mu is not None or r is not None or labels is not None:
+                raise TypeError("Dataset takes either observations or columns, not both")
+            rows = tuple(observations)
+            pi_star = [o.pi_star for o in rows]
+            mu = [o.mu for o in rows]
+            r = [o.r for o in rows]
+            labels = tuple(o.label for o in rows)
+            if all(label is None for label in labels):
+                labels = None
+        elif pi_star is None or mu is None or r is None:
+            raise TypeError("Dataset requires pi_star, mu and r (or observations)")
+        if mode not in ("cross-section", "time-series"):
+            raise ValueError(f"invalid Dataset: unknown mode {mode!r}")
+        columns = {name: _column(name, values) for name, values in (("pi_star", pi_star), ("mu", mu), ("r", r))}
+        lengths = {name: len(column) for name, column in columns.items()}
+        if labels is not None:
+            labels = tuple(labels)
+            lengths["labels"] = len(labels)
+        if len(set(lengths.values())) > 1:
+            sizes = ", ".join(f"{name} {n}" for name, n in lengths.items())
+            raise ValueError(f"invalid Dataset: columns differ in length ({sizes})")
+        e = columns["mu"] - columns["r"]
+        e.setflags(write=False)
+        for name, value in (*columns.items(), ("e", e), ("labels", labels), ("source", source), ("mode", mode)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            (self.labels, self.source, self.mode) == (other.labels, other.source, other.mode)
+            and np.array_equal(self.pi_star, other.pi_star)
+            and np.array_equal(self.mu, other.mu)
+            and np.array_equal(self.r, other.r)
+        )
 
     @property
     def n_rows(self) -> int:
-        return len(self.observations)
+        return len(self.pi_star)
+
+    @property
+    def observations(self) -> tuple[MarketObservation, ...]:
+        """The rows as :class:`MarketObservation` objects, built on each access."""
+        labels = self.labels if self.labels is not None else (None,) * self.n_rows
+        return tuple(
+            MarketObservation(pi_star=p, mu=m, r=r, label=label)
+            for p, m, r, label in zip(self.pi_star.tolist(), self.mu.tolist(), self.r.tolist(), labels)
+        )
 
     def excess_returns(self) -> list[float]:
-        return [o.mu - o.r for o in self.observations]
+        return self.e.tolist()
 
     def positions(self) -> list[float]:
-        return [o.pi_star for o in self.observations]
+        return self.pi_star.tolist()
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Dataset, HestonParams, MarketObservation, PolicyCoefficients, Stage1Params
+from .model import Dataset, HestonParams, PolicyCoefficients, Stage1Params
 from .nls import _stage1_value
 
 __all__ = [
@@ -374,25 +374,26 @@ def generate_synthetic_dataset(mode: str, spec, seed: int) -> Dataset:
         pi = _stage1_value(e, b.beta1, b.beta2, b.beta3)
         if spec.noise > 0.0:
             pi = pi + spec.noise * rng.standard_normal(spec.n)
-        obs = tuple(
-            MarketObservation(pi_star=float(pi[i]), mu=float(spec.base_rate + e[i]), r=spec.base_rate)
-            for i in range(spec.n)
+        return Dataset(
+            pi_star=pi,
+            mu=spec.base_rate + e,
+            r=np.full(spec.n, spec.base_rate),
+            source="synthetic:model-implied",
+            mode="cross-section",
         )
-        return Dataset(observations=obs, source="synthetic:model-implied", mode="cross-section")
     if mode == "structural":
         if not isinstance(spec, StructuralSpec):
             raise TypeError("structural generation requires a StructuralSpec")
         cfg = replace(spec.path, seed=seed)
         market = simulate_market_path(spec.heston, cfg, path_index=0)
         path = simulate_wealth_path(market, spec.policy, spec.heston, spec.x0)
-        obs = tuple(
-            MarketObservation(
-                pi_star=float(path.policy[k]),
-                mu=spec.heston.mu,
-                r=spec.heston.r,
-                label=str(k),
-            )
-            for k in range(len(path.times))
+        n = len(path.times)
+        return Dataset(
+            pi_star=path.policy,
+            mu=np.full(n, spec.heston.mu),
+            r=np.full(n, spec.heston.r),
+            labels=tuple(map(str, range(n))),
+            source="synthetic:structural",
+            mode="time-series",
         )
-        return Dataset(observations=obs, source="synthetic:structural", mode="time-series")
     raise ValueError(f"unknown generation mode {mode!r}")

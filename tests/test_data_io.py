@@ -1,9 +1,12 @@
 """CSV, report, and config serialization: strictness and round-trips."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portvol import (
     Dataset,
@@ -14,6 +17,7 @@ from portvol import (
     SolverOptions,
     Stage1Params,
     StructuralSpec,
+    data_io,
     fit_vol_of_vol,
     fit_volatility,
     generate_synthetic_dataset,
@@ -78,7 +82,7 @@ class TestReadDataset:
         with pytest.raises(ValueError, match="row 2"):
             read_dataset(p)
 
-    @pytest.mark.parametrize("content", ["", "pi_star,mu,r\n"])
+    @pytest.mark.parametrize("content", ["", "pi_star,mu,r\n", "pi_star,mu,r\n\r\n\n"])
     def test_empty_dataset(self, tmp_path, content):
         p = write(tmp_path / "d.csv", content)
         with pytest.raises(ValueError, match="empty dataset"):
@@ -87,6 +91,105 @@ class TestReadDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_dataset(tmp_path / "absent.csv")
+
+
+def _read_outcome(path):
+    try:
+        data = read_dataset(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("data", data.pi_star.tobytes(), data.mu.tobytes(), data.r.tobytes(), data.labels, data.mode)
+
+
+def _reference_outcome(path):
+    """Read through the row loop alone, the reference for the C parse."""
+    with mock.patch.object(data_io, "_parse_fast", return_value=None):
+        return _read_outcome(path)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_number = st.one_of(
+    _finite.map(repr),
+    _finite.map(lambda x: f"{x:.17g}"),
+    _finite.map(lambda x: f"{x:.3e}"),
+    st.integers(-(10**6), 10**6).map(str),
+)
+_padding = st.sampled_from(["", " ", "\t", "  "])
+_clean_cell = st.tuples(_padding, _number, _padding).map("".join)
+_dirty_cell = st.one_of(
+    _number.map(lambda v: f'"{v}"'),
+    st.integers(10, 99).map(lambda k: f"{k // 10}_{k % 10}"),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "", "abc"]),
+)
+_label = st.one_of(st.text(alphabet="ab z", max_size=4), st.just('"x,y"'))
+_CLEAN_ROWS = ("row", "row", "blank")
+# A file mixes clean rows with at most one kind of bad row, so the bad row is
+# often the only thing between the body and the C parse.  All-short and
+# all-long files have a consistent width the C parse accepts.
+_ROW_KINDS = (
+    _CLEAN_ROWS,
+    *(_CLEAN_ROWS + (bad,) for bad in ("dirty", "commas", "comment", "short", "long")),
+    ("short",),
+    ("long",),
+)
+
+
+@st.composite
+def _csv_text(draw):
+    """A CSV text whose body may be clean numbers or carry any of the cases the
+    C parse must hand to the row loop."""
+    labelled = draw(st.sampled_from([False, False, False, True]))
+    header = draw(st.permutations(["pi_star", "mu", "r"] + (["label"] if labelled else [])))
+    lines = [",".join(header)]
+    for kind in draw(st.lists(st.sampled_from(draw(st.sampled_from(_ROW_KINDS))), max_size=8)):
+        cells = [draw(_label) if name == "label" else draw(_clean_cell) for name in header]
+        if kind == "blank":
+            cells = []
+        elif kind == "dirty":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_dirty_cell)
+        elif kind == "commas":
+            cells = [""] * len(header)
+        elif kind == "comment":
+            cells[0] = "#" + cells[0]
+        elif kind == "short":
+            cells = cells[:-1]
+        elif kind == "long":
+            cells.append("0")
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+class TestFastReadMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_text())
+    def test_same_arrays_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fast_vs_reference.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_outcome(path) == _reference_outcome(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1.5,0.07,0.02\n-0.5,0.03,0.02\n",
+            "1.5,0.07,0.02\r\n-0.5,0.03,0.02\r\n",
+            " 1.5 ,\t0.07, 0.02\n\n-0.5,0.03,0.02",
+        ],
+    )
+    def test_plain_numbers_take_the_c_parse(self, tmp_path, body):
+        assert data_io._parse_fast(body, 3) is not None
+        p = write(tmp_path / "d.csv", "pi_star,mu,r\n" + body)
+        assert read_dataset(p).pi_star.tolist() == [1.5, -0.5]
+
+    def test_underscore_digits_fall_back_to_the_row_loop(self, tmp_path):
+        p = write(tmp_path / "d.csv", "pi_star,mu,r\n1_0,0.05,0.02\n")
+        assert data_io._parse_fast("1_0,0.05,0.02\n", 3) is None
+        assert read_dataset(p).pi_star.tolist() == [10.0]
+
+    def test_non_finite_cell_names_its_row(self, tmp_path):
+        p = write(tmp_path / "d.csv", "pi_star,mu,r\n1.0,0.05,0.02\n\n1.0,inf,0.02\n")
+        with pytest.raises(ValueError, match="row 4: invalid MarketObservation: mu must be finite"):
+            read_dataset(p)
 
 
 class TestRoundTrip:

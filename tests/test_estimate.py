@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import portvol.estimate
 from portvol import (
     Dataset,
     GaugeRule,
@@ -10,6 +11,7 @@ from portvol import (
     HestonParams,
     MarketObservation,
     PathConfig,
+    PoleError,
     PolicyCoefficients,
     ResidualProblem,
     Stage1Params,
@@ -293,6 +295,19 @@ class TestMonteCarloValidation:
         assert report.stage2_n_converged == 4
         # noiseless pin-beta5 fits land on beta4 = beta3_hat/beta3_true = 1
         assert report.stage2_gamma_mean == pytest.approx(1.0, rel=1e-6)
+
+    def test_stage2_exceptions_are_counted(self, monkeypatch):
+        def pole(*args, **kwargs):
+            raise PoleError("forced")
+
+        spec = GenerationSpec(stage1=TRUTH, n=100, noise=0.0)
+        assert monte_carlo_validation(spec, 4, master_seed=3).stage2_n_failed is None
+        assert monte_carlo_validation(spec, 4, master_seed=3, run_stage2=True).stage2_n_failed == 0
+        monkeypatch.setattr(portvol.estimate, "fit_vol_of_vol", pole)
+        report = monte_carlo_validation(spec, 4, master_seed=3, run_stage2=True)
+        assert report.n_converged == 4
+        assert report.stage2_n_converged == 0
+        assert report.stage2_n_failed == 4
 
     def test_structural_reports_scale_comparison(self):
         heston = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)

@@ -145,6 +145,77 @@ class TestDataset:
         with pytest.raises(AttributeError):
             data.mode = "time-series"
 
+    def test_columns_are_read_only_copies(self):
+        pi = np.array([1.0, 2.0])
+        data = Dataset(pi_star=pi, mu=[0.05, 0.06], r=[0.02, 0.02])
+        pi[0] = 9.0
+        assert data.pi_star.tolist() == [1.0, 2.0]
+        for column in (data.pi_star, data.mu, data.r, data.e):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+        with pytest.raises(AttributeError):
+            data.pi_star = np.zeros(2)
+
+    def test_excess_return_is_mu_minus_r(self):
+        data = Dataset(pi_star=[1.0, 2.0], mu=[0.07, 0.03], r=[0.02, 0.01])
+        assert data.e.tolist() == [0.07 - 0.02, 0.03 - 0.01]
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"pi_star": [1.0, 2.0], "mu": [0.05], "r": [0.02, 0.02]},
+            {"pi_star": [1.0], "mu": [0.05], "r": [0.02], "labels": ("a", "b")},
+        ],
+    )
+    def test_unequal_lengths_rejected(self, columns):
+        with pytest.raises(ValueError, match="differ in length"):
+            Dataset(**columns)
+
+    @pytest.mark.parametrize("name", ["pi_star", "mu", "r"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_column_and_row(self, name, bad):
+        columns = {"pi_star": [1.0, 1.1, 1.2], "mu": [0.05, 0.06, 0.07], "r": [0.02, 0.02, 0.02]}
+        columns[name][1] = bad
+        columns[name][2] = bad
+        with pytest.raises(ValueError, match=rf"{name} must be finite \(first bad row 1\)"):
+            Dataset(**columns)
+
+    @pytest.mark.parametrize("pi_star", [["1.0"], [None], [[1.0]]])
+    def test_non_numeric_column_rejected(self, pi_star):
+        with pytest.raises(ValueError, match="pi_star must be a one-dimensional numeric column"):
+            Dataset(pi_star=pi_star, mu=[0.05], r=[0.02])
+
+    def test_equality_compares_values(self):
+        kw = dict(pi_star=[1.0, 2.0], mu=[0.05, 0.06], r=[0.02, 0.02])
+        a = Dataset(**kw)
+        assert a == Dataset(**{k: np.array(v) for k, v in kw.items()})
+        assert a != Dataset(**{**kw, "pi_star": [1.0, 2.5]})
+        assert a != Dataset(**kw, labels=("x", "y"))
+        assert a != Dataset(**kw, source="file.csv")
+        assert a != Dataset(**kw, mode="time-series")
+        assert a != kw
+
+    def test_observations_and_columns_agree(self):
+        rows = (
+            MarketObservation(1.5, 0.07, 0.02, label="a"),
+            MarketObservation(-0.5, 0.03, 0.02),
+        )
+        from_rows = Dataset(observations=rows, mode="time-series")
+        from_columns = Dataset(
+            pi_star=[1.5, -0.5], mu=[0.07, 0.03], r=[0.02, 0.02], labels=("a", None), mode="time-series"
+        )
+        assert from_rows == from_columns
+        assert from_rows.observations == rows
+        assert from_columns.observations == rows
+        assert Dataset(observations=rows[1:]).labels is None
+
+    def test_observations_exclude_columns(self):
+        with pytest.raises(TypeError):
+            Dataset(observations=(MarketObservation(1.0, 0.05, 0.02),), pi_star=[1.0])
+        with pytest.raises(TypeError):
+            Dataset(pi_star=[1.0], mu=[0.05])
+
 
 class TestFitResult:
     def test_rejects_negative_residual_norm(self):
