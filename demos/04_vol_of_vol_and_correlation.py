@@ -3,7 +3,10 @@
 The stage-2 curve beta4*(b3+e)/(beta5*b3 + beta6*e) is unchanged when
 (beta4, beta5, beta6) are scaled together, so beta4 alone means nothing
 until a gauge pins the scale.  The default convention freezes beta5 at
-the stage-1 beta2.  The correlation factor then follows by inverting
+the stage-1 beta2.  Then gamma_hat = beta2_hat / c5_hat, where
+c5 = beta5/beta4 is the ratio the data identify: two estimates of the same
+beta2, so gamma_hat is about 1 by construction, not a vol-of-vol finding.
+The correlation factor then follows by inverting
 beta2 = -rho * gamma * (alpha2/alpha1) with a user-supplied alpha ratio.
 """
 
@@ -33,10 +36,11 @@ pinned = fit_vol_of_vol(data, beta3_hat, GaugeRule.pin_beta5(stage1.params.beta2
 print("\npin-beta5 gauge:")
 print(f"  (beta4, beta5, beta6) = {pinned.params.as_array()}")
 print(f"  gamma_hat = beta4 = {pinned.params.beta4:.6f}")
+print("  (= beta2_hat / c5_hat, about 1 by construction under this gauge)")
 print(f"  beta6/beta4 = {pinned.params.beta6 / pinned.params.beta4:.6f} (matches stage-1 beta1)")
 print(f"  diagnostics: {sorted(pinned.diagnostics) or 'none'}")
 
-# Free gauge: same residuals, unidentified scale, flagged as such.
+# Free gauge: the identified ratios (1, c5, c6), flagged as unidentified in scale.
 free = fit_vol_of_vol(data, beta3_hat, GaugeRule.free())
 print("\nfree gauge:")
 print(f"  (beta4, beta5, beta6) = {free.params.as_array()}")

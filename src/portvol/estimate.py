@@ -1,17 +1,24 @@
 """Two-stage estimation pipeline and its validation harness.
 
 Stage 1 fits the observed positions against the excess return and reads
-the portfolio volatility off ``beta3``.  Stage 2 fits the inverse
-positions and reads the volatility of volatility off ``beta4`` — but the
-stage-2 model is invariant under a common rescaling of
-``(beta4, beta5, beta6)``, so ``beta4`` is reported under an explicit
-gauge convention (default: pin ``beta5`` at the stage-1 ``beta2``).  The
-correlation factor is recovered separately by inverting the defining
-relation ``beta2 = -rho * gamma * (alpha2/alpha1)``.
+the portfolio volatility off ``beta3``; it runs over
+``(beta1, beta2, log beta3)``, which keeps ``beta3`` positive.
 
-Both fits run in a log parameterization of their positive parameter
-(``beta3`` resp. ``beta4``), which enforces positivity without
-constraints machinery; all reported quantities are in natural space.
+Stage 2 fits the inverse positions and reads the volatility of
+volatility off ``beta4``.  Its curve ``beta4*(b3h+e)/(beta5*b3h+beta6*e)``
+identifies only the ratios ``c5 = beta5/beta4`` and ``c6 = beta6/beta4``:
+its reciprocal is the stage-1 curve with ``(beta1, beta2, beta3) =
+(c6, c5, b3h)``.  So stage 2 is one fit in ``(c6, c5)``, and the gauge
+convention is a map applied afterwards, ``beta = s*(1, c5, c6)``, with
+``s`` chosen so the pinned parameter takes its pin value.
+
+Under the default gauge (pin ``beta5`` at the stage-1 ``beta2_hat``),
+``gamma_hat = beta2_hat / c5_hat``.  Both are estimates of the same
+``beta2``, one from the positions and one from their inverses, so
+``gamma_hat`` is about 1 by construction and is not a vol-of-vol finding.
+
+The correlation factor is recovered separately by inverting the defining
+relation ``beta2 = -rho * gamma * (alpha2/alpha1)``.
 """
 
 from __future__ import annotations
@@ -25,10 +32,10 @@ from .model import Dataset, FitResult, Stage1Params, Stage2Params
 from .nls import (
     ResidualProblem,
     SolverOptions,
+    _guarded_denominator,
     _stage1_grad,
     _stage1_value,
     _stage2_grad,
-    _stage2_value,
     lm_fit,
 )
 from .simulate import GenerationSpec, StructuralSpec, generate_synthetic_dataset
@@ -62,7 +69,10 @@ DIAG_RHO_RANGE = "RHO_OUT_OF_RANGE"
 
 _MIN_ROWS_STAGE1 = 4
 _COND_LIMIT = 1e8
-_SINGULAR_COND = 1.0 / np.finfo(float).eps
+_SINGULAR_COND = 1.0 / math.sqrt(np.finfo(float).eps)
+# A variant's index is the parameter of (beta4, beta5, beta6) it holds
+# fixed; free fixes the scale, beta4 = 1.
+_GAUGE_VARIANTS = ("free", "pin-beta5", "pin-beta6")
 
 
 @dataclass(frozen=True)
@@ -71,15 +81,15 @@ class GaugeRule:
 
     ``pin-beta5`` freezes ``beta5`` (typically at the stage-1 ``beta2``),
     ``pin-beta6`` freezes ``beta6`` (at the stage-1 ``beta1``), and
-    ``free`` optimizes all three parameters, in which case the result
-    always carries the ``GAUGE_UNIDENTIFIED`` diagnostic.
+    ``free`` reports the ratios themselves, ``(1, c5, c6)``, in which
+    case the result always carries the ``GAUGE_UNIDENTIFIED`` diagnostic.
     """
 
     variant: str
     pin_value: float | None = None
 
     def __post_init__(self):
-        if self.variant not in ("free", "pin-beta5", "pin-beta6"):
+        if self.variant not in _GAUGE_VARIANTS:
             raise ValueError(f"unknown gauge variant {self.variant!r}")
         if self.variant == "free":
             if self.pin_value is not None:
@@ -87,6 +97,16 @@ class GaugeRule:
         else:
             if self.pin_value is None or not math.isfinite(self.pin_value) or self.pin_value == 0.0:
                 raise ValueError(f"{self.variant} gauge requires a nonzero finite pin value")
+
+    @property
+    def fixed(self) -> tuple[int, float]:
+        """``(k, value)``: the gauge holds ``(beta4, beta5, beta6)[k]`` at ``value``.
+
+        ``free`` fixes the scale at ``beta4 = 1``.
+        """
+        return _GAUGE_VARIANTS.index(self.variant), (
+            1.0 if self.pin_value is None else float(self.pin_value)
+        )
 
     @classmethod
     def free(cls) -> "GaugeRule":
@@ -146,33 +166,17 @@ def volatility_scale_comparison(beta3_hat: float, sigma_bar: float) -> Volatilit
     )
 
 
-def _smallest_e_decile(e: np.ndarray) -> np.ndarray:
-    k = max(1, len(e) // 10)
-    return np.argsort(np.abs(e), kind="stable")[:k]
-
-
 def _stage1_init(e: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Moment-based start: level from the small-|e| rows, scale from spread of e."""
-    b2 = float(np.mean(pi[_smallest_e_decile(e)]))
+    smallest_decile = np.argsort(np.abs(e), kind="stable")[: max(1, len(e) // 10)]
+    b2 = float(np.mean(pi[smallest_decile]))
     b3 = max(float(np.std(e)), 1e-4)
     b1 = b2 + 1.0
     return np.array([b1, b2, b3])
 
 
-def _stage1_problem(e: np.ndarray, pi: np.ndarray) -> ResidualProblem:
-    """Natural-space residual problem; used for standard errors and diagnostics."""
-
-    def residual(b):
-        return pi - _stage1_value(e, b[0], b[1], b[2])
-
-    def jacobian(b):
-        return -_stage1_grad(e, b[0], b[1], b[2])
-
-    return ResidualProblem(residual, jacobian, 3, len(e))
-
-
 def _stage1_problem_log(e: np.ndarray, pi: np.ndarray) -> ResidualProblem:
-    """Same problem over (beta1, beta2, log beta3); keeps beta3 > 0 by construction."""
+    """Stage 1 over (beta1, beta2, log beta3); keeps beta3 > 0 by construction."""
 
     def residual(q):
         return pi - _stage1_value(e, q[0], q[1], math.exp(q[2]))
@@ -186,12 +190,34 @@ def _stage1_problem_log(e: np.ndarray, pi: np.ndarray) -> ResidualProblem:
     return ResidualProblem(residual, jacobian, 3, len(e))
 
 
+def _stage2_problem(e: np.ndarray, pib: np.ndarray, beta3_hat: float) -> ResidualProblem:
+    """Stage 2 over the ratios it identifies, ``q = (c6, c5)``.
+
+    The predicted position is the stage-1 curve
+    ``h = _stage1_value(e, c6, c5, beta3_hat)`` and the model for the
+    inverse position ``pib`` is ``1/h``.
+    """
+
+    def position(q):
+        return _guarded_denominator(_stage1_value(e, q[0], q[1], beta3_hat))
+
+    def residual(q):
+        return pib - 1.0 / position(q)
+
+    def jacobian(q):
+        return _stage1_grad(e, q[0], q[1], beta3_hat)[:, :2] / position(q)[:, None] ** 2
+
+    return ResidualProblem(residual, jacobian, 2, len(e))
+
+
 def standard_errors(fit: FitResult, problem: ResidualProblem) -> tuple[float, ...] | None:
     """Gauss-Newton standard errors ``sqrt(diag(s2 * inv(J'J)))``.
 
-    ``s2`` is ``residual_norm / (n_obs - n_params)``.  Returns None when
-    ``J'J`` is numerically singular (degenerate covariance) — absent, not
-    zero.  Requires more observations than parameters.
+    ``s2`` is ``residual_norm / (n_obs - n_params)``.  With ``J = QR``,
+    ``inv(J'J) = inv(R) inv(R)'``, so the condition number of ``J`` is
+    never squared.  Returns None when ``cond(R) >= 1/sqrt(eps)``
+    (degenerate covariance) — absent, not zero.  Requires more
+    observations than parameters.
     """
     if problem.n_obs <= problem.n_params:
         raise ValueError("standard errors require n_obs > n_params")
@@ -202,16 +228,12 @@ def standard_errors(fit: FitResult, problem: ResidualProblem) -> tuple[float, ..
         return None
     if not np.all(np.isfinite(jac)):
         return None
-    jtj = jac.T @ jac
-    cond = np.linalg.cond(jtj)
+    r = np.linalg.qr(jac, mode="r")
+    cond = np.linalg.cond(r)
     if not np.isfinite(cond) or cond >= _SINGULAR_COND:
         return None
-    s2 = fit.residual_norm / (problem.n_obs - problem.n_params)
-    try:
-        cov = s2 * np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        return None
-    return tuple(math.sqrt(max(v, 0.0)) for v in np.diag(cov))
+    s = math.sqrt(fit.residual_norm / (problem.n_obs - problem.n_params))
+    return tuple(s * float(v) for v in np.linalg.norm(np.linalg.inv(r), axis=1))
 
 
 def _cond_or_flag(matrix_fn) -> float:
@@ -240,8 +262,8 @@ def identifiability_diagnostics(
     when the Jacobian condition number at the solution exceeds 1e8.
 
     For stage-2 results the same pole and conditioning checks run against
-    ``beta3_hat`` and the gauge-reduced Jacobian, and free-gauge fits
-    always carry ``GAUGE_UNIDENTIFIED``.
+    ``beta3_hat`` and the Jacobian in the two parameters the gauge leaves
+    free, and free-gauge fits always carry ``GAUGE_UNIDENTIFIED``.
     """
     flags: set[str] = set()
     e = data.e
@@ -261,10 +283,10 @@ def identifiability_diagnostics(
         b = fit.params
         if np.min(np.abs(beta3_hat + e)) < 1e-3 * beta3_hat:
             flags.add(DIAG_POLE)
-        cols = {"free": (0, 1, 2), "pin-beta5": (0, 2), "pin-beta6": (0, 1)}[gauge.variant]
+        k, _ = gauge.fixed
         if (
             _cond_or_flag(
-                lambda: _stage2_grad(e, b.beta4, b.beta5, b.beta6, beta3_hat)[:, cols]
+                lambda: np.delete(_stage2_grad(e, b.beta4, b.beta5, b.beta6, beta3_hat), k, 1)
             )
             > _COND_LIMIT
         ):
@@ -292,107 +314,32 @@ def fit_volatility(
     e, pi = data.e, data.pi_star
     start = init.as_array() if init is not None else _stage1_init(e, pi)
     q0 = np.array([start[0], start[1], math.log(start[2])])
-    raw = lm_fit(_stage1_problem_log(e, pi), q0, opts)
+    problem = _stage1_problem_log(e, pi)
+    raw = lm_fit(problem, q0, opts)
     q = raw.params
     params = Stage1Params(beta1=float(q[0]), beta2=float(q[1]), beta3=math.exp(float(q[2])))
     trace = tuple(((b1, b2, math.exp(lb3)), ssr) for (b1, b2, lb3), ssr in raw.trace)
     fit = replace(raw, params=params, trace=trace)
-    se = standard_errors(fit, _stage1_problem(e, pi))
+    se = standard_errors(raw, problem)
+    if se is not None:  # delta method through diag(1, 1, beta3)
+        se = (se[0], se[1], params.beta3 * se[2])
     flags = set(identifiability_diagnostics(fit, data))
     if se is None:
         flags.add(DIAG_DEGENERATE_COV)
     return replace(fit, standard_errors=se, diagnostics=frozenset(flags))
 
 
-def _stage2_init(e: np.ndarray, pi: np.ndarray, gauge: GaugeRule) -> np.ndarray:
-    """Start values from the position curve implied by the inverse data.
-
-    ``1/pib`` follows the stage-1 shape with parameters
-    ``(beta6/beta4, beta5/beta4, beta3_hat)``, so the stage-1 moment
-    start for those ratios converts into each gauge's free parameters.
-    """
-    idx = _smallest_e_decile(e)
-    ratio52 = float(np.mean(pi[idx]))  # estimate of beta5/beta4
-    ratio61 = ratio52 + 1.0  # estimate of beta6/beta4, kept off the degenerate ray
-    if gauge.variant == "pin-beta5":
-        b4 = abs(gauge.pin_value / ratio52) if ratio52 != 0.0 else 1.0
-        if not (math.isfinite(b4) and b4 > 0.0):
-            b4 = 1.0
-        return np.array([b4, gauge.pin_value, ratio61 * b4])
-    if gauge.variant == "pin-beta6":
-        b4 = abs(gauge.pin_value / ratio61) if ratio61 != 0.0 else 1.0
-        if not (math.isfinite(b4) and b4 > 0.0):
-            b4 = 1.0
-        return np.array([b4, ratio52 * b4, gauge.pin_value])
-    return np.array([1.0, ratio52, ratio61])
+def _row_name(data: Dataset, i: int) -> str:
+    label = None if data.labels is None else data.labels[i]
+    return f"row {i}" if label is None else f"row {i} (label {label!r})"
 
 
-def _stage2_problems(
-    e: np.ndarray, pib: np.ndarray, beta3_hat: float, gauge: GaugeRule
-) -> tuple[ResidualProblem, ResidualProblem, object, object]:
-    """Log-space solve problem and natural reduced problem for one gauge.
-
-    Returns ``(log_problem, natural_problem, encode, decode)`` where
-    ``encode`` maps a full (beta4, beta5, beta6) start to the optimized
-    vector and ``decode`` maps an optimized vector back to full space.
-    """
-    n = len(e)
-    variant = gauge.variant
-    pin = gauge.pin_value
-
-    def full(q):
-        if variant == "pin-beta5":
-            return math.exp(q[0]), pin, q[1]
-        if variant == "pin-beta6":
-            return math.exp(q[0]), q[1], pin
-        return math.exp(q[0]), q[1], q[2]
-
-    def full_natural(v):
-        if variant == "pin-beta5":
-            return v[0], pin, v[1]
-        if variant == "pin-beta6":
-            return v[0], v[1], pin
-        return v[0], v[1], v[2]
-
-    cols = {"free": [0, 1, 2], "pin-beta5": [0, 2], "pin-beta6": [0, 1]}[variant]
-
-    def residual_log(q):
-        b4, b5, b6 = full(q)
-        return pib - _stage2_value(e, b4, b5, b6, beta3_hat)
-
-    def jacobian_log(q):
-        b4, b5, b6 = full(q)
-        g = _stage2_grad(e, b4, b5, b6, beta3_hat)
-        j = -g[:, cols]
-        j[:, 0] *= b4
-        return j
-
-    def residual_nat(v):
-        b4, b5, b6 = full_natural(v)
-        return pib - _stage2_value(e, b4, b5, b6, beta3_hat)
-
-    def jacobian_nat(v):
-        b4, b5, b6 = full_natural(v)
-        return -_stage2_grad(e, b4, b5, b6, beta3_hat)[:, cols]
-
-    k = len(cols)
-    log_problem = ResidualProblem(residual_log, jacobian_log, k, n)
-    nat_problem = ResidualProblem(residual_nat, jacobian_nat, k, n)
-
-    def encode(b):
-        q = [math.log(b[0])]
-        if variant == "pin-beta5":
-            q.append(b[2])
-        elif variant == "pin-beta6":
-            q.append(b[1])
-        else:
-            q.extend([b[1], b[2]])
-        return np.array(q)
-
-    def decode(q):
-        return full(q)
-
-    return log_problem, nat_problem, encode, decode
+def _apply_gauge(q, k: int, pin: float) -> np.ndarray:
+    """``(beta4, beta5, beta6) = s*(1, c5, c6)`` with ``s = pin/(1, c5, c6)[k]``."""
+    v = np.array([1.0, q[1], q[0]])
+    beta = pin / v[k] * v
+    beta[k] = pin
+    return beta
 
 
 def fit_vol_of_vol(
@@ -403,39 +350,66 @@ def fit_vol_of_vol(
 ) -> FitResult:
     """Stage-2 fit: inverse positions against excess returns.
 
-    ``gamma_hat`` is the fitted ``beta4`` under the declared gauge.  The
-    regressand is ``1/pi_star``, so any zero position is rejected with
-    the offending row named.  Standard errors cover the optimized
-    parameters (a pinned parameter reports 0.0).
+    Fits the identified ratios ``(c6, c5)``, starting from the linear
+    least-squares fit of the positions on the curve's two columns, then
+    applies the gauge.  ``gamma_hat`` is the resulting ``beta4``.  The
+    regressand is ``1/pi_star``, so a zero position, or positions that do
+    not share one sign, are rejected with the offending row named; so is
+    a gauge pin whose sign would make ``beta4 <= 0``.  Standard errors
+    cover the two free parameters (the fixed one reports 0.0).
     """
     if not (math.isfinite(beta3_hat) and beta3_hat > 0.0):
         raise ValueError("beta3_hat must be finite and > 0")
-    zeros = np.flatnonzero(data.pi_star == 0.0)
-    if zeros.size:
-        i = int(zeros[0])
-        label = None if data.labels is None else data.labels[i]
-        where = f"row {i}" if label is None else f"row {i} (label {label!r})"
-        raise ValueError(f"zero position at {where}: inverse positions are undefined")
     e, pi = data.e, data.pi_star
-    pib = 1.0 / pi
-    b0 = _stage2_init(e, pi, gauge)
-    log_problem, nat_problem, encode, decode = _stage2_problems(e, pib, beta3_hat, gauge)
-    raw = lm_fit(log_problem, encode(b0), opts)
-    b4, b5, b6 = decode(raw.params)
-    params = Stage2Params(beta4=float(b4), beta5=float(b5), beta6=float(b6))
-    trace = tuple((tuple(float(x) for x in decode(np.asarray(q))), ssr) for q, ssr in raw.trace)
+    zeros = np.flatnonzero(pi == 0.0)
+    if zeros.size:
+        where = _row_name(data, int(zeros[0]))
+        raise ValueError(f"zero position at {where}: inverse positions are undefined")
+    flips = np.flatnonzero(np.signbit(pi) != np.signbit(pi[:1]))
+    if flips.size:
+        where = _row_name(data, int(flips[0]))
+        raise ValueError(
+            f"position sign change at {where}: positions cross zero, so their inverses pass a pole"
+        )
+    problem = _stage2_problem(e, 1.0 / pi, beta3_hat)
+    columns = _stage1_grad(e, 0.0, 0.0, beta3_hat)[:, :2]  # e/(b3h+e), b3h/(b3h+e)
+    q0 = np.linalg.lstsq(columns, pi, rcond=None)[0]
+    raw = lm_fit(problem, q0, opts)
+
+    k, pin = gauge.fixed
+    q = raw.params
+    if k and e.min() == e.max():
+        # One distinct e identifies only the level of the curve: every
+        # q + t*null fits alike, so take the one where the pinned ratio
+        # q[j] equals the pin (s = 1).
+        null, j = np.array([beta3_hat, -e[0]]), 2 - k
+        if null[j]:
+            q = q + (pin - q[j]) / null[j] * null
+    c6, c5 = (float(x) for x in q)
+    ratio = (1.0, c5, c6)[k]
+    if not pin * ratio > 0.0:
+        name = ("beta4", "beta5", "beta6")[k]
+        raise ValueError(
+            f"gauge sign conflict: {gauge.variant} pins {name} at {pin:+.6g} but the data give "
+            f"{name}/beta4 = {ratio:+.6g}; opposite signs would make beta4 <= 0"
+        )
+    beta = _apply_gauge(q, k, pin)
+    params = Stage2Params(*beta.tolist())
+    trace = tuple((tuple(_apply_gauge(t, k, pin).tolist()), ssr) for t, ssr in raw.trace)
     fit = replace(raw, params=params, trace=trace)
 
-    reduced = {"free": [0, 1, 2], "pin-beta5": [0, 2], "pin-beta6": [0, 1]}[gauge.variant]
-    se_fit = replace(raw, params=params.as_array()[reduced])
-    se_reduced = standard_errors(se_fit, nat_problem)
-    if se_reduced is None:
-        se = None
-    else:
-        se_full = [0.0, 0.0, 0.0]
-        for pos, value in zip(reduced, se_reduced):
-            se_full[pos] = value
-        se = tuple(se_full)
+    # Delta method through beta = s*(1, c5, c6): the covariance of the two
+    # free betas is G C G', with C the (c6, c5) covariance and G their
+    # derivative in (c6, c5).  That is the Gauss-Newton covariance of
+    # J inv(G), and inv(G) is the derivative of (c6, c5) = (beta6, beta5)/beta4
+    # in the free betas.
+    free = [i for i in range(3) if i != k]
+    dq = (np.array([[-c6, 0.0, 1.0], [-c5, 1.0, 0.0]]) / beta[0])[:, free]
+    se_free = standard_errors(
+        replace(raw, params=beta[free]),
+        replace(problem, jacobian=lambda _: problem.jacobian(q) @ dq),
+    )
+    se = None if se_free is None else se_free[:k] + (0.0,) + se_free[k:]
     flags = set(identifiability_diagnostics(fit, data, beta3_hat=beta3_hat, gauge=gauge))
     if se is None:
         flags.add(DIAG_DEGENERATE_COV)

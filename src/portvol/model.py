@@ -126,7 +126,7 @@ class HestonParams:
     @property
     def feller_ok(self) -> bool:
         """True when ``2*alpha >= gamma**2`` (variance never hits zero in continuous time)."""
-        return 2.0 * self.alpha >= self.gamma * self.gamma
+        return self.validation().feller_ok
 
     @property
     def mean_reversion_level(self) -> float:

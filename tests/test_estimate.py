@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import portvol.estimate
 from portvol import (
@@ -23,6 +25,7 @@ from portvol import (
     generate_synthetic_dataset,
     identifiability_diagnostics,
     monte_carlo_validation,
+    stage2_jacobian,
     stage2_model,
     standard_errors,
     volatility_scale_comparison,
@@ -137,6 +140,116 @@ class TestFitVolOfVol:
         scaled = Stage2Params(fit.params.beta4 * 7, fit.params.beta5 * 7, fit.params.beta6 * 7)
         r = pib - stage2_model(e, scaled, 0.04)
         assert abs(float(r @ r) - fit.residual_norm) < 1e-12
+
+    def test_free_gauge_reports_ratios_with_errors(self):
+        data = model_data(n=200, noise=0.01, seed=8)
+        fit = fit_vol_of_vol(data, 0.04, GaugeRule.free())
+        assert fit.converged
+        assert fit.params.beta4 == 1.0  # the scale the free gauge fixes
+        assert fit.standard_errors is not None
+        assert fit.standard_errors[0] == 0.0
+        assert min(fit.standard_errors[1:]) > 0.0
+        assert fit.diagnostics == frozenset({DIAG_GAUGE})
+
+    def test_gauge_sign_conflict_raises(self):
+        data = model_data(n=200, noise=0.01, seed=8)
+        stage1 = fit_volatility(data)
+        gauge = GaugeRule("pin-beta5", -stage1.params.beta2)
+        with pytest.raises(ValueError, match=r"gauge sign conflict: pin-beta5 pins beta5 at -.*= \+"):
+            fit_vol_of_vol(data, stage1.params.beta3, gauge)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_pin_beta5_with_negative_beta2_converges(self, noise):
+        # beta2 < 0 < beta1: the fit must keep beta4 positive without
+        # running log(beta4) off to -inf.
+        data = model_data(truth=Stage1Params(5.0, -0.3, 0.1), n=200, noise=noise, seed=3)
+        stage1 = fit_volatility(data)
+        fit = fit_vol_of_vol(data, stage1.params.beta3, GaugeRule.pin_beta5(stage1.params.beta2))
+        assert fit.converged
+        assert fit.params.beta4 == pytest.approx(1.0, abs=0.05)
+        if noise == 0.0:
+            assert fit.params.beta4 == pytest.approx(1.0, rel=1e-6)
+            assert fit.residual_norm < 1e-18
+
+    def test_positions_crossing_zero_rejected_with_row(self):
+        data = model_data(truth=Stage1Params(-1.0, 3.0, 0.02), n=200, seed=3)
+        pi = data.pi_star
+        first = int(np.argmax(np.sign(pi) != np.sign(pi[0])))
+        assert first > 0
+        stage1 = fit_volatility(data)
+        with pytest.raises(ValueError, match=rf"position sign change at row {first}:"):
+            fit_vol_of_vol(data, stage1.params.beta3, GaugeRule.pin_beta5(stage1.params.beta2))
+
+    def test_position_sign_change_names_label(self):
+        data = Dataset(
+            pi_star=[1.0, 1.1, -0.2, 1.3],
+            mu=[0.05, 0.06, 0.07, 0.08],
+            r=[0.02] * 4,
+            labels=("a", "b", "c", "d"),
+        )
+        with pytest.raises(ValueError, match=r"position sign change at row 2 \(label 'c'\)"):
+            fit_vol_of_vol(data, 0.04, GaugeRule.free())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_scipy_oracle_pin_beta6(self, seed):
+        # Oracle: the natural pin-beta6 problem in (beta4, beta5), solved by
+        # MINPACK's Levenberg-Marquardt on the public stage-2 model.
+        least_squares = pytest.importorskip("scipy.optimize").least_squares
+        data = model_data(n=200, noise=0.01, seed=seed)
+        stage1 = fit_volatility(data)
+        b3h, pin = stage1.params.beta3, stage1.params.beta1
+        fit = fit_vol_of_vol(data, b3h, GaugeRule.pin_beta6(pin))
+        e, pib = data.e, 1.0 / data.pi_star
+        oracle = least_squares(
+            lambda v: pib - stage2_model(e, Stage2Params(v[0], v[1], pin), b3h),
+            x0=[1.0, 0.25 * pin],
+            jac=lambda v: -stage2_jacobian(e, Stage2Params(v[0], v[1], pin), b3h)[:, :2],
+            method="lm",
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
+        )
+        assert oracle.success
+        assert fit.converged
+        assert fit.params.as_array()[:2] == pytest.approx(oracle.x, rel=1e-8)
+        assert fit.residual_norm == pytest.approx(2.0 * oracle.cost, rel=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        b1=st.floats(-3.0, 3.0),
+        b2=st.floats(-3.0, 3.0),
+        b3=st.floats(0.02, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_default_gauge_gamma_is_one_by_construction(self, b1, b2, b3, seed):
+        # gamma_hat = pin / (pinned ratio) compares two estimates of the same
+        # stage-1 coefficient, so on noiseless data it is 1 under both pins.
+        assume(abs(b1) > 0.1 and abs(b2) > 0.1 and abs(b1 - b2) > 0.1)
+        # The curve is monotone on the sampled e range, so positions keep
+        # one sign and stay away from zero when both ends do.
+        ends = (b2 * b3 + b1 * np.array([0.01, 0.10])) / (b3 + np.array([0.01, 0.10]))
+        assume(ends[0] * ends[1] > 0.0 and np.min(np.abs(ends)) > 0.05)
+        data = model_data(truth=Stage1Params(b1, b2, b3), n=50, seed=seed)
+        stage1 = fit_volatility(data)
+        assert stage1.converged
+        b3h = stage1.params.beta3
+        for gauge in (GaugeRule.pin_beta5(stage1.params.beta2), GaugeRule.pin_beta6(stage1.params.beta1)):
+            fit = fit_vol_of_vol(data, b3h, gauge)
+            assert fit.converged
+            assert fit.params.beta4 == pytest.approx(1.0, abs=1e-6)
+
+    def test_single_excess_return_takes_unit_scale(self):
+        # One distinct e identifies only the curve's level, so any ratio pair
+        # on a line fits; the gauge then takes s = 1 and the covariance is
+        # degenerate, whatever the sign of the pin.
+        data = Dataset(pi_star=[-0.8, -0.9, -1.0, -1.1], mu=[0.08] * 4, r=[0.02] * 4)
+        for gauge in (GaugeRule.pin_beta5(-5.0), GaugeRule.pin_beta5(5.0), GaugeRule.pin_beta6(0.4)):
+            fit = fit_vol_of_vol(data, 0.02, gauge)
+            assert fit.params.beta4 == pytest.approx(1.0, rel=1e-12)
+            assert fit.standard_errors is None
+            assert DIAG_DEGENERATE_COV in fit.diagnostics
+            # the least-squares level of the inverse positions
+            assert stage2_model(0.06, fit.params, 0.02) == pytest.approx(np.mean(1.0 / data.pi_star), rel=1e-9)
 
     def test_zero_position_rejected_with_row(self):
         obs = (
@@ -256,6 +369,28 @@ class TestStandardErrors:
         fit = FitResult(params=np.zeros(3), residual_norm=1.0, iterations=0, converged=True)
         assert standard_errors(fit, prob) is None
 
+    @staticmethod
+    def _conditioned(cond):
+        # J = U diag(1, 1/cond) V' with orthonormal U (n x 2) and rotation V.
+        rng = np.random.default_rng(11)
+        u, _ = np.linalg.qr(rng.standard_normal((20, 2)))
+        c, s = np.cos(0.3), np.sin(0.3)
+        v = np.array([[c, -s], [s, c]])
+        a = u @ np.diag([1.0, 1.0 / cond]) @ v.T
+        expected = np.sqrt((v**2) @ np.array([1.0, cond**2]) / 18.0)  # residual_norm 1
+        fit = FitResult(params=np.zeros(2), residual_norm=1.0, iterations=0, converged=True)
+        return fit, ResidualProblem(lambda p: a @ p, lambda p: a, 2, 20), expected
+
+    def test_ill_conditioned_jacobian_keeps_accuracy(self):
+        # cond(J) = 1e7 squares to 1e14 in J'J; the R factor keeps it at 1e7.
+        fit, prob, expected = self._conditioned(1e7)
+        assert standard_errors(fit, prob) == pytest.approx(expected, rel=1e-6)
+
+    def test_singular_threshold_is_on_cond_r(self):
+        # 1/sqrt(eps) is about 6.7e7
+        fit, prob, _ = self._conditioned(1e8)
+        assert standard_errors(fit, prob) is None
+
     def test_requires_degrees_of_freedom(self):
         a = np.ones((3, 3))
         prob = ResidualProblem(lambda p: a @ p, lambda p: a, 3, 3)
@@ -305,6 +440,13 @@ class TestMonteCarloValidation:
         assert monte_carlo_validation(spec, 4, master_seed=3, run_stage2=True).stage2_n_failed == 0
         monkeypatch.setattr(portvol.estimate, "fit_vol_of_vol", pole)
         report = monte_carlo_validation(spec, 4, master_seed=3, run_stage2=True)
+        assert report.n_converged == 4
+        assert report.stage2_n_converged == 0
+        assert report.stage2_n_failed == 4
+
+    def test_stage2_position_sign_change_counted_as_failed(self):
+        spec = GenerationSpec(stage1=Stage1Params(-1.0, 3.0, 0.02), n=200, noise=0.01)
+        report = monte_carlo_validation(spec, 4, master_seed=5, run_stage2=True)
         assert report.n_converged == 4
         assert report.stage2_n_converged == 0
         assert report.stage2_n_failed == 4

@@ -46,6 +46,12 @@ class TestHestonValidation:
         assert p.feller_ok is False
         assert p.mean_reversion_level == pytest.approx(0.02)
 
+    @pytest.mark.parametrize("alpha,gamma", [(0.045, 0.3), (0.04, 0.3), (0.05, 0.3), (0.0, 0.0), (0.01, 0.5)])
+    def test_feller_flag_matches_validator(self, alpha, gamma):
+        p = valid_heston(alpha=alpha, gamma=gamma)
+        assert p.feller_ok is p.validation().feller_ok
+        assert p.feller_ok == (2.0 * alpha >= gamma * gamma)
+
     def test_feller_is_diagnostic_not_rejection(self):
         # 2*alpha < gamma**2 must still construct.
         p = valid_heston(alpha=0.01, gamma=0.5)
