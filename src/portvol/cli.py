@@ -24,7 +24,7 @@ from .estimate import (
     volatility_scale_comparison,
 )
 from .model import FitResult
-from .simulate import StructuralSpec, generate_synthetic_dataset
+from .simulate import SEED_LIMIT, StructuralSpec, generate_synthetic_dataset
 
 _SUBCOMMANDS = ("simulate", "fit", "volvol", "validate", "pipeline", "help")
 
@@ -241,8 +241,8 @@ def run_cli(argv=None) -> int:
             ValueError(f"config declares mode {cfg.mode!r} but subcommand is {args.command!r}"),
         )
     if args.seed is not None:
-        if args.seed < 0:
-            print("usage error: --seed must be >= 0", file=sys.stderr)
+        if not 0 <= args.seed < SEED_LIMIT:
+            print("usage error: --seed must be in [0, 2**64)", file=sys.stderr)
             parser.print_help(sys.stderr)
             return 1
         cfg = replace(cfg, seed=args.seed)

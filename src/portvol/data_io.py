@@ -20,7 +20,7 @@ import numpy as np
 from .estimate import GaugeRule, RhoEstimate, ValidationReport, VolatilityScale
 from .model import Dataset, FitResult, HestonParams, PolicyCoefficients, Stage1Params
 from .nls import SolverOptions
-from .simulate import GenerationSpec, PathConfig, StructuralSpec
+from .simulate import SEED_LIMIT, GenerationSpec, PathConfig, StructuralSpec
 
 __all__ = [
     "RunConfig",
@@ -141,11 +141,23 @@ def read_dataset(path) -> Dataset:
     return Dataset(**columns, labels=labels, source=str(path), mode=mode)
 
 
+def _format_column(column: np.ndarray):
+    """``format(v, ".17g")`` of each value, formatted once when every value has the same bits.
+
+    Dataset columns are finite, so this is _fmt's float rendering.  The
+    test is on bit patterns, so a column mixing -0.0 and 0.0 takes the
+    general path.
+    """
+    bits = column.view(np.int64)
+    if len(bits) and np.all(bits == bits[0]):
+        return repeat(format(column[0].item(), ".17g"), len(column))
+    return map(format, column.tolist(), repeat(".17g"))
+
+
 def write_dataset(data: Dataset, path) -> None:
     """Write a Dataset as CSV; inverse of :func:`read_dataset` for finite values."""
     with_label = data.mode == "time-series"
-    # Dataset columns are finite, so this is _fmt's float rendering.
-    columns = [map(format, column.tolist(), repeat(".17g")) for column in (data.pi_star, data.mu, data.r)]
+    columns = [_format_column(column) for column in (data.pi_star, data.mu, data.r)]
     if with_label:
         labels = data.labels if data.labels is not None else (None,) * data.n_rows
         columns.insert(0, ("" if label is None else label for label in labels))
@@ -418,8 +430,8 @@ def parse_config(path) -> RunConfig:
     if output is None:
         raise ValueError(f"missing required key for mode {mode}: [run] output")
     seed = sec.number("run", "seed", 0, kind=int)
-    if seed < 0:
-        raise ValueError("type error: [run] seed must be >= 0")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"type error: [run] seed must be in [0, 2**64), got {seed}")
     gauge_variant = sec.get("run", "gauge", "pin-beta5")
     if gauge_variant not in ("free", "pin-beta5", "pin-beta6"):
         raise ValueError(f"type error: [run] gauge must be free, pin-beta5 or pin-beta6; got {gauge_variant!r}")

@@ -19,6 +19,14 @@ Randomness is counter-based and splittable: draw streams are keyed by
 ``(seed, path_index, role)`` through ``SeedSequence`` spawn keys on a
 Philox generator (role 0 = variance, role 1 = price).  A path therefore
 never depends on how many other paths are simulated, or in what order.
+
+Stepping: the recursions are sequential in time.  A batch of variance
+paths is stepped on arrays, one numpy operation per step across all
+paths.  A single path (1-D normals, and every wealth path) is stepped on
+Python floats, since numpy calls on single values cost more than the
+arithmetic they do.  Both apply the same IEEE double operations in the
+same order, so a path is bit-identical whether stepped alone or as a row
+of a batch.
 """
 
 from __future__ import annotations
@@ -51,6 +59,9 @@ __all__ = [
 # (exactly zero) grid value; keeps the division by sigma_bar total.
 POLICY_VARIANCE_FLOOR = 1e-12
 
+# Seeds are unsigned 64-bit integers: 0 <= seed < SEED_LIMIT.
+SEED_LIMIT = 2**64
+
 
 @dataclass(frozen=True)
 class PathConfig:
@@ -75,7 +86,7 @@ class PathConfig:
             raise ValueError("dt must be < horizon")
         if not (isinstance(self.n_paths, int) and self.n_paths >= 1):
             raise ValueError("n_paths must be an integer >= 1")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (isinstance(self.seed, int) and 0 <= self.seed < SEED_LIMIT):
             raise ValueError("seed must be an unsigned 64-bit integer")
 
     @property
@@ -163,7 +174,8 @@ def variance_path_from_normals(p: HestonParams, dts: np.ndarray, z2: np.ndarray)
 
     ``z2`` has one standard normal per step (last axis); leading axes
     batch independent paths.  Returns an array with one more grid point
-    than steps, starting at ``sigma_bar``.
+    than steps, starting at ``sigma_bar``.  A 1-D ``z2`` is stepped on
+    Python floats and gives the same bits as the same row of a batch.
     """
     z2 = np.asarray(z2, dtype=float)
     dts = np.asarray(dts, dtype=float)
@@ -171,14 +183,28 @@ def variance_path_from_normals(p: HestonParams, dts: np.ndarray, z2: np.ndarray)
     if z2.shape[-1] != n:
         raise ValueError(f"z2 last axis has length {z2.shape[-1]}, expected {n}")
     out = np.empty(z2.shape[:-1] + (n + 1,))
-    v = np.full(z2.shape[:-1], float(p.sigma_bar))
-    out[..., 0] = v
     sqrt_dts = np.sqrt(dts)
-    for k in range(n):
-        vp = np.maximum(v, 0.0)
-        raw = v + (p.alpha - p.beta_rev * vp) * dts[k] + p.gamma * np.sqrt(vp) * sqrt_dts[k] * z2[..., k]
-        v = np.maximum(raw, 0.0)
-        out[..., k + 1] = v
+    if z2.ndim == 1:
+        # One path: numpy calls on 0-d arrays cost microseconds per step,
+        # so step on Python floats.  ``x if x > 0.0 or x != x else 0.0`` is
+        # np.maximum(x, 0.0) exactly: -0.0 becomes 0.0 and NaN is kept.
+        alpha, beta_rev, gamma = p.alpha, p.beta_rev, p.gamma
+        v = float(p.sigma_bar)
+        path = [v]
+        for dt, sqrt_dt, z in zip(dts.tolist(), sqrt_dts.tolist(), z2.tolist()):
+            vp = v if v > 0.0 or v != v else 0.0
+            raw = v + (alpha - beta_rev * vp) * dt + gamma * math.sqrt(vp) * sqrt_dt * z
+            v = raw if raw > 0.0 or raw != raw else 0.0
+            path.append(v)
+        out[:] = path
+    else:
+        v = np.full(z2.shape[:-1], float(p.sigma_bar))
+        out[..., 0] = v
+        for k in range(n):
+            vp = np.maximum(v, 0.0)
+            raw = v + (p.alpha - p.beta_rev * vp) * dts[k] + p.gamma * np.sqrt(vp) * sqrt_dts[k] * z2[..., k]
+            v = np.maximum(raw, 0.0)
+            out[..., k + 1] = v
     if not np.all(np.isfinite(out)):
         raise ValueError("variance path became non-finite; dt is too large for the parameter scale")
     return out
@@ -289,22 +315,27 @@ def simulate_wealth_path(
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
     times = market.times
-    v = market.variance
-    dts = np.diff(times)
-    dlog = np.diff(np.log(market.price))
-    n = len(dts)
-    wealth = np.empty(n + 1)
-    policy = np.empty(n + 1)
+    v = market.variance.tolist()
+    dts = np.diff(times).tolist()
+    dlog = np.diff(np.log(market.price)).tolist()
+    mu, r, floor = p.mu, p.r, POLICY_VARIANCE_FLOOR
+    alpha0, alpha1, alpha2 = coeffs.alpha0, coeffs.alpha1, coeffs.alpha2
+    # optimal_policy inlined, with its step-invariant terms computed once.
+    excess = mu - r
+    neg_excess = -excess
+    hedging = p.rho * p.gamma * alpha2 / alpha1
     x = float(x0)
-    wealth[0] = x
-    for k in range(n):
-        vk = v[k]
-        pi_k = optimal_policy(x, max(vk, POLICY_VARIANCE_FLOOR), coeffs, p)
-        policy[k] = pi_k
-        diffusion = dlog[k] - (p.mu - 0.5 * vk) * dts[k]
-        x = x + (p.r * x + (p.mu - p.r) * pi_k) * dts[k] + pi_k * diffusion
-        wealth[k + 1] = x
-    policy[n] = optimal_policy(x, max(v[n], POLICY_VARIANCE_FLOOR), coeffs, p)
+    wealth = [x]
+    policy = []
+    for vk, dt, dl in zip(v, dts, dlog):
+        sigma_bar = floor if floor > vk else vk  # max(vk, floor)
+        pi_k = neg_excess * (alpha0 + alpha1 * x + alpha2 * sigma_bar) / (sigma_bar * alpha1) - hedging
+        policy.append(pi_k)
+        x = x + (r * x + excess * pi_k) * dt + pi_k * (dl - (mu - 0.5 * vk) * dt)
+        wealth.append(x)
+    policy.append(optimal_policy(x, max(v[-1], floor), coeffs, p))
+    wealth = np.array(wealth)
+    policy = np.array(policy)
     if not (np.all(np.isfinite(wealth)) and np.all(np.isfinite(policy))):
         raise ValueError("wealth path became non-finite; dt is too large for the parameter scale")
     return SimPath(

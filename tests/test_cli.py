@@ -1,5 +1,6 @@
 """Exit-code contract, summaries, and file outputs of the command line."""
 
+import hashlib
 import re
 
 import pytest
@@ -209,3 +210,56 @@ class TestVolvol:
         text = (tmp_path / "r.txt").read_text()
         assert "[stage1]" not in text
         assert "GAUGE_UNIDENTIFIED" in text
+
+
+STRUCTURAL_GEN = (
+    "[generation]\nkind = structural\n"
+    "[heston]\nmu = 0.08\nr = 0.02\nalpha = 0.08\nbeta_rev = 2.0\ngamma = 0.3\nrho = -0.5\nsigma_bar = 0.04\n"
+    "[policy]\nalpha0 = 1.0\nalpha1 = -2.0\nalpha2 = 0.5\n"
+    "[path]\nhorizon = 0.5\ndt = 1e-3\nx0 = 1.0\n"
+)
+
+
+def simulate_config(tmp_path, generation, seed=0):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[run]\nmode = simulate\noutput = {tmp_path / 'd.csv'}\nseed = {seed}\n" + generation)
+    return cfg
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("generation", [NOISELESS_GEN, STRUCTURAL_GEN], ids=["model-implied", "structural"])
+    def test_seed_flag_at_2_64_is_a_usage_error(self, tmp_path, capsys, generation):
+        cfg = simulate_config(tmp_path, generation)
+        assert run_cli(["simulate", "--config", str(cfg), "--seed", str(2**64)]) == 1
+        assert "usage error: --seed" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("generation", [NOISELESS_GEN, STRUCTURAL_GEN], ids=["model-implied", "structural"])
+    def test_largest_seed_flag_runs(self, tmp_path, capsys, generation):
+        cfg = simulate_config(tmp_path, generation)
+        assert run_cli(["simulate", "--config", str(cfg), "--seed", str(2**64 - 1)]) == 0
+
+    def test_config_seed_at_2_64_is_a_config_error(self, tmp_path, capsys):
+        cfg = simulate_config(tmp_path, STRUCTURAL_GEN, seed=2**64)
+        assert run_cli(["simulate", "--config", str(cfg)]) == 2
+        assert "error in config stage: type error: [run] seed" in capsys.readouterr().err
+
+
+class TestGoldenBytes:
+    """Pinned sha256 of simulate outputs: the simulate-to-CSV path keeps its bits."""
+
+    @pytest.mark.parametrize(
+        "generation, digest",
+        [
+            (STRUCTURAL_GEN, "40c160555362e69eb5bdb4cbf2840dbc0653b36721e7fdfde7976ebe1a984bbe"),
+            (
+                "[generation]\nn = 2000\nnoise = 0.01\nbeta1 = 2.0\nbeta2 = 0.5\nbeta3 = 0.04\n",
+                "2bc1aa9d764c3a524e1faea9ae93700b3adb7dc8f7f5e8bafe43a6f5e5028ddf",
+            ),
+        ],
+        ids=["structural", "model-implied"],
+    )
+    def test_simulate_csv_digest(self, tmp_path, capsys, generation, digest):
+        cfg = simulate_config(tmp_path, generation)
+        assert run_cli(["simulate", "--config", str(cfg), "--seed", "7"]) == 0
+        assert hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest() == digest

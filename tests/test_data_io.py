@@ -226,6 +226,14 @@ class TestRoundTrip:
         assert [o.pi_star for o in back.observations] == [o.pi_star for o in original.observations]
         assert back.mode == original.mode
 
+    def test_constant_and_signed_zero_columns(self, tmp_path):
+        # mu and r are constant, so each is formatted once; pi_star mixes
+        # 0.0 and -0.0, which compare equal but print differently.
+        data = Dataset(pi_star=[0.0, -0.0, 0.0], mu=[0.07] * 3, r=[-0.0] * 3)
+        write_dataset(data, tmp_path / "d.csv")
+        rows = ["0,0.070000000000000007,-0", "-0,0.070000000000000007,-0", "0,0.070000000000000007,-0"]
+        assert (tmp_path / "d.csv").read_bytes() == "\r\n".join(["pi_star,mu,r", *rows, ""]).encode()
+
     def test_write_read_write_is_stable(self, tmp_path):
         data = generate_synthetic_dataset(
             "model-implied", GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=20, noise=0.01), seed=4
@@ -351,6 +359,16 @@ class TestParseConfig:
         )
         with pytest.raises(ValueError, match=r"type error: \[generation\] n"):
             parse_config(p)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+    def test_seed_outside_unsigned_64_bits_is_a_type_error(self, tmp_path, seed):
+        p = write(tmp_path / "c.cfg", f"[run]\nmode = fit\ninput = d.csv\noutput = r.txt\nseed = {seed}\n")
+        with pytest.raises(ValueError, match=r"type error: \[run\] seed"):
+            parse_config(p)
+
+    def test_largest_seed_accepted(self, tmp_path):
+        p = write(tmp_path / "c.cfg", f"[run]\nmode = fit\ninput = d.csv\noutput = r.txt\nseed = {2**64 - 1}\n")
+        assert parse_config(p).seed == 2**64 - 1
 
     def test_missing_required_key_for_mode(self, tmp_path):
         p = write(tmp_path / "c.cfg", "[run]\nmode = fit\noutput = r.txt\n")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portvol import (
     GenerationSpec,
@@ -21,13 +23,20 @@ from portvol import (
     simulate_variance_path,
     simulate_wealth_path,
     stage1_model,
+    variance_path_from_normals,
 )
+from portvol.simulate import POLICY_VARIANCE_FLOOR
 
 
 def heston(**overrides):
     kw = dict(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
     kw.update(overrides)
     return HestonParams(**kw)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestPathConfig:
@@ -134,6 +143,63 @@ class TestVariancePath:
             simulate_variance_path(heston(), c, 4)
 
 
+class TestSinglePathKernel:
+    """A 1-D path is stepped on Python floats; a batch on arrays.  The bits must agree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 2.0),
+        beta_rev=st.floats(0.01, 10.0),
+        gamma=st.floats(0.0, 3.0),
+        sigma_bar=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        max_dt=st.floats(1e-4, 0.5),
+        n_steps=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_single_path_equals_batch_row(self, alpha, beta_rev, gamma, sigma_bar, max_dt, n_steps, seed):
+        # gamma up to 3 against alpha up to 2 puts many draws past the Feller
+        # bound, where truncation is active.
+        p = heston(alpha=alpha, beta_rev=beta_rev, gamma=gamma, sigma_bar=sigma_bar)
+        rng = np.random.default_rng(seed)
+        dts = rng.uniform(1e-5, max_dt, n_steps)
+        z2 = rng.standard_normal((3, n_steps))
+        batch = variance_path_from_normals(p, dts, z2)
+        for row in range(3):
+            assert same_bits(variance_path_from_normals(p, dts, z2[row]), batch[row])
+
+    def test_truncation_active_paths_match_batch(self):
+        p = heston(alpha=0.01, beta_rev=1.0, gamma=0.9, sigma_bar=0.0)
+        assert not p.feller_ok
+        c = PathConfig(horizon=2.0, dt=1e-3, seed=5, n_paths=8)
+        batch = simulate_variance_batch(p, c)
+        assert (batch == 0.0).sum() > 100
+        for i in range(c.n_paths):
+            assert same_bits(simulate_variance_path(p, c, i), batch[i])
+
+    def test_negative_zero_step_is_truncated_to_positive_zero(self):
+        # alpha = sigma_bar = -0.0 and a negative shock make every term of the
+        # first step -0.0.  np.maximum(-0.0, 0.0) is +0.0 (max() would keep -0.0).
+        p = heston(alpha=-0.0, sigma_bar=-0.0)
+        dts = np.full(4, 0.01)
+        z2 = -np.ones(4)
+        single = variance_path_from_normals(p, dts, z2)
+        assert np.signbit(single[0])
+        assert not np.signbit(single[1:]).any()
+        assert same_bits(single, variance_path_from_normals(p, dts, z2[None, :])[0])
+
+    def test_overflowing_path_raises(self):
+        p = heston(alpha=1e308, beta_rev=1.0)
+        with pytest.raises(ValueError, match="variance path became non-finite"):
+            variance_path_from_normals(p, np.array([10.0, 10.0]), np.zeros(2))
+
+    def test_nan_step_is_kept_and_raises(self):
+        # The drift overflows to +inf and the shock to -inf: the step is NaN,
+        # which truncation must keep rather than turn into 0.
+        p = heston(alpha=1e308, beta_rev=1.0, gamma=1e10, sigma_bar=1.0)
+        with pytest.raises(ValueError, match="variance path became non-finite"):
+            variance_path_from_normals(p, np.array([10.0]), np.array([-1e300]))
+
+
 class TestMarketPath:
     def test_zero_volatility_price_is_deterministic(self):
         p = heston(mu=0.05, alpha=0.0, gamma=0.0, sigma_bar=0.0)
@@ -198,7 +264,58 @@ class TestOptimalPolicy:
             optimal_policy(1.0, 0.0, PolicyCoefficients(1.0, -2.0, 0.5), heston())
 
 
+def reference_wealth_path(market, coeffs, p, x0):
+    """The wealth recursion with optimal_policy called at every grid point."""
+    v = market.variance
+    dts = np.diff(market.times)
+    dlog = np.diff(np.log(market.price))
+    n = len(dts)
+    wealth = np.empty(n + 1)
+    policy = np.empty(n + 1)
+    x = float(x0)
+    wealth[0] = x
+    for k in range(n):
+        pi_k = optimal_policy(x, max(v[k], POLICY_VARIANCE_FLOOR), coeffs, p)
+        policy[k] = pi_k
+        diffusion = dlog[k] - (p.mu - 0.5 * v[k]) * dts[k]
+        x = x + (p.r * x + (p.mu - p.r) * pi_k) * dts[k] + pi_k * diffusion
+        wealth[k + 1] = x
+    policy[n] = optimal_policy(x, max(v[n], POLICY_VARIANCE_FLOOR), coeffs, p)
+    return wealth, policy
+
+
 class TestWealthPath:
+    @pytest.mark.parametrize(
+        "overrides, coeffs, x0, seed",
+        [
+            ({}, (1.0, -2.0, 0.5), 1.0, 3),
+            ({"gamma": 0.1, "rho": 0.7}, (-3.0, -0.7, 4.0), 2.5, 4),
+            # mu = r and rho = 0: every term of the rule is a signed zero.
+            ({"mu": 0.03, "r": 0.03, "rho": 0.0}, (1.0, -2.0, 0.5), 1.0, 5),
+            ({"alpha": 0.0, "gamma": 0.0, "sigma_bar": 0.0, "mu": 0.05, "r": 0.05, "rho": 0.0}, (0.0, -2.0, 0.0), 100.0, 6),
+        ],
+    )
+    def test_matches_reference_loop(self, overrides, coeffs, x0, seed):
+        p = heston(**overrides)
+        policy = PolicyCoefficients(*coeffs)
+        market = simulate_market_path(p, PathConfig(horizon=1.0, dt=1e-3, seed=seed), 0)
+        w = simulate_wealth_path(market, policy, p, x0)
+        wealth, pi = reference_wealth_path(market, policy, p, x0)
+        assert same_bits(w.wealth, wealth)
+        assert same_bits(w.policy, pi)
+
+    def test_matches_reference_loop_at_zero_variance(self):
+        # Feller violated: the variance path is truncated to exactly 0 at some
+        # grid points, where the rule is evaluated at POLICY_VARIANCE_FLOOR.
+        p = heston(mu=0.0200001, r=0.02, alpha=0.01, beta_rev=1.0, gamma=0.9, sigma_bar=0.04)
+        policy = PolicyCoefficients(1.0, -2.0, 0.5)
+        market = simulate_market_path(p, PathConfig(horizon=1.0, dt=1e-2, seed=8), 0)
+        assert (market.variance == 0.0).sum() >= 3
+        w = simulate_wealth_path(market, policy, p, 1.0)
+        wealth, pi = reference_wealth_path(market, policy, p, 1.0)
+        assert same_bits(w.wealth, wealth)
+        assert same_bits(w.policy, pi)
+
     def test_zero_position_grows_risk_free(self):
         p = heston(mu=0.03, r=0.03, alpha=0.0, gamma=0.0, rho=0.0, sigma_bar=0.0)
         coeffs = PolicyCoefficients(0.0, -2.0, 0.0)
