@@ -16,7 +16,7 @@ Typical flow::
     spec = GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=200, noise=0.01)
     data = generate_synthetic_dataset("model-implied", spec, seed=7)
     stage1 = fit_volatility(data)
-    gauge = GaugeRule.pin_beta5(stage1.params.beta2)
+    gauge = GaugeRule.from_stage1("pin-beta5", stage1)
     stage2 = fit_vol_of_vol(data, stage1.params.beta3, gauge)
 """
 

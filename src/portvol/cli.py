@@ -67,19 +67,10 @@ def _print_fit(tag: str, fit: FitResult, names, verbose: bool) -> None:
             print(f"{tag} diagnostics = {','.join(sorted(fit.diagnostics))}")
 
 
-def _make_gauge(variant: str, stage1: FitResult | None) -> GaugeRule:
-    if variant == "free":
-        return GaugeRule.free()
-    if stage1 is None:
-        raise ValueError(f"{variant} gauge requires a stage-1 fit")
-    pin = stage1.params.beta2 if variant == "pin-beta5" else stage1.params.beta1
-    return GaugeRule(variant, pin)
-
-
 def _run_simulate(cfg, verbose: bool) -> int:
     try:
-        data = generate_synthetic_dataset(cfg.generation_kind, cfg.generation, cfg.seed)
-    except (ValueError, TypeError) as exc:
+        data = generate_synthetic_dataset(cfg.generation.kind, cfg.generation, cfg.seed)
+    except ValueError as exc:
         return _stage_error("generate", exc)
     try:
         data_io.write_dataset(data, cfg.output)
@@ -112,7 +103,7 @@ def _run_fit(cfg, verbose: bool) -> int:
 def _finish_two_stage(cfg, data, stage1: FitResult | None, beta3_hat: float, verbose: bool, scale=None) -> int:
     """Stage-2 fit, optional rho, report and summary; shared by volvol and pipeline."""
     try:
-        gauge = _make_gauge(cfg.gauge_variant, stage1)
+        gauge = GaugeRule.from_stage1(cfg.gauge_variant, stage1)
         stage2 = fit_vol_of_vol(data, beta3_hat, gauge, cfg.solver)
     except ValueError as exc:
         return _stage_error("stage2 fit", exc)
@@ -181,8 +172,8 @@ def _run_validate(cfg, verbose: bool) -> int:
 
 def _run_pipeline(cfg, verbose: bool) -> int:
     try:
-        data = generate_synthetic_dataset(cfg.generation_kind, cfg.generation, cfg.seed)
-    except (ValueError, TypeError) as exc:
+        data = generate_synthetic_dataset(cfg.generation.kind, cfg.generation, cfg.seed)
+    except ValueError as exc:
         return _stage_error("generate", exc)
     try:
         data_io.write_dataset(data, cfg.dataset_output)

@@ -4,6 +4,11 @@ All formats are strict: unknown CSV columns and unknown config keys are
 errors, never silently ignored.  Numbers are written with 17 significant
 digits so every finite double round-trips exactly; absent values render
 as the literal token ``null``.
+
+Config sections ``[solver]``, ``[heston]`` and ``[policy]`` take exactly
+the fields of ``SolverOptions``, ``HestonParams`` and ``PolicyCoefficients``
+(with their defaults): a field without a default is a required key, and
+one with an int default parses as an integer.
 """
 
 from __future__ import annotations
@@ -12,12 +17,12 @@ import configparser
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
 
 import numpy as np
 
-from .estimate import GaugeRule, RhoEstimate, ValidationReport, VolatilityScale
+from .estimate import _GAUGE_VARIANTS, GaugeRule, RhoEstimate, ValidationReport, VolatilityScale
 from .model import Dataset, FitResult, HestonParams, PolicyCoefficients, Stage1Params
 from .nls import SolverOptions
 from .simulate import SEED_LIMIT, GenerationSpec, PathConfig, StructuralSpec
@@ -266,13 +271,13 @@ def write_report(
         raise OSError(f"cannot write report {path}: {exc}") from exc
 
 
+# Sections that are exactly the fields of one type.
+_SECTION_TYPES = {"solver": SolverOptions, "heston": HestonParams, "policy": PolicyCoefficients}
 _SECTION_KEYS = {
     "run": {"mode", "input", "output", "dataset_output", "seed", "gauge", "beta3_hat", "alpha_ratio"},
-    "solver": {"max_iterations", "g_tol", "x_tol", "lambda0", "lambda_factor", "lambda_max"},
     "generation": {"kind", "n", "noise", "e_min", "e_max", "base_rate", "beta1", "beta2", "beta3", "replications"},
-    "heston": {"mu", "r", "alpha", "beta_rev", "gamma", "rho", "sigma_bar"},
-    "policy": {"alpha0", "alpha1", "alpha2"},
     "path": {"horizon", "dt", "x0"},
+    **{section: {f.name for f in fields(cls)} for section, cls in _SECTION_TYPES.items()},
 }
 _MODES = ("simulate", "fit", "volvol", "validate", "pipeline")
 
@@ -290,10 +295,8 @@ class RunConfig:
     beta3_hat: float | None = None
     alpha_ratio: float | None = None
     solver: SolverOptions = SolverOptions()
-    generation_kind: str | None = None
     generation: GenerationSpec | StructuralSpec | None = None
     replications: int | None = None
-    x0: float | None = None
 
 
 class _Sections:
@@ -317,9 +320,7 @@ class _Sections:
                 raise ValueError(f"missing required key: [{section}] {key}")
             return default
         try:
-            if kind is int:
-                return int(raw)
-            return float(raw)
+            return kind(raw)
         except ValueError:
             raise ValueError(
                 f"type error: [{section}] {key} expects {'an integer' if kind is int else 'a number'}, got {raw!r}"
@@ -335,18 +336,13 @@ def _check_known_keys(parser: configparser.ConfigParser) -> None:
                 raise ValueError(f"unknown key: {key}")
 
 
-def _solver_options(sec: _Sections) -> SolverOptions:
-    if not sec.has("solver"):
-        return SolverOptions()
-    defaults = SolverOptions()
-    return SolverOptions(
-        max_iterations=sec.number("solver", "max_iterations", defaults.max_iterations, kind=int),
-        g_tol=sec.number("solver", "g_tol", defaults.g_tol),
-        x_tol=sec.number("solver", "x_tol", defaults.x_tol),
-        lambda0=sec.number("solver", "lambda0", defaults.lambda0),
-        lambda_factor=sec.number("solver", "lambda_factor", defaults.lambda_factor),
-        lambda_max=sec.number("solver", "lambda_max", defaults.lambda_max),
-    )
+def _from_fields(sec: _Sections, section: str, cls):
+    """``cls`` built from ``[section]``, one key per field, read in field order."""
+    values = {}
+    for f in fields(cls):
+        kind = int if type(f.default) is int else float
+        values[f.name] = sec.number(section, f.name, f.default, required=f.default is MISSING, kind=kind)
+    return cls(**values)
 
 
 def _generation_spec(sec: _Sections, mode: str):
@@ -357,13 +353,8 @@ def _generation_spec(sec: _Sections, mode: str):
         raise ValueError(f"type error: [generation] kind must be model-implied or structural, got {kind!r}")
     replications = sec.number("generation", "replications", None, kind=int)
     if kind == "model-implied":
-        stage1 = Stage1Params(
-            beta1=sec.number("generation", "beta1", required=True),
-            beta2=sec.number("generation", "beta2", required=True),
-            beta3=sec.number("generation", "beta3", required=True),
-        )
         spec = GenerationSpec(
-            stage1=stage1,
+            stage1=_from_fields(sec, "generation", Stage1Params),
             n=sec.number("generation", "n", required=True, kind=int),
             noise=sec.number("generation", "noise", 0.0),
             e_interval=(
@@ -372,33 +363,20 @@ def _generation_spec(sec: _Sections, mode: str):
             ),
             base_rate=sec.number("generation", "base_rate", 0.02),
         )
-        return kind, spec, replications
+        return spec, replications
     for section in ("heston", "policy", "path"):
         if not sec.has(section):
             raise ValueError(f"missing required section for structural generation: [{section}]")
-    heston = HestonParams(
-        mu=sec.number("heston", "mu", required=True),
-        r=sec.number("heston", "r", required=True),
-        alpha=sec.number("heston", "alpha", required=True),
-        beta_rev=sec.number("heston", "beta_rev", required=True),
-        gamma=sec.number("heston", "gamma", required=True),
-        rho=sec.number("heston", "rho", required=True),
-        sigma_bar=sec.number("heston", "sigma_bar", required=True),
-    )
-    policy = PolicyCoefficients(
-        alpha0=sec.number("policy", "alpha0", required=True),
-        alpha1=sec.number("policy", "alpha1", required=True),
-        alpha2=sec.number("policy", "alpha2", required=True),
-    )
+    heston = _from_fields(sec, "heston", HestonParams)
+    policy = _from_fields(sec, "policy", PolicyCoefficients)
     path_cfg = PathConfig(
         horizon=sec.number("path", "horizon", required=True),
         dt=sec.number("path", "dt", required=True),
         seed=0,
-        n_paths=1,
     )
     x0 = sec.number("path", "x0", required=True)
     spec = StructuralSpec(heston=heston, policy=policy, path=path_cfg, x0=x0)
-    return kind, spec, replications
+    return spec, replications
 
 
 def parse_config(path) -> RunConfig:
@@ -433,19 +411,18 @@ def parse_config(path) -> RunConfig:
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"type error: [run] seed must be in [0, 2**64), got {seed}")
     gauge_variant = sec.get("run", "gauge", "pin-beta5")
-    if gauge_variant not in ("free", "pin-beta5", "pin-beta6"):
+    if gauge_variant not in _GAUGE_VARIANTS:
         raise ValueError(f"type error: [run] gauge must be free, pin-beta5 or pin-beta6; got {gauge_variant!r}")
     beta3_hat = sec.number("run", "beta3_hat", None)
     alpha_ratio = sec.number("run", "alpha_ratio", None)
     input_path = sec.get("run", "input")
     dataset_output = sec.get("run", "dataset_output")
-    solver = _solver_options(sec)
+    solver = _from_fields(sec, "solver", SolverOptions)
 
-    generation_kind = None
     generation = None
     replications = None
     if mode in ("simulate", "validate", "pipeline"):
-        generation_kind, generation, replications = _generation_spec(sec, mode)
+        generation, replications = _generation_spec(sec, mode)
     if mode in ("fit", "volvol") and input_path is None:
         raise ValueError(f"missing required key for mode {mode}: [run] input")
     if mode == "validate":
@@ -474,7 +451,6 @@ def parse_config(path) -> RunConfig:
         beta3_hat=beta3_hat,
         alpha_ratio=alpha_ratio,
         solver=solver,
-        generation_kind=generation_kind,
         generation=generation,
         replications=replications,
     )

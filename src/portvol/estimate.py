@@ -79,8 +79,8 @@ _GAUGE_VARIANTS = ("free", "pin-beta5", "pin-beta6")
 class GaugeRule:
     """Identification convention for the stage-2 scale freedom.
 
-    ``pin-beta5`` freezes ``beta5`` (typically at the stage-1 ``beta2``),
-    ``pin-beta6`` freezes ``beta6`` (at the stage-1 ``beta1``), and
+    ``pin-beta5`` freezes ``beta5`` and ``pin-beta6`` freezes ``beta6``
+    (:meth:`from_stage1` takes the pin values from a stage-1 fit), and
     ``free`` reports the ratios themselves, ``(1, c5, c6)``, in which
     case the result always carries the ``GAUGE_UNIDENTIFIED`` diagnostic.
     """
@@ -119,6 +119,16 @@ class GaugeRule:
     @classmethod
     def pin_beta6(cls, beta1_hat: float) -> "GaugeRule":
         return cls("pin-beta6", beta1_hat)
+
+    @classmethod
+    def from_stage1(cls, variant: str, stage1: FitResult | None) -> "GaugeRule":
+        """The paper's pins: ``beta5`` at the stage-1 ``beta2``, ``beta6`` at its ``beta1``."""
+        if variant == "free":
+            return cls.free()
+        if stage1 is None:
+            raise ValueError(f"{variant} gauge requires a stage-1 fit")
+        b = stage1.params
+        return cls(variant, b.beta2 if variant == "pin-beta5" else b.beta1)
 
 
 @dataclass(frozen=True)
@@ -305,7 +315,8 @@ def fit_volatility(
     Returns the damped least-squares solution with natural-space
     parameters, standard errors (None and ``DEGENERATE_COVARIANCE``
     flagged when the covariance is singular) and identifiability
-    diagnostics attached.  Needs at least 4 rows.
+    diagnostics attached.  Needs at least 4 rows.  Raises ValueError when
+    the fit drives ``log beta3`` so low that ``beta3`` underflows to 0.
     """
     if data.n_rows < _MIN_ROWS_STAGE1:
         raise ValueError(
@@ -317,7 +328,10 @@ def fit_volatility(
     problem = _stage1_problem_log(e, pi)
     raw = lm_fit(problem, q0, opts)
     q = raw.params
-    params = Stage1Params(beta1=float(q[0]), beta2=float(q[1]), beta3=math.exp(float(q[2])))
+    beta3 = math.exp(float(q[2]))
+    if beta3 == 0.0:
+        raise ValueError(f"beta3 underflowed to 0 at log beta3 = {q[2]:.6g}: the positions do not identify beta3")
+    params = Stage1Params(beta1=float(q[0]), beta2=float(q[1]), beta3=beta3)
     trace = tuple(((b1, b2, math.exp(lb3)), ssr) for (b1, b2, lb3), ssr in raw.trace)
     fit = replace(raw, params=params, trace=trace)
     se = standard_errors(raw, problem)
@@ -462,7 +476,6 @@ class ValidationReport:
     stage2_gamma_mean: float | None = None
     stage2_n_converged: int | None = None
     stage2_n_failed: int | None = None
-    fits: tuple[FitResult, ...] | None = None
 
     def __post_init__(self):
         if self.bias is not None and self.rmse is not None:
@@ -488,7 +501,6 @@ def monte_carlo_validation(
     master_seed: int = 0,
     run_stage2: bool = False,
     gauge_variant: str = "pin-beta5",
-    keep_fits: bool = False,
 ) -> ValidationReport:
     """Repeated generate-and-fit experiment with deterministic seeding.
 
@@ -501,13 +513,10 @@ def monte_carlo_validation(
     """
     if replications < 2:
         raise ValueError("replications must be >= 2")
-    structural = isinstance(spec, StructuralSpec)
-    mode = "structural" if structural else "model-implied"
-    truth = None if structural else spec.stage1
+    truth = None if isinstance(spec, StructuralSpec) else spec.stage1
 
     estimates: list[np.ndarray] = []
     ses: list[tuple[float, ...] | None] = []
-    kept: list[FitResult] = []
     gamma_hats: list[float] = []
     stage2_converged = 0
     stage2_failed = 0
@@ -517,13 +526,11 @@ def monte_carlo_validation(
     for rep in range(replications):
         seed = _replication_seed(master_seed, rep)
         try:
-            data = generate_synthetic_dataset(mode, spec, seed)
+            data = generate_synthetic_dataset(spec.kind, spec, seed)
             fit = fit_volatility(data, opts)
         except ValueError:
             n_failed += 1
             continue
-        if keep_fits:
-            kept.append(fit)
         if not fit.converged:
             n_failed += 1
             continue
@@ -532,12 +539,7 @@ def monte_carlo_validation(
         ses.append(fit.standard_errors)
         if run_stage2:
             try:
-                pin = fit.params.beta2 if gauge_variant == "pin-beta5" else fit.params.beta1
-                gauge = (
-                    GaugeRule.free()
-                    if gauge_variant == "free"
-                    else GaugeRule(gauge_variant, pin)
-                )
+                gauge = GaugeRule.from_stage1(gauge_variant, fit)
                 fit2 = fit_vol_of_vol(data, fit.params.beta3, gauge, opts)
             except ValueError:
                 stage2_failed += 1
@@ -585,5 +587,4 @@ def monte_carlo_validation(
         stage2_gamma_mean=(float(np.mean(gamma_hats)) if gamma_hats else None),
         stage2_n_converged=(stage2_converged if run_stage2 else None),
         stage2_n_failed=(stage2_failed if run_stage2 else None),
-        fits=tuple(kept) if keep_fits else None,
     )

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -200,11 +201,12 @@ def variance_path_from_normals(p: HestonParams, dts: np.ndarray, z2: np.ndarray)
     else:
         v = np.full(z2.shape[:-1], float(p.sigma_bar))
         out[..., 0] = v
-        for k in range(n):
-            vp = np.maximum(v, 0.0)
-            raw = v + (p.alpha - p.beta_rev * vp) * dts[k] + p.gamma * np.sqrt(vp) * sqrt_dts[k] * z2[..., k]
-            v = np.maximum(raw, 0.0)
-            out[..., k + 1] = v
+        with np.errstate(over="ignore", invalid="ignore"):  # the isfinite check below raises
+            for k in range(n):
+                vp = np.maximum(v, 0.0)
+                raw = v + (p.alpha - p.beta_rev * vp) * dts[k] + p.gamma * np.sqrt(vp) * sqrt_dts[k] * z2[..., k]
+                v = np.maximum(raw, 0.0)
+                out[..., k + 1] = v
     if not np.all(np.isfinite(out)):
         raise ValueError("variance path became non-finite; dt is too large for the parameter scale")
     return out
@@ -353,6 +355,7 @@ class GenerationSpec:
     interval must exclude the model pole at ``-beta3``.
     """
 
+    kind: ClassVar[str] = "model-implied"
     stage1: Stage1Params
     n: int
     noise: float = 0.0
@@ -377,6 +380,7 @@ class GenerationSpec:
 class StructuralSpec:
     """Structural synthetic data: one row per grid point of a wealth path."""
 
+    kind: ClassVar[str] = "structural"
     heston: HestonParams
     policy: PolicyCoefficients
     path: PathConfig
@@ -392,8 +396,8 @@ def generate_synthetic_dataset(mode: str, spec, seed: int) -> Dataset:
 
     ``mode`` is ``"model-implied"`` (rows sampled from the stage-1 curve,
     cross-section) or ``"structural"`` (rows read off a simulated wealth
-    path, time series).  Identical ``(mode, spec, seed)`` always yields
-    an identical dataset.
+    path, time series); it must be ``spec.kind``.  Identical
+    ``(mode, spec, seed)`` always yields an identical dataset.
     """
     if mode == "model-implied":
         if not isinstance(spec, GenerationSpec):

@@ -263,3 +263,72 @@ class TestGoldenBytes:
         cfg = simulate_config(tmp_path, generation)
         assert run_cli(["simulate", "--config", str(cfg), "--seed", "7"]) == 0
         assert hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest() == digest
+
+
+# Feller-violating structural parameters: the wealth path overflows at dt = 1e-3.
+FELLER_VIOLATING_GEN = (
+    "[generation]\nkind = structural\n"
+    "[heston]\nmu = 0.08\nr = 0.02\nalpha = 0.01\nbeta_rev = 1.0\ngamma = 0.9\nrho = 0.3\nsigma_bar = 0.04\n"
+    "[policy]\nalpha0 = 1.0\nalpha1 = -2.0\nalpha2 = 0.5\n"
+    "[path]\nhorizon = 2.0\ndt = 1e-3\nx0 = 1.0\n"
+)
+
+
+class TestStageFailures:
+    """Each stage's error exit: exit code and the stage named on stderr.
+
+    ``{csv}`` is a 50-row noisy dataset, ``{short}`` a 3-row one and
+    ``{tmp}`` the test directory; ``{tmp}/missing`` does not exist.
+    """
+
+    @pytest.mark.parametrize(
+        "command, config, code, prefix",
+        [
+            ("fit", "[run]\nmode = fit\ninput = {short}\noutput = {tmp}/r.txt\n",
+             2, "error in stage1 fit stage: insufficient data"),
+            ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/missing/r.txt\n",
+             2, "error in report stage: cannot write report"),
+            ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/r.txt\n[solver]\nmax_iterations = 1\n",
+             2, "error in stage1 fit stage: did not converge"),
+            ("pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n"
+             + FELLER_VIOLATING_GEN,
+             2, "error in generate stage: wealth path became non-finite"),
+            ("pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/missing/d.csv\n"
+             + NOISELESS_GEN,
+             2, "error in write stage: "),
+            ("pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n"
+             + NOISELESS_GEN.replace("n = 50", "n = 3"),
+             2, "error in stage1 fit stage: insufficient data"),
+            ("volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/r.txt\ngauge = free\nbeta3_hat = 0.05\n"
+             "[solver]\nmax_iterations = 1\n",
+             2, "error in stage2 fit stage: did not converge"),
+            ("validate", "[run]\nmode = validate\noutput = {tmp}/missing/r.txt\n"
+             + NOISELESS_GEN + "replications = 2\n",
+             2, "error in report stage: cannot write report"),
+        ],
+        ids=[
+            "fit-stage1-error", "fit-report-error", "fit-not-converged",
+            "pipeline-generate-error", "pipeline-write-error", "pipeline-stage1-error",
+            "volvol-stage2-not-converged", "validate-report-error",
+        ],
+    )
+    def test_exit_code_and_stage(self, tmp_path, capsys, command, config, code, prefix):
+        csv = make_dataset_csv(tmp_path / "d50.csv", noise=0.01)
+        short = make_dataset_csv(tmp_path / "d3.csv", n=3)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config.format(tmp=tmp_path, csv=csv, short=short))
+        assert run_cli([command, "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix), err
+        assert err.count("\n") == 1
+
+    def test_pipeline_verbose_names_the_dataset(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(
+            f"[run]\nmode = pipeline\noutput = {tmp_path / 'r.txt'}\ndataset_output = {tmp_path / 'd.csv'}\n"
+            + NOISELESS_GEN
+        )
+        assert run_cli(["pipeline", "--config", str(cfg), "--verbose"]) == 0
+        out = capsys.readouterr().out
+        assert f"dataset written to {tmp_path / 'd.csv'} (50 rows)\n" in out
+        assert "stage1 converged = True" in out

@@ -12,7 +12,10 @@ from portvol import (
     Dataset,
     GaugeRule,
     GenerationSpec,
+    HestonParams,
     MarketObservation,
+    PathConfig,
+    PolicyCoefficients,
     RhoEstimate,
     SolverOptions,
     Stage1Params,
@@ -313,6 +316,22 @@ class TestWriteReport:
         assert "replications = 5" in text
         assert "bias_beta3 =" in text
         assert "truth_beta1 = 2" in text
+
+        heston = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
+        structural = StructuralSpec(
+            heston=heston,
+            policy=PolicyCoefficients(1.0, -2.0, 0.5),
+            path=PathConfig(horizon=0.5, dt=0.01, seed=0),
+            x0=1.0,
+        )
+        report = monte_carlo_validation(structural, 2, master_seed=0)
+        write_report(p, validation=report)
+        lines = p.read_text().splitlines()
+        scale = report.scale
+        assert f"beta3_mean_vs_sigma_bar = {scale.abs_err_vs_variance:.17g}" in lines
+        assert f"beta3_mean_vs_sqrt_sigma_bar = {scale.abs_err_vs_volatility:.17g}" in lines
+        assert f"closer_to = {scale.closer_to}" in lines
+        assert "truth_beta1 = null" in lines
 
 
 class TestParseConfig:

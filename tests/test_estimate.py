@@ -108,6 +108,13 @@ class TestFitVolatility:
         assert fit.converged
         assert np.max(np.abs(fit.params.as_array() / TRUTH.as_array() - 1.0)) < 1e-6
 
+    def test_beta3_underflow_names_the_cause(self):
+        # With beta1 = beta2 the curve is flat in e; on this draw the solver
+        # drives log beta3 to about -2000, where exp underflows to 0.
+        data = model_data(truth=Stage1Params(1.0, 1.0, 0.04), noise=0.01, seed=0)
+        with pytest.raises(ValueError, match=r"beta3 underflowed to 0 at log beta3 = -\d+.*do not identify beta3"):
+            fit_volatility(data)
+
 
 class TestFitVolOfVol:
     def test_noiseless_pin_beta5(self):
@@ -443,6 +450,15 @@ class TestMonteCarloValidation:
         assert report.n_converged == 4
         assert report.stage2_n_converged == 0
         assert report.stage2_n_failed == 4
+
+    def test_beta3_underflow_counted_as_failed(self):
+        spec = GenerationSpec(stage1=Stage1Params(1.0, 1.0, 0.04), n=50, noise=0.01)
+        data = generate_synthetic_dataset("model-implied", spec, portvol.estimate._replication_seed(3, 1))
+        with pytest.raises(ValueError, match="beta3 underflowed"):
+            fit_volatility(data)
+        report = monte_carlo_validation(spec, 2, master_seed=3)
+        assert report.n_failed >= 1
+        assert report.n_converged + report.n_failed == 2
 
     def test_stage2_position_sign_change_counted_as_failed(self):
         spec = GenerationSpec(stage1=Stage1Params(-1.0, 3.0, 0.02), n=200, noise=0.01)

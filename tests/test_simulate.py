@@ -192,6 +192,11 @@ class TestSinglePathKernel:
         with pytest.raises(ValueError, match="variance path became non-finite"):
             variance_path_from_normals(p, np.array([10.0, 10.0]), np.zeros(2))
 
+    def test_overflowing_batch_raises(self):
+        p = heston(alpha=1e308, beta_rev=1.0)
+        with pytest.raises(ValueError, match="variance path became non-finite"):
+            variance_path_from_normals(p, np.array([10.0, 10.0]), np.zeros((2, 2)))
+
     def test_nan_step_is_kept_and_raises(self):
         # The drift overflows to +inf and the shock to -inf: the step is NaN,
         # which truncation must keep rather than turn into 0.
