@@ -45,8 +45,8 @@ free = fit_vol_of_vol(data, beta3_hat, GaugeRule.free())
 print("\nfree gauge:")
 print(f"  (beta4, beta5, beta6) = {free.params.as_array()}")
 print(f"  diagnostics: {sorted(free.diagnostics)}")
-e = np.array(data.excess_returns())
-pib = 1.0 / np.array(data.positions())
+e = data.e
+pib = 1.0 / data.pi_star
 scaled = Stage2Params(free.params.beta4 * 7, free.params.beta5 * 7, free.params.beta6 * 7)
 ssr_scaled = float(np.sum((pib - stage2_model(e, scaled, beta3_hat)) ** 2))
 print(f"  residual norm, fitted vs scaled x7: {free.residual_norm:.3e} vs {ssr_scaled:.3e}")

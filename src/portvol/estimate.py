@@ -1,8 +1,10 @@
 """Two-stage estimation pipeline and its validation harness.
 
 Stage 1 fits the observed positions against the excess return and reads
-the portfolio volatility off ``beta3``; it runs over
-``(beta1, beta2, log beta3)``, which keeps ``beta3`` positive.
+the portfolio volatility off ``beta3``.  At a fixed ``beta3`` its curve is
+linear in ``(beta1, beta2)``, so the fit starts from that closed-form fit
+on a ``log(beta3/max|e|)`` grid and then runs over ``(beta1, beta2, log
+beta3)``, which keeps ``beta3`` positive.  A fit ending off the grid is refused.
 
 Stage 2 fits the inverse positions and reads the volatility of
 volatility off ``beta4``.  Its curve ``beta4*(b3h+e)/(beta5*b3h+beta6*e)``
@@ -68,6 +70,8 @@ DIAG_DEGENERATE_COV = "DEGENERATE_COVARIANCE"
 DIAG_RHO_RANGE = "RHO_OUT_OF_RANGE"
 
 _MIN_ROWS_STAGE1 = 4
+# Stage 1 starts near the best of these log(beta3/max|e|), refusing fits ending outside.
+_LOG_BETA3_GRID = tuple(range(-8, 7))
 _COND_LIMIT = 1e8
 _SINGULAR_COND = 1.0 / math.sqrt(np.finfo(float).eps)
 # A variant's index is the parameter of (beta4, beta5, beta6) it holds
@@ -176,13 +180,28 @@ def volatility_scale_comparison(beta3_hat: float, sigma_bar: float) -> Volatilit
     )
 
 
-def _stage1_init(e: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Moment-based start: level from the small-|e| rows, scale from spread of e."""
-    smallest_decile = np.argsort(np.abs(e), kind="stable")[: max(1, len(e) // 10)]
-    b2 = float(np.mean(pi[smallest_decile]))
-    b3 = max(float(np.std(e)), 1e-4)
-    b1 = b2 + 1.0
-    return np.array([b1, b2, b3])
+def _linear_part(pi: np.ndarray):
+    """``fit(u) -> (beta1, beta2, ssr)``, the stage-1 fit at a fixed ``beta3`` in closed form.
+
+    The curve is then ``beta2 + (beta1 - beta2)*u`` with ``u = e/(beta3 + e)``,
+    a simple linear regression of ``pi`` on ``u`` (Golub and Pereyra 1973).
+    A ``u`` that does not vary fits the level, ``beta1 = beta2 = mean(pi)``.
+    """
+    n = len(pi)
+    pbar = float(pi.sum()) / n
+    pc = pi - pbar
+    syy = float(pc @ pc)
+
+    def fit(u: np.ndarray) -> tuple[float, float, float]:
+        du = u - u[0]  # exact zeros when every u is the same
+        ubar = float(du.sum()) / n
+        du -= ubar
+        sxx, sxy = float(du @ du), float(du @ pc)
+        slope = sxy / sxx if sxx else 0.0
+        b2 = pbar - slope * (float(u[0]) + ubar)
+        return b2 + slope, b2, syy - slope * sxy
+
+    return fit
 
 
 def _stage1_problem_log(e: np.ndarray, pi: np.ndarray) -> ResidualProblem:
@@ -294,12 +313,8 @@ def identifiability_diagnostics(
         if np.min(np.abs(beta3_hat + e)) < 1e-3 * beta3_hat:
             flags.add(DIAG_POLE)
         k, _ = gauge.fixed
-        if (
-            _cond_or_flag(
-                lambda: np.delete(_stage2_grad(e, b.beta4, b.beta5, b.beta6, beta3_hat), k, 1)
-            )
-            > _COND_LIMIT
-        ):
+        cond = _cond_or_flag(lambda: np.delete(_stage2_grad(e, b.beta4, b.beta5, b.beta6, beta3_hat), k, 1))
+        if cond > _COND_LIMIT:
             flags.add(DIAG_ILL_CONDITIONED)
         if gauge.variant == "free":
             flags.add(DIAG_GAUGE)
@@ -307,31 +322,44 @@ def identifiability_diagnostics(
     raise TypeError("fit.params must be Stage1Params or Stage2Params")
 
 
-def fit_volatility(
-    data: Dataset, opts: SolverOptions = SolverOptions(), init: Stage1Params | None = None
-) -> FitResult:
+def fit_volatility(data: Dataset, opts: SolverOptions = SolverOptions()) -> FitResult:
     """Stage-1 fit: positions against excess returns.
 
-    Returns the damped least-squares solution with natural-space
-    parameters, standard errors (None and ``DEGENERATE_COVARIANCE``
-    flagged when the covariance is singular) and identifiability
-    diagnostics attached.  Needs at least 4 rows.  Raises ValueError when
-    the fit drives ``log beta3`` so low that ``beta3`` underflows to 0.
+    Starts from the closed-form ``(beta1, beta2)`` at the vertex of the SSR
+    parabola around the best grid point ``log(beta3/max|e|) = -8, ..., 6``
+    (skipping poles ``-beta3`` among the observed ``e``), then polishes all
+    three by Levenberg-Marquardt.  Returns natural-space parameters,
+    standard errors (None and ``DEGENERATE_COVARIANCE`` flagged when
+    singular) and diagnostics.  Level-only data (one distinct ``e``, or flat
+    positions) converge there with ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at
+    least 4 rows.  Raises ValueError("beta3 is not identified: ...") when
+    the fit ends off the grid.
     """
     if data.n_rows < _MIN_ROWS_STAGE1:
         raise ValueError(
             f"insufficient data: stage-1 fit needs at least {_MIN_ROWS_STAGE1} rows, got {data.n_rows}"
         )
     e, pi = data.e, data.pi_star
-    start = init.as_array() if init is not None else _stage1_init(e, pi)
-    q0 = np.array([start[0], start[1], math.log(start[2])])
+    linear, lo, hi = _linear_part(pi), e.min(), e.max()
+    log_s = math.log(max(-lo, hi) or 1.0)
+    ssrs = []
+    for k in _LOG_BETA3_GRID:  # a grid point whose pole -beta3 lies among the observed e is skipped
+        b3 = math.exp(log_s + k)
+        ssrs.append(math.inf if lo <= -b3 <= hi else linear(e / (b3 + e))[2])
+    i = int(np.argmin(ssrs))  # finite: for k >= 1 the pole lies below -max|e|
+    t = log_s + _LOG_BETA3_GRID[i]
+    if 0 < i < len(ssrs) - 1:  # start at the vertex: on a grid point LM may stop before any step
+        # Between three qualifying grid points the vertex is off the observed e too.
+        a, b, c = ssrs[i - 1 : i + 2]
+        vertex = t + 0.5 * (a - c) / (a - 2.0 * b + c) if a - 2.0 * b + c > 0.0 else t
+        t = vertex if math.isfinite(vertex) else t
+    b1, b2, _ = linear(e / (math.exp(t) + e))
     problem = _stage1_problem_log(e, pi)
-    raw = lm_fit(problem, q0, opts)
+    raw = lm_fit(problem, np.array([b1, b2, t], dtype=float), opts)
     q = raw.params
-    beta3 = math.exp(float(q[2]))
-    if beta3 == 0.0:
-        raise ValueError(f"beta3 underflowed to 0 at log beta3 = {q[2]:.6g}: the positions do not identify beta3")
-    params = Stage1Params(beta1=float(q[0]), beta2=float(q[1]), beta3=beta3)
+    if not _LOG_BETA3_GRID[0] <= q[2] - log_s <= _LOG_BETA3_GRID[-1]:
+        raise ValueError(f"beta3 is not identified: log(beta3/max|e|) ends at {q[2] - log_s:.6g}, outside [-8, 6]")
+    params = Stage1Params(beta1=float(q[0]), beta2=float(q[1]), beta3=math.exp(float(q[2])))
     trace = tuple(((b1, b2, math.exp(lb3)), ssr) for (b1, b2, lb3), ssr in raw.trace)
     fit = replace(raw, params=params, trace=trace)
     se = standard_errors(raw, problem)
@@ -364,13 +392,13 @@ def fit_vol_of_vol(
 ) -> FitResult:
     """Stage-2 fit: inverse positions against excess returns.
 
-    Fits the identified ratios ``(c6, c5)``, starting from the linear
-    least-squares fit of the positions on the curve's two columns, then
-    applies the gauge.  ``gamma_hat`` is the resulting ``beta4``.  The
-    regressand is ``1/pi_star``, so a zero position, or positions that do
-    not share one sign, are rejected with the offending row named; so is
-    a gauge pin whose sign would make ``beta4 <= 0``.  Standard errors
-    cover the two free parameters (the fixed one reports 0.0).
+    Fits the identified ratios ``(c6, c5)``, starting from the stage-1
+    linear fit of the positions at ``beta3_hat``, then applies the gauge.
+    ``gamma_hat`` is the resulting ``beta4``.  The regressand is
+    ``1/pi_star``, so a zero position, or positions that do not share one
+    sign, are rejected with the offending row named; so is a gauge pin
+    whose sign would make ``beta4 <= 0``.  Standard errors cover the two
+    free parameters (the fixed one reports 0.0).
     """
     if not (math.isfinite(beta3_hat) and beta3_hat > 0.0):
         raise ValueError("beta3_hat must be finite and > 0")
@@ -386,9 +414,8 @@ def fit_vol_of_vol(
             f"position sign change at {where}: positions cross zero, so their inverses pass a pole"
         )
     problem = _stage2_problem(e, 1.0 / pi, beta3_hat)
-    columns = _stage1_grad(e, 0.0, 0.0, beta3_hat)[:, :2]  # e/(b3h+e), b3h/(b3h+e)
-    q0 = np.linalg.lstsq(columns, pi, rcond=None)[0]
-    raw = lm_fit(problem, q0, opts)
+    c6, c5, _ = _linear_part(pi)(_stage1_value(e, 1.0, 0.0, beta3_hat))  # u = e/(b3h + e)
+    raw = lm_fit(problem, np.array([c6, c5]), opts)
 
     k, pin = gauge.fixed
     q = raw.params
@@ -560,15 +587,9 @@ def monte_carlo_validation(
             errors = est - truth.as_array()
             bias = tuple(float(v) for v in errors.mean(axis=0))
             rmse = tuple(float(v) for v in np.sqrt((errors**2).mean(axis=0)))
-            cov = [0, 0, 0]
-            for row, se in zip(est, ses):
-                if se is None:
-                    continue
-                coverage_evaluated += 1
-                for j in range(3):
-                    if abs(row[j] - truth.as_array()[j]) <= 1.96 * se[j]:
-                        cov[j] += 1
-            coverage = tuple(cov)
+            hits = [np.abs(err) <= 1.96 * np.array(se) for err, se in zip(errors, ses) if se is not None]
+            coverage_evaluated = len(hits)
+            coverage = tuple(sum(int(hit[j]) for hit in hits) for j in range(3))
         else:
             scale = volatility_scale_comparison(beta3_mean, spec.heston.sigma_bar)
 

@@ -202,13 +202,11 @@ class Dataset:
     regress on; all four are read-only.  ``labels`` is None or one label
     (a string or None) per row.  ``mode`` tags whether rows are a time
     series of one portfolio or a cross-section of assets at one time;
-    both feed the same fits.  The minimum row count for fitting (4) is
-    enforced by the fitting routines, not here, so small files still
-    load and round-trip.
-
-    ``Dataset(observations=rows)`` builds the columns from
-    :class:`MarketObservation` rows, and :attr:`observations` rebuilds
-    them on demand; datasets compare equal when their values are equal.
+    both feed the same fits.  ``e`` must be finite too: finite ``mu`` and
+    ``r`` whose difference overflows are rejected.  The minimum row count
+    for fitting (4) is enforced by the fitting routines, not here, so
+    small files still load and round-trip.  Datasets compare equal when
+    their values are equal.
     """
 
     pi_star: np.ndarray
@@ -222,26 +220,13 @@ class Dataset:
     def __init__(
         self,
         *,
-        pi_star=None,
-        mu=None,
-        r=None,
+        pi_star,
+        mu,
+        r,
         labels=None,
         source: str | None = None,
         mode: str = "cross-section",
-        observations=None,
     ):
-        if observations is not None:
-            if pi_star is not None or mu is not None or r is not None or labels is not None:
-                raise TypeError("Dataset takes either observations or columns, not both")
-            rows = tuple(observations)
-            pi_star = [o.pi_star for o in rows]
-            mu = [o.mu for o in rows]
-            r = [o.r for o in rows]
-            labels = tuple(o.label for o in rows)
-            if all(label is None for label in labels):
-                labels = None
-        elif pi_star is None or mu is None or r is None:
-            raise TypeError("Dataset requires pi_star, mu and r (or observations)")
         if mode not in ("cross-section", "time-series"):
             raise ValueError(f"invalid Dataset: unknown mode {mode!r}")
         columns = {name: _column(name, values) for name, values in (("pi_star", pi_star), ("mu", mu), ("r", r))}
@@ -252,8 +237,8 @@ class Dataset:
         if len(set(lengths.values())) > 1:
             sizes = ", ".join(f"{name} {n}" for name, n in lengths.items())
             raise ValueError(f"invalid Dataset: columns differ in length ({sizes})")
-        e = columns["mu"] - columns["r"]
-        e.setflags(write=False)
+        with np.errstate(over="ignore"):
+            e = _column("e = mu - r", columns["mu"] - columns["r"])
         for name, value in (*columns.items(), ("e", e), ("labels", labels), ("source", source), ("mode", mode)):
             object.__setattr__(self, name, value)
 
@@ -271,29 +256,14 @@ class Dataset:
     def n_rows(self) -> int:
         return len(self.pi_star)
 
-    @property
-    def observations(self) -> tuple[MarketObservation, ...]:
-        """The rows as :class:`MarketObservation` objects, built on each access."""
-        labels = self.labels if self.labels is not None else (None,) * self.n_rows
-        return tuple(
-            MarketObservation(pi_star=p, mu=m, r=r, label=label)
-            for p, m, r, label in zip(self.pi_star.tolist(), self.mu.tolist(), self.r.tolist(), labels)
-        )
-
-    def excess_returns(self) -> list[float]:
-        return self.e.tolist()
-
-    def positions(self) -> list[float]:
-        return self.pi_star.tolist()
-
 
 @dataclass(frozen=True)
 class Stage1Params:
     """Parameters of the position-on-excess-return fit.
 
     ``beta3`` is the portfolio-volatility estimate and must be strictly
-    positive; the fitting routine guarantees this by optimizing
-    ``log(beta3)`` internally.
+    positive; the fit runs over ``log(beta3)`` and refuses data that do
+    not place ``log(beta3/max|e|)`` in [-8, 6].
     """
 
     beta1: float

@@ -312,7 +312,8 @@ def simulate_wealth_path(
     the log-Euler price scheme, ``sqrt(v_k)*dW1_k`` equals
     ``dlog(S_k) - (mu - v_k/2)*dt_k`` identically, so no separate draws
     are needed and the coupling is exact.  The policy at a truncated
-    (zero-variance) grid point is evaluated at ``POLICY_VARIANCE_FLOOR``.
+    (zero-variance) grid point is evaluated at ``POLICY_VARIANCE_FLOOR``,
+    and an overflow after such points names them and the Feller condition.
     """
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
@@ -338,8 +339,14 @@ def simulate_wealth_path(
     policy.append(optimal_policy(x, max(v[-1], floor), coeffs, p))
     wealth = np.array(wealth)
     policy = np.array(policy)
-    if not (np.all(np.isfinite(wealth)) and np.all(np.isfinite(policy))):
-        raise ValueError("wealth path became non-finite; dt is too large for the parameter scale")
+    bad = np.flatnonzero(~(np.isfinite(wealth) & np.isfinite(policy)))
+    if bad.size:
+        truncated = int(np.count_nonzero(market.variance[: bad[0] + 1] < floor))
+        cause = "dt is too large for the parameter scale" if not truncated else (
+            f"the variance was truncated to 0 at {truncated} grid points up to it, where the rule divides by "
+            f"POLICY_VARIANCE_FLOOR; the Feller condition 2*alpha >= gamma**2 {'holds' if p.feller_ok else 'fails'}"
+        )
+        raise ValueError(f"wealth path became non-finite at grid point {bad[0]}: {cause}")
     return SimPath(
         times=times, variance=market.variance, price=market.price, wealth=wealth, policy=policy
     )

@@ -140,8 +140,8 @@ def test_06_stage2_gauge_invariance():
     with criterion(6, "stage-2 residuals invariant under 1e-3/1e3 rescaling; free-gauge fits flag GAUGE_UNIDENTIFIED"):
         spec = GenerationSpec(stage1=TRUTH, n=50, noise=0.0)
         data = generate_synthetic_dataset("model-implied", spec, seed=42)
-        e = np.array(data.excess_returns())
-        pib = 1.0 / np.array(data.positions())
+        e = data.e
+        pib = 1.0 / data.pi_star
         free = fit_vol_of_vol(data, 0.04, GaugeRule.free())
         assert DIAG_GAUGE in free.diagnostics
 

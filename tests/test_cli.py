@@ -80,9 +80,22 @@ class TestDataErrors:
         csv = tmp_path / "z.csv"
         csv.write_text("pi_star,mu,r\n1.0,0.05,0.02\n0.0,0.06,0.02\n1.2,0.07,0.02\n1.3,0.08,0.02\n")
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"[run]\nmode = volvol\ninput = {csv}\noutput = {tmp_path/'r.txt'}\n")
+        # Stage 1 refuses these four rows (log(beta3/max|e|) ends near 8), so stage 2
+        # gets a given beta3_hat under the free gauge.
+        cfg.write_text(
+            f"[run]\nmode = volvol\ninput = {csv}\noutput = {tmp_path/'r.txt'}\nbeta3_hat = 0.04\ngauge = free\n"
+        )
         assert run_cli(["volvol", "--config", str(cfg)]) == 2
         assert "stage2 fit stage" in capsys.readouterr().err
+
+    def test_overflowing_excess_return_is_a_read_error(self, tmp_path, capsys):
+        csv = tmp_path / "o.csv"
+        csv.write_text("pi_star,mu,r\n1.0,0.05,0.02\n0.0,1.7976931348623157e+308,-1e300\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[run]\nmode = fit\ninput = {csv}\noutput = {tmp_path/'r.txt'}\n")
+        assert run_cli(["fit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error in read stage: invalid Dataset: e = mu - r must be finite (first bad row 1)\n"
 
 
 class TestFit:

@@ -13,7 +13,6 @@ from portvol import (
     GaugeRule,
     GenerationSpec,
     HestonParams,
-    MarketObservation,
     PathConfig,
     PolicyCoefficients,
     RhoEstimate,
@@ -47,18 +46,18 @@ class TestReadDataset:
         data = read_dataset(p)
         assert data.n_rows == 3
         assert data.mode == "time-series"
-        assert data.observations[0].label == "t0"
-        assert data.observations[1].pi_star == -0.5
+        assert data.labels[0] == "t0"
+        assert data.pi_star[1] == -0.5
 
     def test_label_column_optional(self, tmp_path):
         p = write(tmp_path / "d.csv", "pi_star,mu,r\n1.0,0.05,0.02\n")
         data = read_dataset(p)
         assert data.mode == "cross-section"
-        assert data.observations[0].label is None
+        assert data.labels is None
 
     def test_column_order_free(self, tmp_path):
         p = write(tmp_path / "d.csv", "r,mu,pi_star\n0.02,0.05,1.25\n")
-        assert read_dataset(p).observations[0].pi_star == 1.25
+        assert read_dataset(p).pi_star[0] == 1.25
 
     def test_missing_column_named(self, tmp_path):
         p = write(tmp_path / "d.csv", "label,mu,r\na,0.05,0.02\n")
@@ -194,39 +193,45 @@ class TestFastReadMatchesReference:
         with pytest.raises(ValueError, match="row 4: invalid MarketObservation: mu must be finite"):
             read_dataset(p)
 
+    def test_overflowing_excess_return_fails_alike(self, tmp_path):
+        # Finite cells whose difference mu - r overflows: both readers give
+        # the Dataset error (warnings fail this suite, so none is emitted).
+        p = write(tmp_path / "d.csv", "mu,r,pi_star\n1.7976931348623157e+308,-9.9792015476736e+291,0.0")
+        error = "invalid Dataset: e = mu - r must be finite (first bad row 0)"
+        assert _read_outcome(p) == _reference_outcome(p) == ("error", error)
+
 
 class TestRoundTrip:
     def test_awkward_floats_survive(self, tmp_path):
         values = [0.1 + 0.2, 1.0 / 3.0, 1e-300, 1e300, -7.25, 2**-52]
-        obs = tuple(
-            MarketObservation(pi_star=v, mu=v / 2.0, r=v / 4.0, label=f"row{i}")
-            for i, v in enumerate(values)
-        )
-        original = Dataset(observations=obs, mode="time-series")
+        v = np.array(values)
+        labels = [f"row{i}" for i in range(len(values))]
+        original = Dataset(pi_star=v, mu=v / 2.0, r=v / 4.0, labels=labels, mode="time-series")
         p = tmp_path / "rt.csv"
         write_dataset(original, p)
         back = read_dataset(p)
-        for a, b in zip(original.observations, back.observations):
-            assert a.pi_star == b.pi_star  # bit-exact through 17 significant digits
-            assert a.mu == b.mu
-            assert a.r == b.r
-            assert a.label == b.label
+        # bit-exact through 17 significant digits
+        assert back.pi_star.tobytes() == original.pi_star.tobytes()
+        assert back.mu.tobytes() == original.mu.tobytes()
+        assert back.r.tobytes() == original.r.tobytes()
+        assert back.labels == original.labels
 
     def test_random_round_trips(self, tmp_path):
         rng = np.random.default_rng(12)
-        obs = tuple(
-            MarketObservation(
-                pi_star=float(rng.standard_normal() * 10.0 ** float(rng.integers(-8, 8))),
-                mu=float(rng.standard_normal()),
-                r=float(rng.standard_normal()),
+        rows = [
+            (
+                float(rng.standard_normal() * 10.0 ** float(rng.integers(-8, 8))),
+                float(rng.standard_normal()),
+                float(rng.standard_normal()),
             )
             for _ in range(100)
-        )
-        original = Dataset(observations=obs)
+        ]
+        pi_star, mu, r = zip(*rows)
+        original = Dataset(pi_star=pi_star, mu=mu, r=r)
         p = tmp_path / "rt.csv"
         write_dataset(original, p)
         back = read_dataset(p)
-        assert [o.pi_star for o in back.observations] == [o.pi_star for o in original.observations]
+        assert back.pi_star.tolist() == original.pi_star.tolist()
         assert back.mode == original.mode
 
     def test_constant_and_signed_zero_columns(self, tmp_path):

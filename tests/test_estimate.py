@@ -1,8 +1,10 @@
 """Two-stage fits, diagnostics, standard errors, and the validation harness."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import portvol.estimate
@@ -11,7 +13,6 @@ from portvol import (
     GaugeRule,
     GenerationSpec,
     HestonParams,
-    MarketObservation,
     PathConfig,
     PoleError,
     PolicyCoefficients,
@@ -25,6 +26,8 @@ from portvol import (
     generate_synthetic_dataset,
     identifiability_diagnostics,
     monte_carlo_validation,
+    stage1_jacobian,
+    stage1_model,
     stage2_jacobian,
     stage2_model,
     standard_errors,
@@ -57,9 +60,8 @@ class TestFitVolatility:
         assert fit.standard_errors is not None
 
     def test_insufficient_data(self):
-        obs = tuple(MarketObservation(1.0, 0.05, 0.02) for _ in range(3))
         with pytest.raises(ValueError, match="insufficient data"):
-            fit_volatility(Dataset(observations=obs))
+            fit_volatility(Dataset(pi_star=[1.0] * 3, mu=[0.05] * 3, r=[0.02] * 3))
 
     def test_degenerate_equal_betas_flagged(self):
         data = model_data(truth=Stage1Params(1.5, 1.5, 0.04), seed=3)
@@ -103,17 +105,111 @@ class TestFitVolatility:
             assert np.max(np.abs(fit.params.as_array() / truth.as_array() - 1.0)) < 1e-6
             checked += 1
 
-    def test_explicit_init_is_honored(self):
-        fit = fit_volatility(model_data(), init=Stage1Params(1.0, 1.0, 0.1))
-        assert fit.converged
-        assert np.max(np.abs(fit.params.as_array() / TRUTH.as_array() - 1.0)) < 1e-6
-
     def test_beta3_underflow_names_the_cause(self):
-        # With beta1 = beta2 the curve is flat in e; on this draw the solver
-        # drives log beta3 to about -2000, where exp underflows to 0.
-        data = model_data(truth=Stage1Params(1.0, 1.0, 0.04), noise=0.01, seed=0)
-        with pytest.raises(ValueError, match=r"beta3 underflowed to 0 at log beta3 = -\d+.*do not identify beta3"):
+        # With beta1 = beta2 the curve is flat in e; on this draw the best
+        # fit sends log(beta3/max|e|) past the top of the start grid (to about 9).
+        data = model_data(truth=Stage1Params(1.0, 1.0, 0.04), noise=0.01, seed=8)
+        with pytest.raises(
+            ValueError, match=r"beta3 is not identified: log\(beta3/max\|e\|\) ends at 9\.\d+, outside \[-8, 6\]"
+        ):
             fit_volatility(data)
+
+    @pytest.mark.parametrize("truth", [TRUTH, Stage1Params(-1.0, 1.5, 0.2)])
+    @pytest.mark.parametrize("scale", [1e-4, 1e4])
+    def test_units_of_the_returns_only_scale_beta3(self, truth, scale):
+        # The curve depends on beta3 only through beta3/e: returns given in
+        # other units (basis points, per-minute) give the same beta1, beta2
+        # and beta3 in those units.
+        data = model_data(truth=truth, n=200, noise=0.01, seed=4)
+        scaled = Dataset(pi_star=data.pi_star, mu=data.mu * scale, r=data.r * scale)
+        fit, fit_scaled = fit_volatility(data), fit_volatility(scaled)
+        assert fit.converged and fit_scaled.converged
+        assert fit_scaled.params.beta3 == pytest.approx(fit.params.beta3 * scale, rel=1e-6)
+        assert (fit_scaled.params.beta1, fit_scaled.params.beta2) == pytest.approx(
+            (fit.params.beta1, fit.params.beta2), rel=1e-6
+        )
+        assert fit_scaled.residual_norm == pytest.approx(fit.residual_norm, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b1=st.floats(-3.0, 3.0),
+        b2=st.floats(-3.0, 3.0),
+        b3=st.floats(0.005, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Noiseless truths the moment-based start of earlier versions lost, by
+    # "max iterations", "damping exhausted", a non-finite evaluation, or a
+    # step-tolerance stop short of the truth.
+    @example(b1=-1.66, b2=-1.798, b3=0.6123, seed=128)
+    @example(b1=-2.249, b2=-2.895, b3=0.6165, seed=849)
+    @example(b1=-0.233, b2=-0.452, b3=0.314, seed=543)
+    @example(b1=-1.911, b2=0.554, b3=0.0105, seed=5)
+    @example(b1=-1.45, b2=1.273, b3=0.0092, seed=685)
+    # A truth 1e-4 from the start grid point max(e)*exp(2), where a start on
+    # the grid point itself passed the gradient test with no step taken.
+    @example(b1=0.763, b2=0.646, b3=0.729557, seed=0)
+    def test_noiseless_identified_truths_recovered(self, b1, b2, b3, seed):
+        assume(abs(b1 - b2) > 0.1)
+        truth = Stage1Params(b1, b2, b3)
+        data = model_data(truth=truth, n=50, seed=seed)
+        fit = fit_volatility(data)
+        assert fit.converged
+        assert np.max(np.abs(stage1_model(data.e, fit.params) - data.pi_star)) < 1e-6
+        assert fit.params.beta3 == pytest.approx(b3, rel=1e-6)
+        assert (fit.params.beta1, fit.params.beta2) == pytest.approx((b1, b2), rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("truth", [TRUTH, Stage1Params(-1.0, 1.5, 0.2), Stage1Params(0.7, -2.0, 0.01)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_scipy_oracle(self, truth, seed):
+        # Oracle: MINPACK's Levenberg-Marquardt on the public stage-1 model
+        # in (beta1, beta2, log beta3), started at the truth.
+        least_squares = pytest.importorskip("scipy.optimize").least_squares
+        data = model_data(truth=truth, n=200, noise=0.01, seed=seed)
+        fit = fit_volatility(data)
+
+        def params(q):
+            return Stage1Params(q[0], q[1], math.exp(q[2]))
+
+        def jacobian(q):
+            j = -stage1_jacobian(data.e, params(q))
+            j[:, 2] *= math.exp(q[2])
+            return j
+
+        oracle = least_squares(
+            lambda q: data.pi_star - stage1_model(data.e, params(q)),
+            x0=[truth.beta1, truth.beta2, math.log(truth.beta3)],
+            jac=jacobian,
+            method="lm",
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
+        )
+        assert oracle.success
+        assert fit.converged
+        assert fit.residual_norm == pytest.approx(2.0 * oracle.cost, rel=1e-12)
+        # The absolute gradient test (g_tol = 1e-10) stops where the sum of
+        # squares is flat to rounding, so the two optima differ by a sliver
+        # of a standard error: up to about 1e-6 relative along the weakly
+        # identified direction, within 1e-8 elsewhere.
+        diff = np.abs(fit.params.as_array() - params(oracle.x).as_array())
+        assert np.all(diff <= 1e-6 * np.array(fit.standard_errors))
+        assert fit.params.as_array() == pytest.approx(params(oracle.x).as_array(), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "pi_star, mu",
+        [
+            ([1.0, 1.3, 0.9, 1.1, 1.2], [0.06] * 5),  # one distinct e
+            ([1.25] * 5, [0.03, 0.05, 0.07, 0.09, 0.11]),  # flat positions
+        ],
+        ids=["one-distinct-e", "flat-positions"],
+    )
+    def test_level_only_data_converge_at_the_level(self, pi_star, mu):
+        fit = fit_volatility(Dataset(pi_star=pi_star, mu=mu, r=[0.02] * 5))
+        assert fit.converged
+        assert fit.iterations == 0
+        assert fit.params.beta1 == fit.params.beta2 == pytest.approx(np.mean(pi_star), rel=1e-15)
+        assert DIAG_B1_EQ_B2 in fit.diagnostics
+        assert DIAG_DEGENERATE_COV in fit.diagnostics
 
 
 class TestFitVolOfVol:
@@ -142,8 +238,8 @@ class TestFitVolOfVol:
         data = model_data()
         fit = fit_vol_of_vol(data, 0.04, GaugeRule.free())
         assert DIAG_GAUGE in fit.diagnostics
-        e = np.array(data.excess_returns())
-        pib = 1.0 / np.array(data.positions())
+        e = data.e
+        pib = 1.0 / data.pi_star
         scaled = Stage2Params(fit.params.beta4 * 7, fit.params.beta5 * 7, fit.params.beta6 * 7)
         r = pib - stage2_model(e, scaled, 0.04)
         assert abs(float(r @ r) - fit.residual_norm) < 1e-12
@@ -259,14 +355,9 @@ class TestFitVolOfVol:
             assert stage2_model(0.06, fit.params, 0.02) == pytest.approx(np.mean(1.0 / data.pi_star), rel=1e-9)
 
     def test_zero_position_rejected_with_row(self):
-        obs = (
-            MarketObservation(1.0, 0.05, 0.02),
-            MarketObservation(0.0, 0.06, 0.02),
-            MarketObservation(1.2, 0.07, 0.02),
-            MarketObservation(1.3, 0.08, 0.02),
-        )
+        data = Dataset(pi_star=[1.0, 0.0, 1.2, 1.3], mu=[0.05, 0.06, 0.07, 0.08], r=[0.02] * 4)
         with pytest.raises(ValueError, match="zero position at row 1"):
-            fit_vol_of_vol(Dataset(observations=obs), 0.04, GaugeRule.free())
+            fit_vol_of_vol(data, 0.04, GaugeRule.free())
 
     def test_beta3_hat_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -326,13 +417,8 @@ class TestIdentifiabilityDiagnostics:
         assert identifiability_diagnostics(fit, data) == frozenset()
 
     def test_pole_proximity_threshold(self):
-        obs = (
-            MarketObservation(1.0, 0.05, 0.02),
-            MarketObservation(1.0, 0.02 - 0.039999, 0.02),  # e within 1e-3*beta3 of -beta3
-            MarketObservation(1.1, 0.07, 0.02),
-            MarketObservation(1.2, 0.08, 0.02),
-        )
-        data = Dataset(observations=obs)
+        # the second e lies within 1e-3*beta3 of -beta3
+        data = Dataset(pi_star=[1.0, 1.0, 1.1, 1.2], mu=[0.05, 0.02 - 0.039999, 0.07, 0.08], r=[0.02] * 4)
         fit = _fit_result(Stage1Params(2.0, 0.5, 0.04))
         assert DIAG_POLE in identifiability_diagnostics(fit, data)
 
@@ -454,11 +540,18 @@ class TestMonteCarloValidation:
     def test_beta3_underflow_counted_as_failed(self):
         spec = GenerationSpec(stage1=Stage1Params(1.0, 1.0, 0.04), n=50, noise=0.01)
         data = generate_synthetic_dataset("model-implied", spec, portvol.estimate._replication_seed(3, 1))
-        with pytest.raises(ValueError, match="beta3 underflowed"):
+        with pytest.raises(ValueError, match="beta3 is not identified"):
             fit_volatility(data)
         report = monte_carlo_validation(spec, 2, master_seed=3)
         assert report.n_failed >= 1
         assert report.n_converged + report.n_failed == 2
+
+    def test_unidentified_beta3_counted_as_failed(self, monkeypatch):
+        # Every replication draws the seed-8 data, whose fit ends past the grid.
+        monkeypatch.setattr(portvol.estimate, "_replication_seed", lambda master_seed, rep: 8)
+        spec = GenerationSpec(stage1=Stage1Params(1.0, 1.0, 0.04), n=50, noise=0.01)
+        report = monte_carlo_validation(spec, 3)
+        assert (report.n_converged, report.n_failed) == (0, 3)
 
     def test_stage2_position_sign_change_counted_as_failed(self):
         spec = GenerationSpec(stage1=Stage1Params(-1.0, 3.0, 0.02), n=200, noise=0.01)

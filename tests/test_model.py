@@ -127,27 +127,22 @@ class TestConstructorRejections:
 
 class TestDataset:
     def test_modes_are_restricted(self):
-        obs = (MarketObservation(1.0, 0.05, 0.02),)
         with pytest.raises(ValueError):
-            Dataset(observations=obs, mode="panel")
+            Dataset(pi_star=[1.0], mu=[0.05], r=[0.02], mode="panel")
 
     def test_small_datasets_construct(self):
         # The 4-row minimum applies to fitting, not construction.
-        obs = tuple(MarketObservation(1.0, 0.05, 0.02) for _ in range(3))
-        data = Dataset(observations=obs)
+        data = Dataset(pi_star=[1.0] * 3, mu=[0.05] * 3, r=[0.02] * 3)
         assert data.n_rows == 3
 
     def test_accessors(self):
-        obs = (
-            MarketObservation(1.5, 0.07, 0.02, label="a"),
-            MarketObservation(-0.5, 0.03, 0.02, label="b"),
-        )
-        data = Dataset(observations=obs, mode="time-series")
-        assert data.excess_returns() == pytest.approx([0.05, 0.01])
-        assert data.positions() == pytest.approx([1.5, -0.5])
+        data = Dataset(pi_star=[1.5, -0.5], mu=[0.07, 0.03], r=[0.02, 0.02], labels=("a", "b"), mode="time-series")
+        assert data.e.tolist() == pytest.approx([0.05, 0.01])
+        assert data.pi_star.tolist() == [1.5, -0.5]
+        assert data.labels == ("a", "b")
 
     def test_frozen(self):
-        data = Dataset(observations=(MarketObservation(1.0, 0.05, 0.02),))
+        data = Dataset(pi_star=[1.0], mu=[0.05], r=[0.02])
         with pytest.raises(AttributeError):
             data.mode = "time-series"
 
@@ -202,25 +197,16 @@ class TestDataset:
         assert a != Dataset(**kw, mode="time-series")
         assert a != kw
 
-    def test_observations_and_columns_agree(self):
-        rows = (
-            MarketObservation(1.5, 0.07, 0.02, label="a"),
-            MarketObservation(-0.5, 0.03, 0.02),
-        )
-        from_rows = Dataset(observations=rows, mode="time-series")
-        from_columns = Dataset(
-            pi_star=[1.5, -0.5], mu=[0.07, 0.03], r=[0.02, 0.02], labels=("a", None), mode="time-series"
-        )
-        assert from_rows == from_columns
-        assert from_rows.observations == rows
-        assert from_columns.observations == rows
-        assert Dataset(observations=rows[1:]).labels is None
-
-    def test_observations_exclude_columns(self):
-        with pytest.raises(TypeError):
-            Dataset(observations=(MarketObservation(1.0, 0.05, 0.02),), pi_star=[1.0])
+    def test_columns_are_required(self):
         with pytest.raises(TypeError):
             Dataset(pi_star=[1.0], mu=[0.05])
+        with pytest.raises(TypeError):
+            Dataset(observations=(MarketObservation(1.0, 0.05, 0.02),))
+
+    def test_excess_return_overflow_names_its_row(self):
+        # Finite mu and r whose difference overflows: rejected, with no warning.
+        with pytest.raises(ValueError, match=r"invalid Dataset: e = mu - r must be finite \(first bad row 1\)"):
+            Dataset(pi_star=[1.0, 0.0], mu=[0.05, 1.7976931348623157e308], r=[0.02, -1e300])
 
 
 class TestFitResult:

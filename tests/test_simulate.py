@@ -321,6 +321,27 @@ class TestWealthPath:
         assert same_bits(w.wealth, wealth)
         assert same_bits(w.policy, pi)
 
+    def test_overflow_after_truncation_names_the_feller_condition(self):
+        # Feller violated: where the variance is truncated to 0 the rule
+        # divides by POLICY_VARIANCE_FLOOR, and the path overflows at both dt.
+        p = heston(alpha=0.01, beta_rev=1.0, gamma=0.9, rho=0.3)
+        for dt in (1e-2, 1e-3):
+            market = simulate_market_path(p, PathConfig(horizon=2.0, dt=dt, seed=0), 0)
+            with pytest.raises(
+                ValueError,
+                match=r"^wealth path became non-finite at grid point \d+: the variance was truncated to 0 at \d+ "
+                r"grid points up to it, where the rule divides by POLICY_VARIANCE_FLOOR; "
+                r"the Feller condition 2\*alpha >= gamma\*\*2 fails$",
+            ):
+                simulate_wealth_path(market, PolicyCoefficients(1.0, -2.0, 0.5), p, 1.0)
+
+    def test_overflow_without_truncation_blames_dt(self):
+        p = heston()
+        market = simulate_market_path(p, PathConfig(horizon=1.0, dt=1e-2, seed=0), 0)
+        assert np.all(market.variance > POLICY_VARIANCE_FLOOR)
+        with pytest.raises(ValueError, match="^wealth path became non-finite at grid point 0: dt is too large"):
+            simulate_wealth_path(market, PolicyCoefficients(1e300, -1e-300, 0.0), p, 1.0)
+
     def test_zero_position_grows_risk_free(self):
         p = heston(mu=0.03, r=0.03, alpha=0.0, gamma=0.0, rho=0.0, sigma_bar=0.0)
         coeffs = PolicyCoefficients(0.0, -2.0, 0.0)
@@ -389,10 +410,9 @@ class TestGenerateSyntheticDataset:
         data = generate_synthetic_dataset("model-implied", spec, seed=3)
         assert data.n_rows == 50
         assert data.mode == "cross-section"
-        for o in data.observations:
-            assert o.r == spec.base_rate
-            assert o.pi_star == pytest.approx(stage1_model(o.mu - o.r, truth), rel=1e-15)
-            assert spec.e_interval[0] <= o.mu - o.r <= spec.e_interval[1]
+        assert np.all(data.r == spec.base_rate)
+        assert data.pi_star == pytest.approx(stage1_model(data.e, truth), rel=1e-15)
+        assert np.all((spec.e_interval[0] <= data.e) & (data.e <= spec.e_interval[1]))
 
     def test_fixed_seed_is_reproducible(self):
         spec = GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=20, noise=0.05)
@@ -406,7 +426,7 @@ class TestGenerateSyntheticDataset:
         truth = Stage1Params(2.0, 0.5, 0.04)
         spec = GenerationSpec(stage1=truth, n=10_000, noise=0.01)
         data = generate_synthetic_dataset("model-implied", spec, seed=8)
-        resid = [o.pi_star - stage1_model(o.mu - o.r, truth) for o in data.observations]
+        resid = data.pi_star - stage1_model(data.e, truth)
         assert np.std(resid) == pytest.approx(0.01, rel=0.05)
 
     def test_interval_containing_pole_rejected(self):
@@ -423,9 +443,9 @@ class TestGenerateSyntheticDataset:
         assert data.n_rows == cfg.n_steps + 1
         market = simulate_market_path(p, PathConfig(horizon=1.0, dt=0.01, seed=21), 0)
         path = simulate_wealth_path(market, coeffs, p, 1.0)
-        assert [o.pi_star for o in data.observations] == pytest.approx(list(path.policy))
-        assert all(o.mu == p.mu and o.r == p.r for o in data.observations)
-        assert data.observations[0].label == "0"
+        assert data.pi_star == pytest.approx(path.policy)
+        assert np.all(data.mu == p.mu) and np.all(data.r == p.r)
+        assert data.labels[0] == "0"
 
     def test_unknown_mode(self):
         spec = GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=10)
