@@ -97,7 +97,7 @@ def _parse_rows(body: str, header: list[str]) -> tuple[dict[str, list[float]], l
                 raise ValueError(f"row parse error at row {line}: field {name} is not a number: {cell!r}") from None
         for name in _CSV_COLUMNS:
             if not math.isfinite(values[name]):
-                raise ValueError(f"row parse error at row {line}: invalid MarketObservation: {name} must be finite")
+                raise ValueError(f"row parse error at row {line}: invalid Dataset: {name} must be finite")
             columns[name].append(values[name])
         if labels is not None:
             raw = row[col["label"]].strip()

@@ -2,9 +2,8 @@
 
 Stage 1 fits the observed positions against the excess return and reads
 the portfolio volatility off ``beta3``.  At a fixed ``beta3`` its curve is
-linear in ``(beta1, beta2)``, so the fit starts from that closed-form fit
-on a ``log(beta3/max|e|)`` grid and then runs over ``(beta1, beta2, log
-beta3)``, which keeps ``beta3`` positive.  A fit ending off the grid is refused.
+linear in ``(beta1, beta2)``, so the fit is a search in ``log beta3`` alone
+(variable projection); a fit ending off its start grid is refused.
 
 Stage 2 fits the inverse positions and reads the volatility of
 volatility off ``beta4``.  Its curve ``beta4*(b3h+e)/(beta5*b3h+beta6*e)``
@@ -180,43 +179,24 @@ def volatility_scale_comparison(beta3_hat: float, sigma_bar: float) -> Volatilit
     )
 
 
-def _linear_part(pi: np.ndarray):
-    """``fit(u) -> (beta1, beta2, ssr)``, the stage-1 fit at a fixed ``beta3`` in closed form.
+def _linear_part(pi: np.ndarray, u: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """``(beta1, beta2, residual)``, the stage-1 fit at a fixed ``beta3`` in closed form.
 
     The curve is then ``beta2 + (beta1 - beta2)*u`` with ``u = e/(beta3 + e)``,
-    a simple linear regression of ``pi`` on ``u`` (Golub and Pereyra 1973).
-    A ``u`` that does not vary fits the level, ``beta1 = beta2 = mean(pi)``.
+    a simple linear regression of ``pi`` on ``u`` (Golub and Pereyra 1973),
+    whose residual is ``pi`` projected off ``[1, u]``.  A ``u`` that does not
+    vary fits the level, ``beta1 = beta2 = mean(pi)``.
     """
     n = len(pi)
     pbar = float(pi.sum()) / n
     pc = pi - pbar
-    syy = float(pc @ pc)
-
-    def fit(u: np.ndarray) -> tuple[float, float, float]:
-        du = u - u[0]  # exact zeros when every u is the same
-        ubar = float(du.sum()) / n
-        du -= ubar
-        sxx, sxy = float(du @ du), float(du @ pc)
-        slope = sxy / sxx if sxx else 0.0
-        b2 = pbar - slope * (float(u[0]) + ubar)
-        return b2 + slope, b2, syy - slope * sxy
-
-    return fit
-
-
-def _stage1_problem_log(e: np.ndarray, pi: np.ndarray) -> ResidualProblem:
-    """Stage 1 over (beta1, beta2, log beta3); keeps beta3 > 0 by construction."""
-
-    def residual(q):
-        return pi - _stage1_value(e, q[0], q[1], math.exp(q[2]))
-
-    def jacobian(q):
-        b3 = math.exp(q[2])
-        j = -_stage1_grad(e, q[0], q[1], b3)
-        j[:, 2] *= b3
-        return j
-
-    return ResidualProblem(residual, jacobian, 3, len(e))
+    du = u - u[0]  # exact zeros when every u is the same
+    ubar = float(du.sum()) / n
+    du -= ubar
+    sxx, sxy = float(du @ du), float(du @ pc)
+    slope = sxy / sxx if sxx else 0.0
+    b2 = pbar - slope * (float(u[0]) + ubar)
+    return b2 + slope, b2, pc - slope * du  # centred, so no cancellation in b2 + slope*u
 
 
 def _stage2_problem(e: np.ndarray, pib: np.ndarray, beta3_hat: float) -> ResidualProblem:
@@ -323,48 +303,66 @@ def identifiability_diagnostics(
 
 
 def fit_volatility(data: Dataset, opts: SolverOptions = SolverOptions()) -> FitResult:
-    """Stage-1 fit: positions against excess returns.
+    """Stage-1 fit: positions against excess returns, by variable projection.
 
-    Starts from the closed-form ``(beta1, beta2)`` at the vertex of the SSR
-    parabola around the best grid point ``log(beta3/max|e|) = -8, ..., 6``
-    (skipping poles ``-beta3`` among the observed ``e``), then polishes all
-    three by Levenberg-Marquardt.  Returns natural-space parameters,
-    standard errors (None and ``DEGENERATE_COVARIANCE`` flagged when
-    singular) and diagnostics.  Level-only data (one distinct ``e``, or flat
-    positions) converge there with ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at
+    At a fixed ``k = log(beta3/max|e|)`` the closed-form ``(beta1, beta2)``
+    leave a one-parameter fit in ``k``.  It starts at the best of ``k = -8,
+    ..., 6`` (skipping poles ``-beta3`` among the observed ``e``) and takes
+    projected Gauss-Newton steps in ``k`` (``opts.max_iterations``,
+    ``opts.x_tol``).  Standard errors are None, with ``DEGENERATE_COVARIANCE``,
+    when singular.  Level-only data (one distinct ``e``, or flat positions)
+    converge at the level fit with ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at
     least 4 rows.  Raises ValueError("beta3 is not identified: ...") when
-    the fit ends off the grid.
+    ``k`` ends off the grid.
     """
     if data.n_rows < _MIN_ROWS_STAGE1:
         raise ValueError(
             f"insufficient data: stage-1 fit needs at least {_MIN_ROWS_STAGE1} rows, got {data.n_rows}"
         )
     e, pi = data.e, data.pi_star
-    linear, lo, hi = _linear_part(pi), e.min(), e.max()
-    log_s = math.log(max(-lo, hi) or 1.0)
-    ssrs = []
-    for k in _LOG_BETA3_GRID:  # a grid point whose pole -beta3 lies among the observed e is skipped
-        b3 = math.exp(log_s + k)
-        ssrs.append(math.inf if lo <= -b3 <= hi else linear(e / (b3 + e))[2])
-    i = int(np.argmin(ssrs))  # finite: for k >= 1 the pole lies below -max|e|
-    t = log_s + _LOG_BETA3_GRID[i]
-    if 0 < i < len(ssrs) - 1:  # start at the vertex: on a grid point LM may stop before any step
-        # Between three qualifying grid points the vertex is off the observed e too.
-        a, b, c = ssrs[i - 1 : i + 2]
-        vertex = t + 0.5 * (a - c) / (a - 2.0 * b + c) if a - 2.0 * b + c > 0.0 else t
-        t = vertex if math.isfinite(vertex) else t
-    b1, b2, _ = linear(e / (math.exp(t) + e))
-    problem = _stage1_problem_log(e, pi)
-    raw = lm_fit(problem, np.array([b1, b2, t], dtype=float), opts)
-    q = raw.params
-    if not _LOG_BETA3_GRID[0] <= q[2] - log_s <= _LOG_BETA3_GRID[-1]:
-        raise ValueError(f"beta3 is not identified: log(beta3/max|e|) ends at {q[2] - log_s:.6g}, outside [-8, 6]")
-    params = Stage1Params(beta1=float(q[0]), beta2=float(q[1]), beta3=math.exp(float(q[2])))
-    trace = tuple(((b1, b2, math.exp(lb3)), ssr) for (b1, b2, lb3), ssr in raw.trace)
-    fit = replace(raw, params=params, trace=trace)
-    se = standard_errors(raw, problem)
-    if se is not None:  # delta method through diag(1, 1, beta3)
-        se = (se[0], se[1], params.beta3 * se[2])
+    lo, hi = e.min(), e.max()
+    scale = float(max(-lo, hi)) or 1.0
+    flat = (np.finfo(float).eps * float(np.linalg.norm(pi))) ** 2
+
+    def profile(k: float) -> tuple:
+        """``(ssr, k, beta1, beta2, u, residual)`` at ``beta3 = max|e|*exp(k)``; inf ssr: pole among the e."""
+        b3 = scale * math.exp(min(k, 700.0))  # the cap only flattens fits refused anyway
+        if lo <= -b3 <= hi:
+            return (math.inf,)
+        u = e / (b3 + e)
+        b1, b2, res = _linear_part(pi, u)
+        return float(res @ res), k, b1, b2, u, res
+
+    # Finite: for k >= 1 the pole lies below -max|e|.
+    best = min((profile(k) for k in _LOG_BETA3_GRID), key=lambda p: p[0])
+    trace, k0, g0 = [], math.nan, math.nan
+    while True:
+        ssr, k, b1, b2, u, res = best
+        # d(residual)/dk, from w = -du/dk = u(1 - u) projected off [1, u]: exact gradient (Kaufman 1975)
+        jac = (b1 - b2) * _linear_part(u * (1.0 - u), u)[2]
+        g, h = float(jac @ res), float(jac @ jac)
+        secant = (g - g0) / (k - k0)  # nan before the first step
+        h = secant if secant > 0.0 else h  # h lacks the residual's own curvature; the secant has it
+        if g * g <= flat * h:  # the predicted decrease, g*g/h, is rounding
+            message = "gradient tolerance reached"
+            break
+        if len(trace) >= opts.max_iterations:
+            message = "max iterations"
+            break
+        step = max(-1.0, min(1.0, -g / h))  # at most one grid cell
+        while abs(step) > opts.x_tol and not (trial := profile(k + step))[0] < ssr:
+            step *= 0.5
+        if abs(step) <= opts.x_tol:
+            message = "step tolerance reached"
+            break
+        best, k0, g0 = trial, k, g
+        trace.append(((trial[2], trial[3], scale * math.exp(trial[1])), trial[0]))
+    if not _LOG_BETA3_GRID[0] <= k <= _LOG_BETA3_GRID[-1]:
+        raise ValueError(f"beta3 is not identified: log(beta3/max|e|) ends at {k:.6g}, outside [-8, 6]")
+    params = Stage1Params(b1, b2, scale * math.exp(k))
+    fit = FitResult(params, ssr, len(trace), message != "max iterations", trace=tuple(trace), message=message)
+    problem = ResidualProblem(lambda p: pi - _stage1_value(e, *p), lambda p: -_stage1_grad(e, *p), 3, len(e))
+    se = standard_errors(fit, problem)
     flags = set(identifiability_diagnostics(fit, data))
     if se is None:
         flags.add(DIAG_DEGENERATE_COV)
@@ -414,7 +412,7 @@ def fit_vol_of_vol(
             f"position sign change at {where}: positions cross zero, so their inverses pass a pole"
         )
     problem = _stage2_problem(e, 1.0 / pi, beta3_hat)
-    c6, c5, _ = _linear_part(pi)(_stage1_value(e, 1.0, 0.0, beta3_hat))  # u = e/(b3h + e)
+    c6, c5, _ = _linear_part(pi, _stage1_value(e, 1.0, 0.0, beta3_hat))  # u = e/(b3h + e)
     raw = lm_fit(problem, np.array([c6, c5]), opts)
 
     k, pin = gauge.fixed

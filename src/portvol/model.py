@@ -262,8 +262,7 @@ class Stage1Params:
     """Parameters of the position-on-excess-return fit.
 
     ``beta3`` is the portfolio-volatility estimate and must be strictly
-    positive; the fit runs over ``log(beta3)`` and refuses data that do
-    not place ``log(beta3/max|e|)`` in [-8, 6].
+    positive; the fit refuses data that leave ``log(beta3/max|e|)`` off [-8, 6].
     """
 
     beta1: float

@@ -14,7 +14,7 @@ The two model functions are rational in the excess return ``e = mu - r``:
   parameters are only identified up to a gauge.
 
 ``lm_fit`` is a deterministic Levenberg-Marquardt iteration with
-Marquardt (diagonal) scaling; it is the solver behind both fits.
+Marquardt (diagonal) scaling; it is the stage-2 solver.
 """
 
 from __future__ import annotations
@@ -162,7 +162,8 @@ class SolverOptions:
     ``g_tol`` bounds the max-norm of J^T r at convergence, ``x_tol`` the
     relative parameter change of an accepted step.  Damping starts at
     ``lambda0``, shrinks by ``lambda_factor`` on acceptance, grows by it
-    on rejection, and aborts past ``lambda_max``.
+    on rejection, and aborts past ``lambda_max``.  The stage-1 search reads
+    only ``max_iterations`` and ``x_tol`` (its shortest ``log beta3`` step).
     """
 
     max_iterations: int = 200

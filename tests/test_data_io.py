@@ -190,7 +190,7 @@ class TestFastReadMatchesReference:
 
     def test_non_finite_cell_names_its_row(self, tmp_path):
         p = write(tmp_path / "d.csv", "pi_star,mu,r\n1.0,0.05,0.02\n\n1.0,inf,0.02\n")
-        with pytest.raises(ValueError, match="row 4: invalid MarketObservation: mu must be finite"):
+        with pytest.raises(ValueError, match="row 4: invalid Dataset: mu must be finite"):
             read_dataset(p)
 
     def test_overflowing_excess_return_fails_alike(self, tmp_path):

@@ -102,17 +102,28 @@ class TestFitVolatility:
             data = model_data(truth=truth, n=50, seed=int(rng.integers(2**32)))
             fit = fit_volatility(data)
             assert fit.converged
-            assert np.max(np.abs(fit.params.as_array() / truth.as_array() - 1.0)) < 1e-6
+            assert np.max(np.abs(fit.params.as_array() / truth.as_array() - 1.0)) < 1e-9
             checked += 1
 
     def test_beta3_underflow_names_the_cause(self):
-        # With beta1 = beta2 the curve is flat in e; on this draw the best
-        # fit sends log(beta3/max|e|) past the top of the start grid (to about 9).
+        # With beta1 = beta2 the curve is flat in e; on this draw the sum of
+        # squares keeps falling as beta3 grows, and the fit walks up until it
+        # is flat to rounding, far past the top of the start grid.
         data = model_data(truth=Stage1Params(1.0, 1.0, 0.04), noise=0.01, seed=8)
         with pytest.raises(
-            ValueError, match=r"beta3 is not identified: log\(beta3/max\|e\|\) ends at 9\.\d+, outside \[-8, 6\]"
+            ValueError, match=r"beta3 is not identified: log\(beta3/max\|e\|\) ends at 30\.494, outside \[-8, 6\]"
         ):
             fit_volatility(data)
+
+    def test_slow_valley_converges(self):
+        # A curved, weakly identified valley where a three-parameter
+        # Levenberg-Marquardt polish ran out of its 200 iterations short of
+        # the optimum (sum of squares 0.09252914557393985).
+        truth = Stage1Params(0.8354617716091437, 1.4927529832126476, 0.4659460377359871)
+        fit = fit_volatility(model_data(truth=truth, n=30, noise=0.05, seed=2994697974))
+        assert fit.converged
+        # scipy.optimize.least_squares (MINPACK, tolerances 1e-15) reaches this.
+        assert fit.residual_norm == pytest.approx(0.09252914552214536, rel=1e-12)
 
     @pytest.mark.parametrize("truth", [TRUTH, Stage1Params(-1.0, 1.5, 0.2)])
     @pytest.mark.parametrize("scale", [1e-4, 1e4])
@@ -155,8 +166,8 @@ class TestFitVolatility:
         fit = fit_volatility(data)
         assert fit.converged
         assert np.max(np.abs(stage1_model(data.e, fit.params) - data.pi_star)) < 1e-6
-        assert fit.params.beta3 == pytest.approx(b3, rel=1e-6)
-        assert (fit.params.beta1, fit.params.beta2) == pytest.approx((b1, b2), rel=1e-6, abs=1e-6)
+        assert fit.params.beta3 == pytest.approx(b3, rel=1e-9)
+        assert (fit.params.beta1, fit.params.beta2) == pytest.approx((b1, b2), rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("truth", [TRUTH, Stage1Params(-1.0, 1.5, 0.2), Stage1Params(0.7, -2.0, 0.01)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -187,10 +198,9 @@ class TestFitVolatility:
         assert oracle.success
         assert fit.converged
         assert fit.residual_norm == pytest.approx(2.0 * oracle.cost, rel=1e-12)
-        # The absolute gradient test (g_tol = 1e-10) stops where the sum of
-        # squares is flat to rounding, so the two optima differ by a sliver
-        # of a standard error: up to about 1e-6 relative along the weakly
-        # identified direction, within 1e-8 elsewhere.
+        # Both fits stop where the sum of squares is flat to rounding, and
+        # along the weakly identified direction that flat stretch spans a
+        # sliver of a standard error, so the two optima may differ there.
         diff = np.abs(fit.params.as_array() - params(oracle.x).as_array())
         assert np.all(diff <= 1e-6 * np.array(fit.standard_errors))
         assert fit.params.as_array() == pytest.approx(params(oracle.x).as_array(), rel=1e-6)

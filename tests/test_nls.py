@@ -15,7 +15,21 @@ from portvol import (
     stage2_jacobian,
     stage2_model,
 )
-from portvol.nls import _stage1_value
+from portvol.nls import _stage1_grad, _stage1_value
+
+
+def stage1_log_problem(e, y):
+    """Stage 1 over (beta1, beta2, log beta3), a three-parameter test problem for lm_fit."""
+
+    def residual(q):
+        return y - _stage1_value(e, q[0], q[1], np.exp(q[2]))
+
+    def jacobian(q):
+        j = -_stage1_grad(e, q[0], q[1], np.exp(q[2]))
+        j[:, 2] *= np.exp(q[2])
+        return j
+
+    return ResidualProblem(residual, jacobian, 3, len(e))
 
 
 def central_diff(f, x, h):
@@ -183,13 +197,11 @@ class TestLmFit:
         # Canonical start (1, 1, 0.1): beta1 == beta2 zeroes the third
         # Jacobian column at the first iterate, which must decouple that
         # coordinate rather than abort the solve.
-        from portvol.estimate import _stage1_problem_log
-
         truth = np.array([2.0, 0.5, 0.04])
         rng = np.random.default_rng(50)
         e = rng.uniform(0.01, 0.10, 50)
         y = _stage1_value(e, *truth)
-        prob = _stage1_problem_log(e, y)
+        prob = stage1_log_problem(e, y)
         res = lm_fit(prob, np.array([1.0, 1.0, np.log(0.1)]))
         decoded = np.array([res.params[0], res.params[1], np.exp(res.params[2])])
         assert res.converged
@@ -217,12 +229,10 @@ class TestLmFit:
         assert r1.iterations == r2.iterations
 
     def test_max_iterations_reported(self):
-        from portvol.estimate import _stage1_problem_log
-
         rng = np.random.default_rng(5)
         e = rng.uniform(0.01, 0.10, 50)
         y = _stage1_value(e, 2.0, 0.5, 0.04)
-        prob = _stage1_problem_log(e, y)
+        prob = stage1_log_problem(e, y)
         res = lm_fit(prob, np.array([1.0, 1.0, np.log(0.1)]), SolverOptions(max_iterations=1))
         assert not res.converged
         assert res.message == "max iterations"
