@@ -20,23 +20,33 @@ Under the default gauge (pin ``beta5`` at the stage-1 ``beta2_hat``),
 
 The correlation factor is recovered separately by inverting the defining
 relation ``beta2 = -rho * gamma * (alpha2/alpha1)``.
+
+Both stages run on stacked datasets, ``(R, n)`` arrays with one dataset
+per row: every row keeps its own steps, stop and failure, and every sum
+runs along a row, so a row's result does not depend on the others.  The
+Monte Carlo harness fits chunks of replications this way, and
+``fit_volatility`` and ``fit_vol_of_vol`` are the case ``R = 1``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .model import Dataset, FitResult, Stage1Params, Stage2Params
 from .nls import (
+    UNEVALUABLE_START,
+    PoleError,
     ResidualProblem,
     SolverOptions,
-    _guarded_denominator,
-    _stage1_grad,
-    _stage1_value,
-    _stage2_grad,
+    _pole_rows,
+    _rowdot,
+    _select,
+    _trace,
     lm_fit,
 )
 from .simulate import GenerationSpec, StructuralSpec, generate_synthetic_dataset
@@ -179,44 +189,52 @@ def volatility_scale_comparison(beta3_hat: float, sigma_bar: float) -> Volatilit
     )
 
 
-def _linear_part(pi: np.ndarray, u: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """``(beta1, beta2, residual)``, the stage-1 fit at a fixed ``beta3`` in closed form.
+def _linear_part(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(beta1, beta2, residual)`` per row, the stage-1 fit at a fixed ``beta3`` in closed form.
 
     The curve is then ``beta2 + (beta1 - beta2)*u`` with ``u = e/(beta3 + e)``,
-    a simple linear regression of ``pi`` on ``u`` (Golub and Pereyra 1973),
-    whose residual is ``pi`` projected off ``[1, u]``.  A ``u`` that does not
-    vary fits the level, ``beta1 = beta2 = mean(pi)``.
+    a simple linear regression of ``y`` on ``u`` (Golub and Pereyra 1973),
+    whose residual is ``y`` projected off ``[1, u]``.  A ``u`` that does not
+    vary fits the level, ``beta1 = beta2 = mean(y)``.  ``y`` and ``u`` are
+    ``(R, n)``; every sum runs along a row.
     """
-    n = len(pi)
-    pbar = float(pi.sum()) / n
-    pc = pi - pbar
-    du = u - u[0]  # exact zeros when every u is the same
-    ubar = float(du.sum()) / n
-    du -= ubar
-    sxx, sxy = float(du @ du), float(du @ pc)
-    slope = sxy / sxx if sxx else 0.0
-    b2 = pbar - slope * (float(u[0]) + ubar)
-    return b2 + slope, b2, pc - slope * du  # centred, so no cancellation in b2 + slope*u
+    n = y.shape[-1]
+    ybar = y.sum(axis=-1) / n
+    yc = y - ybar[:, None]
+    du = u - u[:, :1]  # exact zeros when every u is the same
+    ubar = du.sum(axis=-1) / n
+    du -= ubar[:, None]
+    sxx, sxy = _rowdot(du, du), _rowdot(du, yc)
+    slope = np.divide(sxy, sxx, out=np.zeros_like(sxy), where=sxx != 0.0)
+    b2 = ybar - slope * (u[:, 0] + ubar)
+    return b2 + slope, b2, yc - slope[:, None] * du  # centred, so no cancellation in b2 + slope*u
 
 
-def _stage2_problem(e: np.ndarray, pib: np.ndarray, beta3_hat: float) -> ResidualProblem:
-    """Stage 2 over the ratios it identifies, ``q = (c6, c5)``.
+def _qr_rows(jac: np.ndarray, ssr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standard errors and ``cond(J)`` per row, from one stacked QR of the Jacobians ``jac``, ``(R, n, p)``.
 
-    The predicted position is the stage-1 curve
-    ``h = _stage1_value(e, c6, c5, beta3_hat)`` and the model for the
-    inverse position ``pib`` is ``1/h``.
+    Gauss-Newton standard errors ``sqrt(diag(s2 * inv(J'J)))`` with ``s2 =
+    ssr/(n - p)``: with ``J = QR``, ``inv(J'J) = inv(R) inv(R)'``, so the
+    condition number of ``J`` is never squared.  ``cond(R) = cond(J)``, so
+    this one condition number serves both the standard errors and the
+    ``ILL_CONDITIONED`` diagnostic; it is inf for a singular or non-finite
+    Jacobian.  A row's standard errors are nan (degenerate covariance) when
+    ``cond(R) >= 1/sqrt(eps)`` or ``n <= p``.
     """
-
-    def position(q):
-        return _guarded_denominator(_stage1_value(e, q[0], q[1], beta3_hat))
-
-    def residual(q):
-        return pib - 1.0 / position(q)
-
-    def jacobian(q):
-        return _stage1_grad(e, q[0], q[1], beta3_hat)[:, :2] / position(q)[:, None] ** 2
-
-    return ResidualProblem(residual, jacobian, 2, len(e))
+    n_rows, n, p = jac.shape
+    finite = np.all(np.isfinite(jac), axis=(1, 2))
+    if not finite.all():
+        jac = np.where(finite[:, None, None], jac, 0.0)
+    r = np.linalg.qr(jac, mode="r")
+    cond = np.linalg.cond(r)
+    cond = np.where(finite & np.isfinite(cond), cond, np.inf)
+    ok = cond < _SINGULAR_COND
+    if n <= p:
+        return np.full((n_rows, p), np.nan), cond
+    rinv = np.linalg.inv(np.where(ok[:, None, None], r, np.eye(p)))
+    se = np.sqrt(ssr / (n - p))[:, None] * np.linalg.norm(rinv, axis=-1)
+    se[~ok] = np.nan
+    return se, cond
 
 
 def standard_errors(fit: FitResult, problem: ResidualProblem) -> tuple[float, ...] | None:
@@ -235,24 +253,57 @@ def standard_errors(fit: FitResult, problem: ResidualProblem) -> tuple[float, ..
         jac = np.asarray(problem.jacobian(p), dtype=float)
     except (ValueError, ArithmeticError):
         return None
-    if not np.all(np.isfinite(jac)):
-        return None
-    r = np.linalg.qr(jac, mode="r")
-    cond = np.linalg.cond(r)
-    if not np.isfinite(cond) or cond >= _SINGULAR_COND:
-        return None
-    s = math.sqrt(fit.residual_norm / (problem.n_obs - problem.n_params))
-    return tuple(s * float(v) for v in np.linalg.norm(np.linalg.inv(r), axis=1))
+    se = _qr_rows(jac[None], np.array([fit.residual_norm]))[0][0]
+    return None if np.isnan(se).any() else tuple(se.tolist())
 
 
-def _cond_or_flag(matrix_fn) -> float:
-    try:
-        j = np.asarray(matrix_fn(), dtype=float)
-    except (ValueError, ArithmeticError):
-        return math.inf
-    if not np.all(np.isfinite(j)):
-        return math.inf
-    return float(np.linalg.cond(j))
+def _stage1_checks(E, b1, b2, b3, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Standard errors and diagnostics of stage-1 fits, per row, from the curve's Jacobian."""
+    b3c = b3[:, None]
+    denom = b3c + E
+    jac = np.empty(E.shape + (3,))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(E, denom, out=jac[..., 0])
+        np.divide(b3c, denom, out=jac[..., 1])
+        np.multiply((b2 - b1)[:, None], jac[..., 0], out=jac[..., 2])
+        jac[..., 2] /= denom
+    jac[_pole_rows(denom, b3c, E)] = np.nan
+    se, cond = _qr_rows(jac, ssr)
+    return se, {
+        DIAG_B1_EQ_B2: np.abs(b1 - b2) < 1e-6 * np.maximum(np.maximum(np.abs(b1), np.abs(b2)), 1.0),
+        DIAG_POLE: np.min(np.abs(denom), axis=-1) < 1e-3 * b3,
+        DIAG_ILL_CONDITIONED: cond > _COND_LIMIT,
+        DIAG_DEGENERATE_COV: np.isnan(se).any(axis=-1),
+    }
+
+
+def _stage2_checks(E, beta, b3h, k: int, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Standard errors of the two betas the gauge leaves free and the diagnostics of stage-2 fits, per row.
+
+    The Jacobian is the curve's derivative in those two betas: the residual
+    Jacobian of the gauge-fixed problem, up to sign.
+    """
+    b4, b5, b6 = (beta[:, i, None] for i in range(3))
+    bh = b3h[:, None]
+    num, den = bh + E, b5 * bh + b6 * E
+    pole = _pole_rows(num, bh, E) | _pole_rows(den, b5 * bh, b6 * E)
+    near = np.min(np.abs(num), axis=-1) < 1e-3 * b3h
+    jac = np.empty(E.shape + (2,))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g4 = np.divide(num, den, out=num)
+        t = -b4 * g4 / den  # the derivatives in beta5 and beta6 are t*b3h and t*e
+        del den
+        factors = ((g4, 1.0), (t, bh), (t, E))
+        for row, i in enumerate(i for i in range(3) if i != k):
+            np.multiply(*factors[i], out=jac[..., row])
+    jac[pole] = np.nan
+    se, cond = _qr_rows(jac, ssr)
+    return se, {
+        DIAG_POLE: near,
+        DIAG_ILL_CONDITIONED: cond > _COND_LIMIT,
+        DIAG_GAUGE: np.full(len(E), k == 0),
+        DIAG_DEGENERATE_COV: np.isnan(se).any(axis=-1),
+    }
 
 
 def identifiability_diagnostics(
@@ -272,34 +323,165 @@ def identifiability_diagnostics(
 
     For stage-2 results the same pole and conditioning checks run against
     ``beta3_hat`` and the Jacobian in the two parameters the gauge leaves
-    free, and free-gauge fits always carry ``GAUGE_UNIDENTIFIED``.
+    free, and free-gauge fits always carry ``GAUGE_UNIDENTIFIED``.  The
+    condition number is ``cond(R)`` of the Jacobian's QR factor, the one
+    the fits' standard errors use.
     """
-    flags: set[str] = set()
-    e = data.e
+    E, ssr = data.e[None], np.zeros(1)
     if isinstance(fit.params, Stage1Params):
-        b1, b2, b3 = fit.params.beta1, fit.params.beta2, fit.params.beta3
-        if abs(b1 - b2) < 1e-6 * max(abs(b1), abs(b2), 1.0):
-            flags.add(DIAG_B1_EQ_B2)
-        if np.min(np.abs(b3 + e)) < 1e-3 * b3:
-            flags.add(DIAG_POLE)
-        if _cond_or_flag(lambda: _stage1_grad(e, b1, b2, b3)) > _COND_LIMIT:
-            flags.add(DIAG_ILL_CONDITIONED)
-        return frozenset(flags)
-    if isinstance(fit.params, Stage2Params):
+        flags = _stage1_checks(E, *(np.array([v]) for v in fit.params.as_array()), ssr)[1]
+    elif isinstance(fit.params, Stage2Params):
         if beta3_hat is None:
             raise ValueError("stage-2 diagnostics require beta3_hat")
-        gauge = gauge if gauge is not None else GaugeRule.free()
-        b = fit.params
-        if np.min(np.abs(beta3_hat + e)) < 1e-3 * beta3_hat:
-            flags.add(DIAG_POLE)
-        k, _ = gauge.fixed
-        cond = _cond_or_flag(lambda: np.delete(_stage2_grad(e, b.beta4, b.beta5, b.beta6, beta3_hat), k, 1))
-        if cond > _COND_LIMIT:
-            flags.add(DIAG_ILL_CONDITIONED)
-        if gauge.variant == "free":
-            flags.add(DIAG_GAUGE)
-        return frozenset(flags)
-    raise TypeError("fit.params must be Stage1Params or Stage2Params")
+        b, k = fit.params, (gauge if gauge is not None else GaugeRule.free()).fixed[0]
+        flags = _stage2_checks(E, np.array([[b.beta4, b.beta5, b.beta6]]), np.array([float(beta3_hat)]), k, ssr)[1]
+    else:
+        raise TypeError("fit.params must be Stage1Params or Stage2Params")
+    return frozenset(name for name, rows in flags.items() if rows[0] and name != DIAG_DEGENERATE_COV)
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """One stage fitted on stacked rows; entry ``i`` of each field is row ``i``'s.
+
+    ``flags`` maps each diagnostic to its rows.  ``failures`` maps a row
+    that yields no fit to ``(reason, error)``: its Monte Carlo tally key and
+    the error the single-dataset fit raises.
+    """
+
+    kind: type
+    params: np.ndarray
+    residual_norm: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    messages: list[str]
+    standard_errors: np.ndarray
+    flags: dict[str, np.ndarray]
+    failures: dict[int, tuple[str, ValueError]]
+    trace: Callable[[int], tuple]
+
+    def result(self, i: int) -> FitResult:
+        """Row ``i`` as a :class:`FitResult`; raises its failure, if any."""
+        if i in self.failures:
+            raise self.failures[i][1]
+        se = self.standard_errors[i]
+        return FitResult(
+            self.kind(*self.params[i].tolist()),
+            float(self.residual_norm[i]),
+            int(self.iterations[i]),
+            bool(self.converged[i]),
+            standard_errors=None if np.isnan(se).any() else tuple(se.tolist()),
+            diagnostics=frozenset(name for name, rows in self.flags.items() if rows[i]),
+            trace=self.trace(i),
+            message=self.messages[i],
+        )
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``exp`` from the C library, one value at a time: numpy's vectorised ``exp`` can differ from it in the last bit, and by CPU."""
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
+def _stage1_rows(E: np.ndarray, PI: np.ndarray, opts: SolverOptions) -> _Rows:
+    """Stage 1 on stacked datasets: excess returns ``E`` and positions ``PI``, ``(R, n)``.
+
+    Each row runs the search of :func:`fit_volatility` with its own grid
+    start, steps, halvings, stop and refusal.
+    """
+    n_rows, n = E.shape
+    if n < _MIN_ROWS_STAGE1:
+        raise ValueError(f"insufficient data: stage-1 fit needs at least {_MIN_ROWS_STAGE1} rows, got {n}")
+    lo, hi = E.min(axis=-1), E.max(axis=-1)
+    scale = np.maximum(-lo, hi)
+    scale[scale == 0.0] = 1.0
+    flat = (np.finfo(float).eps * np.sqrt(_rowdot(PI, PI))) ** 2
+
+    def profile(k, sel):
+        """``(ssr, beta1, beta2, u, residual)`` of rows ``sel`` at ``beta3 = max|e|*exp(k)``; inf ssr: pole among the e."""
+        b3 = scale[sel] * _exp(np.minimum(k, 700.0))  # the cap only flattens fits refused anyway
+        u = E[sel] / (b3[:, None] + E[sel])
+        b1, b2, res = _linear_part(PI[sel], u)
+        ssr = _rowdot(res, res)
+        ssr[(lo[sel] <= -b3) & (-b3 <= hi[sel])] = np.inf
+        return ssr, b1, b2, u, res
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Finite: for k >= 1 the pole lies below -max|e|.
+        k, best = np.full(n_rows, math.nan), np.full(n_rows, np.inf)
+        for grid_k in _LOG_BETA3_GRID:
+            ssr = profile(np.full(n_rows, float(grid_k)), slice(None))[0]
+            better = ssr < best
+            k[better], best[better] = grid_k, ssr[better]
+        ssr, b1, b2, U, RES = profile(k, slice(None))
+        k0, g0 = np.full(n_rows, math.nan), np.full(n_rows, math.nan)
+        iterations = np.zeros(n_rows, dtype=int)
+        messages = [""] * n_rows
+        live = np.ones(n_rows, dtype=bool)
+        steps = []
+
+        def stop(rows, message):
+            live[rows] = False
+            for i in rows.tolist():
+                messages[i] = message
+
+        while live.any():
+            rows = np.flatnonzero(live)
+            sel = _select(rows, n_rows)
+            u = U[sel]
+            # d(residual)/dk, from w = -du/dk = u(1 - u) projected off [1, u]: exact gradient (Kaufman 1975)
+            jac = (b1[sel] - b2[sel])[:, None] * _linear_part(u * (1.0 - u), u)[2]
+            g, h = _rowdot(jac, RES[sel]), _rowdot(jac, jac)
+            del u, jac
+            secant = (g - g0[sel]) / (k[sel] - k0[sel])  # nan before the first step
+            h = np.where(secant > 0.0, secant, h)  # h lacks the residual's own curvature; the secant has it
+            done = g * g <= flat[sel] * h  # the predicted decrease, g*g/h, is rounding
+            stop(rows[done], "gradient tolerance reached")
+            out_of_steps = ~done & (iterations[rows] >= opts.max_iterations)
+            stop(rows[out_of_steps], "max iterations")
+            go = ~done & ~out_of_steps
+            rows, g = rows[go], g[go]
+            step = np.clip(-g / h[go], -1.0, 1.0)  # at most one grid cell
+            search = np.abs(step) > opts.x_tol
+            stop(rows[~search], "step tolerance reached")
+            while search.any():
+                at = np.flatnonzero(search)
+                sub = rows[at]
+                k_trial = k[sub] + step[at]
+                t_ssr, t_b1, t_b2, t_u, t_res = profile(k_trial, _select(sub, n_rows))
+                won = t_ssr < ssr[sub]
+                kept = sub[won]
+                k0[kept], g0[kept], k[kept] = k[kept], g[at[won]], k_trial[won]
+                ssr[kept], b1[kept], b2[kept] = t_ssr[won], t_b1[won], t_b2[won]
+                if len(kept) == n_rows:  # every row moved: take the trial's columns, no copy
+                    U, RES = t_u, t_res
+                else:
+                    U[kept], RES[kept] = t_u[won], t_res[won]
+                del t_u, t_res
+                iterations[kept] += 1
+                t_b3 = scale[kept] * _exp(k_trial[won])
+                steps.append((kept, np.stack([t_b1[won], t_b2[won], t_b3], axis=1), t_ssr[won]))
+                search[at[won]] = False
+                lost = at[~won]
+                step[lost] *= 0.5
+                short = lost[np.abs(step[lost]) <= opts.x_tol]
+                stop(rows[short], "step tolerance reached")
+                search[short] = False
+        del U, RES
+
+    failures = {
+        i: ("stage1 beta3 not identified", ValueError(
+            f"beta3 is not identified: log(beta3/max|e|) ends at {float(k[i]):.6g}, outside [-8, 6]"
+        ))
+        for i in np.flatnonzero((k < _LOG_BETA3_GRID[0]) | (k > _LOG_BETA3_GRID[-1])).tolist()
+    }
+    b3 = scale * _exp(k)
+    params = np.stack([b1, b2, b3], axis=1)
+    se, flags = _stage1_checks(E, b1, b2, b3, ssr)
+    converged = np.array([m != "max iterations" for m in messages])
+    converged[list(failures)] = False
+    return _Rows(
+        Stage1Params, params, ssr, iterations, converged, messages, se, flags, failures, lambda i: _trace(steps, i)
+    )
 
 
 def fit_volatility(data: Dataset, opts: SolverOptions = SolverOptions()) -> FitResult:
@@ -313,73 +495,127 @@ def fit_volatility(data: Dataset, opts: SolverOptions = SolverOptions()) -> FitR
     when singular.  Level-only data (one distinct ``e``, or flat positions)
     converge at the level fit with ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at
     least 4 rows.  Raises ValueError("beta3 is not identified: ...") when
-    ``k`` ends off the grid.
+    ``k`` ends off the grid.  This is the one-row case of the stacked fit
+    the Monte Carlo harness runs.
     """
-    if data.n_rows < _MIN_ROWS_STAGE1:
-        raise ValueError(
-            f"insufficient data: stage-1 fit needs at least {_MIN_ROWS_STAGE1} rows, got {data.n_rows}"
-        )
-    e, pi = data.e, data.pi_star
-    lo, hi = e.min(), e.max()
-    scale = float(max(-lo, hi)) or 1.0
-    flat = (np.finfo(float).eps * float(np.linalg.norm(pi))) ** 2
-
-    def profile(k: float) -> tuple:
-        """``(ssr, k, beta1, beta2, u, residual)`` at ``beta3 = max|e|*exp(k)``; inf ssr: pole among the e."""
-        b3 = scale * math.exp(min(k, 700.0))  # the cap only flattens fits refused anyway
-        if lo <= -b3 <= hi:
-            return (math.inf,)
-        u = e / (b3 + e)
-        b1, b2, res = _linear_part(pi, u)
-        return float(res @ res), k, b1, b2, u, res
-
-    # Finite: for k >= 1 the pole lies below -max|e|.
-    best = min((profile(k) for k in _LOG_BETA3_GRID), key=lambda p: p[0])
-    trace, k0, g0 = [], math.nan, math.nan
-    while True:
-        ssr, k, b1, b2, u, res = best
-        # d(residual)/dk, from w = -du/dk = u(1 - u) projected off [1, u]: exact gradient (Kaufman 1975)
-        jac = (b1 - b2) * _linear_part(u * (1.0 - u), u)[2]
-        g, h = float(jac @ res), float(jac @ jac)
-        secant = (g - g0) / (k - k0)  # nan before the first step
-        h = secant if secant > 0.0 else h  # h lacks the residual's own curvature; the secant has it
-        if g * g <= flat * h:  # the predicted decrease, g*g/h, is rounding
-            message = "gradient tolerance reached"
-            break
-        if len(trace) >= opts.max_iterations:
-            message = "max iterations"
-            break
-        step = max(-1.0, min(1.0, -g / h))  # at most one grid cell
-        while abs(step) > opts.x_tol and not (trial := profile(k + step))[0] < ssr:
-            step *= 0.5
-        if abs(step) <= opts.x_tol:
-            message = "step tolerance reached"
-            break
-        best, k0, g0 = trial, k, g
-        trace.append(((trial[2], trial[3], scale * math.exp(trial[1])), trial[0]))
-    if not _LOG_BETA3_GRID[0] <= k <= _LOG_BETA3_GRID[-1]:
-        raise ValueError(f"beta3 is not identified: log(beta3/max|e|) ends at {k:.6g}, outside [-8, 6]")
-    params = Stage1Params(b1, b2, scale * math.exp(k))
-    fit = FitResult(params, ssr, len(trace), message != "max iterations", trace=tuple(trace), message=message)
-    problem = ResidualProblem(lambda p: pi - _stage1_value(e, *p), lambda p: -_stage1_grad(e, *p), 3, len(e))
-    se = standard_errors(fit, problem)
-    flags = set(identifiability_diagnostics(fit, data))
-    if se is None:
-        flags.add(DIAG_DEGENERATE_COV)
-    return replace(fit, standard_errors=se, diagnostics=frozenset(flags))
+    return _stage1_rows(data.e[None], data.pi_star[None], opts).result(0)
 
 
-def _row_name(data: Dataset, i: int) -> str:
-    label = None if data.labels is None else data.labels[i]
+def _row_name(labels, i: int) -> str:
+    label = None if labels is None else labels[i]
     return f"row {i}" if label is None else f"row {i} (label {label!r})"
 
 
-def _apply_gauge(q, k: int, pin: float) -> np.ndarray:
-    """``(beta4, beta5, beta6) = s*(1, c5, c6)`` with ``s = pin/(1, c5, c6)[k]``."""
-    v = np.array([1.0, q[1], q[0]])
-    beta = pin / v[k] * v
-    beta[k] = pin
+def _apply_gauge(q: np.ndarray, k: int, pins: np.ndarray) -> np.ndarray:
+    """Rows of ``(beta4, beta5, beta6) = s*(1, c5, c6)`` with ``s = pin/(1, c5, c6)[k]``, ``q = (c6, c5)``."""
+    v = np.stack([np.ones(len(q)), q[:, 1], q[:, 0]], axis=1)
+    beta = (pins / v[:, k])[:, None] * v
+    beta[:, k] = pins
     return beta
+
+
+def _stage2_rows(
+    E: np.ndarray,
+    PI: np.ndarray,
+    b3h: np.ndarray,
+    k: int,
+    pins: np.ndarray,
+    opts: SolverOptions,
+    labels=None,
+) -> _Rows:
+    """Stage 2 on stacked datasets, ``(R, n)``, each row with its own ``beta3_hat`` and pin.
+
+    ``k`` indexes the parameter of ``(beta4, beta5, beta6)`` the gauge
+    holds at ``pins`` (``free`` holds ``beta4 = 1``); ``labels`` name the
+    observations in the errors of :func:`fit_vol_of_vol`.
+    """
+    n_rows, n = E.shape
+    failures: dict[int, tuple[str, ValueError]] = {}
+
+    def fail(rows, reason, error):  # the first failure of a row is the one it reports
+        for i in rows.tolist():
+            failures.setdefault(i, (reason, error(i)))
+
+    zero = PI == 0.0
+    fail(np.flatnonzero(zero.any(axis=-1)), "stage2 zero position", lambda i: ValueError(
+        f"zero position at {_row_name(labels, int(np.argmax(zero[i])))}: inverse positions are undefined"
+    ))
+    flips = np.signbit(PI) != np.signbit(PI[:, :1])
+    fail(np.flatnonzero(flips.any(axis=-1)), "stage2 position sign change",
+         lambda i: ValueError(
+             f"position sign change at {_row_name(labels, int(np.argmax(flips[i])))}: "
+             "positions cross zero, so their inverses pass a pole"
+         ))
+    bh = b3h[:, None]
+    denom = bh + E
+    fail(np.flatnonzero(_pole_rows(denom, bh, E)), "stage2 pole guard",
+         lambda i: PoleError("model evaluated within the pole guard of a vanishing denominator"))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        U, V = E / denom, bh / denom  # the curve's derivatives in c6 and c5
+        PIB = 1.0 / PI
+        c6, c5, _ = _linear_part(PI, U)
+        start = np.stack([c6, c5], axis=1)
+        start[list(failures)] = np.nan  # a row that already failed stops at its start
+
+        def position(q, rows):
+            h = q[:, 0, None] * E[rows]
+            h += q[:, 1, None] * bh[rows]
+            h /= denom[rows]
+            return h, _pole_rows(h)
+
+        def residual(q, rows):
+            res, pole = position(q, rows)
+            np.subtract(PIB[rows], np.divide(1.0, res, out=res), out=res)
+            res[pole] = np.nan
+            return res
+
+        def jacobian(q, rows):
+            hh, pole = position(q, rows)
+            hh *= hh
+            jac = np.empty(hh.shape + (2,))
+            np.divide(U[rows], hh, out=jac[..., 0])
+            np.divide(V[rows], hh, out=jac[..., 1])
+            jac[pole] = np.nan
+            return jac
+
+        raw = lm_fit(ResidualProblem(residual, jacobian, 2, n), start, opts)
+        del U, V, PIB, denom
+    fail(np.flatnonzero([m == UNEVALUABLE_START for m in raw.messages]),
+         "stage2 initial residuals unevaluable", lambda i: ValueError(UNEVALUABLE_START))
+
+    q = raw.params.copy()
+    if k:
+        # One distinct e identifies only the level of the curve: every
+        # q + t*null fits alike, so take the one where the pinned ratio
+        # q[j] equals the pin (s = 1).
+        null, j = np.stack([b3h, -E[:, 0]], axis=1), 2 - k
+        one = (E.min(axis=-1) == E.max(axis=-1)) & (null[:, j] != 0.0)
+        q[one] += ((pins[one] - q[one, j]) / null[one, j])[:, None] * null[one]
+    ratio = np.stack([np.ones(n_rows), q[:, 1], q[:, 0]], axis=1)[:, k]
+    name = ("beta4", "beta5", "beta6")[k]
+    fail(np.flatnonzero(~(pins * ratio > 0.0)), "stage2 gauge sign conflict", lambda i: ValueError(
+        f"gauge sign conflict: {_GAUGE_VARIANTS[k]} pins {name} at {pins[i]:+.6g} but the data give "
+        f"{name}/beta4 = {ratio[i]:+.6g}; opposite signs would make beta4 <= 0"
+    ))
+    if n <= 2:
+        fail(np.arange(n_rows), "stage2 insufficient data",
+             lambda i: ValueError("standard errors require n_obs > n_params"))
+    converged = raw.converged.copy()
+    converged[list(failures)] = False
+
+    params = _apply_gauge(q, k, pins)
+    se_free, flags = _stage2_checks(E, params, b3h, k, raw.residual_norm)
+
+    def trace(i):
+        return tuple(
+            (tuple(_apply_gauge(np.array([t]), k, pins[i:i + 1])[0].tolist()), ssr) for t, ssr in raw.trace(i)
+        )
+
+    return _Rows(
+        Stage2Params, params, raw.residual_norm, raw.row_iterations, converged, raw.messages,
+        np.insert(se_free, k, 0.0, axis=1), flags, failures, trace,
+    )
 
 
 def fit_vol_of_vol(
@@ -396,63 +632,16 @@ def fit_vol_of_vol(
     ``1/pi_star``, so a zero position, or positions that do not share one
     sign, are rejected with the offending row named; so is a gauge pin
     whose sign would make ``beta4 <= 0``.  Standard errors cover the two
-    free parameters (the fixed one reports 0.0).
+    free parameters (the fixed one reports 0.0).  This is the one-row case
+    of the stacked fit the Monte Carlo harness runs.
     """
     if not (math.isfinite(beta3_hat) and beta3_hat > 0.0):
         raise ValueError("beta3_hat must be finite and > 0")
-    e, pi = data.e, data.pi_star
-    zeros = np.flatnonzero(pi == 0.0)
-    if zeros.size:
-        where = _row_name(data, int(zeros[0]))
-        raise ValueError(f"zero position at {where}: inverse positions are undefined")
-    flips = np.flatnonzero(np.signbit(pi) != np.signbit(pi[:1]))
-    if flips.size:
-        where = _row_name(data, int(flips[0]))
-        raise ValueError(
-            f"position sign change at {where}: positions cross zero, so their inverses pass a pole"
-        )
-    problem = _stage2_problem(e, 1.0 / pi, beta3_hat)
-    c6, c5, _ = _linear_part(pi, _stage1_value(e, 1.0, 0.0, beta3_hat))  # u = e/(b3h + e)
-    raw = lm_fit(problem, np.array([c6, c5]), opts)
-
     k, pin = gauge.fixed
-    q = raw.params
-    if k and e.min() == e.max():
-        # One distinct e identifies only the level of the curve: every
-        # q + t*null fits alike, so take the one where the pinned ratio
-        # q[j] equals the pin (s = 1).
-        null, j = np.array([beta3_hat, -e[0]]), 2 - k
-        if null[j]:
-            q = q + (pin - q[j]) / null[j] * null
-    c6, c5 = (float(x) for x in q)
-    ratio = (1.0, c5, c6)[k]
-    if not pin * ratio > 0.0:
-        name = ("beta4", "beta5", "beta6")[k]
-        raise ValueError(
-            f"gauge sign conflict: {gauge.variant} pins {name} at {pin:+.6g} but the data give "
-            f"{name}/beta4 = {ratio:+.6g}; opposite signs would make beta4 <= 0"
-        )
-    beta = _apply_gauge(q, k, pin)
-    params = Stage2Params(*beta.tolist())
-    trace = tuple((tuple(_apply_gauge(t, k, pin).tolist()), ssr) for t, ssr in raw.trace)
-    fit = replace(raw, params=params, trace=trace)
-
-    # Delta method through beta = s*(1, c5, c6): the covariance of the two
-    # free betas is G C G', with C the (c6, c5) covariance and G their
-    # derivative in (c6, c5).  That is the Gauss-Newton covariance of
-    # J inv(G), and inv(G) is the derivative of (c6, c5) = (beta6, beta5)/beta4
-    # in the free betas.
-    free = [i for i in range(3) if i != k]
-    dq = (np.array([[-c6, 0.0, 1.0], [-c5, 1.0, 0.0]]) / beta[0])[:, free]
-    se_free = standard_errors(
-        replace(raw, params=beta[free]),
-        replace(problem, jacobian=lambda _: problem.jacobian(q) @ dq),
+    rows = _stage2_rows(
+        data.e[None], data.pi_star[None], np.array([float(beta3_hat)]), k, np.array([pin]), opts, data.labels
     )
-    se = None if se_free is None else se_free[:k] + (0.0,) + se_free[k:]
-    flags = set(identifiability_diagnostics(fit, data, beta3_hat=beta3_hat, gauge=gauge))
-    if se is None:
-        flags.add(DIAG_DEGENERATE_COV)
-    return replace(fit, standard_errors=se, diagnostics=frozenset(flags))
+    return rows.result(0)
 
 
 def estimate_rho(beta2_hat: float, gamma_hat: float, alpha_ratio: float) -> RhoEstimate:
@@ -484,7 +673,11 @@ class ValidationReport:
     vector, so those fields are None and ``scale`` compares the mean
     ``beta3`` against both readings of the initial variance.
     ``stage2_n_failed`` counts stage-2 fits that raised (None when stage 2
-    was not run); it is not written to the report.
+    was not run).  ``failures`` tallies, as sorted ``(reason, count)``
+    pairs, every replication that gave no converged fit in a stage it ran:
+    ``"stage1 beta3 not identified"``, ``"stage1 not converged: max
+    iterations"``, ``"stage2 position sign change"``, ``"stage2 pole
+    guard"`` and so on.  Neither is written to the report.
     """
 
     replications: int
@@ -501,6 +694,7 @@ class ValidationReport:
     stage2_gamma_mean: float | None = None
     stage2_n_converged: int | None = None
     stage2_n_failed: int | None = None
+    failures: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
         if self.bias is not None and self.rmse is not None:
@@ -518,6 +712,21 @@ def _replication_seed(master_seed: int, rep: int) -> int:
     return int(state[0])
 
 
+def _tally(failures: Counter, stage: str, rows: _Rows) -> None:
+    """Count each row without a converged fit under its failure reason or solver message."""
+    for i in np.flatnonzero(~rows.converged).tolist():
+        if i in rows.failures:
+            failures[rows.failures[i][0]] += 1
+        else:
+            failures[f"{stage} not converged: {rows.messages[i].split(' at iteration')[0]}"] += 1
+
+
+# Replications are fitted in chunks of about this many rows times
+# observations: large enough that numpy's per-call cost is shared, small
+# enough that the stacked temporaries stay a few MB.
+_CHUNK_OBSERVATIONS = 6400
+
+
 def monte_carlo_validation(
     spec: GenerationSpec | StructuralSpec,
     replications: int,
@@ -530,80 +739,98 @@ def monte_carlo_validation(
     """Repeated generate-and-fit experiment with deterministic seeding.
 
     Replication ``i`` generates data with a seed derived from
-    ``(master_seed, i)``, so the report is bit-identical across runs and
-    scheduling.  Per-replication failures (solver errors, degenerate
-    data) are counted, not fatal.  ``run_stage2`` additionally fits the
-    inverse-position model under ``gauge_variant`` and aggregates the
+    ``(master_seed, i)``.  The datasets are stacked into chunks and each
+    stage fits a chunk as one ``(rows, n)`` problem, every row with its own
+    steps, stop and failure; a row's result does not depend on the chunk it
+    is in, so the report is bit-identical across runs, chunking and
+    scheduling.  Per-replication failures (refusals, non-convergence,
+    degenerate data) are counted by reason, not fatal.  ``run_stage2``
+    additionally fits the inverse-position model under ``gauge_variant``
+    (pinned at each replication's own stage-1 fit) and aggregates the
     resulting ``gamma_hat``.
     """
     if replications < 2:
         raise ValueError("replications must be >= 2")
+    if gauge_variant not in _GAUGE_VARIANTS:
+        raise ValueError(f"unknown gauge variant {gauge_variant!r}")
     truth = None if isinstance(spec, StructuralSpec) else spec.stage1
-
+    k = _GAUGE_VARIANTS.index(gauge_variant)
+    failures: Counter[str] = Counter()
     estimates: list[np.ndarray] = []
-    ses: list[tuple[float, ...] | None] = []
-    gamma_hats: list[float] = []
-    stage2_converged = 0
-    stage2_failed = 0
-    n_converged = 0
-    n_failed = 0
+    ses: list[np.ndarray] = []
+    gamma_hats: list[np.ndarray] = []
+    stage2_converged = stage2_failed = 0
 
-    for rep in range(replications):
-        seed = _replication_seed(master_seed, rep)
+    def fit_chunk(chunk: list[Dataset]) -> None:
+        nonlocal stage2_converged, stage2_failed
+        E, PI = np.stack([d.e for d in chunk]), np.stack([d.pi_star for d in chunk])
         try:
-            data = generate_synthetic_dataset(spec.kind, spec, seed)
-            fit = fit_volatility(data, opts)
+            stage1 = _stage1_rows(E, PI, opts)
         except ValueError:
-            n_failed += 1
+            failures["stage1 insufficient data"] += len(chunk)
+            return
+        _tally(failures, "stage1", stage1)
+        ok = np.flatnonzero(stage1.converged)
+        estimates.append(stage1.params[ok])
+        ses.append(stage1.standard_errors[ok])
+        if not run_stage2 or not len(ok):
+            return
+        b1, b2, b3 = stage1.params[ok].T
+        pins = (np.ones(len(ok)), b2, b1)[k]
+        stage2 = _stage2_rows(E[ok], PI[ok], b3, k, pins, opts)
+        _tally(failures, "stage2", stage2)
+        stage2_failed += len(stage2.failures)
+        stage2_converged += int(stage2.converged.sum())
+        gamma_hats.append(stage2.params[stage2.converged, 0])
+
+    chunk: list[Dataset] = []
+    for rep in range(replications):
+        try:
+            chunk.append(generate_synthetic_dataset(spec.kind, spec, _replication_seed(master_seed, rep)))
+        except ValueError:
+            failures["generation error"] += 1
             continue
-        if not fit.converged:
-            n_failed += 1
-            continue
-        n_converged += 1
-        estimates.append(fit.params.as_array())
-        ses.append(fit.standard_errors)
-        if run_stage2:
-            try:
-                gauge = GaugeRule.from_stage1(gauge_variant, fit)
-                fit2 = fit_vol_of_vol(data, fit.params.beta3, gauge, opts)
-            except ValueError:
-                stage2_failed += 1
-                continue
-            if fit2.converged:
-                stage2_converged += 1
-                gamma_hats.append(fit2.params.beta4)
+        if len(chunk) * chunk[0].n_rows >= _CHUNK_OBSERVATIONS:
+            fit_chunk(chunk)
+            chunk = []
+    if chunk:
+        fit_chunk(chunk)
 
     names = ("beta1", "beta2", "beta3")
     bias = rmse = coverage = None
     beta3_mean = None
     scale = None
     coverage_evaluated = 0
-    if estimates:
-        est = np.vstack(estimates)
+    est = np.concatenate(estimates) if estimates else np.empty((0, 3))
+    if len(est):
         beta3_mean = float(np.mean(est[:, 2]))
         if truth is not None:
             errors = est - truth.as_array()
             bias = tuple(float(v) for v in errors.mean(axis=0))
             rmse = tuple(float(v) for v in np.sqrt((errors**2).mean(axis=0)))
-            hits = [np.abs(err) <= 1.96 * np.array(se) for err, se in zip(errors, ses) if se is not None]
-            coverage_evaluated = len(hits)
-            coverage = tuple(sum(int(hit[j]) for hit in hits) for j in range(3))
+            se = np.concatenate(ses)
+            evaluated = ~np.isnan(se).any(axis=1)
+            coverage_evaluated = int(evaluated.sum())
+            hits = np.abs(errors[evaluated]) <= 1.96 * se[evaluated]
+            coverage = tuple(int(v) for v in hits.sum(axis=0))
         else:
             scale = volatility_scale_comparison(beta3_mean, spec.heston.sigma_bar)
+    gammas = np.concatenate(gamma_hats) if gamma_hats else np.empty(0)
 
     return ValidationReport(
         replications=replications,
         truth=truth,
         param_names=names,
-        n_converged=n_converged,
-        n_failed=n_failed,
+        n_converged=len(est),
+        n_failed=replications - len(est),
         bias=bias,
         rmse=rmse,
         coverage=coverage,
         coverage_evaluated=coverage_evaluated,
         beta3_mean=beta3_mean,
         scale=scale,
-        stage2_gamma_mean=(float(np.mean(gamma_hats)) if gamma_hats else None),
+        stage2_gamma_mean=(float(np.mean(gammas)) if len(gammas) else None),
         stage2_n_converged=(stage2_converged if run_stage2 else None),
         stage2_n_failed=(stage2_failed if run_stage2 else None),
+        failures=tuple(sorted(failures.items())),
     )

@@ -14,9 +14,9 @@ from portvol import (
     GenerationSpec,
     HestonParams,
     PathConfig,
-    PoleError,
     PolicyCoefficients,
     ResidualProblem,
+    SolverOptions,
     Stage1Params,
     Stage2Params,
     StructuralSpec,
@@ -535,17 +535,19 @@ class TestMonteCarloValidation:
         assert report.stage2_gamma_mean == pytest.approx(1.0, rel=1e-6)
 
     def test_stage2_exceptions_are_counted(self, monkeypatch):
-        def pole(*args, **kwargs):
-            raise PoleError("forced")
+        # Every row of the stacked stage-2 fit reports a pole at its start.
+        def pole_everywhere(value, *scale_terms):
+            return np.ones(np.shape(value)[:-1], dtype=bool)
 
         spec = GenerationSpec(stage1=TRUTH, n=100, noise=0.0)
         assert monte_carlo_validation(spec, 4, master_seed=3).stage2_n_failed is None
         assert monte_carlo_validation(spec, 4, master_seed=3, run_stage2=True).stage2_n_failed == 0
-        monkeypatch.setattr(portvol.estimate, "fit_vol_of_vol", pole)
+        monkeypatch.setattr(portvol.estimate, "_pole_rows", pole_everywhere)
         report = monte_carlo_validation(spec, 4, master_seed=3, run_stage2=True)
         assert report.n_converged == 4
         assert report.stage2_n_converged == 0
         assert report.stage2_n_failed == 4
+        assert report.failures == (("stage2 pole guard", 4),)
 
     def test_beta3_underflow_counted_as_failed(self):
         spec = GenerationSpec(stage1=Stage1Params(1.0, 1.0, 0.04), n=50, noise=0.01)
@@ -562,6 +564,7 @@ class TestMonteCarloValidation:
         spec = GenerationSpec(stage1=Stage1Params(1.0, 1.0, 0.04), n=50, noise=0.01)
         report = monte_carlo_validation(spec, 3)
         assert (report.n_converged, report.n_failed) == (0, 3)
+        assert report.failures == (("stage1 beta3 not identified", 3),)
 
     def test_stage2_position_sign_change_counted_as_failed(self):
         spec = GenerationSpec(stage1=Stage1Params(-1.0, 3.0, 0.02), n=200, noise=0.01)
@@ -569,6 +572,20 @@ class TestMonteCarloValidation:
         assert report.n_converged == 4
         assert report.stage2_n_converged == 0
         assert report.stage2_n_failed == 4
+        assert report.failures == (("stage2 position sign change", 4),)
+
+    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        spec = GenerationSpec(stage1=Stage1Params(1.0, 1.0, 0.04), n=50, noise=0.01)
+        reports = []
+        for budget in (1, 7 * 50, 10**6):
+            monkeypatch.setattr(portvol.estimate, "_CHUNK_OBSERVATIONS", budget)
+            reports.append(monte_carlo_validation(spec, 20, master_seed=3, run_stage2=True))
+        assert reports[0].failures  # some replications are refused
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_unknown_gauge_variant_raises(self):
+        with pytest.raises(ValueError, match="unknown gauge variant"):
+            monte_carlo_validation(GenerationSpec(stage1=TRUTH, n=50), 2, run_stage2=True, gauge_variant="pin")
 
     def test_structural_reports_scale_comparison(self):
         heston = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
@@ -584,6 +601,96 @@ class TestMonteCarloValidation:
         assert report.scale is not None
         assert report.scale.sigma_bar == 0.04
         assert report.beta3_mean is not None and report.beta3_mean > 0.0
+
+
+def _fit_key(fit: FitResult) -> tuple:
+    """Every field of a fit, floats as hex, so equal keys mean bit-identical fits."""
+
+    def hexes(values):
+        return None if values is None else tuple(float(v).hex() for v in values)
+
+    return (
+        hexes(fit.params.as_array()),
+        fit.residual_norm.hex(),
+        fit.iterations,
+        fit.converged,
+        hexes(fit.standard_errors),
+        tuple(sorted(fit.diagnostics)),
+        tuple((hexes(p), ssr.hex()) for p, ssr in fit.trace),
+        fit.message,
+    )
+
+
+def _row_outcomes(rows) -> list:
+    """``(failure reason or None, fit key or error text)`` for each row of a stacked fit."""
+    out = []
+    for i in range(len(rows.converged)):
+        try:
+            out.append((None, _fit_key(rows.result(i))))
+        except ValueError as exc:
+            out.append((rows.failures[i][0], f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+def _single_outcome(fit, *args):
+    try:
+        return _fit_key(fit(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestStackedRows:
+    """The Monte Carlo harness fits chunks of datasets as stacked rows; a row must not see its chunk."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        b1=st.floats(-3.0, 3.0),
+        b2=st.floats(-3.0, 3.0),
+        log_b3=st.floats(math.log(0.005), 0.0),
+        noise=st.sampled_from([0.0, 0.01, 0.05]),
+        n=st.sampled_from([30, 200]),
+        seed=st.integers(0, 2**32),
+        n_rows=st.integers(8, 16),
+        variant=st.sampled_from(["free", "pin-beta5", "pin-beta6"]),
+    )
+    def test_rows_do_not_depend_on_their_chunk(self, b1, b2, log_b3, noise, n, seed, n_rows, variant):
+        spec = GenerationSpec(stage1=Stage1Params(b1, b2, math.exp(log_b3)), n=n, noise=noise)
+        datasets = [generate_synthetic_dataset("model-implied", spec, seed + i) for i in range(n_rows)]
+        E, PI = np.stack([d.e for d in datasets]), np.stack([d.pi_star for d in datasets])
+        opts = SolverOptions()
+
+        def stage1(size):
+            return [
+                o for lo in range(0, n_rows, size)
+                for o in _row_outcomes(portvol.estimate._stage1_rows(E[lo:lo + size], PI[lo:lo + size], opts))
+            ]
+
+        first = stage1(1)
+        assert stage1(7) == first and stage1(n_rows) == first
+        assert [o[1] for o in first] == [_single_outcome(fit_volatility, d) for d in datasets]
+
+        fitted = [i for i, (reason, _) in enumerate(first) if reason is None]
+        stage1_fits = [fit_volatility(datasets[i]) for i in fitted]
+        k = ("free", "pin-beta5", "pin-beta6").index(variant)
+        b3h = np.array([f.params.beta3 for f in stage1_fits])
+        pins = np.array([(1.0, f.params.beta2, f.params.beta1)[k] for f in stage1_fits])
+        assume(np.all(pins != 0.0))
+
+        def stage2(size):
+            return [
+                o for lo in range(0, len(fitted), size)
+                for o in _row_outcomes(portvol.estimate._stage2_rows(
+                    E[fitted][lo:lo + size], PI[fitted][lo:lo + size], b3h[lo:lo + size], k,
+                    pins[lo:lo + size], opts,
+                ))
+            ]
+
+        second = stage2(1)
+        assert stage2(7) == second and stage2(max(len(fitted), 1)) == second
+        assert [o[1] for o in second] == [
+            _single_outcome(fit_vol_of_vol, datasets[i], f.params.beta3, GaugeRule.from_stage1(variant, f))
+            for i, f in zip(fitted, stage1_fits)
+        ]
 
 
 class TestVolatilityScale:
