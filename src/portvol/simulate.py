@@ -15,18 +15,25 @@ Correlation convention: the variance path is driven by ``Z2`` directly
 and the price path by ``rho*Z2 + sqrt(1 - rho**2)*Z1``, so ``rho``
 correlates price and variance shocks.
 
-Randomness is counter-based and splittable: draw streams are keyed by
-``(seed, path_index, role)`` through ``SeedSequence`` spawn keys on a
-Philox generator (role 0 = variance, role 1 = price).  A path therefore
-never depends on how many other paths are simulated, or in what order.
+Randomness is counter-based and splittable: each draw stream is a Philox
+stream (counter 0) whose 128-bit key is
+``SeedSequence(entropy=seed, spawn_key=(path_index, role)).generate_state(2, uint64)``
+(role 0 = variance, role 1 = price).  A path therefore never depends on
+how many other paths are simulated, or in what order.  ``_stream_keys``
+computes that key for many paths at once with numpy's ``SeedSequence``
+hash on uint32 arrays, and a batch re-keys one generator per path
+instead of building a ``SeedSequence`` and a ``Philox`` for each.
 
 Stepping: the recursions are sequential in time.  A batch of variance
-paths is stepped on arrays, one numpy operation per step across all
-paths.  A single path (1-D normals, and every wealth path) is stepped on
-Python floats, since numpy calls on single values cost more than the
-arithmetic they do.  Both apply the same IEEE double operations in the
-same order, so a path is bit-identical whether stepped alone or as a row
-of a batch.
+paths is stepped on arrays, a few ufunc calls per step across all paths,
+writing into preallocated buffers.  It walks the grid in tiles of
+``_TILE`` steps: a tile's normals are copied into a time-major buffer, so
+each step reads one contiguous row, and the tile's values go back to the
+path-major result in one transposed copy.  A single path (1-D normals,
+and every wealth path) is stepped on Python floats, since numpy calls on
+single values cost more than the arithmetic they do.  Both apply the same
+IEEE double operations in the same order, so a path is bit-identical
+whether stepped alone or as a row of a batch.
 """
 
 from __future__ import annotations
@@ -63,6 +70,20 @@ POLICY_VARIANCE_FLOOR = 1e-12
 # Seeds are unsigned 64-bit integers: 0 <= seed < SEED_LIMIT.
 SEED_LIMIT = 2**64
 
+# The batch Euler kernel walks the grid in tiles of _TILE steps (5 MB of
+# normals for 10k paths) and transposes a tile's normals in blocks of
+# _TILE_PATHS paths, whose 256 kB of source rows stay in cache.
+_TILE = 64
+_TILE_PATHS = 512
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool of four
+# uint32 words, hashmix multipliers for mixing in (A) and drawing out (B).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
 
 @dataclass(frozen=True)
 class PathConfig:
@@ -85,8 +106,8 @@ class PathConfig:
             raise ValueError("dt must be finite and > 0")
         if not self.dt < self.horizon:
             raise ValueError("dt must be < horizon")
-        if not (isinstance(self.n_paths, int) and self.n_paths >= 1):
-            raise ValueError("n_paths must be an integer >= 1")
+        if not (isinstance(self.n_paths, int) and 1 <= self.n_paths <= SEED_LIMIT):
+            raise ValueError("n_paths must be an integer in [1, 2**64]: path indices are unsigned 64-bit")
         if not (isinstance(self.seed, int) and 0 <= self.seed < SEED_LIMIT):
             raise ValueError("seed must be an unsigned 64-bit integer")
 
@@ -147,10 +168,106 @@ class SimPath:
         return self.wealth - self.policy
 
 
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix on a Python int or a uint32 array; returns (value, next const)."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two pool words (Python ints or uint32 arrays alike)."""
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's coercion of a nonnegative int: little-endian uint32 words, ``[0]`` for 0."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """The hash pool and hash constant once the seed is mixed in.
+
+    A spawn key follows the seed, so the seed's words are zero-padded to
+    the pool size.  Every stream of one seed shares this state.
+    """
+    seed_words = _uint32_words(seed)
+    const = _INIT_A
+    pool = []
+    for word in seed_words + [0] * (_POOL_SIZE - len(seed_words)):
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    return pool, const
+
+
+def _spawn_state(pool: list, const: int, words: list) -> list:
+    """Mix the spawn-key words into the pool; return ``generate_state(2, uint64)`` as four uint32 words.
+
+    Works on Python ints for one stream and on uint32 arrays (one entry
+    per stream) for many.
+    """
+    pool = list(pool)
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    state = []
+    const = _INIT_B
+    for word in pool:
+        word, const = _hashmix(word, const, _MULT_B)
+        state.append(word)
+    return state
+
+
+def _stream_keys(seed: int, path_indices: np.ndarray, role: int) -> np.ndarray:
+    """Philox keys of the streams ``(seed, i, role)``, one ``(2,)`` uint64 row per index.
+
+    Row ``j`` equals
+    ``SeedSequence(entropy=seed, spawn_key=(path_indices[j], role)).generate_state(2, np.uint64)``,
+    the key ``Philox(SeedSequence)`` runs from.  The seed is mixed once;
+    each index and the role are then mixed in on uint32 arrays.  An index
+    below 2**32 (0 included) is one uint32 word and a larger one two, so
+    the two groups are hashed in separate passes.
+    """
+    idx = np.asarray(path_indices, dtype=np.uint64)
+    pool, const = _seed_pool(seed)
+    keys = np.empty((idx.shape[0], 2), dtype=np.uint64)
+    wide = idx > _MASK32
+    for rows in (np.flatnonzero(~wide), np.flatnonzero(wide)):
+        if rows.size == 0:
+            continue
+        group = idx[rows]
+        words = [(group & _MASK32).astype(np.uint32)]
+        if group[0] > _MASK32:
+            words.append((group >> 32).astype(np.uint32))
+        words.append(np.full(rows.size, role, dtype=np.uint32))
+        mixer = [np.full(rows.size, word, dtype=np.uint32) for word in pool]
+        state = [word.astype(np.uint64) for word in _spawn_state(mixer, const, words)]
+        # generate_state(2, uint64) pairs the four words little-endian.
+        keys[rows, 0] = state[0] | state[1] << 32
+        keys[rows, 1] = state[2] | state[3] << 32
+    return keys
+
+
 def _stream(seed: int, path_index: int, role: int) -> np.random.Generator:
-    """Deterministic normal stream for (seed, path_index, role)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index, role))
-    return np.random.Generator(np.random.Philox(ss))
+    """Deterministic normal stream for (seed, path_index, role).
+
+    The key of :func:`_stream_keys`, hashed on Python ints: for one
+    stream, numpy calls on one-element arrays would cost more.
+    """
+    pool, const = _seed_pool(seed)
+    s0, s1, s2, s3 = _spawn_state(pool, const, _uint32_words(path_index) + [role])
+    return np.random.Generator(np.random.Philox(key=s0 | s1 << 32 | s2 << 64 | s3 << 96))
 
 
 def _step_sizes(cfg: PathConfig) -> np.ndarray:
@@ -198,16 +315,45 @@ def variance_path_from_normals(p: HestonParams, dts: np.ndarray, z2: np.ndarray)
             v = raw if raw > 0.0 or raw != raw else 0.0
             path.append(v)
         out[:] = path
+        finite = bool(np.isfinite(out).all())
     else:
-        v = np.full(z2.shape[:-1], float(p.sigma_bar))
-        out[..., 0] = v
-        with np.errstate(over="ignore", invalid="ignore"):  # the isfinite check below raises
-            for k in range(n):
-                vp = np.maximum(v, 0.0)
-                raw = v + (p.alpha - p.beta_rev * vp) * dts[k] + p.gamma * np.sqrt(vp) * sqrt_dts[k] * z2[..., k]
-                v = np.maximum(raw, 0.0)
-                out[..., k + 1] = v
-    if not np.all(np.isfinite(out)):
+        m = math.prod(z2.shape[:-1])
+        normals = z2.reshape(m, n)
+        paths = out.reshape(m, n + 1)
+        v = np.full(m, float(p.sigma_bar))
+        paths[:, 0] = v
+        # Only the start can need the floor (sigma_bar = -0.0): every stored
+        # value after it is np.maximum(raw, 0.0), which is >= +0.0 or NaN and
+        # which the floor leaves unchanged.
+        vp = np.maximum(v, 0.0)
+        tile = np.empty((min(_TILE, n), m))
+        drift = np.empty(m)
+        shock = np.empty(m)
+        alpha, beta_rev, gamma = p.alpha, p.beta_rev, p.gamma
+        finite = True
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+            for k0 in range(0, n, _TILE):
+                steps = tile[: min(_TILE, n - k0)]
+                # Copied in blocks of paths, so the rows read stay in cache.
+                for j0 in range(0, m, _TILE_PATHS):
+                    steps[:, j0 : j0 + _TILE_PATHS] = normals[j0 : j0 + _TILE_PATHS, k0 : k0 + len(steps)].T
+                for k, z in enumerate(steps, start=k0):
+                    # raw = v + (alpha - beta_rev*vp)*dt + gamma*sqrt(vp)*sqrt_dt*z
+                    np.multiply(vp, beta_rev, out=drift)
+                    np.subtract(alpha, drift, out=drift)
+                    np.multiply(drift, dts[k], out=drift)
+                    np.add(v, drift, out=drift)
+                    np.sqrt(vp, out=shock)
+                    np.multiply(shock, gamma, out=shock)
+                    np.multiply(shock, sqrt_dts[k], out=shock)
+                    np.multiply(shock, z, out=shock)
+                    np.add(drift, shock, out=drift)
+                    # The step's value takes the place of its spent normals.
+                    v = vp = np.maximum(drift, 0.0, out=z)
+                finite = finite and bool(np.isfinite(steps).all())
+                paths[:, k0 + 1 : k0 + 1 + len(steps)] = steps.T
+                v = vp = v.copy()  # the next tile overwrites this row
+    if not finite:
         raise ValueError("variance path became non-finite; dt is too large for the parameter scale")
     return out
 
@@ -252,20 +398,32 @@ def simulate_variance_path(p: HestonParams, c: PathConfig, path_index: int = 0) 
 def simulate_variance_batch(p: HestonParams, c: PathConfig, path_indices=None) -> np.ndarray:
     """Variance paths for several stream indices, stacked row-wise.
 
-    Each row is bit-identical to ``simulate_variance_path`` for the same
-    index, so ensembles can be processed in chunks of any size.  Memory
-    is ``len(path_indices) * (n_steps + 1)`` floats; chunk accordingly.
+    ``path_indices`` is a 1-D sequence of integers (default: every
+    index).  Each row is bit-identical to ``simulate_variance_path`` for
+    the same index, so ensembles can be processed in chunks of any size.
+    Memory peaks at about ``2 * len(path_indices) * n_steps`` floats, the
+    normals plus the paths (160 MB for 10k paths of 1000 steps); chunk
+    accordingly.
     """
     if path_indices is None:
-        path_indices = range(c.n_paths)
-    idx = list(path_indices)
-    for i in idx:
-        if not 0 <= i < c.n_paths:
-            raise ValueError(f"path_index {i} out of range for n_paths={c.n_paths}")
+        idx = np.arange(c.n_paths, dtype=np.uint64)
+    else:
+        idx = np.asarray(path_indices)
+        if idx.size == 0:
+            idx = idx.astype(np.uint64)  # [] comes out as float64
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise TypeError("path_indices must be a 1-D sequence of integers")
+        bad = np.flatnonzero((idx < 0) | (idx >= c.n_paths))
+        if bad.size:
+            raise ValueError(f"path_index {idx[bad[0]]} out of range for n_paths={c.n_paths}")
     n = c.n_steps
-    z2 = np.empty((len(idx), n))
-    for row, i in enumerate(idx):
-        z2[row] = _stream(c.seed, i, 0).standard_normal(n)
+    z2 = np.empty((idx.size, n))
+    gen = np.random.Generator(np.random.Philox(key=0))
+    state = gen.bit_generator.state  # counter 0, empty buffer: a fresh stream
+    for row, key in enumerate(_stream_keys(c.seed, idx, 0).tolist()):
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
+        gen.standard_normal(out=z2[row])
     return variance_path_from_normals(p, _step_sizes(c), z2)
 
 

@@ -1,5 +1,6 @@
 """Path simulation: schemes, seeding contract, and synthetic data generation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from portvol import (
     stage1_model,
     variance_path_from_normals,
 )
-from portvol.simulate import POLICY_VARIANCE_FLOOR
+from portvol.simulate import _TILE, _TILE_PATHS, POLICY_VARIANCE_FLOOR, _stream_keys
 
 
 def heston(**overrides):
@@ -49,6 +50,9 @@ class TestPathConfig:
             PathConfig(horizon=1.0, dt=0.1, seed=-1)
         with pytest.raises(ValueError):
             PathConfig(horizon=1.0, dt=0.1, seed=0, n_paths=0)
+        with pytest.raises(ValueError, match="n_paths"):
+            PathConfig(horizon=1.0, dt=0.1, seed=0, n_paths=2**64 + 1)  # path indices are 64-bit
+        PathConfig(horizon=1.0, dt=0.1, seed=0, n_paths=2**64)
 
     def test_grid(self):
         c = PathConfig(horizon=1.0, dt=1e-3, seed=0)
@@ -203,6 +207,143 @@ class TestSinglePathKernel:
         p = heston(alpha=1e308, beta_rev=1.0, gamma=1e10, sigma_bar=1.0)
         with pytest.raises(ValueError, match="variance path became non-finite"):
             variance_path_from_normals(p, np.array([10.0]), np.array([-1e300]))
+
+
+class TestBatchKernel:
+    """The tiled batch kernel: pinned bits, any leading axes, edge-sized batches."""
+
+    # sha256 of simulate_variance_batch(...).tobytes() (little-endian float64),
+    # computed before the batch kernel was tiled and its streams re-keyed.
+    @pytest.mark.parametrize(
+        "params, config, path_indices, n_steps, digest",
+        [
+            # Test 5's Feller-violating parameters (truncation active), a seed
+            # past 2**32.
+            (
+                dict(mu=0.0, r=0.0, alpha=0.01, beta_rev=1.0, gamma=0.5, rho=0.0, sigma_bar=0.04),
+                PathConfig(horizon=0.5, dt=1e-3, seed=2**32 + 5, n_paths=300),
+                None,
+                500,
+                "7d44cffa5afca5e3639703d7ed6061606d657bb7d5ac53a0e53913d2ced12f5f",
+            ),
+            # A ragged final step, and a step count that is no multiple of a tile.
+            (
+                dict(),
+                PathConfig(horizon=0.1234, dt=1e-3, seed=7, n_paths=40),
+                range(3, 40, 2),
+                124,
+                "7348ade8edd8d709fc5ab01d80ac8a252b4d80cab1bc6cffc9e5b3fde947410b",
+            ),
+        ],
+        ids=["feller-violating", "ragged-grid"],
+    )
+    def test_pinned_batch_digest(self, params, config, path_indices, n_steps, digest):
+        assert config.n_steps == n_steps
+        batch = simulate_variance_batch(heston(**params), config, path_indices)
+        assert batch.flags.c_contiguous
+        assert hashlib.sha256(batch.astype("<f8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n_steps", [1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 6])
+    @pytest.mark.parametrize("lead", [(2, 3), (_TILE_PATHS + 7,)], ids=["2x3", "path-blocks"])
+    def test_leading_axes_rows_equal_single_paths(self, n_steps, lead):
+        # n_steps = 1 is shorter than one tile, and some counts end in a
+        # partial tile; _TILE_PATHS + 7 paths end in a partial block of paths.
+        p = heston(alpha=0.01, beta_rev=1.0, gamma=0.9, sigma_bar=0.0)
+        rng = np.random.default_rng(n_steps)
+        dts = rng.uniform(1e-4, 1e-2, n_steps)
+        z2 = rng.standard_normal(lead + (n_steps,))
+        batch = variance_path_from_normals(p, dts, z2)
+        assert batch.shape == lead + (n_steps + 1,) and batch.flags.c_contiguous
+        for i in np.ndindex(lead):
+            assert same_bits(variance_path_from_normals(p, dts, z2[i]), batch[i])
+
+    def test_non_contiguous_normals(self):
+        p = heston()
+        rng = np.random.default_rng(3)
+        dts = np.full(40, 1e-2)
+        z2 = rng.standard_normal((80, 5)).T[:, ::2]  # (5, 40), strided both ways
+        batch = variance_path_from_normals(p, dts, z2)
+        for row in range(5):
+            assert same_bits(variance_path_from_normals(p, dts, np.array(z2[row])), batch[row])
+
+    @pytest.mark.parametrize("path_indices", [[], (), range(0), np.array([], dtype=np.int64)])
+    def test_empty_batch(self, path_indices):
+        c = PathConfig(horizon=1.0, dt=0.1, seed=1, n_paths=4)
+        batch = simulate_variance_batch(heston(), c, path_indices)
+        assert batch.shape == (0, c.n_steps + 1)
+
+    def test_duplicate_indices_give_identical_rows(self):
+        c = PathConfig(horizon=1.0, dt=1e-2, seed=9, n_paths=8)
+        batch = simulate_variance_batch(heston(), c, [5, 2, 5, 5, 2])
+        assert same_bits(batch[0], batch[2]) and same_bits(batch[0], batch[3])
+        assert same_bits(batch[1], batch[4])
+        assert same_bits(batch[0], simulate_variance_path(heston(), c, 5))
+
+    def test_single_step_grid(self):
+        c = PathConfig(horizon=1.0, dt=0.9999999999999, seed=4, n_paths=3)
+        assert c.n_steps == 1
+        batch = simulate_variance_batch(heston(), c)
+        assert batch.shape == (3, 2)
+        for i in range(3):
+            assert same_bits(simulate_variance_path(heston(), c, i), batch[i])
+
+    @pytest.mark.parametrize("path_indices", [[0, 4], [-1], np.array([7], dtype=np.uint64)])
+    def test_out_of_range_index_is_named(self, path_indices):
+        c = PathConfig(horizon=1.0, dt=0.1, seed=1, n_paths=4)
+        bad = [i for i in path_indices if not 0 <= i < 4][0]
+        with pytest.raises(ValueError, match=rf"path_index {bad} out of range for n_paths=4"):
+            simulate_variance_batch(heston(), c, path_indices)
+
+    @pytest.mark.parametrize("path_indices", [[0.0, 1.0], [True], [[0, 1]]])
+    def test_non_integer_indices_rejected(self, path_indices):
+        c = PathConfig(horizon=1.0, dt=0.1, seed=1, n_paths=4)
+        with pytest.raises(TypeError, match="path_indices"):
+            simulate_variance_batch(heston(), c, path_indices)
+
+    def test_indices_past_2_32_match_single_paths(self):
+        # Indices below and at or above 2**32 are hashed as one and two
+        # uint32 words; both groups in one batch keep their order.
+        c = PathConfig(horizon=0.05, dt=1e-3, seed=2**40 + 3, n_paths=2**33)
+        indices = [0, 2**32 - 1, 2**32, 2**33 - 1]
+        batch = simulate_variance_batch(heston(), c, indices[::-1] + indices)
+        for row, i in enumerate(indices[::-1] + indices):
+            assert same_bits(simulate_variance_path(heston(), c, i), batch[row])
+
+
+class TestStreamKeys:
+    """``_stream_keys`` is numpy's SeedSequence hash, vectorised over path indices."""
+
+    @staticmethod
+    def reference(seed, i, role):
+        return np.random.SeedSequence(entropy=seed, spawn_key=(i, role)).generate_state(2, np.uint64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        indices=st.lists(
+            st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**40, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+            max_size=8,
+        ),
+        role=st.sampled_from([0, 1]),
+    )
+    def test_equals_seed_sequence(self, seed, indices, role):
+        keys = _stream_keys(seed, np.array(indices, dtype=np.uint64), role)
+        assert keys.shape == (len(indices), 2) and keys.dtype == np.uint64
+        for row, i in enumerate(indices):
+            assert np.array_equal(keys[row], self.reference(seed, i, role)), (seed, i, role)
+
+    def test_philox_runs_from_the_seed_sequence_key(self):
+        # Philox(SeedSequence) starts at counter 0 with an empty buffer, so
+        # its state is fixed by the key alone.
+        ss = np.random.SeedSequence(entropy=2**33 + 1, spawn_key=(2**32, 1))
+        key = _stream_keys(2**33 + 1, np.array([2**32], dtype=np.uint64), 1)[0]
+        fresh = np.random.Philox(ss).state
+        assert np.array_equal(fresh["state"]["key"], key)
+        assert not fresh["state"]["counter"].any() and fresh["buffer_pos"] == 4
+        assert same_bits(
+            np.random.Generator(np.random.Philox(ss)).standard_normal(9),
+            np.random.Generator(np.random.Philox(key=key)).standard_normal(9),
+        )
 
 
 class TestMarketPath:

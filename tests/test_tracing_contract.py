@@ -11,7 +11,8 @@ import pathlib
 
 import portvol.cli
 import portvol.estimate
-from portvol import GaugeRule, GenerationSpec, Stage1Params, generate_synthetic_dataset
+import portvol.simulate
+from portvol import GaugeRule, GenerationSpec, HestonParams, PathConfig, Stage1Params, generate_synthetic_dataset
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,3 +56,24 @@ def test_traced_fits_give_finite_layer_metrics(monkeypatch):
     assert metrics and all(isinstance(v, float) and math.isfinite(v) for v in metrics.values()), metrics
     assert metrics["nls.lm_fit_calls"] == 2
     assert metrics["nls.accepted_steps"] > 0
+
+
+def test_traced_batch_splits_stream_setup_from_euler(monkeypatch):
+    # The tracer times the Euler kernel as the child span of
+    # simulate_variance_batch; the batch's self time is its stream set-up.
+    # Both are measured only while the batch calls the module-level kernel.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracing").Tracer()
+    p = HestonParams(mu=0.0, r=0.0, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=0.0, sigma_bar=0.02)
+    c = PathConfig(horizon=0.2, dt=1e-3, seed=3, n_paths=50)
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        portvol.simulate.simulate_variance_batch(p, c)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["simulate.euler_path_steps"] == c.n_paths * c.n_steps
+    assert metrics["simulate.euler_s"] > 0.0
+    assert metrics["simulate.stream_setup_s"] > 0.0
