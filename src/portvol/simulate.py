@@ -29,11 +29,13 @@ paths is stepped on arrays, a few ufunc calls per step across all paths,
 writing into preallocated buffers.  It walks the grid in tiles of
 ``_TILE`` steps: a tile's normals are copied into a time-major buffer, so
 each step reads one contiguous row, and the tile's values go back to the
-path-major result in one transposed copy.  A single path (1-D normals,
-and every wealth path) is stepped on Python floats, since numpy calls on
-single values cost more than the arithmetic they do.  Both apply the same
-IEEE double operations in the same order, so a path is bit-identical
-whether stepped alone or as a row of a batch.
+path-major result in one transposed copy.  A tile's values land where
+its normals were, so ``simulate_variance_batch`` draws each path's
+normals into its own result row and the batch is stepped in place.  A
+single path (1-D normals, and every wealth path) is stepped on Python
+floats, since numpy calls on single values cost more than the arithmetic
+they do.  Both apply the same IEEE double operations in the same order,
+so a path is bit-identical whether stepped alone or as a row of a batch.
 """
 
 from __future__ import annotations
@@ -287,20 +289,36 @@ def cir_mean(p: HestonParams, s: float) -> float:
     return level + (p.sigma_bar - level) * math.exp(-p.beta_rev * s)
 
 
-def variance_path_from_normals(p: HestonParams, dts: np.ndarray, z2: np.ndarray) -> np.ndarray:
+def variance_path_from_normals(
+    p: HestonParams, dts: np.ndarray, z2: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Full-truncation Euler variance path driven by explicit normals.
 
     ``z2`` has one standard normal per step (last axis); leading axes
     batch independent paths.  Returns an array with one more grid point
     than steps, starting at ``sigma_bar``.  A 1-D ``z2`` is stepped on
     Python floats and gives the same bits as the same row of a batch.
+
+    ``out``, as in numpy, is a writable float64 array of the result's
+    shape that receives the paths and is returned.  The normals may live
+    in it as exactly ``z2 = out[..., 1:]``, and are then stepped in place
+    with the same bits; any other overlap of ``z2`` and ``out`` raises
+    ``ValueError``.
     """
     z2 = np.asarray(z2, dtype=float)
     dts = np.asarray(dts, dtype=float)
     n = dts.shape[0]
     if z2.shape[-1] != n:
         raise ValueError(f"z2 last axis has length {z2.shape[-1]}, expected {n}")
-    out = np.empty(z2.shape[:-1] + (n + 1,))
+    shape = z2.shape[:-1] + (n + 1,)
+    if out is None:
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64 and out.flags.writeable):
+        raise ValueError(f"out must be a writable float64 array of shape {shape}")
+    else:
+        tail = out[..., 1:]
+        if (z2.ctypes.data, z2.strides) != (tail.ctypes.data, tail.strides) and np.shares_memory(z2, out):
+            raise ValueError("z2 may overlap out only as out[..., 1:]")
     sqrt_dts = np.sqrt(dts)
     if z2.ndim == 1:
         # One path: numpy calls on 0-d arrays cost microseconds per step,
@@ -353,6 +371,8 @@ def variance_path_from_normals(p: HestonParams, dts: np.ndarray, z2: np.ndarray)
                 finite = finite and bool(np.isfinite(steps).all())
                 paths[:, k0 + 1 : k0 + 1 + len(steps)] = steps.T
                 v = vp = v.copy()  # the next tile overwrites this row
+        if not np.may_share_memory(paths, out):  # an ``out`` whose leading axes reshape copies
+            out[...] = paths.reshape(shape)
     if not finite:
         raise ValueError("variance path became non-finite; dt is too large for the parameter scale")
     return out
@@ -401,8 +421,9 @@ def simulate_variance_batch(p: HestonParams, c: PathConfig, path_indices=None) -
     ``path_indices`` is a 1-D sequence of integers (default: every
     index).  Each row is bit-identical to ``simulate_variance_path`` for
     the same index, so ensembles can be processed in chunks of any size.
-    Memory peaks at about ``2 * len(path_indices) * n_steps`` floats, the
-    normals plus the paths (160 MB for 10k paths of 1000 steps); chunk
+    Each path's normals are drawn into its own result row and stepped in
+    place, so memory peaks at about the result plus one tile of
+    ``_TILE`` steps (85 MB for 10k paths of 1000 steps); chunk
     accordingly.
     """
     if path_indices is None:
@@ -417,14 +438,14 @@ def simulate_variance_batch(p: HestonParams, c: PathConfig, path_indices=None) -
         if bad.size:
             raise ValueError(f"path_index {idx[bad[0]]} out of range for n_paths={c.n_paths}")
     n = c.n_steps
-    z2 = np.empty((idx.size, n))
+    out = np.empty((idx.size, n + 1))
     gen = np.random.Generator(np.random.Philox(key=0))
     state = gen.bit_generator.state  # counter 0, empty buffer: a fresh stream
     for row, key in enumerate(_stream_keys(c.seed, idx, 0).tolist()):
         state["state"]["key"] = key
         gen.bit_generator.state = state
-        gen.standard_normal(out=z2[row])
-    return variance_path_from_normals(p, _step_sizes(c), z2)
+        gen.standard_normal(out=out[row, 1:])
+    return variance_path_from_normals(p, _step_sizes(c), out[:, 1:], out=out)
 
 
 def simulate_market_path(p: HestonParams, c: PathConfig, path_index: int = 0) -> SimPath:

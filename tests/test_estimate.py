@@ -329,19 +329,29 @@ class TestFitVolOfVol:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        b1=st.floats(-3.0, 3.0),
-        b2=st.floats(-3.0, 3.0),
         b3=st.floats(0.02, 0.3),
+        sign=st.sampled_from([-1.0, 1.0]),
+        near=st.floats(0.06, 2.0),
+        gap=st.floats(0.06, 1.0),
+        rising=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_default_gauge_gamma_is_one_by_construction(self, b1, b2, b3, seed):
+    def test_default_gauge_gamma_is_one_by_construction(self, b3, sign, near, gap, rising, seed):
         # gamma_hat = pin / (pinned ratio) compares two estimates of the same
         # stage-1 coefficient, so on noiseless data it is 1 under both pins.
-        assume(abs(b1) > 0.1 and abs(b2) > 0.1 and abs(b1 - b2) > 0.1)
-        # The curve is monotone on the sampled e range, so positions keep
-        # one sign and stay away from zero when both ends do.
-        ends = (b2 * b3 + b1 * np.array([0.01, 0.10])) / (b3 + np.array([0.01, 0.10]))
-        assume(ends[0] * ends[1] > 0.0 and np.min(np.abs(ends)) > 0.05)
+        # The curve is b2 + (b1 - b2)*u with u = e/(b3 + e), monotone on the
+        # sampled e range [0.01, 0.10], so positions keep one sign and stay
+        # away from zero when both ends do.  The ends are drawn with one sign,
+        # magnitudes near and near + gap (> 0.05), and b1, b2 solved from them;
+        # |b1 - b2| = gap/(u1 - u0) > 0.1 since u1 - u0 <= 0.5 for b3 >= 0.02.
+        ends = sign * np.array([near, near + gap] if rising else [near + gap, near])
+        u = np.array([0.01, 0.10]) / (b3 + np.array([0.01, 0.10]))
+        slope = (ends[1] - ends[0]) / (u[1] - u[0])
+        b2 = ends[0] - slope * u[0]
+        b1 = b2 + slope
+        # Both pins must stay away from zero; the extrapolated coefficient
+        # lands within 0.1 of zero for few draws.
+        assume(abs(b1) > 0.1 and abs(b2) > 0.1)
         data = model_data(truth=Stage1Params(b1, b2, b3), n=50, seed=seed)
         stage1 = fit_volatility(data)
         assert stage1.converged

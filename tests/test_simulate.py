@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,83 @@ class TestBatchKernel:
         batch = simulate_variance_batch(heston(), c, indices[::-1] + indices)
         for row, i in enumerate(indices[::-1] + indices):
             assert same_bits(simulate_variance_path(heston(), c, i), batch[row])
+
+    @staticmethod
+    def normals_and_fresh(lead, n_steps):
+        p = heston(alpha=0.01, beta_rev=1.0, gamma=0.9, sigma_bar=0.0)
+        rng = np.random.default_rng(n_steps)
+        dts = rng.uniform(1e-4, 1e-2, n_steps)
+        z2 = rng.standard_normal(lead + (n_steps,))
+        return p, dts, z2, variance_path_from_normals(p, dts, z2)
+
+    @pytest.mark.parametrize("n_steps", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 6])
+    @pytest.mark.parametrize(
+        "lead, strided",
+        [((), False), ((1,), False), ((_TILE_PATHS + 7,), False), ((2, 3), False), ((2, 3), True)],
+        ids=["1-D", "one-path", "path-blocks", "2x3", "2x3-strided"],
+    )
+    def test_normals_stepped_in_place_keep_their_bits(self, n_steps, lead, strided):
+        p, dts, z2, fresh = self.normals_and_fresh(lead, n_steps)
+        # A strided ``out`` takes three of four rows of a larger buffer, so its
+        # leading axes (and those of out[..., 1:]) cannot be reshaped without a copy.
+        out = np.empty((2, 4, n_steps + 1))[:, :3] if strided else np.empty(lead + (n_steps + 1,))
+        out[..., 1:] = z2
+        assert variance_path_from_normals(p, dts, out[..., 1:], out=out) is out
+        assert same_bits(fresh, out)
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_separate_out(self, strided):
+        p, dts, z2, fresh = self.normals_and_fresh((2, 3), 70)
+        out = np.full((2, 4, 71), np.nan)[:, :3] if strided else np.full((2, 3, 71), np.nan)
+        normals = z2.copy()
+        assert variance_path_from_normals(p, dts, z2, out=out) is out
+        assert same_bits(fresh, out) and same_bits(normals, z2)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("shifted-overlap", "overlap"),
+            ("reversed-overlap", "overlap"),
+            ("wrong-shape", "shape"),
+            ("float32", "float64"),
+            ("read-only", "writable"),
+        ],
+    )
+    def test_refused_out(self, case, message):
+        # A shifted alias would overwrite normals that later steps still read.
+        p, dts, z2, _ = self.normals_and_fresh((3,), 70)
+        out = np.empty((3, 71), dtype=np.float32 if case == "float32" else float)
+        if case == "shifted-overlap":
+            z2 = out[..., :-1]
+        elif case == "reversed-overlap":
+            z2 = out[::-1, 1:]
+        elif case == "wrong-shape":
+            out = np.empty((3, 72))
+        elif case == "read-only":
+            out.setflags(write=False)
+        with pytest.raises(ValueError, match=message):
+            variance_path_from_normals(p, dts, z2, out=out)
+
+    def test_batch_memory_is_one_result_and_one_tile(self):
+        # Bound: the result, m*(n+1) floats, plus the kernel's (_TILE, m)
+        # tile, 64/501 = 0.13 of the result at n = 500.  1.2 results leaves
+        # 0.07 (560 kB) for the tile's finiteness mask (1/8 of the tile),
+        # three (m,) step buffers and Python objects; the stream keys (0.04)
+        # are freed before the kernel runs.  Normals held apart from the
+        # result would add a whole result more: about 2.15.
+        m, n = 2000, 500
+        c = PathConfig(horizon=n * 1e-3, dt=1e-3, seed=1901, n_paths=m)
+        simulate_variance_batch(heston(), PathConfig(horizon=0.1, dt=1e-3, seed=1, n_paths=2))  # first-call set-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            batch = simulate_variance_batch(heston(), c)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert batch.nbytes == m * (n + 1) * 8
+        assert peak <= 1.2 * batch.nbytes
 
 
 class TestStreamKeys:

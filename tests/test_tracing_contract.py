@@ -75,5 +75,9 @@ def test_traced_batch_splits_stream_setup_from_euler(monkeypatch):
         tracer.uninstall()
     metrics = tracer.layer_metrics()
     assert metrics["simulate.euler_path_steps"] == c.n_paths * c.n_steps
+    # The batch hands the kernel its normals as a view of the result, which
+    # the tracer still reads as one normals array and one path array.
+    m, n = c.n_paths, c.n_steps
+    assert metrics["simulate.bytes_computed"] == 8 * (m * n + m * (n + 1))
     assert metrics["simulate.euler_s"] > 0.0
     assert metrics["simulate.stream_setup_s"] > 0.0
