@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -46,7 +45,8 @@ from .nls import (
     _pole_rows,
     _rowdot,
     _select,
-    _trace,
+    _stage1_grad,
+    _stage2_grad,
     lm_fit,
 )
 from .simulate import GenerationSpec, StructuralSpec, generate_synthetic_dataset
@@ -244,34 +244,27 @@ def standard_errors(fit: FitResult, problem: ResidualProblem) -> tuple[float, ..
     ``inv(J'J) = inv(R) inv(R)'``, so the condition number of ``J`` is
     never squared.  Returns None when ``cond(R) >= 1/sqrt(eps)``
     (degenerate covariance) — absent, not zero.  Requires more
-    observations than parameters.
+    observations than parameters.  ``problem`` is evaluated as a stack of
+    one row, at ``fit.params``.
     """
     if problem.n_obs <= problem.n_params:
         raise ValueError("standard errors require n_obs > n_params")
     p = fit.params.as_array() if hasattr(fit.params, "as_array") else np.asarray(fit.params, float)
     try:
-        jac = np.asarray(problem.jacobian(p), dtype=float)
+        jac = np.asarray(problem.jacobian(p[None], slice(None)), dtype=float)
     except (ValueError, ArithmeticError):
         return None
-    se = _qr_rows(jac[None], np.array([fit.residual_norm]))[0][0]
+    se = _qr_rows(jac, np.array([fit.residual_norm]))[0][0]
     return None if np.isnan(se).any() else tuple(se.tolist())
 
 
 def _stage1_checks(E, b1, b2, b3, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Standard errors and diagnostics of stage-1 fits, per row, from the curve's Jacobian."""
-    b3c = b3[:, None]
-    denom = b3c + E
-    jac = np.empty(E.shape + (3,))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(E, denom, out=jac[..., 0])
-        np.divide(b3c, denom, out=jac[..., 1])
-        np.multiply((b2 - b1)[:, None], jac[..., 0], out=jac[..., 2])
-        jac[..., 2] /= denom
-    jac[_pole_rows(denom, b3c, E)] = np.nan
-    se, cond = _qr_rows(jac, ssr)
+    """Standard errors and diagnostics of stage-1 fits, per row, from :func:`stage1_jacobian`'s derivatives."""
+    near = np.min(np.abs(b3[:, None] + E), axis=-1) < 1e-3 * b3
+    se, cond = _qr_rows(_stage1_grad(E, b1, b2, b3)[0], ssr)
     return se, {
         DIAG_B1_EQ_B2: np.abs(b1 - b2) < 1e-6 * np.maximum(np.maximum(np.abs(b1), np.abs(b2)), 1.0),
-        DIAG_POLE: np.min(np.abs(denom), axis=-1) < 1e-3 * b3,
+        DIAG_POLE: near,
         DIAG_ILL_CONDITIONED: cond > _COND_LIMIT,
         DIAG_DEGENERATE_COV: np.isnan(se).any(axis=-1),
     }
@@ -280,24 +273,11 @@ def _stage1_checks(E, b1, b2, b3, ssr) -> tuple[np.ndarray, dict[str, np.ndarray
 def _stage2_checks(E, beta, b3h, k: int, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Standard errors of the two betas the gauge leaves free and the diagnostics of stage-2 fits, per row.
 
-    The Jacobian is the curve's derivative in those two betas: the residual
-    Jacobian of the gauge-fixed problem, up to sign.
+    The Jacobian is :func:`stage2_jacobian`'s in those two betas: the
+    residual Jacobian of the gauge-fixed problem, up to sign.
     """
-    b4, b5, b6 = (beta[:, i, None] for i in range(3))
-    bh = b3h[:, None]
-    num, den = bh + E, b5 * bh + b6 * E
-    pole = _pole_rows(num, bh, E) | _pole_rows(den, b5 * bh, b6 * E)
-    near = np.min(np.abs(num), axis=-1) < 1e-3 * b3h
-    jac = np.empty(E.shape + (2,))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g4 = np.divide(num, den, out=num)
-        t = -b4 * g4 / den  # the derivatives in beta5 and beta6 are t*b3h and t*e
-        del den
-        factors = ((g4, 1.0), (t, bh), (t, E))
-        for row, i in enumerate(i for i in range(3) if i != k):
-            np.multiply(*factors[i], out=jac[..., row])
-    jac[pole] = np.nan
-    se, cond = _qr_rows(jac, ssr)
+    near = np.min(np.abs(b3h[:, None] + E), axis=-1) < 1e-3 * b3h
+    se, cond = _qr_rows(_stage2_grad(E, beta, b3h, tuple(i for i in range(3) if i != k))[0], ssr)
     return se, {
         DIAG_POLE: near,
         DIAG_ILL_CONDITIONED: cond > _COND_LIMIT,
@@ -358,7 +338,6 @@ class _Rows:
     standard_errors: np.ndarray
     flags: dict[str, np.ndarray]
     failures: dict[int, tuple[str, ValueError]]
-    trace: Callable[[int], tuple]
 
     def result(self, i: int) -> FitResult:
         """Row ``i`` as a :class:`FitResult`; raises its failure, if any."""
@@ -372,7 +351,6 @@ class _Rows:
             bool(self.converged[i]),
             standard_errors=None if np.isnan(se).any() else tuple(se.tolist()),
             diagnostics=frozenset(name for name, rows in self.flags.items() if rows[i]),
-            trace=self.trace(i),
             message=self.messages[i],
         )
 
@@ -417,7 +395,6 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray, opts: SolverOptions) -> _Rows:
         iterations = np.zeros(n_rows, dtype=int)
         messages = [""] * n_rows
         live = np.ones(n_rows, dtype=bool)
-        steps = []
 
         def stop(rows, message):
             live[rows] = False
@@ -458,8 +435,6 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray, opts: SolverOptions) -> _Rows:
                     U[kept], RES[kept] = t_u[won], t_res[won]
                 del t_u, t_res
                 iterations[kept] += 1
-                t_b3 = scale[kept] * _exp(k_trial[won])
-                steps.append((kept, np.stack([t_b1[won], t_b2[won], t_b3], axis=1), t_ssr[won]))
                 search[at[won]] = False
                 lost = at[~won]
                 step[lost] *= 0.5
@@ -479,9 +454,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray, opts: SolverOptions) -> _Rows:
     se, flags = _stage1_checks(E, b1, b2, b3, ssr)
     converged = np.array([m != "max iterations" for m in messages])
     converged[list(failures)] = False
-    return _Rows(
-        Stage1Params, params, ssr, iterations, converged, messages, se, flags, failures, lambda i: _trace(steps, i)
-    )
+    return _Rows(Stage1Params, params, ssr, iterations, converged, messages, se, flags, failures)
 
 
 def fit_volatility(data: Dataset, opts: SolverOptions = SolverOptions()) -> FitResult:
@@ -606,15 +579,9 @@ def _stage2_rows(
 
     params = _apply_gauge(q, k, pins)
     se_free, flags = _stage2_checks(E, params, b3h, k, raw.residual_norm)
-
-    def trace(i):
-        return tuple(
-            (tuple(_apply_gauge(np.array([t]), k, pins[i:i + 1])[0].tolist()), ssr) for t, ssr in raw.trace(i)
-        )
-
     return _Rows(
         Stage2Params, params, raw.residual_norm, raw.row_iterations, converged, raw.messages,
-        np.insert(se_free, k, 0.0, axis=1), flags, failures, trace,
+        np.insert(se_free, k, 0.0, axis=1), flags, failures,
     )
 
 

@@ -310,10 +310,9 @@ FitParams = Union["Stage1Params", "Stage2Params"]
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged (or terminated) state of one damped least-squares run.
+    """Converged (or terminated) state of one fit.
 
-    ``trace`` lists accepted steps only, as ``(params, residual_norm)``
-    pairs with strictly decreasing norms.  ``standard_errors`` is None
+    ``iterations`` counts accepted steps.  ``standard_errors`` is None
     when the Gauss-Newton covariance is degenerate.  ``message`` holds
     the termination reason when ``converged`` is False.
     """
@@ -324,7 +323,6 @@ class FitResult:
     converged: bool
     standard_errors: tuple[float, ...] | None = None
     diagnostics: frozenset[str] = field(default_factory=frozenset)
-    trace: tuple[tuple[tuple[float, ...], float], ...] | None = None
     message: str = ""
 
     def __post_init__(self):
@@ -332,8 +330,4 @@ class FitResult:
             raise ValueError("invalid FitResult: residual_norm must be finite and >= 0")
         if self.standard_errors is not None and any(s < 0.0 for s in self.standard_errors):
             raise ValueError("invalid FitResult: standard errors must be >= 0")
-        if self.trace is not None:
-            norms = [t[1] for t in self.trace]
-            if any(b >= a for a, b in zip(norms, norms[1:])):
-                raise ValueError("invalid FitResult: trace norms must be strictly decreasing")
         object.__setattr__(self, "diagnostics", frozenset(self.diagnostics))

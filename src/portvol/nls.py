@@ -17,6 +17,8 @@ The two model functions are rational in the excess return ``e = mu - r``:
 Marquardt (diagonal) scaling; it is the stage-2 solver.  It runs on stacked
 rows, one independent problem per row, and a single problem is the case of
 one row, so the Monte Carlo harness fits a chunk of replications per call.
+The analytic Jacobians are stacked the same way, and they are the ones
+behind the reported standard errors.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import FitResult, Stage1Params, Stage2Params
+from .model import Stage1Params, Stage2Params
 
 __all__ = [
     "PoleError",
@@ -77,13 +79,23 @@ def _stage1_value(e, b1: float, b2: float, b3: float):
     return (b2 * b3 + b1 * e) / denom
 
 
-def _stage1_grad(e, b1: float, b2: float, b3: float):
-    e = np.asarray(e, dtype=float)
-    denom = _guarded_denominator(b3 + e, b3, e)
-    d1 = e / denom
-    d2 = b3 / denom
-    d3 = (b2 - b1) * e / denom**2
-    return np.stack([d1, d2, np.broadcast_to(d3, d1.shape)], axis=-1)
+def _stage1_grad(E: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray):
+    """``(jac, pole)``: derivatives of the stage-1 curve in (beta1, beta2, beta3), ``(R, n, 3)``.
+
+    ``E`` is ``(R, n)`` and each parameter ``(R,)``, one curve per row.  A
+    row on the pole guard of :func:`_pole_rows` is nan, and ``pole`` marks it.
+    """
+    b3c = b3[:, None]
+    denom = b3c + E
+    jac = np.empty(E.shape + (3,))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(E, denom, out=jac[..., 0])
+        np.divide(b3c, denom, out=jac[..., 1])
+        np.multiply((b2 - b1)[:, None], jac[..., 0], out=jac[..., 2])
+        jac[..., 2] /= denom
+    pole = _pole_rows(denom, b3c, E)
+    jac[pole] = np.nan
+    return jac, pole
 
 
 def _stage2_value(e, b4: float, b5: float, b6: float, b3h: float):
@@ -93,14 +105,34 @@ def _stage2_value(e, b4: float, b5: float, b6: float, b3h: float):
     return b4 * n / d
 
 
-def _stage2_grad(e, b4: float, b5: float, b6: float, b3h: float):
-    e = np.asarray(e, dtype=float)
-    n = _guarded_denominator(b3h + e, b3h, e)
-    d = _guarded_denominator(b5 * b3h + b6 * e, b5 * b3h, b6 * e)
-    g4 = n / d
-    g5 = -b4 * n * b3h / d**2
-    g6 = -b4 * n * e / d**2
-    return np.stack([np.broadcast_to(g4, e.shape), g5, g6], axis=-1)
+def _stage2_grad(E: np.ndarray, beta: np.ndarray, b3h: np.ndarray, columns=(0, 1, 2)):
+    """``(jac, pole)``: derivatives of the stage-2 curve in the ``columns`` of (beta4, beta5, beta6).
+
+    ``E`` is ``(R, n)``, ``beta`` ``(R, 3)`` and ``b3h`` ``(R,)``, one curve
+    per row; ``jac`` is ``(R, n, len(columns))``.  A row on the pole guard
+    of either denominator is nan, and ``pole`` marks it.
+    """
+    b4, b5, b6 = (beta[:, i, None] for i in range(3))
+    bh = b3h[:, None]
+    num, den = bh + E, b5 * bh + b6 * E
+    pole = _pole_rows(num, bh, E) | _pole_rows(den, b5 * bh, b6 * E)
+    jac = np.empty(E.shape + (len(columns),))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g4 = np.divide(num, den, out=num)
+        t = -b4 * g4 / den  # the derivatives in beta5 and beta6 are t*b3h and t*e
+        del den
+        factors = ((g4, 1.0), (t, bh), (t, E))
+        for col, i in enumerate(columns):
+            np.multiply(*factors[i], out=jac[..., col])
+    jac[pole] = np.nan
+    return jac, pole
+
+
+def _one_curve(e, jac: np.ndarray, pole: np.ndarray) -> np.ndarray:
+    """A public Jacobian: the single row of ``jac``, shaped like ``e`` plus the parameter axis."""
+    if pole[0]:
+        raise PoleError("model evaluated within the pole guard of a vanishing denominator")
+    return jac[0].reshape(np.shape(e) + jac.shape[-1:])
 
 
 def stage1_model(e, b: Stage1Params):
@@ -125,8 +157,10 @@ def stage1_jacobian(e, b: Stage1Params):
     """Partial derivatives of :func:`stage1_model` w.r.t. (beta1, beta2, beta3).
 
     Returns shape ``(3,)`` for scalar ``e`` and ``(n, 3)`` for a vector.
+    These are the derivatives behind the stage-1 standard errors.
     """
-    return _stage1_grad(e, b.beta1, b.beta2, b.beta3)
+    e = np.asarray(e, dtype=float)
+    return _one_curve(e, *_stage1_grad(e.reshape(1, -1), *(np.array([v]) for v in b.as_array())))
 
 
 def stage2_model(e, b: Stage2Params, beta3_hat: float):
@@ -142,24 +176,29 @@ def stage2_model(e, b: Stage2Params, beta3_hat: float):
 
 
 def stage2_jacobian(e, b: Stage2Params, beta3_hat: float):
-    """Partial derivatives of :func:`stage2_model` w.r.t. (beta4, beta5, beta6)."""
+    """Partial derivatives of :func:`stage2_model` w.r.t. (beta4, beta5, beta6).
+
+    The stage-2 standard errors use the two columns the gauge leaves free.
+    """
     if not beta3_hat > 0.0:
         raise ValueError("beta3_hat must be > 0")
-    return _stage2_grad(e, b.beta4, b.beta5, b.beta6, beta3_hat)
+    e = np.asarray(e, dtype=float)
+    return _one_curve(e, *_stage2_grad(e.reshape(1, -1), b.as_array()[None], np.array([float(beta3_hat)])))
 
 
 @dataclass(frozen=True)
 class ResidualProblem:
-    """A least-squares problem in evaluator form.
+    """Stacked least-squares problems in evaluator form, one independent problem per row.
 
-    ``residual(p)`` maps a length-``n_params`` vector to ``n_obs``
-    residuals; ``jacobian(p)`` returns the ``(n_obs, n_params)`` matrix of
-    residual derivatives.  Both must be pure functions of ``p``.  A stacked
-    problem's evaluators take ``(P, rows)`` instead (see :func:`lm_fit`).
+    ``residual(P, rows)`` maps the ``(len(rows), n_params)`` parameters of
+    the selected rows (an index array, or a slice for every row) to
+    ``(len(rows), n_obs)`` residuals, and ``jacobian(P, rows)`` to
+    ``(len(rows), n_obs, n_params)`` residual derivatives; a row that
+    cannot be evaluated comes back non-finite.  Both must be pure.
     """
 
-    residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
+    residual: Callable[[np.ndarray, object], np.ndarray]
+    jacobian: Callable[[np.ndarray, object], np.ndarray]
     n_params: int
     n_obs: int
 
@@ -170,29 +209,30 @@ class ResidualProblem:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Termination and damping controls for :func:`lm_fit`.
+    """Iteration controls of both fits.
 
-    ``g_tol`` bounds the max-norm of J^T r at convergence, ``x_tol`` the
-    relative parameter change of an accepted step.  Damping starts at
-    ``lambda0``, shrinks by ``lambda_factor`` on acceptance, grows by it
-    on rejection, and aborts past ``lambda_max``.  The stage-1 search reads
-    only ``max_iterations`` and ``x_tol`` (its shortest ``log beta3`` step).
+    ``max_iterations`` caps the accepted steps.  ``x_tol`` bounds the
+    relative parameter change of an accepted Levenberg-Marquardt step, and
+    is the shortest ``log beta3`` step of the stage-1 search.
     """
 
     max_iterations: int = 200
-    g_tol: float = 1e-10
     x_tol: float = 1e-12
-    lambda0: float = 1e-3
-    lambda_factor: float = 10.0
-    lambda_max: float = 1e12
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("g_tol", "x_tol", "lambda0", "lambda_factor", "lambda_max"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+        if not self.x_tol > 0.0:
+            raise ValueError("x_tol must be > 0")
 
+
+# Levenberg-Marquardt: a row converges when max|J'r| falls below _GRAD_TOL.
+# Damping starts at _DAMPING_START, shrinks by _DAMPING_FACTOR on an
+# accepted step, grows by it on a rejected one, and gives up past _DAMPING_MAX.
+_GRAD_TOL = 1e-10
+_DAMPING_START = 1e-3
+_DAMPING_FACTOR = 10.0
+_DAMPING_MAX = 1e12
 
 # The message of a row whose starting residuals cannot be evaluated.
 UNEVALUABLE_START = "initial residuals are non-finite or unevaluable"
@@ -202,10 +242,8 @@ UNEVALUABLE_START = "initial residuals are non-finite or unevaluable"
 class RowFits:
     """:func:`lm_fit` over stacked rows: entry ``i`` of each field is row ``i``'s fit.
 
-    ``iterations`` is the total of the rows' accepted steps, so a single
-    row reads like :class:`FitResult`; ``row_iterations`` holds the counts
-    per row.  ``steps`` records each batch of accepted steps as ``(rows,
-    params, residual_norms)``; :meth:`trace` reassembles one row's trace.
+    ``iterations`` is the total of the rows' accepted steps;
+    ``row_iterations`` holds the counts per row.
     """
 
     params: np.ndarray
@@ -213,19 +251,10 @@ class RowFits:
     row_iterations: np.ndarray
     converged: np.ndarray
     messages: tuple[str, ...]
-    steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     @property
     def iterations(self) -> int:
         return int(self.row_iterations.sum())
-
-    def trace(self, i: int) -> tuple[tuple[tuple[float, ...], float], ...]:
-        return _trace(self.steps, i)
-
-
-def _trace(steps, i: int) -> tuple[tuple[tuple[float, ...], float], ...]:
-    """Row ``i``'s ``(params, residual_norm)`` pairs from batches of accepted steps ``(rows, params, norms)``."""
-    return tuple((tuple(p[j].tolist()), float(ssr[j])) for rows, p, ssr in steps for j in np.flatnonzero(rows == i))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,78 +281,37 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def _one_row(problem: ResidualProblem) -> ResidualProblem:
-    """A single-row problem as a stack of one row; a failed evaluation is a nan row."""
-    n_obs, n_params = problem.n_obs, problem.n_params
+def lm_fit(problem: ResidualProblem, init: np.ndarray, opts: SolverOptions = SolverOptions()) -> RowFits:
+    """Minimize each row's ``sum(residual**2)`` by Levenberg-Marquardt iteration.
 
-    def evaluate(fn, shape, p):
-        try:
-            out = np.asarray(fn(p[0]), dtype=float)
-        except (ValueError, ArithmeticError):
-            out = None
-        return (out if out is not None and out.shape == shape else np.full(shape, np.nan))[None]
+    ``init`` is ``(R, n_params)``, one start per stacked problem.  Each
+    step solves ``(J^T J + lam * diag(J^T J)) delta = -J^T r`` and is
+    accepted only if the row's residual norm strictly decreases; the
+    iteration counts cover accepted steps only.  Every row keeps its own
+    damping, accept test and stop, and arithmetic reduces only along a row,
+    so a row's fit does not depend on the others.  Only a malformed
+    ``init`` raises.
 
-    return ResidualProblem(
-        lambda p, rows: evaluate(problem.residual, (n_obs,), p),
-        lambda p, rows: evaluate(problem.jacobian, (n_obs, n_params), p),
-        n_params,
-        n_obs,
-    )
-
-
-def lm_fit(problem: ResidualProblem, init: np.ndarray, opts: SolverOptions = SolverOptions()):
-    """Minimize ``sum(residual(p)**2)`` by Levenberg-Marquardt iteration.
-
-    Each step solves ``(J^T J + lam * diag(J^T J)) delta = -J^T r`` and is
-    accepted only if the residual norm strictly decreases.  The iteration
-    count and trace cover accepted steps only.
-
-    A 1-D ``init`` fits one problem in evaluator form and returns a
-    :class:`FitResult`; only malformed inputs (dimension mismatch,
-    non-finite initial residuals) raise.  A 2-D ``init`` of shape ``(R,
-    n_params)`` fits ``R`` stacked problems at once and returns
-    :class:`RowFits`: ``residual(P, rows)`` maps the ``(len(rows),
-    n_params)`` parameters of the selected rows (an index array, or a
-    slice for every row) to ``(len(rows), n_obs)`` residuals and
-    ``jacobian(P, rows)`` to ``(len(rows), n_obs, n_params)`` derivatives,
-    with a row that cannot be evaluated coming back non-finite.  Every row
-    keeps its own damping, accept test and stop, and arithmetic reduces
-    only along a row, so a row's fit does not depend on the others; a row
-    whose start cannot be evaluated stops with ``UNEVALUABLE_START``.
-
-    Solver failures are reported, not raised: the row has
-    ``converged=False`` and a message of ``"max iterations"``, ``"damping
-    exhausted"``, ``"singular normal equations at iteration k"`` or
-    ``"non-finite evaluation at iteration k"``.
+    Failures are reported per row, not raised: the row has
+    ``converged=False`` and a message of ``UNEVALUABLE_START``, ``"max
+    iterations"``, ``"damping exhausted"``, ``"singular normal equations at
+    iteration k"`` or ``"non-finite evaluation at iteration k"``.
 
     Deterministic: identical problem, init and options give an identical
     result.
     """
     p = np.array(init, dtype=float)
-    if p.ndim == 1:
-        if p.shape != (problem.n_params,):
-            raise ValueError(f"init has shape {p.shape}, expected ({problem.n_params},)")
-        fits = lm_fit(_one_row(problem), p[None], opts)
-        if fits.messages[0] == UNEVALUABLE_START:
-            raise ValueError(UNEVALUABLE_START)
-        final = fits.params[0]
-        final.setflags(write=False)
-        return FitResult(
-            final, float(fits.residual_norm[0]), fits.iterations, bool(fits.converged[0]),
-            trace=fits.trace(0), message=fits.messages[0],
-        )
     if p.ndim != 2 or p.shape[1] != problem.n_params:
         raise ValueError(f"init has shape {p.shape}, expected (R, {problem.n_params})")
 
     n_rows = len(p)
     res = problem.residual(p, slice(None))
     ssr = _rowdot(res, res)
-    lam = np.full(n_rows, opts.lambda0)
+    lam = np.full(n_rows, _DAMPING_START)
     iterations = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
     messages = [UNEVALUABLE_START] * n_rows
     live = np.all(np.isfinite(res), axis=-1)
-    steps = []
 
     def stop(rows, ok: bool, message: str) -> None:
         live[rows] = False
@@ -347,7 +335,7 @@ def lm_fit(problem: ResidualProblem, init: np.ndarray, opts: SolverOptions = Sol
         # coordinate decouples: keep it fixed and solve the reduced system.
         diag = np.diagonal(jtj, axis1=1, axis2=2)
         active = diag > 0.0
-        small_grad = np.max(np.abs(grad), axis=-1) < opts.g_tol
+        small_grad = np.max(np.abs(grad), axis=-1) < _GRAD_TOL
         stop(rows[~finite], False, "non-finite evaluation at iteration {}")
         stop(rows[finite & small_grad], True, "gradient tolerance reached")
         out_of_steps = finite & ~small_grad & (iterations[rows] >= opts.max_iterations)
@@ -367,7 +355,7 @@ def lm_fit(problem: ResidualProblem, init: np.ndarray, opts: SolverOptions = Sol
         # in x).
         search = np.ones(len(rows), dtype=bool)
         while True:
-            exhausted = search & (lam[rows] > opts.lambda_max)
+            exhausted = search & (lam[rows] > _DAMPING_MAX)
             for message in set(failure[exhausted]):
                 stop(rows[exhausted & (failure == message)], False, message)
             search &= ~exhausted
@@ -400,14 +388,13 @@ def lm_fit(problem: ResidualProblem, init: np.ndarray, opts: SolverOptions = Sol
             retry = ~better & ~small
             failure[at[retry & ok]] = "damping exhausted"
             failure[at[retry & ~ok]] = "non-finite evaluation at iteration {}"
-            lam[sub[retry]] *= opts.lambda_factor
+            lam[sub[retry]] *= _DAMPING_FACTOR
             search[at] = retry
 
             won = sub[better]
             p[won], res[won], ssr[won] = trial[better], r_trial[better], ssr_trial[better]
-            lam[won] /= opts.lambda_factor
+            lam[won] /= _DAMPING_FACTOR
             iterations[won] += 1
-            steps.append((won, trial[better], ssr_trial[better]))
             stop(won[small[better]], True, "step tolerance reached")
 
-    return RowFits(p, ssr, iterations, converged, tuple(messages), tuple(steps))
+    return RowFits(p, ssr, iterations, converged, tuple(messages))

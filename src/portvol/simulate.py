@@ -19,10 +19,11 @@ Randomness is counter-based and splittable: each draw stream is a Philox
 stream (counter 0) whose 128-bit key is
 ``SeedSequence(entropy=seed, spawn_key=(path_index, role)).generate_state(2, uint64)``
 (role 0 = variance, role 1 = price).  A path therefore never depends on
-how many other paths are simulated, or in what order.  ``_stream_keys``
-computes that key for many paths at once with numpy's ``SeedSequence``
-hash on uint32 arrays, and a batch re-keys one generator per path
-instead of building a ``SeedSequence`` and a ``Philox`` for each.
+how many other paths are simulated, or in what order.  A single stream
+is built from that ``SeedSequence``; ``_stream_keys`` computes the key for
+many paths at once with numpy's ``SeedSequence`` hash on uint32 arrays,
+and a batch re-keys one generator per path instead of building a
+``SeedSequence`` and a ``Philox`` for each.
 
 Stepping: the recursions are sequential in time.  A batch of variance
 paths is stepped on arrays, a few ufunc calls per step across all paths,
@@ -213,10 +214,9 @@ def _seed_pool(seed: int) -> tuple[list[int], int]:
 
 
 def _spawn_state(pool: list, const: int, words: list) -> list:
-    """Mix the spawn-key words into the pool; return ``generate_state(2, uint64)`` as four uint32 words.
+    """Mix the spawn-key words (uint32 arrays, one entry per stream) into the pool.
 
-    Works on Python ints for one stream and on uint32 arrays (one entry
-    per stream) for many.
+    Returns ``generate_state(2, uint64)`` as four uint32 arrays.
     """
     pool = list(pool)
     for word in words:
@@ -262,14 +262,8 @@ def _stream_keys(seed: int, path_indices: np.ndarray, role: int) -> np.ndarray:
 
 
 def _stream(seed: int, path_index: int, role: int) -> np.random.Generator:
-    """Deterministic normal stream for (seed, path_index, role).
-
-    The key of :func:`_stream_keys`, hashed on Python ints: for one
-    stream, numpy calls on one-element arrays would cost more.
-    """
-    pool, const = _seed_pool(seed)
-    s0, s1, s2, s3 = _spawn_state(pool, const, _uint32_words(path_index) + [role])
-    return np.random.Generator(np.random.Philox(key=s0 | s1 << 32 | s2 << 64 | s3 << 96))
+    """Deterministic normal stream for (seed, path_index, role): Philox keyed as in :func:`_stream_keys`."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(path_index, role))))
 
 
 def _step_sizes(cfg: PathConfig) -> np.ndarray:

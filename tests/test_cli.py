@@ -303,6 +303,8 @@ class TestStageFailures:
              2, "error in report stage: cannot write report"),
             ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/r.txt\n[solver]\nmax_iterations = 1\n",
              2, "error in stage1 fit stage: did not converge"),
+            ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/r.txt\n[solver]\ng_tol = 1e-8\n",
+             2, "error in config stage: unknown key: g_tol"),
             ("pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n"
              + FELLER_VIOLATING_GEN,
              2, "error in generate stage: wealth path became non-finite"),
@@ -320,7 +322,7 @@ class TestStageFailures:
              2, "error in report stage: cannot write report"),
         ],
         ids=[
-            "fit-stage1-error", "fit-report-error", "fit-not-converged",
+            "fit-stage1-error", "fit-report-error", "fit-not-converged", "fit-removed-solver-key",
             "pipeline-generate-error", "pipeline-write-error", "pipeline-stage1-error",
             "volvol-stage2-not-converged", "validate-report-error",
         ],

@@ -447,12 +447,18 @@ class TestParseConfig:
     def test_solver_overrides(self, tmp_path):
         p = write(
             tmp_path / "c.cfg",
-            "[run]\nmode = fit\ninput = d.csv\noutput = r.txt\n[solver]\nmax_iterations = 50\ng_tol = 1e-8\n",
+            "[run]\nmode = fit\ninput = d.csv\noutput = r.txt\n[solver]\nx_tol = 1e-8\n",
         )
         cfg = parse_config(p)
-        assert cfg.solver.max_iterations == 50
-        assert cfg.solver.g_tol == 1e-8
-        assert cfg.solver.x_tol == SolverOptions().x_tol
+        assert cfg.solver.x_tol == 1e-8
+        assert cfg.solver.max_iterations == SolverOptions().max_iterations
+
+    @pytest.mark.parametrize("key", ["g_tol", "lambda0", "lambda_factor", "lambda_max"])
+    def test_removed_solver_keys_are_unknown(self, tmp_path, key):
+        # The Levenberg-Marquardt tuning constants are no longer settable.
+        p = write(tmp_path / "c.cfg", f"[run]\nmode = fit\ninput = d.csv\noutput = r.txt\n[solver]\n{key} = 1e-8\n")
+        with pytest.raises(ValueError, match=f"^unknown key: {key}$"):
+            parse_config(p)
 
     def test_comments_allowed(self, tmp_path):
         p = write(

@@ -82,14 +82,6 @@ class TestFitVolatility:
         assert len(medians) >= 95
         assert abs(np.median(medians) - 0.04) < 0.004  # within 10% of 0.04
 
-    def test_trace_is_reported_in_natural_space(self):
-        fit = fit_volatility(model_data())
-        for (b1, b2, b3), _ in fit.trace:
-            assert b3 > 0.0
-        final_params, final_norm = fit.trace[-1]
-        assert final_params == pytest.approx(tuple(fit.params.as_array()))
-        assert final_norm == fit.residual_norm
-
     def test_random_truths_recovered_exactly(self):
         # Noiseless identification property over the admissible region.
         rng = np.random.default_rng(314)
@@ -452,12 +444,20 @@ def _fit_result(params) -> FitResult:
     return FitResult(params=params, residual_norm=0.0, iterations=0, converged=True)
 
 
+def _stacked(jacobian) -> ResidualProblem:
+    """A problem whose Jacobian is the fixed matrix ``jacobian``, in the stacked form of :func:`lm_fit`."""
+    n, k = jacobian.shape
+    return ResidualProblem(
+        lambda P, rows: P @ jacobian.T, lambda P, rows: np.broadcast_to(jacobian, (len(P), n, k)), k, n
+    )
+
+
 class TestStandardErrors:
     def _linear_problem(self, seed=0, n=30, k=3):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, k))
         y = rng.standard_normal(n)
-        return a, y, ResidualProblem(lambda p: a @ p - y, lambda p: a, k, n)
+        return a, y, _stacked(a)
 
     def test_matches_ols_closed_form(self):
         a, y, prob = self._linear_problem()
@@ -470,15 +470,14 @@ class TestStandardErrors:
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_zero_residuals_give_zero_errors(self):
-        a, y, _ = self._linear_problem()
-        prob = ResidualProblem(lambda p: a @ p - a @ np.ones(3), lambda p: a, 3, 30)
+        a, y, prob = self._linear_problem()
         fit = FitResult(params=np.ones(3), residual_norm=0.0, iterations=1, converged=True)
         assert standard_errors(fit, prob) == pytest.approx((0.0, 0.0, 0.0))
 
     def test_degenerate_covariance_is_absent_not_numeric(self):
         # third column identically zero
         a = np.column_stack([np.ones(10), np.arange(10.0), np.zeros(10)])
-        prob = ResidualProblem(lambda p: a @ p, lambda p: a, 3, 10)
+        prob = _stacked(a)
         fit = FitResult(params=np.zeros(3), residual_norm=1.0, iterations=0, converged=True)
         assert standard_errors(fit, prob) is None
 
@@ -492,7 +491,7 @@ class TestStandardErrors:
         a = u @ np.diag([1.0, 1.0 / cond]) @ v.T
         expected = np.sqrt((v**2) @ np.array([1.0, cond**2]) / 18.0)  # residual_norm 1
         fit = FitResult(params=np.zeros(2), residual_norm=1.0, iterations=0, converged=True)
-        return fit, ResidualProblem(lambda p: a @ p, lambda p: a, 2, 20), expected
+        return fit, _stacked(a), expected
 
     def test_ill_conditioned_jacobian_keeps_accuracy(self):
         # cond(J) = 1e7 squares to 1e14 in J'J; the R factor keeps it at 1e7.
@@ -505,11 +504,39 @@ class TestStandardErrors:
         assert standard_errors(fit, prob) is None
 
     def test_requires_degrees_of_freedom(self):
-        a = np.ones((3, 3))
-        prob = ResidualProblem(lambda p: a @ p, lambda p: a, 3, 3)
+        prob = _stacked(np.ones((3, 3)))
         fit = FitResult(params=np.zeros(3), residual_norm=1.0, iterations=0, converged=True)
         with pytest.raises(ValueError):
             standard_errors(fit, prob)
+
+
+class TestOneJacobian:
+    """The reported standard errors come from the public Jacobians, bit for bit."""
+
+    @staticmethod
+    def _problem(jac) -> ResidualProblem:
+        return ResidualProblem(lambda P, rows: None, lambda P, rows: jac[None], jac.shape[1], jac.shape[0])
+
+    def test_standard_errors_are_built_on_the_public_jacobians(self):
+        spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)
+        compared = {"stage1": 0, "free": 0, "pin-beta5": 0, "pin-beta6": 0}
+        for seed in range(50):
+            data = generate_synthetic_dataset("model-implied", spec, seed)
+            stage1 = fit_volatility(data)
+            se = standard_errors(stage1, self._problem(stage1_jacobian(data.e, stage1.params)))
+            assert se == stage1.standard_errors and se is not None
+            compared["stage1"] += 1
+            b3h = stage1.params.beta3
+            for variant in ("free", "pin-beta5", "pin-beta6"):
+                gauge = GaugeRule.from_stage1(variant, stage1)
+                stage2 = fit_vol_of_vol(data, b3h, gauge)
+                k = gauge.fixed[0]
+                jac = stage2_jacobian(data.e, stage2.params, b3h)[:, [i for i in range(3) if i != k]]
+                free = standard_errors(stage2, self._problem(jac))
+                assert free is not None
+                assert free[:k] + (0.0,) + free[k:] == stage2.standard_errors
+                compared[variant] += 1
+        assert compared == {"stage1": 50, "free": 50, "pin-beta5": 50, "pin-beta6": 50}
 
 
 class TestMonteCarloValidation:
@@ -626,7 +653,6 @@ def _fit_key(fit: FitResult) -> tuple:
         fit.converged,
         hexes(fit.standard_errors),
         tuple(sorted(fit.diagnostics)),
-        tuple((hexes(p), ssr.hex()) for p, ssr in fit.trace),
         fit.message,
     )
 

@@ -214,16 +214,6 @@ class TestFitResult:
         with pytest.raises(ValueError):
             FitResult(params=np.zeros(3), residual_norm=-1.0, iterations=0, converged=True)
 
-    def test_rejects_non_decreasing_trace(self):
-        with pytest.raises(ValueError):
-            FitResult(
-                params=np.zeros(2),
-                residual_norm=1.0,
-                iterations=2,
-                converged=False,
-                trace=(((0.0, 0.0), 1.0), ((0.1, 0.1), 1.0)),
-            )
-
     def test_rejects_negative_standard_errors(self):
         with pytest.raises(ValueError):
             FitResult(
