@@ -34,7 +34,6 @@ from .model import (
 from .nls import (
     PoleError,
     ResidualProblem,
-    SolverOptions,
     lm_fit,
     stage1_jacobian,
     stage1_model,
@@ -88,7 +87,6 @@ __all__ = [
     "RhoEstimate",
     "RunConfig",
     "SimPath",
-    "SolverOptions",
     "Stage1Params",
     "Stage2Params",
     "StructuralSpec",

@@ -86,7 +86,7 @@ def _run_fit(cfg, verbose: bool) -> int:
     except (ValueError, OSError) as exc:
         return _stage_error("read", exc)
     try:
-        fit = fit_volatility(data, cfg.solver)
+        fit = fit_volatility(data)
     except ValueError as exc:
         return _stage_error("stage1 fit", exc)
     try:
@@ -104,7 +104,7 @@ def _finish_two_stage(cfg, data, stage1: FitResult | None, beta3_hat: float, ver
     """Stage-2 fit, optional rho, report and summary; shared by volvol and pipeline."""
     try:
         gauge = GaugeRule.from_stage1(cfg.gauge_variant, stage1)
-        stage2 = fit_vol_of_vol(data, beta3_hat, gauge, cfg.solver)
+        stage2 = fit_vol_of_vol(data, beta3_hat, gauge)
     except ValueError as exc:
         return _stage_error("stage2 fit", exc)
     rho = None
@@ -144,7 +144,7 @@ def _run_volvol(cfg, verbose: bool) -> int:
     beta3_hat = cfg.beta3_hat
     if beta3_hat is None:
         try:
-            stage1 = fit_volatility(data, cfg.solver)
+            stage1 = fit_volatility(data)
         except ValueError as exc:
             return _stage_error("stage1 fit", exc)
         beta3_hat = stage1.params.beta3
@@ -154,7 +154,7 @@ def _run_volvol(cfg, verbose: bool) -> int:
 def _run_validate(cfg, verbose: bool) -> int:
     try:
         report = monte_carlo_validation(
-            cfg.generation, cfg.replications, cfg.solver, master_seed=cfg.seed
+            cfg.generation, cfg.replications, master_seed=cfg.seed
         )
     except ValueError as exc:
         return _stage_error("validate", exc)
@@ -182,7 +182,7 @@ def _run_pipeline(cfg, verbose: bool) -> int:
     if verbose:
         print(f"dataset written to {cfg.dataset_output} ({data.n_rows} rows)")
     try:
-        stage1 = fit_volatility(data, cfg.solver)
+        stage1 = fit_volatility(data)
     except ValueError as exc:
         return _stage_error("stage1 fit", exc)
     scale = None

@@ -5,10 +5,8 @@ errors, never silently ignored.  Numbers are written with 17 significant
 digits so every finite double round-trips exactly; absent values render
 as the literal token ``null``.
 
-Config sections ``[solver]``, ``[heston]`` and ``[policy]`` take exactly
-the fields of ``SolverOptions``, ``HestonParams`` and ``PolicyCoefficients``
-(with their defaults): a field without a default is a required key, and
-one with an int default parses as an integer.
+Config sections ``[heston]`` and ``[policy]`` take exactly the fields of
+``HestonParams`` and ``PolicyCoefficients``, each a required number.
 """
 
 from __future__ import annotations
@@ -17,14 +15,13 @@ import configparser
 import csv
 import io
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
 
 from .estimate import _GAUGE_VARIANTS, GaugeRule, RhoEstimate, ValidationReport, VolatilityScale
 from .model import Dataset, FitResult, HestonParams, PolicyCoefficients, Stage1Params
-from .nls import SolverOptions
 from .simulate import SEED_LIMIT, GenerationSpec, PathConfig, StructuralSpec
 
 __all__ = [
@@ -110,10 +107,11 @@ def read_dataset(path) -> Dataset:
 
     Schema: UTF-8, comma-delimited, header line with columns ``pi_star``,
     ``mu``, ``r`` and optionally ``label`` in any order; nothing else.  A
-    present label column tags the dataset as a time series, otherwise it
-    is a cross-section.  Error messages reference file rows (the header
-    is row 1).  A label-free body of plain numbers is parsed in C; any
-    other body, and every malformed one, goes through the row loop.
+    present label column gives the dataset labels, which tag it as a time
+    series; without one ``labels`` is None.  Error messages reference file
+    rows (the header is row 1).  A label-free body of plain numbers is
+    parsed in C; any other body, and every malformed one, goes through the
+    row loop.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -142,8 +140,7 @@ def read_dataset(path) -> Dataset:
         columns, labels = _parse_rows(body, header)
     if not len(columns["pi_star"]):
         raise ValueError(f"empty dataset: {path} has no data rows")
-    mode = "time-series" if has_label else "cross-section"
-    return Dataset(**columns, labels=labels, source=str(path), mode=mode)
+    return Dataset(**columns, labels=labels, source=str(path))
 
 
 def _format_column(column: np.ndarray):
@@ -160,12 +157,14 @@ def _format_column(column: np.ndarray):
 
 
 def write_dataset(data: Dataset, path) -> None:
-    """Write a Dataset as CSV; inverse of :func:`read_dataset` for finite values."""
-    with_label = data.mode == "time-series"
+    """Write a Dataset as CSV; inverse of :func:`read_dataset` for finite values.
+
+    The label column is written exactly when ``data.labels`` is not None.
+    """
+    with_label = data.labels is not None
     columns = [_format_column(column) for column in (data.pi_star, data.mu, data.r)]
     if with_label:
-        labels = data.labels if data.labels is not None else (None,) * data.n_rows
-        columns.insert(0, ("" if label is None else label for label in labels))
+        columns.insert(0, ("" if label is None else label for label in data.labels))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow((["label"] if with_label else []) + list(_CSV_COLUMNS))
@@ -272,7 +271,7 @@ def write_report(
 
 
 # Sections that are exactly the fields of one type.
-_SECTION_TYPES = {"solver": SolverOptions, "heston": HestonParams, "policy": PolicyCoefficients}
+_SECTION_TYPES = {"heston": HestonParams, "policy": PolicyCoefficients}
 _SECTION_KEYS = {
     "run": {"mode", "input", "output", "dataset_output", "seed", "gauge", "beta3_hat", "alpha_ratio"},
     "generation": {"kind", "n", "noise", "e_min", "e_max", "base_rate", "beta1", "beta2", "beta3", "replications"},
@@ -294,7 +293,6 @@ class RunConfig:
     gauge_variant: str = "pin-beta5"
     beta3_hat: float | None = None
     alpha_ratio: float | None = None
-    solver: SolverOptions = SolverOptions()
     generation: GenerationSpec | StructuralSpec | None = None
     replications: int | None = None
 
@@ -337,11 +335,10 @@ def _check_known_keys(parser: configparser.ConfigParser) -> None:
 
 
 def _from_fields(sec: _Sections, section: str, cls):
-    """``cls`` built from ``[section]``, one key per field, read in field order."""
+    """``cls`` built from ``[section]``, one required number per field, read in field order."""
     values = {}
     for f in fields(cls):
-        kind = int if type(f.default) is int else float
-        values[f.name] = sec.number(section, f.name, f.default, required=f.default is MISSING, kind=kind)
+        values[f.name] = sec.number(section, f.name, required=True)
     return cls(**values)
 
 
@@ -417,7 +414,6 @@ def parse_config(path) -> RunConfig:
     alpha_ratio = sec.number("run", "alpha_ratio", None)
     input_path = sec.get("run", "input")
     dataset_output = sec.get("run", "dataset_output")
-    solver = _from_fields(sec, "solver", SolverOptions)
 
     generation = None
     replications = None
@@ -432,6 +428,9 @@ def parse_config(path) -> RunConfig:
             raise ValueError("type error: [generation] replications must be >= 2")
     if mode == "pipeline" and dataset_output is None:
         raise ValueError("missing required key for mode pipeline: [run] dataset_output")
+    for key, value in (("beta3_hat", beta3_hat), ("alpha_ratio", alpha_ratio)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"type error: [run] {key} must be finite, got {value!r}")
     if beta3_hat is not None and beta3_hat <= 0.0:
         raise ValueError("type error: [run] beta3_hat must be > 0")
     if beta3_hat is not None and gauge_variant != "free":
@@ -450,7 +449,6 @@ def parse_config(path) -> RunConfig:
         gauge_variant=gauge_variant,
         beta3_hat=beta3_hat,
         alpha_ratio=alpha_ratio,
-        solver=solver,
         generation=generation,
         replications=replications,
     )

@@ -41,7 +41,6 @@ from .nls import (
     UNEVALUABLE_START,
     PoleError,
     ResidualProblem,
-    SolverOptions,
     _pole_rows,
     _rowdot,
     _select,
@@ -81,6 +80,10 @@ DIAG_RHO_RANGE = "RHO_OUT_OF_RANGE"
 _MIN_ROWS_STAGE1 = 4
 # Stage 1 starts near the best of these log(beta3/max|e|), refusing fits ending outside.
 _LOG_BETA3_GRID = tuple(range(-8, 7))
+# Its search stops unconverged after this many accepted steps, and converged
+# once a step in log(beta3/max|e|) is no longer than _K_TOL.
+_STAGE1_MAX_ITERATIONS = 200
+_K_TOL = 1e-12
 _COND_LIMIT = 1e8
 _SINGULAR_COND = 1.0 / math.sqrt(np.finfo(float).eps)
 # A variant's index is the parameter of (beta4, beta5, beta6) it holds
@@ -360,7 +363,7 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def _stage1_rows(E: np.ndarray, PI: np.ndarray, opts: SolverOptions) -> _Rows:
+def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     """Stage 1 on stacked datasets: excess returns ``E`` and positions ``PI``, ``(R, n)``.
 
     Each row runs the search of :func:`fit_volatility` with its own grid
@@ -413,12 +416,12 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray, opts: SolverOptions) -> _Rows:
             h = np.where(secant > 0.0, secant, h)  # h lacks the residual's own curvature; the secant has it
             done = g * g <= flat[sel] * h  # the predicted decrease, g*g/h, is rounding
             stop(rows[done], "gradient tolerance reached")
-            out_of_steps = ~done & (iterations[rows] >= opts.max_iterations)
+            out_of_steps = ~done & (iterations[rows] >= _STAGE1_MAX_ITERATIONS)
             stop(rows[out_of_steps], "max iterations")
             go = ~done & ~out_of_steps
             rows, g = rows[go], g[go]
             step = np.clip(-g / h[go], -1.0, 1.0)  # at most one grid cell
-            search = np.abs(step) > opts.x_tol
+            search = np.abs(step) > _K_TOL
             stop(rows[~search], "step tolerance reached")
             while search.any():
                 at = np.flatnonzero(search)
@@ -438,7 +441,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray, opts: SolverOptions) -> _Rows:
                 search[at[won]] = False
                 lost = at[~won]
                 step[lost] *= 0.5
-                short = lost[np.abs(step[lost]) <= opts.x_tol]
+                short = lost[np.abs(step[lost]) <= _K_TOL]
                 stop(rows[short], "step tolerance reached")
                 search[short] = False
         del U, RES
@@ -457,21 +460,23 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray, opts: SolverOptions) -> _Rows:
     return _Rows(Stage1Params, params, ssr, iterations, converged, messages, se, flags, failures)
 
 
-def fit_volatility(data: Dataset, opts: SolverOptions = SolverOptions()) -> FitResult:
+def fit_volatility(data: Dataset) -> FitResult:
     """Stage-1 fit: positions against excess returns, by variable projection.
 
     At a fixed ``k = log(beta3/max|e|)`` the closed-form ``(beta1, beta2)``
     leave a one-parameter fit in ``k``.  It starts at the best of ``k = -8,
     ..., 6`` (skipping poles ``-beta3`` among the observed ``e``) and takes
-    projected Gauss-Newton steps in ``k`` (``opts.max_iterations``,
-    ``opts.x_tol``).  Standard errors are None, with ``DEGENERATE_COVARIANCE``,
-    when singular.  Level-only data (one distinct ``e``, or flat positions)
-    converge at the level fit with ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at
-    least 4 rows.  Raises ValueError("beta3 is not identified: ...") when
-    ``k`` ends off the grid.  This is the one-row case of the stacked fit
-    the Monte Carlo harness runs.
+    projected Gauss-Newton steps in ``k``: at most 200 accepted steps,
+    stopping early once the gradient is rounding or a step of at most
+    1e-12 brings no decrease.  Standard errors are None, with
+    ``DEGENERATE_COVARIANCE``, when singular.  Level-only data (one
+    distinct ``e``, or flat positions) converge at the level fit with
+    ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at least 4 rows.  Raises
+    ValueError("beta3 is not identified: ...") when ``k`` ends off the
+    grid.  This is the one-row case of the stacked fit the Monte Carlo
+    harness runs.
     """
-    return _stage1_rows(data.e[None], data.pi_star[None], opts).result(0)
+    return _stage1_rows(data.e[None], data.pi_star[None]).result(0)
 
 
 def _row_name(labels, i: int) -> str:
@@ -493,7 +498,6 @@ def _stage2_rows(
     b3h: np.ndarray,
     k: int,
     pins: np.ndarray,
-    opts: SolverOptions,
     labels=None,
 ) -> _Rows:
     """Stage 2 on stacked datasets, ``(R, n)``, each row with its own ``beta3_hat`` and pin.
@@ -552,7 +556,7 @@ def _stage2_rows(
             jac[pole] = np.nan
             return jac
 
-        raw = lm_fit(ResidualProblem(residual, jacobian, 2, n), start, opts)
+        raw = lm_fit(ResidualProblem(residual, jacobian, 2, n), start)
         del U, V, PIB, denom
     fail(np.flatnonzero([m == UNEVALUABLE_START for m in raw.messages]),
          "stage2 initial residuals unevaluable", lambda i: ValueError(UNEVALUABLE_START))
@@ -589,7 +593,6 @@ def fit_vol_of_vol(
     data: Dataset,
     beta3_hat: float,
     gauge: GaugeRule,
-    opts: SolverOptions = SolverOptions(),
 ) -> FitResult:
     """Stage-2 fit: inverse positions against excess returns.
 
@@ -606,7 +609,7 @@ def fit_vol_of_vol(
         raise ValueError("beta3_hat must be finite and > 0")
     k, pin = gauge.fixed
     rows = _stage2_rows(
-        data.e[None], data.pi_star[None], np.array([float(beta3_hat)]), k, np.array([pin]), opts, data.labels
+        data.e[None], data.pi_star[None], np.array([float(beta3_hat)]), k, np.array([pin]), data.labels
     )
     return rows.result(0)
 
@@ -617,8 +620,11 @@ def estimate_rho(beta2_hat: float, gamma_hat: float, alpha_ratio: float) -> RhoE
     Inverts ``beta2 = -rho * gamma * alpha_ratio`` where ``alpha_ratio``
     is the user-supplied ``alpha2 / alpha1`` of the marginal-value
     expansion.  Values outside [-1, 1] are returned as-is with the
-    ``RHO_OUT_OF_RANGE`` diagnostic.
+    ``RHO_OUT_OF_RANGE`` diagnostic.  A non-finite input raises ValueError.
     """
+    for name, value in (("beta2_hat", beta2_hat), ("gamma_hat", gamma_hat), ("alpha_ratio", alpha_ratio)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not gamma_hat > 0.0:
         raise ValueError("gamma_hat must be > 0")
     if alpha_ratio == 0.0:
@@ -697,7 +703,6 @@ _CHUNK_OBSERVATIONS = 6400
 def monte_carlo_validation(
     spec: GenerationSpec | StructuralSpec,
     replications: int,
-    opts: SolverOptions = SolverOptions(),
     *,
     master_seed: int = 0,
     run_stage2: bool = False,
@@ -732,7 +737,7 @@ def monte_carlo_validation(
         nonlocal stage2_converged, stage2_failed
         E, PI = np.stack([d.e for d in chunk]), np.stack([d.pi_star for d in chunk])
         try:
-            stage1 = _stage1_rows(E, PI, opts)
+            stage1 = _stage1_rows(E, PI)
         except ValueError:
             failures["stage1 insufficient data"] += len(chunk)
             return
@@ -744,7 +749,7 @@ def monte_carlo_validation(
             return
         b1, b2, b3 = stage1.params[ok].T
         pins = (np.ones(len(ok)), b2, b1)[k]
-        stage2 = _stage2_rows(E[ok], PI[ok], b3, k, pins, opts)
+        stage2 = _stage2_rows(E[ok], PI[ok], b3, k, pins)
         _tally(failures, "stage2", stage2)
         stage2_failed += len(stage2.failures)
         stage2_converged += int(stage2.converged.sum())

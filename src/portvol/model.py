@@ -200,13 +200,13 @@ class Dataset:
     ``pi_star``, ``mu`` and ``r`` are the observed columns, finite and of
     equal length, and ``e = mu - r`` is the excess return both fits
     regress on; all four are read-only.  ``labels`` is None or one label
-    (a string or None) per row.  ``mode`` tags whether rows are a time
-    series of one portfolio or a cross-section of assets at one time;
-    both feed the same fits.  ``e`` must be finite too: finite ``mu`` and
-    ``r`` whose difference overflows are rejected.  The minimum row count
-    for fitting (4) is enforced by the fitting routines, not here, so
-    small files still load and round-trip.  Datasets compare equal when
-    their values are equal.
+    (a string or None) per row.  Labels tag the rows as a time series of
+    one portfolio; without them the rows are a cross-section of assets at
+    one time.  Both feed the same fits.  ``e`` must be finite too: finite
+    ``mu`` and ``r`` whose difference overflows are rejected.  The minimum
+    row count for fitting (4) is enforced by the fitting routines, not
+    here, so small files still load and round-trip.  Datasets compare
+    equal when their values are equal.
     """
 
     pi_star: np.ndarray
@@ -215,7 +215,6 @@ class Dataset:
     e: np.ndarray = field(init=False)
     labels: tuple[str | None, ...] | None
     source: str | None
-    mode: str
 
     def __init__(
         self,
@@ -225,10 +224,7 @@ class Dataset:
         r,
         labels=None,
         source: str | None = None,
-        mode: str = "cross-section",
     ):
-        if mode not in ("cross-section", "time-series"):
-            raise ValueError(f"invalid Dataset: unknown mode {mode!r}")
         columns = {name: _column(name, values) for name, values in (("pi_star", pi_star), ("mu", mu), ("r", r))}
         lengths = {name: len(column) for name, column in columns.items()}
         if labels is not None:
@@ -239,14 +235,14 @@ class Dataset:
             raise ValueError(f"invalid Dataset: columns differ in length ({sizes})")
         with np.errstate(over="ignore"):
             e = _column("e = mu - r", columns["mu"] - columns["r"])
-        for name, value in (*columns.items(), ("e", e), ("labels", labels), ("source", source), ("mode", mode)):
+        for name, value in (*columns.items(), ("e", e), ("labels", labels), ("source", source)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
         return (
-            (self.labels, self.source, self.mode) == (other.labels, other.source, other.mode)
+            (self.labels, self.source) == (other.labels, other.source)
             and np.array_equal(self.pi_star, other.pi_star)
             and np.array_equal(self.mu, other.mu)
             and np.array_equal(self.r, other.r)

@@ -33,7 +33,6 @@ from .model import Stage1Params, Stage2Params
 __all__ = [
     "PoleError",
     "ResidualProblem",
-    "SolverOptions",
     "stage1_model",
     "stage1_jacobian",
     "stage2_model",
@@ -207,29 +206,14 @@ class ResidualProblem:
             raise ValueError("ResidualProblem dimensions must be >= 1")
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Iteration controls of both fits.
-
-    ``max_iterations`` caps the accepted steps.  ``x_tol`` bounds the
-    relative parameter change of an accepted Levenberg-Marquardt step, and
-    is the shortest ``log beta3`` step of the stage-1 search.
-    """
-
-    max_iterations: int = 200
-    x_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.x_tol > 0.0:
-            raise ValueError("x_tol must be > 0")
-
-
-# Levenberg-Marquardt: a row converges when max|J'r| falls below _GRAD_TOL.
-# Damping starts at _DAMPING_START, shrinks by _DAMPING_FACTOR on an
-# accepted step, grows by it on a rejected one, and gives up past _DAMPING_MAX.
+# Levenberg-Marquardt: a row converges when max|J'r| falls below _GRAD_TOL,
+# or when a step is shorter than _X_TOL relative to the parameters, and
+# stops unconverged after _MAX_ITERATIONS accepted steps.  Damping starts
+# at _DAMPING_START, shrinks by _DAMPING_FACTOR on an accepted step, grows
+# by it on a rejected one, and gives up past _DAMPING_MAX.
 _GRAD_TOL = 1e-10
+_X_TOL = 1e-12
+_MAX_ITERATIONS = 200
 _DAMPING_START = 1e-3
 _DAMPING_FACTOR = 10.0
 _DAMPING_MAX = 1e12
@@ -281,7 +265,7 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def lm_fit(problem: ResidualProblem, init: np.ndarray, opts: SolverOptions = SolverOptions()) -> RowFits:
+def lm_fit(problem: ResidualProblem, init: np.ndarray) -> RowFits:
     """Minimize each row's ``sum(residual**2)`` by Levenberg-Marquardt iteration.
 
     ``init`` is ``(R, n_params)``, one start per stacked problem.  Each
@@ -297,8 +281,7 @@ def lm_fit(problem: ResidualProblem, init: np.ndarray, opts: SolverOptions = Sol
     iterations"``, ``"damping exhausted"``, ``"singular normal equations at
     iteration k"`` or ``"non-finite evaluation at iteration k"``.
 
-    Deterministic: identical problem, init and options give an identical
-    result.
+    Deterministic: identical problem and init give an identical result.
     """
     p = np.array(init, dtype=float)
     if p.ndim != 2 or p.shape[1] != problem.n_params:
@@ -338,7 +321,7 @@ def lm_fit(problem: ResidualProblem, init: np.ndarray, opts: SolverOptions = Sol
         small_grad = np.max(np.abs(grad), axis=-1) < _GRAD_TOL
         stop(rows[~finite], False, "non-finite evaluation at iteration {}")
         stop(rows[finite & small_grad], True, "gradient tolerance reached")
-        out_of_steps = finite & ~small_grad & (iterations[rows] >= opts.max_iterations)
+        out_of_steps = finite & ~small_grad & (iterations[rows] >= _MAX_ITERATIONS)
         stop(rows[out_of_steps], False, "max iterations")
         flat = finite & ~small_grad & ~out_of_steps & ~active.any(axis=-1)
         stop(rows[flat], True, "gradient tolerance reached")
@@ -375,7 +358,7 @@ def lm_fit(problem: ResidualProblem, init: np.ndarray, opts: SolverOptions = Sol
             if not len(at):
                 continue
             norm_p = np.sqrt(_rowdot(p[sub], p[sub]))
-            small = np.sqrt(_rowdot(delta, delta)) < opts.x_tol * (opts.x_tol + norm_p)
+            small = np.sqrt(_rowdot(delta, delta)) < _X_TOL * (_X_TOL + norm_p)
             trial = p[sub] + delta
             sel = _select(sub, n_rows)
             r_trial = problem.residual(trial, sel)

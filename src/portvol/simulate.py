@@ -594,7 +594,6 @@ def generate_synthetic_dataset(mode: str, spec, seed: int) -> Dataset:
             mu=spec.base_rate + e,
             r=np.full(spec.n, spec.base_rate),
             source="synthetic:model-implied",
-            mode="cross-section",
         )
     if mode == "structural":
         if not isinstance(spec, StructuralSpec):
@@ -609,6 +608,5 @@ def generate_synthetic_dataset(mode: str, spec, seed: int) -> Dataset:
             r=np.full(n, spec.heston.r),
             labels=tuple(map(str, range(n))),
             source="synthetic:structural",
-            mode="time-series",
         )
     raise ValueError(f"unknown generation mode {mode!r}")

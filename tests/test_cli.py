@@ -292,42 +292,52 @@ class TestStageFailures:
 
     ``{csv}`` is a 50-row noisy dataset, ``{short}`` a 3-row one and
     ``{tmp}`` the test directory; ``{tmp}/missing`` does not exist.
+    ``capped`` names an iteration cap the case lowers to 1 step.
     """
 
     @pytest.mark.parametrize(
-        "command, config, code, prefix",
+        "command, config, capped, code, prefix",
         [
-            ("fit", "[run]\nmode = fit\ninput = {short}\noutput = {tmp}/r.txt\n",
+            ("fit", "[run]\nmode = fit\ninput = {short}\noutput = {tmp}/r.txt\n", None,
              2, "error in stage1 fit stage: insufficient data"),
-            ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/missing/r.txt\n",
+            ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/missing/r.txt\n", None,
              2, "error in report stage: cannot write report"),
-            ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/r.txt\n[solver]\nmax_iterations = 1\n",
-             2, "error in stage1 fit stage: did not converge"),
-            ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/r.txt\n[solver]\ng_tol = 1e-8\n",
-             2, "error in config stage: unknown key: g_tol"),
+            ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/r.txt\n",
+             "portvol.estimate._STAGE1_MAX_ITERATIONS",
+             2, "error in stage1 fit stage: did not converge: max iterations"),
+            ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/r.txt\n[solver]\nmax_iterations = 200\n", None,
+             2, "error in config stage: unknown section: solver"),
             ("pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n"
-             + FELLER_VIOLATING_GEN,
+             + FELLER_VIOLATING_GEN, None,
              2, "error in generate stage: wealth path became non-finite"),
             ("pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/missing/d.csv\n"
-             + NOISELESS_GEN,
+             + NOISELESS_GEN, None,
              2, "error in write stage: "),
             ("pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n"
-             + NOISELESS_GEN.replace("n = 50", "n = 3"),
+             + NOISELESS_GEN.replace("n = 50", "n = 3"), None,
              2, "error in stage1 fit stage: insufficient data"),
-            ("volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/r.txt\ngauge = free\nbeta3_hat = 0.05\n"
-             "[solver]\nmax_iterations = 1\n",
-             2, "error in stage2 fit stage: did not converge"),
+            ("pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n"
+             "alpha_ratio = inf\n" + NOISELESS_GEN, None,
+             2, "error in config stage: type error: [run] alpha_ratio must be finite"),
+            ("volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/r.txt\ngauge = free\nbeta3_hat = 0.05\n",
+             "portvol.nls._MAX_ITERATIONS",
+             2, "error in stage2 fit stage: did not converge: max iterations"),
+            ("volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/r.txt\ngauge = free\nbeta3_hat = nan\n",
+             None,
+             2, "error in config stage: type error: [run] beta3_hat must be finite"),
             ("validate", "[run]\nmode = validate\noutput = {tmp}/missing/r.txt\n"
-             + NOISELESS_GEN + "replications = 2\n",
+             + NOISELESS_GEN + "replications = 2\n", None,
              2, "error in report stage: cannot write report"),
         ],
         ids=[
             "fit-stage1-error", "fit-report-error", "fit-not-converged", "fit-removed-solver-key",
-            "pipeline-generate-error", "pipeline-write-error", "pipeline-stage1-error",
-            "volvol-stage2-not-converged", "validate-report-error",
+            "pipeline-generate-error", "pipeline-write-error", "pipeline-stage1-error", "pipeline-infinite-alpha-ratio",
+            "volvol-stage2-not-converged", "volvol-nan-beta3-hat", "validate-report-error",
         ],
     )
-    def test_exit_code_and_stage(self, tmp_path, capsys, command, config, code, prefix):
+    def test_exit_code_and_stage(self, tmp_path, capsys, monkeypatch, command, config, capped, code, prefix):
+        if capped is not None:
+            monkeypatch.setattr(capped, 1)
         csv = make_dataset_csv(tmp_path / "d50.csv", noise=0.01)
         short = make_dataset_csv(tmp_path / "d3.csv", n=3)
         cfg = tmp_path / "c.cfg"

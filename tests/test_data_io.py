@@ -16,7 +16,6 @@ from portvol import (
     PathConfig,
     PolicyCoefficients,
     RhoEstimate,
-    SolverOptions,
     Stage1Params,
     StructuralSpec,
     data_io,
@@ -45,14 +44,12 @@ class TestReadDataset:
         )
         data = read_dataset(p)
         assert data.n_rows == 3
-        assert data.mode == "time-series"
-        assert data.labels[0] == "t0"
+        assert data.labels == ("t0", "t1", "t2")
         assert data.pi_star[1] == -0.5
 
     def test_label_column_optional(self, tmp_path):
         p = write(tmp_path / "d.csv", "pi_star,mu,r\n1.0,0.05,0.02\n")
         data = read_dataset(p)
-        assert data.mode == "cross-section"
         assert data.labels is None
 
     def test_column_order_free(self, tmp_path):
@@ -100,7 +97,7 @@ def _read_outcome(path):
         data = read_dataset(path)
     except ValueError as exc:
         return ("error", str(exc))
-    return ("data", data.pi_star.tobytes(), data.mu.tobytes(), data.r.tobytes(), data.labels, data.mode)
+    return ("data", data.pi_star.tobytes(), data.mu.tobytes(), data.r.tobytes(), data.labels)
 
 
 def _reference_outcome(path):
@@ -206,7 +203,7 @@ class TestRoundTrip:
         values = [0.1 + 0.2, 1.0 / 3.0, 1e-300, 1e300, -7.25, 2**-52]
         v = np.array(values)
         labels = [f"row{i}" for i in range(len(values))]
-        original = Dataset(pi_star=v, mu=v / 2.0, r=v / 4.0, labels=labels, mode="time-series")
+        original = Dataset(pi_star=v, mu=v / 2.0, r=v / 4.0, labels=labels)
         p = tmp_path / "rt.csv"
         write_dataset(original, p)
         back = read_dataset(p)
@@ -215,6 +212,13 @@ class TestRoundTrip:
         assert back.mu.tobytes() == original.mu.tobytes()
         assert back.r.tobytes() == original.r.tobytes()
         assert back.labels == original.labels
+
+    def test_labels_alone_write_the_label_column(self, tmp_path):
+        original = Dataset(pi_star=[1.5, 2.5], mu=[0.05, 0.07], r=[0.02, 0.02], labels=("a", "b"))
+        p = tmp_path / "rt.csv"
+        write_dataset(original, p)
+        assert p.read_bytes().startswith(b"label,pi_star,mu,r\r\na,")
+        assert read_dataset(p).labels == ("a", "b")
 
     def test_random_round_trips(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -232,7 +236,7 @@ class TestRoundTrip:
         write_dataset(original, p)
         back = read_dataset(p)
         assert back.pi_star.tolist() == original.pi_star.tolist()
-        assert back.mode == original.mode
+        assert back.labels is None
 
     def test_constant_and_signed_zero_columns(self, tmp_path):
         # mu and r are constant, so each is formatted once; pi_star mixes
@@ -340,12 +344,11 @@ class TestWriteReport:
 
 
 class TestParseConfig:
-    def test_minimal_fit_config_applies_solver_defaults(self, tmp_path):
+    def test_minimal_fit_config_applies_defaults(self, tmp_path):
         p = write(tmp_path / "c.cfg", "[run]\nmode = fit\ninput = d.csv\noutput = r.txt\n")
         cfg = parse_config(p)
         assert cfg.mode == "fit"
         assert cfg.input == "d.csv"
-        assert cfg.solver == SolverOptions()
         assert cfg.seed == 0
         assert cfg.gauge_variant == "pin-beta5"
 
@@ -444,20 +447,11 @@ class TestParseConfig:
         assert cfg.generation.heston.sigma_bar == 0.04
         assert cfg.seed == 9
 
-    def test_solver_overrides(self, tmp_path):
-        p = write(
-            tmp_path / "c.cfg",
-            "[run]\nmode = fit\ninput = d.csv\noutput = r.txt\n[solver]\nx_tol = 1e-8\n",
-        )
-        cfg = parse_config(p)
-        assert cfg.solver.x_tol == 1e-8
-        assert cfg.solver.max_iterations == SolverOptions().max_iterations
-
-    @pytest.mark.parametrize("key", ["g_tol", "lambda0", "lambda_factor", "lambda_max"])
+    @pytest.mark.parametrize("key", ["g_tol", "lambda0", "lambda_factor", "lambda_max", "max_iterations", "x_tol"])
     def test_removed_solver_keys_are_unknown(self, tmp_path, key):
-        # The Levenberg-Marquardt tuning constants are no longer settable.
+        # The solvers' iteration controls are constants: no [solver] key is settable.
         p = write(tmp_path / "c.cfg", f"[run]\nmode = fit\ninput = d.csv\noutput = r.txt\n[solver]\n{key} = 1e-8\n")
-        with pytest.raises(ValueError, match=f"^unknown key: {key}$"):
+        with pytest.raises(ValueError, match="^unknown section: solver$"):
             parse_config(p)
 
     def test_comments_allowed(self, tmp_path):

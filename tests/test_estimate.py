@@ -16,7 +16,6 @@ from portvol import (
     PathConfig,
     PolicyCoefficients,
     ResidualProblem,
-    SolverOptions,
     Stage1Params,
     Stage2Params,
     StructuralSpec,
@@ -407,6 +406,15 @@ class TestEstimateRho:
         with pytest.raises(ValueError):
             estimate_rho(0.1, 0.3, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_input_raises(self, bad, position):
+        args = [0.5, 1.0, 0.25]
+        args[position] = bad
+        name = ("beta2_hat", "gamma_hat", "alpha_ratio")[position]
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            estimate_rho(*args)
+
     def test_roundtrip_property(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -693,12 +701,11 @@ class TestStackedRows:
         spec = GenerationSpec(stage1=Stage1Params(b1, b2, math.exp(log_b3)), n=n, noise=noise)
         datasets = [generate_synthetic_dataset("model-implied", spec, seed + i) for i in range(n_rows)]
         E, PI = np.stack([d.e for d in datasets]), np.stack([d.pi_star for d in datasets])
-        opts = SolverOptions()
 
         def stage1(size):
             return [
                 o for lo in range(0, n_rows, size)
-                for o in _row_outcomes(portvol.estimate._stage1_rows(E[lo:lo + size], PI[lo:lo + size], opts))
+                for o in _row_outcomes(portvol.estimate._stage1_rows(E[lo:lo + size], PI[lo:lo + size]))
             ]
 
         first = stage1(1)
@@ -717,7 +724,7 @@ class TestStackedRows:
                 o for lo in range(0, len(fitted), size)
                 for o in _row_outcomes(portvol.estimate._stage2_rows(
                     E[fitted][lo:lo + size], PI[fitted][lo:lo + size], b3h[lo:lo + size], k,
-                    pins[lo:lo + size], opts,
+                    pins[lo:lo + size],
                 ))
             ]
 

@@ -126,17 +126,13 @@ class TestConstructorRejections:
 
 
 class TestDataset:
-    def test_modes_are_restricted(self):
-        with pytest.raises(ValueError):
-            Dataset(pi_star=[1.0], mu=[0.05], r=[0.02], mode="panel")
-
     def test_small_datasets_construct(self):
         # The 4-row minimum applies to fitting, not construction.
         data = Dataset(pi_star=[1.0] * 3, mu=[0.05] * 3, r=[0.02] * 3)
         assert data.n_rows == 3
 
     def test_accessors(self):
-        data = Dataset(pi_star=[1.5, -0.5], mu=[0.07, 0.03], r=[0.02, 0.02], labels=("a", "b"), mode="time-series")
+        data = Dataset(pi_star=[1.5, -0.5], mu=[0.07, 0.03], r=[0.02, 0.02], labels=("a", "b"))
         assert data.e.tolist() == pytest.approx([0.05, 0.01])
         assert data.pi_star.tolist() == [1.5, -0.5]
         assert data.labels == ("a", "b")
@@ -144,7 +140,7 @@ class TestDataset:
     def test_frozen(self):
         data = Dataset(pi_star=[1.0], mu=[0.05], r=[0.02])
         with pytest.raises(AttributeError):
-            data.mode = "time-series"
+            data.labels = ("a",)
 
     def test_columns_are_read_only_copies(self):
         pi = np.array([1.0, 2.0])
@@ -194,7 +190,6 @@ class TestDataset:
         assert a != Dataset(**{**kw, "pi_star": [1.0, 2.5]})
         assert a != Dataset(**kw, labels=("x", "y"))
         assert a != Dataset(**kw, source="file.csv")
-        assert a != Dataset(**kw, mode="time-series")
         assert a != kw
 
     def test_columns_are_required(self):

@@ -1,14 +1,12 @@
 """Model functions, analytic Jacobians, and the damped least-squares solver."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
+import portvol.nls
 from portvol import (
     PoleError,
     ResidualProblem,
-    SolverOptions,
     Stage1Params,
     Stage2Params,
     lm_fit,
@@ -273,9 +271,10 @@ class TestLmFit:
         assert np.array_equal(r1.row_iterations, r2.row_iterations)
         assert r1.messages == r2.messages
 
-    def test_max_iterations_reported(self):
+    def test_max_iterations_reported(self, monkeypatch):
+        monkeypatch.setattr(portvol.nls, "_MAX_ITERATIONS", 1)
         prob = noiseless_stage1(5)
-        res = lm_fit(prob, np.array([[1.0, 1.0, np.log(0.1)]]), SolverOptions(max_iterations=1))
+        res = lm_fit(prob, np.array([[1.0, 1.0, np.log(0.1)]]))
         assert not res.converged[0]
         assert res.messages == ("max iterations",)
         assert res.row_iterations[0] == 1
@@ -348,23 +347,3 @@ class TestLmFit:
         assert res.converged[0]
         assert res.params[0, 0] == pytest.approx(2.5, rel=1e-8)
 
-
-class TestSolverOptions:
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"max_iterations": 0},
-            {"x_tol": 0.0},
-            {"x_tol": -1.0},
-            {"x_tol": float("nan")},
-        ],
-    )
-    def test_invalid_options_rejected(self, kw):
-        with pytest.raises(ValueError):
-            SolverOptions(**kw)
-
-    def test_only_iteration_controls_are_settable(self):
-        assert [f.name for f in fields(SolverOptions)] == ["max_iterations", "x_tol"]
-        for name in ("g_tol", "lambda0", "lambda_factor", "lambda_max"):
-            with pytest.raises(TypeError):
-                SolverOptions(**{name: 1.0})

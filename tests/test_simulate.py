@@ -628,7 +628,7 @@ class TestGenerateSyntheticDataset:
         spec = GenerationSpec(stage1=truth, n=50, noise=0.0)
         data = generate_synthetic_dataset("model-implied", spec, seed=3)
         assert data.n_rows == 50
-        assert data.mode == "cross-section"
+        assert data.labels is None
         assert np.all(data.r == spec.base_rate)
         assert data.pi_star == pytest.approx(stage1_model(data.e, truth), rel=1e-15)
         assert np.all((spec.e_interval[0] <= data.e) & (data.e <= spec.e_interval[1]))
@@ -658,7 +658,7 @@ class TestGenerateSyntheticDataset:
         cfg = PathConfig(horizon=1.0, dt=0.01, seed=0)
         spec = StructuralSpec(heston=p, policy=coeffs, path=cfg, x0=1.0)
         data = generate_synthetic_dataset("structural", spec, seed=21)
-        assert data.mode == "time-series"
+        assert data.labels == tuple(map(str, range(data.n_rows)))
         assert data.n_rows == cfg.n_steps + 1
         market = simulate_market_path(p, PathConfig(horizon=1.0, dt=0.01, seed=21), 0)
         path = simulate_wealth_path(market, coeffs, p, 1.0)
