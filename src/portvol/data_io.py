@@ -5,6 +5,13 @@ errors, never silently ignored.  Numbers are written with 17 significant
 digits so every finite double round-trips exactly; absent values render
 as the literal token ``null``.
 
+A dataset CSV is the bytes of ``csv.writer``'s default dialect: a header
+``[label,]pi_star,mu,r``, one row per observation, every line ending in
+CRLF.  Numbers are ``.17g`` and never quoted; a label is quoted only when
+it holds ``,``, ``"``, CR or LF (``QUOTE_MINIMAL``), with ``"`` doubled,
+and a None label is an empty cell.  The writer joins pre-formatted cells
+and writes a block of rows per call, so it never holds the whole file.
+
 Config sections ``[heston]`` and ``[policy]`` take exactly the fields of
 ``HestonParams`` and ``PolicyCoefficients``, each a required number.
 """
@@ -16,7 +23,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -156,19 +163,41 @@ def _format_column(column: np.ndarray):
     return map(format, column.tolist(), repeat(".17g"))
 
 
-def write_dataset(data: Dataset, path) -> None:
-    """Write a Dataset as CSV; inverse of :func:`read_dataset` for finite values.
+def _csv_label(label: str | None) -> str:
+    """One label cell as ``csv.writer`` writes it under ``QUOTE_MINIMAL``."""
+    if label is None:
+        return ""
+    if "," in label or '"' in label or "\r" in label or "\n" in label:
+        return '"' + label.replace('"', '""') + '"'
+    return label
 
-    The label column is written exactly when ``data.labels`` is not None.
+
+# Rows per write call: large enough that the per-call cost vanishes, small
+# enough that a block's text stays well under a megabyte.
+_WRITE_BLOCK = 1024
+
+
+def write_dataset(data: Dataset, path) -> None:
+    """Write a Dataset as CSV, byte for byte what ``csv.writer`` would write.
+
+    The header is ``pi_star,mu,r``, led by ``label`` exactly when
+    ``data.labels`` is not None; every line ends in CRLF.  Values are
+    ``.17g``, so :func:`read_dataset` gives back the same bits.  A label
+    comes back unchanged when it is non-empty and has no leading or
+    trailing whitespace: the reader strips each cell and reads an empty
+    one as None, so None, ``""`` and an all-blank label all come back as
+    None.  Rows are joined and written ``_WRITE_BLOCK`` at a time.
     """
     with_label = data.labels is not None
     columns = [_format_column(column) for column in (data.pi_star, data.mu, data.r)]
     if with_label:
-        columns.insert(0, ("" if label is None else label for label in data.labels))
+        columns.insert(0, map(_csv_label, data.labels))
+    rows = map(",".join, zip(*columns))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow((["label"] if with_label else []) + list(_CSV_COLUMNS))
-        writer.writerows(zip(*columns))
+        handle.write(",".join((["label"] if with_label else []) + list(_CSV_COLUMNS)) + "\r\n")
+        while block := list(islice(rows, _WRITE_BLOCK)):
+            block.append("")
+            handle.write("\r\n".join(block))
 
 
 def _fit_lines(section: str, fit: FitResult, param_names: tuple[str, ...]) -> list[str]:

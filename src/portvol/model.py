@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -200,9 +201,10 @@ class Dataset:
     ``pi_star``, ``mu`` and ``r`` are the observed columns, finite and of
     equal length, and ``e = mu - r`` is the excess return both fits
     regress on; all four are read-only.  ``labels`` is None or one label
-    (a string or None) per row.  Labels tag the rows as a time series of
-    one portfolio; without them the rows are a cross-section of assets at
-    one time.  Both feed the same fits.  ``e`` must be finite too: finite
+    per row, each a string or None; anything else is refused, since a CSV
+    would read it back as a string.  Labels tag the rows as a time series
+    of one portfolio; without them the rows are a cross-section of assets
+    at one time.  Both feed the same fits.  ``e`` must be finite too: finite
     ``mu`` and ``r`` whose difference overflows are rejected.  The minimum
     row count for fitting (4) is enforced by the fitting routines, not
     here, so small files still load and round-trip.  Datasets compare
@@ -230,6 +232,10 @@ class Dataset:
         if labels is not None:
             labels = tuple(labels)
             lengths["labels"] = len(labels)
+            valid = list(map(isinstance, labels, repeat((str, type(None)))))
+            if False in valid:
+                bad = valid.index(False)
+                raise ValueError(f"invalid Dataset: labels must be strings or None (first bad row {bad})")
         if len(set(lengths.values())) > 1:
             sizes = ", ".join(f"{name} {n}" for name, n in lengths.items())
             raise ValueError(f"invalid Dataset: columns differ in length ({sizes})")

@@ -1,6 +1,8 @@
 """CSV, report, and config serialization: strictness and round-trips."""
 
+import csv
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -254,6 +256,93 @@ class TestRoundTrip:
         write_dataset(data, p1)
         write_dataset(read_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _reference_write(data, path):
+    """The dataset CSV as ``csv.writer`` writes it, the reference for write_dataset's bytes."""
+    with_label = data.labels is not None
+    columns = [[format(v, ".17g") for v in column.tolist()] for column in (data.pi_star, data.mu, data.r)]
+    if with_label:
+        columns.insert(0, ["" if label is None else label for label in data.labels])
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow((["label"] if with_label else []) + ["pi_star", "mu", "r"])
+        writer.writerows(zip(*columns))
+
+
+def _assert_writes_reference_bytes(data, directory):
+    path, reference = directory / "written.csv", directory / "reference.csv"
+    write_dataset(data, path)
+    _reference_write(data, reference)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+_awkward_float = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 0.1, -1.5])
+_label_cell = st.one_of(
+    st.none(),
+    st.sampled_from(["", " ", ",", '"', "\r", "\n", "\r\n", '""', ' a,"b" ']),
+    st.text(alphabet=st.sampled_from(',"\r\n ab'), max_size=6),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _datasets(draw):
+    """A Dataset with awkward floats, constant columns and, maybe, awkward labels."""
+    n = draw(st.integers(0, 12))
+    columns = {}
+    # mu and r stay below 1e300 in magnitude, so e = mu - r is finite.
+    for name, bound in (("pi_star", math.inf), ("mu", 1e300), ("r", 1e300)):
+        value = st.one_of(_awkward_float, st.floats(-bound, bound, allow_nan=False, allow_infinity=False))
+        columns[name] = [draw(value)] * n if draw(st.booleans()) else draw(st.lists(value, min_size=n, max_size=n))
+    labels = draw(st.one_of(st.none(), st.lists(_label_cell, min_size=n, max_size=n)))
+    return Dataset(**columns, labels=labels)
+
+
+_BLOCK = data_io._WRITE_BLOCK
+
+
+class TestWriteMatchesCsvWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(data=_datasets())
+    def test_same_bytes_as_csv_writer(self, tmp_path_factory, data):
+        _assert_writes_reference_bytes(data, tmp_path_factory.getbasetemp())
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_row_counts_around_block_boundaries(self, tmp_path, labelled, n):
+        rng = np.random.default_rng(n)
+        labels = [f"row {i}" if i % 7 else None for i in range(n)] if labelled else None
+        data = Dataset(pi_star=rng.standard_normal(n), mu=rng.standard_normal(n), r=np.full(n, 0.02), labels=labels)
+        _assert_writes_reference_bytes(data, tmp_path)
+        assert len((tmp_path / "written.csv").read_bytes().split(b"\r\n")) == n + 2
+
+    def test_quoted_labels_round_trip(self, tmp_path):
+        labels = ("a,b", 'q"x', "two\nlines")
+        original = Dataset(pi_star=[1.0, 2.0, 3.0], mu=[0.05] * 3, r=[0.02] * 3, labels=labels)
+        write_dataset(original, tmp_path / "d.csv")
+        assert b'"a,b",' in (tmp_path / "d.csv").read_bytes()
+        assert read_dataset(tmp_path / "d.csv").labels == labels
+
+    def test_writer_does_not_hold_the_file(self, tmp_path):
+        # The 50,001-row structural dataset of the sim-structural benchmark.
+        heston = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
+        spec = StructuralSpec(
+            heston=heston,
+            policy=PolicyCoefficients(alpha0=1.0, alpha1=-2.0, alpha2=0.5),
+            path=PathConfig(horizon=5.0, dt=1e-4, seed=0),
+            x0=1.0,
+        )
+        data = generate_synthetic_dataset("structural", spec, seed=620)
+        assert data.n_rows == 50_001
+        path = tmp_path / "structural.csv"
+        tracemalloc.start()
+        try:
+            write_dataset(data, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
 
 def _fitted_pair():

@@ -198,6 +198,15 @@ class TestDataset:
         with pytest.raises(TypeError):
             Dataset(observations=(MarketObservation(1.0, 0.05, 0.02),))
 
+    @pytest.mark.parametrize(
+        ("labels", "bad"), [((7, 2.5), 0), (("a", None, b"c"), 2), (("a", ["b"]), 1), ([None, 1.0], 1)]
+    )
+    def test_non_string_label_names_its_row(self, labels, bad):
+        # A CSV reads every label back as a string, so a number would come back changed.
+        n = len(labels)
+        with pytest.raises(ValueError, match=rf"invalid Dataset: labels must be strings or None \(first bad row {bad}\)"):
+            Dataset(pi_star=[1.0] * n, mu=[0.05] * n, r=[0.02] * n, labels=labels)
+
     def test_excess_return_overflow_names_its_row(self):
         # Finite mu and r whose difference overflows: rejected, with no warning.
         with pytest.raises(ValueError, match=r"invalid Dataset: e = mu - r must be finite \(first bad row 1\)"):
