@@ -3,8 +3,13 @@
 Model-implied replications measure bias, RMSE and interval coverage
 against the known generator.  Structural replications (data read off a
 simulated wealth path) have no true beta vector; there the harness
-reports the fitted beta3 against both readings of the initial variance,
-surfacing the variance-vs-volatility ambiguity explicitly.
+reports the fitted beta3 against both readings of the initial variance.
+On this design that comparison is not a finding yet: every structural
+row has the same excess return e = mu - r, which identifies only the
+level of the stage-1 curve, so each fit "converges" to the bottom of
+its start grid, beta3 = 0.06*exp(-8) ~ 2.0e-05, whatever the variance.
+Structural beta3 is not identified until ROADMAP item 3 (structural
+data the estimator can identify) lands.
 """
 
 from portvol import (
@@ -46,4 +51,6 @@ print(f"  mean beta3 = {sreport.beta3_mean:.6f}")
 scale = sreport.scale
 print(f"  |beta3 - sigma_bar|       = {scale.abs_err_vs_variance:.6f}   (sigma_bar = {scale.sigma_bar})")
 print(f"  |beta3 - sqrt(sigma_bar)| = {scale.abs_err_vs_volatility:.6f}   (sqrt = {scale.sqrt_sigma_bar})")
-print(f"  beta3 tracks the {scale.closer_to} reading on this design")
+print(f"  closer_to = {scale.closer_to}, but this is not a finding: every structural row has one")
+print("  e = mu - r, so stage 1 fits only the level and beta3 is the bottom of its start grid,")
+print("  0.06*exp(-8); structural beta3 is not identified until ROADMAP item 3 lands")

@@ -24,12 +24,10 @@ from .model import (
     Dataset,
     FitResult,
     HestonParams,
-    HestonValidation,
     MarketObservation,
     PolicyCoefficients,
     Stage1Params,
     Stage2Params,
-    validate_heston_params,
 )
 from .nls import (
     PoleError,
@@ -78,7 +76,6 @@ __all__ = [
     "GaugeRule",
     "GenerationSpec",
     "HestonParams",
-    "HestonValidation",
     "MarketObservation",
     "PathConfig",
     "PoleError",
@@ -113,7 +110,6 @@ __all__ = [
     "stage2_jacobian",
     "stage2_model",
     "standard_errors",
-    "validate_heston_params",
     "variance_path_from_normals",
     "volatility_scale_comparison",
     "write_dataset",

@@ -80,66 +80,28 @@ def _run_simulate(cfg, verbose: bool) -> int:
     return 0
 
 
-def _run_fit(cfg, verbose: bool) -> int:
-    try:
-        data = data_io.read_dataset(cfg.input)
-    except (ValueError, OSError) as exc:
-        return _stage_error("read", exc)
-    try:
-        fit = fit_volatility(data)
-    except ValueError as exc:
-        return _stage_error("stage1 fit", exc)
-    try:
-        data_io.write_report(cfg.output, stage1=fit)
-    except OSError as exc:
-        return _stage_error("report", exc)
-    _print_fit("stage1", fit, ("beta1", "beta2", "beta3"), verbose)
-    print(f"report written to {cfg.output}")
-    if not fit.converged:
-        return _stage_error("stage1 fit", ValueError(f"did not converge: {fit.message}"))
-    return 0
+def _run_fits(cfg, verbose: bool) -> int:
+    """``fit``, ``volvol`` and ``pipeline``: data in, the fits, one report and summary.
 
-
-def _finish_two_stage(cfg, data, stage1: FitResult | None, beta3_hat: float, verbose: bool, scale=None) -> int:
-    """Stage-2 fit, optional rho, report and summary; shared by volvol and pipeline."""
-    try:
-        gauge = GaugeRule.from_stage1(cfg.gauge_variant, stage1)
-        stage2 = fit_vol_of_vol(data, beta3_hat, gauge)
-    except ValueError as exc:
-        return _stage_error("stage2 fit", exc)
-    rho = None
-    if cfg.alpha_ratio is not None:
-        # Config validation guarantees stage1 is present whenever
-        # alpha_ratio is set (the inversion needs the fitted beta2).
+    Stage 1 runs unless ``volvol`` is given ``beta3_hat``; every mode but
+    ``fit`` goes on to stage 2 and, with ``alpha_ratio``, to rho.
+    """
+    if cfg.mode == "pipeline":
         try:
-            rho = estimate_rho(stage1.params.beta2, stage2.params.beta4, cfg.alpha_ratio)
+            data = generate_synthetic_dataset(cfg.generation.kind, cfg.generation, cfg.seed)
         except ValueError as exc:
-            return _stage_error("rho", exc)
-    try:
-        data_io.write_report(
-            cfg.output, stage1=stage1, stage2=stage2, gauge=gauge, rho=rho, scale=scale
-        )
-    except OSError as exc:
-        return _stage_error("report", exc)
-    if stage1 is not None:
-        _print_fit("stage1", stage1, ("beta1", "beta2", "beta3"), verbose)
-    _print_fit("stage2", stage2, ("beta4", "beta5", "beta6"), verbose)
-    print(f"stage2 gamma_hat = {stage2.params.beta4:.17g} (gauge {gauge.variant})")
-    if rho is not None:
-        print(f"rho_hat = {rho.rho_hat:.17g}")
-    print(f"report written to {cfg.output}")
-    if stage1 is not None and not stage1.converged:
-        return _stage_error("stage1 fit", ValueError(f"did not converge: {stage1.message}"))
-    if not stage2.converged:
-        return _stage_error("stage2 fit", ValueError(f"did not converge: {stage2.message}"))
-    return 0
-
-
-def _run_volvol(cfg, verbose: bool) -> int:
-    try:
-        data = data_io.read_dataset(cfg.input)
-    except (ValueError, OSError) as exc:
-        return _stage_error("read", exc)
+            return _stage_error("generate", exc)
+        try:
+            data_io.write_dataset(data, cfg.dataset_output)
+        except OSError as exc:
+            return _stage_error("write", exc)
+        if verbose:
+            print(f"dataset written to {cfg.dataset_output} ({data.n_rows} rows)")
+    else:
+        try:
+            data = data_io.read_dataset(cfg.input)
+        except (ValueError, OSError) as exc:
+            return _stage_error("read", exc)
     stage1 = None
     beta3_hat = cfg.beta3_hat
     if beta3_hat is None:
@@ -148,7 +110,42 @@ def _run_volvol(cfg, verbose: bool) -> int:
         except ValueError as exc:
             return _stage_error("stage1 fit", exc)
         beta3_hat = stage1.params.beta3
-    return _finish_two_stage(cfg, data, stage1, beta3_hat, verbose)
+    stage2 = gauge = rho = scale = None
+    if cfg.mode != "fit":
+        try:
+            gauge = GaugeRule.from_stage1(cfg.gauge_variant, stage1)
+            stage2 = fit_vol_of_vol(data, beta3_hat, gauge)
+        except ValueError as exc:
+            return _stage_error("stage2 fit", exc)
+        if cfg.alpha_ratio is not None:
+            # Config validation guarantees stage1 is present whenever
+            # alpha_ratio is set (the inversion needs the fitted beta2).
+            try:
+                rho = estimate_rho(stage1.params.beta2, stage2.params.beta4, cfg.alpha_ratio)
+            except ValueError as exc:
+                return _stage_error("rho", exc)
+        if isinstance(cfg.generation, StructuralSpec):
+            # The true initial variance is known here, so the report can show
+            # beta3 against both the variance and the volatility reading.
+            scale = volatility_scale_comparison(beta3_hat, cfg.generation.heston.sigma_bar)
+    try:
+        data_io.write_report(
+            cfg.output, stage1=stage1, stage2=stage2, gauge=gauge, rho=rho, scale=scale
+        )
+    except OSError as exc:
+        return _stage_error("report", exc)
+    if stage1 is not None:
+        _print_fit("stage1", stage1, ("beta1", "beta2", "beta3"), verbose)
+    if stage2 is not None:
+        _print_fit("stage2", stage2, ("beta4", "beta5", "beta6"), verbose)
+        print(f"stage2 gamma_hat = {stage2.params.beta4:.17g} (gauge {gauge.variant})")
+    if rho is not None:
+        print(f"rho_hat = {rho.rho_hat:.17g}")
+    print(f"report written to {cfg.output}")
+    for stage, fit in (("stage1 fit", stage1), ("stage2 fit", stage2)):
+        if fit is not None and not fit.converged:
+            return _stage_error(stage, ValueError(f"did not converge: {fit.message}"))
+    return 0
 
 
 def _run_validate(cfg, verbose: bool) -> int:
@@ -170,35 +167,12 @@ def _run_validate(cfg, verbose: bool) -> int:
     return 0
 
 
-def _run_pipeline(cfg, verbose: bool) -> int:
-    try:
-        data = generate_synthetic_dataset(cfg.generation.kind, cfg.generation, cfg.seed)
-    except ValueError as exc:
-        return _stage_error("generate", exc)
-    try:
-        data_io.write_dataset(data, cfg.dataset_output)
-    except OSError as exc:
-        return _stage_error("write", exc)
-    if verbose:
-        print(f"dataset written to {cfg.dataset_output} ({data.n_rows} rows)")
-    try:
-        stage1 = fit_volatility(data)
-    except ValueError as exc:
-        return _stage_error("stage1 fit", exc)
-    scale = None
-    if isinstance(cfg.generation, StructuralSpec):
-        # The true initial variance is known here, so the report can show
-        # beta3 against both the variance and the volatility reading.
-        scale = volatility_scale_comparison(stage1.params.beta3, cfg.generation.heston.sigma_bar)
-    return _finish_two_stage(cfg, data, stage1, stage1.params.beta3, verbose, scale=scale)
-
-
 _RUNNERS = {
     "simulate": _run_simulate,
-    "fit": _run_fit,
-    "volvol": _run_volvol,
+    "fit": _run_fits,
+    "volvol": _run_fits,
     "validate": _run_validate,
-    "pipeline": _run_pipeline,
+    "pipeline": _run_fits,
 }
 
 

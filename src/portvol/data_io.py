@@ -303,7 +303,7 @@ def write_report(
 _SECTION_TYPES = {"heston": HestonParams, "policy": PolicyCoefficients}
 _SECTION_KEYS = {
     "run": {"mode", "input", "output", "dataset_output", "seed", "gauge", "beta3_hat", "alpha_ratio"},
-    "generation": {"kind", "n", "noise", "e_min", "e_max", "base_rate", "beta1", "beta2", "beta3", "replications"},
+    "generation": {"kind", "n", "noise", "e_min", "e_max", "beta1", "beta2", "beta3", "replications"},
     "path": {"horizon", "dt", "x0"},
     **{section: {f.name for f in fields(cls)} for section, cls in _SECTION_TYPES.items()},
 }
@@ -326,32 +326,19 @@ class RunConfig:
     replications: int | None = None
 
 
-class _Sections:
-    """Typed, strict access to parsed config sections."""
-
-    def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
-
-    def has(self, section: str) -> bool:
-        return self.parser.has_section(section)
-
-    def get(self, section: str, key: str, default=None):
-        if self.parser.has_option(section, key):
-            return self.parser.get(section, key)
+def _number(parser: configparser.ConfigParser, section: str, key: str, default=None, required=False, kind=float):
+    """``[section] key`` as a ``kind``; ``default`` when absent, an error when also ``required``."""
+    raw = parser.get(section, key, fallback=None)
+    if raw is None:
+        if required:
+            raise ValueError(f"missing required key: [{section}] {key}")
         return default
-
-    def number(self, section: str, key: str, default=None, required=False, kind=float):
-        raw = self.get(section, key)
-        if raw is None:
-            if required:
-                raise ValueError(f"missing required key: [{section}] {key}")
-            return default
-        try:
-            return kind(raw)
-        except ValueError:
-            raise ValueError(
-                f"type error: [{section}] {key} expects {'an integer' if kind is int else 'a number'}, got {raw!r}"
-            ) from None
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(
+            f"type error: [{section}] {key} expects {'an integer' if kind is int else 'a number'}, got {raw!r}"
+        ) from None
 
 
 def _check_known_keys(parser: configparser.ConfigParser) -> None:
@@ -363,44 +350,43 @@ def _check_known_keys(parser: configparser.ConfigParser) -> None:
                 raise ValueError(f"unknown key: {key}")
 
 
-def _from_fields(sec: _Sections, section: str, cls):
+def _from_fields(parser: configparser.ConfigParser, section: str, cls):
     """``cls`` built from ``[section]``, one required number per field, read in field order."""
     values = {}
     for f in fields(cls):
-        values[f.name] = sec.number(section, f.name, required=True)
+        values[f.name] = _number(parser, section, f.name, required=True)
     return cls(**values)
 
 
-def _generation_spec(sec: _Sections, mode: str):
-    if not sec.has("generation"):
+def _generation_spec(parser: configparser.ConfigParser, mode: str):
+    if not parser.has_section("generation"):
         raise ValueError(f"missing required section for mode {mode}: [generation]")
-    kind = sec.get("generation", "kind", "model-implied")
+    kind = parser.get("generation", "kind", fallback="model-implied")
     if kind not in ("model-implied", "structural"):
         raise ValueError(f"type error: [generation] kind must be model-implied or structural, got {kind!r}")
-    replications = sec.number("generation", "replications", None, kind=int)
+    replications = _number(parser, "generation", "replications", None, kind=int)
     if kind == "model-implied":
         spec = GenerationSpec(
-            stage1=_from_fields(sec, "generation", Stage1Params),
-            n=sec.number("generation", "n", required=True, kind=int),
-            noise=sec.number("generation", "noise", 0.0),
+            stage1=_from_fields(parser, "generation", Stage1Params),
+            n=_number(parser, "generation", "n", required=True, kind=int),
+            noise=_number(parser, "generation", "noise", 0.0),
             e_interval=(
-                sec.number("generation", "e_min", 0.01),
-                sec.number("generation", "e_max", 0.10),
+                _number(parser, "generation", "e_min", 0.01),
+                _number(parser, "generation", "e_max", 0.10),
             ),
-            base_rate=sec.number("generation", "base_rate", 0.02),
         )
         return spec, replications
     for section in ("heston", "policy", "path"):
-        if not sec.has(section):
+        if not parser.has_section(section):
             raise ValueError(f"missing required section for structural generation: [{section}]")
-    heston = _from_fields(sec, "heston", HestonParams)
-    policy = _from_fields(sec, "policy", PolicyCoefficients)
+    heston = _from_fields(parser, "heston", HestonParams)
+    policy = _from_fields(parser, "policy", PolicyCoefficients)
     path_cfg = PathConfig(
-        horizon=sec.number("path", "horizon", required=True),
-        dt=sec.number("path", "dt", required=True),
+        horizon=_number(parser, "path", "horizon", required=True),
+        dt=_number(parser, "path", "dt", required=True),
         seed=0,
     )
-    x0 = sec.number("path", "x0", required=True)
+    x0 = _number(parser, "path", "x0", required=True)
     spec = StructuralSpec(heston=heston, policy=policy, path=path_cfg, x0=x0)
     return spec, replications
 
@@ -422,32 +408,31 @@ def parse_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ValueError(f"config syntax error in {path}: {exc}") from None
     _check_known_keys(parser)
-    sec = _Sections(parser)
 
-    mode = sec.get("run", "mode")
+    mode = parser.get("run", "mode", fallback=None)
     if mode is None:
         raise ValueError("missing required key: [run] mode")
     if mode not in _MODES:
         raise ValueError(f"type error: [run] mode must be one of {', '.join(_MODES)}; got {mode!r}")
 
-    output = sec.get("run", "output")
+    output = parser.get("run", "output", fallback=None)
     if output is None:
         raise ValueError(f"missing required key for mode {mode}: [run] output")
-    seed = sec.number("run", "seed", 0, kind=int)
+    seed = _number(parser, "run", "seed", 0, kind=int)
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"type error: [run] seed must be in [0, 2**64), got {seed}")
-    gauge_variant = sec.get("run", "gauge", "pin-beta5")
+    gauge_variant = parser.get("run", "gauge", fallback="pin-beta5")
     if gauge_variant not in _GAUGE_VARIANTS:
         raise ValueError(f"type error: [run] gauge must be free, pin-beta5 or pin-beta6; got {gauge_variant!r}")
-    beta3_hat = sec.number("run", "beta3_hat", None)
-    alpha_ratio = sec.number("run", "alpha_ratio", None)
-    input_path = sec.get("run", "input")
-    dataset_output = sec.get("run", "dataset_output")
+    beta3_hat = _number(parser, "run", "beta3_hat", None)
+    alpha_ratio = _number(parser, "run", "alpha_ratio", None)
+    input_path = parser.get("run", "input", fallback=None)
+    dataset_output = parser.get("run", "dataset_output", fallback=None)
 
     generation = None
     replications = None
     if mode in ("simulate", "validate", "pipeline"):
-        generation, replications = _generation_spec(sec, mode)
+        generation, replications = _generation_spec(parser, mode)
     if mode in ("fit", "volvol") and input_path is None:
         raise ValueError(f"missing required key for mode {mode}: [run] input")
     if mode == "validate":
@@ -457,6 +442,8 @@ def parse_config(path) -> RunConfig:
             raise ValueError("type error: [generation] replications must be >= 2")
     if mode == "pipeline" and dataset_output is None:
         raise ValueError("missing required key for mode pipeline: [run] dataset_output")
+    if beta3_hat is not None and mode != "volvol":
+        raise ValueError(f"[run] beta3_hat is for mode volvol only, not {mode}")
     for key, value in (("beta3_hat", beta3_hat), ("alpha_ratio", alpha_ratio)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"type error: [run] {key} must be finite, got {value!r}")

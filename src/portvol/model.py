@@ -28,63 +28,6 @@ def _finite(x: float) -> bool:
 
 
 @dataclass(frozen=True)
-class HestonValidation:
-    """Outcome of validating a Heston-type parameter set.
-
-    ``violations`` is empty iff the parameters are constructible;
-    ``feller_ok`` reports whether ``2*alpha >= gamma**2`` holds, which
-    keeps the continuous-time variance strictly positive.  The flag is
-    diagnostic only: the full-truncation scheme is well defined without it.
-    """
-
-    violations: tuple[str, ...]
-    feller_ok: bool
-
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_heston_params(
-    mu: float,
-    r: float,
-    alpha: float,
-    beta_rev: float,
-    gamma: float,
-    rho: float,
-    sigma_bar: float,
-) -> HestonValidation:
-    """Check a candidate Heston parameter set without constructing it.
-
-    Returns a report rather than raising, so callers can surface every
-    violation at once (the ``HestonParams`` constructor rejects on any).
-    """
-    violations: list[str] = []
-    for name, value in (
-        ("mu", mu),
-        ("r", r),
-        ("alpha", alpha),
-        ("beta_rev", beta_rev),
-        ("gamma", gamma),
-        ("rho", rho),
-        ("sigma_bar", sigma_bar),
-    ):
-        if not _finite(value):
-            violations.append(f"{name} must be finite")
-    if _finite(rho) and not abs(rho) < 1.0:
-        violations.append("|rho| must be < 1")
-    if _finite(gamma) and gamma < 0.0:
-        violations.append("gamma must be >= 0")
-    if _finite(beta_rev) and beta_rev <= 0.0:
-        violations.append("beta_rev must be > 0")
-    if _finite(sigma_bar) and sigma_bar < 0.0:
-        violations.append("sigma_bar must be >= 0")
-    if _finite(alpha) and alpha < 0.0:
-        violations.append("alpha must be >= 0")
-    feller_ok = _finite(alpha) and _finite(gamma) and 2.0 * alpha >= gamma * gamma
-    return HestonValidation(tuple(violations), feller_ok)
-
-
-@dataclass(frozen=True)
 class HestonParams:
     """Market and variance-process constants.
 
@@ -115,19 +58,32 @@ class HestonParams:
     sigma_bar: float
 
     def __post_init__(self):
-        report = self.validation()
-        if report.violations:
-            raise ValueError("invalid HestonParams: " + "; ".join(report.violations))
-
-    def validation(self) -> HestonValidation:
-        return validate_heston_params(
-            self.mu, self.r, self.alpha, self.beta_rev, self.gamma, self.rho, self.sigma_bar
-        )
+        # Collect every violation, so one error names them all.
+        violations: list[str] = []
+        for name in ("mu", "r", "alpha", "beta_rev", "gamma", "rho", "sigma_bar"):
+            if not _finite(getattr(self, name)):
+                violations.append(f"{name} must be finite")
+        if _finite(self.rho) and not abs(self.rho) < 1.0:
+            violations.append("|rho| must be < 1")
+        if _finite(self.gamma) and self.gamma < 0.0:
+            violations.append("gamma must be >= 0")
+        if _finite(self.beta_rev) and self.beta_rev <= 0.0:
+            violations.append("beta_rev must be > 0")
+        if _finite(self.sigma_bar) and self.sigma_bar < 0.0:
+            violations.append("sigma_bar must be >= 0")
+        if _finite(self.alpha) and self.alpha < 0.0:
+            violations.append("alpha must be >= 0")
+        if violations:
+            raise ValueError("invalid HestonParams: " + "; ".join(violations))
 
     @property
     def feller_ok(self) -> bool:
-        """True when ``2*alpha >= gamma**2`` (variance never hits zero in continuous time)."""
-        return self.validation().feller_ok
+        """True when ``2*alpha >= gamma**2`` (variance never hits zero in continuous time).
+
+        The flag is diagnostic only: the full-truncation scheme is well
+        defined without it.
+        """
+        return 2.0 * self.alpha >= self.gamma * self.gamma
 
     @property
     def mean_reversion_level(self) -> float:

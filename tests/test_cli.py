@@ -319,6 +319,11 @@ class TestStageFailures:
             ("pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n"
              "alpha_ratio = inf\n" + NOISELESS_GEN, None,
              2, "error in config stage: type error: [run] alpha_ratio must be finite"),
+            ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/r.txt\ngauge = free\nbeta3_hat = 0.04\n", None,
+             2, "error in config stage: [run] beta3_hat is for mode volvol only, not fit"),
+            ("pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n"
+             "gauge = free\nbeta3_hat = 0.04\n" + NOISELESS_GEN, None,
+             2, "error in config stage: [run] beta3_hat is for mode volvol only, not pipeline"),
             ("volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/r.txt\ngauge = free\nbeta3_hat = 0.05\n",
              "portvol.nls._MAX_ITERATIONS",
              2, "error in stage2 fit stage: did not converge: max iterations"),
@@ -332,6 +337,7 @@ class TestStageFailures:
         ids=[
             "fit-stage1-error", "fit-report-error", "fit-not-converged", "fit-removed-solver-key",
             "pipeline-generate-error", "pipeline-write-error", "pipeline-stage1-error", "pipeline-infinite-alpha-ratio",
+            "fit-beta3-hat", "pipeline-beta3-hat",
             "volvol-stage2-not-converged", "volvol-nan-beta3-hat", "validate-report-error",
         ],
     )
@@ -357,3 +363,152 @@ class TestStageFailures:
         out = capsys.readouterr().out
         assert f"dataset written to {tmp_path / 'd.csv'} (50 rows)\n" in out
         assert "stage1 converged = True" in out
+
+
+# Every number in an output, so a template does not depend on float bits.
+_NUMBER = re.compile(r"(?<![\w.])[-+]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?(?![\w.])")
+# Whether a converged fit stopped on its gradient or its step also rests on float bits.
+_STOP = re.compile(r"^message = (gradient|step) tolerance reached$", re.MULTILINE)
+
+
+def _template(text, tmp_path):
+    text = text.replace(str(tmp_path), "{tmp}")
+    return _STOP.sub("message = #", _NUMBER.sub("#", text))
+
+
+_STAGE1_SUMMARY = "".join(f"stage1 beta{i}_hat = #\n" for i in (1, 2, 3))
+_STAGE2_SUMMARY = "".join(f"stage2 beta{i}_hat = #\n" for i in (4, 5, 6))
+_STAGE1_REPORT = (
+    "[stage1]\nbeta1 = #\nbeta2 = #\nbeta3 = #\nse_beta1 = #\nse_beta2 = #\nse_beta3 = #\n"
+    "residual_norm = #\niterations = #\nconverged = true\nmessage = #\n\n"
+)
+
+
+def _stage2_report(gauge, pin="#"):
+    return (
+        "[stage2]\nbeta4 = #\nbeta5 = #\nbeta6 = #\nse_beta4 = #\nse_beta5 = #\nse_beta6 = #\n"
+        "residual_norm = #\niterations = #\nconverged = true\nmessage = #\n"
+        f"gamma_hat = #\ngauge = {gauge}\ngauge_pin_value = {pin}\n\n"
+    )
+
+
+_RHO_REPORT = "[rho]\nrho_hat = #\nin_range = false\n\n"
+_VERBOSE1 = "stage1 converged = True after # accepted steps\nstage1 residual_norm = #\n"
+_VERBOSE2 = "stage2 converged = True after # accepted steps\nstage2 residual_norm = #\n"
+_WRITTEN = "report written to {tmp}/r.txt\n"
+_STRUCTURAL_RUN = "seed = 7\n" + STRUCTURAL_GEN.replace("horizon = 0.5\ndt = 1e-3", "horizon = 1.0\ndt = 0.004")
+_WRITE_ERROR = "[Errno 2] No such file or directory: '{tmp}/missing/"
+
+
+class TestOutputOrder:
+    """Exit status, stderr, stdout and report of the fitting modes, line by line.
+
+    ``{csv}`` is a 50-row noisy dataset, ``{short}`` a 3-row one, ``{zero}``
+    a 4-row one with a zero position, and ``{tmp}`` the test directory.
+    Stdout and report are compared as templates: each number and each
+    converged stop reason reads ``#``.  A report of None means none is
+    written.
+    """
+
+    CASES = {
+        "fit": (
+            "fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/r.txt\n", [], 0, "",
+            _STAGE1_SUMMARY + _WRITTEN,
+            _STAGE1_REPORT + "[diagnostics]\nstage1 = none\n",
+        ),
+        "fit-verbose": (
+            "fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/r.txt\n", ["--verbose"], 0, "",
+            _STAGE1_SUMMARY + _VERBOSE1 + _WRITTEN,
+            _STAGE1_REPORT + "[diagnostics]\nstage1 = none\n",
+        ),
+        "fit-refused": (
+            "fit", "[run]\nmode = fit\ninput = {short}\noutput = {tmp}/r.txt\n", [], 2,
+            "error in stage1 fit stage: insufficient data: stage-1 fit needs at least 4 rows, got 3\n", "", None,
+        ),
+        "fit-unwritable-report": (
+            "fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/missing/r.txt\n", [], 2,
+            "error in report stage: cannot write report {tmp}/missing/r.txt: " + _WRITE_ERROR + "r.txt'\n", "", None,
+        ),
+        "volvol-rho": (
+            "volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/r.txt\nalpha_ratio = -0.25\n", [], 0, "",
+            _STAGE1_SUMMARY + _STAGE2_SUMMARY + "stage2 gamma_hat = # (gauge pin-beta5)\nrho_hat = #\n" + _WRITTEN,
+            _STAGE1_REPORT + _stage2_report("pin-beta5") + _RHO_REPORT
+            + "[diagnostics]\nstage1 = none\nstage2 = none\nrho = RHO_OUT_OF_RANGE\n",
+        ),
+        "volvol-verbose": (
+            "volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/r.txt\ngauge = pin-beta6\n", ["--verbose"],
+            0, "",
+            _STAGE1_SUMMARY + _VERBOSE1 + _STAGE2_SUMMARY + _VERBOSE2 + "stage2 gamma_hat = # (gauge pin-beta6)\n"
+            + _WRITTEN,
+            _STAGE1_REPORT + _stage2_report("pin-beta6") + "[diagnostics]\nstage1 = none\nstage2 = none\n",
+        ),
+        "volvol-given-beta3-hat": (
+            "volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/r.txt\ngauge = free\nbeta3_hat = 0.04\n",
+            [], 0, "",
+            _STAGE2_SUMMARY + "stage2 gamma_hat = # (gauge free)\n" + _WRITTEN,
+            _stage2_report("free", "null") + "[diagnostics]\nstage2 = GAUGE_UNIDENTIFIED\n",
+        ),
+        "volvol-refused": (
+            "volvol", "[run]\nmode = volvol\ninput = {zero}\noutput = {tmp}/r.txt\ngauge = free\nbeta3_hat = 0.04\n",
+            [], 2, "error in stage2 fit stage: zero position at row 1: inverse positions are undefined\n", "", None,
+        ),
+        "volvol-unwritable-report": (
+            "volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/missing/r.txt\n", [], 2,
+            "error in report stage: cannot write report {tmp}/missing/r.txt: " + _WRITE_ERROR + "r.txt'\n", "", None,
+        ),
+        "pipeline": (
+            "pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\nseed = 11\n"
+            + NOISELESS_GEN.replace("noise = 0.0", "noise = 0.01"), [], 0, "",
+            _STAGE1_SUMMARY + _STAGE2_SUMMARY + "stage2 gamma_hat = # (gauge pin-beta5)\n" + _WRITTEN,
+            _STAGE1_REPORT + _stage2_report("pin-beta5") + "[diagnostics]\nstage1 = none\nstage2 = none\n",
+        ),
+        "pipeline-verbose": (
+            "pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n"
+            "gauge = pin-beta6\nalpha_ratio = -0.25\n" + NOISELESS_GEN.replace("noise = 0.0", "noise = 0.01"),
+            ["--verbose"], 0, "",
+            "dataset written to {tmp}/d.csv (# rows)\n" + _STAGE1_SUMMARY + _VERBOSE1 + _STAGE2_SUMMARY + _VERBOSE2
+            + "stage2 gamma_hat = # (gauge pin-beta6)\nrho_hat = #\n" + _WRITTEN,
+            _STAGE1_REPORT + _stage2_report("pin-beta6") + _RHO_REPORT
+            + "[diagnostics]\nstage1 = none\nstage2 = none\nrho = RHO_OUT_OF_RANGE\n",
+        ),
+        "pipeline-structural-verbose": (
+            "pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n" + _STRUCTURAL_RUN,
+            ["--verbose"], 0, "",
+            "dataset written to {tmp}/d.csv (# rows)\n" + _STAGE1_SUMMARY + _VERBOSE1
+            + "stage1 diagnostics = DEGENERATE_COVARIANCE,IDENTIFIABILITY_B1_EQ_B2,ILL_CONDITIONED\n"
+            + _STAGE2_SUMMARY + _VERBOSE2 + "stage2 diagnostics = DEGENERATE_COVARIANCE,ILL_CONDITIONED\n"
+            + "stage2 gamma_hat = # (gauge pin-beta5)\n" + _WRITTEN,
+            _STAGE1_REPORT.replace("se_beta1 = #\nse_beta2 = #\nse_beta3 = #", "se_beta1 = null\nse_beta2 = null\nse_beta3 = null")
+            + _stage2_report("pin-beta5").replace("se_beta4 = #\nse_beta5 = #\nse_beta6 = #",
+                                                  "se_beta4 = null\nse_beta5 = null\nse_beta6 = null")
+            + "[volatility_scale]\nbeta3_hat = #\nsigma_bar = #\nsqrt_sigma_bar = #\n"
+            "abs_err_vs_variance = #\nabs_err_vs_volatility = #\ncloser_to = variance\n\n"
+            "[diagnostics]\nstage1 = DEGENERATE_COVARIANCE,IDENTIFIABILITY_B1_EQ_B2,ILL_CONDITIONED\n"
+            "stage2 = DEGENERATE_COVARIANCE,ILL_CONDITIONED\n",
+        ),
+        "pipeline-refused": (
+            "pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n"
+            + NOISELESS_GEN.replace("n = 50", "n = 3"), [], 2,
+            "error in stage1 fit stage: insufficient data: stage-1 fit needs at least 4 rows, got 3\n", "", None,
+        ),
+        "pipeline-unwritable-dataset": (
+            "pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/missing/d.csv\n"
+            + NOISELESS_GEN, [], 2, "error in write stage: " + _WRITE_ERROR + "d.csv'\n", "", None,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_status_and_output(self, tmp_path, capsys, case):
+        command, config, flags, code, stderr, stdout, report = self.CASES[case]
+        csv = make_dataset_csv(tmp_path / "d50.csv", noise=0.01)
+        short = make_dataset_csv(tmp_path / "d3.csv", n=3)
+        zero = tmp_path / "z.csv"
+        zero.write_text("pi_star,mu,r\n1.0,0.05,0.02\n0.0,0.06,0.02\n1.2,0.07,0.02\n1.3,0.08,0.02\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config.format(tmp=tmp_path, csv=csv, short=short, zero=zero))
+        assert run_cli([command, "--config", str(cfg), *flags]) == code
+        captured = capsys.readouterr()
+        assert captured.err.replace(str(tmp_path), "{tmp}") == stderr
+        assert _template(captured.out, tmp_path) == stdout
+        written = tmp_path / "r.txt"
+        assert (_template(written.read_text(), tmp_path) if written.exists() else None) == report

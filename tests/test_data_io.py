@@ -522,6 +522,27 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="gauge"):
             parse_config(p)
 
+    @pytest.mark.parametrize("mode", ["fit", "pipeline"])
+    def test_beta3_hat_outside_volvol_rejected(self, tmp_path, mode):
+        # fit and pipeline always fit stage 1, so a given beta3_hat would be ignored.
+        p = write(
+            tmp_path / "c.cfg",
+            f"[run]\nmode = {mode}\ninput = d.csv\noutput = r.txt\ndataset_output = d.csv\ngauge = free\n"
+            "beta3_hat = 0.04\n[generation]\nn = 10\nbeta1 = 2.0\nbeta2 = 0.5\nbeta3 = 0.04\n",
+        )
+        with pytest.raises(ValueError, match=rf"^\[run\] beta3_hat is for mode volvol only, not {mode}$"):
+            parse_config(p)
+
+    def test_base_rate_key_removed(self, tmp_path):
+        # Both fits regress on e = mu - r, so the generated risk-free rate is not settable.
+        p = write(
+            tmp_path / "c.cfg",
+            "[run]\nmode = simulate\noutput = d.csv\n"
+            "[generation]\nn = 10\nbeta1 = 2.0\nbeta2 = 0.5\nbeta3 = 0.04\nbase_rate = 0.03\n",
+        )
+        with pytest.raises(ValueError, match="^unknown key: base_rate$"):
+            parse_config(p)
+
     def test_structural_generation_parsed(self, tmp_path):
         p = write(
             tmp_path / "c.cfg",

@@ -13,7 +13,6 @@ from portvol import (
     PolicyCoefficients,
     Stage1Params,
     Stage2Params,
-    validate_heston_params,
 )
 
 
@@ -24,32 +23,37 @@ def valid_heston(**overrides):
 
 
 class TestHestonValidation:
+    """The constructor is the validator: one error lists every violation."""
+
     def test_valid_set_reports_no_violations_and_feller_false(self):
         # 2*0.04 = 0.08 < 0.3**2 = 0.09, so the Feller flag is off.
-        report = validate_heston_params(0.08, 0.02, 0.04, 2.0, 0.3, -0.5, 0.04)
-        assert report.ok()
-        assert report.violations == ()
-        assert report.feller_ok is False
+        p = HestonParams(0.08, 0.02, 0.04, 2.0, 0.3, -0.5, 0.04)
+        assert p.feller_ok is False
 
     def test_rho_at_boundary_is_a_violation(self):
-        report = validate_heston_params(0.08, 0.02, 0.04, 2.0, 0.3, 1.0, 0.04)
-        assert "|rho| must be < 1" in report.violations
+        with pytest.raises(ValueError, match=r"^invalid HestonParams: \|rho\| must be < 1$"):
+            HestonParams(0.08, 0.02, 0.04, 2.0, 0.3, 1.0, 0.04)
 
     def test_zero_gamma_gives_feller_true(self):
-        report = validate_heston_params(0.08, 0.02, 0.04, 2.0, 0.0, -0.5, 0.04)
-        assert report.ok()
-        assert report.feller_ok is True
+        p = HestonParams(0.08, 0.02, 0.04, 2.0, 0.0, -0.5, 0.04)
+        assert p.feller_ok is True
 
     def test_constructor_matches_report(self):
-        p = valid_heston()
-        assert p.validation().ok()
-        assert p.feller_ok is False
-        assert p.mean_reversion_level == pytest.approx(0.02)
+        # Finiteness first, in field order, then the range checks.
+        with pytest.raises(ValueError) as info:
+            HestonParams(mu=math.nan, r=0.0, alpha=-1.0, beta_rev=0.0, gamma=-1.0, rho=1.0, sigma_bar=-1.0)
+        assert str(info.value) == (
+            "invalid HestonParams: mu must be finite; |rho| must be < 1; gamma must be >= 0; "
+            "beta_rev must be > 0; sigma_bar must be >= 0; alpha must be >= 0"
+        )
+        with pytest.raises(ValueError) as info:
+            HestonParams(mu=0.08, r=math.inf, alpha=0.04, beta_rev=2.0, gamma=0.3, rho=math.nan, sigma_bar=0.04)
+        assert str(info.value) == "invalid HestonParams: r must be finite; rho must be finite"
+        assert valid_heston().mean_reversion_level == pytest.approx(0.02)
 
     @pytest.mark.parametrize("alpha,gamma", [(0.045, 0.3), (0.04, 0.3), (0.05, 0.3), (0.0, 0.0), (0.01, 0.5)])
     def test_feller_flag_matches_validator(self, alpha, gamma):
         p = valid_heston(alpha=alpha, gamma=gamma)
-        assert p.feller_ok is p.validation().feller_ok
         assert p.feller_ok == (2.0 * alpha >= gamma * gamma)
 
     def test_feller_is_diagnostic_not_rejection(self):

@@ -9,6 +9,7 @@ import importlib
 import math
 import pathlib
 
+import portvol
 import portvol.cli
 import portvol.estimate
 import portvol.simulate
@@ -81,3 +82,42 @@ def test_traced_batch_splits_stream_setup_from_euler(monkeypatch):
     assert metrics["simulate.bytes_computed"] == 8 * (m * n + m * (n + 1))
     assert metrics["simulate.euler_s"] > 0.0
     assert metrics["simulate.stream_setup_s"] > 0.0
+
+
+def test_cli_fits_call_through_the_patched_names(monkeypatch, tmp_path, capsys):
+    # The CLI runner must look up each library call at the name the tracer
+    # patches; a call bound another way would leave its layer metrics at 0.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracing").Tracer()
+    spec = GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=50, noise=0.01)
+    portvol.write_dataset(generate_synthetic_dataset("model-implied", spec, 42), tmp_path / "d.csv")
+    generation = "[generation]\nn = 50\nnoise = 0.01\nbeta1 = 2.0\nbeta2 = 0.5\nbeta3 = 0.04\n"
+    runs = {
+        "volvol": (
+            f"[run]\nmode = volvol\ninput = {tmp_path / 'd.csv'}\noutput = {tmp_path / 'r.txt'}\nalpha_ratio = -0.25\n",
+            {"data_io.read_dataset"},
+        ),
+        "pipeline": (
+            f"[run]\nmode = pipeline\noutput = {tmp_path / 'r.txt'}\ndataset_output = {tmp_path / 'p.csv'}\n"
+            "alpha_ratio = -0.25\n" + generation,
+            {"simulate.generate", "data_io.write_dataset"},
+        ),
+    }
+    tracer.install()
+    try:
+        for op, (command, (config, _)) in enumerate(runs.items()):
+            (tmp_path / "c.cfg").write_text(config)
+            tracer.begin_op(op)
+            assert portvol.cli.run_cli([command, "--config", str(tmp_path / "c.cfg")]) == 0
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    common = {
+        "cli.run_cli", "estimate.fit_volatility", "estimate.fit_vol_of_vol", "estimate.estimate_rho",
+        "data_io.write_report",
+    }
+    for op, (command, (_, own)) in enumerate(runs.items()):
+        names = {span[0] for span in tracer.spans if span[4] == op}
+        assert common | own <= names, (command, names)
+        counts = tracer.counts[op]
+        assert counts["estimate.stage1_converged"] == counts["estimate.stage2_converged"] == 1, command
