@@ -23,7 +23,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -150,8 +150,13 @@ def read_dataset(path) -> Dataset:
     return Dataset(**columns, labels=labels, source=str(path))
 
 
+# Rows per write call: large enough that the per-call cost vanishes, small
+# enough that a block's text stays well under a megabyte.
+_WRITE_BLOCK = 1024
+
+
 def _format_column(column: np.ndarray):
-    """``format(v, ".17g")`` of each value, formatted once when every value has the same bits.
+    """``format(v, ".17g")`` of each value, formatted lazily; once when every value has the same bits.
 
     Dataset columns are finite, so this is _fmt's float rendering.  The
     test is on bit patterns, so a column mixing -0.0 and 0.0 takes the
@@ -160,7 +165,10 @@ def _format_column(column: np.ndarray):
     bits = column.view(np.int64)
     if len(bits) and np.all(bits == bits[0]):
         return repeat(format(column[0].item(), ".17g"), len(column))
-    return map(format, column.tolist(), repeat(".17g"))
+    # One block of Python floats at a time, not the whole column.
+    return chain.from_iterable(
+        map(format, column[i : i + _WRITE_BLOCK].tolist(), repeat(".17g")) for i in range(0, len(column), _WRITE_BLOCK)
+    )
 
 
 def _csv_label(label: str | None) -> str:
@@ -170,11 +178,6 @@ def _csv_label(label: str | None) -> str:
     if "," in label or '"' in label or "\r" in label or "\n" in label:
         return '"' + label.replace('"', '""') + '"'
     return label
-
-
-# Rows per write call: large enough that the per-call cost vanishes, small
-# enough that a block's text stays well under a megabyte.
-_WRITE_BLOCK = 1024
 
 
 def write_dataset(data: Dataset, path) -> None:
@@ -308,6 +311,20 @@ _SECTION_KEYS = {
     **{section: {f.name for f in fields(cls)} for section, cls in _SECTION_TYPES.items()},
 }
 _MODES = ("simulate", "fit", "volvol", "validate", "pipeline")
+# The modes that read each optional [run] key (every mode reads mode,
+# output and seed), checked in this order; only the generating modes read
+# [generation], only validate its replications, and only structural
+# generation reads [heston], [policy] and [path] and not the curve keys.
+_RUN_KEY_MODES = {
+    "beta3_hat": ("volvol",),
+    "alpha_ratio": ("volvol", "pipeline"),
+    "gauge": ("volvol", "pipeline"),
+    "input": ("fit", "volvol"),
+    "dataset_output": ("pipeline",),
+}
+_GENERATING_MODES = ("simulate", "validate", "pipeline")
+_STRUCTURAL_SECTIONS = ("heston", "policy", "path")
+_MODEL_IMPLIED_KEYS = ("n", "noise", "e_min", "e_max", "beta1", "beta2", "beta3")
 
 
 @dataclass(frozen=True)
@@ -348,6 +365,34 @@ def _check_known_keys(parser: configparser.ConfigParser) -> None:
         for key in parser.options(section):
             if key not in _SECTION_KEYS[section]:
                 raise ValueError(f"unknown key: {key}")
+
+
+def _not_read(name: str, what: str, readers: tuple[str, ...], actual: str) -> ValueError:
+    listed = readers[0] if len(readers) == 1 else f"{', '.join(readers[:-1])} and {readers[-1]}"
+    plural = "s" if len(readers) > 1 else ""
+    return ValueError(f"{name} is for {what}{plural} {listed} only, not {actual}")
+
+
+def _check_read_keys(parser: configparser.ConfigParser, mode: str, kind: str | None) -> None:
+    """Refuse a key or section that ``mode``, or its generation ``kind``, never reads."""
+    for key, modes in _RUN_KEY_MODES.items():
+        if parser.has_option("run", key) and mode not in modes:
+            raise _not_read(f"[run] {key}", "mode", modes, mode)
+    if mode not in _GENERATING_MODES:
+        for section in ("generation", *_STRUCTURAL_SECTIONS):
+            if parser.has_section(section):
+                raise _not_read(f"[{section}]", "mode", _GENERATING_MODES, mode)
+        return
+    if mode != "validate" and parser.has_option("generation", "replications"):
+        raise _not_read("[generation] replications", "mode", ("validate",), mode)
+    if kind == "structural":
+        for key in _MODEL_IMPLIED_KEYS:
+            if parser.has_option("generation", key):
+                raise _not_read(f"[generation] {key}", "kind", ("model-implied",), kind)
+    else:
+        for section in _STRUCTURAL_SECTIONS:
+            if parser.has_section(section):
+                raise _not_read(f"[{section}]", "kind", ("structural",), kind)
 
 
 def _from_fields(parser: configparser.ConfigParser, section: str, cls):
@@ -396,7 +441,9 @@ def parse_config(path) -> RunConfig:
 
     Format: ``key = value`` lines under ``[section]`` headers.  Unknown
     sections and keys are errors, as are missing keys required by the
-    declared mode; ``#`` starts a comment line.
+    declared mode and keys it never reads, such as ``[run] alpha_ratio``
+    in ``fit`` or ``[generation] replications`` outside ``validate``;
+    ``#`` starts a comment line.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -442,8 +489,7 @@ def parse_config(path) -> RunConfig:
             raise ValueError("type error: [generation] replications must be >= 2")
     if mode == "pipeline" and dataset_output is None:
         raise ValueError("missing required key for mode pipeline: [run] dataset_output")
-    if beta3_hat is not None and mode != "volvol":
-        raise ValueError(f"[run] beta3_hat is for mode volvol only, not {mode}")
+    _check_read_keys(parser, mode, None if generation is None else generation.kind)
     for key, value in (("beta3_hat", beta3_hat), ("alpha_ratio", alpha_ratio)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"type error: [run] {key} must be finite, got {value!r}")

@@ -48,7 +48,14 @@ from .nls import (
     _stage2_grad,
     lm_fit,
 )
-from .simulate import GenerationSpec, StructuralSpec, generate_synthetic_dataset
+from .simulate import (
+    GenerationSpec,
+    StructuralSpec,
+    _check_seed,
+    _model_implied_rows,
+    _stream_keys,
+    generate_synthetic_dataset,
+)
 
 __all__ = [
     "GaugeRule",
@@ -680,11 +687,6 @@ class ValidationReport:
         return self.n_converged / self.replications
 
 
-def _replication_seed(master_seed: int, rep: int) -> int:
-    state = np.random.SeedSequence(entropy=master_seed, spawn_key=(rep,)).generate_state(1, np.uint64)
-    return int(state[0])
-
-
 def _tally(failures: Counter, stage: str, rows: _Rows) -> None:
     """Count each row without a converged fit under its failure reason or solver message."""
     for i in np.flatnonzero(~rows.converged).tolist():
@@ -694,10 +696,51 @@ def _tally(failures: Counter, stage: str, rows: _Rows) -> None:
             failures[f"{stage} not converged: {rows.messages[i].split(' at iteration')[0]}"] += 1
 
 
-# Replications are fitted in chunks of about this many rows times
-# observations: large enough that numpy's per-call cost is shared, small
-# enough that the stacked temporaries stay a few MB.
-_CHUNK_OBSERVATIONS = 6400
+def _generate_chunk(spec: GenerationSpec | StructuralSpec, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Excess returns and positions, ``(R, n)``, of the replications at ``seeds`` that generate.
+
+    A replication is dropped exactly when ``generate_synthetic_dataset`` at
+    its seed raises ValueError.  Model-implied rows are drawn as one stack,
+    with ``Dataset``'s finiteness checks run on it; structural rows are
+    generated one at a time.
+    """
+    if isinstance(spec, StructuralSpec):
+        E, PI = [], []
+        for seed in seeds.tolist():
+            try:
+                data = generate_synthetic_dataset(spec.kind, spec, seed)
+            except ValueError:
+                continue
+            E.append(data.e)
+            PI.append(data.pi_star)
+        n = spec.path.n_steps + 1
+        return (np.stack(E), np.stack(PI)) if E else (np.empty((0, n)), np.empty((0, n)))
+    mu, PI, pole = _model_implied_rows(spec, seeds)
+    ok = ~pole & np.isfinite(PI).all(axis=-1) & np.isfinite(mu).all(axis=-1)
+    with np.errstate(over="ignore"):
+        E = np.subtract(mu, spec.base_rate, out=mu)  # Dataset.e = mu - r, r = base_rate
+    ok &= np.isfinite(E).all(axis=-1)
+    keep = _select(np.flatnonzero(ok), len(ok))
+    return E[keep], PI[keep]
+
+
+# Replications are generated and fitted in chunks of this many rows times
+# observations, rounded up to whole replications: large enough that
+# numpy's per-call cost is shared, small enough that the stacked
+# temporaries stay a few MB.  Medians of 2 to 5 perfbench mc-model-implied
+# runs (500 replications of n = 200, probe-scaled, 2-vCPU host) with the
+# replications drawn into stacked arrays; drawing one Dataset per
+# replication with a 6400 budget took 0.160 s and 43.47 MB:
+#
+#   budget   replications/chunk   op_s_p50   peak_rss_mb
+#    6400           32             0.124 s     43.38 MB
+#   12800           64             0.091 s     44.10 MB
+#   16000           80             0.083 s     44.62 MB
+#   19200           96             0.080 s     45.10 MB
+#   25600          128             0.074 s     45.73 MB
+#
+# 12800 is the largest of these whose peak RSS stays within 1 MB of that.
+_CHUNK_OBSERVATIONS = 12800
 
 
 def monte_carlo_validation(
@@ -710,12 +753,14 @@ def monte_carlo_validation(
 ) -> ValidationReport:
     """Repeated generate-and-fit experiment with deterministic seeding.
 
-    Replication ``i`` generates data with a seed derived from
-    ``(master_seed, i)``.  The datasets are stacked into chunks and each
-    stage fits a chunk as one ``(rows, n)`` problem, every row with its own
-    steps, stop and failure; a row's result does not depend on the chunk it
-    is in, so the report is bit-identical across runs, chunking and
-    scheduling.  Per-replication failures (refusals, non-convergence,
+    Replication ``i`` generates data with the seed
+    ``SeedSequence(entropy=master_seed, spawn_key=(i,)).generate_state(1, uint64)``;
+    ``master_seed`` must be an integer in ``[0, 2**64)``.  Replications are
+    generated and fitted in chunks, each stage fitting a chunk as one
+    ``(rows, n)`` problem, every row with its own steps, stop and failure; a
+    row's result does not depend on the chunk it is in, so the report is
+    bit-identical across runs, chunking and scheduling.  Per-replication
+    failures (data that do not generate, refusals, non-convergence,
     degenerate data) are counted by reason, not fatal.  ``run_stage2``
     additionally fits the inverse-position model under ``gauge_variant``
     (pinned at each replication's own stage-1 fit) and aggregates the
@@ -725,6 +770,7 @@ def monte_carlo_validation(
         raise ValueError("replications must be >= 2")
     if gauge_variant not in _GAUGE_VARIANTS:
         raise ValueError(f"unknown gauge variant {gauge_variant!r}")
+    master_seed = _check_seed("master_seed", master_seed)
     truth = None if isinstance(spec, StructuralSpec) else spec.stage1
     k = _GAUGE_VARIANTS.index(gauge_variant)
     failures: Counter[str] = Counter()
@@ -733,40 +779,35 @@ def monte_carlo_validation(
     gamma_hats: list[np.ndarray] = []
     stage2_converged = stage2_failed = 0
 
-    def fit_chunk(chunk: list[Dataset]) -> None:
-        nonlocal stage2_converged, stage2_failed
-        E, PI = np.stack([d.e for d in chunk]), np.stack([d.pi_star for d in chunk])
+    n_obs = spec.path.n_steps + 1 if isinstance(spec, StructuralSpec) else spec.n
+    per_chunk = -(-_CHUNK_OBSERVATIONS // n_obs)
+    for start in range(0, replications, per_chunk):
+        reps = np.arange(start, min(start + per_chunk, replications), dtype=np.uint64)
+        seeds = _stream_keys(master_seed, reps)[:, 0]
+        E, PI = _generate_chunk(spec, seeds)
+        if len(E) < len(seeds):
+            failures["generation error"] += len(seeds) - len(E)
+        if not len(E):
+            continue
         try:
             stage1 = _stage1_rows(E, PI)
         except ValueError:
-            failures["stage1 insufficient data"] += len(chunk)
-            return
+            failures["stage1 insufficient data"] += len(E)
+            continue
         _tally(failures, "stage1", stage1)
         ok = np.flatnonzero(stage1.converged)
         estimates.append(stage1.params[ok])
         ses.append(stage1.standard_errors[ok])
         if not run_stage2 or not len(ok):
-            return
+            continue
         b1, b2, b3 = stage1.params[ok].T
         pins = (np.ones(len(ok)), b2, b1)[k]
-        stage2 = _stage2_rows(E[ok], PI[ok], b3, k, pins)
+        keep = _select(ok, len(E))  # every row converged: no copy of the chunk
+        stage2 = _stage2_rows(E[keep], PI[keep], b3, k, pins)
         _tally(failures, "stage2", stage2)
         stage2_failed += len(stage2.failures)
         stage2_converged += int(stage2.converged.sum())
         gamma_hats.append(stage2.params[stage2.converged, 0])
-
-    chunk: list[Dataset] = []
-    for rep in range(replications):
-        try:
-            chunk.append(generate_synthetic_dataset(spec.kind, spec, _replication_seed(master_seed, rep)))
-        except ValueError:
-            failures["generation error"] += 1
-            continue
-        if len(chunk) * chunk[0].n_rows >= _CHUNK_OBSERVATIONS:
-            fit_chunk(chunk)
-            chunk = []
-    if chunk:
-        fit_chunk(chunk)
 
     names = ("beta1", "beta2", "beta3")
     bias = rmse = coverage = None

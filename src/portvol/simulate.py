@@ -25,6 +25,14 @@ many paths at once with numpy's ``SeedSequence`` hash on uint32 arrays,
 and a batch re-keys one generator per path instead of building a
 ``SeedSequence`` and a ``Philox`` for each.
 
+A model-implied dataset draws from ``Philox(SeedSequence(entropy=seed))``.
+The Monte Carlo harness gives replication ``i`` the seed
+``SeedSequence(entropy=master_seed, spawn_key=(i,)).generate_state(1, uint64)``.
+Both are hashed for a chunk of replications at once (``_stream_keys``
+with no role, then ``_seed_keys``), and the chunk's datasets are drawn
+into the rows of stacked arrays by one re-keyed generator, each row with
+the bits of its own dataset.
+
 Stepping: the recursions are sequential in time.  A batch of variance
 paths is stepped on arrays, a few ufunc calls per step across all paths,
 writing into preallocated buffers.  It walks the grid in tiles of
@@ -48,7 +56,7 @@ from typing import ClassVar
 import numpy as np
 
 from .model import Dataset, HestonParams, PolicyCoefficients, Stage1Params
-from .nls import _stage1_value
+from .nls import PoleError, _pole_rows
 
 __all__ = [
     "PathConfig",
@@ -193,16 +201,18 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """The hash pool and hash constant once the seed is mixed in.
+def _seed_pool(words: list) -> tuple[list, int]:
+    """The hash pool and hash constant once an entropy of at most four uint32 words is mixed in.
 
-    A spawn key follows the seed, so the seed's words are zero-padded to
-    the pool size.  Every stream of one seed shares this state.
+    ``words`` are Python ints, or uint32 arrays with one entry per seed
+    (then all four words are given).  They are zero-padded to the pool
+    size, as ``SeedSequence`` pads a seed that a spawn key follows; a
+    seed alone hashes the same zeros in place of the missing words.
+    Every stream of one seed shares this state.
     """
-    seed_words = _uint32_words(seed)
     const = _INIT_A
     pool = []
-    for word in seed_words + [0] * (_POOL_SIZE - len(seed_words)):
+    for word in words + [0] * (_POOL_SIZE - len(words)):
         word, const = _hashmix(word, const)
         pool.append(word)
     for src in range(_POOL_SIZE):
@@ -213,10 +223,10 @@ def _seed_pool(seed: int) -> tuple[list[int], int]:
     return pool, const
 
 
-def _spawn_state(pool: list, const: int, words: list) -> list:
+def _spawn_state(pool: list, const: int, words: list) -> np.ndarray:
     """Mix the spawn-key words (uint32 arrays, one entry per stream) into the pool.
 
-    Returns ``generate_state(2, uint64)`` as four uint32 arrays.
+    Returns ``generate_state(2, uint64)``, one ``(2,)`` uint64 row per stream.
     """
     pool = list(pool)
     for word in words:
@@ -227,22 +237,25 @@ def _spawn_state(pool: list, const: int, words: list) -> list:
     const = _INIT_B
     for word in pool:
         word, const = _hashmix(word, const, _MULT_B)
-        state.append(word)
-    return state
+        state.append(word.astype(np.uint64))
+    # generate_state(2, uint64) pairs the four words little-endian.
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
-def _stream_keys(seed: int, path_indices: np.ndarray, role: int) -> np.ndarray:
-    """Philox keys of the streams ``(seed, i, role)``, one ``(2,)`` uint64 row per index.
+def _stream_keys(seed: int, indices: np.ndarray, *tail: int) -> np.ndarray:
+    """``SeedSequence`` states of the spawn keys ``(i, *tail)``, one ``(2,)`` uint64 row per index ``i``.
 
     Row ``j`` equals
-    ``SeedSequence(entropy=seed, spawn_key=(path_indices[j], role)).generate_state(2, np.uint64)``,
-    the key ``Philox(SeedSequence)`` runs from.  The seed is mixed once;
-    each index and the role are then mixed in on uint32 arrays.  An index
-    below 2**32 (0 included) is one uint32 word and a larger one two, so
-    the two groups are hashed in separate passes.
+    ``SeedSequence(entropy=seed, spawn_key=(indices[j], *tail)).generate_state(2, np.uint64)``:
+    for path indices and the tail ``(role,)``, the key ``Philox(SeedSequence)``
+    runs from; for replication indices and no tail, its first word is the
+    replication's seed.  The seed is mixed once; each index and the tail
+    are then mixed in on uint32 arrays.  An index below 2**32 (0 included)
+    is one uint32 word and a larger one two, so the two groups are hashed
+    in separate passes.
     """
-    idx = np.asarray(path_indices, dtype=np.uint64)
-    pool, const = _seed_pool(seed)
+    idx = np.asarray(indices, dtype=np.uint64)
+    pool, const = _seed_pool(_uint32_words(seed))
     keys = np.empty((idx.shape[0], 2), dtype=np.uint64)
     wide = idx > _MASK32
     for rows in (np.flatnonzero(~wide), np.flatnonzero(wide)):
@@ -252,13 +265,34 @@ def _stream_keys(seed: int, path_indices: np.ndarray, role: int) -> np.ndarray:
         words = [(group & _MASK32).astype(np.uint32)]
         if group[0] > _MASK32:
             words.append((group >> 32).astype(np.uint32))
-        words.append(np.full(rows.size, role, dtype=np.uint32))
+        words += [np.full(rows.size, word, dtype=np.uint32) for word in tail]
         mixer = [np.full(rows.size, word, dtype=np.uint32) for word in pool]
-        state = [word.astype(np.uint64) for word in _spawn_state(mixer, const, words)]
-        # generate_state(2, uint64) pairs the four words little-endian.
-        keys[rows, 0] = state[0] | state[1] << 32
-        keys[rows, 1] = state[2] | state[3] << 32
+        keys[rows] = _spawn_state(mixer, const, words)
     return keys
+
+
+def _seed_keys(seeds: np.ndarray) -> np.ndarray:
+    """Philox keys of ``Philox(SeedSequence(entropy=s))`` for uint64 seeds ``s``, one ``(2,)`` row each.
+
+    A seed is at most two uint32 words and hashes as four, the others zero.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    words = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
+    return _spawn_state(*_seed_pool(words), [])
+
+
+def _streams(keys: np.ndarray):
+    """A fresh Philox stream (counter 0) for each key in turn: one generator, re-keyed.
+
+    Yields the same ``Generator`` each time; draw from it before the next.
+    """
+    gen = np.random.Generator(np.random.Philox(key=0))
+    state = gen.bit_generator.state  # counter 0, empty buffer: a fresh stream
+    for key in keys.tolist():
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
+        yield gen
 
 
 def _stream(seed: int, path_index: int, role: int) -> np.random.Generator:
@@ -433,11 +467,7 @@ def simulate_variance_batch(p: HestonParams, c: PathConfig, path_indices=None) -
             raise ValueError(f"path_index {idx[bad[0]]} out of range for n_paths={c.n_paths}")
     n = c.n_steps
     out = np.empty((idx.size, n + 1))
-    gen = np.random.Generator(np.random.Philox(key=0))
-    state = gen.bit_generator.state  # counter 0, empty buffer: a fresh stream
-    for row, key in enumerate(_stream_keys(c.seed, idx, 0).tolist()):
-        state["state"]["key"] = key
-        gen.bit_generator.state = state
+    for row, gen in enumerate(_streams(_stream_keys(c.seed, idx, 0))):
         gen.standard_normal(out=out[row, 1:])
     return variance_path_from_normals(p, _step_sizes(c), out[:, 1:], out=out)
 
@@ -571,27 +601,74 @@ class StructuralSpec:
             raise ValueError("x0 must be finite")
 
 
+def _model_implied_rows(spec: GenerationSpec, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Model-implied datasets for many seeds at once: ``(mu, pi_star, pole)``.
+
+    Row ``j`` of the ``(R, n)`` arrays ``mu`` and ``pi_star`` holds, bit
+    for bit, the columns :func:`generate_synthetic_dataset` gives at the
+    uint64 seed ``seeds[j]``: its Philox stream draws ``n`` uniforms,
+    ``e = lo + (hi - lo)*u`` as ``Generator.uniform`` computes them, then,
+    with noise, ``n`` normals.  ``pole`` marks the rows with an ``e`` on
+    the pole guard of the stage-1 curve; their values mean nothing.
+    Overflow is not checked: a row with a non-finite value is one that
+    ``Dataset`` refuses.
+    """
+    lo, hi = spec.e_interval
+    width = hi - lo
+    if not math.isfinite(width):
+        raise OverflowError("high - low range exceeds valid bounds")  # as Generator.uniform
+    mu = np.empty((len(seeds), spec.n))
+    pi = np.empty_like(mu) if spec.noise > 0.0 else None
+    for row, gen in enumerate(_streams(_seed_keys(seeds))):
+        gen.random(out=mu[row])
+        if pi is not None:
+            gen.standard_normal(out=pi[row])
+    e = mu
+    e *= width
+    e += lo
+    b1, b2, b3 = spec.stage1.beta1, spec.stage1.beta2, spec.stage1.beta3
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = b3 + e
+        pole = _pole_rows(denom, b3, e)
+        curve = b1 * e
+        curve += b2 * b3
+        curve /= denom
+        if pi is None:
+            pi = curve
+        else:
+            pi *= spec.noise
+            pi += curve
+        mu += spec.base_rate  # e is spent: mu = base_rate + e
+    return mu, pi, pole
+
+
+def _check_seed(name: str, seed) -> int:
+    """``seed`` as an int, or ValueError naming it unless ``0 <= seed < 2**64``."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < SEED_LIMIT):
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 def generate_synthetic_dataset(mode: str, spec, seed: int) -> Dataset:
     """Build a synthetic observation set for estimator validation.
 
     ``mode`` is ``"model-implied"`` (rows sampled from the stage-1 curve,
     cross-section) or ``"structural"`` (rows read off a simulated wealth
-    path, time series); it must be ``spec.kind``.  Identical
-    ``(mode, spec, seed)`` always yields an identical dataset.
+    path, time series); it must be ``spec.kind``.  ``seed`` is an integer
+    in ``[0, 2**64)``.  Identical ``(mode, spec, seed)`` always yields an
+    identical dataset.  A model-implied dataset is the one-seed case of
+    the stacked generator the Monte Carlo harness runs.
     """
     if mode == "model-implied":
         if not isinstance(spec, GenerationSpec):
             raise TypeError("model-implied generation requires a GenerationSpec")
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-        lo, hi = spec.e_interval
-        e = rng.uniform(lo, hi, spec.n)
-        b = spec.stage1
-        pi = _stage1_value(e, b.beta1, b.beta2, b.beta3)
-        if spec.noise > 0.0:
-            pi = pi + spec.noise * rng.standard_normal(spec.n)
+        seeds = np.array([_check_seed("seed", seed)], dtype=np.uint64)
+        mu, pi, pole = _model_implied_rows(spec, seeds)
+        if pole[0]:
+            raise PoleError("model evaluated within the pole guard of a vanishing denominator")
         return Dataset(
-            pi_star=pi,
-            mu=spec.base_rate + e,
+            pi_star=pi[0],
+            mu=mu[0],
             r=np.full(spec.n, spec.base_rate),
             source="synthetic:model-implied",
         )

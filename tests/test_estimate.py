@@ -596,7 +596,8 @@ class TestMonteCarloValidation:
 
     def test_beta3_underflow_counted_as_failed(self):
         spec = GenerationSpec(stage1=Stage1Params(1.0, 1.0, 0.04), n=50, noise=0.01)
-        data = generate_synthetic_dataset("model-implied", spec, portvol.estimate._replication_seed(3, 1))
+        seed = int(np.random.SeedSequence(entropy=3, spawn_key=(1,)).generate_state(1, np.uint64)[0])
+        data = generate_synthetic_dataset("model-implied", spec, seed)
         with pytest.raises(ValueError, match="beta3 is not identified"):
             fit_volatility(data)
         report = monte_carlo_validation(spec, 2, master_seed=3)
@@ -605,7 +606,9 @@ class TestMonteCarloValidation:
 
     def test_unidentified_beta3_counted_as_failed(self, monkeypatch):
         # Every replication draws the seed-8 data, whose fit ends past the grid.
-        monkeypatch.setattr(portvol.estimate, "_replication_seed", lambda master_seed, rep: 8)
+        monkeypatch.setattr(
+            portvol.estimate, "_stream_keys", lambda master_seed, reps: np.full((len(reps), 2), 8, dtype=np.uint64)
+        )
         spec = GenerationSpec(stage1=Stage1Params(1.0, 1.0, 0.04), n=50, noise=0.01)
         report = monte_carlo_validation(spec, 3)
         assert (report.n_converged, report.n_failed) == (0, 3)
@@ -619,14 +622,59 @@ class TestMonteCarloValidation:
         assert report.stage2_n_failed == 4
         assert report.failures == (("stage2 position sign change", 4),)
 
-    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
-        spec = GenerationSpec(stage1=Stage1Params(1.0, 1.0, 0.04), n=50, noise=0.01)
+    @staticmethod
+    def _reports_by_chunk_budget(monkeypatch, spec) -> list:
+        # Budgets of 7 and 14 replications end their last chunk partway
+        # through the 20; the default and 10**6 take the run in one chunk.
         reports = []
-        for budget in (1, 7 * 50, 10**6):
+        for budget in (1, 7 * 50, 13 * 50 + 1, portvol.estimate._CHUNK_OBSERVATIONS, 10**6):
             monkeypatch.setattr(portvol.estimate, "_CHUNK_OBSERVATIONS", budget)
             reports.append(monte_carlo_validation(spec, 20, master_seed=3, run_stage2=True))
+        return reports
+
+    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        spec = GenerationSpec(stage1=Stage1Params(1.0, 1.0, 0.04), n=50, noise=0.01)
+        reports = self._reports_by_chunk_budget(monkeypatch, spec)
         assert reports[0].failures  # some replications are refused
-        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert all(report == reports[0] for report in reports[1:])
+
+    # Positions near the float limit overflow stage 1's sum of squares.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_generation_errors_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        spec = GenerationSpec(stage1=Stage1Params(1e308, 0.0, 1.0), n=50, e_interval=(1.0, 1.81))
+        reports = self._reports_by_chunk_budget(monkeypatch, spec)
+        assert dict(reports[0].failures)["generation error"] == 13
+        # repr, since the fits of such data can hold nan
+        assert all(repr(report) == repr(reports[0]) for report in reports[1:])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_overflowing_draws_are_generation_errors(self):
+        # b1*e overflows for e above 1.797, so a dataset of four draws on
+        # [1, 2] generates only when all four fall below it.  Each
+        # replication is counted the way generate_synthetic_dataset fails.
+        spec = GenerationSpec(stage1=Stage1Params(1e308, 0.0, 1.0), n=4, e_interval=(1.0, 2.0))
+        expected = 0
+        for rep in range(60):
+            seed = int(np.random.SeedSequence(entropy=11, spawn_key=(rep,)).generate_state(1, np.uint64)[0])
+            try:
+                generate_synthetic_dataset("model-implied", spec, seed)
+            except ValueError as exc:
+                assert "pi_star must be finite" in str(exc)
+                expected += 1
+        report = monte_carlo_validation(spec, 60, master_seed=11)
+        assert expected == 29  # as counted one replication at a time before the draws were stacked
+        assert report.failures == (("generation error", 29),)
+        assert (report.n_converged, report.n_failed) == (31, 29)
+
+    @pytest.mark.parametrize("master_seed", [-1, 2**64, 1.0])
+    def test_invalid_master_seed_raises(self, master_seed):
+        spec = GenerationSpec(stage1=TRUTH, n=50)
+        with pytest.raises(ValueError, match=rf"master_seed must be an integer in \[0, 2\*\*64\), got {master_seed!r}"):
+            monte_carlo_validation(spec, 3, master_seed=master_seed)
+
+    def test_largest_master_seed_runs(self):
+        report = monte_carlo_validation(GenerationSpec(stage1=TRUTH, n=50), 3, master_seed=2**64 - 1)
+        assert report.n_converged == 3
 
     def test_unknown_gauge_variant_raises(self):
         with pytest.raises(ValueError, match="unknown gauge variant"):

@@ -6,10 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import portvol.estimate
 from portvol import (
+    Dataset,
     GenerationSpec,
     HestonParams,
     PathConfig,
@@ -27,7 +29,15 @@ from portvol import (
     stage1_model,
     variance_path_from_normals,
 )
-from portvol.simulate import _TILE, _TILE_PATHS, POLICY_VARIANCE_FLOOR, _stream_keys
+from portvol.nls import _guarded_denominator
+from portvol.simulate import (
+    _TILE,
+    _TILE_PATHS,
+    POLICY_VARIANCE_FLOOR,
+    _model_implied_rows,
+    _seed_keys,
+    _stream_keys,
+)
 
 
 def heston(**overrides):
@@ -423,6 +433,26 @@ class TestStreamKeys:
             np.random.Generator(np.random.Philox(key=key)).standard_normal(9),
         )
 
+    @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_replication_seeds_and_keys_equal_seed_sequence(self, master_seed):
+        # A replication's seed is the first word of its spawned state, and
+        # its stream is Philox(SeedSequence(seed)).
+        reps = [0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**63, 2**64 - 1]
+        seeds = _stream_keys(master_seed, np.array(reps, dtype=np.uint64))[:, 0]
+        keys = _seed_keys(seeds)
+        assert keys.shape == (len(reps), 2) and keys.dtype == np.uint64
+        for row, rep in enumerate(reps):
+            seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(rep,)).generate_state(1, np.uint64)[0]
+            assert seeds[row] == seed, (master_seed, rep)
+            key = np.random.Philox(np.random.SeedSequence(entropy=int(seed))).state["state"]["key"]
+            assert np.array_equal(keys[row], key), (master_seed, rep)
+
+    def test_seed_keys_of_one_and_two_word_seeds(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        keys = _seed_keys(np.array(seeds, dtype=np.uint64))
+        for row, seed in enumerate(seeds):
+            assert np.array_equal(keys[row], np.random.Philox(np.random.SeedSequence(seed)).state["state"]["key"])
+
 
 class TestMarketPath:
     def test_zero_volatility_price_is_deterministic(self):
@@ -675,3 +705,100 @@ class TestGenerateSyntheticDataset:
         spec = GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=10)
         with pytest.raises(TypeError):
             generate_synthetic_dataset("structural", spec, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        spec = GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=10)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            generate_synthetic_dataset("model-implied", spec, seed=seed)
+
+    def test_memory_is_the_dataset_and_its_draws(self):
+        # The drawn mu and pi_star, r, the Dataset's four columns and its
+        # temporary mu - r are 8 columns of n doubles (measured: 8.25).
+        n = 200_000
+        spec = GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=n, noise=0.01)
+        generate_synthetic_dataset("model-implied", spec, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            data = generate_synthetic_dataset("model-implied", spec, seed=2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert data.n_rows == n
+        assert peak <= 8.5 * n * 8
+
+
+def reference_model_implied(spec: GenerationSpec, seed: int) -> Dataset:
+    """The model-implied generator one stream per dataset: Generator.uniform, the curve, then normals."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    lo, hi = spec.e_interval
+    e = rng.uniform(lo, hi, spec.n)
+    b = spec.stage1
+    with np.errstate(over="ignore", invalid="ignore"):
+        pi = (b.beta2 * b.beta3 + b.beta1 * e) / _guarded_denominator(b.beta3 + e, b.beta3, e)
+        if spec.noise > 0.0:
+            pi = pi + spec.noise * rng.standard_normal(spec.n)
+        mu = spec.base_rate + e
+    return Dataset(pi_star=pi, mu=mu, r=np.full(spec.n, spec.base_rate), source="synthetic:model-implied")
+
+
+def _outcome(generate, *args):
+    try:
+        data = generate(*args)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return tuple(column.tobytes() for column in (data.pi_star, data.mu, data.r, data.e)), data.source
+
+
+class TestStackedGeneration:
+    """Model-implied replications are drawn as stacked rows, each the dataset of its own seed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        b1=st.one_of(st.floats(-5.0, 5.0), st.sampled_from([1e308, -1e308])),
+        b2=st.floats(-5.0, 5.0),
+        b3=st.floats(1e-3, 2.0),
+        e_interval=st.one_of(
+            st.tuples(st.floats(-0.5, 0.5), st.floats(1e-3, 2.0)).map(lambda t: (t[0], t[0] + t[1])),
+            st.just((0.0, 1.2e307)),  # mu = base_rate + e overflows for some draws at base_rate 1.7e308
+        ),
+        noise=st.sampled_from([0.0, 0.01, 1.0, 1e308]),
+        base_rate=st.sampled_from([0.02, 0.0, -1.0, 1.7e308]),
+        n=st.integers(1, 30),
+        seeds=st.lists(
+            st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_rows_equal_one_dataset_each(self, b1, b2, b3, e_interval, noise, base_rate, n, seeds):
+        lo, hi = e_interval
+        assume(not lo <= -b3 <= hi)
+        spec = GenerationSpec(Stage1Params(b1, b2, b3), n, noise, e_interval, base_rate)
+        mu, pi, pole = _model_implied_rows(spec, np.array(seeds, dtype=np.uint64))
+        E, PI = portvol.estimate._generate_chunk(spec, np.array(seeds, dtype=np.uint64))
+        kept = 0
+        for row, seed in enumerate(seeds):
+            want = _outcome(reference_model_implied, spec, seed)
+            assert _outcome(generate_synthetic_dataset, "model-implied", spec, seed) == want
+            if isinstance(want, str):  # the harness drops the replication
+                continue
+            ref = reference_model_implied(spec, seed)
+            assert not pole[row]
+            assert same_bits(mu[row], ref.mu) and same_bits(pi[row], ref.pi_star)
+            assert same_bits(E[kept], ref.e) and same_bits(PI[kept], ref.pi_star)
+            kept += 1
+        assert len(E) == len(PI) == kept
+
+    def test_draws_on_the_pole_guard_are_refused(self):
+        # Every e lies within 2e-13 of the pole at -1, outside the interval.
+        spec = GenerationSpec(Stage1Params(2.0, 0.5, 1.0), n=5, e_interval=(-1.0 - 2e-13, -1.0 - 1e-13))
+        pole = _model_implied_rows(spec, np.arange(3, dtype=np.uint64))[2]
+        assert pole.tolist() == [True, True, True]
+        for seed in range(3):
+            message = "PoleError: model evaluated within the pole guard of a vanishing denominator"
+            assert _outcome(reference_model_implied, spec, seed) == message
+            assert _outcome(generate_synthetic_dataset, "model-implied", spec, seed) == message
+        report = portvol.estimate.monte_carlo_validation(spec, 3)
+        assert report.failures == (("generation error", 3),)
