@@ -22,6 +22,7 @@ import configparser
 import csv
 import io
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from itertools import chain, islice, repeat
 
@@ -180,6 +181,17 @@ def _csv_label(label: str | None) -> str:
     return label
 
 
+def _label_cells(labels: tuple) -> Iterable[str]:
+    """The label column as ``csv.writer`` writes it: the labels themselves unless one is None or needs quoting."""
+    try:
+        joined = "".join(labels)
+    except TypeError:  # a None label
+        return map(_csv_label, labels)
+    if "," in joined or '"' in joined or "\r" in joined or "\n" in joined:
+        return map(_csv_label, labels)
+    return labels
+
+
 def write_dataset(data: Dataset, path) -> None:
     """Write a Dataset as CSV, byte for byte what ``csv.writer`` would write.
 
@@ -194,7 +206,7 @@ def write_dataset(data: Dataset, path) -> None:
     with_label = data.labels is not None
     columns = [_format_column(column) for column in (data.pi_star, data.mu, data.r)]
     if with_label:
-        columns.insert(0, map(_csv_label, data.labels))
+        columns.insert(0, _label_cells(data.labels))
     rows = map(",".join, zip(*columns))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join((["label"] if with_label else []) + list(_CSV_COLUMNS)) + "\r\n")

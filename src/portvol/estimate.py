@@ -382,7 +382,6 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     lo, hi = E.min(axis=-1), E.max(axis=-1)
     scale = np.maximum(-lo, hi)
     scale[scale == 0.0] = 1.0
-    flat = (np.finfo(float).eps * np.sqrt(_rowdot(PI, PI))) ** 2
 
     def profile(k, sel):
         """``(ssr, beta1, beta2, u, residual)`` of rows ``sel`` at ``beta3 = max|e|*exp(k)``; inf ssr: pole among the e."""
@@ -394,6 +393,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
         return ssr, b1, b2, u, res
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        flat = (np.finfo(float).eps * np.sqrt(_rowdot(PI, PI))) ** 2
         # Finite: for k >= 1 the pole lies below -max|e|.
         k, best = np.full(n_rows, math.nan), np.full(n_rows, np.inf)
         for grid_k in _LOG_BETA3_GRID:
@@ -461,6 +461,11 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     }
     b3 = scale * _exp(k)
     params = np.stack([b1, b2, b3], axis=1)
+    # Inputs are finite, so a non-finite fit is one whose sums overflowed.
+    for i in np.flatnonzero(~(np.isfinite(ssr) & np.isfinite(params).all(axis=1))).tolist():
+        failures.setdefault(i, ("stage1 non-finite fit", ValueError(
+            "stage-1 fit is not finite: positions too large, the sum of squares overflows"
+        )))
     se, flags = _stage1_checks(E, b1, b2, b3, ssr)
     converged = np.array([m != "max iterations" for m in messages])
     converged[list(failures)] = False
@@ -480,8 +485,9 @@ def fit_volatility(data: Dataset) -> FitResult:
     distinct ``e``, or flat positions) converge at the level fit with
     ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at least 4 rows.  Raises
     ValueError("beta3 is not identified: ...") when ``k`` ends off the
-    grid.  This is the one-row case of the stacked fit the Monte Carlo
-    harness runs.
+    grid, and ValueError("stage-1 fit is not finite: ...") when positions
+    are so large that the sum of squares overflows.  This is the one-row
+    case of the stacked fit the Monte Carlo harness runs.
     """
     return _stage1_rows(data.e[None], data.pi_star[None]).result(0)
 
@@ -655,9 +661,10 @@ class ValidationReport:
     ``stage2_n_failed`` counts stage-2 fits that raised (None when stage 2
     was not run).  ``failures`` tallies, as sorted ``(reason, count)``
     pairs, every replication that gave no converged fit in a stage it ran:
-    ``"stage1 beta3 not identified"``, ``"stage1 not converged: max
-    iterations"``, ``"stage2 position sign change"``, ``"stage2 pole
-    guard"`` and so on.  Neither is written to the report.
+    ``"stage1 beta3 not identified"``, ``"stage1 non-finite fit"``,
+    ``"stage1 not converged: max iterations"``, ``"stage2 position sign
+    change"``, ``"stage2 pole guard"`` and so on.  Neither is written to
+    the report.
     """
 
     replications: int

@@ -45,11 +45,24 @@ single path (1-D normals, and every wealth path) is stepped on Python
 floats, since numpy calls on single values cost more than the arithmetic
 they do.  Both apply the same IEEE double operations in the same order,
 so a path is bit-identical whether stepped alone or as a row of a batch.
+
+Threads: a batch is drawn and stepped in contiguous blocks of rows, one
+thread per CPU the process may run on, but never a block of fewer than
+``_BLOCK_PATHS`` paths, and the draws only for paths of at least
+``_THREADED_DRAW_STEPS`` steps (below either, waiting for the GIL costs
+more than the second CPU gives).  numpy releases the GIL inside a
+``standard_normal`` call and inside a ufunc call on a long array.  A
+row's draws and steps do not depend on the other rows, so the bits do
+not depend on the number of threads.  Each block has its own tile and
+step buffers, so the tiles of all blocks add up to the one tile of a
+single thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -86,6 +99,20 @@ SEED_LIMIT = 2**64
 # _TILE_PATHS paths, whose 256 kB of source rows stay in cache.
 _TILE = 64
 _TILE_PATHS = 512
+
+# A batch runs in blocks of paths, one thread per CPU, and threads pay only
+# while the GIL is free most of the time.  Each Euler step makes ten ufunc
+# calls across a block, holding the GIL for about a microsecond each, and
+# each path's draw re-keys its generator under the GIL before one long
+# standard_normal call.  Measured on a 2-vCPU Xeon, two threads against one
+# (medians of 11-15 alternated runs): the Euler kernel was 0.74x as fast on
+# blocks of 2000 paths, 0.88x on 3000, 0.96x on 4000, 1.08x on 5000 and
+# 1.33x on 8000; the draws of 10k paths were 0.60x as fast at 100 steps,
+# 0.89x at 500, 1.23x at 700 and 1.49x at 1000.  So a block keeps at least
+# _BLOCK_PATHS paths, and the draws run in threads only for paths of at
+# least _THREADED_DRAW_STEPS steps.
+_BLOCK_PATHS = 4096
+_THREADED_DRAW_STEPS = 700
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool of four
 # uint32 words, hashmix multipliers for mixing in (A) and drawing out (B).
@@ -289,6 +316,10 @@ def _streams(keys: np.ndarray):
     """
     gen = np.random.Generator(np.random.Philox(key=0))
     state = gen.bit_generator.state  # counter 0, empty buffer: a fresh stream
+    # The setter indexes the counter and buffer entry by entry, which is
+    # cheaper on lists than on the arrays the getter gives.
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     for key in keys.tolist():
         state["state"]["key"] = key
         gen.bit_generator.state = state
@@ -298,6 +329,34 @@ def _streams(keys: np.ndarray):
 def _stream(seed: int, path_index: int, role: int) -> np.random.Generator:
     """Deterministic normal stream for (seed, path_index, role): Philox keyed as in :func:`_stream_keys`."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(path_index, role))))
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_threads(fn, m: int) -> list:
+    """``fn(a, b)`` over contiguous blocks ``[a, b)`` of ``range(m)``, one per worker; their results in block order.
+
+    There is a worker per CPU, but no more than one per ``_BLOCK_PATHS``
+    rows, so a small batch or a 1-CPU host runs ``fn(0, m)`` alone.  Block
+    0 runs on the caller's thread and the others in a pool that is shut
+    down before this returns; the first error, in block order, is raised.
+    """
+    workers = max(1, min(_cpus(), m // _BLOCK_PATHS))
+    if workers == 1:
+        return [fn(0, m)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [m * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        rest = [pool.submit(fn, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+        first = fn(bounds[0], bounds[1])
+        return [first] + [future.result() for future in rest]
 
 
 def _step_sizes(cfg: PathConfig) -> np.ndarray:
@@ -317,6 +376,60 @@ def cir_mean(p: HestonParams, s: float) -> float:
     return level + (p.sigma_bar - level) * math.exp(-p.beta_rev * s)
 
 
+def _euler_rows(
+    p: HestonParams, dts: np.ndarray, sqrt_dts: np.ndarray, normals: np.ndarray, paths: np.ndarray, a: int, b: int
+) -> bool:
+    """Step batch rows ``[a, b)`` from ``normals`` into ``paths``; False if one went non-finite.
+
+    ``normals`` is ``(m, n)`` and ``paths`` ``(m, n + 1)``; ``normals`` may
+    be ``paths[:, 1:]``.  The rows get their own tile and step buffers, so
+    blocks of rows can be stepped in separate threads.
+    """
+    n = dts.shape[0]
+    v = np.full(b - a, float(p.sigma_bar))
+    paths[a:b, 0] = v
+    # Only the start can need the floor (sigma_bar = -0.0): every stored
+    # value after it is np.maximum(raw, 0.0), which is >= +0.0 or NaN and
+    # which the floor leaves unchanged.
+    vp = np.maximum(v, 0.0)
+    tile = np.empty((min(_TILE, n), b - a))
+    drift = np.empty(b - a)
+    shock = np.empty(b - a)
+    alpha, beta_rev, gamma = p.alpha, p.beta_rev, p.gamma
+    finite = True
+    # errstate is per thread, so it is entered here, in the thread that steps.
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is reported
+        for k0 in range(0, n, _TILE):
+            steps = tile[: min(_TILE, n - k0)]
+            # Copied in blocks of paths, so the rows read stay in cache.
+            for j0 in range(a, b, _TILE_PATHS):
+                j1 = min(j0 + _TILE_PATHS, b)
+                steps[:, j0 - a : j1 - a] = normals[j0:j1, k0 : k0 + len(steps)].T
+            for k, z in enumerate(steps, start=k0):
+                # raw = v + (alpha - beta_rev*vp)*dt + gamma*sqrt(vp)*sqrt_dt*z
+                np.multiply(vp, beta_rev, out=drift)
+                np.subtract(alpha, drift, out=drift)
+                np.multiply(drift, dts[k], out=drift)
+                np.add(v, drift, out=drift)
+                np.sqrt(vp, out=shock)
+                np.multiply(shock, gamma, out=shock)
+                np.multiply(shock, sqrt_dts[k], out=shock)
+                np.multiply(shock, z, out=shock)
+                np.add(drift, shock, out=drift)
+                # The step's value takes the place of its spent normals.
+                v = vp = np.maximum(drift, 0.0, out=z)
+            finite = finite and bool(np.isfinite(steps).all())
+            paths[a:b, k0 + 1 : k0 + 1 + len(steps)] = steps.T
+            v = vp = v.copy()  # the next tile overwrites this row
+    return finite
+
+
+def _draw_rows(keys: np.ndarray, out: np.ndarray, a: int, b: int) -> None:
+    """Fill ``out[i, 1:]`` with the normals of the stream keyed ``keys[i]``, for rows ``i`` in ``[a, b)``."""
+    for normals, gen in zip(out[a:b, 1:], _streams(keys[a:b])):
+        gen.standard_normal(out=normals)
+
+
 def variance_path_from_normals(
     p: HestonParams, dts: np.ndarray, z2: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -332,6 +445,10 @@ def variance_path_from_normals(
     in it as exactly ``z2 = out[..., 1:]``, and are then stepped in place
     with the same bits; any other overlap of ``z2`` and ``out`` raises
     ``ValueError``.
+
+    A batch is stepped in blocks of rows on the host's CPUs (see the
+    module docstring), with the same bits as in one thread; the call
+    returns, or raises, once every block is done.
     """
     z2 = np.asarray(z2, dtype=float)
     dts = np.asarray(dts, dtype=float)
@@ -366,39 +483,7 @@ def variance_path_from_normals(
         m = math.prod(z2.shape[:-1])
         normals = z2.reshape(m, n)
         paths = out.reshape(m, n + 1)
-        v = np.full(m, float(p.sigma_bar))
-        paths[:, 0] = v
-        # Only the start can need the floor (sigma_bar = -0.0): every stored
-        # value after it is np.maximum(raw, 0.0), which is >= +0.0 or NaN and
-        # which the floor leaves unchanged.
-        vp = np.maximum(v, 0.0)
-        tile = np.empty((min(_TILE, n), m))
-        drift = np.empty(m)
-        shock = np.empty(m)
-        alpha, beta_rev, gamma = p.alpha, p.beta_rev, p.gamma
-        finite = True
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-            for k0 in range(0, n, _TILE):
-                steps = tile[: min(_TILE, n - k0)]
-                # Copied in blocks of paths, so the rows read stay in cache.
-                for j0 in range(0, m, _TILE_PATHS):
-                    steps[:, j0 : j0 + _TILE_PATHS] = normals[j0 : j0 + _TILE_PATHS, k0 : k0 + len(steps)].T
-                for k, z in enumerate(steps, start=k0):
-                    # raw = v + (alpha - beta_rev*vp)*dt + gamma*sqrt(vp)*sqrt_dt*z
-                    np.multiply(vp, beta_rev, out=drift)
-                    np.subtract(alpha, drift, out=drift)
-                    np.multiply(drift, dts[k], out=drift)
-                    np.add(v, drift, out=drift)
-                    np.sqrt(vp, out=shock)
-                    np.multiply(shock, gamma, out=shock)
-                    np.multiply(shock, sqrt_dts[k], out=shock)
-                    np.multiply(shock, z, out=shock)
-                    np.add(drift, shock, out=drift)
-                    # The step's value takes the place of its spent normals.
-                    v = vp = np.maximum(drift, 0.0, out=z)
-                finite = finite and bool(np.isfinite(steps).all())
-                paths[:, k0 + 1 : k0 + 1 + len(steps)] = steps.T
-                v = vp = v.copy()  # the next tile overwrites this row
+        finite = all(_in_threads(functools.partial(_euler_rows, p, dts, sqrt_dts, normals, paths), m))
         if not np.may_share_memory(paths, out):  # an ``out`` whose leading axes reshape copies
             out[...] = paths.reshape(shape)
     if not finite:
@@ -452,7 +537,9 @@ def simulate_variance_batch(p: HestonParams, c: PathConfig, path_indices=None) -
     Each path's normals are drawn into its own result row and stepped in
     place, so memory peaks at about the result plus one tile of
     ``_TILE`` steps (85 MB for 10k paths of 1000 steps); chunk
-    accordingly.
+    accordingly.  Rows are drawn and stepped in blocks, one thread per
+    CPU (see the module docstring); the tiles of the blocks add up to
+    one tile, and the bits are those of one thread.
     """
     if path_indices is None:
         idx = np.arange(c.n_paths, dtype=np.uint64)
@@ -467,8 +554,11 @@ def simulate_variance_batch(p: HestonParams, c: PathConfig, path_indices=None) -
             raise ValueError(f"path_index {idx[bad[0]]} out of range for n_paths={c.n_paths}")
     n = c.n_steps
     out = np.empty((idx.size, n + 1))
-    for row, gen in enumerate(_streams(_stream_keys(c.seed, idx, 0))):
-        gen.standard_normal(out=out[row, 1:])
+    draw = functools.partial(_draw_rows, _stream_keys(c.seed, idx, 0), out)
+    if n >= _THREADED_DRAW_STEPS:
+        _in_threads(draw, idx.size)
+    else:
+        draw(0, idx.size)
     return variance_path_from_normals(p, _step_sizes(c), out[:, 1:], out=out)
 
 

@@ -306,7 +306,9 @@ def _datasets(draw):
     for name, bound in (("pi_star", math.inf), ("mu", 1e300), ("r", 1e300)):
         value = st.one_of(_awkward_float, st.floats(-bound, bound, allow_nan=False, allow_infinity=False))
         columns[name] = [draw(value)] * n if draw(st.booleans()) else draw(st.lists(value, min_size=n, max_size=n))
-    labels = draw(st.one_of(st.none(), st.lists(_label_cell, min_size=n, max_size=n)))
+    # A column of plain labels is written as it is, without a per-label check.
+    plain = st.text(alphabet=st.characters(codec="utf-8", exclude_characters=',"\r\n'), max_size=6)
+    labels = draw(st.one_of(st.none(), *(st.lists(cell, min_size=n, max_size=n) for cell in (_label_cell, plain))))
     return Dataset(**columns, labels=labels)
 
 
@@ -327,6 +329,15 @@ class TestWriteMatchesCsvWriter:
         data = Dataset(pi_star=rng.standard_normal(n), mu=rng.standard_normal(n), r=np.full(n, 0.02), labels=labels)
         _assert_writes_reference_bytes(data, tmp_path)
         assert len((tmp_path / "written.csv").read_bytes().split(b"\r\n")) == n + 2
+
+    @pytest.mark.parametrize("odd", [None, "", ",", '"', "\r", "\n"])
+    def test_one_label_needing_care_in_a_plain_column(self, tmp_path, odd):
+        # The column is checked as a whole; one None or quoted label, last in
+        # it, puts every label through the per-label path.
+        n = 2 * _BLOCK + 3
+        labels = [str(i) for i in range(n - 1)] + [odd]
+        data = Dataset(pi_star=np.arange(n, dtype=float), mu=np.full(n, 0.05), r=np.full(n, 0.02), labels=labels)
+        _assert_writes_reference_bytes(data, tmp_path)
 
     def test_quoted_labels_round_trip(self, tmp_path):
         labels = ("a,b", 'q"x', "two\nlines")

@@ -638,16 +638,33 @@ class TestMonteCarloValidation:
         assert reports[0].failures  # some replications are refused
         assert all(report == reports[0] for report in reports[1:])
 
-    # Positions near the float limit overflow stage 1's sum of squares.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_generation_errors_do_not_depend_on_the_chunk_size(self, monkeypatch):
         spec = GenerationSpec(stage1=Stage1Params(1e308, 0.0, 1.0), n=50, e_interval=(1.0, 1.81))
         reports = self._reports_by_chunk_budget(monkeypatch, spec)
         assert dict(reports[0].failures)["generation error"] == 13
-        # repr, since the fits of such data can hold nan
-        assert all(repr(report) == repr(reports[0]) for report in reports[1:])
+        assert all(report == reports[0] for report in reports[1:])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_overflowing_sum_of_squares_is_a_named_failure(self):
+        # Positions near the float limit overflow stage 1's sum of squares:
+        # the replications that generate are failures, not nan estimates.
+        spec = GenerationSpec(stage1=Stage1Params(1e308, 0.0, 1.0), n=50, e_interval=(1.0, 1.81))
+        report = monte_carlo_validation(spec, 20, master_seed=3)
+        assert report.failures == (("generation error", 13), ("stage1 non-finite fit", 7))
+        assert (report.n_converged, report.n_failed) == (0, 20)
+        assert report.bias is report.rmse is report.beta3_mean is None
+        assert "nan" not in repr(report)
+        fitted = 0
+        for rep in range(20):
+            seed = int(np.random.SeedSequence(entropy=3, spawn_key=(rep,)).generate_state(1, np.uint64)[0])
+            try:
+                data = generate_synthetic_dataset("model-implied", spec, seed)
+            except ValueError:
+                continue
+            with pytest.raises(ValueError, match="stage-1 fit is not finite: positions too large"):
+                fit_volatility(data)
+            fitted += 1
+        assert fitted == 7
+
     def test_overflowing_draws_are_generation_errors(self):
         # b1*e overflows for e above 1.797, so a dataset of four draws on
         # [1, 2] generates only when all four fall below it.  Each
@@ -663,8 +680,9 @@ class TestMonteCarloValidation:
                 expected += 1
         report = monte_carlo_validation(spec, 60, master_seed=11)
         assert expected == 29  # as counted one replication at a time before the draws were stacked
-        assert report.failures == (("generation error", 29),)
-        assert (report.n_converged, report.n_failed) == (31, 29)
+        # The 31 that generate overflow stage 1's sum of squares.
+        assert report.failures == (("generation error", 29), ("stage1 non-finite fit", 31))
+        assert (report.n_converged, report.n_failed) == (0, 60)
 
     @pytest.mark.parametrize("master_seed", [-1, 2**64, 1.0])
     def test_invalid_master_seed_raises(self, master_seed):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import portvol.estimate
+import portvol.simulate
 from portvol import (
     Dataset,
     GenerationSpec,
@@ -31,9 +33,11 @@ from portvol import (
 )
 from portvol.nls import _guarded_denominator
 from portvol.simulate import (
+    _BLOCK_PATHS,
     _TILE,
     _TILE_PATHS,
     POLICY_VARIANCE_FLOOR,
+    _in_threads,
     _model_implied_rows,
     _seed_keys,
     _stream_keys,
@@ -395,6 +399,170 @@ class TestBatchKernel:
         finally:
             tracemalloc.stop()
         assert batch.nbytes == m * (n + 1) * 8
+        assert peak <= 1.2 * batch.nbytes
+
+
+def force_threads(monkeypatch, cpus, block_paths=1):
+    """Make the batch see ``cpus`` CPUs, split blocks down to ``block_paths`` rows and thread draws of any length."""
+    monkeypatch.setattr(portvol.simulate, "_cpus", lambda: cpus)
+    monkeypatch.setattr(portvol.simulate, "_BLOCK_PATHS", block_paths)
+    monkeypatch.setattr(portvol.simulate, "_THREADED_DRAW_STEPS", 1)
+
+
+def spy_on_blocks(monkeypatch) -> list:
+    """Record ``(kind, a, b, thread ident)`` for every block the batch draws or steps."""
+    calls = []
+    for kind in ("_draw_rows", "_euler_rows"):
+        fn = getattr(portvol.simulate, kind)
+
+        def recorded(*args, fn=fn, kind=kind):
+            calls.append((kind, args[-2], args[-1], threading.get_ident()))
+            return fn(*args)
+
+        monkeypatch.setattr(portvol.simulate, kind, recorded)
+    return calls
+
+
+class TestThreadedBatch:
+    """A batch split into row blocks, one thread each, gives the bits of one thread."""
+
+    FELLER_VIOLATING = dict(alpha=0.01, beta_rev=1.0, gamma=0.9, sigma_bar=0.0)  # truncation active
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 4 * _BLOCK_PATHS + 5])
+    def test_rows_equal_single_paths_for_any_worker_count(self, monkeypatch, m):
+        # The large batch splits at the real block size; the small ones only
+        # once blocks may be a single row.
+        p = heston(**self.FELLER_VIOLATING)
+        c = PathConfig(horizon=0.07, dt=1e-3, seed=2**33 + 1, n_paths=m)
+        block_paths = _BLOCK_PATHS if m > _BLOCK_PATHS else 1
+        before = set(threading.enumerate())
+        batches = []
+        for cpus in (1, 2, 3, 4):
+            force_threads(monkeypatch, cpus, block_paths)
+            calls = spy_on_blocks(monkeypatch)
+            batches.append(simulate_variance_batch(p, c))
+            monkeypatch.undo()
+            workers = min(cpus, m // block_paths)
+            bounds = [m * i // workers for i in range(workers + 1)]
+            for kind in ("_draw_rows", "_euler_rows"):
+                blocks = [(a, b) for name, a, b, _ in calls if name == kind]
+                assert sorted(blocks) == list(zip(bounds[:-1], bounds[1:])), (kind, cpus)
+            # Block 0 runs on the caller's thread, the others in the pool.
+            assert all((ident == threading.get_ident()) == (a == 0) for _, a, _, ident in calls)
+            assert set(threading.enumerate()) == before
+        for batch in batches[1:]:
+            assert batch.tobytes() == batches[0].tobytes()
+        # Every block's first and last row, for 1 to 4 workers.
+        edges = {m * a // k + d for k in range(1, 5) for a in range(k + 1) for d in (-1, 0)}
+        for i in sorted(edges & set(range(m))):
+            assert same_bits(simulate_variance_path(p, c, i), batches[0][i])
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "path_indices",
+        [[5, 2, 5, 5, 2, 0, 6], [6, 5, 4, 3, 2, 1, 0], [3] * 9],
+        ids=["repeated", "reversed", "one-index"],
+    )
+    def test_uneven_splits_and_repeated_indices(self, monkeypatch, cpus, path_indices):
+        # Seven or nine rows never split evenly across 2, 3 or 4 blocks.
+        p = heston(**self.FELLER_VIOLATING)
+        c = PathConfig(horizon=0.15, dt=1e-3, seed=11, n_paths=7)
+        single = simulate_variance_batch(p, c, path_indices)
+        force_threads(monkeypatch, cpus)
+        batch = simulate_variance_batch(p, c, path_indices)
+        assert batch.tobytes() == single.tobytes()
+        for row, i in enumerate(path_indices):
+            assert same_bits(simulate_variance_path(p, c, i), batch[row])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_non_finite_path_in_the_last_block_raises(self, monkeypatch, cpus):
+        # Only the last row overflows: 1e300 normals blow it up within a few steps.
+        p = heston()
+        dts = np.full(20, 1e-2)
+        z2 = np.random.default_rng(4).standard_normal((9, 20))
+        z2[-1] = 1e300
+        force_threads(monkeypatch, cpus)
+        calls = spy_on_blocks(monkeypatch)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="variance path became non-finite; dt is too large"):
+            variance_path_from_normals(p, dts, z2)
+        last = [ident for _, a, b, ident in calls if b == 9]
+        assert len(last) == 1 and (last[0] == threading.get_ident()) == (cpus == 1)
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["separate-normals", "normals-in-out"])
+    def test_out_whose_reshape_copies_is_filled(self, monkeypatch, in_place):
+        # out takes three of four rows of a larger buffer, so its leading axes
+        # reshape only by a copy, which the blocks fill and the kernel copies back.
+        p = heston(**self.FELLER_VIOLATING)
+        rng = np.random.default_rng(8)
+        dts = rng.uniform(1e-4, 1e-2, _TILE + 3)
+        z2 = rng.standard_normal((2, 3, _TILE + 3))
+        fresh = variance_path_from_normals(p, dts, z2)
+        force_threads(monkeypatch, 4)
+        out = np.full((2, 4, _TILE + 4), np.nan)[:, :3]
+        if in_place:
+            out[..., 1:] = z2
+            z2 = out[..., 1:]
+        assert variance_path_from_normals(p, dts, z2, out=out) is out
+        assert same_bits(fresh, out)
+
+    def test_first_error_in_block_order_is_raised(self, monkeypatch):
+        monkeypatch.setattr(portvol.simulate, "_cpus", lambda: 4)
+        m = 4 * _BLOCK_PATHS
+        ran = []
+
+        def fn(a, b):
+            ran.append(a)
+            if a > 0:
+                raise RuntimeError(f"block at {a}")
+            return a
+
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match=f"block at {_BLOCK_PATHS}$"):
+            _in_threads(fn, m)
+        assert sorted(ran) == [0, _BLOCK_PATHS, 2 * _BLOCK_PATHS, 3 * _BLOCK_PATHS]
+        assert set(threading.enumerate()) == before
+
+        def fails_first(a, b):
+            if a in (0, 2 * _BLOCK_PATHS):
+                raise RuntimeError(f"block at {a}")
+            return b - a
+
+        with pytest.raises(RuntimeError, match="block at 0$"):
+            _in_threads(fails_first, m)
+        assert set(threading.enumerate()) == before
+        assert _in_threads(lambda a, b: (a, b), m) == [(i * _BLOCK_PATHS, (i + 1) * _BLOCK_PATHS) for i in range(4)]
+
+    @pytest.mark.parametrize(
+        "cpus, m, workers",
+        [(1, 10**6, 1), (2, _BLOCK_PATHS - 1, 1), (2, 2 * _BLOCK_PATHS, 2), (8, 3 * _BLOCK_PATHS + 1, 3), (4, 0, 1)],
+    )
+    def test_one_worker_per_cpu_and_block(self, monkeypatch, cpus, m, workers):
+        monkeypatch.setattr(portvol.simulate, "_cpus", lambda: cpus)
+        blocks = _in_threads(lambda a, b: (a, b), m)
+        assert len(blocks) == workers
+        assert blocks[0][0] == 0 and blocks[-1][1] == m
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
+
+    def test_memory_with_two_workers_is_one_result_and_one_tile(self, monkeypatch):
+        # The bound of test_batch_memory_is_one_result_and_one_tile: the two
+        # blocks' tiles and step buffers add up to the one-thread kernel's.
+        m, n = 2000, 500
+        c = PathConfig(horizon=n * 1e-3, dt=1e-3, seed=1901, n_paths=m)
+        force_threads(monkeypatch, 2)
+        calls = spy_on_blocks(monkeypatch)
+        simulate_variance_batch(heston(), PathConfig(horizon=0.1, dt=1e-3, seed=1, n_paths=2))  # first-call set-up
+        calls.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            batch = simulate_variance_batch(heston(), c)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert {(a, b) for _, a, b, _ in calls} == {(0, m // 2), (m // 2, m)}
         assert peak <= 1.2 * batch.nbytes
 
 

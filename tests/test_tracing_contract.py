@@ -84,6 +84,39 @@ def test_traced_batch_splits_stream_setup_from_euler(monkeypatch):
     assert metrics["simulate.stream_setup_s"] > 0.0
 
 
+def test_threaded_batch_keeps_one_euler_span_under_the_batch(monkeypatch):
+    # The batch draws and steps its rows in two threads, but calls the
+    # patched kernel once, from the caller's thread: the single-threaded
+    # tracer still sees one batch span and one Euler span inside it.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(portvol.simulate, "_cpus", lambda: 2)
+    monkeypatch.setattr(portvol.simulate, "_THREADED_DRAW_STEPS", 1)
+    blocks = []
+    for name in ("_draw_rows", "_euler_rows"):
+        fn = getattr(portvol.simulate, name)
+        monkeypatch.setattr(
+            portvol.simulate, name, lambda *args, fn=fn, name=name: blocks.append((name, args[-2])) or fn(*args)
+        )
+    tracer = importlib.import_module("tracing").Tracer()
+    p = HestonParams(mu=0.0, r=0.0, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=0.0, sigma_bar=0.02)
+    c = PathConfig(horizon=0.02, dt=1e-3, seed=3, n_paths=2 * portvol.simulate._BLOCK_PATHS + 1)
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        portvol.simulate.simulate_variance_batch(p, c)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert sorted(blocks) == [(name, a) for name in ("_draw_rows", "_euler_rows") for a in (0, c.n_paths // 2)]
+    metrics = tracer.layer_metrics()
+    assert metrics["simulate.euler_path_steps"] == c.n_paths * c.n_steps
+    assert metrics["simulate.stream_setup_s"] >= 0.0
+    assert metrics["simulate.euler_s"] <= metrics["simulate.batch_s"]
+    euler = [span for span in tracer.spans if span[0] == "simulate.euler"]
+    assert len(euler) == 1
+    assert tracer.spans[euler[0][3]][0] == "simulate.batch"
+
+
 def test_cli_fits_call_through_the_patched_names(monkeypatch, tmp_path, capsys):
     # The CLI runner must look up each library call at the name the tracer
     # patches; a call bound another way would leave its layer metrics at 0.
