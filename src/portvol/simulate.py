@@ -48,9 +48,8 @@ so a path is bit-identical whether stepped alone or as a row of a batch.
 
 Threads: a batch is drawn and stepped in contiguous blocks of rows, one
 thread per CPU the process may run on, but never a block of fewer than
-``_BLOCK_PATHS`` paths, and the draws only for paths of at least
-``_THREADED_DRAW_STEPS`` steps (below either, waiting for the GIL costs
-more than the second CPU gives).  numpy releases the GIL inside a
+``_BLOCK_PATHS`` paths (below that, waiting for the GIL costs more than
+the second CPU gives).  numpy releases the GIL inside a
 ``standard_normal`` call and inside a ufunc call on a long array.  A
 row's draws and steps do not depend on the other rows, so the bits do
 not depend on the number of threads.  Each block has its own tile and
@@ -109,10 +108,9 @@ _TILE_PATHS = 512
 # blocks of 2000 paths, 0.88x on 3000, 0.96x on 4000, 1.08x on 5000 and
 # 1.33x on 8000; the draws of 10k paths were 0.60x as fast at 100 steps,
 # 0.89x at 500, 1.23x at 700 and 1.49x at 1000.  So a block keeps at least
-# _BLOCK_PATHS paths, and the draws run in threads only for paths of at
-# least _THREADED_DRAW_STEPS steps.
+# _BLOCK_PATHS paths.  The draws of paths shorter than about 700 steps split
+# too, at a loss; no batch in the package or its benchmark has that shape.
 _BLOCK_PATHS = 4096
-_THREADED_DRAW_STEPS = 700
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool of four
 # uint32 words, hashmix multipliers for mixing in (A) and drawing out (B).
@@ -554,11 +552,7 @@ def simulate_variance_batch(p: HestonParams, c: PathConfig, path_indices=None) -
             raise ValueError(f"path_index {idx[bad[0]]} out of range for n_paths={c.n_paths}")
     n = c.n_steps
     out = np.empty((idx.size, n + 1))
-    draw = functools.partial(_draw_rows, _stream_keys(c.seed, idx, 0), out)
-    if n >= _THREADED_DRAW_STEPS:
-        _in_threads(draw, idx.size)
-    else:
-        draw(0, idx.size)
+    _in_threads(functools.partial(_draw_rows, _stream_keys(c.seed, idx, 0), out), idx.size)
     return variance_path_from_normals(p, _step_sizes(c), out[:, 1:], out=out)
 
 

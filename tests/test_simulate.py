@@ -403,10 +403,9 @@ class TestBatchKernel:
 
 
 def force_threads(monkeypatch, cpus, block_paths=1):
-    """Make the batch see ``cpus`` CPUs, split blocks down to ``block_paths`` rows and thread draws of any length."""
+    """Make the batch see ``cpus`` CPUs, and split blocks down to ``block_paths`` rows."""
     monkeypatch.setattr(portvol.simulate, "_cpus", lambda: cpus)
     monkeypatch.setattr(portvol.simulate, "_BLOCK_PATHS", block_paths)
-    monkeypatch.setattr(portvol.simulate, "_THREADED_DRAW_STEPS", 1)
 
 
 def spy_on_blocks(monkeypatch) -> list:

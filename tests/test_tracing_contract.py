@@ -90,7 +90,6 @@ def test_threaded_batch_keeps_one_euler_span_under_the_batch(monkeypatch):
     # tracer still sees one batch span and one Euler span inside it.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(portvol.simulate, "_cpus", lambda: 2)
-    monkeypatch.setattr(portvol.simulate, "_THREADED_DRAW_STEPS", 1)
     blocks = []
     for name in ("_draw_rows", "_euler_rows"):
         fn = getattr(portvol.simulate, name)
