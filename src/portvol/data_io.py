@@ -10,7 +10,8 @@ A dataset CSV is the bytes of ``csv.writer``'s default dialect: a header
 CRLF.  Numbers are ``.17g`` and never quoted; a label is quoted only when
 it holds ``,``, ``"``, CR or LF (``QUOTE_MINIMAL``), with ``"`` doubled,
 and a None label is an empty cell.  The writer joins pre-formatted cells
-and writes a block of rows per call, so it never holds the whole file.
+and writes a block of rows per call, so it never holds the whole file;
+the reader parses lines as it reads them from the file, so neither does it.
 
 Config sections ``[heston]`` and ``[policy]`` take exactly the fields of
 ``HestonParams`` and ``PolicyCoefficients``, each a required number.
@@ -20,9 +21,8 @@ from __future__ import annotations
 
 import configparser
 import csv
-import io
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from itertools import chain, islice, repeat
 
@@ -56,20 +56,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_fast(body: str, n_fields: int) -> np.ndarray | None:
-    """Parse a label-free CSV body with numpy's C reader.
+def _parse_fast(lines: Iterator[str], n_fields: int) -> np.ndarray | None:
+    """Parse the lines of a label-free CSV body with numpy's C reader.
 
     Returns an ``(n, n_fields)`` array, or None whenever the body is not
     plain finite numbers in ``n_fields`` columns (blank body, quoting,
     short rows, ``1_0``, non-finite values, ...); the row loop then reads
     it and raises the error the file deserves.  The C reader converts
     with CPython's string-to-double, so accepted values are bit-identical
-    to ``float(cell.strip())``.
+    to ``float(cell.strip())``.  ``lines`` may be left part-read.
     """
-    if not body.strip():  # loadtxt warns on input with no rows
+    first = next((line for line in lines if line.strip()), None)
+    if first is None:  # loadtxt warns on input with no rows
         return None
     try:
-        values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2, dtype=float)
+        values = np.loadtxt(chain((first,), lines), delimiter=",", comments=None, ndmin=2, dtype=float)
     except ValueError:
         return None
     if values.shape[1] != n_fields or not np.all(np.isfinite(values)):
@@ -77,8 +78,8 @@ def _parse_fast(body: str, n_fields: int) -> np.ndarray | None:
     return values
 
 
-def _parse_rows(body: str, header: list[str]) -> tuple[dict[str, list[float]], list[str | None] | None]:
-    """Reference reader: the CSV body row by row, with the row named in every error.
+def _parse_rows(rows: Iterable[list[str]], header: list[str]) -> tuple[dict[str, list[float]], list[str | None] | None]:
+    """Reference reader: the CSV records after the header, with the row named in every error.
 
     Row numbers count CSV records, the header being row 1.  Rows whose
     cells are all blank are skipped.
@@ -87,8 +88,7 @@ def _parse_rows(body: str, header: list[str]) -> tuple[dict[str, list[float]], l
     has_label = "label" in col
     columns: dict[str, list[float]] = {name: [] for name in _CSV_COLUMNS}
     labels: list[str | None] | None = [] if has_label else None
-    for offset, row in enumerate(csv.reader(io.StringIO(body, newline=""))):
-        line = offset + 2
+    for line, row in enumerate(rows, start=2):
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if len(row) != len(header):
@@ -119,33 +119,33 @@ def read_dataset(path) -> Dataset:
     series; without one ``labels`` is None.  Error messages reference file
     rows (the header is row 1).  A label-free body of plain numbers is
     parsed in C; any other body, and every malformed one, goes through the
-    row loop.
+    row loop, from the top of the file again if the C parse gave up.  Both
+    read lines from the open file and never hold its body as one string.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            header_row = next(csv.reader(handle), None)
-            body = handle.read()
+            rows = csv.reader(handle)
+            header_row = next(rows, None)
+            if header_row is None:
+                raise ValueError(f"empty dataset: {path} has no header")
+            header = [h.strip() for h in header_row]
+            for name in header:
+                if name not in _CSV_COLUMNS and name != "label":
+                    raise ValueError(f"unknown column: {name}")
+            for name in _CSV_COLUMNS:
+                if name not in header:
+                    raise ValueError(f"missing column: {name}")
+            if len(set(header)) != len(header):
+                raise ValueError(f"duplicate column in header of {path}")
+            values = None if "label" in header else _parse_fast(handle, len(header))
+            if values is not None:
+                columns = {name: values[:, header.index(name)] for name in _CSV_COLUMNS}
+                labels = None
+            else:
+                handle.seek(0)
+                columns, labels = _parse_rows(islice(csv.reader(handle), 1, None), header)
     except OSError as exc:
         raise OSError(f"cannot read dataset {path}: {exc}") from exc
-    if header_row is None:
-        raise ValueError(f"empty dataset: {path} has no header")
-    header = [h.strip() for h in header_row]
-    for name in header:
-        if name not in _CSV_COLUMNS and name != "label":
-            raise ValueError(f"unknown column: {name}")
-    for name in _CSV_COLUMNS:
-        if name not in header:
-            raise ValueError(f"missing column: {name}")
-    if len(set(header)) != len(header):
-        raise ValueError(f"duplicate column in header of {path}")
-    has_label = "label" in header
-
-    values = None if has_label else _parse_fast(body, len(header))
-    if values is not None:
-        columns = {name: values[:, header.index(name)] for name in _CSV_COLUMNS}
-        labels = None
-    else:
-        columns, labels = _parse_rows(body, header)
     if not len(columns["pi_star"]):
         raise ValueError(f"empty dataset: {path} has no data rows")
     return Dataset(**columns, labels=labels, source=str(path))

@@ -88,6 +88,16 @@ class TestDataErrors:
         assert run_cli(["volvol", "--config", str(cfg)]) == 2
         assert "stage2 fit stage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("clean_rows", [0, 5000])
+    def test_bytes_that_are_not_utf8_are_a_read_error(self, tmp_path, capsys, clean_rows):
+        row = b"1.0,0.05,0.02\n"
+        csv = tmp_path / "b.csv"
+        csv.write_bytes(b"pi_star,mu,r\n" + row * clean_rows + b"\xff" + row * 3)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[run]\nmode = fit\ninput = {csv}\noutput = {tmp_path/'r.txt'}\n")
+        assert run_cli(["fit", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error in read stage: 'utf-8' codec can't decode byte 0xff")
+
     def test_overflowing_excess_return_is_a_read_error(self, tmp_path, capsys):
         csv = tmp_path / "o.csv"
         csv.write_text("pi_star,mu,r\n1.0,0.05,0.02\n0.0,1.7976931348623157e+308,-1e300\n")
