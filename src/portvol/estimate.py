@@ -88,7 +88,8 @@ _MIN_ROWS_STAGE1 = 4
 # Stage 1 starts near the best of these log(beta3/max|e|), refusing fits ending outside.
 _LOG_BETA3_GRID = tuple(range(-8, 7))
 # Its search stops unconverged after this many accepted steps, and converged
-# once a step in log(beta3/max|e|) is no longer than _K_TOL.
+# once the predicted decrease is lost in the rounding of the sum of squares
+# or a step in log(beta3/max|e|) no longer than _K_TOL brings no decrease.
 _STAGE1_MAX_ITERATIONS = 200
 _K_TOL = 1e-12
 _COND_LIMIT = 1e8
@@ -393,7 +394,8 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
         return ssr, b1, b2, u, res
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        flat = (np.finfo(float).eps * np.sqrt(_rowdot(PI, PI))) ** 2
+        eps = np.finfo(float).eps
+        flat = (eps * np.sqrt(_rowdot(PI, PI))) ** 2
         # Finite: for k >= 1 the pole lies below -max|e|.
         k, best = np.full(n_rows, math.nan), np.full(n_rows, np.inf)
         for grid_k in _LOG_BETA3_GRID:
@@ -421,7 +423,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
             del u, jac
             secant = (g - g0[sel]) / (k[sel] - k0[sel])  # nan before the first step
             h = np.where(secant > 0.0, secant, h)  # h lacks the residual's own curvature; the secant has it
-            done = g * g <= flat[sel] * h  # the predicted decrease, g*g/h, is rounding
+            done = g * g <= np.fmax(flat[sel], eps * ssr[sel]) * h  # the predicted decrease, g*g/h, is rounding
             stop(rows[done], "gradient tolerance reached")
             out_of_steps = ~done & (iterations[rows] >= _STAGE1_MAX_ITERATIONS)
             stop(rows[out_of_steps], "max iterations")
@@ -479,15 +481,17 @@ def fit_volatility(data: Dataset) -> FitResult:
     leave a one-parameter fit in ``k``.  It starts at the best of ``k = -8,
     ..., 6`` (skipping poles ``-beta3`` among the observed ``e``) and takes
     projected Gauss-Newton steps in ``k``: at most 200 accepted steps,
-    stopping early once the gradient is rounding or a step of at most
-    1e-12 brings no decrease.  Standard errors are None, with
-    ``DEGENERATE_COVARIANCE``, when singular.  Level-only data (one
-    distinct ``e``, or flat positions) converge at the level fit with
-    ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at least 4 rows.  Raises
-    ValueError("beta3 is not identified: ...") when ``k`` ends off the
-    grid, and ValueError("stage-1 fit is not finite: ...") when positions
-    are so large that the sum of squares overflows.  This is the one-row
-    case of the stacked fit the Monte Carlo harness runs.
+    stopping early once the predicted decrease is below the rounding of
+    the sum of squares, ``eps*ssr``, or of the positions, ``(eps*|pi|)**2``
+    (message "gradient tolerance reached"), or once a step of at most
+    1e-12 brings no decrease ("step tolerance reached").  Standard
+    errors are None, with ``DEGENERATE_COVARIANCE``, when singular.
+    Level-only data (one distinct ``e``, or flat positions) converge at
+    the level fit with ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at least 4
+    rows.  Raises ValueError("beta3 is not identified: ...") when ``k``
+    ends off the grid, and ValueError("stage-1 fit is not finite: ...")
+    when positions are so large that the sum of squares overflows.  This
+    is the one-row case of the stacked fit the Monte Carlo harness runs.
     """
     return _stage1_rows(data.e[None], data.pi_star[None]).result(0)
 
