@@ -49,6 +49,7 @@ from .nls import (
     lm_fit,
 )
 from .simulate import (
+    BASE_RATE,
     GenerationSpec,
     StructuralSpec,
     _check_seed,
@@ -384,14 +385,21 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     scale = np.maximum(-lo, hi)
     scale[scale == 0.0] = 1.0
 
-    def profile(k, sel):
+    def fit(k, sel):
         """``(ssr, beta1, beta2, u, residual)`` of rows ``sel`` at ``beta3 = max|e|*exp(k)``; inf ssr: pole among the e."""
-        b3 = scale[sel] * _exp(np.minimum(k, 700.0))  # the cap only flattens fits refused anyway
+        b3 = scale[sel] * _exp(k)
         u = E[sel] / (b3[:, None] + E[sel])
         b1, b2, res = _linear_part(PI[sel], u)
         ssr = _rowdot(res, res)
         ssr[(lo[sel] <= -b3) & (-b3 <= hi[sel])] = np.inf
         return ssr, b1, b2, u, res
+
+    def profile(k, sel):
+        """``(ssr, beta1, beta2, g, h)``: the fit at ``k``, with the gradient ``g`` and Gauss-Newton curvature ``h`` of ssr/2."""
+        ssr, b1, b2, u, res = fit(k, sel)
+        # d(residual)/dk, from w = -du/dk = u(1 - u) projected off [1, u]: exact gradient (Kaufman 1975)
+        jac = (b1 - b2)[:, None] * _linear_part(u * (1.0 - u), u)[2]
+        return ssr, b1, b2, _rowdot(jac, res), _rowdot(jac, jac)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         eps = np.finfo(float).eps
@@ -399,10 +407,10 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
         # Finite: for k >= 1 the pole lies below -max|e|.
         k, best = np.full(n_rows, math.nan), np.full(n_rows, np.inf)
         for grid_k in _LOG_BETA3_GRID:
-            ssr = profile(np.full(n_rows, float(grid_k)), slice(None))[0]
+            ssr = fit(np.full(n_rows, float(grid_k)), slice(None))[0]
             better = ssr < best
             k[better], best[better] = grid_k, ssr[better]
-        ssr, b1, b2, U, RES = profile(k, slice(None))
+        ssr, b1, b2, G, H = profile(k, slice(None))
         k0, g0 = np.full(n_rows, math.nan), np.full(n_rows, math.nan)
         iterations = np.zeros(n_rows, dtype=int)
         messages = [""] * n_rows
@@ -415,15 +423,10 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
 
         while live.any():
             rows = np.flatnonzero(live)
-            sel = _select(rows, n_rows)
-            u = U[sel]
-            # d(residual)/dk, from w = -du/dk = u(1 - u) projected off [1, u]: exact gradient (Kaufman 1975)
-            jac = (b1[sel] - b2[sel])[:, None] * _linear_part(u * (1.0 - u), u)[2]
-            g, h = _rowdot(jac, RES[sel]), _rowdot(jac, jac)
-            del u, jac
-            secant = (g - g0[sel]) / (k[sel] - k0[sel])  # nan before the first step
+            g, h = G[rows], H[rows]
+            secant = (g - g0[rows]) / (k[rows] - k0[rows])  # nan before the first step
             h = np.where(secant > 0.0, secant, h)  # h lacks the residual's own curvature; the secant has it
-            done = g * g <= np.fmax(flat[sel], eps * ssr[sel]) * h  # the predicted decrease, g*g/h, is rounding
+            done = g * g <= np.fmax(flat[rows], eps * ssr[rows]) * h  # the predicted decrease, g*g/h, is rounding
             stop(rows[done], "gradient tolerance reached")
             out_of_steps = ~done & (iterations[rows] >= _STAGE1_MAX_ITERATIONS)
             stop(rows[out_of_steps], "max iterations")
@@ -436,16 +439,12 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
                 at = np.flatnonzero(search)
                 sub = rows[at]
                 k_trial = k[sub] + step[at]
-                t_ssr, t_b1, t_b2, t_u, t_res = profile(k_trial, _select(sub, n_rows))
+                t_ssr, t_b1, t_b2, t_g, t_h = profile(k_trial, _select(sub, n_rows))
                 won = t_ssr < ssr[sub]
                 kept = sub[won]
                 k0[kept], g0[kept], k[kept] = k[kept], g[at[won]], k_trial[won]
                 ssr[kept], b1[kept], b2[kept] = t_ssr[won], t_b1[won], t_b2[won]
-                if len(kept) == n_rows:  # every row moved: take the trial's columns, no copy
-                    U, RES = t_u, t_res
-                else:
-                    U[kept], RES[kept] = t_u[won], t_res[won]
-                del t_u, t_res
+                G[kept], H[kept] = t_g[won], t_h[won]
                 iterations[kept] += 1
                 search[at[won]] = False
                 lost = at[~won]
@@ -453,7 +452,6 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
                 short = lost[np.abs(step[lost]) <= _K_TOL]
                 stop(rows[short], "step tolerance reached")
                 search[short] = False
-        del U, RES
 
     failures = {
         i: ("stage1 beta3 not identified", ValueError(
@@ -712,8 +710,9 @@ def _generate_chunk(spec: GenerationSpec | StructuralSpec, seeds: np.ndarray) ->
 
     A replication is dropped exactly when ``generate_synthetic_dataset`` at
     its seed raises ValueError.  Model-implied rows are drawn as one stack,
-    with ``Dataset``'s finiteness checks run on it; structural rows are
-    generated one at a time.
+    and the checks that can fail there run on it: the pole guard and
+    finite positions (``mu`` and ``e`` are finite by construction).
+    Structural rows are generated one at a time.
     """
     if isinstance(spec, StructuralSpec):
         E, PI = [], []
@@ -727,10 +726,8 @@ def _generate_chunk(spec: GenerationSpec | StructuralSpec, seeds: np.ndarray) ->
         n = spec.path.n_steps + 1
         return (np.stack(E), np.stack(PI)) if E else (np.empty((0, n)), np.empty((0, n)))
     mu, PI, pole = _model_implied_rows(spec, seeds)
-    ok = ~pole & np.isfinite(PI).all(axis=-1) & np.isfinite(mu).all(axis=-1)
-    with np.errstate(over="ignore"):
-        E = np.subtract(mu, spec.base_rate, out=mu)  # Dataset.e = mu - r, r = base_rate
-    ok &= np.isfinite(E).all(axis=-1)
+    ok = ~pole & np.isfinite(PI).all(axis=-1)
+    E = np.subtract(mu, BASE_RATE, out=mu)  # Dataset.e = mu - r
     keep = _select(np.flatnonzero(ok), len(ok))
     return E[keep], PI[keep]
 

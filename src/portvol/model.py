@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Union
 
 import numpy as np
 
@@ -164,7 +163,8 @@ class Dataset:
     ``mu`` and ``r`` whose difference overflows are rejected.  The minimum
     row count for fitting (4) is enforced by the fitting routines, not
     here, so small files still load and round-trip.  Datasets compare
-    equal when their values are equal.
+    equal when their columns hold the same values and their labels and
+    source are equal.
     """
 
     pi_star: np.ndarray
@@ -261,9 +261,6 @@ class Stage2Params:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.beta4, self.beta5, self.beta6], dtype=float)
-
-
-FitParams = Union["Stage1Params", "Stage2Params"]
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,10 @@ POLICY_VARIANCE_FLOOR = 1e-12
 # Seeds are unsigned 64-bit integers: 0 <= seed < SEED_LIMIT.
 SEED_LIMIT = 2**64
 
+# The risk-free rate of every model-implied row: mu = BASE_RATE + e.  The
+# fits read only e = mu - r.
+BASE_RATE = 0.02
+
 # The batch Euler kernel walks the grid in tiles of _TILE steps (5 MB of
 # normals for 10k paths) and transposes a tile's normals in blocks of
 # _TILE_PATHS paths, whose 256 kB of source rows stay in cache.
@@ -583,8 +587,6 @@ def optimal_policy(
     """
     if not sigma_bar > 0.0:
         raise ValueError("sigma_bar must be > 0")
-    if coeffs.alpha1 == 0.0:
-        raise ValueError("alpha1 must be nonzero")
     v_x = coeffs.alpha0 + coeffs.alpha1 * x + coeffs.alpha2 * sigma_bar
     hedging = p.rho * p.gamma * coeffs.alpha2 / coeffs.alpha1
     return -(p.mu - p.r) * v_x / (sigma_bar * coeffs.alpha1) - hedging
@@ -644,8 +646,8 @@ class GenerationSpec:
     """Model-implied synthetic data: positions drawn from the stage-1 curve.
 
     Rows get excess returns uniform on ``e_interval``, positions equal to
-    the stage-1 model value plus centered Gaussian noise, and a common
-    risk-free rate ``base_rate`` (so ``mu = base_rate + e``).  The
+    the stage-1 model value plus centered Gaussian noise, and the
+    risk-free rate ``BASE_RATE`` (so ``mu = BASE_RATE + e``).  The
     interval must exclude the model pole at ``-beta3``.
     """
 
@@ -654,7 +656,6 @@ class GenerationSpec:
     n: int
     noise: float = 0.0
     e_interval: tuple[float, float] = (0.01, 0.10)
-    base_rate: float = 0.02
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
@@ -666,8 +667,6 @@ class GenerationSpec:
             raise ValueError("e_interval must be a finite (low, high) pair with low < high")
         if lo <= -self.stage1.beta3 <= hi:
             raise ValueError("e_interval contains the model pole at -beta3")
-        if not math.isfinite(self.base_rate):
-            raise ValueError("base_rate must be finite")
 
 
 @dataclass(frozen=True)
@@ -692,10 +691,11 @@ def _model_implied_rows(spec: GenerationSpec, seeds: np.ndarray) -> tuple[np.nda
     for bit, the columns :func:`generate_synthetic_dataset` gives at the
     uint64 seed ``seeds[j]``: its Philox stream draws ``n`` uniforms,
     ``e = lo + (hi - lo)*u`` as ``Generator.uniform`` computes them, then,
-    with noise, ``n`` normals.  ``pole`` marks the rows with an ``e`` on
-    the pole guard of the stage-1 curve; their values mean nothing.
-    Overflow is not checked: a row with a non-finite value is one that
-    ``Dataset`` refuses.
+    with noise, ``n`` normals, and ``mu = BASE_RATE + e``.  ``pole`` marks
+    the rows with an ``e`` on the pole guard of the stage-1 curve; their
+    values mean nothing.  ``e`` lies in the finite ``e_interval``, so
+    ``mu`` is finite; ``pi_star`` is not checked: a row with a non-finite
+    position is one that ``Dataset`` refuses.
     """
     lo, hi = spec.e_interval
     width = hi - lo
@@ -722,7 +722,7 @@ def _model_implied_rows(spec: GenerationSpec, seeds: np.ndarray) -> tuple[np.nda
         else:
             pi *= spec.noise
             pi += curve
-        mu += spec.base_rate  # e is spent: mu = base_rate + e
+        mu += BASE_RATE  # e is spent: mu = BASE_RATE + e
     return mu, pi, pole
 
 
@@ -753,7 +753,7 @@ def generate_synthetic_dataset(mode: str, spec, seed: int) -> Dataset:
         return Dataset(
             pi_star=pi[0],
             mu=mu[0],
-            r=np.full(spec.n, spec.base_rate),
+            r=np.full(spec.n, BASE_RATE),
             source="synthetic:model-implied",
         )
     if mode == "structural":

@@ -522,3 +522,29 @@ class TestOutputOrder:
         assert _template(captured.out, tmp_path) == stdout
         written = tmp_path / "r.txt"
         assert (_template(written.read_text(), tmp_path) if written.exists() else None) == report
+
+
+class TestSimulateFailures:
+    """``portvol simulate``'s two error exits, with their exact stderr; ``{tmp}`` is the test directory."""
+
+    CASES = {
+        "generation-error": (
+            "output = {tmp}/d.csv\n" + FELLER_VIOLATING_GEN,
+            "error in generate stage: wealth path became non-finite at grid point 400: the variance was truncated "
+            "to 0 at 49 grid points up to it, where the rule divides by POLICY_VARIANCE_FLOOR; the Feller condition "
+            "2*alpha >= gamma**2 fails\n",
+        ),
+        "unwritable-output": (
+            "output = {tmp}/missing/d.csv\n" + NOISELESS_GEN, "error in write stage: " + _WRITE_ERROR + "d.csv'\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_and_stderr(self, tmp_path, capsys, case):
+        config, stderr = self.CASES[case]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[run]\nmode = simulate\n" + config.format(tmp=tmp_path))
+        assert run_cli(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.replace(str(tmp_path), "{tmp}")) == ("", stderr)
+        assert not (tmp_path / "d.csv").exists()

@@ -679,3 +679,64 @@ class TestParseConfig:
             "# experiment 12\n[run]\nmode = fit\ninput = d.csv\noutput = r.txt\n",
         )
         assert parse_config(p).mode == "fit"
+
+
+_VOLVOL = "[run]\nmode = volvol\ninput = d.csv\noutput = r.txt\n"
+
+
+class TestRarelyTakenRefusals:
+    """Refusals of ``parse_config`` and ``read_dataset`` that no other test takes, with their exact messages.
+
+    ``{path}`` in a message is the file read.
+    """
+
+    CASES = {
+        "run-mode-missing": ("c.cfg", "[run]\noutput = r.txt\n", "missing required key: [run] mode"),
+        "run-output-missing": (
+            "c.cfg", "[run]\nmode = fit\ninput = d.csv\n", "missing required key for mode fit: [run] output",
+        ),
+        "gauge-unknown": (
+            "c.cfg", _VOLVOL + "gauge = pin\n", "type error: [run] gauge must be free, pin-beta5 or pin-beta6; got 'pin'",
+        ),
+        "kind-unknown": (
+            "c.cfg", "[run]\nmode = simulate\noutput = d.csv\n[generation]\nkind = bootstrap\n",
+            "type error: [generation] kind must be model-implied or structural, got 'bootstrap'",
+        ),
+        "generation-missing": (
+            "c.cfg", "[run]\nmode = simulate\noutput = d.csv\n", "missing required section for mode simulate: [generation]",
+        ),
+        "heston-missing": (
+            "c.cfg", "[run]\nmode = simulate\noutput = d.csv\n" + re.sub(r"\[heston\][^[]*", "", _STRUCTURAL_GEN),
+            "missing required section for structural generation: [heston]",
+        ),
+        "n-missing": (
+            "c.cfg", "[run]\nmode = simulate\noutput = d.csv\n" + _MODEL_GEN.replace("n = 10\n", ""),
+            "missing required key: [generation] n",
+        ),
+        "one-replication": (
+            "c.cfg", "[run]\nmode = validate\noutput = r.txt\n" + _MODEL_GEN + "replications = 1\n",
+            "type error: [generation] replications must be >= 2",
+        ),
+        "beta3-hat-zero": (
+            "c.cfg", _VOLVOL + "gauge = free\nbeta3_hat = 0\n", "type error: [run] beta3_hat must be > 0",
+        ),
+        "alpha-ratio-zero": ("c.cfg", _VOLVOL + "alpha_ratio = 0\n", "type error: [run] alpha_ratio must be nonzero"),
+        "beta3-hat-and-alpha-ratio": (
+            "c.cfg", _VOLVOL + "gauge = free\nbeta3_hat = 0.04\nalpha_ratio = -0.25\n",
+            "rho estimation needs the stage-1 beta2; drop beta3_hat or alpha_ratio",
+        ),
+        "syntax-error": (
+            "c.cfg", "[run]\nmode = fit\nmode = volvol\n",
+            "config syntax error in {path}: While reading from '{path}' [line  3]: "
+            "option 'mode' in section 'run' already exists",
+        ),
+        "csv-duplicate-column": ("d.csv", "pi_star,mu,r,mu\n1,2,3,4\n", "duplicate column in header of {path}"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exact_message(self, tmp_path, case):
+        name, text, message = self.CASES[case]
+        path = write(tmp_path / name, text)
+        with pytest.raises(ValueError) as raised:
+            (read_dataset if name.endswith(".csv") else parse_config)(path)
+        assert str(raised.value) == message.format(path=path)

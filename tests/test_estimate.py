@@ -37,6 +37,7 @@ from portvol.estimate import (
     DIAG_B1_EQ_B2,
     DIAG_DEGENERATE_COV,
     DIAG_GAUGE,
+    DIAG_ILL_CONDITIONED,
     DIAG_POLE,
     DIAG_RHO_RANGE,
 )
@@ -876,3 +877,76 @@ class TestVolatilityScale:
     def test_volatility_reading(self):
         scale = volatility_scale_comparison(0.19, 0.04)
         assert scale.closer_to == "volatility"
+
+
+_STRUCTURAL_HESTON = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
+# The wealth path overflows on every stream at these parameters (Feller condition violated, dt = 1e-3).
+_FELLER_VIOLATING = HestonParams(mu=0.08, r=0.02, alpha=0.01, beta_rev=1.0, gamma=0.9, rho=0.3, sigma_bar=0.04)
+
+
+def _structural_spec(heston, horizon, dt):
+    return StructuralSpec(
+        heston=heston, policy=PolicyCoefficients(1.0, -2.0, 0.5), path=PathConfig(horizon=horizon, dt=dt, seed=0), x0=1.0
+    )
+
+
+def _stage2_diagnostics(data, variant):
+    """A stage-2 fit's own diagnostics less DEGENERATE_COVARIANCE, and identifiability_diagnostics of it."""
+    stage1 = fit_volatility(data)
+    gauge = GaugeRule.from_stage1(variant, stage1)
+    fit = fit_vol_of_vol(data, stage1.params.beta3, gauge)
+    return fit.diagnostics - {DIAG_DEGENERATE_COV}, identifiability_diagnostics(
+        fit, data, beta3_hat=stage1.params.beta3, gauge=gauge
+    )
+
+
+def _structural_data():
+    return generate_synthetic_dataset("structural", _structural_spec(_STRUCTURAL_HESTON, 1.0, 0.004), 7)
+
+
+def _max_iterations_report(monkeypatch):
+    monkeypatch.setattr(portvol.estimate, "_STAGE1_MAX_ITERATIONS", 1)
+    report = monte_carlo_validation(GenerationSpec(stage1=TRUTH, n=200, noise=0.01), 4, master_seed=1, run_stage2=True)
+    return report.n_converged, report.failures
+
+
+def _feller_violating_report(monkeypatch):
+    report = monte_carlo_validation(_structural_spec(_FELLER_VIOLATING, 2.0, 1e-3), 3, master_seed=1, run_stage2=True)
+    return report.n_converged, report.stage2_n_converged, report.failures
+
+
+class TestRarelyTakenBranches:
+    """Refusals and branches of ``estimate`` that no other test takes, with their exact outcomes."""
+
+    ILL, GAUGE = frozenset({DIAG_ILL_CONDITIONED}), frozenset({DIAG_GAUGE, DIAG_ILL_CONDITIONED})
+    CASES = {
+        "diagnostics-structural-free": (lambda mp: _stage2_diagnostics(_structural_data(), "free"), (GAUGE, GAUGE)),
+        "diagnostics-structural-pin-beta5": (lambda mp: _stage2_diagnostics(_structural_data(), "pin-beta5"), (ILL, ILL)),
+        "diagnostics-structural-pin-beta6": (lambda mp: _stage2_diagnostics(_structural_data(), "pin-beta6"), (ILL, ILL)),
+        "diagnostics-free": (
+            lambda mp: _stage2_diagnostics(model_data(noise=0.01), "free"), (frozenset({DIAG_GAUGE}),) * 2
+        ),
+        "diagnostics-pin-beta5": (lambda mp: _stage2_diagnostics(model_data(noise=0.01), "pin-beta5"), (frozenset(),) * 2),
+        "diagnostics-pin-beta6": (lambda mp: _stage2_diagnostics(model_data(noise=0.01), "pin-beta6"), (frozenset(),) * 2),
+        "stage2-two-rows": (
+            lambda mp: fit_vol_of_vol(
+                Dataset(pi_star=[1.0, 1.2], mu=[0.05, 0.07], r=[0.02, 0.02]), 0.04, GaugeRule.free()
+            ),
+            "ValueError: standard errors require n_obs > n_params",
+        ),
+        "stage1-max-iterations": (_max_iterations_report, (0, (("stage1 not converged: max iterations", 4),))),
+        "structural-generation-errors": (_feller_violating_report, (0, 0, (("generation error", 3),))),
+        "gauge-unknown-variant": (lambda mp: GaugeRule("bogus"), "ValueError: unknown gauge variant 'bogus'"),
+        "gauge-pin-without-stage1": (
+            lambda mp: GaugeRule.from_stage1("pin-beta5", None), "ValueError: pin-beta5 gauge requires a stage-1 fit"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_outcome(self, monkeypatch, case):
+        call, expected = self.CASES[case]
+        try:
+            outcome = call(monkeypatch)
+        except ValueError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        assert outcome == expected

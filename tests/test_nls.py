@@ -347,3 +347,43 @@ class TestLmFit:
         assert res.converged[0]
         assert res.params[0, 0] == pytest.approx(2.5, rel=1e-8)
 
+
+
+def _no_rows(P, rows):
+    return np.zeros((len(P), 1))
+
+
+_POLE = "PoleError: model evaluated within the pole guard of a vanishing denominator"
+
+
+class TestGuards:
+    """The refusals of the curves, their Jacobians and the solver, with their exact messages."""
+
+    CASES = {
+        "stage1-jacobian-at-pole": (lambda: stage1_jacobian(np.array([0.01, -0.04]), Stage1Params(2.0, 0.5, 0.04)), _POLE),
+        "stage1-model-at-pole": (lambda: stage1_model(-0.04, Stage1Params(2.0, 0.5, 0.04)), _POLE),
+        "stage2-model-at-pole": (lambda: stage2_model(0.02, Stage2Params(1.0, 0.5, -1.0), 0.04), _POLE),
+        "stage2-jacobian-beta3-hat-zero": (
+            lambda: stage2_jacobian(0.05, Stage2Params(1.0, 0.5, 2.0), 0.0), "ValueError: beta3_hat must be > 0",
+        ),
+        "stage2-model-beta3-hat-negative": (
+            lambda: stage2_model(0.05, Stage2Params(1.0, 0.5, 2.0), -0.04), "ValueError: beta3_hat must be > 0",
+        ),
+        "problem-no-params": (
+            lambda: ResidualProblem(_no_rows, _no_rows, 0, 1), "ValueError: ResidualProblem dimensions must be >= 1",
+        ),
+        "problem-no-observations": (
+            lambda: ResidualProblem(_no_rows, _no_rows, 1, 0), "ValueError: ResidualProblem dimensions must be >= 1",
+        ),
+        "init-shape": (
+            lambda: lm_fit(ResidualProblem(_no_rows, _no_rows, 2, 1), np.zeros(2)),
+            "ValueError: init has shape (2,), expected (R, 2)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exact_message(self, case):
+        call, message = self.CASES[case]
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert f"{type(raised.value).__name__}: {raised.value}" == message

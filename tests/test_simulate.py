@@ -18,6 +18,7 @@ from portvol import (
     HestonParams,
     PathConfig,
     PolicyCoefficients,
+    SimPath,
     Stage1Params,
     StructuralSpec,
     cir_mean,
@@ -34,6 +35,7 @@ from portvol import (
 from portvol.nls import _guarded_denominator
 from portvol.simulate import (
     _BLOCK_PATHS,
+    BASE_RATE,
     _TILE,
     _TILE_PATHS,
     POLICY_VARIANCE_FLOOR,
@@ -826,7 +828,7 @@ class TestGenerateSyntheticDataset:
         data = generate_synthetic_dataset("model-implied", spec, seed=3)
         assert data.n_rows == 50
         assert data.labels is None
-        assert np.all(data.r == spec.base_rate)
+        assert np.all(data.r == BASE_RATE)
         assert data.pi_star == pytest.approx(stage1_model(data.e, truth), rel=1e-15)
         assert np.all((spec.e_interval[0] <= data.e) & (data.e <= spec.e_interval[1]))
 
@@ -907,8 +909,8 @@ def reference_model_implied(spec: GenerationSpec, seed: int) -> Dataset:
         pi = (b.beta2 * b.beta3 + b.beta1 * e) / _guarded_denominator(b.beta3 + e, b.beta3, e)
         if spec.noise > 0.0:
             pi = pi + spec.noise * rng.standard_normal(spec.n)
-        mu = spec.base_rate + e
-    return Dataset(pi_star=pi, mu=mu, r=np.full(spec.n, spec.base_rate), source="synthetic:model-implied")
+        mu = BASE_RATE + e
+    return Dataset(pi_star=pi, mu=mu, r=np.full(spec.n, BASE_RATE), source="synthetic:model-implied")
 
 
 def _outcome(generate, *args):
@@ -929,20 +931,19 @@ class TestStackedGeneration:
         b3=st.floats(1e-3, 2.0),
         e_interval=st.one_of(
             st.tuples(st.floats(-0.5, 0.5), st.floats(1e-3, 2.0)).map(lambda t: (t[0], t[0] + t[1])),
-            st.just((0.0, 1.2e307)),  # mu = base_rate + e overflows for some draws at base_rate 1.7e308
+            st.just((0.0, 1.2e307)),  # e near the float limit: b1*e overflows at b1 = 1e308
         ),
         noise=st.sampled_from([0.0, 0.01, 1.0, 1e308]),
-        base_rate=st.sampled_from([0.02, 0.0, -1.0, 1.7e308]),
         n=st.integers(1, 30),
         seeds=st.lists(
             st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)),
             min_size=1, max_size=5,
         ),
     )
-    def test_rows_equal_one_dataset_each(self, b1, b2, b3, e_interval, noise, base_rate, n, seeds):
+    def test_rows_equal_one_dataset_each(self, b1, b2, b3, e_interval, noise, n, seeds):
         lo, hi = e_interval
         assume(not lo <= -b3 <= hi)
-        spec = GenerationSpec(Stage1Params(b1, b2, b3), n, noise, e_interval, base_rate)
+        spec = GenerationSpec(Stage1Params(b1, b2, b3), n, noise, e_interval)
         mu, pi, pole = _model_implied_rows(spec, np.array(seeds, dtype=np.uint64))
         E, PI = portvol.estimate._generate_chunk(spec, np.array(seeds, dtype=np.uint64))
         kept = 0
@@ -969,3 +970,76 @@ class TestStackedGeneration:
             assert _outcome(generate_synthetic_dataset, "model-implied", spec, seed) == message
         report = portvol.estimate.monte_carlo_validation(spec, 3)
         assert report.failures == (("generation error", 3),)
+
+
+_PATH = PathConfig(horizon=1.0, dt=0.5, seed=0)
+_CURVE = Stage1Params(2.0, 0.5, 0.04)
+_INF = math.inf
+
+
+class TestValidators:
+    """Every refusal of the spec and path types, with its exact message."""
+
+    CASES = {
+        "horizon-nan": (lambda: PathConfig(horizon=math.nan, dt=0.1, seed=0), "horizon must be finite and > 0"),
+        "horizon-zero": (lambda: PathConfig(horizon=0.0, dt=0.1, seed=0), "horizon must be finite and > 0"),
+        "dt-infinite": (lambda: PathConfig(horizon=1.0, dt=_INF, seed=0), "dt must be finite and > 0"),
+        "dt-zero": (lambda: PathConfig(horizon=1.0, dt=0.0, seed=0), "dt must be finite and > 0"),
+        "dt-not-below-horizon": (lambda: PathConfig(horizon=1.0, dt=1.0, seed=0), "dt must be < horizon"),
+        "n-paths-zero": (
+            lambda: PathConfig(horizon=1.0, dt=0.1, seed=0, n_paths=0),
+            "n_paths must be an integer in [1, 2**64]: path indices are unsigned 64-bit",
+        ),
+        "n-paths-float": (
+            lambda: PathConfig(horizon=1.0, dt=0.1, seed=0, n_paths=2.0),
+            "n_paths must be an integer in [1, 2**64]: path indices are unsigned 64-bit",
+        ),
+        "seed-negative": (lambda: PathConfig(horizon=1.0, dt=0.1, seed=-1), "seed must be an unsigned 64-bit integer"),
+        "n-zero": (lambda: GenerationSpec(stage1=_CURVE, n=0), "n must be an integer >= 1"),
+        "n-float": (lambda: GenerationSpec(stage1=_CURVE, n=10.0), "n must be an integer >= 1"),
+        "noise-negative": (lambda: GenerationSpec(stage1=_CURVE, n=10, noise=-0.1), "noise must be finite and >= 0"),
+        "noise-infinite": (lambda: GenerationSpec(stage1=_CURVE, n=10, noise=_INF), "noise must be finite and >= 0"),
+        "interval-reversed": (
+            lambda: GenerationSpec(stage1=_CURVE, n=10, e_interval=(0.1, 0.01)),
+            "e_interval must be a finite (low, high) pair with low < high",
+        ),
+        "interval-infinite": (
+            lambda: GenerationSpec(stage1=_CURVE, n=10, e_interval=(-_INF, 0.1)),
+            "e_interval must be a finite (low, high) pair with low < high",
+        ),
+        "interval-holds-pole": (
+            lambda: GenerationSpec(stage1=_CURVE, n=10, e_interval=(-0.04, 0.1)),
+            "e_interval contains the model pole at -beta3",
+        ),
+        "x0-infinite": (
+            lambda: StructuralSpec(heston=heston(), policy=PolicyCoefficients(1.0, -2.0, 0.5), path=_PATH, x0=_INF),
+            "x0 must be finite",
+        ),
+        "path-length": (
+            lambda: SimPath(times=np.array([0.0, 1.0]), variance=np.array([0.1]), price=np.ones(2)),
+            "SimPath field variance has length 1, expected 2",
+        ),
+        "path-times": (
+            lambda: SimPath(times=np.array([0.0, 0.0]), variance=np.zeros(2), price=np.ones(2)),
+            "SimPath times must be strictly increasing",
+        ),
+        "path-variance": (
+            lambda: SimPath(times=np.array([0.0, 1.0]), variance=np.array([0.1, -0.1]), price=np.ones(2)),
+            "SimPath variance must be nonnegative",
+        ),
+        "path-price": (
+            lambda: SimPath(times=np.array([0.0, 1.0]), variance=np.zeros(2), price=np.array([1.0, 0.0])),
+            "SimPath price must be positive",
+        ),
+        "path-non-finite": (
+            lambda: SimPath(times=np.array([0.0, 1.0]), variance=np.array([0.0, _INF]), price=np.ones(2)),
+            "SimPath field variance contains non-finite values",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exact_message(self, case):
+        build, message = self.CASES[case]
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
