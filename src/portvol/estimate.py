@@ -395,7 +395,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
         return ssr, b1, b2, u, res
 
     def profile(k, sel):
-        """``(ssr, beta1, beta2, g, h)``: the fit at ``k``, with the gradient ``g`` and Gauss-Newton curvature ``h`` of ssr/2."""
+        """``(ssr, beta1, beta2, g, h)``: the fit at ``k``, with the gradient and Gauss-Newton curvature of ssr/2."""
         ssr, b1, b2, u, res = fit(k, sel)
         # d(residual)/dk, from w = -du/dk = u(1 - u) projected off [1, u]: exact gradient (Kaufman 1975)
         jac = (b1 - b2)[:, None] * _linear_part(u * (1.0 - u), u)[2]

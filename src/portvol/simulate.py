@@ -93,8 +93,7 @@ POLICY_VARIANCE_FLOOR = 1e-12
 # Seeds are unsigned 64-bit integers: 0 <= seed < SEED_LIMIT.
 SEED_LIMIT = 2**64
 
-# The risk-free rate of every model-implied row: mu = BASE_RATE + e.  The
-# fits read only e = mu - r.
+# The risk-free rate of every model-implied row; the fits read only e = mu - r.
 BASE_RATE = 0.02
 
 # The batch Euler kernel walks the grid in tiles of _TILE steps (5 MB of

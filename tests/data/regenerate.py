@@ -61,6 +61,12 @@ INPUTS = {
     "cross": (Stage1Params(-1.0, 3.0, 0.02), 200, 0.01, 5),
     "large": (TRUTH, 200_000, 0.01, 1),  # the fit-csv-large benchmark file at seed 1
     "zero": "pi_star,mu,r\n1.0,0.05,0.02\n0.0,0.06,0.02\n1.2,0.07,0.02\n1.3,0.08,0.02\n",
+    # The curve (2.0, 0.5, 0.04) at e = -0.03999 (1e-5 from its pole), -0.035, ..., -0.012.
+    "near_pole": (
+        "pi_star,mu,r\n-5997.999999998163,0.010010000000000005,0.05\n-10.000000000000005,0.015,0.05\n"
+        "-3.9999999999999987,0.020000000000000004,0.05\n-2.0000000000000004,0.025,0.05\n-1.0,0.030000000000000002,0.05\n"
+        "-0.3999999999999999,0.035,0.05\n-0.14285714285714285,0.038000000000000006,0.05\n"
+    ),
 }
 
 
@@ -84,9 +90,9 @@ STRUCTURAL = (
 OUT = "output = {tmp}/r.txt"
 DATA = "dataset_output = {tmp}/d.csv"
 
-# name: (subcommand, config, flags).  The first 32 cover every CLI path
-# the fits, the writers and the config refusals take; the rest add
-# truths, seeds and sizes.
+# name: (subcommand, config, flags).  The first 32 run each fitting mode,
+# its write failures and the config refusals; the rest add truths, seeds
+# and sizes.
 CLI_CASES = {
     "fit": ("fit", _run("fit", "input = {csv50}", OUT), []),
     "fit-verbose": ("fit", _run("fit", "input = {csv50}", OUT), ["--verbose"]),
@@ -110,7 +116,9 @@ CLI_CASES = {
     "pipeline-free-beta3-hat": (
         "pipeline", _run("pipeline", OUT, DATA, "gauge = free", "beta3_hat = 0.04") + _gen(), [],
     ),
-    "pipeline-unwritable-dataset": ("pipeline", _run("pipeline", OUT, "dataset_output = {tmp}/missing/d.csv") + _gen(), []),
+    "pipeline-unwritable-dataset": (
+        "pipeline", _run("pipeline", OUT, "dataset_output = {tmp}/missing/d.csv") + _gen(), [],
+    ),
     "pipeline-n-3": ("pipeline", _run("pipeline", OUT, DATA) + _gen(n=3), []),
     "simulate-structural-seed-9": ("simulate", _run("simulate", "output = {tmp}/d.csv") + STRUCTURAL, ["--seed", "9"]),
     "simulate-model-implied-seed-9": ("simulate", _run("simulate", "output = {tmp}/d.csv") + _gen(), ["--seed", "9"]),
@@ -137,8 +145,12 @@ CLI_CASES = {
     ),
     "pipeline-seed-12": ("pipeline", _run("pipeline", OUT, DATA, "seed = 12") + _gen(n=200), ["--verbose"]),
     "pipeline-seed-13": ("pipeline", _run("pipeline", OUT, DATA, "seed = 13") + _gen(n=200), ["--verbose"]),
-    "pipeline-free": ("pipeline", _run("pipeline", OUT, DATA, "seed = 11", "gauge = free") + _gen(n=200), ["--verbose"]),
-    "pipeline-n-30-noise-0.05": ("pipeline", _run("pipeline", OUT, DATA, "seed = 11") + _gen(n=30, noise=0.05), ["--verbose"]),
+    "pipeline-free": (
+        "pipeline", _run("pipeline", OUT, DATA, "seed = 11", "gauge = free") + _gen(n=200), ["--verbose"],
+    ),
+    "pipeline-n-30-noise-0.05": (
+        "pipeline", _run("pipeline", OUT, DATA, "seed = 11") + _gen(n=30, noise=0.05), ["--verbose"],
+    ),
     "pipeline-noiseless-equal-betas": (
         "pipeline", _run("pipeline", OUT, DATA, "seed = 11") + _gen(noise=0.0, b1=1.5, b2=1.5), ["--verbose"],
     ),
@@ -156,6 +168,22 @@ CLI_CASES = {
     ),
     "validate-seed-2": (
         "validate", _run("validate", OUT, "seed = 2") + _gen("replications = 50", n=200), ["--verbose"],
+    ),
+    # Diagnostics near their thresholds: stage 1's cond(J) is 4.6e7 and
+    # 1.8e8 on the two narrow intervals (ILL_CONDITIONED above 1e8), and
+    # POLE_PROXIMITY is set within 1e-3*beta3 of the pole and not 1e-3 away.
+    "pipeline-narrow-e": (
+        "pipeline", _run("pipeline", OUT, DATA, "seed = 11") + _gen("e_min = 0.05", "e_max = 0.0502", n=200, noise=0.0),
+        ["--verbose"],
+    ),
+    "pipeline-narrower-e": (
+        "pipeline", _run("pipeline", OUT, DATA, "seed = 11") + _gen("e_min = 0.05", "e_max = 0.0501", n=200, noise=0.0),
+        ["--verbose"],
+    ),
+    "volvol-near-pole": ("volvol", _run("volvol", "input = {near_pole}", OUT), ["--verbose"]),
+    "pipeline-close-to-pole": (
+        "pipeline", _run("pipeline", OUT, DATA, "seed = 11") + _gen("e_min = -0.039", "e_max = -0.012", noise=0.0),
+        ["--verbose"],
     ),
     "validate-n-30": (
         "validate", _run("validate", OUT, "seed = 1") + _gen("replications = 50", n=30, noise=0.05), ["--verbose"],
@@ -200,8 +228,8 @@ VALIDATION_CASES = {
 
 
 def make_inputs(directory: Path) -> dict[str, str]:
-    """Write every input file into ``directory``; returns the config placeholders for their paths."""
-    paths = {}
+    """Write every input file into ``directory``; returns the config placeholders: each file's path, and ``inputs``."""
+    paths = {"inputs": str(directory)}
     for name, source in INPUTS.items():
         path = directory / f"{name}.csv"
         if isinstance(source, str):
@@ -228,13 +256,13 @@ def run_cli_case(name: str, case_dir: Path, inputs: dict[str, str]) -> dict:
     cfg = case_dir / "c.cfg"
     cfg.write_text(config.format(tmp=case_dir, **inputs), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run_cli([command, "--config", str(cfg), *flags])
-    inputs_dir = str(Path(next(iter(inputs.values()))).parent)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli([command, "--config", str(cfg), *flags])
 
     def normal(text: str) -> str:
-        return text.replace(inputs_dir, "{inputs}").replace(str(case_dir), "{tmp}")
+        return text.replace(inputs["inputs"], "{inputs}").replace(str(case_dir), "{tmp}")
 
     report, dataset = case_dir / "r.txt", case_dir / "d.csv"
     return {

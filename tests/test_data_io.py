@@ -696,14 +696,16 @@ class TestRarelyTakenRefusals:
             "c.cfg", "[run]\nmode = fit\ninput = d.csv\n", "missing required key for mode fit: [run] output",
         ),
         "gauge-unknown": (
-            "c.cfg", _VOLVOL + "gauge = pin\n", "type error: [run] gauge must be free, pin-beta5 or pin-beta6; got 'pin'",
+            "c.cfg", _VOLVOL + "gauge = pin\n",
+            "type error: [run] gauge must be free, pin-beta5 or pin-beta6; got 'pin'",
         ),
         "kind-unknown": (
             "c.cfg", "[run]\nmode = simulate\noutput = d.csv\n[generation]\nkind = bootstrap\n",
             "type error: [generation] kind must be model-implied or structural, got 'bootstrap'",
         ),
         "generation-missing": (
-            "c.cfg", "[run]\nmode = simulate\noutput = d.csv\n", "missing required section for mode simulate: [generation]",
+            "c.cfg", "[run]\nmode = simulate\noutput = d.csv\n",
+            "missing required section for mode simulate: [generation]",
         ),
         "heston-missing": (
             "c.cfg", "[run]\nmode = simulate\noutput = d.csv\n" + re.sub(r"\[heston\][^[]*", "", _STRUCTURAL_GEN),

@@ -880,14 +880,13 @@ class TestVolatilityScale:
 
 
 _STRUCTURAL_HESTON = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
-# The wealth path overflows on every stream at these parameters (Feller condition violated, dt = 1e-3).
+# Feller-violating parameters: at dt = 1e-3 the wealth paths of the streams used here overflow.
 _FELLER_VIOLATING = HestonParams(mu=0.08, r=0.02, alpha=0.01, beta_rev=1.0, gamma=0.9, rho=0.3, sigma_bar=0.04)
 
 
 def _structural_spec(heston, horizon, dt):
-    return StructuralSpec(
-        heston=heston, policy=PolicyCoefficients(1.0, -2.0, 0.5), path=PathConfig(horizon=horizon, dt=dt, seed=0), x0=1.0
-    )
+    path = PathConfig(horizon=horizon, dt=dt, seed=0)
+    return StructuralSpec(heston=heston, policy=PolicyCoefficients(1.0, -2.0, 0.5), path=path, x0=1.0)
 
 
 def _stage2_diagnostics(data, variant):
@@ -900,8 +899,13 @@ def _stage2_diagnostics(data, variant):
     )
 
 
-def _structural_data():
-    return generate_synthetic_dataset("structural", _structural_spec(_STRUCTURAL_HESTON, 1.0, 0.004), 7)
+def _structural(variant):
+    data = generate_synthetic_dataset("structural", _structural_spec(_STRUCTURAL_HESTON, 1.0, 0.004), 7)
+    return _stage2_diagnostics(data, variant)
+
+
+def _model(variant):
+    return _stage2_diagnostics(model_data(noise=0.01), variant)
 
 
 def _max_iterations_report(monkeypatch):
@@ -920,14 +924,12 @@ class TestRarelyTakenBranches:
 
     ILL, GAUGE = frozenset({DIAG_ILL_CONDITIONED}), frozenset({DIAG_GAUGE, DIAG_ILL_CONDITIONED})
     CASES = {
-        "diagnostics-structural-free": (lambda mp: _stage2_diagnostics(_structural_data(), "free"), (GAUGE, GAUGE)),
-        "diagnostics-structural-pin-beta5": (lambda mp: _stage2_diagnostics(_structural_data(), "pin-beta5"), (ILL, ILL)),
-        "diagnostics-structural-pin-beta6": (lambda mp: _stage2_diagnostics(_structural_data(), "pin-beta6"), (ILL, ILL)),
-        "diagnostics-free": (
-            lambda mp: _stage2_diagnostics(model_data(noise=0.01), "free"), (frozenset({DIAG_GAUGE}),) * 2
-        ),
-        "diagnostics-pin-beta5": (lambda mp: _stage2_diagnostics(model_data(noise=0.01), "pin-beta5"), (frozenset(),) * 2),
-        "diagnostics-pin-beta6": (lambda mp: _stage2_diagnostics(model_data(noise=0.01), "pin-beta6"), (frozenset(),) * 2),
+        "diagnostics-structural-free": (lambda mp: _structural("free"), (GAUGE, GAUGE)),
+        "diagnostics-structural-pin-beta5": (lambda mp: _structural("pin-beta5"), (ILL, ILL)),
+        "diagnostics-structural-pin-beta6": (lambda mp: _structural("pin-beta6"), (ILL, ILL)),
+        "diagnostics-free": (lambda mp: _model("free"), (frozenset({DIAG_GAUGE}),) * 2),
+        "diagnostics-pin-beta5": (lambda mp: _model("pin-beta5"), (frozenset(),) * 2),
+        "diagnostics-pin-beta6": (lambda mp: _model("pin-beta6"), (frozenset(),) * 2),
         "stage2-two-rows": (
             lambda mp: fit_vol_of_vol(
                 Dataset(pi_star=[1.0, 1.2], mu=[0.05, 0.07], r=[0.02, 0.02]), 0.04, GaugeRule.free()

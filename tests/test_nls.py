@@ -360,7 +360,9 @@ class TestGuards:
     """The refusals of the curves, their Jacobians and the solver, with their exact messages."""
 
     CASES = {
-        "stage1-jacobian-at-pole": (lambda: stage1_jacobian(np.array([0.01, -0.04]), Stage1Params(2.0, 0.5, 0.04)), _POLE),
+        "stage1-jacobian-at-pole": (
+            lambda: stage1_jacobian(np.array([0.01, -0.04]), Stage1Params(2.0, 0.5, 0.04)), _POLE,
+        ),
         "stage1-model-at-pole": (lambda: stage1_model(-0.04, Stage1Params(2.0, 0.5, 0.04)), _POLE),
         "stage2-model-at-pole": (lambda: stage2_model(0.02, Stage2Params(1.0, 0.5, -1.0), 0.04), _POLE),
         "stage2-jacobian-beta3-hat-zero": (

@@ -35,9 +35,9 @@ from portvol import (
 from portvol.nls import _guarded_denominator
 from portvol.simulate import (
     _BLOCK_PATHS,
-    BASE_RATE,
     _TILE,
     _TILE_PATHS,
+    BASE_RATE,
     POLICY_VARIANCE_FLOOR,
     _in_threads,
     _model_implied_rows,
