@@ -81,12 +81,16 @@ def _gen(*extra: str, n=50, noise=0.01, b1=2.0, b2=0.5, b3=0.04) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-STRUCTURAL = (
-    "[generation]\nkind = structural\n"
-    "[heston]\nmu = 0.08\nr = 0.02\nalpha = 0.08\nbeta_rev = 2.0\ngamma = 0.3\nrho = -0.5\nsigma_bar = 0.04\n"
-    "[policy]\nalpha0 = 1.0\nalpha1 = -2.0\nalpha2 = 0.5\n"
-    "[path]\nhorizon = 1.0\ndt = 0.004\nx0 = 1.0\n"
-)
+def _structural(*extra: str) -> str:
+    """A structural ``[generation]`` section with the ``extra`` lines, then its market and path sections."""
+    return "".join(f"{line}\n" for line in ("[generation]", "kind = structural", *extra)) + (
+        "[heston]\nmu = 0.08\nr = 0.02\nalpha = 0.08\nbeta_rev = 2.0\ngamma = 0.3\nrho = -0.5\nsigma_bar = 0.04\n"
+        "[policy]\nalpha0 = 1.0\nalpha1 = -2.0\nalpha2 = 0.5\n"
+        "[path]\nhorizon = 1.0\ndt = 0.004\nx0 = 1.0\n"
+    )
+
+
+STRUCTURAL = _structural()
 OUT = "output = {tmp}/r.txt"
 DATA = "dataset_output = {tmp}/d.csv"
 
@@ -188,6 +192,7 @@ CLI_CASES = {
     "validate-n-30": (
         "validate", _run("validate", OUT, "seed = 1") + _gen("replications = 50", n=30, noise=0.05), ["--verbose"],
     ),
+    "validate-structural": ("validate", _run("validate", OUT, "seed = 17") + _structural("replications = 5"), []),
 }
 
 _HESTON = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
