@@ -2,14 +2,11 @@
 
 Model-implied replications measure bias, RMSE and interval coverage
 against the known generator.  Structural replications (data read off a
-simulated wealth path) have no true beta vector; there the harness
-reports the fitted beta3 against both readings of the initial variance.
-On this design that comparison is not a finding yet: every structural
-row has the same excess return e = mu - r, which identifies only the
-level of the stage-1 curve, so each fit "converges" to the bottom of
-its start grid, beta3 = 0.06*exp(-8) ~ 2.0e-05, whatever the variance.
-Structural beta3 is not identified until ROADMAP item 3 (structural
-data the estimator can identify) lands.
+simulated wealth path) are refused: every structural row has the same
+excess return e = mu - r, which fixes only the level of the stage-1
+curve, and stage 1 needs at least 3 distinct e to identify beta3.  The
+harness tallies each refusal; structural beta3 stays unidentified until
+ROADMAP item 3 (structural data the estimator can identify) lands.
 """
 
 from portvol import (
@@ -47,10 +44,7 @@ structural = StructuralSpec(
 sreport = monte_carlo_validation(structural, replications=20, master_seed=5)
 print(f"\nstructural validation, {sreport.replications} replications:")
 print(f"  convergence rate = {sreport.convergence_rate:.2f}")
-print(f"  mean beta3 = {sreport.beta3_mean:.6f}")
-scale = sreport.scale
-print(f"  |beta3 - sigma_bar|       = {scale.abs_err_vs_variance:.6f}   (sigma_bar = {scale.sigma_bar})")
-print(f"  |beta3 - sqrt(sigma_bar)| = {scale.abs_err_vs_volatility:.6f}   (sqrt = {scale.sqrt_sigma_bar})")
-print(f"  closer_to = {scale.closer_to}, but this is not a finding: every structural row has one")
-print("  e = mu - r, so stage 1 fits only the level and beta3 is the bottom of its start grid,")
-print("  0.06*exp(-8); structural beta3 is not identified until ROADMAP item 3 lands")
+for reason, count in sreport.failures:
+    print(f"  {count} x {reason}")
+print(f"  every structural row has e = mu - r = {heston.mu - heston.r:g}: one distinct e fixes only the")
+print("  level of the stage-1 curve, and beta3 needs at least 3, so every replication is refused")

@@ -57,14 +57,12 @@ from .estimate import (
     GaugeRule,
     RhoEstimate,
     ValidationReport,
-    VolatilityScale,
     estimate_rho,
     fit_vol_of_vol,
     fit_volatility,
     identifiability_diagnostics,
     monte_carlo_validation,
     standard_errors,
-    volatility_scale_comparison,
 )
 from .data_io import RunConfig, parse_config, read_dataset, write_dataset, write_report
 
@@ -88,7 +86,6 @@ __all__ = [
     "Stage2Params",
     "StructuralSpec",
     "ValidationReport",
-    "VolatilityScale",
     "cir_mean",
     "estimate_rho",
     "fit_vol_of_vol",
@@ -111,7 +108,6 @@ __all__ = [
     "stage2_model",
     "standard_errors",
     "variance_path_from_normals",
-    "volatility_scale_comparison",
     "write_dataset",
     "write_report",
 ]

@@ -21,10 +21,9 @@ from .estimate import (
     fit_vol_of_vol,
     fit_volatility,
     monte_carlo_validation,
-    volatility_scale_comparison,
 )
 from .model import FitResult
-from .simulate import SEED_LIMIT, StructuralSpec, generate_synthetic_dataset
+from .simulate import SEED_LIMIT, generate_synthetic_dataset
 
 _SUBCOMMANDS = ("simulate", "fit", "volvol", "validate", "pipeline", "help")
 
@@ -110,7 +109,7 @@ def _run_fits(cfg, verbose: bool) -> int:
         except ValueError as exc:
             return _stage_error("stage1 fit", exc)
         beta3_hat = stage1.params.beta3
-    stage2 = gauge = rho = scale = None
+    stage2 = gauge = rho = None
     if cfg.mode != "fit":
         try:
             gauge = GaugeRule.from_stage1(cfg.gauge_variant, stage1)
@@ -124,14 +123,8 @@ def _run_fits(cfg, verbose: bool) -> int:
                 rho = estimate_rho(stage1.params.beta2, stage2.params.beta4, cfg.alpha_ratio)
             except ValueError as exc:
                 return _stage_error("rho", exc)
-        if isinstance(cfg.generation, StructuralSpec):
-            # The true initial variance is known here, so the report can show
-            # beta3 against both the variance and the volatility reading.
-            scale = volatility_scale_comparison(beta3_hat, cfg.generation.heston.sigma_bar)
     try:
-        data_io.write_report(
-            cfg.output, stage1=stage1, stage2=stage2, gauge=gauge, rho=rho, scale=scale
-        )
+        data_io.write_report(cfg.output, stage1=stage1, stage2=stage2, gauge=gauge, rho=rho)
     except OSError as exc:
         return _stage_error("report", exc)
     if stage1 is not None:

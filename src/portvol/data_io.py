@@ -28,7 +28,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .estimate import _GAUGE_VARIANTS, GaugeRule, RhoEstimate, ValidationReport, VolatilityScale
+from .estimate import _GAUGE_VARIANTS, GaugeRule, RhoEstimate, ValidationReport
 from .model import Dataset, FitResult, HestonParams, PolicyCoefficients, Stage1Params
 from .simulate import SEED_LIMIT, GenerationSpec, PathConfig, StructuralSpec
 
@@ -241,14 +241,13 @@ def write_report(
     stage2: FitResult | None = None,
     gauge: GaugeRule | None = None,
     rho: RhoEstimate | None = None,
-    scale: VolatilityScale | None = None,
     validation: ValidationReport | None = None,
 ) -> None:
     """Emit the line-oriented result report.
 
-    Sections appear in a fixed order (stage1, stage2, rho,
-    volatility_scale, diagnostics, validation), each with a fixed key
-    order, so identical inputs produce byte-identical files.
+    Sections appear in a fixed order (stage1, stage2, rho, diagnostics,
+    validation), each with a fixed key order, so identical inputs produce
+    byte-identical files.
     """
     lines: list[str] = []
     if stage1 is not None:
@@ -265,15 +264,6 @@ def write_report(
         lines.append("[rho]")
         lines.append(f"rho_hat = {_fmt(rho.rho_hat)}")
         lines.append(f"in_range = {_fmt(rho.in_range)}")
-        lines.append("")
-    if scale is not None:
-        lines.append("[volatility_scale]")
-        lines.append(f"beta3_hat = {_fmt(scale.beta3_hat)}")
-        lines.append(f"sigma_bar = {_fmt(scale.sigma_bar)}")
-        lines.append(f"sqrt_sigma_bar = {_fmt(scale.sqrt_sigma_bar)}")
-        lines.append(f"abs_err_vs_variance = {_fmt(scale.abs_err_vs_variance)}")
-        lines.append(f"abs_err_vs_volatility = {_fmt(scale.abs_err_vs_volatility)}")
-        lines.append(f"closer_to = {scale.closer_to}")
         lines.append("")
     if stage1 is not None or stage2 is not None or rho is not None:
         lines.append("[diagnostics]")
@@ -301,10 +291,6 @@ def write_report(
         lines.append(f"beta3_mean = {_fmt(v.beta3_mean)}")
         lines.append(f"stage2_gamma_mean = {_fmt(v.stage2_gamma_mean)}")
         lines.append(f"stage2_converged = {_fmt(v.stage2_n_converged)}")
-        if v.scale is not None:
-            lines.append(f"beta3_mean_vs_sigma_bar = {_fmt(v.scale.abs_err_vs_variance)}")
-            lines.append(f"beta3_mean_vs_sqrt_sigma_bar = {_fmt(v.scale.abs_err_vs_volatility)}")
-            lines.append(f"closer_to = {v.scale.closer_to}")
         lines.append("")
     text = "\n".join(lines)
     try:

@@ -3,7 +3,9 @@
 Stage 1 fits the observed positions against the excess return and reads
 the portfolio volatility off ``beta3``.  At a fixed ``beta3`` its curve is
 linear in ``(beta1, beta2)``, so the fit is a search in ``log beta3`` alone
-(variable projection); a fit ending off its start grid is refused.
+(variable projection).  It needs at least 3 distinct excess returns: with
+two, every ``beta3`` fits the two group means exactly.  Data with fewer,
+and a fit ending off its start grid, are refused.
 
 Stage 2 fits the inverse positions and reads the volatility of
 volatility off ``beta4``.  Its curve ``beta4*(b3h+e)/(beta5*b3h+beta6*e)``
@@ -11,7 +13,8 @@ identifies only the ratios ``c5 = beta5/beta4`` and ``c6 = beta6/beta4``:
 its reciprocal is the stage-1 curve with ``(beta1, beta2, beta3) =
 (c6, c5, b3h)``.  So stage 2 is one fit in ``(c6, c5)``, and the gauge
 convention is a map applied afterwards, ``beta = s*(1, c5, c6)``, with
-``s`` chosen so the pinned parameter takes its pin value.
+``s`` chosen so the pinned parameter takes its pin value.  It needs at
+least 2 distinct excess returns, one per ratio, and refuses data with one.
 
 Under the default gauge (pin ``beta5`` at the stage-1 ``beta2_hat``),
 ``gamma_hat = beta2_hat / c5_hat``.  Both are estimates of the same
@@ -62,14 +65,12 @@ __all__ = [
     "GaugeRule",
     "RhoEstimate",
     "ValidationReport",
-    "VolatilityScale",
     "estimate_rho",
     "fit_volatility",
     "fit_vol_of_vol",
     "identifiability_diagnostics",
     "standard_errors",
     "monte_carlo_validation",
-    "volatility_scale_comparison",
     "DIAG_B1_EQ_B2",
     "DIAG_POLE",
     "DIAG_ILL_CONDITIONED",
@@ -166,39 +167,6 @@ class RhoEstimate:
     @property
     def in_range(self) -> bool:
         return abs(self.rho_hat) <= 1.0
-
-
-@dataclass(frozen=True)
-class VolatilityScale:
-    """Comparison of ``beta3`` against both readings of the initial variance.
-
-    Whether the fitted ``beta3`` tracks the variance ``sigma_bar`` or the
-    volatility ``sqrt(sigma_bar)`` is ambiguous in the model statement,
-    so both distances are reported side by side.
-    """
-
-    beta3_hat: float
-    sigma_bar: float
-    sqrt_sigma_bar: float
-    abs_err_vs_variance: float
-    abs_err_vs_volatility: float
-    closer_to: str
-
-
-def volatility_scale_comparison(beta3_hat: float, sigma_bar: float) -> VolatilityScale:
-    if not sigma_bar >= 0.0:
-        raise ValueError("sigma_bar must be >= 0")
-    root = math.sqrt(sigma_bar)
-    err_var = abs(beta3_hat - sigma_bar)
-    err_vol = abs(beta3_hat - root)
-    return VolatilityScale(
-        beta3_hat=beta3_hat,
-        sigma_bar=sigma_bar,
-        sqrt_sigma_bar=root,
-        abs_err_vs_variance=err_var,
-        abs_err_vs_volatility=err_vol,
-        closer_to="variance" if err_var <= err_vol else "volatility",
-    )
 
 
 def _linear_part(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,12 +344,20 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     """Stage 1 on stacked datasets: excess returns ``E`` and positions ``PI``, ``(R, n)``.
 
     Each row runs the search of :func:`fit_volatility` with its own grid
-    start, steps, halvings, stop and refusal.
+    start, steps, halvings, stop and refusal; a row with fewer than 3
+    distinct ``e`` is refused first and never searched.
     """
     n_rows, n = E.shape
     if n < _MIN_ROWS_STAGE1:
         raise ValueError(f"insufficient data: stage-1 fit needs at least {_MIN_ROWS_STAGE1} rows, got {n}")
     lo, hi = E.min(axis=-1), E.max(axis=-1)
+    distinct = np.where(lo == hi, 1, np.where(((lo[:, None] < E) & (E < hi[:, None])).any(axis=-1), 3, 2))
+    failures = {
+        i: ("stage1 insufficient regressor variation", ValueError(
+            f"insufficient regressor variation: stage-1 fit needs at least 3 distinct e, got {distinct[i]}"
+        ))
+        for i in np.flatnonzero(distinct < 3).tolist()
+    }
     scale = np.maximum(-lo, hi)
     scale[scale == 0.0] = 1.0
 
@@ -414,7 +390,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
         k0, g0 = np.full(n_rows, math.nan), np.full(n_rows, math.nan)
         iterations = np.zeros(n_rows, dtype=int)
         messages = [""] * n_rows
-        live = np.ones(n_rows, dtype=bool)
+        live = distinct >= 3
 
         def stop(rows, message):
             live[rows] = False
@@ -453,12 +429,10 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
                 stop(rows[short], "step tolerance reached")
                 search[short] = False
 
-    failures = {
-        i: ("stage1 beta3 not identified", ValueError(
+    for i in np.flatnonzero((k < _LOG_BETA3_GRID[0]) | (k > _LOG_BETA3_GRID[-1])).tolist():
+        failures.setdefault(i, ("stage1 beta3 not identified", ValueError(
             f"beta3 is not identified: log(beta3/max|e|) ends at {float(k[i]):.6g}, outside [-8, 6]"
-        ))
-        for i in np.flatnonzero((k < _LOG_BETA3_GRID[0]) | (k > _LOG_BETA3_GRID[-1])).tolist()
-    }
+        )))
     b3 = scale * _exp(k)
     params = np.stack([b1, b2, b3], axis=1)
     # Inputs are finite, so a non-finite fit is one whose sums overflowed.
@@ -484,11 +458,14 @@ def fit_volatility(data: Dataset) -> FitResult:
     (message "gradient tolerance reached"), or once a step of at most
     1e-12 brings no decrease ("step tolerance reached").  Standard
     errors are None, with ``DEGENERATE_COVARIANCE``, when singular.
-    Level-only data (one distinct ``e``, or flat positions) converge at
-    the level fit with ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at least 4
-    rows.  Raises ValueError("beta3 is not identified: ...") when ``k``
-    ends off the grid, and ValueError("stage-1 fit is not finite: ...")
-    when positions are so large that the sum of squares overflows.  This
+    Flat positions converge at the level fit with
+    ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at least 4 rows and at least 3
+    distinct ``e`` (with two, every ``beta3`` fits the two group means
+    exactly); fewer raise ValueError("insufficient regressor variation:
+    ...") before any search.  Raises ValueError("beta3 is not identified:
+    ...") when ``k`` ends off the grid, and ValueError("stage-1 fit is not
+    finite: ...") when positions are so large that the sum of squares
+    overflows.  This
     is the one-row case of the stacked fit the Monte Carlo harness runs.
     """
     return _stage1_rows(data.e[None], data.pi_star[None]).result(0)
@@ -542,6 +519,8 @@ def _stage2_rows(
     denom = bh + E
     fail(np.flatnonzero(_pole_rows(denom, bh, E)), "stage2 pole guard",
          lambda i: PoleError("model evaluated within the pole guard of a vanishing denominator"))
+    fail(np.flatnonzero(E.min(axis=-1) == E.max(axis=-1)), "stage2 insufficient regressor variation",
+         lambda i: ValueError("insufficient regressor variation: stage-2 fit needs at least 2 distinct e, got 1"))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         U, V = E / denom, bh / denom  # the curve's derivatives in c6 and c5
@@ -576,14 +555,7 @@ def _stage2_rows(
     fail(np.flatnonzero([m == UNEVALUABLE_START for m in raw.messages]),
          "stage2 initial residuals unevaluable", lambda i: ValueError(UNEVALUABLE_START))
 
-    q = raw.params.copy()
-    if k:
-        # One distinct e identifies only the level of the curve: every
-        # q + t*null fits alike, so take the one where the pinned ratio
-        # q[j] equals the pin (s = 1).
-        null, j = np.stack([b3h, -E[:, 0]], axis=1), 2 - k
-        one = (E.min(axis=-1) == E.max(axis=-1)) & (null[:, j] != 0.0)
-        q[one] += ((pins[one] - q[one, j]) / null[one, j])[:, None] * null[one]
+    q = raw.params
     ratio = np.stack([np.ones(n_rows), q[:, 1], q[:, 0]], axis=1)[:, k]
     name = ("beta4", "beta5", "beta6")[k]
     fail(np.flatnonzero(~(pins * ratio > 0.0)), "stage2 gauge sign conflict", lambda i: ValueError(
@@ -616,7 +588,9 @@ def fit_vol_of_vol(
     ``gamma_hat`` is the resulting ``beta4``.  The regressand is
     ``1/pi_star``, so a zero position, or positions that do not share one
     sign, are rejected with the offending row named; so is a gauge pin
-    whose sign would make ``beta4 <= 0``.  Standard errors cover the two
+    whose sign would make ``beta4 <= 0``.  One distinct ``e`` cannot fix
+    two ratios, so such data raise ValueError("insufficient regressor
+    variation: ...") unless one of those refusals comes first.  Standard errors cover the two
     free parameters (the fixed one reports 0.0).  This is the one-row case
     of the stacked fit the Monte Carlo harness runs.
     """
@@ -658,12 +632,13 @@ class ValidationReport:
     ``coverage`` counts nominal-95% Gauss-Newton intervals containing the
     truth among the ``coverage_evaluated`` replications that produced
     standard errors.  For structural data there is no true parameter
-    vector, so those fields are None and ``scale`` compares the mean
-    ``beta3`` against both readings of the initial variance.
+    vector, so those fields are None; every structural row has one excess
+    return, so stage 1 refuses it and ``n_converged`` is 0.
     ``stage2_n_failed`` counts stage-2 fits that raised (None when stage 2
     was not run).  ``failures`` tallies, as sorted ``(reason, count)``
     pairs, every replication that gave no converged fit in a stage it ran:
-    ``"stage1 beta3 not identified"``, ``"stage1 non-finite fit"``,
+    ``"stage1 insufficient regressor variation"``, ``"stage1 beta3 not
+    identified"``, ``"stage1 non-finite fit"``,
     ``"stage1 not converged: max iterations"``, ``"stage2 position sign
     change"``, ``"stage2 pole guard"`` and so on.  Neither is written to
     the report.
@@ -679,7 +654,6 @@ class ValidationReport:
     coverage: tuple[int, ...] | None
     coverage_evaluated: int
     beta3_mean: float | None
-    scale: VolatilityScale | None
     stage2_gamma_mean: float | None = None
     stage2_n_converged: int | None = None
     stage2_n_failed: int | None = None
@@ -820,22 +794,19 @@ def monte_carlo_validation(
     names = ("beta1", "beta2", "beta3")
     bias = rmse = coverage = None
     beta3_mean = None
-    scale = None
     coverage_evaluated = 0
     est = np.concatenate(estimates) if estimates else np.empty((0, 3))
     if len(est):
+        # Only data with a truth converge: structural rows have one e.
         beta3_mean = float(np.mean(est[:, 2]))
-        if truth is not None:
-            errors = est - truth.as_array()
-            bias = tuple(float(v) for v in errors.mean(axis=0))
-            rmse = tuple(float(v) for v in np.sqrt((errors**2).mean(axis=0)))
-            se = np.concatenate(ses)
-            evaluated = ~np.isnan(se).any(axis=1)
-            coverage_evaluated = int(evaluated.sum())
-            hits = np.abs(errors[evaluated]) <= 1.96 * se[evaluated]
-            coverage = tuple(int(v) for v in hits.sum(axis=0))
-        else:
-            scale = volatility_scale_comparison(beta3_mean, spec.heston.sigma_bar)
+        errors = est - truth.as_array()
+        bias = tuple(float(v) for v in errors.mean(axis=0))
+        rmse = tuple(float(v) for v in np.sqrt((errors**2).mean(axis=0)))
+        se = np.concatenate(ses)
+        evaluated = ~np.isnan(se).any(axis=1)
+        coverage_evaluated = int(evaluated.sum())
+        hits = np.abs(errors[evaluated]) <= 1.96 * se[evaluated]
+        coverage = tuple(int(v) for v in hits.sum(axis=0))
     gammas = np.concatenate(gamma_hats) if gamma_hats else np.empty(0)
 
     return ValidationReport(
@@ -849,7 +820,6 @@ def monte_carlo_validation(
         coverage=coverage,
         coverage_evaluated=coverage_evaluated,
         beta3_mean=beta3_mean,
-        scale=scale,
         stage2_gamma_mean=(float(np.mean(gammas)) if len(gammas) else None),
         stage2_n_converged=(stage2_converged if run_stage2 else None),
         stage2_n_failed=(stage2_failed if run_stage2 else None),

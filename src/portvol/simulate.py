@@ -647,7 +647,8 @@ class GenerationSpec:
     Rows get excess returns uniform on ``e_interval``, positions equal to
     the stage-1 model value plus centered Gaussian noise, and the
     risk-free rate ``BASE_RATE`` (so ``mu = BASE_RATE + e``).  The
-    interval must exclude the model pole at ``-beta3``.
+    interval must have a finite width and exclude the model pole at
+    ``-beta3``.
     """
 
     kind: ClassVar[str] = "model-implied"
@@ -664,6 +665,8 @@ class GenerationSpec:
         lo, hi = self.e_interval
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("e_interval must be a finite (low, high) pair with low < high")
+        if not math.isfinite(hi - lo):
+            raise ValueError("e_interval is too wide: its width high - low overflows")
         if lo <= -self.stage1.beta3 <= hi:
             raise ValueError("e_interval contains the model pole at -beta3")
 
@@ -692,14 +695,11 @@ def _model_implied_rows(spec: GenerationSpec, seeds: np.ndarray) -> tuple[np.nda
     ``e = lo + (hi - lo)*u`` as ``Generator.uniform`` computes them, then,
     with noise, ``n`` normals, and ``mu = BASE_RATE + e``.  ``pole`` marks
     the rows with an ``e`` on the pole guard of the stage-1 curve; their
-    values mean nothing.  ``e`` lies in the finite ``e_interval``, so
-    ``mu`` is finite; ``pi_star`` is not checked: a row with a non-finite
+    values mean nothing.  ``e`` lies in ``e_interval``, whose width is
+    finite, so ``mu`` is finite; ``pi_star`` is not checked: a row with a non-finite
     position is one that ``Dataset`` refuses.
     """
     lo, hi = spec.e_interval
-    width = hi - lo
-    if not math.isfinite(width):
-        raise OverflowError("high - low range exceeds valid bounds")  # as Generator.uniform
     mu = np.empty((len(seeds), spec.n))
     pi = np.empty_like(mu) if spec.noise > 0.0 else None
     for row, gen in enumerate(_streams(_seed_keys(seeds))):
@@ -707,7 +707,7 @@ def _model_implied_rows(spec: GenerationSpec, seeds: np.ndarray) -> tuple[np.nda
         if pi is not None:
             gen.standard_normal(out=pi[row])
     e = mu
-    e *= width
+    e *= hi - lo
     e += lo
     b1, b2, b3 = spec.stage1.beta1, spec.stage1.beta2, spec.stage1.beta3
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -180,10 +180,12 @@ class TestPipeline:
             "[policy]\nalpha0 = 1.0\nalpha1 = -2.0\nalpha2 = 0.5\n"
             "[path]\nhorizon = 1.0\ndt = 0.004\nx0 = 1.0\n"
         )
-        assert run_cli(["pipeline", "--config", str(cfg)]) == 0
-        text = (tmp_path / "r.txt").read_text()
-        assert "[volatility_scale]" in text
-        assert "sqrt_sigma_bar = 0.2" in text
+        # The scale block compared an unidentified beta3: every structural
+        # row has one e, so stage 1 now refuses and no report is written.
+        assert run_cli(["pipeline", "--config", str(cfg)]) == 2
+        assert "insufficient regressor variation" in capsys.readouterr().err
+        assert (tmp_path / "d.csv").exists()
+        assert not (tmp_path / "r.txt").exists()
 
 
 class TestSimulateAndValidate:
@@ -483,18 +485,10 @@ class TestOutputOrder:
         ),
         "pipeline-structural-verbose": (
             "pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n" + _STRUCTURAL_RUN,
-            ["--verbose"], 0, "",
-            "dataset written to {tmp}/d.csv (# rows)\n" + _STAGE1_SUMMARY + _VERBOSE1
-            + "stage1 diagnostics = DEGENERATE_COVARIANCE,IDENTIFIABILITY_B1_EQ_B2,ILL_CONDITIONED\n"
-            + _STAGE2_SUMMARY + _VERBOSE2 + "stage2 diagnostics = DEGENERATE_COVARIANCE,ILL_CONDITIONED\n"
-            + "stage2 gamma_hat = # (gauge pin-beta5)\n" + _WRITTEN,
-            _STAGE1_REPORT.replace("se_beta1 = #\nse_beta2 = #\nse_beta3 = #", "se_beta1 = null\nse_beta2 = null\nse_beta3 = null")
-            + _stage2_report("pin-beta5").replace("se_beta4 = #\nse_beta5 = #\nse_beta6 = #",
-                                                  "se_beta4 = null\nse_beta5 = null\nse_beta6 = null")
-            + "[volatility_scale]\nbeta3_hat = #\nsigma_bar = #\nsqrt_sigma_bar = #\n"
-            "abs_err_vs_variance = #\nabs_err_vs_volatility = #\ncloser_to = variance\n\n"
-            "[diagnostics]\nstage1 = DEGENERATE_COVARIANCE,IDENTIFIABILITY_B1_EQ_B2,ILL_CONDITIONED\n"
-            "stage2 = DEGENERATE_COVARIANCE,ILL_CONDITIONED\n",
+            ["--verbose"], 2,
+            "error in stage1 fit stage: insufficient regressor variation: stage-1 fit needs at least 3 distinct e, "
+            "got 1\n",
+            "dataset written to {tmp}/d.csv (# rows)\n", None,
         ),
         "pipeline-refused": (
             "pipeline", "[run]\nmode = pipeline\noutput = {tmp}/r.txt\ndataset_output = {tmp}/d.csv\n"
@@ -525,7 +519,7 @@ class TestOutputOrder:
 
 
 class TestSimulateFailures:
-    """``portvol simulate``'s two error exits, with their exact stderr; ``{tmp}`` is the test directory."""
+    """``portvol simulate``'s error exits, with their exact stderr; ``{tmp}`` is the test directory."""
 
     CASES = {
         "generation-error": (
@@ -536,6 +530,12 @@ class TestSimulateFailures:
         ),
         "unwritable-output": (
             "output = {tmp}/missing/d.csv\n" + NOISELESS_GEN, "error in write stage: " + _WRITE_ERROR + "d.csv'\n",
+        ),
+        # Finite ends whose width overflows, the pole outside them.
+        "overflowing-e-interval": (
+            "output = {tmp}/d.csv\n[generation]\nn = 10\nbeta1 = 2.0\nbeta2 = 0.5\nbeta3 = 1.7e308\n"
+            "e_min = -1.6e308\ne_max = 1.7e308\n",
+            "error in config stage: e_interval is too wide: its width high - low overflows\n",
         ),
     }
 

@@ -30,7 +30,6 @@ from portvol import (
     monte_carlo_validation,
     parse_config,
     read_dataset,
-    volatility_scale_comparison,
     write_dataset,
     write_report,
 )
@@ -468,14 +467,6 @@ class TestWriteReport:
         assert "inf" not in text
         assert "rho_hat = null" in text
 
-    def test_volatility_scale_block(self, tmp_path):
-        p = tmp_path / "r.txt"
-        write_report(p, scale=volatility_scale_comparison(0.05, 0.04))
-        text = p.read_text()
-        assert "[volatility_scale]" in text
-        assert "sqrt_sigma_bar =" in text
-        assert "closer_to = variance" in text
-
     def test_validation_block(self, tmp_path):
         spec = GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=50, noise=0.01)
         report = monte_carlo_validation(spec, 5, master_seed=0)
@@ -497,11 +488,11 @@ class TestWriteReport:
         report = monte_carlo_validation(structural, 2, master_seed=0)
         write_report(p, validation=report)
         lines = p.read_text().splitlines()
-        scale = report.scale
-        assert f"beta3_mean_vs_sigma_bar = {scale.abs_err_vs_variance:.17g}" in lines
-        assert f"beta3_mean_vs_sqrt_sigma_bar = {scale.abs_err_vs_volatility:.17g}" in lines
-        assert f"closer_to = {scale.closer_to}" in lines
+        # Structural rows have one excess return, so stage 1 refuses every replication.
+        assert ["converged = 0", "failed = 2"] == lines[2:4]
         assert "truth_beta1 = null" in lines
+        assert "beta3_mean = null" in lines
+        assert lines[-1] == "stage2_converged = null"
 
 
 class TestParseConfig:

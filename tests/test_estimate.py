@@ -31,7 +31,6 @@ from portvol import (
     stage2_jacobian,
     stage2_model,
     standard_errors,
-    volatility_scale_comparison,
 )
 from portvol.estimate import (
     DIAG_B1_EQ_B2,
@@ -44,6 +43,8 @@ from portvol.estimate import (
 from portvol.model import FitResult
 
 TRUTH = Stage1Params(2.0, 0.5, 0.04)
+_TOO_FEW_E_STAGE1 = "insufficient regressor variation: stage-1 fit needs at least 3 distinct e, got 1"
+_TOO_FEW_E_STAGE2 = "insufficient regressor variation: stage-2 fit needs at least 2 distinct e, got 1"
 
 
 def model_data(truth=TRUTH, n=50, noise=0.0, seed=42):
@@ -243,10 +244,9 @@ class TestFitVolatility:
     @pytest.mark.parametrize(
         "pi_star, mu",
         [
-            ([1.0, 1.3, 0.9, 1.1, 1.2], [0.06] * 5),  # one distinct e
             ([1.25] * 5, [0.03, 0.05, 0.07, 0.09, 0.11]),  # flat positions
         ],
-        ids=["one-distinct-e", "flat-positions"],
+        ids=["flat-positions"],
     )
     def test_level_only_data_converge_at_the_level(self, pi_star, mu):
         fit = fit_volatility(Dataset(pi_star=pi_star, mu=mu, r=[0.02] * 5))
@@ -397,17 +397,14 @@ class TestFitVolOfVol:
             assert fit.params.beta4 == pytest.approx(1.0, abs=1e-6)
 
     def test_single_excess_return_takes_unit_scale(self):
-        # One distinct e identifies only the curve's level, so any ratio pair
-        # on a line fits; the gauge then takes s = 1 and the covariance is
-        # degenerate, whatever the sign of the pin.
+        # One distinct e identifies only the curve's level, not two ratios.
+        # It used to fit at s = 1 with a degenerate covariance; it is now
+        # refused, whatever the gauge and the sign of the pin.
         data = Dataset(pi_star=[-0.8, -0.9, -1.0, -1.1], mu=[0.08] * 4, r=[0.02] * 4)
-        for gauge in (GaugeRule.pin_beta5(-5.0), GaugeRule.pin_beta5(5.0), GaugeRule.pin_beta6(0.4)):
-            fit = fit_vol_of_vol(data, 0.02, gauge)
-            assert fit.params.beta4 == pytest.approx(1.0, rel=1e-12)
-            assert fit.standard_errors is None
-            assert DIAG_DEGENERATE_COV in fit.diagnostics
-            # the least-squares level of the inverse positions
-            assert stage2_model(0.06, fit.params, 0.02) == pytest.approx(np.mean(1.0 / data.pi_star), rel=1e-9)
+        for gauge in (GaugeRule.pin_beta5(-5.0), GaugeRule.pin_beta5(5.0), GaugeRule.pin_beta6(0.4), GaugeRule.free()):
+            with pytest.raises(ValueError) as raised:
+                fit_vol_of_vol(data, 0.02, gauge)
+            assert str(raised.value) == _TOO_FEW_E_STAGE2
 
     def test_zero_position_rejected_with_row(self):
         data = Dataset(pi_star=[1.0, 0.0, 1.2, 1.3], mu=[0.05, 0.06, 0.07, 0.08], r=[0.02] * 4)
@@ -425,6 +422,73 @@ class TestFitVolOfVol:
             GaugeRule("pin-beta6", None)
         with pytest.raises(ValueError):
             GaugeRule("free", 1.0)
+
+
+# Excess returns for the designs below: -0.05 and -0.02 put the stage-2
+# curve on its pole at two of the drawn beta3_hat.
+_E_POOL = (-0.05, -0.02, 0.0, 0.01, 0.03, 0.06, 0.1)
+
+
+@st.composite
+def _design(draw):
+    """``(e, pi)`` of 4 to 12 rows whose ``e`` take 1 to 4 distinct values; the positions share a sign half the time."""
+    values = draw(st.lists(st.sampled_from(_E_POOL), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(4, 12))
+    extra = draw(st.lists(st.integers(0, len(values) - 1), min_size=n - len(values), max_size=n - len(values)))
+    rows = draw(st.permutations(list(range(len(values))) + extra))  # every value appears
+    pi = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        pi = draw(st.sampled_from([1.0, -1.0])) * np.abs(pi)
+    return np.array(values)[rows], pi
+
+
+def _outcome(fit, *args):
+    """The message of the ValueError ``fit(*args)`` raises, or None."""
+    try:
+        fit(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestRegressorVariation:
+    """Stage 1 refuses data with fewer than 3 distinct e and stage 2 with 1, each with its exact message."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(design=_design())
+    @example(design=(np.full(5, 0.04), np.array([1.0, 1.3, 0.9, 1.1, 1.2])))
+    @example(design=(np.array([0.01, 0.03, 0.01, 0.03]), np.array([1.0, 1.3, 0.9, 1.1])))
+    @example(design=(np.array([0.01, 0.03, 0.06, 0.01]), np.array([1.0, 1.3, 0.9, 1.1])))
+    def test_stage1_needs_three_distinct_e(self, design):
+        e, pi = design
+        distinct = len(set(e.tolist()))
+        outcome = _outcome(fit_volatility, Dataset(pi_star=pi, mu=e, r=np.zeros(len(e))))
+        if distinct < 3:
+            assert outcome == f"insufficient regressor variation: stage-1 fit needs at least 3 distinct e, got {distinct}"
+        else:
+            assert not str(outcome).startswith("insufficient regressor variation")
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        design=_design(),
+        b3h=st.sampled_from([0.02, 0.05, 0.3]),
+        variant=st.sampled_from(["free", "pin-beta5", "pin-beta6"]),
+        pin=st.sampled_from([-2.0, 0.5]),
+    )
+    @example(design=(np.full(4, 0.06), np.array([-0.8, -0.9, -1.0, -1.1])), b3h=0.02, variant="pin-beta5", pin=0.5)
+    @example(design=(np.full(4, -0.02), np.array([0.8, 0.9, 1.0, 1.1])), b3h=0.02, variant="free", pin=0.5)
+    @example(design=(np.array([0.01, 0.03, 0.01, 0.03]), np.array([0.8, 0.9, 1.0, 1.1])), b3h=0.3, variant="free", pin=0.5)
+    def test_stage2_needs_two_distinct_e(self, design, b3h, variant, pin):
+        e, pi = design
+        gauge = GaugeRule.free() if variant == "free" else GaugeRule(variant, pin)
+        outcome = _outcome(fit_vol_of_vol, Dataset(pi_star=pi, mu=e, r=np.zeros(len(e))), b3h, gauge)
+        # The refusals that come first: a zero position, a sign change, and
+        # the pole, which the pool reaches only exactly.
+        earlier = (pi == 0.0).any() or (np.signbit(pi) != np.signbit(pi[0])).any() or (b3h + e == 0.0).any()
+        one = len(set(e.tolist())) == 1
+        assert (outcome == _TOO_FEW_E_STAGE2) == (one and not earlier)
+        if one:
+            assert outcome is not None
 
 
 class TestEstimateRho:
@@ -763,6 +827,8 @@ class TestMonteCarloValidation:
             monte_carlo_validation(GenerationSpec(stage1=TRUTH, n=50), 2, run_stage2=True, gauge_variant="pin")
 
     def test_structural_reports_scale_comparison(self):
+        # The scale comparison is gone: every structural row has one e, so
+        # stage 1 refuses every replication and there is no beta3 to compare.
         heston = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
         spec = StructuralSpec(
             heston=heston,
@@ -770,12 +836,12 @@ class TestMonteCarloValidation:
             path=PathConfig(horizon=1.0, dt=0.01, seed=0),
             x0=1.0,
         )
-        report = monte_carlo_validation(spec, 5, master_seed=17)
+        report = monte_carlo_validation(spec, 5, master_seed=17, run_stage2=True)
         assert report.truth is None
         assert report.bias is None
-        assert report.scale is not None
-        assert report.scale.sigma_bar == 0.04
-        assert report.beta3_mean is not None and report.beta3_mean > 0.0
+        assert (report.n_converged, report.n_failed, report.beta3_mean) == (0, 5, None)
+        assert report.stage2_n_converged == report.stage2_n_failed == 0
+        assert report.failures == (("stage1 insufficient regressor variation", 5),)
 
 
 def _fit_key(fit: FitResult) -> tuple:
@@ -866,19 +932,6 @@ class TestStackedRows:
         ]
 
 
-class TestVolatilityScale:
-    def test_comparison_fields(self):
-        scale = volatility_scale_comparison(0.05, 0.04)
-        assert scale.sqrt_sigma_bar == pytest.approx(0.2)
-        assert scale.abs_err_vs_variance == pytest.approx(0.01)
-        assert scale.abs_err_vs_volatility == pytest.approx(0.15)
-        assert scale.closer_to == "variance"
-
-    def test_volatility_reading(self):
-        scale = volatility_scale_comparison(0.19, 0.04)
-        assert scale.closer_to == "volatility"
-
-
 _STRUCTURAL_HESTON = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
 # Feller-violating parameters: at dt = 1e-3 the wealth paths of the streams used here overflow.
 _FELLER_VIOLATING = HestonParams(mu=0.08, r=0.02, alpha=0.01, beta_rev=1.0, gamma=0.9, rho=0.3, sigma_bar=0.04)
@@ -904,6 +957,12 @@ def _structural(variant):
     return _stage2_diagnostics(data, variant)
 
 
+def _narrow_e(variant):
+    # Noiseless, e on a width of 3e-9: cond(J) passes 1e8 in both stages.
+    spec = GenerationSpec(stage1=TRUTH, n=200, e_interval=(0.05, 0.050000003))
+    return _stage2_diagnostics(generate_synthetic_dataset("model-implied", spec, 11), variant)
+
+
 def _model(variant):
     return _stage2_diagnostics(model_data(noise=0.01), variant)
 
@@ -924,9 +983,13 @@ class TestRarelyTakenBranches:
 
     ILL, GAUGE = frozenset({DIAG_ILL_CONDITIONED}), frozenset({DIAG_GAUGE, DIAG_ILL_CONDITIONED})
     CASES = {
-        "diagnostics-structural-free": (lambda mp: _structural("free"), (GAUGE, GAUGE)),
-        "diagnostics-structural-pin-beta5": (lambda mp: _structural("pin-beta5"), (ILL, ILL)),
-        "diagnostics-structural-pin-beta6": (lambda mp: _structural("pin-beta6"), (ILL, ILL)),
+        # Structural rows share one e: stage 1 refuses them before any diagnostics.
+        "diagnostics-structural-free": (lambda mp: _structural("free"), f"ValueError: {_TOO_FEW_E_STAGE1}"),
+        "diagnostics-structural-pin-beta5": (lambda mp: _structural("pin-beta5"), f"ValueError: {_TOO_FEW_E_STAGE1}"),
+        "diagnostics-structural-pin-beta6": (lambda mp: _structural("pin-beta6"), f"ValueError: {_TOO_FEW_E_STAGE1}"),
+        "diagnostics-narrow-e-free": (lambda mp: _narrow_e("free"), (GAUGE, GAUGE)),
+        "diagnostics-narrow-e-pin-beta5": (lambda mp: _narrow_e("pin-beta5"), (ILL, ILL)),
+        "diagnostics-narrow-e-pin-beta6": (lambda mp: _narrow_e("pin-beta6"), (ILL, ILL)),
         "diagnostics-free": (lambda mp: _model("free"), (frozenset({DIAG_GAUGE}),) * 2),
         "diagnostics-pin-beta5": (lambda mp: _model("pin-beta5"), (frozenset(),) * 2),
         "diagnostics-pin-beta6": (lambda mp: _model("pin-beta6"), (frozenset(),) * 2),

@@ -1011,6 +1011,10 @@ class TestValidators:
             lambda: GenerationSpec(stage1=_CURVE, n=10, e_interval=(-0.04, 0.1)),
             "e_interval contains the model pole at -beta3",
         ),
+        "interval-width-overflows": (
+            lambda: GenerationSpec(stage1=Stage1Params(2.0, 0.5, 1.7e308), n=10, e_interval=(-1.6e308, 1.7e308)),
+            "e_interval is too wide: its width high - low overflows",
+        ),
         "x0-infinite": (
             lambda: StructuralSpec(heston=heston(), policy=PolicyCoefficients(1.0, -2.0, 0.5), path=_PATH, x0=_INF),
             "x0 must be finite",
