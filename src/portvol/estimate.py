@@ -465,8 +465,8 @@ def fit_volatility(data: Dataset) -> FitResult:
     ...") before any search.  Raises ValueError("beta3 is not identified:
     ...") when ``k`` ends off the grid, and ValueError("stage-1 fit is not
     finite: ...") when positions are so large that the sum of squares
-    overflows.  This
-    is the one-row case of the stacked fit the Monte Carlo harness runs.
+    overflows.  This is the one-row case of the stacked fit the Monte
+    Carlo harness runs.
     """
     return _stage1_rows(data.e[None], data.pi_star[None]).result(0)
 
@@ -590,9 +590,10 @@ def fit_vol_of_vol(
     sign, are rejected with the offending row named; so is a gauge pin
     whose sign would make ``beta4 <= 0``.  One distinct ``e`` cannot fix
     two ratios, so such data raise ValueError("insufficient regressor
-    variation: ...") unless one of those refusals comes first.  Standard errors cover the two
-    free parameters (the fixed one reports 0.0).  This is the one-row case
-    of the stacked fit the Monte Carlo harness runs.
+    variation: ...") unless one of those refusals comes first.  Standard
+    errors cover the two free parameters (the fixed one reports 0.0).
+    This is the one-row case of the stacked fit the Monte Carlo harness
+    runs.
     """
     if not (math.isfinite(beta3_hat) and beta3_hat > 0.0):
         raise ValueError("beta3_hat must be finite and > 0")

@@ -696,8 +696,8 @@ def _model_implied_rows(spec: GenerationSpec, seeds: np.ndarray) -> tuple[np.nda
     with noise, ``n`` normals, and ``mu = BASE_RATE + e``.  ``pole`` marks
     the rows with an ``e`` on the pole guard of the stage-1 curve; their
     values mean nothing.  ``e`` lies in ``e_interval``, whose width is
-    finite, so ``mu`` is finite; ``pi_star`` is not checked: a row with a non-finite
-    position is one that ``Dataset`` refuses.
+    finite, so ``mu`` is finite; ``pi_star`` is not checked: a row with a
+    non-finite position is one that ``Dataset`` refuses.
     """
     lo, hi = spec.e_interval
     mu = np.empty((len(seeds), spec.n))

@@ -180,8 +180,7 @@ class TestPipeline:
             "[policy]\nalpha0 = 1.0\nalpha1 = -2.0\nalpha2 = 0.5\n"
             "[path]\nhorizon = 1.0\ndt = 0.004\nx0 = 1.0\n"
         )
-        # The scale block compared an unidentified beta3: every structural
-        # row has one e, so stage 1 now refuses and no report is written.
+        # Every structural row has one e, so stage 1 refuses and no report is written.
         assert run_cli(["pipeline", "--config", str(cfg)]) == 2
         assert "insufficient regressor variation" in capsys.readouterr().err
         assert (tmp_path / "d.csv").exists()

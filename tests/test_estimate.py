@@ -397,9 +397,8 @@ class TestFitVolOfVol:
             assert fit.params.beta4 == pytest.approx(1.0, abs=1e-6)
 
     def test_single_excess_return_takes_unit_scale(self):
-        # One distinct e identifies only the curve's level, not two ratios.
-        # It used to fit at s = 1 with a degenerate covariance; it is now
-        # refused, whatever the gauge and the sign of the pin.
+        # One distinct e identifies only the curve's level, not two ratios,
+        # so it is refused whatever the gauge and the sign of the pin.
         data = Dataset(pi_star=[-0.8, -0.9, -1.0, -1.1], mu=[0.08] * 4, r=[0.02] * 4)
         for gauge in (GaugeRule.pin_beta5(-5.0), GaugeRule.pin_beta5(5.0), GaugeRule.pin_beta6(0.4), GaugeRule.free()):
             with pytest.raises(ValueError) as raised:
@@ -827,8 +826,7 @@ class TestMonteCarloValidation:
             monte_carlo_validation(GenerationSpec(stage1=TRUTH, n=50), 2, run_stage2=True, gauge_variant="pin")
 
     def test_structural_reports_scale_comparison(self):
-        # The scale comparison is gone: every structural row has one e, so
-        # stage 1 refuses every replication and there is no beta3 to compare.
+        # Every structural row has one e, so stage 1 refuses every replication.
         heston = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
         spec = StructuralSpec(
             heston=heston,
