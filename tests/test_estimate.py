@@ -1,6 +1,8 @@
 """Two-stage fits, diagnostics, standard errors, and the validation harness."""
 
+import importlib.util
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -50,6 +52,15 @@ _TOO_FEW_E_STAGE2 = "insufficient regressor variation: stage-2 fit needs at leas
 def model_data(truth=TRUTH, n=50, noise=0.0, seed=42):
     spec = GenerationSpec(stage1=truth, n=n, noise=noise)
     return generate_synthetic_dataset("model-implied", spec, seed=seed)
+
+
+def _corpus_inputs() -> dict:
+    """The input files of the report corpus: ``(truth, n, noise, seed)`` of a generated file, or its text."""
+    path = pathlib.Path(__file__).parent / "data" / "regenerate.py"
+    spec = importlib.util.spec_from_file_location("corpus_regenerate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.INPUTS
 
 
 class TestFitVolatility:
@@ -337,6 +348,28 @@ class TestFitVolOfVol:
         )
         with pytest.raises(ValueError, match=r"position sign change at row 2 \(label 'c'\)"):
             fit_vol_of_vol(data, 0.04, GaugeRule.free())
+
+    @pytest.mark.parametrize("source", ["benchmark", "corpus"])
+    def test_start_is_the_stage1_linear_part_bit_for_bit(self, source):
+        # Stage 2 starts at the closed-form fit of the positions on
+        # u = e/(beta3_hat + e), and at stage 1's beta3 that is the
+        # regression stage 1 itself ends on: the same (beta1, beta2) bits.
+        if source == "benchmark":
+            inputs = [(TRUTH, 200, 0.01, seed) for seed in range(8)]
+        else:
+            inputs = [v for v in _corpus_inputs().values() if not isinstance(v, str)]
+        checked = 0
+        for truth, n, noise, seed in inputs:
+            data = model_data(truth=truth, n=n, noise=noise, seed=seed)
+            try:
+                b = fit_volatility(data).params
+            except ValueError:  # refused: no stage 2 follows
+                continue
+            E, PI = data.e[None], data.pi_star[None]
+            c6, c5, _ = portvol.estimate._linear_part(PI, E / (np.array([b.beta3])[:, None] + E))
+            assert (float(c6[0]).hex(), float(c5[0]).hex()) == (b.beta1.hex(), b.beta2.hex())
+            checked += 1
+        assert checked == (8 if source == "benchmark" else 5)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_scipy_oracle_pin_beta6(self, seed):
