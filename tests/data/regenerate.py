@@ -3,6 +3,11 @@
     python tests/data/regenerate.py           # rewrite the corpus from the current source
     python tests/data/regenerate.py --check   # print a unified diff and exit 1 if a case moved
 
+``--check`` ends its diff with one block per moved case: the largest
+relative change of each numeric field that moved (validation floats are
+decoded from hex), or ``text changed`` when more than numbers moved, so a
+move at rounding level reads at a glance.
+
 The corpus pins what the program gives back for a fixed set of cases:
 
 * ``cli``: one in-process ``portvol`` run per case, with its config,
@@ -26,6 +31,7 @@ import difflib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 import warnings
@@ -323,6 +329,74 @@ def dump(corpus: dict) -> str:
     return json.dumps(corpus, indent=1) + "\n"
 
 
+# A number in a corpus string: a hex float, or a decimal one as the reports print it.
+_NUMBER = re.compile(
+    r"(?<![\w.])[-+]?(?:0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]?\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?)(?![\w.])"
+)
+
+
+def _number(token: str) -> float:
+    return float.fromhex(token) if "x" in token else float(token)
+
+
+def _fields(value, name: str, out: dict) -> dict:
+    """Fill ``out`` with ``{field: (text with each number as #, its numbers)}`` for every leaf of ``value``.
+
+    A list of lines names a ``key = value`` line by its ``[section]`` and key.
+    """
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _fields(item, f"{name}.{key}" if name else key, out)
+    elif isinstance(value, list) and value and all(isinstance(v, str) for v in value):
+        section = ""
+        for i, line in enumerate(value):
+            if re.fullmatch(r"\[\w+\]", line):
+                section = f" {line}"
+            key = line.split(" = ", 1)[0] if " = " in line else f"[{i}]"
+            field = f"{name}{section} {key}"
+            _fields(line, field if field not in out else f"{field} [{i}]", out)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _fields(item, f"{name}[{i}]", out)
+    elif isinstance(value, str):
+        out[name] = (_NUMBER.sub("#", value), [_number(t) for t in _NUMBER.findall(value)])
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        out[name] = ("#", [float(value)])
+    else:
+        out[name] = (repr(value), [])
+    return out
+
+
+def _relative(old: float, new: float) -> float:
+    if old == new or (old != old and new != new):
+        return 0.0
+    return abs(new - old) / abs(old) if old else float("inf")
+
+
+def moved_fields(old: dict, new: dict) -> dict[str, dict[str, str]]:
+    """``{case: {field: change}}`` of every case that moved between two corpora.
+
+    A change is the largest relative change of the field's numbers, or
+    ``text changed`` when its text moved, or it was added or removed.
+    """
+    moved = {}
+    for group in ("cli", "validation"):
+        for case in sorted(set(old.get(group, {})) | set(new.get(group, {}))):
+            a = _fields(old.get(group, {}).get(case), "", {})
+            b = _fields(new.get(group, {}).get(case), "", {})
+            changes = {}
+            for field in [*a, *(f for f in b if f not in a)]:
+                if a.get(field) == b.get(field):
+                    continue
+                if field in a and field in b and a[field][0] == b[field][0]:
+                    changes[field] = f"{max(map(_relative, a[field][1], b[field][1])):.2g}"
+                else:
+                    changes[field] = "text changed"
+            if changes:
+                moved[f"{group}/{case}"] = changes
+    return moved
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true", help="compare with the committed corpus; write nothing")
@@ -337,6 +411,10 @@ def main(argv=None) -> int:
         old.splitlines(keepends=True), text.splitlines(keepends=True), "corpus.json (committed)", "corpus.json (now)"
     ))
     sys.stdout.writelines(diff)
+    for case, changes in moved_fields(json.loads(old) if old else {}, json.loads(text)).items():
+        print(f"moved: {case}")
+        for field, change in changes.items():
+            print(f"  {field}: {change}")
     return 1 if diff else 0
 
 
