@@ -13,8 +13,13 @@ identifies only the ratios ``c5 = beta5/beta4`` and ``c6 = beta6/beta4``:
 its reciprocal is the stage-1 curve with ``(beta1, beta2, beta3) =
 (c6, c5, b3h)``.  So stage 2 is one fit in ``(c6, c5)``, and the gauge
 convention is a map applied afterwards, ``beta = s*(1, c5, c6)``, with
-``s`` chosen so the pinned parameter takes its pin value.  It needs at
-least 2 distinct excess returns, one per ratio, and refuses data with one.
+``s`` chosen so the pinned parameter takes its pin value.  Writing
+``(c6, c5) = (cos(theta), sin(theta))/a``, the fit of ``1/pi`` at a fixed
+``theta`` is a regression through the origin with ``a`` in closed form,
+so stage 2 too is a search in one coordinate, ``theta``.  Both stages run
+on one search loop, :func:`_search`, and neither uses Levenberg-Marquardt.
+Stage 2 needs at least 2 distinct excess returns, one per ratio, and
+refuses data with one.
 
 Under the default gauge (pin ``beta5`` at the stage-1 ``beta2_hat``),
 ``gamma_hat = beta2_hat / c5_hat``.  Both are estimates of the same
@@ -41,6 +46,7 @@ import numpy as np
 
 from .model import Dataset, FitResult, Stage1Params, Stage2Params
 from .nls import (
+    _POLE_RTOL,
     UNEVALUABLE_START,
     PoleError,
     ResidualProblem,
@@ -49,8 +55,12 @@ from .nls import (
     _select,
     _stage1_grad,
     _stage2_grad,
-    lm_fit,
 )
+
+# No fit here runs Levenberg-Marquardt.  The name stays importable from this
+# module because the benchmark's tracer (perfbench/tracing.py) patches
+# portvol.estimate.lm_fit; it goes when that tracer reads a run record.
+from .nls import lm_fit  # noqa: F401
 from .simulate import (
     BASE_RATE,
     GenerationSpec,
@@ -89,10 +99,12 @@ DIAG_RHO_RANGE = "RHO_OUT_OF_RANGE"
 _MIN_ROWS_STAGE1 = 4
 # Stage 1 starts near the best of these log(beta3/max|e|), refusing fits ending outside.
 _LOG_BETA3_GRID = tuple(range(-8, 7))
-# Its search stops unconverged after this many accepted steps, and converged
-# once the predicted decrease is lost in the rounding of the sum of squares
-# or a step in log(beta3/max|e|) no longer than _K_TOL brings no decrease.
+# Each stage's search (in log(beta3/max|e|), and in the angle of (c6, c5))
+# stops unconverged after this many accepted steps, and converged once the
+# predicted decrease is lost in the rounding of the sum of squares or a step
+# no longer than _K_TOL brings no decrease.
 _STAGE1_MAX_ITERATIONS = 200
+_STAGE2_MAX_ITERATIONS = 200
 _K_TOL = 1e-12
 _COND_LIMIT = 1e8
 _SINGULAR_COND = 1.0 / math.sqrt(np.finfo(float).eps)
@@ -335,9 +347,82 @@ class _Rows:
         )
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    """``exp`` from the C library, one value at a time: numpy's vectorised ``exp`` can differ from it in the last bit, and by CPU."""
-    return np.array([math.exp(v) for v in x.tolist()])
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f`` of ``math`` (the C library), one value at a time: numpy's vectorised ``exp``, ``cos`` and ``sin`` can differ from it in the last bit, and by CPU."""
+    return np.array([f(v) for v in x.tolist()])
+
+
+def _search(profile, x: np.ndarray, live: np.ndarray, flat: np.ndarray, max_iterations: int):
+    """Minimize a sum of squares along one coordinate per row, rows ``live`` starting at ``x``.
+
+    ``profile(x, rows)`` gives ``(ssr, coef, g, h)`` of the selected rows (an
+    index, or a slice for every row) at ``x``: the sum of squares, inf
+    where ``x`` is on a pole; the coefficients solved in closed form there,
+    a tuple of per-row arrays; and the gradient and Gauss-Newton curvature of ``ssr/2`` in
+    ``x``.  Each step is ``-g/h`` with at most one unit, where ``h`` is the
+    secant of successive gradients once it is positive, halved until the
+    sum of squares strictly falls.  A row stops with "gradient tolerance
+    reached" once the predicted decrease ``g*g/h`` is below
+    ``max(flat, eps*ssr)``, with "step tolerance reached" when no step longer
+    than ``_K_TOL`` brings a decrease, and with "max iterations" after
+    ``max_iterations`` accepted steps.  A row whose start is not finite
+    stops there with ``UNEVALUABLE_START``.  Returns ``(x, ssr, coef,
+    iterations, messages)``; rows not ``live`` are nan and never evaluated.
+    """
+    n_rows = len(x)
+    eps = np.finfo(float).eps
+    x, x0, g0 = x.copy(), np.full(n_rows, math.nan), np.full(n_rows, math.nan)
+    ssr, G, H = np.full(n_rows, math.nan), np.full(n_rows, math.nan), np.full(n_rows, math.nan)
+    iterations = np.zeros(n_rows, dtype=int)
+    messages = [""] * n_rows
+    live = live.copy()
+
+    def stop(rows, message):
+        live[rows] = False
+        for i in rows.tolist():
+            messages[i] = message
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows = np.flatnonzero(live)
+        sel = _select(rows, n_rows)
+        ssr[sel], start, G[sel], H[sel] = profile(x[sel], sel)
+        coef = [np.full(n_rows, math.nan) for _ in start]
+        for column, values in zip(coef, start):
+            column[sel] = values
+        stop(rows[~np.isfinite(ssr[rows])], UNEVALUABLE_START)
+        while live.any():
+            rows = np.flatnonzero(live)
+            g, h = G[rows], H[rows]
+            secant = (g - g0[rows]) / (x[rows] - x0[rows])  # nan before the first step
+            h = np.where(secant > 0.0, secant, h)  # h lacks the residual's own curvature; the secant has it
+            done = g * g <= np.fmax(flat[rows], eps * ssr[rows]) * h  # the predicted decrease, g*g/h, is rounding
+            stop(rows[done], "gradient tolerance reached")
+            out_of_steps = ~done & (iterations[rows] >= max_iterations)
+            stop(rows[out_of_steps], "max iterations")
+            go = ~done & ~out_of_steps
+            rows, g = rows[go], g[go]
+            step = np.clip(-g / h[go], -1.0, 1.0)
+            search = np.abs(step) > _K_TOL
+            stop(rows[~search], "step tolerance reached")
+            while search.any():
+                at = np.flatnonzero(search)
+                sub = rows[at]
+                x_trial = x[sub] + step[at]
+                t_ssr, t_coef, t_g, t_h = profile(x_trial, _select(sub, n_rows))
+                won = t_ssr < ssr[sub]
+                kept = sub[won]
+                x0[kept], g0[kept], x[kept] = x[kept], g[at[won]], x_trial[won]
+                ssr[kept], G[kept], H[kept] = t_ssr[won], t_g[won], t_h[won]
+                for column, values in zip(coef, t_coef):
+                    column[kept] = values[won]
+                iterations[kept] += 1
+                search[at[won]] = False
+                lost = at[~won]
+                step[lost] *= 0.5
+                short = lost[np.abs(step[lost]) <= _K_TOL]
+                stop(rows[short], "step tolerance reached")
+                search[short] = False
+    return x, ssr, coef, iterations, messages
 
 
 def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
@@ -345,7 +430,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
 
     Each row runs the search of :func:`fit_volatility` with its own grid
     start, steps, halvings, stop and refusal; a row with fewer than 3
-    distinct ``e`` is refused first and never searched.
+    distinct ``e`` is refused first and never evaluated.
     """
     n_rows, n = E.shape
     if n < _MIN_ROWS_STAGE1:
@@ -363,7 +448,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
 
     def fit(k, sel):
         """``(ssr, beta1, beta2, u, residual)`` of rows ``sel`` at ``beta3 = max|e|*exp(k)``; inf ssr: pole among the e."""
-        b3 = scale[sel] * _exp(k)
+        b3 = scale[sel] * _libm(math.exp, k)
         u = E[sel] / (b3[:, None] + E[sel])
         b1, b2, res = _linear_part(PI[sel], u)
         ssr = _rowdot(res, res)
@@ -371,69 +456,30 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
         return ssr, b1, b2, u, res
 
     def profile(k, sel):
-        """``(ssr, beta1, beta2, g, h)``: the fit at ``k``, with the gradient and Gauss-Newton curvature of ssr/2."""
+        """The fit at ``k``, with the gradient and Gauss-Newton curvature of ssr/2 in ``k``."""
         ssr, b1, b2, u, res = fit(k, sel)
         # d(residual)/dk, from w = -du/dk = u(1 - u) projected off [1, u]: exact gradient (Kaufman 1975)
         jac = (b1 - b2)[:, None] * _linear_part(u * (1.0 - u), u)[2]
-        return ssr, b1, b2, _rowdot(jac, res), _rowdot(jac, jac)
+        return ssr, (b1, b2), _rowdot(jac, res), _rowdot(jac, jac)
 
+    live = distinct >= 3
+    rows = np.flatnonzero(live)
+    sel = _select(rows, n_rows)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        eps = np.finfo(float).eps
-        flat = (eps * np.sqrt(_rowdot(PI, PI))) ** 2
         # Finite: for k >= 1 the pole lies below -max|e|.
         k, best = np.full(n_rows, math.nan), np.full(n_rows, np.inf)
         for grid_k in _LOG_BETA3_GRID:
-            ssr = fit(np.full(n_rows, float(grid_k)), slice(None))[0]
-            better = ssr < best
-            k[better], best[better] = grid_k, ssr[better]
-        ssr, b1, b2, G, H = profile(k, slice(None))
-        k0, g0 = np.full(n_rows, math.nan), np.full(n_rows, math.nan)
-        iterations = np.zeros(n_rows, dtype=int)
-        messages = [""] * n_rows
-        live = distinct >= 3
-
-        def stop(rows, message):
-            live[rows] = False
-            for i in rows.tolist():
-                messages[i] = message
-
-        while live.any():
-            rows = np.flatnonzero(live)
-            g, h = G[rows], H[rows]
-            secant = (g - g0[rows]) / (k[rows] - k0[rows])  # nan before the first step
-            h = np.where(secant > 0.0, secant, h)  # h lacks the residual's own curvature; the secant has it
-            done = g * g <= np.fmax(flat[rows], eps * ssr[rows]) * h  # the predicted decrease, g*g/h, is rounding
-            stop(rows[done], "gradient tolerance reached")
-            out_of_steps = ~done & (iterations[rows] >= _STAGE1_MAX_ITERATIONS)
-            stop(rows[out_of_steps], "max iterations")
-            go = ~done & ~out_of_steps
-            rows, g = rows[go], g[go]
-            step = np.clip(-g / h[go], -1.0, 1.0)  # at most one grid cell
-            search = np.abs(step) > _K_TOL
-            stop(rows[~search], "step tolerance reached")
-            while search.any():
-                at = np.flatnonzero(search)
-                sub = rows[at]
-                k_trial = k[sub] + step[at]
-                t_ssr, t_b1, t_b2, t_g, t_h = profile(k_trial, _select(sub, n_rows))
-                won = t_ssr < ssr[sub]
-                kept = sub[won]
-                k0[kept], g0[kept], k[kept] = k[kept], g[at[won]], k_trial[won]
-                ssr[kept], b1[kept], b2[kept] = t_ssr[won], t_b1[won], t_b2[won]
-                G[kept], H[kept] = t_g[won], t_h[won]
-                iterations[kept] += 1
-                search[at[won]] = False
-                lost = at[~won]
-                step[lost] *= 0.5
-                short = lost[np.abs(step[lost]) <= _K_TOL]
-                stop(rows[short], "step tolerance reached")
-                search[short] = False
+            ssr = fit(np.full(len(rows), float(grid_k)), sel)[0]
+            better = ssr < best[rows]
+            k[rows[better]], best[rows[better]] = grid_k, ssr[better]
+        flat = (np.finfo(float).eps * np.sqrt(_rowdot(PI, PI))) ** 2
+    k, ssr, (b1, b2), iterations, messages = _search(profile, k, live, flat, _STAGE1_MAX_ITERATIONS)
 
     for i in np.flatnonzero((k < _LOG_BETA3_GRID[0]) | (k > _LOG_BETA3_GRID[-1])).tolist():
         failures.setdefault(i, ("stage1 beta3 not identified", ValueError(
             f"beta3 is not identified: log(beta3/max|e|) ends at {float(k[i]):.6g}, outside [-8, 6]"
         )))
-    b3 = scale * _exp(k)
+    b3 = scale * _libm(math.exp, k)
     params = np.stack([b1, b2, b3], axis=1)
     # Inputs are finite, so a non-finite fit is one whose sums overflowed.
     for i in np.flatnonzero(~(np.isfinite(ssr) & np.isfinite(params).all(axis=1))).tolist():
@@ -524,38 +570,45 @@ def _stage2_rows(
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         U, V = E / denom, bh / denom  # the curve's derivatives in c6 and c5
-        PIB = 1.0 / PI
-        c6, c5, _ = _linear_part(PI, U)
-        start = np.stack([c6, c5], axis=1)
-        start[list(failures)] = np.nan  # a row that already failed stops at its start
+        Y = 1.0 / PI
+        flat = (np.finfo(float).eps * np.sqrt(_rowdot(Y, Y))) ** 2
+        live = np.ones(n_rows, dtype=bool)
+        live[list(failures)] = False
+        rows = np.flatnonzero(live)
+        c6, c5, _ = _linear_part(PI[rows], U[rows])
+    theta = np.full(n_rows, math.nan)
+    theta[rows] = [math.atan2(s, c) for c, s in zip(c6.tolist(), c5.tolist())]
 
-        def position(q, rows):
-            h = q[:, 0, None] * E[rows]
-            h += q[:, 1, None] * bh[rows]
-            h /= denom[rows]
-            return h, _pole_rows(h)
+    def profile(theta, sel):
+        """The fit of ``1/pi`` by ``a*w``, ``w = 1/(cos(theta)*U + sin(theta)*V)``, with the gradient and curvature of ssr/2.
 
-        def residual(q, rows):
-            res, pole = position(q, rows)
-            np.subtract(PIB[rows], np.divide(1.0, res, out=res), out=res)
-            res[pole] = np.nan
-            return res
+        ``a = <y, w>/<w, w>`` in closed form.  The derivative of the
+        residual in ``theta`` is ``a*q``, ``q = w**2*(cos(theta)*V -
+        sin(theta)*U)``, projected off ``w`` (Kaufman 1975); inf ssr: the
+        denominator is on the pole guard or changes sign on the row.
+        """
+        cos, sin = _libm(math.cos, theta)[:, None], _libm(math.sin, theta)[:, None]
+        u, v, y = U[sel], V[sel], Y[sel]
+        d = cos * u + sin * v
+        # One sign and no entry on the pole guard: every d times the first one's sign is above it.
+        pole = np.min(d * np.sign(d[:, :1]), axis=-1) < _POLE_RTOL
+        w = np.divide(1.0, d, out=d)
+        ww = _rowdot(w, w)
+        a = _rowdot(y, w) / ww
+        res = y - a[:, None] * w
+        q = w * w * (cos * v - sin * u)
+        q -= (_rowdot(q, w) / ww)[:, None] * w
+        ssr = _rowdot(res, res)
+        ssr[pole] = np.inf
+        return ssr, (a,), a * _rowdot(q, res), a * a * _rowdot(q, q)
 
-        def jacobian(q, rows):
-            hh, pole = position(q, rows)
-            hh *= hh
-            jac = np.empty(hh.shape + (2,))
-            np.divide(U[rows], hh, out=jac[..., 0])
-            np.divide(V[rows], hh, out=jac[..., 1])
-            jac[pole] = np.nan
-            return jac
-
-        raw = lm_fit(ResidualProblem(residual, jacobian, 2, n), start)
-        del U, V, PIB, denom
-    fail(np.flatnonzero([m == UNEVALUABLE_START for m in raw.messages]),
+    theta, ssr, (a,), iterations, messages = _search(profile, theta, live, flat, _STAGE2_MAX_ITERATIONS)
+    del U, V, Y, denom
+    fail(np.flatnonzero([m == UNEVALUABLE_START for m in messages]),
          "stage2 initial residuals unevaluable", lambda i: ValueError(UNEVALUABLE_START))
 
-    q = raw.params
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.stack([_libm(math.cos, theta), _libm(math.sin, theta)], axis=1) / a[:, None]  # (c6, c5)
     ratio = np.stack([np.ones(n_rows), q[:, 1], q[:, 0]], axis=1)[:, k]
     name = ("beta4", "beta5", "beta6")[k]
     fail(np.flatnonzero(~(pins * ratio > 0.0)), "stage2 gauge sign conflict", lambda i: ValueError(
@@ -565,13 +618,13 @@ def _stage2_rows(
     if n <= 2:
         fail(np.arange(n_rows), "stage2 insufficient data",
              lambda i: ValueError("standard errors require n_obs > n_params"))
-    converged = raw.converged.copy()
+    converged = np.array([m != "max iterations" for m in messages])
     converged[list(failures)] = False
 
     params = _apply_gauge(q, k, pins)
-    se_free, flags = _stage2_checks(E, params, b3h, k, raw.residual_norm)
+    se_free, flags = _stage2_checks(E, params, b3h, k, ssr)
     return _Rows(
-        Stage2Params, params, raw.residual_norm, raw.row_iterations, converged, raw.messages,
+        Stage2Params, params, ssr, iterations, converged, messages,
         np.insert(se_free, k, 0.0, axis=1), flags, failures,
     )
 
@@ -583,9 +636,21 @@ def fit_vol_of_vol(
 ) -> FitResult:
     """Stage-2 fit: inverse positions against excess returns.
 
-    Fits the identified ratios ``(c6, c5)``, starting from the stage-1
-    linear fit of the positions at ``beta3_hat``, then applies the gauge.
-    ``gamma_hat`` is the resulting ``beta4``.  The regressand is
+    Fits the identified ratios ``(c6, c5) = (cos(theta), sin(theta))/a``
+    by variable projection: at a fixed ``theta``, ``1/pi`` is fitted by
+    ``a/(cos(theta)*U + sin(theta)*V)``, ``U = e/(beta3_hat + e) = 1 - V``,
+    with ``a`` in closed form, and ``theta`` is searched as stage 1 searches
+    ``log beta3``, with the same steps, stops and messages ("gradient
+    tolerance reached", "step tolerance reached", or "max iterations",
+    which is not converged, after 200 accepted steps).  It starts at the
+    direction of the stage-1 linear fit of the positions at ``beta3_hat``,
+    and skips a ``theta`` whose denominator changes sign on the data or
+    comes within 1e-12 of 0.  Only the direction of ``(c6, c5)`` is
+    searched, so positions in other units give the same steps and the
+    ratios in those units; at positions near 1e+-100 the squared gradient
+    of the stop test over- or underflows.  A start that cannot be evaluated
+    raises ValueError("initial residuals are non-finite or unevaluable").
+    Then the gauge is applied.  ``gamma_hat`` is the resulting ``beta4``.  The regressand is
     ``1/pi_star``, so a zero position, or positions that do not share one
     sign, are rejected with the offending row named; so is a gauge pin
     whose sign would make ``beta4 <= 0``.  One distinct ``e`` cannot fix
@@ -677,7 +742,7 @@ def _tally(failures: Counter, stage: str, rows: _Rows) -> None:
         if i in rows.failures:
             failures[rows.failures[i][0]] += 1
         else:
-            failures[f"{stage} not converged: {rows.messages[i].split(' at iteration')[0]}"] += 1
+            failures[f"{stage} not converged: {rows.messages[i]}"] += 1
 
 
 def _generate_chunk(spec: GenerationSpec | StructuralSpec, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

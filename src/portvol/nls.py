@@ -14,11 +14,14 @@ The two model functions are rational in the excess return ``e = mu - r``:
   parameters are only identified up to a gauge.
 
 ``lm_fit`` is a deterministic Levenberg-Marquardt iteration with
-Marquardt (diagonal) scaling; it is the stage-2 solver.  It runs on stacked
-rows, one independent problem per row, and a single problem is the case of
-one row, so the Monte Carlo harness fits a chunk of replications per call.
-The analytic Jacobians are stacked the same way, and they are the ones
-behind the reported standard errors.
+Marquardt (diagonal) scaling.  It runs on stacked rows, one independent
+problem per row, and a single problem is the case of one row.  No fit of
+``portvol.estimate`` uses it: both stages search one coordinate by
+variable projection there.  It stays public, with ``ResidualProblem`` and
+``RowFits``, until the benchmark's tracer, which patches
+``portvol.estimate.lm_fit``, no longer needs the name.  The analytic
+Jacobians are stacked the same way, and they are the ones behind the
+reported standard errors.
 """
 
 from __future__ import annotations

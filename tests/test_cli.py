@@ -336,7 +336,7 @@ class TestStageFailures:
              "gauge = free\nbeta3_hat = 0.04\n" + NOISELESS_GEN, None,
              2, "error in config stage: [run] beta3_hat is for mode volvol only, not pipeline"),
             ("volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/r.txt\ngauge = free\nbeta3_hat = 0.05\n",
-             "portvol.nls._MAX_ITERATIONS",
+             "portvol.estimate._STAGE2_MAX_ITERATIONS",
              2, "error in stage2 fit stage: did not converge: max iterations"),
             ("volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/r.txt\ngauge = free\nbeta3_hat = nan\n",
              None,

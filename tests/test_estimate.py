@@ -371,20 +371,30 @@ class TestFitVolOfVol:
             checked += 1
         assert checked == (8 if source == "benchmark" else 5)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_scipy_oracle_pin_beta6(self, seed):
-        # Oracle: the natural pin-beta6 problem in (beta4, beta5), solved by
-        # MINPACK's Levenberg-Marquardt on the public stage-2 model.
+    @staticmethod
+    def _check_against_scipy_oracle(variant, seed):
+        # Oracle: the natural problem in the two betas the gauge leaves
+        # free, solved by MINPACK's Levenberg-Marquardt on the public
+        # stage-2 model, started at stage 1's ratios under the gauge.
         least_squares = pytest.importorskip("scipy.optimize").least_squares
         data = model_data(n=200, noise=0.01, seed=seed)
         stage1 = fit_volatility(data)
-        b3h, pin = stage1.params.beta3, stage1.params.beta1
-        fit = fit_vol_of_vol(data, b3h, GaugeRule.pin_beta6(pin))
+        b3h, gauge = stage1.params.beta3, GaugeRule.from_stage1(variant, stage1)
+        fit = fit_vol_of_vol(data, b3h, gauge)
+        k, pin = gauge.fixed
+        free = [i for i in range(3) if i != k]
+        start = np.array([1.0, stage1.params.beta2, stage1.params.beta1])
+        start *= pin / start[k]
+
+        def params(v):
+            beta = np.insert(v, k, pin)
+            return Stage2Params(*beta.tolist())
+
         e, pib = data.e, 1.0 / data.pi_star
         oracle = least_squares(
-            lambda v: pib - stage2_model(e, Stage2Params(v[0], v[1], pin), b3h),
-            x0=[1.0, 0.25 * pin],
-            jac=lambda v: -stage2_jacobian(e, Stage2Params(v[0], v[1], pin), b3h)[:, :2],
+            lambda v: pib - stage2_model(e, params(v), b3h),
+            x0=start[free],
+            jac=lambda v: -stage2_jacobian(e, params(v), b3h)[:, free],
             method="lm",
             xtol=1e-15,
             ftol=1e-15,
@@ -392,8 +402,41 @@ class TestFitVolOfVol:
         )
         assert oracle.success
         assert fit.converged
-        assert fit.params.as_array()[:2] == pytest.approx(oracle.x, rel=1e-8)
-        assert fit.residual_norm == pytest.approx(2.0 * oracle.cost, rel=1e-8)
+        beta = fit.params.as_array()
+        assert beta[k] == pin
+        assert beta == pytest.approx(params(oracle.x).as_array(), rel=1e-8)
+        assert fit.residual_norm == pytest.approx(2.0 * oracle.cost, rel=1e-12)
+        diff = np.abs(beta[free] - oracle.x)
+        assert np.all(diff <= 1e-6 * np.array(fit.standard_errors)[free])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_scipy_oracle_pin_beta6(self, seed):
+        self._check_against_scipy_oracle("pin-beta6", seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_scipy_oracle_pin_beta5(self, seed):
+        self._check_against_scipy_oracle("pin-beta5", seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_scipy_oracle_free(self, seed):
+        self._check_against_scipy_oracle("free", seed)
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e-12, 1e-6, 1e6, 1e12, 1e30])
+    def test_units_of_the_positions_only_scale_the_ratios(self, scale):
+        # The search in the angle of (c6, c5) depends only on their
+        # direction, so positions in other units give the same fit with
+        # (beta5, beta6) in those units, and it takes its steps there too.
+        data = model_data(truth=TRUTH, n=40, noise=0.02, seed=3)
+        b3h = fit_volatility(data).params.beta3
+        fit = fit_vol_of_vol(data, b3h, GaugeRule.free())
+        scaled = Dataset(pi_star=data.pi_star * scale, mu=data.mu, r=data.r)
+        fit_scaled = fit_vol_of_vol(scaled, b3h, GaugeRule.free())
+        assert fit_scaled.converged
+        assert fit_scaled.iterations >= 1
+        assert fit_scaled.params.beta4 == 1.0
+        assert (fit_scaled.params.beta5, fit_scaled.params.beta6) == pytest.approx(
+            (scale * fit.params.beta5, scale * fit.params.beta6), rel=1e-8
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -38,8 +38,9 @@ def test_every_patched_name_exists_and_is_restored(monkeypatch):
 
 
 def test_traced_fits_give_finite_layer_metrics(monkeypatch):
-    # The tracer adds the ``iterations`` of each lm_fit result to its
-    # accepted-step count, for the stacked Monte Carlo fits as well.
+    # The tracer counts solver work through the lm_fit name it patches.
+    # Both stages now search in one coordinate without Levenberg-Marquardt,
+    # so no fit calls lm_fit and its counts are exactly 0.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracing").Tracer()
     spec = GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=50, noise=0.01)
@@ -55,8 +56,8 @@ def test_traced_fits_give_finite_layer_metrics(monkeypatch):
         tracer.uninstall()
     metrics = tracer.layer_metrics()
     assert metrics and all(isinstance(v, float) and math.isfinite(v) for v in metrics.values()), metrics
-    assert metrics["nls.lm_fit_calls"] == 2
-    assert metrics["nls.accepted_steps"] > 0
+    assert metrics["nls.lm_fit_calls"] == 0
+    assert metrics["nls.accepted_steps"] == 0
 
 
 def test_traced_batch_splits_stream_setup_from_euler(monkeypatch):
