@@ -348,7 +348,11 @@ class _Rows:
 
 
 def _libm(f, x: np.ndarray) -> np.ndarray:
-    """``f`` of ``math`` (the C library), one value at a time: numpy's vectorised ``exp``, ``cos`` and ``sin`` can differ from it in the last bit, and by CPU."""
+    """``f`` of ``math`` (the C library), one value at a time.
+
+    numpy's vectorised ``exp``, ``cos`` and ``sin`` can differ from it in the
+    last bit, and by CPU.
+    """
     return np.array([f(v) for v in x.tolist()])
 
 
@@ -357,9 +361,9 @@ def _search(profile, x: np.ndarray, live: np.ndarray, flat: np.ndarray, max_iter
 
     ``profile(x, rows)`` gives ``(ssr, coef, g, h)`` of the selected rows (an
     index, or a slice for every row) at ``x``: the sum of squares, inf
-    where ``x`` is on a pole; the coefficients solved in closed form there,
-    a tuple of per-row arrays; and the gradient and Gauss-Newton curvature of ``ssr/2`` in
-    ``x``.  Each step is ``-g/h`` with at most one unit, where ``h`` is the
+    where ``x`` is on a pole; the coefficients solved in closed form
+    there, one row each; and the gradient and Gauss-Newton curvature of
+    ``ssr/2`` in ``x``.  Each step is ``-g/h`` with at most one unit, where ``h`` is the
     secant of successive gradients once it is positive, halved until the
     sum of squares strictly falls.  A row stops with "gradient tolerance
     reached" once the predicted decrease ``g*g/h`` is below
@@ -386,9 +390,8 @@ def _search(profile, x: np.ndarray, live: np.ndarray, flat: np.ndarray, max_iter
         rows = np.flatnonzero(live)
         sel = _select(rows, n_rows)
         ssr[sel], start, G[sel], H[sel] = profile(x[sel], sel)
-        coef = [np.full(n_rows, math.nan) for _ in start]
-        for column, values in zip(coef, start):
-            column[sel] = values
+        coef = np.full((n_rows, start.shape[1]), math.nan)
+        coef[sel] = start
         stop(rows[~np.isfinite(ssr[rows])], UNEVALUABLE_START)
         while live.any():
             rows = np.flatnonzero(live)
@@ -412,9 +415,7 @@ def _search(profile, x: np.ndarray, live: np.ndarray, flat: np.ndarray, max_iter
                 won = t_ssr < ssr[sub]
                 kept = sub[won]
                 x0[kept], g0[kept], x[kept] = x[kept], g[at[won]], x_trial[won]
-                ssr[kept], G[kept], H[kept] = t_ssr[won], t_g[won], t_h[won]
-                for column, values in zip(coef, t_coef):
-                    column[kept] = values[won]
+                ssr[kept], coef[kept], G[kept], H[kept] = t_ssr[won], t_coef[won], t_g[won], t_h[won]
                 iterations[kept] += 1
                 search[at[won]] = False
                 lost = at[~won]
@@ -460,7 +461,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
         ssr, b1, b2, u, res = fit(k, sel)
         # d(residual)/dk, from w = -du/dk = u(1 - u) projected off [1, u]: exact gradient (Kaufman 1975)
         jac = (b1 - b2)[:, None] * _linear_part(u * (1.0 - u), u)[2]
-        return ssr, (b1, b2), _rowdot(jac, res), _rowdot(jac, jac)
+        return ssr, np.stack([b1, b2], axis=1), _rowdot(jac, res), _rowdot(jac, jac)
 
     live = distinct >= 3
     rows = np.flatnonzero(live)
@@ -473,7 +474,8 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
             better = ssr < best[rows]
             k[rows[better]], best[rows[better]] = grid_k, ssr[better]
         flat = (np.finfo(float).eps * np.sqrt(_rowdot(PI, PI))) ** 2
-    k, ssr, (b1, b2), iterations, messages = _search(profile, k, live, flat, _STAGE1_MAX_ITERATIONS)
+    k, ssr, coef, iterations, messages = _search(profile, k, live, flat, _STAGE1_MAX_ITERATIONS)
+    b1, b2 = coef.T
 
     for i in np.flatnonzero((k < _LOG_BETA3_GRID[0]) | (k > _LOG_BETA3_GRID[-1])).tolist():
         failures.setdefault(i, ("stage1 beta3 not identified", ValueError(
@@ -580,9 +582,10 @@ def _stage2_rows(
     theta[rows] = [math.atan2(s, c) for c, s in zip(c6.tolist(), c5.tolist())]
 
     def profile(theta, sel):
-        """The fit of ``1/pi`` by ``a*w``, ``w = 1/(cos(theta)*U + sin(theta)*V)``, with the gradient and curvature of ssr/2.
+        """The fit of ``1/pi`` by ``a*w``, ``w = 1/(cos(theta)*U + sin(theta)*V)``, and the derivatives of ssr/2.
 
-        ``a = <y, w>/<w, w>`` in closed form.  The derivative of the
+        ``a = <y, w>/<w, w>`` in closed form, and the coefficients are
+        ``(c6, c5) = (cos(theta), sin(theta))/a``.  The derivative of the
         residual in ``theta`` is ``a*q``, ``q = w**2*(cos(theta)*V -
         sin(theta)*U)``, projected off ``w`` (Kaufman 1975); inf ssr: the
         denominator is on the pole guard or changes sign on the row.
@@ -600,15 +603,15 @@ def _stage2_rows(
         q -= (_rowdot(q, w) / ww)[:, None] * w
         ssr = _rowdot(res, res)
         ssr[pole] = np.inf
-        return ssr, (a,), a * _rowdot(q, res), a * a * _rowdot(q, q)
+        return ssr, np.hstack([cos, sin]) / a[:, None], a * _rowdot(q, res), a * a * _rowdot(q, q)
 
-    theta, ssr, (a,), iterations, messages = _search(profile, theta, live, flat, _STAGE2_MAX_ITERATIONS)
+    theta, ssr, q, iterations, messages = _search(profile, theta, live, flat, _STAGE2_MAX_ITERATIONS)
     del U, V, Y, denom
     fail(np.flatnonzero([m == UNEVALUABLE_START for m in messages]),
          "stage2 initial residuals unevaluable", lambda i: ValueError(UNEVALUABLE_START))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.stack([_libm(math.cos, theta), _libm(math.sin, theta)], axis=1) / a[:, None]  # (c6, c5)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a row that failed may have c5 or c6 = 0
+        params = _apply_gauge(q, k, pins)
     ratio = np.stack([np.ones(n_rows), q[:, 1], q[:, 0]], axis=1)[:, k]
     name = ("beta4", "beta5", "beta6")[k]
     fail(np.flatnonzero(~(pins * ratio > 0.0)), "stage2 gauge sign conflict", lambda i: ValueError(
@@ -620,8 +623,6 @@ def _stage2_rows(
              lambda i: ValueError("standard errors require n_obs > n_params"))
     converged = np.array([m != "max iterations" for m in messages])
     converged[list(failures)] = False
-
-    params = _apply_gauge(q, k, pins)
     se_free, flags = _stage2_checks(E, params, b3h, k, ssr)
     return _Rows(
         Stage2Params, params, ssr, iterations, converged, messages,
@@ -636,29 +637,23 @@ def fit_vol_of_vol(
 ) -> FitResult:
     """Stage-2 fit: inverse positions against excess returns.
 
-    Fits the identified ratios ``(c6, c5) = (cos(theta), sin(theta))/a``
-    by variable projection: at a fixed ``theta``, ``1/pi`` is fitted by
-    ``a/(cos(theta)*U + sin(theta)*V)``, ``U = e/(beta3_hat + e) = 1 - V``,
-    with ``a`` in closed form, and ``theta`` is searched as stage 1 searches
-    ``log beta3``, with the same steps, stops and messages ("gradient
-    tolerance reached", "step tolerance reached", or "max iterations",
-    which is not converged, after 200 accepted steps).  It starts at the
-    direction of the stage-1 linear fit of the positions at ``beta3_hat``,
-    and skips a ``theta`` whose denominator changes sign on the data or
-    comes within 1e-12 of 0.  Only the direction of ``(c6, c5)`` is
-    searched, so positions in other units give the same steps and the
-    ratios in those units; at positions near 1e+-100 the squared gradient
-    of the stop test over- or underflows.  A start that cannot be evaluated
-    raises ValueError("initial residuals are non-finite or unevaluable").
-    Then the gauge is applied.  ``gamma_hat`` is the resulting ``beta4``.  The regressand is
-    ``1/pi_star``, so a zero position, or positions that do not share one
-    sign, are rejected with the offending row named; so is a gauge pin
-    whose sign would make ``beta4 <= 0``.  One distinct ``e`` cannot fix
-    two ratios, so such data raise ValueError("insufficient regressor
-    variation: ...") unless one of those refusals comes first.  Standard
-    errors cover the two free parameters (the fixed one reports 0.0).
-    This is the one-row case of the stacked fit the Monte Carlo harness
-    runs.
+    Fits the identified ratios ``(c6, c5) = (cos(theta), sin(theta))/a``:
+    at a fixed ``theta`` the fit of ``1/pi`` is linear in ``a``, so
+    ``theta`` is searched as stage 1 searches ``log beta3``, with the same
+    stops and messages, from the direction of the stage-1 linear fit of
+    the positions at ``beta3_hat``.  A ``theta`` whose denominator changes
+    sign on the data or comes within 1e-12 of 0 is skipped, and a start
+    there raises ValueError("initial residuals are non-finite or
+    unevaluable").  The search sees only the direction of ``(c6, c5)``, so
+    positions in other units give the ratios in those units.  Then the
+    gauge is applied, and ``gamma_hat`` is the resulting ``beta4``.  A zero
+    position, or positions that do not share one sign, are rejected with
+    the offending row named; so is a gauge pin whose sign would make
+    ``beta4 <= 0``.  One distinct ``e`` cannot fix two ratios, so such data
+    raise ValueError("insufficient regressor variation: ...") unless one of
+    those refusals comes first.  Standard errors cover the two free
+    parameters (the fixed one reports 0.0).  This is the one-row case of
+    the stacked fit the Monte Carlo harness runs.
     """
     if not (math.isfinite(beta3_hat) and beta3_hat > 0.0):
         raise ValueError("beta3_hat must be finite and > 0")

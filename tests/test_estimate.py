@@ -553,6 +553,11 @@ class TestRegressorVariation:
     @example(design=(np.full(4, 0.06), np.array([-0.8, -0.9, -1.0, -1.1])), b3h=0.02, variant="pin-beta5", pin=0.5)
     @example(design=(np.full(4, -0.02), np.array([0.8, 0.9, 1.0, 1.1])), b3h=0.02, variant="free", pin=0.5)
     @example(design=(np.array([0.01, 0.03, 0.01, 0.03]), np.array([0.8, 0.9, 1.0, 1.1])), b3h=0.3, variant="free", pin=0.5)
+    # A subnormal position: its inverse overflows, so the start is unevaluable.
+    @example(
+        design=(np.array([-0.05, 0.0, -0.05, -0.05]), np.array([1.0, 1.0, 1.0, 2.22507386e-313])),
+        b3h=0.02, variant="pin-beta5", pin=-2.0,
+    )
     def test_stage2_needs_two_distinct_e(self, design, b3h, variant, pin):
         e, pi = design
         gauge = GaugeRule.free() if variant == "free" else GaugeRule(variant, pin)
