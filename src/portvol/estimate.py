@@ -356,7 +356,7 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
     return np.array([f(v) for v in x.tolist()])
 
 
-def _search(profile, x: np.ndarray, live: np.ndarray, flat: np.ndarray, max_iterations: int):
+def _search(profile, x: np.ndarray, live: np.ndarray, flat: np.ndarray, max_iterations: int, n_obs: int):
     """Minimize a sum of squares along one coordinate per row, rows ``live`` starting at ``x``.
 
     ``profile(x, rows)`` gives ``(ssr, coef, g, h)`` of the selected rows (an
@@ -365,7 +365,9 @@ def _search(profile, x: np.ndarray, live: np.ndarray, flat: np.ndarray, max_iter
     there, one row each; and the gradient and Gauss-Newton curvature of
     ``ssr/2`` in ``x``.  Each step is ``-g/h`` with at most one unit, where ``h`` is the
     secant of successive gradients once it is positive, halved until the
-    sum of squares strictly falls.  A row stops with "gradient tolerance
+    sum of squares strictly falls; rows whose step failed try several
+    halvings in one evaluation of ``profile``, so ``n_obs``, the
+    observations per row, bounds how many.  A row stops with "gradient tolerance
     reached" once the predicted decrease ``g*g/h`` is below
     ``max(flat, eps*ssr)``, with "step tolerance reached" when no step longer
     than ``_K_TOL`` brings a decrease, and with "max iterations" after
@@ -407,22 +409,32 @@ def _search(profile, x: np.ndarray, live: np.ndarray, flat: np.ndarray, max_iter
             step = np.clip(-g / h[go], -1.0, 1.0)
             search = np.abs(step) > _K_TOL
             stop(rows[~search], "step tolerance reached")
+            depth = 1
             while search.any():
+                # Each row tries step, step/2, ..., at most depth of them, those longer than _K_TOL, in one
+                # evaluation: the first that lowers ssr is the one halving one at a time would accept.  The
+                # depth grows fourfold while rows fail, within the chunk budget of stacked observations.
                 at = np.flatnonzero(search)
-                sub = rows[at]
-                x_trial = x[sub] + step[at]
-                t_ssr, t_coef, t_g, t_h = profile(x_trial, _select(sub, n_rows))
-                won = t_ssr < ssr[sub]
-                kept = sub[won]
-                x0[kept], g0[kept], x[kept] = x[kept], g[at[won]], x_trial[won]
-                ssr[kept], coef[kept], G[kept], H[kept] = t_ssr[won], t_coef[won], t_g[won], t_h[won]
+                ladder = step[at, None] * 0.5 ** np.arange(depth)
+                trial, rung = np.nonzero(np.abs(ladder) > _K_TOL)
+                sub = rows[at[trial]]
+                x_trial = x[sub] + ladder[trial, rung]
+                t_ssr, t_coef, t_g, t_h = profile(x_trial, _select(sub, n_rows) if depth == 1 else sub)
+                better = np.zeros(ladder.shape, dtype=bool)
+                better[trial, rung] = t_ssr < ssr[sub]
+                won = better.any(axis=1)
+                pick = np.flatnonzero(better[trial, rung] & (rung == better.argmax(axis=1)[trial]))
+                kept = rows[at[won]]
+                x0[kept], g0[kept], x[kept] = x[kept], g[at[won]], x_trial[pick]
+                ssr[kept], coef[kept], G[kept], H[kept] = t_ssr[pick], t_coef[pick], t_g[pick], t_h[pick]
                 iterations[kept] += 1
                 search[at[won]] = False
                 lost = at[~won]
-                step[lost] *= 0.5
+                step[lost] = ladder[~won, -1] * 0.5
                 short = lost[np.abs(step[lost]) <= _K_TOL]
                 stop(rows[short], "step tolerance reached")
                 search[short] = False
+                depth = max(1, min(4 * depth, _CHUNK_OBSERVATIONS // (n_obs * max(len(lost) - len(short), 1))))
     return x, ssr, coef, iterations, messages
 
 
@@ -474,7 +486,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
             better = ssr < best[rows]
             k[rows[better]], best[rows[better]] = grid_k, ssr[better]
         flat = (np.finfo(float).eps * np.sqrt(_rowdot(PI, PI))) ** 2
-    k, ssr, coef, iterations, messages = _search(profile, k, live, flat, _STAGE1_MAX_ITERATIONS)
+    k, ssr, coef, iterations, messages = _search(profile, k, live, flat, _STAGE1_MAX_ITERATIONS, n)
     b1, b2 = coef.T
 
     for i in np.flatnonzero((k < _LOG_BETA3_GRID[0]) | (k > _LOG_BETA3_GRID[-1])).tolist():
@@ -605,7 +617,7 @@ def _stage2_rows(
         ssr[pole] = np.inf
         return ssr, np.hstack([cos, sin]) / a[:, None], a * _rowdot(q, res), a * a * _rowdot(q, q)
 
-    theta, ssr, q, iterations, messages = _search(profile, theta, live, flat, _STAGE2_MAX_ITERATIONS)
+    theta, ssr, q, iterations, messages = _search(profile, theta, live, flat, _STAGE2_MAX_ITERATIONS, n)
     del U, V, Y, denom
     fail(np.flatnonzero([m == UNEVALUABLE_START for m in messages]),
          "stage2 initial residuals unevaluable", lambda i: ValueError(UNEVALUABLE_START))
