@@ -363,17 +363,18 @@ def _search(profile, x: np.ndarray, live: np.ndarray, flat: np.ndarray, max_iter
     index, or a slice for every row) at ``x``: the sum of squares, inf
     where ``x`` is on a pole; the coefficients solved in closed form
     there, one row each; and the gradient and Gauss-Newton curvature of
-    ``ssr/2`` in ``x``.  Each step is ``-g/h`` with at most one unit, where ``h`` is the
-    secant of successive gradients once it is positive, halved until the
-    sum of squares strictly falls; rows whose step failed try several
-    halvings in one evaluation of ``profile``, so ``n_obs``, the
-    observations per row, bounds how many.  A row stops with "gradient tolerance
-    reached" once the predicted decrease ``g*g/h`` is below
-    ``max(flat, eps*ssr)``, with "step tolerance reached" when no step longer
-    than ``_K_TOL`` brings a decrease, and with "max iterations" after
-    ``max_iterations`` accepted steps.  A row whose start is not finite
-    stops there with ``UNEVALUABLE_START``.  Returns ``(x, ssr, coef,
-    iterations, messages)``; rows not ``live`` are nan and never evaluated.
+    ``ssr/2`` in ``x``.  Each step is ``-g/h``, at most one unit, where
+    ``h`` is the secant of successive gradients once it is positive, and is
+    halved until the sum of squares strictly falls; a row whose step
+    failed tries several halvings in one evaluation, as many as
+    ``_CHUNK_OBSERVATIONS`` rows of ``n_obs`` observations allow.  A row
+    stops with "gradient tolerance reached" once the predicted decrease
+    ``g*g/h`` is below ``max(flat, eps*ssr)``, with "step tolerance
+    reached" when no step longer than ``_K_TOL`` brings a decrease, and
+    with "max iterations" after ``max_iterations`` accepted steps.  A row
+    whose start is not finite stops there with ``UNEVALUABLE_START``.
+    Returns ``(x, ssr, coef, iterations, messages)``; rows not ``live``
+    are nan and never evaluated.
     """
     n_rows = len(x)
     eps = np.finfo(float).eps
@@ -584,6 +585,7 @@ def _stage2_rows(
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         U, V = E / denom, bh / denom  # the curve's derivatives in c6 and c5
+        del denom
         Y = 1.0 / PI
         flat = (np.finfo(float).eps * np.sqrt(_rowdot(Y, Y))) ** 2
         live = np.ones(n_rows, dtype=bool)
@@ -604,21 +606,25 @@ def _stage2_rows(
         """
         cos, sin = _libm(math.cos, theta)[:, None], _libm(math.sin, theta)[:, None]
         u, v, y = U[sel], V[sel], Y[sel]
-        d = cos * u + sin * v
+        d = cos * u
+        d += sin * v
         # One sign and no entry on the pole guard: every d times the first one's sign is above it.
         pole = np.min(d * np.sign(d[:, :1]), axis=-1) < _POLE_RTOL
         w = np.divide(1.0, d, out=d)
         ww = _rowdot(w, w)
         a = _rowdot(y, w) / ww
-        res = y - a[:, None] * w
-        q = w * w * (cos * v - sin * u)
+        res = a[:, None] * w
+        np.subtract(y, res, out=res)
+        q = cos * v
+        q -= sin * u
+        q *= w * w
         q -= (_rowdot(q, w) / ww)[:, None] * w
         ssr = _rowdot(res, res)
         ssr[pole] = np.inf
         return ssr, np.hstack([cos, sin]) / a[:, None], a * _rowdot(q, res), a * a * _rowdot(q, q)
 
     theta, ssr, q, iterations, messages = _search(profile, theta, live, flat, _STAGE2_MAX_ITERATIONS, n)
-    del U, V, Y, denom
+    del U, V, Y
     fail(np.flatnonzero([m == UNEVALUABLE_START for m in messages]),
          "stage2 initial residuals unevaluable", lambda i: ValueError(UNEVALUABLE_START))
 
