@@ -425,7 +425,7 @@ class TestFitVolOfVol:
     def test_units_of_the_positions_only_scale_the_ratios(self, scale):
         # The search in the angle of (c6, c5) depends only on their
         # direction, so positions in other units give the same fit with
-        # (beta5, beta6) in those units, and it takes its steps there too.
+        # (beta5, beta6) in those units; it must not stop at its start.
         data = model_data(truth=TRUTH, n=40, noise=0.02, seed=3)
         b3h = fit_volatility(data).params.beta3
         fit = fit_vol_of_vol(data, b3h, GaugeRule.free())
