@@ -282,8 +282,7 @@ def write_report(
         lines.append(f"failed = {_fmt(v.n_failed)}")
         lines.append(f"convergence_rate = {_fmt(v.convergence_rate)}")
         for i, name in enumerate(v.param_names):
-            truth = None if v.truth is None else float(v.truth.as_array()[i])
-            lines.append(f"truth_{name} = {_fmt(truth)}")
+            lines.append(f"truth_{name} = {_fmt(float(v.truth.as_array()[i]))}")
             lines.append(f"bias_{name} = {_fmt(None if v.bias is None else v.bias[i])}")
             lines.append(f"rmse_{name} = {_fmt(None if v.rmse is None else v.rmse[i])}")
             lines.append(f"coverage_{name} = {_fmt(None if v.coverage is None else v.coverage[i])}")
@@ -313,6 +312,9 @@ _MODES = ("simulate", "fit", "volvol", "validate", "pipeline")
 # output and seed), checked in this order; only the generating modes read
 # [generation], only validate its replications, and only structural
 # generation reads [heston], [policy] and [path] and not the curve keys.
+# Structural generation is for simulate and pipeline: every row of a wealth
+# path has one excess return, which stage 1 refuses, so validate would
+# tally nothing but refusals.
 _RUN_KEY_MODES = {
     "beta3_hat": ("volvol",),
     "alpha_ratio": ("volvol", "pipeline"),
@@ -384,6 +386,8 @@ def _check_read_keys(parser: configparser.ConfigParser, mode: str, kind: str | N
     if mode != "validate" and parser.has_option("generation", "replications"):
         raise _not_read("[generation] replications", "mode", ("validate",), mode)
     if kind == "structural":
+        if mode == "validate":
+            raise _not_read("[generation] kind = structural", "mode", ("simulate", "pipeline"), mode)
         for key in _MODEL_IMPLIED_KEYS:
             if parser.has_option("generation", key):
                 raise _not_read(f"[generation] {key}", "kind", ("model-implied",), kind)
@@ -440,8 +444,8 @@ def parse_config(path) -> RunConfig:
     Format: ``key = value`` lines under ``[section]`` headers.  Unknown
     sections and keys are errors, as are missing keys required by the
     declared mode and keys it never reads, such as ``[run] alpha_ratio``
-    in ``fit`` or ``[generation] replications`` outside ``validate``;
-    ``#`` starts a comment line.
+    in ``fit`` or ``[generation] replications`` outside ``validate``, and
+    structural generation in ``validate``; ``#`` starts a comment line.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str

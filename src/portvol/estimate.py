@@ -61,15 +61,13 @@ from .nls import (
 # module because the benchmark's tracer (perfbench/tracing.py) patches
 # portvol.estimate.lm_fit; it goes when that tracer reads a run record.
 from .nls import lm_fit  # noqa: F401
-from .simulate import (
-    BASE_RATE,
-    GenerationSpec,
-    StructuralSpec,
-    _check_seed,
-    _model_implied_rows,
-    _stream_keys,
-    generate_synthetic_dataset,
-)
+from .simulate import BASE_RATE, GenerationSpec, _check_seed, _model_implied_rows, _stream_keys
+
+# The harness draws its replications as stacks and never calls
+# generate_synthetic_dataset.  The name stays importable from this module
+# because the benchmark's tracer (perfbench/tracing.py) patches
+# portvol.estimate.generate_synthetic_dataset.
+from .simulate import generate_synthetic_dataset  # noqa: F401
 
 __all__ = [
     "GaugeRule",
@@ -224,7 +222,10 @@ def _qr_rows(jac: np.ndarray, ssr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n <= p:
         return np.full((n_rows, p), np.nan), cond
     rinv = np.linalg.inv(np.where(ok[:, None, None], r, np.eye(p)))
-    se = np.sqrt(ssr / (n - p))[:, None] * np.linalg.norm(rinv, axis=-1)
+    # Each row's norm is taken on the row scaled by the power of two that brings its largest entry
+    # into [0.5, 1), so no square overflows; scaling by a power of two is exact.
+    scale = np.ldexp(1.0, -np.frexp(np.abs(rinv).max(axis=-1))[1])
+    se = np.sqrt(ssr / (n - p))[:, None] * (np.linalg.norm(rinv * scale[..., None], axis=-1) / scale)
     se[~ok] = np.nan
     return se, cond
 
@@ -710,9 +711,7 @@ class ValidationReport:
     beta1, beta2, beta3) and are computed over converged replications;
     ``coverage`` counts nominal-95% Gauss-Newton intervals containing the
     truth among the ``coverage_evaluated`` replications that produced
-    standard errors.  For structural data there is no true parameter
-    vector, so those fields are None; every structural row has one excess
-    return, so stage 1 refuses it and ``n_converged`` is 0.
+    standard errors; the three are None when no replication converged.
     ``stage2_n_failed`` counts stage-2 fits that raised (None when stage 2
     was not run).  ``failures`` tallies, as sorted ``(reason, count)``
     pairs, every replication that gave no converged fit in a stage it ran:
@@ -724,7 +723,7 @@ class ValidationReport:
     """
 
     replications: int
-    truth: Stage1Params | None
+    truth: Stage1Params
     param_names: tuple[str, ...]
     n_converged: int
     n_failed: int
@@ -758,33 +757,6 @@ def _tally(failures: Counter, stage: str, rows: _Rows) -> None:
             failures[f"{stage} not converged: {rows.messages[i]}"] += 1
 
 
-def _generate_chunk(spec: GenerationSpec | StructuralSpec, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Excess returns and positions, ``(R, n)``, of the replications at ``seeds`` that generate.
-
-    A replication is dropped exactly when ``generate_synthetic_dataset`` at
-    its seed raises ValueError.  Model-implied rows are drawn as one stack,
-    and the checks that can fail there run on it: the pole guard and
-    finite positions (``mu`` and ``e`` are finite by construction).
-    Structural rows are generated one at a time.
-    """
-    if isinstance(spec, StructuralSpec):
-        E, PI = [], []
-        for seed in seeds.tolist():
-            try:
-                data = generate_synthetic_dataset(spec.kind, spec, seed)
-            except ValueError:
-                continue
-            E.append(data.e)
-            PI.append(data.pi_star)
-        n = spec.path.n_steps + 1
-        return (np.stack(E), np.stack(PI)) if E else (np.empty((0, n)), np.empty((0, n)))
-    mu, PI, pole = _model_implied_rows(spec, seeds)
-    ok = ~pole & np.isfinite(PI).all(axis=-1)
-    E = np.subtract(mu, BASE_RATE, out=mu)  # Dataset.e = mu - r
-    keep = _select(np.flatnonzero(ok), len(ok))
-    return E[keep], PI[keep]
-
-
 # Replications are generated and fitted in chunks of this many rows times
 # observations, rounded up to whole replications: large enough that
 # numpy's per-call cost is shared, small enough that the stacked
@@ -805,7 +777,7 @@ _CHUNK_OBSERVATIONS = 12800
 
 
 def monte_carlo_validation(
-    spec: GenerationSpec | StructuralSpec,
+    spec: GenerationSpec,
     replications: int,
     *,
     master_seed: int = 0,
@@ -814,7 +786,10 @@ def monte_carlo_validation(
 ) -> ValidationReport:
     """Repeated generate-and-fit experiment with deterministic seeding.
 
-    Replication ``i`` generates data with the seed
+    ``spec`` must be a :class:`GenerationSpec`; any other raises
+    ValueError, since a structural dataset has the one excess return
+    ``mu - r`` in every row and stage 1 refuses it.  Replication ``i``
+    generates data with the seed
     ``SeedSequence(entropy=master_seed, spawn_key=(i,)).generate_state(1, uint64)``;
     ``master_seed`` must be an integer in ``[0, 2**64)``.  Replications are
     generated and fitted in chunks, each stage fitting a chunk as one
@@ -827,12 +802,16 @@ def monte_carlo_validation(
     (pinned at each replication's own stage-1 fit) and aggregates the
     resulting ``gamma_hat``.
     """
+    if not isinstance(spec, GenerationSpec):
+        raise ValueError(
+            "monte_carlo_validation needs a GenerationSpec: every structural row has one excess return, "
+            "which stage 1 refuses"
+        )
     if replications < 2:
         raise ValueError("replications must be >= 2")
     if gauge_variant not in _GAUGE_VARIANTS:
         raise ValueError(f"unknown gauge variant {gauge_variant!r}")
     master_seed = _check_seed("master_seed", master_seed)
-    truth = None if isinstance(spec, StructuralSpec) else spec.stage1
     k = _GAUGE_VARIANTS.index(gauge_variant)
     failures: Counter[str] = Counter()
     estimates: list[np.ndarray] = []
@@ -840,12 +819,16 @@ def monte_carlo_validation(
     gamma_hats: list[np.ndarray] = []
     stage2_converged = stage2_failed = 0
 
-    n_obs = spec.path.n_steps + 1 if isinstance(spec, StructuralSpec) else spec.n
-    per_chunk = -(-_CHUNK_OBSERVATIONS // n_obs)
+    per_chunk = -(-_CHUNK_OBSERVATIONS // spec.n)
     for start in range(0, replications, per_chunk):
         reps = np.arange(start, min(start + per_chunk, replications), dtype=np.uint64)
         seeds = _stream_keys(master_seed, reps)[:, 0]
-        E, PI = _generate_chunk(spec, seeds)
+        # A replication is dropped exactly when generate_synthetic_dataset at its seed raises ValueError:
+        # on the pole guard, or with a non-finite position (mu and e are finite by construction).
+        mu, PI, pole = _model_implied_rows(spec, seeds)
+        ok = ~pole & np.isfinite(PI).all(axis=-1)
+        keep = _select(np.flatnonzero(ok), len(ok))
+        E, PI = np.subtract(mu, BASE_RATE, out=mu)[keep], PI[keep]  # Dataset.e = mu - r
         if len(E) < len(seeds):
             failures["generation error"] += len(seeds) - len(E)
         if not len(E):
@@ -876,9 +859,8 @@ def monte_carlo_validation(
     coverage_evaluated = 0
     est = np.concatenate(estimates) if estimates else np.empty((0, 3))
     if len(est):
-        # Only data with a truth converge: structural rows have one e.
         beta3_mean = float(np.mean(est[:, 2]))
-        errors = est - truth.as_array()
+        errors = est - spec.stage1.as_array()
         bias = tuple(float(v) for v in errors.mean(axis=0))
         rmse = tuple(float(v) for v in np.sqrt((errors**2).mean(axis=0)))
         se = np.concatenate(ses)
@@ -890,7 +872,7 @@ def monte_carlo_validation(
 
     return ValidationReport(
         replications=replications,
-        truth=truth,
+        truth=spec.stage1,
         param_names=names,
         n_converged=len(est),
         n_failed=replications - len(est),

@@ -43,11 +43,7 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 
 from portvol import (  # noqa: E402
     GenerationSpec,
-    HestonParams,
-    PathConfig,
-    PolicyCoefficients,
     Stage1Params,
-    StructuralSpec,
     generate_synthetic_dataset,
     monte_carlo_validation,
     write_dataset,
@@ -201,10 +197,6 @@ CLI_CASES = {
     "validate-structural": ("validate", _run("validate", OUT, "seed = 17") + _structural("replications = 5"), []),
 }
 
-_HESTON = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
-# The Feller-violating parameters of the CLI tests: some wealth paths overflow.
-_FELLER_VIOLATING = HestonParams(mu=0.08, r=0.02, alpha=0.01, beta_rev=1.0, gamma=0.9, rho=0.3, sigma_bar=0.04)
-_POLICY = PolicyCoefficients(1.0, -2.0, 0.5)
 _BENCHMARK = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)
 
 # name: (spec, replications, master_seed, run_stage2, gauge_variant).
@@ -225,16 +217,6 @@ VALIDATION_CASES = {
         GenerationSpec(stage1=Stage1Params(1e308, 0.0, 1.0), n=4, e_interval=(1.0, 2.0)), 60, 11, True, "pin-beta5",
     ),
     "n-3": (GenerationSpec(stage1=TRUTH, n=3, noise=0.01), 5, 1, True, "pin-beta5"),
-    "structural": (
-        StructuralSpec(heston=_HESTON, policy=_POLICY, path=PathConfig(horizon=1.0, dt=0.01, seed=0), x0=1.0),
-        5, 17, True, "pin-beta5",
-    ),
-    "structural-feller-violating": (
-        StructuralSpec(
-            heston=_FELLER_VIOLATING, policy=_POLICY, path=PathConfig(horizon=2.0, dt=1e-3, seed=0), x0=1.0
-        ),
-        4, 1, False, "pin-beta5",
-    ),
 }
 
 

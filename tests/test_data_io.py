@@ -478,20 +478,14 @@ class TestWriteReport:
         assert "bias_beta3 =" in text
         assert "truth_beta1 = 2" in text
 
-        heston = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
-        structural = StructuralSpec(
-            heston=heston,
-            policy=PolicyCoefficients(1.0, -2.0, 0.5),
-            path=PathConfig(horizon=0.5, dt=0.01, seed=0),
-            x0=1.0,
-        )
-        report = monte_carlo_validation(structural, 2, master_seed=0)
+        # Stage 1 needs 4 rows, so every replication is refused: the truth stays, the statistics are null.
+        report = monte_carlo_validation(GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=3), 2, master_seed=0)
+        assert report.failures == (("stage1 insufficient data", 2),)
         write_report(p, validation=report)
         lines = p.read_text().splitlines()
-        # Structural rows have one excess return, so stage 1 refuses every replication.
         assert ["converged = 0", "failed = 2"] == lines[2:4]
-        assert "truth_beta1 = null" in lines
-        assert "beta3_mean = null" in lines
+        assert "truth_beta1 = 2" in lines
+        assert {"bias_beta1 = null", "bias_beta2 = null", "bias_beta3 = null", "beta3_mean = null"} <= set(lines)
         assert lines[-1] == "stage2_converged = null"
 
 
@@ -615,8 +609,15 @@ class TestParseConfig:
              "[generation] n is for kind model-implied only, not structural"),
             ("[run]\nmode = simulate\noutput = d.csv\n" + _MODEL_GEN + "[path]\nhorizon = 1.0\ndt = 0.01\nx0 = 1.0\n",
              "[path] is for kind structural only, not model-implied"),
+            # Every structural row has one excess return, which stage 1 refuses.
+            ("[run]\nmode = validate\noutput = r.txt\n"
+             + _STRUCTURAL_GEN.replace("structural\n", "structural\nreplications = 5\n"),
+             "[generation] kind = structural is for modes simulate and pipeline only, not validate"),
         ],
-        ids=["fit", "fit-generation", "volvol", "simulate", "validate", "pipeline", "structural", "model-implied"],
+        ids=[
+            "fit", "fit-generation", "volvol", "simulate", "validate", "pipeline", "structural", "model-implied",
+            "validate-structural",
+        ],
     )
     def test_key_the_mode_does_not_read_rejected(self, tmp_path, config, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):

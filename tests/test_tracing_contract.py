@@ -30,7 +30,9 @@ def test_every_patched_name_exists_and_is_restored(monkeypatch):
         tracer.uninstall()
     sites = {(owner.__name__, attr) for owner, attr, _ in patched}
     assert ("portvol.cli", "run_cli") in sites
+    # estimate calls neither lm_fit nor generate_synthetic_dataset; it keeps both names for these patches.
     assert ("portvol.estimate", "lm_fit") in sites
+    assert ("portvol.estimate", "generate_synthetic_dataset") in sites
     assert ("MarketObservation", "__post_init__") in sites
     for owner, attr, original in patched:
         assert callable(original), (owner, attr)
