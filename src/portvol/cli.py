@@ -25,7 +25,7 @@ from .estimate import (
 from .model import FitResult
 from .simulate import SEED_LIMIT, generate_synthetic_dataset
 
-_SUBCOMMANDS = ("simulate", "fit", "volvol", "validate", "pipeline", "help")
+_SUBCOMMANDS = (*data_io._MODES, "help")
 
 
 class _UsageError(Exception):
@@ -66,17 +66,24 @@ def _print_fit(tag: str, fit: FitResult, names, verbose: bool) -> None:
             print(f"{tag} diagnostics = {','.join(sorted(fit.diagnostics))}")
 
 
-def _run_simulate(cfg, verbose: bool) -> int:
+def _generate_and_write(cfg, path):
+    """``(dataset, 0)`` once the configured dataset is generated and written to ``path``, else ``(None, status)``."""
     try:
         data = generate_synthetic_dataset(cfg.generation.kind, cfg.generation, cfg.seed)
     except ValueError as exc:
-        return _stage_error("generate", exc)
+        return None, _stage_error("generate", exc)
     try:
-        data_io.write_dataset(data, cfg.output)
+        data_io.write_dataset(data, path)
     except OSError as exc:
-        return _stage_error("write", exc)
-    print(f"wrote {data.n_rows} rows to {cfg.output}")
-    return 0
+        return None, _stage_error("write", exc)
+    return data, 0
+
+
+def _run_simulate(cfg, verbose: bool) -> int:
+    data, status = _generate_and_write(cfg, cfg.output)
+    if data is not None:
+        print(f"wrote {data.n_rows} rows to {cfg.output}")
+    return status
 
 
 def _run_fits(cfg, verbose: bool) -> int:
@@ -86,14 +93,9 @@ def _run_fits(cfg, verbose: bool) -> int:
     ``fit`` goes on to stage 2 and, with ``alpha_ratio``, to rho.
     """
     if cfg.mode == "pipeline":
-        try:
-            data = generate_synthetic_dataset(cfg.generation.kind, cfg.generation, cfg.seed)
-        except ValueError as exc:
-            return _stage_error("generate", exc)
-        try:
-            data_io.write_dataset(data, cfg.dataset_output)
-        except OSError as exc:
-            return _stage_error("write", exc)
+        data, status = _generate_and_write(cfg, cfg.dataset_output)
+        if data is None:
+            return status
         if verbose:
             print(f"dataset written to {cfg.dataset_output} ({data.n_rows} rows)")
     else:
@@ -160,13 +162,8 @@ def _run_validate(cfg, verbose: bool) -> int:
     return 0
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "fit": _run_fits,
-    "volvol": _run_fits,
-    "validate": _run_validate,
-    "pipeline": _run_fits,
-}
+# Every other mode runs the fits.
+_RUNNERS = {"simulate": _run_simulate, "validate": _run_validate}
 
 
 def run_cli(argv=None) -> int:
@@ -206,7 +203,7 @@ def run_cli(argv=None) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.output is not None:
         cfg = replace(cfg, output=args.output)
-    return _RUNNERS[cfg.mode](cfg, args.verbose)
+    return _RUNNERS.get(cfg.mode, _run_fits)(cfg, args.verbose)
 
 
 def main() -> None:

@@ -113,17 +113,18 @@ def _parse_rows(rows: Iterable[list[str]], header: list[str]) -> tuple[dict[str,
 def read_dataset(path) -> Dataset:
     """Parse an observation CSV.
 
-    Schema: UTF-8, comma-delimited, header line with columns ``pi_star``,
-    ``mu``, ``r`` and optionally ``label`` in any order; nothing else.  A
-    present label column gives the dataset labels, which tag it as a time
-    series; without one ``labels`` is None.  Error messages reference file
+    Schema: UTF-8 (a leading byte-order mark is skipped), comma-delimited,
+    header line with columns ``pi_star``, ``mu``, ``r`` and optionally
+    ``label`` in any order; nothing else.  A present label column gives
+    the dataset labels, which tag it as a time series; without one
+    ``labels`` is None.  Error messages reference file
     rows (the header is row 1).  A label-free body of plain numbers is
     parsed in C; any other body, and every malformed one, goes through the
     row loop, from the top of the file again if the C parse gave up.  Both
     read lines from the open file and never hold its body as one string.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = csv.reader(handle)
             header_row = next(rows, None)
             if header_row is None:
@@ -308,8 +309,9 @@ _SECTION_KEYS = {
     **{section: {f.name for f in fields(cls)} for section, cls in _SECTION_TYPES.items()},
 }
 _MODES = ("simulate", "fit", "volvol", "validate", "pipeline")
-# The modes that read each optional [run] key (every mode reads mode,
-# output and seed), checked in this order; only the generating modes read
+# The modes that read each other [run] key (every mode reads mode,
+# output and seed), checked in this order; each requires the keys it reads
+# but gauge, beta3_hat and alpha_ratio.  Only the generating modes read
 # [generation], only validate its replications, and only structural
 # generation reads [heston], [policy] and [path] and not the curve keys.
 # Structural generation is for simulate and pipeline: every row of a wealth
@@ -423,7 +425,7 @@ def _generation_spec(parser: configparser.ConfigParser, mode: str):
             ),
         )
         return spec, replications
-    for section in ("heston", "policy", "path"):
+    for section in _STRUCTURAL_SECTIONS:
         if not parser.has_section(section):
             raise ValueError(f"missing required section for structural generation: [{section}]")
     heston = _from_fields(parser, "heston", HestonParams)
@@ -441,16 +443,17 @@ def _generation_spec(parser: configparser.ConfigParser, mode: str):
 def parse_config(path) -> RunConfig:
     """Parse and validate a run config.
 
-    Format: ``key = value`` lines under ``[section]`` headers.  Unknown
-    sections and keys are errors, as are missing keys required by the
-    declared mode and keys it never reads, such as ``[run] alpha_ratio``
-    in ``fit`` or ``[generation] replications`` outside ``validate``, and
-    structural generation in ``validate``; ``#`` starts a comment line.
+    Format: UTF-8 ``key = value`` lines under ``[section]`` headers, after
+    an optional byte-order mark.  Unknown sections and keys are errors, as
+    are missing keys required by the declared mode and keys it never reads,
+    such as ``[run] alpha_ratio`` in ``fit`` or ``[generation] replications``
+    outside ``validate``, and structural generation in ``validate``; ``#``
+    starts a comment line.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
@@ -480,17 +483,16 @@ def parse_config(path) -> RunConfig:
 
     generation = None
     replications = None
-    if mode in ("simulate", "validate", "pipeline"):
+    if mode in _GENERATING_MODES:
         generation, replications = _generation_spec(parser, mode)
-    if mode in ("fit", "volvol") and input_path is None:
-        raise ValueError(f"missing required key for mode {mode}: [run] input")
     if mode == "validate":
         if replications is None:
             raise ValueError("missing required key for mode validate: [generation] replications")
         if replications < 2:
             raise ValueError("type error: [generation] replications must be >= 2")
-    if mode == "pipeline" and dataset_output is None:
-        raise ValueError("missing required key for mode pipeline: [run] dataset_output")
+    for key, modes in _RUN_KEY_MODES.items():
+        if mode in modes and key not in ("gauge", "beta3_hat", "alpha_ratio") and not parser.has_option("run", key):
+            raise ValueError(f"missing required key for mode {mode}: [run] {key}")
     _check_read_keys(parser, mode, None if generation is None else generation.kind)
     for key, value in (("beta3_hat", beta3_hat), ("alpha_ratio", alpha_ratio)):
         if value is not None and not math.isfinite(value):

@@ -19,7 +19,11 @@ convention is a map applied afterwards, ``beta = s*(1, c5, c6)``, with
 so stage 2 too is a search in one coordinate, ``theta``.  Both stages run
 on one search loop, :func:`_search`, and neither uses Levenberg-Marquardt.
 Stage 2 needs at least 2 distinct excess returns, one per ratio, and
-refuses data with one.
+refuses data with one.  Each fit needs more rows than free parameters,
+4 in stage 1 and 3 in stage 2.  The rules around the search have one
+owner each: :func:`_refuse` keeps a row's first refusal, :func:`_search`
+its stop test and step cap, ``_Rows`` its convergence, and
+:func:`_checks` the diagnostics both stages share.
 
 Under the default gauge (pin ``beta5`` at the stage-1 ``beta2_hat``),
 ``gamma_hat = beta2_hat / c5_hat``.  Both are estimates of the same
@@ -41,6 +45,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,15 +99,10 @@ DIAG_GAUGE = "GAUGE_UNIDENTIFIED"
 DIAG_DEGENERATE_COV = "DEGENERATE_COVARIANCE"
 DIAG_RHO_RANGE = "RHO_OUT_OF_RANGE"
 
-_MIN_ROWS_STAGE1 = 4
 # Stage 1 starts near the best of these log(beta3/max|e|), refusing fits ending outside.
 _LOG_BETA3_GRID = tuple(range(-8, 7))
-# Each stage's search (in log(beta3/max|e|), and in the angle of (c6, c5))
-# stops unconverged after this many accepted steps, and converged once the
-# predicted decrease is lost in the rounding of the sum of squares or a step
-# no longer than _K_TOL brings no decrease.
-_STAGE1_MAX_ITERATIONS = 200
-_STAGE2_MAX_ITERATIONS = 200
+# Both stages' searches stop unconverged after this many accepted steps (see _search).
+_MAX_ITERATIONS = 200
 _K_TOL = 1e-12
 _COND_LIMIT = 1e8
 _SINGULAR_COND = 1.0 / math.sqrt(np.finfo(float).eps)
@@ -251,32 +251,32 @@ def standard_errors(fit: FitResult, problem: ResidualProblem) -> tuple[float, ..
     return None if np.isnan(se).any() else tuple(se.tolist())
 
 
-def _stage1_checks(E, b1, b2, b3, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Standard errors and diagnostics of stage-1 fits, per row, from :func:`stage1_jacobian`'s derivatives."""
+def _checks(E, b3, jac, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Standard errors and the diagnostics both stages share, per row, with the pole at ``-b3``."""
     near = np.min(np.abs(b3[:, None] + E), axis=-1) < 1e-3 * b3
-    se, cond = _qr_rows(_stage1_grad(E, b1, b2, b3)[0], ssr)
+    se, cond = _qr_rows(jac, ssr)
     return se, {
-        DIAG_B1_EQ_B2: np.abs(b1 - b2) < 1e-6 * np.maximum(np.maximum(np.abs(b1), np.abs(b2)), 1.0),
         DIAG_POLE: near,
         DIAG_ILL_CONDITIONED: cond > _COND_LIMIT,
         DIAG_DEGENERATE_COV: np.isnan(se).any(axis=-1),
     }
+
+
+def _stage1_checks(E, b1, b2, b3, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Standard errors and diagnostics of stage-1 fits, per row, from :func:`stage1_jacobian`'s derivatives."""
+    se, flags = _checks(E, b3, _stage1_grad(E, b1, b2, b3)[0], ssr)
+    flags[DIAG_B1_EQ_B2] = np.abs(b1 - b2) < 1e-6 * np.maximum(np.maximum(np.abs(b1), np.abs(b2)), 1.0)
+    return se, flags
 
 
 def _stage2_checks(E, beta, b3h, k: int, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Standard errors of the two betas the gauge leaves free and the diagnostics of stage-2 fits, per row.
 
-    The Jacobian is :func:`stage2_jacobian`'s in those two betas: the
-    residual Jacobian of the gauge-fixed problem, up to sign.
+    The Jacobian is :func:`stage2_jacobian`'s in those two betas: the gauge-fixed problem's, up to sign.
     """
-    near = np.min(np.abs(b3h[:, None] + E), axis=-1) < 1e-3 * b3h
-    se, cond = _qr_rows(_stage2_grad(E, beta, b3h, tuple(i for i in range(3) if i != k))[0], ssr)
-    return se, {
-        DIAG_POLE: near,
-        DIAG_ILL_CONDITIONED: cond > _COND_LIMIT,
-        DIAG_GAUGE: np.full(len(E), k == 0),
-        DIAG_DEGENERATE_COV: np.isnan(se).any(axis=-1),
-    }
+    se, flags = _checks(E, b3h, _stage2_grad(E, beta, b3h, tuple(i for i in range(3) if i != k))[0], ssr)
+    flags[DIAG_GAUGE] = np.full(len(E), k == 0)
+    return se, flags
 
 
 def identifiability_diagnostics(
@@ -326,11 +326,23 @@ class _Rows:
     params: np.ndarray
     residual_norm: np.ndarray
     iterations: np.ndarray
-    converged: np.ndarray
     messages: list[str]
     standard_errors: np.ndarray
     flags: dict[str, np.ndarray]
     failures: dict[int, tuple[str, ValueError]]
+
+    @cached_property
+    def converged(self) -> np.ndarray:
+        """Rows with a fit whose search stopped before its step cap."""
+        converged = np.array([m != "max iterations" for m in self.messages], dtype=bool)
+        converged[list(self.failures)] = False
+        return converged
+
+    @classmethod
+    def refused(cls, kind: type, failures: dict[int, tuple[str, ValueError]]) -> _Rows:
+        """A stack whose every row is refused before any evaluation."""
+        nan = np.full((len(failures), 3), math.nan)
+        return cls(kind, nan, nan[:, 0], np.zeros(len(failures), dtype=int), [""] * len(failures), nan, {}, failures)
 
     def result(self, i: int) -> FitResult:
         """Row ``i`` as a :class:`FitResult`; raises its failure, if any."""
@@ -348,6 +360,19 @@ class _Rows:
         )
 
 
+def _refuse(failures: dict, rows, reason: str, error) -> None:
+    """Refuse each row of the mask ``rows`` with ``(reason, error(i))``; a row keeps its first refusal."""
+    for i in np.flatnonzero(rows).tolist():
+        failures.setdefault(i, (reason, error(i)))
+
+
+def _refuse_too_few(failures: dict, shape: tuple[int, int], stage: int, n_params: int) -> None:
+    """Refuse every row of an ``(R, n)`` stack unless ``n`` exceeds the ``n_params`` free parameters of the fit."""
+    n_rows, n = shape
+    message = f"insufficient data: stage-{stage} fit needs at least {n_params + 1} rows, got {n}"
+    _refuse(failures, np.full(n_rows, n <= n_params), f"stage{stage} insufficient data", lambda i: ValueError(message))
+
+
 def _libm(f, x: np.ndarray) -> np.ndarray:
     """``f`` of ``math`` (the C library), one value at a time.
 
@@ -357,27 +382,28 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
     return np.array([f(v) for v in x.tolist()])
 
 
-def _search(profile, x: np.ndarray, live: np.ndarray, flat: np.ndarray, max_iterations: int, n_obs: int):
+def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
     """Minimize a sum of squares along one coordinate per row, rows ``live`` starting at ``x``.
 
-    ``profile(x, rows)`` gives ``(ssr, coef, g, h)`` of the selected rows (an
-    index, or a slice for every row) at ``x``: the sum of squares, inf
-    where ``x`` is on a pole; the coefficients solved in closed form
-    there, one row each; and the gradient and Gauss-Newton curvature of
-    ``ssr/2`` in ``x``.  Each step is ``-g/h``, at most one unit, where
-    ``h`` is the secant of successive gradients once it is positive, and is
-    halved until the sum of squares strictly falls; a row whose step
-    failed tries several halvings in one evaluation, as many as
-    ``_CHUNK_OBSERVATIONS`` rows of ``n_obs`` observations allow.  A row
-    stops with "gradient tolerance reached" once the predicted decrease
-    ``g*g/h`` is below ``max(flat, eps*ssr)``, with "step tolerance
-    reached" when no step longer than ``_K_TOL`` brings a decrease, and
-    with "max iterations" after ``max_iterations`` accepted steps.  A row
-    whose start is not finite stops there with ``UNEVALUABLE_START``.
-    Returns ``(x, ssr, coef, iterations, messages)``; rows not ``live``
-    are nan and never evaluated.
+    ``y`` is the regressand, ``(R, n)``.  ``profile(x, rows)`` gives ``(ssr,
+    coef, g, h)`` of the selected rows (an index, or a slice for every row)
+    at ``x``: the sum of squares of the fit of ``y``, inf where ``x`` is on
+    a pole; the coefficients solved in closed form there, one row each;
+    and the gradient and Gauss-Newton curvature of ``ssr/2`` in ``x``.
+    Each step is ``-g/h``, at most one unit, where ``h`` is the secant of
+    successive gradients once it is positive, and is halved until the sum
+    of squares strictly falls; a row whose step failed tries several
+    halvings in one evaluation, as many as ``_CHUNK_OBSERVATIONS`` rows of
+    ``n`` observations allow.  A row stops with "gradient tolerance
+    reached" once the predicted decrease ``g*g/h`` is below the rounding of
+    the sum of squares, ``eps*ssr``, or of the regressand, ``(eps*|y|)**2``;
+    with "step tolerance reached" when no step longer than ``_K_TOL``
+    brings a decrease; and with "max iterations" after ``_MAX_ITERATIONS``
+    accepted steps.  A row whose start is not finite stops there with
+    ``UNEVALUABLE_START``.  Returns ``(x, ssr, coef, iterations,
+    messages)``; rows not ``live`` are nan and never evaluated.
     """
-    n_rows = len(x)
+    n_rows, n_obs = y.shape
     eps = np.finfo(float).eps
     x, x0, g0 = x.copy(), np.full(n_rows, math.nan), np.full(n_rows, math.nan)
     ssr, G, H = np.full(n_rows, math.nan), np.full(n_rows, math.nan), np.full(n_rows, math.nan)
@@ -391,6 +417,7 @@ def _search(profile, x: np.ndarray, live: np.ndarray, flat: np.ndarray, max_iter
             messages[i] = message
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        flat = (eps * np.sqrt(_rowdot(y, y))) ** 2
         rows = np.flatnonzero(live)
         sel = _select(rows, n_rows)
         ssr[sel], start, G[sel], H[sel] = profile(x[sel], sel)
@@ -404,7 +431,7 @@ def _search(profile, x: np.ndarray, live: np.ndarray, flat: np.ndarray, max_iter
             h = np.where(secant > 0.0, secant, h)  # h lacks the residual's own curvature; the secant has it
             done = g * g <= np.fmax(flat[rows], eps * ssr[rows]) * h  # the predicted decrease, g*g/h, is rounding
             stop(rows[done], "gradient tolerance reached")
-            out_of_steps = ~done & (iterations[rows] >= max_iterations)
+            out_of_steps = ~done & (iterations[rows] >= _MAX_ITERATIONS)
             stop(rows[out_of_steps], "max iterations")
             go = ~done & ~out_of_steps
             rows, g = rows[go], g[go]
@@ -444,20 +471,19 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     """Stage 1 on stacked datasets: excess returns ``E`` and positions ``PI``, ``(R, n)``.
 
     Each row runs the search of :func:`fit_volatility` with its own grid
-    start, steps, halvings, stop and refusal; a row with fewer than 3
-    distinct ``e`` is refused first and never evaluated.
+    start, steps, halvings, stop and refusal; a row with fewer than 4
+    observations or 3 distinct ``e`` is refused first and never evaluated.
     """
-    n_rows, n = E.shape
-    if n < _MIN_ROWS_STAGE1:
-        raise ValueError(f"insufficient data: stage-1 fit needs at least {_MIN_ROWS_STAGE1} rows, got {n}")
-    lo, hi = E.min(axis=-1), E.max(axis=-1)
+    n_rows = len(E)
+    failures: dict[int, tuple[str, ValueError]] = {}
+    _refuse_too_few(failures, E.shape, 1, 3)
+    lo, hi = E.min(axis=-1, initial=np.inf), E.max(axis=-1, initial=-np.inf)
     distinct = np.where(lo == hi, 1, np.where(((lo[:, None] < E) & (E < hi[:, None])).any(axis=-1), 3, 2))
-    failures = {
-        i: ("stage1 insufficient regressor variation", ValueError(
-            f"insufficient regressor variation: stage-1 fit needs at least 3 distinct e, got {distinct[i]}"
-        ))
-        for i in np.flatnonzero(distinct < 3).tolist()
-    }
+    _refuse(failures, distinct < 3, "stage1 insufficient regressor variation", lambda i: ValueError(
+        f"insufficient regressor variation: stage-1 fit needs at least 3 distinct e, got {distinct[i]}"
+    ))
+    if len(failures) == n_rows:
+        return _Rows.refused(Stage1Params, failures)
     scale = np.maximum(-lo, hi)
     scale[scale == 0.0] = 1.0
 
@@ -477,7 +503,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
         jac = (b1 - b2)[:, None] * _linear_part(u * (1.0 - u), u)[2]
         return ssr, np.stack([b1, b2], axis=1), _rowdot(jac, res), _rowdot(jac, jac)
 
-    live = distinct >= 3
+    live = ~np.isin(np.arange(n_rows), list(failures))
     rows = np.flatnonzero(live)
     sel = _select(rows, n_rows)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -487,25 +513,18 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
             ssr = fit(np.full(len(rows), float(grid_k)), sel)[0]
             better = ssr < best[rows]
             k[rows[better]], best[rows[better]] = grid_k, ssr[better]
-        flat = (np.finfo(float).eps * np.sqrt(_rowdot(PI, PI))) ** 2
-    k, ssr, coef, iterations, messages = _search(profile, k, live, flat, _STAGE1_MAX_ITERATIONS, n)
+    k, ssr, coef, iterations, messages = _search(profile, k, live, PI)
     b1, b2 = coef.T
 
-    for i in np.flatnonzero((k < _LOG_BETA3_GRID[0]) | (k > _LOG_BETA3_GRID[-1])).tolist():
-        failures.setdefault(i, ("stage1 beta3 not identified", ValueError(
-            f"beta3 is not identified: log(beta3/max|e|) ends at {float(k[i]):.6g}, outside [-8, 6]"
-        )))
+    _refuse(failures, (k < _LOG_BETA3_GRID[0]) | (k > _LOG_BETA3_GRID[-1]), "stage1 beta3 not identified", lambda i:
+            ValueError(f"beta3 is not identified: log(beta3/max|e|) ends at {float(k[i]):.6g}, outside [-8, 6]"))
     b3 = scale * _libm(math.exp, k)
     params = np.stack([b1, b2, b3], axis=1)
     # Inputs are finite, so a non-finite fit is one whose sums overflowed.
-    for i in np.flatnonzero(~(np.isfinite(ssr) & np.isfinite(params).all(axis=1))).tolist():
-        failures.setdefault(i, ("stage1 non-finite fit", ValueError(
-            "stage-1 fit is not finite: positions too large, the sum of squares overflows"
-        )))
+    _refuse(failures, ~(np.isfinite(ssr) & np.isfinite(params).all(axis=1)), "stage1 non-finite fit",
+            lambda i: ValueError("stage-1 fit is not finite: positions too large, the sum of squares overflows"))
     se, flags = _stage1_checks(E, b1, b2, b3, ssr)
-    converged = np.array([m != "max iterations" for m in messages])
-    converged[list(failures)] = False
-    return _Rows(Stage1Params, params, ssr, iterations, converged, messages, se, flags, failures)
+    return _Rows(Stage1Params, params, ssr, iterations, messages, se, flags, failures)
 
 
 def fit_volatility(data: Dataset) -> FitResult:
@@ -523,12 +542,12 @@ def fit_volatility(data: Dataset) -> FitResult:
     Flat positions converge at the level fit with
     ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at least 4 rows and at least 3
     distinct ``e`` (with two, every ``beta3`` fits the two group means
-    exactly); fewer raise ValueError("insufficient regressor variation:
-    ...") before any search.  Raises ValueError("beta3 is not identified:
-    ...") when ``k`` ends off the grid, and ValueError("stage-1 fit is not
-    finite: ...") when positions are so large that the sum of squares
-    overflows.  This is the one-row case of the stacked fit the Monte
-    Carlo harness runs.
+    exactly); fewer raise ValueError("insufficient data: ...") or
+    ValueError("insufficient regressor variation: ...") before any search.
+    Raises ValueError("beta3 is not identified: ...") when ``k`` ends off
+    the grid, and ValueError("stage-1 fit is not finite: ...") when
+    positions are so large that the sum of squares overflows.  This is the
+    one-row case of the stacked fit the Monte Carlo harness runs.
     """
     return _stage1_rows(data.e[None], data.pi_star[None]).result(0)
 
@@ -538,12 +557,12 @@ def _row_name(labels, i: int) -> str:
     return f"row {i}" if label is None else f"row {i} (label {label!r})"
 
 
-def _apply_gauge(q: np.ndarray, k: int, pins: np.ndarray) -> np.ndarray:
-    """Rows of ``(beta4, beta5, beta6) = s*(1, c5, c6)`` with ``s = pin/(1, c5, c6)[k]``, ``q = (c6, c5)``."""
+def _apply_gauge(q: np.ndarray, k: int, pins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``(beta4, beta5, beta6) = s*(1, c5, c6)``, ``q = (c6, c5)``, and ``(1, c5, c6)[k] = pin/s``."""
     v = np.stack([np.ones(len(q)), q[:, 1], q[:, 0]], axis=1)
     beta = (pins / v[:, k])[:, None] * v
     beta[:, k] = pins
-    return beta
+    return beta, v[:, k]
 
 
 def _stage2_rows(
@@ -560,37 +579,33 @@ def _stage2_rows(
     holds at ``pins`` (``free`` holds ``beta4 = 1``); ``labels`` name the
     observations in the errors of :func:`fit_vol_of_vol`.
     """
-    n_rows, n = E.shape
+    n_rows = len(E)
     failures: dict[int, tuple[str, ValueError]] = {}
-
-    def fail(rows, reason, error):  # the first failure of a row is the one it reports
-        for i in rows.tolist():
-            failures.setdefault(i, (reason, error(i)))
-
     zero = PI == 0.0
-    fail(np.flatnonzero(zero.any(axis=-1)), "stage2 zero position", lambda i: ValueError(
+    _refuse(failures, zero.any(axis=-1), "stage2 zero position", lambda i: ValueError(
         f"zero position at {_row_name(labels, int(np.argmax(zero[i])))}: inverse positions are undefined"
     ))
     flips = np.signbit(PI) != np.signbit(PI[:, :1])
-    fail(np.flatnonzero(flips.any(axis=-1)), "stage2 position sign change",
-         lambda i: ValueError(
-             f"position sign change at {_row_name(labels, int(np.argmax(flips[i])))}: "
-             "positions cross zero, so their inverses pass a pole"
-         ))
+    _refuse(failures, flips.any(axis=-1), "stage2 position sign change", lambda i: ValueError(
+        f"position sign change at {_row_name(labels, int(np.argmax(flips[i])))}: "
+        "positions cross zero, so their inverses pass a pole"
+    ))
     bh = b3h[:, None]
     denom = bh + E
-    fail(np.flatnonzero(_pole_rows(denom, bh, E)), "stage2 pole guard",
-         lambda i: PoleError("model evaluated within the pole guard of a vanishing denominator"))
-    fail(np.flatnonzero(E.min(axis=-1) == E.max(axis=-1)), "stage2 insufficient regressor variation",
-         lambda i: ValueError("insufficient regressor variation: stage-2 fit needs at least 2 distinct e, got 1"))
+    _refuse(failures, _pole_rows(denom, bh, E), "stage2 pole guard",
+            lambda i: PoleError("model evaluated within the pole guard of a vanishing denominator"))
+    _refuse(failures, E.min(axis=-1, initial=np.inf) == E.max(axis=-1, initial=-np.inf),
+            "stage2 insufficient regressor variation",
+            lambda i: ValueError("insufficient regressor variation: stage-2 fit needs at least 2 distinct e, got 1"))
+    _refuse_too_few(failures, E.shape, 2, 2)
+    if len(failures) == n_rows:
+        return _Rows.refused(Stage2Params, failures)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         U, V = E / denom, bh / denom  # the curve's derivatives in c6 and c5
         del denom
         Y = 1.0 / PI
-        flat = (np.finfo(float).eps * np.sqrt(_rowdot(Y, Y))) ** 2
-        live = np.ones(n_rows, dtype=bool)
-        live[list(failures)] = False
+        live = ~np.isin(np.arange(n_rows), list(failures))
         rows = np.flatnonzero(live)
         c6, c5, _ = _linear_part(PI[rows], U[rows])
     theta = np.full(n_rows, math.nan)
@@ -624,28 +639,21 @@ def _stage2_rows(
         ssr[pole] = np.inf
         return ssr, np.hstack([cos, sin]) / a[:, None], a * _rowdot(q, res), a * a * _rowdot(q, q)
 
-    theta, ssr, q, iterations, messages = _search(profile, theta, live, flat, _STAGE2_MAX_ITERATIONS, n)
+    theta, ssr, q, iterations, messages = _search(profile, theta, live, Y)
     del U, V, Y
-    fail(np.flatnonzero([m == UNEVALUABLE_START for m in messages]),
-         "stage2 initial residuals unevaluable", lambda i: ValueError(UNEVALUABLE_START))
+    _refuse(failures, [m == UNEVALUABLE_START for m in messages], "stage2 initial residuals unevaluable",
+            lambda i: ValueError(UNEVALUABLE_START))
 
     with np.errstate(divide="ignore", invalid="ignore"):  # a row that failed may have c5 or c6 = 0
-        params = _apply_gauge(q, k, pins)
-    ratio = np.stack([np.ones(n_rows), q[:, 1], q[:, 0]], axis=1)[:, k]
+        params, ratio = _apply_gauge(q, k, pins)
     name = ("beta4", "beta5", "beta6")[k]
-    fail(np.flatnonzero(~(pins * ratio > 0.0)), "stage2 gauge sign conflict", lambda i: ValueError(
+    _refuse(failures, ~(pins * ratio > 0.0), "stage2 gauge sign conflict", lambda i: ValueError(
         f"gauge sign conflict: {_GAUGE_VARIANTS[k]} pins {name} at {pins[i]:+.6g} but the data give "
         f"{name}/beta4 = {ratio[i]:+.6g}; opposite signs would make beta4 <= 0"
     ))
-    if n <= 2:
-        fail(np.arange(n_rows), "stage2 insufficient data",
-             lambda i: ValueError("standard errors require n_obs > n_params"))
-    converged = np.array([m != "max iterations" for m in messages])
-    converged[list(failures)] = False
     se_free, flags = _stage2_checks(E, params, b3h, k, ssr)
     return _Rows(
-        Stage2Params, params, ssr, iterations, converged, messages,
-        np.insert(se_free, k, 0.0, axis=1), flags, failures,
+        Stage2Params, params, ssr, iterations, messages, np.insert(se_free, k, 0.0, axis=1), flags, failures
     )
 
 
@@ -670,17 +678,17 @@ def fit_vol_of_vol(
     the offending row named; so is a gauge pin whose sign would make
     ``beta4 <= 0``.  One distinct ``e`` cannot fix two ratios, so such data
     raise ValueError("insufficient regressor variation: ...") unless one of
-    those refusals comes first.  Standard errors cover the two free
-    parameters (the fixed one reports 0.0).  This is the one-row case of
+    those refusals comes first; then fewer than 3 rows raise
+    ValueError("insufficient data: ..."), all before the search.  Standard
+    errors cover the two free parameters (the fixed one reports 0.0).  This is the one-row case of
     the stacked fit the Monte Carlo harness runs.
     """
     if not (math.isfinite(beta3_hat) and beta3_hat > 0.0):
         raise ValueError("beta3_hat must be finite and > 0")
     k, pin = gauge.fixed
-    rows = _stage2_rows(
+    return _stage2_rows(
         data.e[None], data.pi_star[None], np.array([float(beta3_hat)]), k, np.array([pin]), data.labels
-    )
-    return rows.result(0)
+    ).result(0)
 
 
 def estimate_rho(beta2_hat: float, gamma_hat: float, alpha_ratio: float) -> RhoEstimate:
@@ -788,8 +796,8 @@ def monte_carlo_validation(
 
     ``spec`` must be a :class:`GenerationSpec`; any other raises
     ValueError, since a structural dataset has the one excess return
-    ``mu - r`` in every row and stage 1 refuses it.  Replication ``i``
-    generates data with the seed
+    ``mu - r`` in every row and stage 1 refuses it.  ``replications`` must
+    be an integer >= 2, not a bool.  Replication ``i`` generates data with the seed
     ``SeedSequence(entropy=master_seed, spawn_key=(i,)).generate_state(1, uint64)``;
     ``master_seed`` must be an integer in ``[0, 2**64)``.  Replications are
     generated and fitted in chunks, each stage fitting a chunk as one
@@ -807,6 +815,9 @@ def monte_carlo_validation(
             "monte_carlo_validation needs a GenerationSpec: every structural row has one excess return, "
             "which stage 1 refuses"
         )
+    if isinstance(replications, bool) or not isinstance(replications, (int, np.integer)):
+        raise ValueError(f"replications must be an integer, got {replications!r}")
+    replications = int(replications)
     if replications < 2:
         raise ValueError("replications must be >= 2")
     if gauge_variant not in _GAUGE_VARIANTS:
@@ -831,13 +842,7 @@ def monte_carlo_validation(
         E, PI = np.subtract(mu, BASE_RATE, out=mu)[keep], PI[keep]  # Dataset.e = mu - r
         if len(E) < len(seeds):
             failures["generation error"] += len(seeds) - len(E)
-        if not len(E):
-            continue
-        try:
-            stage1 = _stage1_rows(E, PI)
-        except ValueError:
-            failures["stage1 insufficient data"] += len(E)
-            continue
+        stage1 = _stage1_rows(E, PI)
         _tally(failures, "stage1", stage1)
         ok = np.flatnonzero(stage1.converged)
         estimates.append(stage1.params[ok])
@@ -857,7 +862,7 @@ def monte_carlo_validation(
     bias = rmse = coverage = None
     beta3_mean = None
     coverage_evaluated = 0
-    est = np.concatenate(estimates) if estimates else np.empty((0, 3))
+    est = np.concatenate(estimates)
     if len(est):
         beta3_mean = float(np.mean(est[:, 2]))
         errors = est - spec.stage1.as_array()

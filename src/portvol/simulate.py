@@ -19,11 +19,11 @@ Randomness is counter-based and splittable: each draw stream is a Philox
 stream (counter 0) whose 128-bit key is
 ``SeedSequence(entropy=seed, spawn_key=(path_index, role)).generate_state(2, uint64)``
 (role 0 = variance, role 1 = price).  A path therefore never depends on
-how many other paths are simulated, or in what order.  A single stream
-is built from that ``SeedSequence``; ``_stream_keys`` computes the key for
-many paths at once with numpy's ``SeedSequence`` hash on uint32 arrays,
-and a batch re-keys one generator per path instead of building a
-``SeedSequence`` and a ``Philox`` for each.
+how many other paths are simulated, or in what order.  ``_stream_keys``
+computes the keys of many paths at once with numpy's ``SeedSequence``
+hash on uint32 arrays, and ``_streams`` re-keys one generator per path
+instead of building a ``SeedSequence`` and a ``Philox`` for each; a
+single path is the case of one key.
 
 A model-implied dataset draws from ``Philox(SeedSequence(entropy=seed))``.
 The Monte Carlo harness gives replication ``i`` the seed
@@ -327,11 +327,6 @@ def _streams(keys: np.ndarray):
         yield gen
 
 
-def _stream(seed: int, path_index: int, role: int) -> np.random.Generator:
-    """Deterministic normal stream for (seed, path_index, role): Philox keyed as in :func:`_stream_keys`."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(path_index, role))))
-
-
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -525,7 +520,7 @@ def simulate_variance_path(p: HestonParams, c: PathConfig, path_index: int = 0) 
     """Variance path for one stream index, one value per grid point."""
     if not 0 <= path_index < c.n_paths:
         raise ValueError(f"path_index {path_index} out of range for n_paths={c.n_paths}")
-    z2 = _stream(c.seed, path_index, 0).standard_normal(c.n_steps)
+    z2 = next(_streams(_stream_keys(c.seed, [path_index], 0))).standard_normal(c.n_steps)
     return variance_path_from_normals(p, _step_sizes(c), z2)
 
 
@@ -568,9 +563,8 @@ def simulate_market_path(p: HestonParams, c: PathConfig, path_index: int = 0) ->
     """
     if not 0 <= path_index < c.n_paths:
         raise ValueError(f"path_index {path_index} out of range for n_paths={c.n_paths}")
-    n = c.n_steps
-    z2 = _stream(c.seed, path_index, 0).standard_normal(n)
-    z1 = _stream(c.seed, path_index, 1).standard_normal(n)
+    keys = np.concatenate([_stream_keys(c.seed, [path_index], role) for role in (0, 1)])
+    z2, z1 = (gen.standard_normal(c.n_steps) for gen in _streams(keys))
     return market_path_from_normals(p, c.times(), z1, z2)
 
 

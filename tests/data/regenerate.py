@@ -25,6 +25,7 @@ compares it with the corpus exactly; no case has a tolerance.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import dataclasses
 import difflib
@@ -63,6 +64,7 @@ INPUTS = {
     "cross": (Stage1Params(-1.0, 3.0, 0.02), 200, 0.01, 5),
     "large": (TRUTH, 200_000, 0.01, 1),  # the fit-csv-large benchmark file at seed 1
     "zero": "pi_star,mu,r\n1.0,0.05,0.02\n0.0,0.06,0.02\n1.2,0.07,0.02\n1.3,0.08,0.02\n",
+    "two": "pi_star,mu,r\n1.0,0.05,0.02\n1.2,0.07,0.02\n",
     # The curve (2.0, 0.5, 0.04) at e = -0.03999 (1e-5 from its pole), -0.035, ..., -0.012.
     "near_pole": (
         "pi_star,mu,r\n-5997.999999998163,0.010010000000000005,0.05\n-10.000000000000005,0.015,0.05\n"
@@ -70,6 +72,11 @@ INPUTS = {
         "-0.3999999999999999,0.035,0.05\n-0.14285714285714285,0.038000000000000006,0.05\n"
     ),
 }
+
+
+# Input files that are another input's bytes after a UTF-8 byte-order mark,
+# as spreadsheet exports write them.
+MARKED_INPUTS = {"csv50_bom": "csv50"}
 
 
 def _run(mode: str, *keys: str) -> str:
@@ -97,8 +104,8 @@ OUT = "output = {tmp}/r.txt"
 DATA = "dataset_output = {tmp}/d.csv"
 
 # name: (subcommand, config, flags).  The first 32 run each fitting mode,
-# its write failures and the config refusals; the rest add truths, seeds
-# and sizes.
+# its write failures and the config refusals; the rest add truths, seeds,
+# sizes and file forms.
 CLI_CASES = {
     "fit": ("fit", _run("fit", "input = {csv50}", OUT), []),
     "fit-verbose": ("fit", _run("fit", "input = {csv50}", OUT), ["--verbose"]),
@@ -195,6 +202,8 @@ CLI_CASES = {
         "validate", _run("validate", OUT, "seed = 1") + _gen("replications = 50", n=30, noise=0.05), ["--verbose"],
     ),
     "validate-structural": ("validate", _run("validate", OUT, "seed = 17") + _structural("replications = 5"), []),
+    "volvol-2-rows": ("volvol", _run("volvol", "input = {two}", OUT, "gauge = free", "beta3_hat = 0.04"), []),
+    "fit-byte-order-mark": ("fit", _run("fit", "input = {csv50_bom}", OUT), []),
 }
 
 _BENCHMARK = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)
@@ -231,6 +240,10 @@ def make_inputs(directory: Path) -> dict[str, str]:
             truth, n, noise, seed = source
             spec = GenerationSpec(stage1=truth, n=n, noise=noise)
             write_dataset(generate_synthetic_dataset("model-implied", spec, seed), path)
+        paths[name] = str(path)
+    for name, source in MARKED_INPUTS.items():
+        path = directory / f"{name}.csv"
+        path.write_bytes(codecs.BOM_UTF8 + Path(paths[source]).read_bytes())
         paths[name] = str(path)
     return paths
 

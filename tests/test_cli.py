@@ -314,7 +314,7 @@ class TestStageFailures:
             ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/missing/r.txt\n", None,
              2, "error in report stage: cannot write report"),
             ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/r.txt\n",
-             "portvol.estimate._STAGE1_MAX_ITERATIONS",
+             "portvol.estimate._MAX_ITERATIONS",
              2, "error in stage1 fit stage: did not converge: max iterations"),
             ("fit", "[run]\nmode = fit\ninput = {csv}\noutput = {tmp}/r.txt\n[solver]\nmax_iterations = 200\n", None,
              2, "error in config stage: unknown section: solver"),
@@ -336,7 +336,7 @@ class TestStageFailures:
              "gauge = free\nbeta3_hat = 0.04\n" + NOISELESS_GEN, None,
              2, "error in config stage: [run] beta3_hat is for mode volvol only, not pipeline"),
             ("volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/r.txt\ngauge = free\nbeta3_hat = 0.05\n",
-             "portvol.estimate._STAGE2_MAX_ITERATIONS",
+             "portvol.estimate._MAX_ITERATIONS",
              2, "error in stage2 fit stage: did not converge: max iterations"),
             ("volvol", "[run]\nmode = volvol\ninput = {csv}\noutput = {tmp}/r.txt\ngauge = free\nbeta3_hat = nan\n",
              None,

@@ -24,6 +24,10 @@ def test_corpus_holds_every_case():
     assert list(CORPUS["validation"]) == list(regenerate.VALIDATION_CASES)
 
 
+def test_byte_order_mark_leaves_the_report_unchanged():
+    assert CORPUS["cli"]["fit-byte-order-mark"]["report"] == CORPUS["cli"]["fit"]["report"]
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     return regenerate.make_inputs(tmp_path_factory.mktemp("inputs"))

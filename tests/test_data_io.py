@@ -65,6 +65,19 @@ class TestReadDataset:
         data = read_dataset(p)
         assert data.labels is None
 
+    @pytest.mark.parametrize(
+        "text",
+        ["pi_star,mu,r\n1.0,0.05,0.02\n1.5,0.07,0.02\n", "label,pi_star,mu,r\nt0,1.0,0.05,0.02\nt1,1.5,0.07,0.02\n"],
+        ids=["c-parse", "labelled"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        # Spreadsheet exports lead with a UTF-8 byte-order mark.  The labelled
+        # file is read again from the top by the row loop, which skips it too.
+        path = write(tmp_path / "d.csv", text)
+        plain = read_dataset(path)
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert read_dataset(path) == plain
+
     def test_column_order_free(self, tmp_path):
         p = write(tmp_path / "d.csv", "r,mu,pi_star\n0.02,0.05,1.25\n")
         assert read_dataset(p).pi_star[0] == 1.25
@@ -497,6 +510,13 @@ class TestParseConfig:
         assert cfg.input == "d.csv"
         assert cfg.seed == 0
         assert cfg.gauge_variant == "pin-beta5"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "[run]\nmode = fit\ninput = d.csv\noutput = r.txt\n"
+        path = write(tmp_path / "c.cfg", text)
+        plain = parse_config(path)
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert parse_config(path) == plain
 
     def test_unknown_key_rejected(self, tmp_path):
         p = write(

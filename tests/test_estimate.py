@@ -1050,8 +1050,25 @@ def _model(variant):
     return _stage2_diagnostics(model_data(noise=0.01), variant)
 
 
+def _short_data_refusals(n):
+    """Each stage's refusal of the first ``n`` rows of a noiseless dataset, or None; stacked rows refuse alike."""
+    full = model_data(n=4)
+    data = Dataset(pi_star=full.pi_star[:n], mu=full.mu[:n], r=full.r[:n])
+    E, PI = np.stack([data.e] * 2), np.stack([data.pi_star] * 2)
+    refusals = []
+    for single, stacked in (
+        (lambda: fit_volatility(data), portvol.estimate._stage1_rows(E, PI)),
+        (lambda: fit_vol_of_vol(data, 0.04, GaugeRule.free()),
+         portvol.estimate._stage2_rows(E, PI, np.full(2, 0.04), 0, np.ones(2))),
+    ):
+        refusal = _outcome(single)
+        assert [str(stacked.failures[i][1]) if i in stacked.failures else None for i in range(2)] == [refusal] * 2
+        refusals.append(refusal)
+    return tuple(refusals)
+
+
 def _max_iterations_report(monkeypatch):
-    monkeypatch.setattr(portvol.estimate, "_STAGE1_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(portvol.estimate, "_MAX_ITERATIONS", 1)
     report = monte_carlo_validation(GenerationSpec(stage1=TRUTH, n=200, noise=0.01), 4, master_seed=1, run_stage2=True)
     return report.n_converged, report.failures
 
@@ -1075,7 +1092,32 @@ class TestRarelyTakenBranches:
             lambda mp: fit_vol_of_vol(
                 Dataset(pi_star=[1.0, 1.2], mu=[0.05, 0.07], r=[0.02, 0.02]), 0.04, GaugeRule.free()
             ),
-            "ValueError: standard errors require n_obs > n_params",
+            "ValueError: insufficient data: stage-2 fit needs at least 3 rows, got 2",
+        ),
+        # A fit needs more rows than free parameters: 4 in stage 1, 3 in stage 2.
+        **{
+            f"rows-{n}": (lambda mp, n=n: _short_data_refusals(n), (
+                f"insufficient data: stage-1 fit needs at least 4 rows, got {n}" if n < 4 else None,
+                stage2,
+            ))
+            for n, stage2 in enumerate([
+                "insufficient data: stage-2 fit needs at least 3 rows, got 0",
+                _TOO_FEW_E_STAGE2,
+                "insufficient data: stage-2 fit needs at least 3 rows, got 2",
+                None,
+                None,
+            ])
+        },
+        "replications-float": (
+            lambda mp: monte_carlo_validation(GenerationSpec(stage1=TRUTH, n=50), 3.0),
+            "ValueError: replications must be an integer, got 3.0",
+        ),
+        "replications-bool": (
+            lambda mp: monte_carlo_validation(GenerationSpec(stage1=TRUTH, n=50), True),
+            "ValueError: replications must be an integer, got True",
+        ),
+        "replications-numpy-integer": (
+            lambda mp: monte_carlo_validation(GenerationSpec(stage1=TRUTH, n=50), np.int64(2)).replications, 2
         ),
         "stage1-max-iterations": (_max_iterations_report, (0, (("stage1 not converged: max iterations", 4),))),
         "gauge-unknown-variant": (lambda mp: GaugeRule("bogus"), "ValueError: unknown gauge variant 'bogus'"),
