@@ -32,7 +32,7 @@ beta3_hat = stage1.params.beta3
 print(f"stage-1 volatility estimate beta3 = {beta3_hat:.6f}")
 
 # Pinned gauge: beta5 frozen at the fitted beta2.
-pinned = fit_vol_of_vol(data, beta3_hat, GaugeRule.pin_beta5(stage1.params.beta2))
+pinned = fit_vol_of_vol(data, beta3_hat, GaugeRule.from_stage1("pin-beta5", stage1))
 print("\npin-beta5 gauge:")
 print(f"  (beta4, beta5, beta6) = {pinned.params.as_array()}")
 print(f"  gamma_hat = beta4 = {pinned.params.beta4:.6f}")
@@ -41,7 +41,7 @@ print(f"  beta6/beta4 = {pinned.params.beta6 / pinned.params.beta4:.6f} (matches
 print(f"  diagnostics: {sorted(pinned.diagnostics) or 'none'}")
 
 # Free gauge: the identified ratios (1, c5, c6), flagged as unidentified in scale.
-free = fit_vol_of_vol(data, beta3_hat, GaugeRule.free())
+free = fit_vol_of_vol(data, beta3_hat, GaugeRule("free"))
 print("\nfree gauge:")
 print(f"  (beta4, beta5, beta6) = {free.params.as_array()}")
 print(f"  diagnostics: {sorted(free.diagnostics)}")

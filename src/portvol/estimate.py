@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Dataset, FitResult, Stage1Params, Stage2Params
+from .model import Dataset, FitResult, Stage1Params, Stage2Params, _finite, _integer
 from .nls import (
     _POLE_RTOL,
     UNEVALUABLE_START,
@@ -66,7 +66,7 @@ from .nls import (
 # module because the benchmark's tracer (perfbench/tracing.py) patches
 # portvol.estimate.lm_fit; it goes when that tracer reads a run record.
 from .nls import lm_fit  # noqa: F401
-from .simulate import BASE_RATE, GenerationSpec, _check_seed, _model_implied_rows, _stream_keys
+from .simulate import BASE_RATE, SEED_LIMIT, GenerationSpec, _model_implied_rows, _stream_keys
 
 # The harness draws its replications as stacks and never calls
 # generate_synthetic_dataset.  The name stays importable from this module
@@ -109,16 +109,19 @@ _SINGULAR_COND = 1.0 / math.sqrt(np.finfo(float).eps)
 # A variant's index is the parameter of (beta4, beta5, beta6) it holds
 # fixed; free fixes the scale, beta4 = 1.
 _GAUGE_VARIANTS = ("free", "pin-beta5", "pin-beta6")
+# The paper's pins: beta5 at the stage-1 beta2 and beta6 at its beta1, by index into (beta1, beta2, beta3).
+_STAGE1_PIN = {"pin-beta5": 1, "pin-beta6": 0}
 
 
 @dataclass(frozen=True)
 class GaugeRule:
     """Identification convention for the stage-2 scale freedom.
 
-    ``pin-beta5`` freezes ``beta5`` and ``pin-beta6`` freezes ``beta6``
-    (:meth:`from_stage1` takes the pin values from a stage-1 fit), and
-    ``free`` reports the ratios themselves, ``(1, c5, c6)``, in which
-    case the result always carries the ``GAUGE_UNIDENTIFIED`` diagnostic.
+    ``GaugeRule("pin-beta5", v)`` freezes ``beta5`` at ``v`` and
+    ``GaugeRule("pin-beta6", v)`` freezes ``beta6`` (:meth:`from_stage1`
+    takes the pin values from a stage-1 fit), and ``GaugeRule("free")``
+    reports the ratios themselves, ``(1, c5, c6)``, in which case the
+    result always carries the ``GAUGE_UNIDENTIFIED`` diagnostic.
     """
 
     variant: str
@@ -131,7 +134,7 @@ class GaugeRule:
             if self.pin_value is not None:
                 raise ValueError("free gauge takes no pin value")
         else:
-            if self.pin_value is None or not math.isfinite(self.pin_value) or self.pin_value == 0.0:
+            if not _finite(self.pin_value) or self.pin_value == 0.0:
                 raise ValueError(f"{self.variant} gauge requires a nonzero finite pin value")
 
     @property
@@ -145,26 +148,13 @@ class GaugeRule:
         )
 
     @classmethod
-    def free(cls) -> "GaugeRule":
-        return cls("free")
-
-    @classmethod
-    def pin_beta5(cls, beta2_hat: float) -> "GaugeRule":
-        return cls("pin-beta5", beta2_hat)
-
-    @classmethod
-    def pin_beta6(cls, beta1_hat: float) -> "GaugeRule":
-        return cls("pin-beta6", beta1_hat)
-
-    @classmethod
     def from_stage1(cls, variant: str, stage1: FitResult | None) -> "GaugeRule":
-        """The paper's pins: ``beta5`` at the stage-1 ``beta2``, ``beta6`` at its ``beta1``."""
-        if variant == "free":
-            return cls.free()
+        """The rule with the paper's pin (``_STAGE1_PIN``) taken from a stage-1 fit."""
+        if variant not in _STAGE1_PIN:
+            return cls(variant)  # free takes no pin; an unknown variant raises
         if stage1 is None:
             raise ValueError(f"{variant} gauge requires a stage-1 fit")
-        b = stage1.params
-        return cls(variant, b.beta2 if variant == "pin-beta5" else b.beta1)
+        return cls(variant, float(stage1.params.as_array()[_STAGE1_PIN[variant]]))
 
 
 @dataclass(frozen=True)
@@ -298,18 +288,24 @@ def identifiability_diagnostics(
     ``beta3_hat`` and the Jacobian in the two parameters the gauge leaves
     free, and free-gauge fits always carry ``GAUGE_UNIDENTIFIED``.  The
     condition number is ``cond(R)`` of the Jacobian's QR factor, the one
-    the fits' standard errors use.
+    the fits' standard errors use.  ``beta3_hat`` must be finite and > 0,
+    as in :func:`fit_vol_of_vol`, and data with too few rows for the fit's
+    stage raise its ValueError("insufficient data: ...").
     """
-    E, ssr = data.e[None], np.zeros(1)
-    if isinstance(fit.params, Stage1Params):
-        flags = _stage1_checks(E, *(np.array([v]) for v in fit.params.as_array()), ssr)[1]
-    elif isinstance(fit.params, Stage2Params):
-        if beta3_hat is None:
-            raise ValueError("stage-2 diagnostics require beta3_hat")
-        b, k = fit.params, (gauge if gauge is not None else GaugeRule.free()).fixed[0]
-        flags = _stage2_checks(E, np.array([[b.beta4, b.beta5, b.beta6]]), np.array([float(beta3_hat)]), k, ssr)[1]
-    else:
+    if not isinstance(fit.params, (Stage1Params, Stage2Params)):
         raise TypeError("fit.params must be Stage1Params or Stage2Params")
+    stage1 = isinstance(fit.params, Stage1Params)
+    if not stage1 and not (_finite(beta3_hat) and beta3_hat > 0.0):
+        raise ValueError("beta3_hat must be finite and > 0")
+    E, ssr, failures = data.e[None], np.zeros(1), {}
+    _refuse_too_few(failures, E.shape, *((1, 3) if stage1 else (2, 2)))  # the stage, its free parameters
+    if failures:
+        raise failures[0][1]
+    if stage1:
+        flags = _stage1_checks(E, *fit.params.as_array()[:, None], ssr)[1]
+    else:
+        k = (gauge if gauge is not None else GaugeRule("free")).fixed[0]
+        flags = _stage2_checks(E, fit.params.as_array()[None], np.array([float(beta3_hat)]), k, ssr)[1]
     return frozenset(name for name, rows in flags.items() if rows[0] and name != DIAG_DEGENERATE_COV)
 
 
@@ -683,7 +679,7 @@ def fit_vol_of_vol(
     errors cover the two free parameters (the fixed one reports 0.0).  This is the one-row case of
     the stacked fit the Monte Carlo harness runs.
     """
-    if not (math.isfinite(beta3_hat) and beta3_hat > 0.0):
+    if not (_finite(beta3_hat) and beta3_hat > 0.0):
         raise ValueError("beta3_hat must be finite and > 0")
     k, pin = gauge.fixed
     return _stage2_rows(
@@ -700,7 +696,7 @@ def estimate_rho(beta2_hat: float, gamma_hat: float, alpha_ratio: float) -> RhoE
     ``RHO_OUT_OF_RANGE`` diagnostic.  A non-finite input raises ValueError.
     """
     for name, value in (("beta2_hat", beta2_hat), ("gamma_hat", gamma_hat), ("alpha_ratio", alpha_ratio)):
-        if not math.isfinite(value):
+        if not _finite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if not gamma_hat > 0.0:
         raise ValueError("gamma_hat must be > 0")
@@ -815,14 +811,10 @@ def monte_carlo_validation(
             "monte_carlo_validation needs a GenerationSpec: every structural row has one excess return, "
             "which stage 1 refuses"
         )
-    if isinstance(replications, bool) or not isinstance(replications, (int, np.integer)):
-        raise ValueError(f"replications must be an integer, got {replications!r}")
-    replications = int(replications)
-    if replications < 2:
-        raise ValueError("replications must be >= 2")
+    replications = _integer("replications", replications, 2)
     if gauge_variant not in _GAUGE_VARIANTS:
         raise ValueError(f"unknown gauge variant {gauge_variant!r}")
-    master_seed = _check_seed("master_seed", master_seed)
+    master_seed = _integer("master_seed", master_seed, 0, SEED_LIMIT)
     k = _GAUGE_VARIANTS.index(gauge_variant)
     failures: Counter[str] = Counter()
     estimates: list[np.ndarray] = []
@@ -849,10 +841,10 @@ def monte_carlo_validation(
         ses.append(stage1.standard_errors[ok])
         if not run_stage2 or not len(ok):
             continue
-        b1, b2, b3 = stage1.params[ok].T
-        pins = (np.ones(len(ok)), b2, b1)[k]
+        b = stage1.params[ok]
+        pins = b[:, _STAGE1_PIN[gauge_variant]] if k else np.ones(len(ok))
         keep = _select(ok, len(E))  # every row converged: no copy of the chunk
-        stage2 = _stage2_rows(E[keep], PI[keep], b3, k, pins)
+        stage2 = _stage2_rows(E[keep], PI[keep], b[:, 2], k, pins)
         _tally(failures, "stage2", stage2)
         stage2_failed += len(stage2.failures)
         stage2_converged += int(stage2.converged.sum())

@@ -16,14 +16,36 @@ Quantities follow the wealth-model conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
 
 
-def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+def _finite(x) -> bool:
+    """True for a finite Python or numpy int or float; never for a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _integer(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int if it is a Python or numpy integer, not a bool, in ``[lo, hi)``; else ValueError.
+
+    ``hi`` is None (no upper bound) or a power of two, which the message writes ``2**k``.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if integer and lo <= value and (hi is None or value < hi):
+        return int(value)
+    bounds = f">= {lo}" if hi is None else f"in [{lo}, 2**{hi.bit_length() - 1})"
+    raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def _float_fields(params) -> None:
+    """Store every field of the frozen ``params`` as a Python float; ``invalid <Type>: <field> must be finite`` else."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not _finite(value):
+            raise ValueError(f"invalid {type(params).__name__}: {f.name} must be finite")
+        object.__setattr__(params, f.name, float(value))
 
 
 @dataclass(frozen=True)
@@ -58,10 +80,7 @@ class HestonParams:
 
     def __post_init__(self):
         # Collect every violation, so one error names them all.
-        violations: list[str] = []
-        for name in ("mu", "r", "alpha", "beta_rev", "gamma", "rho", "sigma_bar"):
-            if not _finite(getattr(self, name)):
-                violations.append(f"{name} must be finite")
+        violations = [f"{f.name} must be finite" for f in fields(self) if not _finite(getattr(self, f.name))]
         if _finite(self.rho) and not abs(self.rho) < 1.0:
             violations.append("|rho| must be < 1")
         if _finite(self.gamma) and self.gamma < 0.0:
@@ -74,6 +93,7 @@ class HestonParams:
             violations.append("alpha must be >= 0")
         if violations:
             raise ValueError("invalid HestonParams: " + "; ".join(violations))
+        _float_fields(self)  # every field is finite here
 
     @property
     def feller_ok(self) -> bool:
@@ -106,9 +126,7 @@ class PolicyCoefficients:
     alpha2: float
 
     def __post_init__(self):
-        for name in ("alpha0", "alpha1", "alpha2"):
-            if not _finite(getattr(self, name)):
-                raise ValueError(f"invalid PolicyCoefficients: {name} must be finite")
+        _float_fields(self)
         if not self.alpha1 < 0.0:
             raise ValueError("invalid PolicyCoefficients: alpha1 must be < 0")
 
@@ -137,9 +155,9 @@ class MarketObservation:
 
 
 def _column(name: str, values) -> np.ndarray:
-    """Validated read-only float64 copy of one dataset column."""
+    """Validated read-only float64 copy of one dataset column; a bool column is not numeric."""
     raw = np.asarray(values)
-    if raw.ndim != 1 or raw.dtype.kind not in "biuf":
+    if raw.ndim != 1 or raw.dtype.kind not in "iuf":
         raise ValueError(f"invalid Dataset: {name} must be a one-dimensional numeric column")
     column = raw.astype(float)
     bad = np.flatnonzero(~np.isfinite(column))
@@ -228,9 +246,7 @@ class Stage1Params:
     beta3: float
 
     def __post_init__(self):
-        for name in ("beta1", "beta2", "beta3"):
-            if not _finite(getattr(self, name)):
-                raise ValueError(f"invalid Stage1Params: {name} must be finite")
+        _float_fields(self)
         if not self.beta3 > 0.0:
             raise ValueError("invalid Stage1Params: beta3 must be > 0")
 
@@ -253,9 +269,7 @@ class Stage2Params:
     beta6: float
 
     def __post_init__(self):
-        for name in ("beta4", "beta5", "beta6"):
-            if not _finite(getattr(self, name)):
-                raise ValueError(f"invalid Stage2Params: {name} must be finite")
+        _float_fields(self)
         if self.beta4 < 0.0:
             raise ValueError("invalid Stage2Params: beta4 must be >= 0")
 

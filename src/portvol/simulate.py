@@ -67,7 +67,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import Dataset, HestonParams, PolicyCoefficients, Stage1Params
+from .model import Dataset, HestonParams, PolicyCoefficients, Stage1Params, _finite, _integer
 from .nls import PoleError, _pole_rows
 
 __all__ = [
@@ -139,16 +139,15 @@ class PathConfig:
     n_paths: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+        if not (_finite(self.horizon) and self.horizon > 0.0):
             raise ValueError("horizon must be finite and > 0")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        if not (_finite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be finite and > 0")
         if not self.dt < self.horizon:
             raise ValueError("dt must be < horizon")
-        if not (isinstance(self.n_paths, int) and 1 <= self.n_paths <= SEED_LIMIT):
-            raise ValueError("n_paths must be an integer in [1, 2**64]: path indices are unsigned 64-bit")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < SEED_LIMIT):
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "n_paths", _integer("n_paths", self.n_paths, 1))
+        _integer("the largest path index n_paths - 1", self.n_paths - 1, 0, SEED_LIMIT)
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0, SEED_LIMIT))
 
     @property
     def n_steps(self) -> int:
@@ -270,11 +269,11 @@ def _spawn_state(pool: list, const: int, words: list) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
-def _stream_keys(seed: int, indices: np.ndarray, *tail: int) -> np.ndarray:
-    """``SeedSequence`` states of the spawn keys ``(i, *tail)``, one ``(2,)`` uint64 row per index ``i``.
+def _stream_keys(seed: int, idx: np.ndarray, *tail: int) -> np.ndarray:
+    """``SeedSequence`` states of the spawn keys ``(i, *tail)``, one ``(2,)`` uint64 row per uint64 index ``i``.
 
     Row ``j`` equals
-    ``SeedSequence(entropy=seed, spawn_key=(indices[j], *tail)).generate_state(2, np.uint64)``:
+    ``SeedSequence(entropy=seed, spawn_key=(idx[j], *tail)).generate_state(2, np.uint64)``:
     for path indices and the tail ``(role,)``, the key ``Philox(SeedSequence)``
     runs from; for replication indices and no tail, its first word is the
     replication's seed.  The seed is mixed once; each index and the tail
@@ -282,7 +281,6 @@ def _stream_keys(seed: int, indices: np.ndarray, *tail: int) -> np.ndarray:
     is one uint32 word and a larger one two, so the two groups are hashed
     in separate passes.
     """
-    idx = np.asarray(indices, dtype=np.uint64)
     pool, const = _seed_pool(_uint32_words(seed))
     keys = np.empty((idx.shape[0], 2), dtype=np.uint64)
     wide = idx > _MASK32
@@ -304,7 +302,6 @@ def _seed_keys(seeds: np.ndarray) -> np.ndarray:
 
     A seed is at most two uint32 words and hashes as four, the others zero.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
     zero = np.zeros(seeds.shape, dtype=np.uint32)
     words = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
     return _spawn_state(*_seed_pool(words), [])
@@ -366,8 +363,8 @@ def cir_mean(p: HestonParams, s: float) -> float:
     ``alpha/beta_rev + (sigma_bar - alpha/beta_rev) * exp(-beta_rev*s)``.
     Used as an independent check on the Euler scheme.
     """
-    if s < 0.0:
-        raise ValueError("elapsed time must be >= 0")
+    if not (_finite(s) and s >= 0.0):
+        raise ValueError("elapsed time must be finite and >= 0")
     level = p.alpha / p.beta_rev
     return level + (p.sigma_bar - level) * math.exp(-p.beta_rev * s)
 
@@ -516,11 +513,25 @@ def market_path_from_normals(
     return SimPath(times=times, variance=variance, price=price)
 
 
+def _path_indices(c: PathConfig, indices) -> np.ndarray:
+    """``indices`` as a 1-D uint64 array, every index of ``c`` if None; TypeError unless integers, no bool.
+
+    An index off ``[0, n_paths)`` raises ValueError naming it.
+    """
+    if indices is None:
+        return np.arange(c.n_paths, dtype=np.uint64)
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or (idx.dtype.kind not in "iu" and idx.size):  # [] comes out as float64, and holds no index
+        raise TypeError("path indices must be integers: path_index one, path_indices a 1-D sequence of them")
+    bad = np.flatnonzero((idx < 0) | (idx >= c.n_paths))
+    if bad.size:
+        raise ValueError(f"path_index {idx[bad[0]]} out of range for n_paths={c.n_paths}")
+    return idx.astype(np.uint64, copy=False)
+
+
 def simulate_variance_path(p: HestonParams, c: PathConfig, path_index: int = 0) -> np.ndarray:
     """Variance path for one stream index, one value per grid point."""
-    if not 0 <= path_index < c.n_paths:
-        raise ValueError(f"path_index {path_index} out of range for n_paths={c.n_paths}")
-    z2 = next(_streams(_stream_keys(c.seed, [path_index], 0))).standard_normal(c.n_steps)
+    z2 = next(_streams(_stream_keys(c.seed, _path_indices(c, [path_index]), 0))).standard_normal(c.n_steps)
     return variance_path_from_normals(p, _step_sizes(c), z2)
 
 
@@ -537,17 +548,7 @@ def simulate_variance_batch(p: HestonParams, c: PathConfig, path_indices=None) -
     CPU (see the module docstring); the tiles of the blocks add up to
     one tile, and the bits are those of one thread.
     """
-    if path_indices is None:
-        idx = np.arange(c.n_paths, dtype=np.uint64)
-    else:
-        idx = np.asarray(path_indices)
-        if idx.size == 0:
-            idx = idx.astype(np.uint64)  # [] comes out as float64
-        if idx.ndim != 1 or idx.dtype.kind not in "iu":
-            raise TypeError("path_indices must be a 1-D sequence of integers")
-        bad = np.flatnonzero((idx < 0) | (idx >= c.n_paths))
-        if bad.size:
-            raise ValueError(f"path_index {idx[bad[0]]} out of range for n_paths={c.n_paths}")
+    idx = _path_indices(c, path_indices)
     n = c.n_steps
     out = np.empty((idx.size, n + 1))
     _in_threads(functools.partial(_draw_rows, _stream_keys(c.seed, idx, 0), out), idx.size)
@@ -561,9 +562,8 @@ def simulate_market_path(p: HestonParams, c: PathConfig, path_index: int = 0) ->
     ``(seed, path_index)`` because the two roles draw from separate
     streams.  The price starts at 1.
     """
-    if not 0 <= path_index < c.n_paths:
-        raise ValueError(f"path_index {path_index} out of range for n_paths={c.n_paths}")
-    keys = np.concatenate([_stream_keys(c.seed, [path_index], role) for role in (0, 1)])
+    idx = _path_indices(c, [path_index])
+    keys = np.concatenate([_stream_keys(c.seed, idx, role) for role in (0, 1)])
     z2, z1 = (gen.standard_normal(c.n_steps) for gen in _streams(keys))
     return market_path_from_normals(p, c.times(), z1, z2)
 
@@ -597,7 +597,7 @@ def simulate_wealth_path(
     (zero-variance) grid point is evaluated at ``POLICY_VARIANCE_FLOOR``,
     and an overflow after such points names them and the Feller condition.
     """
-    if not math.isfinite(x0):
+    if not _finite(x0):
         raise ValueError("x0 must be finite")
     times = market.times
     v = market.variance.tolist()
@@ -652,12 +652,11 @@ class GenerationSpec:
     e_interval: tuple[float, float] = (0.01, 0.10)
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError("n must be an integer >= 1")
-        if not (math.isfinite(self.noise) and self.noise >= 0.0):
+        object.__setattr__(self, "n", _integer("n", self.n, 1))
+        if not (_finite(self.noise) and self.noise >= 0.0):
             raise ValueError("noise must be finite and >= 0")
         lo, hi = self.e_interval
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        if not (_finite(lo) and _finite(hi) and lo < hi):
             raise ValueError("e_interval must be a finite (low, high) pair with low < high")
         if not math.isfinite(hi - lo):
             raise ValueError("e_interval is too wide: its width high - low overflows")
@@ -676,7 +675,7 @@ class StructuralSpec:
     x0: float
 
     def __post_init__(self):
-        if not math.isfinite(self.x0):
+        if not _finite(self.x0):
             raise ValueError("x0 must be finite")
 
 
@@ -719,13 +718,6 @@ def _model_implied_rows(spec: GenerationSpec, seeds: np.ndarray) -> tuple[np.nda
     return mu, pi, pole
 
 
-def _check_seed(name: str, seed) -> int:
-    """``seed`` as an int, or ValueError naming it unless ``0 <= seed < 2**64``."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < SEED_LIMIT):
-        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
-    return int(seed)
-
-
 def generate_synthetic_dataset(mode: str, spec, seed: int) -> Dataset:
     """Build a synthetic observation set for estimator validation.
 
@@ -739,7 +731,7 @@ def generate_synthetic_dataset(mode: str, spec, seed: int) -> Dataset:
     if mode == "model-implied":
         if not isinstance(spec, GenerationSpec):
             raise TypeError("model-implied generation requires a GenerationSpec")
-        seeds = np.array([_check_seed("seed", seed)], dtype=np.uint64)
+        seeds = np.array([_integer("seed", seed, 0, SEED_LIMIT)], dtype=np.uint64)
         mu, pi, pole = _model_implied_rows(spec, seeds)
         if pole[0]:
             raise PoleError("model evaluated within the pole guard of a vanishing denominator")

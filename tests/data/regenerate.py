@@ -204,6 +204,7 @@ CLI_CASES = {
     "validate-structural": ("validate", _run("validate", OUT, "seed = 17") + _structural("replications = 5"), []),
     "volvol-2-rows": ("volvol", _run("volvol", "input = {two}", OUT, "gauge = free", "beta3_hat = 0.04"), []),
     "fit-byte-order-mark": ("fit", _run("fit", "input = {csv50_bom}", OUT), []),
+    "simulate-n-0": ("simulate", _run("simulate", "output = {tmp}/d.csv") + _gen(n=0), []),
 }
 
 _BENCHMARK = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)

@@ -141,7 +141,7 @@ def test_06_stage2_gauge_invariance():
         data = generate_synthetic_dataset("model-implied", spec, seed=42)
         e = data.e
         pib = 1.0 / data.pi_star
-        free = fit_vol_of_vol(data, 0.04, GaugeRule.free())
+        free = fit_vol_of_vol(data, 0.04, GaugeRule("free"))
         assert DIAG_GAUGE in free.diagnostics
 
         vectors = [free.params, Stage2Params(0.3, 0.15, 0.6), Stage2Params(1.0, 0.5, 2.0)]

@@ -434,7 +434,7 @@ def _fitted_pair():
         "model-implied", GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=50), seed=42
     )
     stage1 = fit_volatility(data)
-    gauge = GaugeRule.pin_beta5(stage1.params.beta2)
+    gauge = GaugeRule.from_stage1("pin-beta5", stage1)
     stage2 = fit_vol_of_vol(data, stage1.params.beta3, gauge)
     return data, stage1, stage2, gauge
 
@@ -459,9 +459,9 @@ class TestWriteReport:
 
     def test_gauge_warning_rendered_verbatim(self, tmp_path):
         data, stage1, _, _ = _fitted_pair()
-        free = fit_vol_of_vol(data, stage1.params.beta3, GaugeRule.free())
+        free = fit_vol_of_vol(data, stage1.params.beta3, GaugeRule("free"))
         p = tmp_path / "r.txt"
-        write_report(p, stage2=free, gauge=GaugeRule.free())
+        write_report(p, stage2=free, gauge=GaugeRule("free"))
         assert "GAUGE_UNIDENTIFIED" in p.read_text()
 
     def test_absent_values_render_null(self, tmp_path):

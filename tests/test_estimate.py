@@ -271,7 +271,7 @@ class TestFitVolatility:
 class TestFitVolOfVol:
     def test_noiseless_pin_beta5(self):
         stage1 = fit_volatility(model_data())
-        gauge = GaugeRule.pin_beta5(stage1.params.beta2)
+        gauge = GaugeRule.from_stage1("pin-beta5", stage1)
         fit = fit_vol_of_vol(model_data(), stage1.params.beta3, gauge)
         assert fit.converged
         assert fit.residual_norm < 1e-10
@@ -283,7 +283,7 @@ class TestFitVolOfVol:
 
     def test_noiseless_pin_beta6(self):
         stage1 = fit_volatility(model_data())
-        gauge = GaugeRule.pin_beta6(stage1.params.beta1)
+        gauge = GaugeRule.from_stage1("pin-beta6", stage1)
         fit = fit_vol_of_vol(model_data(), stage1.params.beta3, gauge)
         assert fit.converged
         assert fit.residual_norm < 1e-10
@@ -292,7 +292,7 @@ class TestFitVolOfVol:
 
     def test_free_gauge_carries_warning_and_scale_invariance(self):
         data = model_data()
-        fit = fit_vol_of_vol(data, 0.04, GaugeRule.free())
+        fit = fit_vol_of_vol(data, 0.04, GaugeRule("free"))
         assert DIAG_GAUGE in fit.diagnostics
         e = data.e
         pib = 1.0 / data.pi_star
@@ -302,7 +302,7 @@ class TestFitVolOfVol:
 
     def test_free_gauge_reports_ratios_with_errors(self):
         data = model_data(n=200, noise=0.01, seed=8)
-        fit = fit_vol_of_vol(data, 0.04, GaugeRule.free())
+        fit = fit_vol_of_vol(data, 0.04, GaugeRule("free"))
         assert fit.converged
         assert fit.params.beta4 == 1.0  # the scale the free gauge fixes
         assert fit.standard_errors is not None
@@ -323,7 +323,7 @@ class TestFitVolOfVol:
         # running log(beta4) off to -inf.
         data = model_data(truth=Stage1Params(5.0, -0.3, 0.1), n=200, noise=noise, seed=3)
         stage1 = fit_volatility(data)
-        fit = fit_vol_of_vol(data, stage1.params.beta3, GaugeRule.pin_beta5(stage1.params.beta2))
+        fit = fit_vol_of_vol(data, stage1.params.beta3, GaugeRule.from_stage1("pin-beta5", stage1))
         assert fit.converged
         assert fit.params.beta4 == pytest.approx(1.0, abs=0.05)
         if noise == 0.0:
@@ -337,7 +337,7 @@ class TestFitVolOfVol:
         assert first > 0
         stage1 = fit_volatility(data)
         with pytest.raises(ValueError, match=rf"position sign change at row {first}:"):
-            fit_vol_of_vol(data, stage1.params.beta3, GaugeRule.pin_beta5(stage1.params.beta2))
+            fit_vol_of_vol(data, stage1.params.beta3, GaugeRule.from_stage1("pin-beta5", stage1))
 
     def test_position_sign_change_names_label(self):
         data = Dataset(
@@ -347,7 +347,7 @@ class TestFitVolOfVol:
             labels=("a", "b", "c", "d"),
         )
         with pytest.raises(ValueError, match=r"position sign change at row 2 \(label 'c'\)"):
-            fit_vol_of_vol(data, 0.04, GaugeRule.free())
+            fit_vol_of_vol(data, 0.04, GaugeRule("free"))
 
     @pytest.mark.parametrize("source", ["benchmark", "corpus"])
     def test_start_is_the_stage1_linear_part_bit_for_bit(self, source):
@@ -428,9 +428,9 @@ class TestFitVolOfVol:
         # (beta5, beta6) in those units; it must not stop at its start.
         data = model_data(truth=TRUTH, n=40, noise=0.02, seed=3)
         b3h = fit_volatility(data).params.beta3
-        fit = fit_vol_of_vol(data, b3h, GaugeRule.free())
+        fit = fit_vol_of_vol(data, b3h, GaugeRule("free"))
         scaled = Dataset(pi_star=data.pi_star * scale, mu=data.mu, r=data.r)
-        fit_scaled = fit_vol_of_vol(scaled, b3h, GaugeRule.free())
+        fit_scaled = fit_vol_of_vol(scaled, b3h, GaugeRule("free"))
         assert fit_scaled.converged
         assert fit_scaled.iterations >= 1
         assert fit_scaled.params.beta4 == 1.0
@@ -448,7 +448,7 @@ class TestFitVolOfVol:
         ses = []
         for scale in (1e100, 1e150):
             scaled = Dataset(pi_star=data.pi_star * scale, mu=data.mu, r=data.r)
-            ses.append(np.array(fit_vol_of_vol(scaled, b3h, GaugeRule.free()).standard_errors) / scale)
+            ses.append(np.array(fit_vol_of_vol(scaled, b3h, GaugeRule("free")).standard_errors) / scale)
         assert ses[0][0] == ses[1][0] == 0.0
         assert np.all(ses[0][1:] > 0.0)
         assert ses[1] == pytest.approx(ses[0], rel=1e-12)
@@ -482,7 +482,7 @@ class TestFitVolOfVol:
         stage1 = fit_volatility(data)
         assert stage1.converged
         b3h = stage1.params.beta3
-        for gauge in (GaugeRule.pin_beta5(stage1.params.beta2), GaugeRule.pin_beta6(stage1.params.beta1)):
+        for gauge in (GaugeRule.from_stage1("pin-beta5", stage1), GaugeRule.from_stage1("pin-beta6", stage1)):
             fit = fit_vol_of_vol(data, b3h, gauge)
             assert fit.converged
             assert fit.params.beta4 == pytest.approx(1.0, abs=1e-6)
@@ -491,7 +491,9 @@ class TestFitVolOfVol:
         # One distinct e identifies only the curve's level, not two ratios,
         # so it is refused whatever the gauge and the sign of the pin.
         data = Dataset(pi_star=[-0.8, -0.9, -1.0, -1.1], mu=[0.08] * 4, r=[0.02] * 4)
-        for gauge in (GaugeRule.pin_beta5(-5.0), GaugeRule.pin_beta5(5.0), GaugeRule.pin_beta6(0.4), GaugeRule.free()):
+        for gauge in (
+            GaugeRule("pin-beta5", -5.0), GaugeRule("pin-beta5", 5.0), GaugeRule("pin-beta6", 0.4), GaugeRule("free")
+        ):
             with pytest.raises(ValueError) as raised:
                 fit_vol_of_vol(data, 0.02, gauge)
             assert str(raised.value) == _TOO_FEW_E_STAGE2
@@ -499,15 +501,15 @@ class TestFitVolOfVol:
     def test_zero_position_rejected_with_row(self):
         data = Dataset(pi_star=[1.0, 0.0, 1.2, 1.3], mu=[0.05, 0.06, 0.07, 0.08], r=[0.02] * 4)
         with pytest.raises(ValueError, match="zero position at row 1"):
-            fit_vol_of_vol(data, 0.04, GaugeRule.free())
+            fit_vol_of_vol(data, 0.04, GaugeRule("free"))
 
     def test_beta3_hat_must_be_positive(self):
         with pytest.raises(ValueError):
-            fit_vol_of_vol(model_data(), 0.0, GaugeRule.free())
+            fit_vol_of_vol(model_data(), 0.0, GaugeRule("free"))
 
     def test_pin_gauge_requires_nonzero_value(self):
         with pytest.raises(ValueError):
-            GaugeRule.pin_beta5(0.0)
+            GaugeRule("pin-beta5", 0.0)
         with pytest.raises(ValueError):
             GaugeRule("pin-beta6", None)
         with pytest.raises(ValueError):
@@ -575,7 +577,7 @@ class TestRegressorVariation:
     )
     def test_stage2_needs_two_distinct_e(self, design, b3h, variant, pin):
         e, pi = design
-        gauge = GaugeRule.free() if variant == "free" else GaugeRule(variant, pin)
+        gauge = GaugeRule("free") if variant == "free" else GaugeRule(variant, pin)
         outcome = _outcome(fit_vol_of_vol, Dataset(pi_star=pi, mu=e, r=np.zeros(len(e))), b3h, gauge)
         # The refusals that come first: a zero position, a sign change, and
         # the pole, which the pool reaches only exactly.
@@ -609,7 +611,7 @@ class TestEstimateRho:
         with pytest.raises(ValueError):
             estimate_rho(0.1, 0.3, 0.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_non_finite_input_raises(self, bad, position):
         args = [0.5, 1.0, 0.25]
@@ -907,7 +909,7 @@ class TestMonteCarloValidation:
         assert report.failures == (("generation error", 29), ("stage1 non-finite fit", 31))
         assert (report.n_converged, report.n_failed) == (0, 60)
 
-    @pytest.mark.parametrize("master_seed", [-1, 2**64, 1.0])
+    @pytest.mark.parametrize("master_seed", [-1, 2**64, 1.0, True])
     def test_invalid_master_seed_raises(self, master_seed):
         spec = GenerationSpec(stage1=TRUTH, n=50)
         with pytest.raises(ValueError, match=rf"master_seed must be an integer in \[0, 2\*\*64\), got {master_seed!r}"):
@@ -1051,19 +1053,26 @@ def _model(variant):
 
 
 def _short_data_refusals(n):
-    """Each stage's refusal of the first ``n`` rows of a noiseless dataset, or None; stacked rows refuse alike."""
+    """Each stage's refusal of the first ``n`` rows of a noiseless dataset, or None; stacked rows refuse alike.
+
+    Then each stage's refusal by ``identifiability_diagnostics``, which applies the fits' row rule.
+    """
     full = model_data(n=4)
     data = Dataset(pi_star=full.pi_star[:n], mu=full.mu[:n], r=full.r[:n])
     E, PI = np.stack([data.e] * 2), np.stack([data.pi_star] * 2)
     refusals = []
     for single, stacked in (
         (lambda: fit_volatility(data), portvol.estimate._stage1_rows(E, PI)),
-        (lambda: fit_vol_of_vol(data, 0.04, GaugeRule.free()),
+        (lambda: fit_vol_of_vol(data, 0.04, GaugeRule("free")),
          portvol.estimate._stage2_rows(E, PI, np.full(2, 0.04), 0, np.ones(2))),
     ):
         refusal = _outcome(single)
         assert [str(stacked.failures[i][1]) if i in stacked.failures else None for i in range(2)] == [refusal] * 2
         refusals.append(refusal)
+    refusals.append(_outcome(identifiability_diagnostics, _fit_result(TRUTH), data))
+    refusals.append(_outcome(lambda: identifiability_diagnostics(
+        _fit_result(Stage2Params(1.0, 0.5, 0.25)), data, beta3_hat=0.04, gauge=GaugeRule("free")
+    )))
     return tuple(refusals)
 
 
@@ -1090,15 +1099,18 @@ class TestRarelyTakenBranches:
         "diagnostics-pin-beta6": (lambda mp: _model("pin-beta6"), (frozenset(),) * 2),
         "stage2-two-rows": (
             lambda mp: fit_vol_of_vol(
-                Dataset(pi_star=[1.0, 1.2], mu=[0.05, 0.07], r=[0.02, 0.02]), 0.04, GaugeRule.free()
+                Dataset(pi_star=[1.0, 1.2], mu=[0.05, 0.07], r=[0.02, 0.02]), 0.04, GaugeRule("free")
             ),
             "ValueError: insufficient data: stage-2 fit needs at least 3 rows, got 2",
         ),
-        # A fit needs more rows than free parameters: 4 in stage 1, 3 in stage 2.
+        # A fit needs more rows than free parameters: 4 in stage 1, 3 in stage 2.  The diagnostics of
+        # either stage refuse alike, after no other refusal.
         **{
             f"rows-{n}": (lambda mp, n=n: _short_data_refusals(n), (
                 f"insufficient data: stage-1 fit needs at least 4 rows, got {n}" if n < 4 else None,
                 stage2,
+                f"insufficient data: stage-1 fit needs at least 4 rows, got {n}" if n < 4 else None,
+                f"insufficient data: stage-2 fit needs at least 3 rows, got {n}" if n < 3 else None,
             ))
             for n, stage2 in enumerate([
                 "insufficient data: stage-2 fit needs at least 3 rows, got 0",
@@ -1110,14 +1122,27 @@ class TestRarelyTakenBranches:
         },
         "replications-float": (
             lambda mp: monte_carlo_validation(GenerationSpec(stage1=TRUTH, n=50), 3.0),
-            "ValueError: replications must be an integer, got 3.0",
+            "ValueError: replications must be an integer >= 2, got 3.0",
         ),
         "replications-bool": (
             lambda mp: monte_carlo_validation(GenerationSpec(stage1=TRUTH, n=50), True),
-            "ValueError: replications must be an integer, got True",
+            "ValueError: replications must be an integer >= 2, got True",
         ),
         "replications-numpy-integer": (
             lambda mp: monte_carlo_validation(GenerationSpec(stage1=TRUTH, n=50), np.int64(2)).replications, 2
+        ),
+        "beta3-hat-bool": (
+            lambda mp: fit_vol_of_vol(model_data(), True, GaugeRule("free")),
+            "ValueError: beta3_hat must be finite and > 0",
+        ),
+        "diagnostics-beta3-hat-nan": (
+            lambda mp: identifiability_diagnostics(
+                _fit_result(Stage2Params(1.0, 0.5, 0.25)), model_data(), beta3_hat=math.nan
+            ),
+            "ValueError: beta3_hat must be finite and > 0",
+        ),
+        "gauge-pin-bool": (
+            lambda mp: GaugeRule("pin-beta5", True), "ValueError: pin-beta5 gauge requires a nonzero finite pin value"
         ),
         "stage1-max-iterations": (_max_iterations_report, (0, (("stage1 not converged: max iterations", 4),))),
         "gauge-unknown-variant": (lambda mp: GaugeRule("bogus"), "ValueError: unknown gauge variant 'bogus'"),

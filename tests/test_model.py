@@ -76,6 +76,7 @@ class TestConstructorRejections:
             {"alpha": -0.01},
             {"mu": math.nan},
             {"sigma_bar": math.inf},
+            {"mu": True},
         ],
     )
     def test_heston_invalid_fields(self, overrides):
@@ -100,12 +101,12 @@ class TestConstructorRejections:
         obs = MarketObservation(pi_star=0.0, mu=0.05, r=0.02)
         assert obs.excess_return == pytest.approx(0.03)
 
-    @pytest.mark.parametrize("beta3", [0.0, -0.04, math.nan])
+    @pytest.mark.parametrize("beta3", [0.0, -0.04, math.nan, True])
     def test_stage1_beta3_positive(self, beta3):
         with pytest.raises(ValueError):
             Stage1Params(2.0, 0.5, beta3)
 
-    @pytest.mark.parametrize("beta4", [-1e-12, -1.0, math.nan])
+    @pytest.mark.parametrize("beta4", [-1e-12, -1.0, math.nan, True])
     def test_stage2_beta4_nonnegative(self, beta4):
         with pytest.raises(ValueError):
             Stage2Params(beta4, 0.5, 2.0)
@@ -182,7 +183,7 @@ class TestDataset:
         with pytest.raises(ValueError, match=rf"{name} must be finite \(first bad row 1\)"):
             Dataset(**columns)
 
-    @pytest.mark.parametrize("pi_star", [["1.0"], [None], [[1.0]]])
+    @pytest.mark.parametrize("pi_star", [["1.0"], [None], [[1.0]], [True]])
     def test_non_numeric_column_rejected(self, pi_star):
         with pytest.raises(ValueError, match="pi_star must be a one-dimensional numeric column"):
             Dataset(pi_star=pi_star, mu=[0.05], r=[0.02])

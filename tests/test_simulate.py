@@ -311,11 +311,16 @@ class TestBatchKernel:
         with pytest.raises(ValueError, match=rf"path_index {bad} out of range for n_paths=4"):
             simulate_variance_batch(heston(), c, path_indices)
 
-    @pytest.mark.parametrize("path_indices", [[0.0, 1.0], [True], [[0, 1]]])
+    @pytest.mark.parametrize("path_indices", [[0.0, 1.0], [True], [[0, 1]], 1.5, 2.9, True])
     def test_non_integer_indices_rejected(self, path_indices):
+        # A list goes to the batch, a single index to both single-path simulators.
         c = PathConfig(horizon=1.0, dt=0.1, seed=1, n_paths=4)
-        with pytest.raises(TypeError, match="path_indices"):
-            simulate_variance_batch(heston(), c, path_indices)
+        simulators = [simulate_variance_batch] if isinstance(path_indices, list) else [
+            simulate_variance_path, simulate_market_path
+        ]
+        for simulate in simulators:
+            with pytest.raises(TypeError, match="path_indices"):
+                simulate(heston(), c, path_indices)
 
     def test_indices_past_2_32_match_single_paths(self):
         # Indices below and at or above 2**32 are hashed as one and two
@@ -875,7 +880,7 @@ class TestGenerateSyntheticDataset:
         with pytest.raises(TypeError):
             generate_synthetic_dataset("structural", spec, seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True])
     def test_seed_outside_64_bits_rejected(self, seed):
         spec = GenerationSpec(stage1=Stage1Params(2.0, 0.5, 0.04), n=10)
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
@@ -983,17 +988,29 @@ class TestValidators:
         "dt-infinite": (lambda: PathConfig(horizon=1.0, dt=_INF, seed=0), "dt must be finite and > 0"),
         "dt-zero": (lambda: PathConfig(horizon=1.0, dt=0.0, seed=0), "dt must be finite and > 0"),
         "dt-not-below-horizon": (lambda: PathConfig(horizon=1.0, dt=1.0, seed=0), "dt must be < horizon"),
+        "horizon-bool": (lambda: PathConfig(horizon=True, dt=0.1, seed=0), "horizon must be finite and > 0"),
         "n-paths-zero": (
-            lambda: PathConfig(horizon=1.0, dt=0.1, seed=0, n_paths=0),
-            "n_paths must be an integer in [1, 2**64]: path indices are unsigned 64-bit",
+            lambda: PathConfig(horizon=1.0, dt=0.1, seed=0, n_paths=0), "n_paths must be an integer >= 1, got 0"
         ),
         "n-paths-float": (
-            lambda: PathConfig(horizon=1.0, dt=0.1, seed=0, n_paths=2.0),
-            "n_paths must be an integer in [1, 2**64]: path indices are unsigned 64-bit",
+            lambda: PathConfig(horizon=1.0, dt=0.1, seed=0, n_paths=2.0), "n_paths must be an integer >= 1, got 2.0"
         ),
-        "seed-negative": (lambda: PathConfig(horizon=1.0, dt=0.1, seed=-1), "seed must be an unsigned 64-bit integer"),
-        "n-zero": (lambda: GenerationSpec(stage1=_CURVE, n=0), "n must be an integer >= 1"),
-        "n-float": (lambda: GenerationSpec(stage1=_CURVE, n=10.0), "n must be an integer >= 1"),
+        "n-paths-bool": (
+            lambda: PathConfig(horizon=1.0, dt=0.1, seed=0, n_paths=True), "n_paths must be an integer >= 1, got True"
+        ),
+        "n-paths-above-2**64": (
+            lambda: PathConfig(horizon=1.0, dt=0.1, seed=0, n_paths=2**64 + 1),
+            f"the largest path index n_paths - 1 must be an integer in [0, 2**64), got {2**64}",
+        ),
+        "seed-negative": (
+            lambda: PathConfig(horizon=1.0, dt=0.1, seed=-1), "seed must be an integer in [0, 2**64), got -1"
+        ),
+        "seed-bool": (
+            lambda: PathConfig(horizon=1.0, dt=0.1, seed=False), "seed must be an integer in [0, 2**64), got False"
+        ),
+        "n-zero": (lambda: GenerationSpec(stage1=_CURVE, n=0), "n must be an integer >= 1, got 0"),
+        "n-float": (lambda: GenerationSpec(stage1=_CURVE, n=10.0), "n must be an integer >= 1, got 10.0"),
+        "n-bool": (lambda: GenerationSpec(stage1=_CURVE, n=True), "n must be an integer >= 1, got True"),
         "noise-negative": (lambda: GenerationSpec(stage1=_CURVE, n=10, noise=-0.1), "noise must be finite and >= 0"),
         "noise-infinite": (lambda: GenerationSpec(stage1=_CURVE, n=10, noise=_INF), "noise must be finite and >= 0"),
         "interval-reversed": (
@@ -1016,6 +1033,11 @@ class TestValidators:
             lambda: StructuralSpec(heston=heston(), policy=PolicyCoefficients(1.0, -2.0, 0.5), path=_PATH, x0=_INF),
             "x0 must be finite",
         ),
+        "x0-bool": (
+            lambda: StructuralSpec(heston=heston(), policy=PolicyCoefficients(1.0, -2.0, 0.5), path=_PATH, x0=True),
+            "x0 must be finite",
+        ),
+        "elapsed-time-nan": (lambda: cir_mean(heston(), math.nan), "elapsed time must be finite and >= 0"),
         "path-length": (
             lambda: SimPath(times=np.array([0.0, 1.0]), variance=np.array([0.1]), price=np.ones(2)),
             "SimPath field variance has length 1, expected 2",
@@ -1044,3 +1066,18 @@ class TestValidators:
         with pytest.raises(ValueError) as raised:
             build()
         assert str(raised.value) == message
+
+    def test_numpy_scalars_give_the_bits_of_python_numbers(self):
+        curve = Stage1Params(np.float32(2.0), np.float32(0.5), np.float32(0.0625))
+        assert curve == Stage1Params(2.0, 0.5, 0.0625) and {type(v) for v in curve.as_array().tolist()} == {float}
+        assert type(curve.beta3) is float
+        assert PolicyCoefficients(1.0, np.float32(-2.0), 0.5) == PolicyCoefficients(1.0, -2.0, 0.5)
+        spec = GenerationSpec(stage1=curve, n=np.int64(50), noise=0.01)
+        assert type(spec.n) is int
+        data = generate_synthetic_dataset("model-implied", spec, np.uint64(7))
+        same = generate_synthetic_dataset("model-implied", GenerationSpec(Stage1Params(2.0, 0.5, 0.0625), 50, 0.01), 7)
+        assert all(same_bits(getattr(data, name), getattr(same, name)) for name in ("pi_star", "mu", "r"))
+        c = PathConfig(horizon=1.0, dt=0.1, seed=np.int64(3), n_paths=np.int64(4))
+        assert c == PathConfig(horizon=1.0, dt=0.1, seed=3, n_paths=4) and (type(c.seed), type(c.n_paths)) == (int, int)
+        assert same_bits(simulate_variance_path(heston(), c, np.int64(2)), simulate_variance_path(heston(), c, 2))
+        assert same_bits(simulate_market_path(heston(), c, np.int64(2)).price, simulate_market_path(heston(), c, 2).price)
