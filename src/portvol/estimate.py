@@ -55,11 +55,18 @@ from .nls import (
     UNEVALUABLE_START,
     PoleError,
     ResidualProblem,
+    _beta3_hat,
+    _centred,
+    _evaluate,
+    _linear_part,
     _pole_rows,
+    _qr_rows,
     _rowdot,
     _select,
+    _slope,
     _stage1_grad,
     _stage2_grad,
+    _take,
 )
 
 # No fit here runs Levenberg-Marquardt.  The name stays importable from this
@@ -105,7 +112,6 @@ _LOG_BETA3_GRID = tuple(range(-8, 7))
 _MAX_ITERATIONS = 200
 _K_TOL = 1e-12
 _COND_LIMIT = 1e8
-_SINGULAR_COND = 1.0 / math.sqrt(np.finfo(float).eps)
 # A variant's index is the parameter of (beta4, beta5, beta6) it holds
 # fixed; free fixes the scale, beta4 = 1.
 _GAUGE_VARIANTS = ("free", "pin-beta5", "pin-beta6")
@@ -169,57 +175,6 @@ class RhoEstimate:
         return abs(self.rho_hat) <= 1.0
 
 
-def _linear_part(y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(beta1, beta2, residual)`` per row, the stage-1 fit at a fixed ``beta3`` in closed form.
-
-    The curve is then ``beta2 + (beta1 - beta2)*u`` with ``u = e/(beta3 + e)``,
-    a simple linear regression of ``y`` on ``u`` (Golub and Pereyra 1973),
-    whose residual is ``y`` projected off ``[1, u]``.  A ``u`` that does not
-    vary fits the level, ``beta1 = beta2 = mean(y)``.  ``y`` and ``u`` are
-    ``(R, n)``; every sum runs along a row.
-    """
-    n = y.shape[-1]
-    ybar = y.sum(axis=-1) / n
-    yc = y - ybar[:, None]
-    du = u - u[:, :1]  # exact zeros when every u is the same
-    ubar = du.sum(axis=-1) / n
-    du -= ubar[:, None]
-    sxx, sxy = _rowdot(du, du), _rowdot(du, yc)
-    slope = np.divide(sxy, sxx, out=np.zeros_like(sxy), where=sxx != 0.0)
-    b2 = ybar - slope * (u[:, 0] + ubar)
-    return b2 + slope, b2, yc - slope[:, None] * du  # centred, so no cancellation in b2 + slope*u
-
-
-def _qr_rows(jac: np.ndarray, ssr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standard errors and ``cond(J)`` per row, from one stacked QR of the Jacobians ``jac``, ``(R, n, p)``.
-
-    Gauss-Newton standard errors ``sqrt(diag(s2 * inv(J'J)))`` with ``s2 =
-    ssr/(n - p)``: with ``J = QR``, ``inv(J'J) = inv(R) inv(R)'``, so the
-    condition number of ``J`` is never squared.  ``cond(R) = cond(J)``, so
-    this one condition number serves both the standard errors and the
-    ``ILL_CONDITIONED`` diagnostic; it is inf for a singular or non-finite
-    Jacobian.  A row's standard errors are nan (degenerate covariance) when
-    ``cond(R) >= 1/sqrt(eps)`` or ``n <= p``.
-    """
-    n_rows, n, p = jac.shape
-    finite = np.all(np.isfinite(jac), axis=(1, 2))
-    if not finite.all():
-        jac = np.where(finite[:, None, None], jac, 0.0)
-    r = np.linalg.qr(jac, mode="r")
-    cond = np.linalg.cond(r)
-    cond = np.where(finite & np.isfinite(cond), cond, np.inf)
-    ok = cond < _SINGULAR_COND
-    if n <= p:
-        return np.full((n_rows, p), np.nan), cond
-    rinv = np.linalg.inv(np.where(ok[:, None, None], r, np.eye(p)))
-    # Each row's norm is taken on the row scaled by the power of two that brings its largest entry
-    # into [0.5, 1), so no square overflows; scaling by a power of two is exact.
-    scale = np.ldexp(1.0, -np.frexp(np.abs(rinv).max(axis=-1))[1])
-    se = np.sqrt(ssr / (n - p))[:, None] * (np.linalg.norm(rinv * scale[..., None], axis=-1) / scale)
-    se[~ok] = np.nan
-    return se, cond
-
-
 def standard_errors(fit: FitResult, problem: ResidualProblem) -> tuple[float, ...] | None:
     """Gauss-Newton standard errors ``sqrt(diag(s2 * inv(J'J)))``.
 
@@ -241,10 +196,17 @@ def standard_errors(fit: FitResult, problem: ResidualProblem) -> tuple[float, ..
     return None if np.isnan(se).any() else tuple(se.tolist())
 
 
-def _checks(E, b3, jac, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Standard errors and the diagnostics both stages share, per row, with the pole at ``-b3``."""
+def _checks(E, b3, p: int, jacobian, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Standard errors and the diagnostics both stages share, per row, with the pole at ``-b3``.
+
+    ``jacobian(b)`` gives the ``p``-column Jacobians of the rows in the slice
+    ``b``.  They are taken in blocks of at most ``_CHUNK_OBSERVATIONS``
+    entries, so that they and the copy their QR makes stay within a chunk.
+    """
     near = np.min(np.abs(b3[:, None] + E), axis=-1) < 1e-3 * b3
-    se, cond = _qr_rows(jac, ssr)
+    step = max(1, _CHUNK_OBSERVATIONS // (p * E.shape[1]))
+    blocks = [slice(i, i + step) for i in range(0, len(E), step)]
+    se, cond = map(np.concatenate, zip(*(_qr_rows(jacobian(b), ssr[b]) for b in blocks)))
     return se, {
         DIAG_POLE: near,
         DIAG_ILL_CONDITIONED: cond > _COND_LIMIT,
@@ -254,7 +216,7 @@ def _checks(E, b3, jac, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 
 def _stage1_checks(E, b1, b2, b3, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Standard errors and diagnostics of stage-1 fits, per row, from :func:`stage1_jacobian`'s derivatives."""
-    se, flags = _checks(E, b3, _stage1_grad(E, b1, b2, b3)[0], ssr)
+    se, flags = _checks(E, b3, 3, lambda b: _stage1_grad(E[b], b1[b], b2[b], b3[b])[0], ssr)
     flags[DIAG_B1_EQ_B2] = np.abs(b1 - b2) < 1e-6 * np.maximum(np.maximum(np.abs(b1), np.abs(b2)), 1.0)
     return se, flags
 
@@ -264,7 +226,8 @@ def _stage2_checks(E, beta, b3h, k: int, ssr) -> tuple[np.ndarray, dict[str, np.
 
     The Jacobian is :func:`stage2_jacobian`'s in those two betas: the gauge-fixed problem's, up to sign.
     """
-    se, flags = _checks(E, b3h, _stage2_grad(E, beta, b3h, tuple(i for i in range(3) if i != k))[0], ssr)
+    free = tuple(i for i in range(3) if i != k)
+    se, flags = _checks(E, b3h, 2, lambda b: _stage2_grad(E[b], beta[b], b3h[b], free)[0], ssr)
     flags[DIAG_GAUGE] = np.full(len(E), k == 0)
     return se, flags
 
@@ -295,8 +258,7 @@ def identifiability_diagnostics(
     if not isinstance(fit.params, (Stage1Params, Stage2Params)):
         raise TypeError("fit.params must be Stage1Params or Stage2Params")
     stage1 = isinstance(fit.params, Stage1Params)
-    if not stage1 and not (_finite(beta3_hat) and beta3_hat > 0.0):
-        raise ValueError("beta3_hat must be finite and > 0")
+    b3h = None if stage1 else np.array([_beta3_hat(beta3_hat)])
     E, ssr, failures = data.e[None], np.zeros(1), {}
     _refuse_too_few(failures, E.shape, *((1, 3) if stage1 else (2, 2)))  # the stage, its free parameters
     if failures:
@@ -305,7 +267,7 @@ def identifiability_diagnostics(
         flags = _stage1_checks(E, *fit.params.as_array()[:, None], ssr)[1]
     else:
         k = (gauge if gauge is not None else GaugeRule("free")).fixed[0]
-        flags = _stage2_checks(E, fit.params.as_array()[None], np.array([float(beta3_hat)]), k, ssr)[1]
+        flags = _stage2_checks(E, fit.params.as_array()[None], b3h, k, ssr)[1]
     return frozenset(name for name, rows in flags.items() if rows[0] and name != DIAG_DEGENERATE_COV)
 
 
@@ -397,7 +359,10 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
     brings a decrease; and with "max iterations" after ``_MAX_ITERATIONS``
     accepted steps.  A row whose start is not finite stops there with
     ``UNEVALUABLE_START``.  Returns ``(x, ssr, coef, iterations,
-    messages)``; rows not ``live`` are nan and never evaluated.
+    messages)``; rows not ``live`` are nan.  A selection of nearly every
+    row is evaluated on the whole stack (:func:`_evaluate`), so ``profile``
+    must accept any row at its current ``x``, nan included; only the
+    selected rows' results are read.
     """
     n_rows, n_obs = y.shape
     eps = np.finfo(float).eps
@@ -415,10 +380,9 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         flat = (eps * np.sqrt(_rowdot(y, y))) ** 2
         rows = np.flatnonzero(live)
-        sel = _select(rows, n_rows)
-        ssr[sel], start, G[sel], H[sel] = profile(x[sel], sel)
+        ssr[rows], start, G[rows], H[rows] = _evaluate(profile, x, rows)
         coef = np.full((n_rows, start.shape[1]), math.nan)
-        coef[sel] = start
+        coef[rows] = start
         stop(rows[~np.isfinite(ssr[rows])], UNEVALUABLE_START)
         while live.any():
             rows = np.flatnonzero(live)
@@ -444,7 +408,7 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
                 trial, rung = np.nonzero(np.abs(ladder) > _K_TOL)
                 sub = rows[at[trial]]
                 x_trial = x[sub] + ladder[trial, rung]
-                t_ssr, t_coef, t_g, t_h = profile(x_trial, _select(sub, n_rows) if depth == 1 else sub)
+                t_ssr, t_coef, t_g, t_h = profile(x_trial, sub) if depth > 1 else _evaluate(profile, x, sub, x_trial)
                 better = np.zeros(ladder.shape, dtype=bool)
                 better[trial, rung] = t_ssr < ssr[sub]
                 won = better.any(axis=1)
@@ -483,33 +447,43 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     scale = np.maximum(-lo, hi)
     scale[scale == 0.0] = 1.0
 
-    def fit(k, sel):
-        """``(ssr, beta1, beta2, u, residual)`` of rows ``sel`` at ``beta3 = max|e|*exp(k)``; inf ssr: pole among the e."""
+    n = E.shape[1]
+    work = np.empty((3, max(n_rows, _CHUNK_OBSERVATIONS // n), n))  # every evaluation's arrays, reused
+
+    def fit(k, sel, grad=False):
+        """``(ssr,)`` of rows ``sel`` at ``beta3 = max|e|*exp(k)``, inf on a pole among the e.
+
+        With ``grad``, the profile :func:`_search` takes: ``(ssr, (beta1, beta2), g, h)`` in ``k``.
+        """
         b3 = scale[sel] * _libm(math.exp, k)
-        u = E[sel] / (b3[:, None] + E[sel])
-        b1, b2, res = _linear_part(PI[sel], u)
+        u, du, res = work[:, : len(b3)]
+        e, yc = E[sel], YC[sel]  # views, or copies of the few rows gathered
+        np.divide(e, np.add(b3[:, None], e, out=u), out=u)
+        b1, b2, slope, sxx = _linear_part(ybar[sel], yc, u, du)
+        if grad:
+            # d(residual)/dk, from w = -du/dk = u(1 - u) projected off [1, u] with the fit's own du and sxx:
+            # the exact gradient (Kaufman 1975)
+            w = np.multiply(u, np.subtract(1.0, u, out=res), out=u)
+            w -= (w.sum(axis=-1) / n)[:, None]
+            w -= np.multiply(_slope(du, w, sxx)[:, None], du, out=res)
+            w *= (b1 - b2)[:, None]
+        np.subtract(yc, np.multiply(slope[:, None], du, out=res), out=res)
         ssr = _rowdot(res, res)
         ssr[(lo[sel] <= -b3) & (-b3 <= hi[sel])] = np.inf
-        return ssr, b1, b2, u, res
-
-    def profile(k, sel):
-        """The fit at ``k``, with the gradient and Gauss-Newton curvature of ssr/2 in ``k``."""
-        ssr, b1, b2, u, res = fit(k, sel)
-        # d(residual)/dk, from w = -du/dk = u(1 - u) projected off [1, u]: exact gradient (Kaufman 1975)
-        jac = (b1 - b2)[:, None] * _linear_part(u * (1.0 - u), u)[2]
-        return ssr, np.stack([b1, b2], axis=1), _rowdot(jac, res), _rowdot(jac, jac)
+        return (ssr, np.stack([b1, b2], axis=1), _rowdot(w, res), _rowdot(w, w)) if grad else (ssr,)
 
     live = ~np.isin(np.arange(n_rows), list(failures))
     rows = np.flatnonzero(live)
-    sel = _select(rows, n_rows)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ybar, YC = _centred(PI)  # once per stack, not per evaluation
         # Finite: for k >= 1 the pole lies below -max|e|.
         k, best = np.full(n_rows, math.nan), np.full(n_rows, np.inf)
         for grid_k in _LOG_BETA3_GRID:
-            ssr = fit(np.full(len(rows), float(grid_k)), sel)[0]
+            ssr = _evaluate(fit, np.full(n_rows, float(grid_k)), rows)[0]
             better = ssr < best[rows]
             k[rows[better]], best[rows[better]] = grid_k, ssr[better]
-    k, ssr, coef, iterations, messages = _search(profile, k, live, PI)
+    k, ssr, coef, iterations, messages = _search(lambda k, sel: fit(k, sel, True), k, live, PI)
+    del work, YC  # before the checks' stacked Jacobian
     b1, b2 = coef.T
 
     _refuse(failures, (k < _LOG_BETA3_GRID[0]) | (k > _LOG_BETA3_GRID[-1]), "stage1 beta3 not identified", lambda i:
@@ -597,46 +571,53 @@ def _stage2_rows(
     if len(failures) == n_rows:
         return _Rows.refused(Stage2Params, failures)
 
+    n = E.shape[1]
+    live = ~np.isin(np.arange(n_rows), list(failures))
+    rows = np.flatnonzero(live)
+    sel = _select(rows, n_rows)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        U, V = E / denom, bh / denom  # the curve's derivatives in c6 and c5
-        del denom
+        u = np.divide(E, denom, out=denom)  # the curve's derivative in c6
+        c6, c5 = _linear_part(*_centred(PI[sel]), u[sel], np.empty((len(rows), n)))[:2]
+        del u, denom, zero, flips
         Y = 1.0 / PI
-        live = ~np.isin(np.arange(n_rows), list(failures))
-        rows = np.flatnonzero(live)
-        c6, c5, _ = _linear_part(PI[rows], U[rows])
     theta = np.full(n_rows, math.nan)
     theta[rows] = [math.atan2(s, c) for c, s in zip(c6.tolist(), c5.tolist())]
+    work = np.empty((3, max(n_rows, _CHUNK_OBSERVATIONS // n), n))  # every evaluation's arrays, reused
 
     def profile(theta, sel):
-        """The fit of ``1/pi`` by ``a*w``, ``w = 1/(cos(theta)*U + sin(theta)*V)``, and the derivatives of ssr/2.
+        """The fit of ``y = 1/pi`` by ``a*w``, ``w = 1/(cos(theta)*u + sin(theta)*v)``, and the derivatives of ssr/2.
 
-        ``a = <y, w>/<w, w>`` in closed form, and the coefficients are
-        ``(c6, c5) = (cos(theta), sin(theta))/a``.  The derivative of the
-        residual in ``theta`` is ``a*q``, ``q = w**2*(cos(theta)*V -
-        sin(theta)*U)``, projected off ``w`` (Kaufman 1975); inf ssr: the
-        denominator is on the pole guard or changes sign on the row.
+        ``u = e/(b3h + e)`` and ``v = b3h/(b3h + e)`` are the curve's
+        derivatives in ``c6`` and ``c5``, ``a = <y, w>/<w, w>`` is solved in
+        closed form, and the coefficients are ``(c6, c5) = (cos(theta),
+        sin(theta))/a``.  The derivative of the residual in ``theta`` is
+        ``a*q``, ``q = w**2*(cos(theta)*v - sin(theta)*u)``, projected off
+        ``w`` (Kaufman 1975); inf ssr: the denominator is on the pole guard
+        or changes sign on the row.  The arrays are rows of ``work``.
         """
         cos, sin = _libm(math.cos, theta)[:, None], _libm(math.sin, theta)[:, None]
-        u, v, y = U[sel], V[sel], Y[sel]
-        d = cos * u
-        d += sin * v
+        w, u, v = work[:, : len(theta)]
+        e, b = _take(E, sel, u), bh[sel]
+        np.divide(e, np.add(b, e, out=v), out=u)
+        d = np.multiply(cos, u, out=w)
+        d += np.multiply(sin, np.divide(b, v, out=v), out=v)
         # One sign and no entry on the pole guard: every d times the first one's sign is above it.
-        pole = np.min(d * np.sign(d[:, :1]), axis=-1) < _POLE_RTOL
+        pole = np.min(np.multiply(d, np.sign(d[:, :1]), out=v), axis=-1) < _POLE_RTOL
         w = np.divide(1.0, d, out=d)
         ww = _rowdot(w, w)
+        q = np.multiply(cos, np.divide(b, np.add(b, _take(E, sel, v), out=v), out=v), out=v)  # v again
+        q -= np.multiply(sin, u, out=u)
+        q *= np.multiply(w, w, out=u)
+        q -= np.multiply((_rowdot(q, w) / ww)[:, None], w, out=u)
+        y = _take(Y, sel, u)
         a = _rowdot(y, w) / ww
-        res = a[:, None] * w
-        np.subtract(y, res, out=res)
-        q = cos * v
-        q -= sin * u
-        q *= w * w
-        q -= (_rowdot(q, w) / ww)[:, None] * w
+        res = np.subtract(y, np.multiply(a[:, None], w, out=w), out=u)
         ssr = _rowdot(res, res)
         ssr[pole] = np.inf
         return ssr, np.hstack([cos, sin]) / a[:, None], a * _rowdot(q, res), a * a * _rowdot(q, q)
 
     theta, ssr, q, iterations, messages = _search(profile, theta, live, Y)
-    del U, V, Y
+    del work, Y
     _refuse(failures, [m == UNEVALUABLE_START for m in messages], "stage2 initial residuals unevaluable",
             lambda i: ValueError(UNEVALUABLE_START))
 
@@ -679,12 +660,8 @@ def fit_vol_of_vol(
     errors cover the two free parameters (the fixed one reports 0.0).  This is the one-row case of
     the stacked fit the Monte Carlo harness runs.
     """
-    if not (_finite(beta3_hat) and beta3_hat > 0.0):
-        raise ValueError("beta3_hat must be finite and > 0")
-    k, pin = gauge.fixed
-    return _stage2_rows(
-        data.e[None], data.pi_star[None], np.array([float(beta3_hat)]), k, np.array([pin]), data.labels
-    ).result(0)
+    b3h, (k, pin) = np.array([_beta3_hat(beta3_hat)]), gauge.fixed
+    return _stage2_rows(data.e[None], data.pi_star[None], b3h, k, np.array([pin]), data.labels).result(0)
 
 
 def estimate_rho(beta2_hat: float, gamma_hat: float, alpha_ratio: float) -> RhoEstimate:
@@ -762,22 +739,21 @@ def _tally(failures: Counter, stage: str, rows: _Rows) -> None:
 
 
 # Replications are generated and fitted in chunks of this many rows times
-# observations, rounded up to whole replications: large enough that
-# numpy's per-call cost is shared, small enough that the stacked
-# temporaries stay a few MB.  Medians of 2 to 5 perfbench mc-model-implied
-# runs (500 replications of n = 200, probe-scaled, 2-vCPU host) with the
-# replications drawn into stacked arrays; drawing one Dataset per
-# replication with a 6400 budget took 0.160 s and 43.47 MB:
+# observations, rounded up to whole replications: large enough that numpy's
+# per-call cost is shared, small enough that the op's peak, about seven
+# chunk-sized float arrays (1.4 MB; a test guards it), stays small.  Medians
+# of 3 perfbench mc-model-implied runs per budget (500 replications of
+# n = 200, probe-scaled, 2-vCPU host); the earlier kernels, which centred
+# the positions in every evaluation and held twice the arrays, took 0.063 s
+# and 44.47 MB at 12800 (medians of 10 runs):
 #
 #   budget   replications/chunk   op_s_p50   peak_rss_mb
-#    6400           32             0.124 s     43.38 MB
-#   12800           64             0.091 s     44.10 MB
-#   16000           80             0.083 s     44.62 MB
-#   19200           96             0.080 s     45.10 MB
-#   25600          128             0.074 s     45.73 MB
+#   12800           64             0.058 s     44.13 MB
+#   19200           96             0.052 s     44.35 MB
+#   25600          128             0.045 s     44.67 MB
 #
-# 12800 is the largest of these whose peak RSS stays within 1 MB of that.
-_CHUNK_OBSERVATIONS = 12800
+# 25600 keeps peak RSS within 0.5 MB of the earlier kernels.
+_CHUNK_OBSERVATIONS = 25600
 
 
 def monte_carlo_validation(
@@ -839,16 +815,16 @@ def monte_carlo_validation(
         ok = np.flatnonzero(stage1.converged)
         estimates.append(stage1.params[ok])
         ses.append(stage1.standard_errors[ok])
-        if not run_stage2 or not len(ok):
-            continue
-        b = stage1.params[ok]
-        pins = b[:, _STAGE1_PIN[gauge_variant]] if k else np.ones(len(ok))
-        keep = _select(ok, len(E))  # every row converged: no copy of the chunk
-        stage2 = _stage2_rows(E[keep], PI[keep], b[:, 2], k, pins)
-        _tally(failures, "stage2", stage2)
-        stage2_failed += len(stage2.failures)
-        stage2_converged += int(stage2.converged.sum())
-        gamma_hats.append(stage2.params[stage2.converged, 0])
+        if run_stage2 and len(ok):
+            b = stage1.params[ok]
+            pins = b[:, _STAGE1_PIN[gauge_variant]] if k else np.ones(len(ok))
+            keep = _select(ok, len(E))  # every row converged: no copy of the chunk
+            stage2 = _stage2_rows(E[keep], PI[keep], b[:, 2], k, pins)
+            _tally(failures, "stage2", stage2)
+            stage2_failed += len(stage2.failures)
+            stage2_converged += int(stage2.converged.sum())
+            gamma_hats.append(stage2.params[stage2.converged, 0])
+        del E, PI  # before the next chunk is drawn
 
     names = ("beta1", "beta2", "beta3")
     bias = rmse = coverage = None

@@ -20,8 +20,10 @@ problem per row, and a single problem is the case of one row.  No fit of
 variable projection there.  It stays public, with ``ResidualProblem`` and
 ``RowFits``, until the benchmark's tracer, which patches
 ``portvol.estimate.lm_fit``, no longer needs the name.  The analytic
-Jacobians are stacked the same way, and they are the ones behind the
-reported standard errors.
+Jacobians are stacked the same way, and their stacked QR (``_qr_rows``)
+gives the reported standard errors.  The stage-1 fit at a fixed ``beta3``
+in closed form (``_linear_part``) and the row helpers of the stacked fits
+are here too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import Stage1Params, Stage2Params
+from .model import Stage1Params, Stage2Params, _finite
 
 __all__ = [
     "PoleError",
@@ -46,6 +48,8 @@ __all__ = [
 
 # Relative threshold below which a denominator counts as sitting on a pole.
 _POLE_RTOL = 1e-12
+# A Jacobian whose condition number reaches this has a degenerate covariance (see _qr_rows).
+_SINGULAR_COND = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
 class PoleError(ValueError):
@@ -61,7 +65,8 @@ def _pole_rows(value, *scale_terms) -> np.ndarray:
     scale = 1.0
     for term in scale_terms:
         scale = np.maximum(scale, np.abs(term))
-    tiny = np.abs(value) < _POLE_RTOL * scale
+    scale *= _POLE_RTOL  # in place: one array of value's size besides |value|
+    tiny = np.abs(value) < scale
     return tiny.any(axis=-1) if tiny.ndim else tiny
 
 
@@ -98,6 +103,36 @@ def _stage1_grad(E: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray):
     pole = _pole_rows(denom, b3c, E)
     jac[pole] = np.nan
     return jac, pole
+
+
+def _centred(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ybar, yc)``: the mean of each row of ``y`` and ``y`` less it."""
+    ybar = y.sum(axis=-1) / y.shape[-1]
+    return ybar, y - ybar[:, None]
+
+
+def _slope(du: np.ndarray, yc: np.ndarray, sxx: np.ndarray) -> np.ndarray:
+    """Per row, the slope of centred ``yc`` on centred ``du`` with ``sxx = <du, du>``; 0 where ``du`` is 0."""
+    return np.divide(_rowdot(du, yc), sxx, out=np.zeros_like(sxx), where=sxx != 0.0)
+
+
+def _linear_part(ybar, yc, u: np.ndarray, du: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(beta1, beta2, slope, sxx)`` per row, the stage-1 fit at a fixed ``beta3`` in closed form.
+
+    The curve is then ``beta2 + (beta1 - beta2)*u`` with ``u = e/(beta3 + e)``,
+    a simple linear regression of ``y`` on ``u`` (Golub and Pereyra 1973):
+    ``ybar`` and ``yc`` are ``y``'s row means and centred rows (:func:`_centred`),
+    ``du`` receives ``u`` centred, and the residual, ``y`` projected off ``[1,
+    u]``, is ``yc - slope*du``.  A ``u`` that does not vary fits the level,
+    ``beta1 = beta2 = mean(y)``.  Arrays are ``(R, n)``; every sum runs along a row.
+    """
+    np.subtract(u, u[:, :1], out=du)  # exact zeros when every u is the same
+    ubar = du.sum(axis=-1) / u.shape[-1]
+    du -= ubar[:, None]
+    sxx = _rowdot(du, du)
+    slope = _slope(du, yc, sxx)
+    b2 = ybar - slope * (u[:, 0] + ubar)
+    return b2 + slope, b2, slope, sxx  # centred, so no cancellation in b2 + slope*u
 
 
 def _stage2_value(e, b4: float, b5: float, b6: float, b3h: float):
@@ -165,15 +200,20 @@ def stage1_jacobian(e, b: Stage1Params):
     return _one_curve(e, *_stage1_grad(e.reshape(1, -1), *(np.array([v]) for v in b.as_array())))
 
 
+def _beta3_hat(beta3_hat) -> float:
+    """The stage-1 ``beta3_hat`` stage 2 is evaluated at, as a float; ValueError unless finite and > 0."""
+    if not (_finite(beta3_hat) and beta3_hat > 0.0):
+        raise ValueError("beta3_hat must be finite and > 0")
+    return float(beta3_hat)
+
+
 def stage2_model(e, b: Stage2Params, beta3_hat: float):
     """Predicted inverse position for excess return(s) ``e``.
 
     ``beta3_hat`` is the stage-1 volatility estimate, entering as a fixed
     constant (it is data to this model, not a parameter).
     """
-    if not beta3_hat > 0.0:
-        raise ValueError("beta3_hat must be > 0")
-    out = _stage2_value(e, b.beta4, b.beta5, b.beta6, beta3_hat)
+    out = _stage2_value(e, b.beta4, b.beta5, b.beta6, _beta3_hat(beta3_hat))
     return float(out) if np.isscalar(e) else out
 
 
@@ -182,10 +222,8 @@ def stage2_jacobian(e, b: Stage2Params, beta3_hat: float):
 
     The stage-2 standard errors use the two columns the gauge leaves free.
     """
-    if not beta3_hat > 0.0:
-        raise ValueError("beta3_hat must be > 0")
     e = np.asarray(e, dtype=float)
-    return _one_curve(e, *_stage2_grad(e.reshape(1, -1), b.as_array()[None], np.array([float(beta3_hat)])))
+    return _one_curve(e, *_stage2_grad(e.reshape(1, -1), b.as_array()[None], np.array([_beta3_hat(beta3_hat)])))
 
 
 @dataclass(frozen=True)
@@ -252,6 +290,56 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _select(rows: np.ndarray, n_rows: int):
     """``rows`` as an index, a slice when it is every row (no copy of the data)."""
     return slice(None) if len(rows) == n_rows else rows
+
+
+def _take(x: np.ndarray, sel, out: np.ndarray) -> np.ndarray:
+    """Rows ``sel`` of ``x``: a view for a slice, else gathered into ``out``."""
+    return x[sel] if isinstance(sel, slice) else np.take(x, sel, axis=0, out=out, mode="clip")
+
+
+def _evaluate(profile, x: np.ndarray, rows: np.ndarray, x_rows=None):
+    """``profile`` of the distinct, sorted ``rows`` at ``x_rows``, by default ``x[rows]``.
+
+    Rows that are nearly the whole stack are evaluated as the whole stack,
+    the others at ``x``, keeping only their results: that is cheaper than
+    gathering copies of their data, and holds no such copy.
+    """
+    x_rows = x[rows] if x_rows is None else x_rows
+    if 8 * len(rows) < 7 * len(x):
+        return profile(x_rows, rows)
+    x = x.copy()
+    x[rows] = x_rows
+    return tuple(out[rows] for out in profile(x, slice(None)))
+
+
+def _qr_rows(jac: np.ndarray, ssr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standard errors and ``cond(J)`` per row, from one stacked QR of the Jacobians ``jac``, ``(R, n, p)``.
+
+    Gauss-Newton standard errors ``sqrt(diag(s2 * inv(J'J)))`` with ``s2 =
+    ssr/(n - p)``: with ``J = QR``, ``inv(J'J) = inv(R) inv(R)'``, so the
+    condition number of ``J`` is never squared.  ``cond(R) = cond(J)``, so
+    this one condition number serves both the standard errors and the
+    ``ILL_CONDITIONED`` diagnostic; it is inf for a singular or non-finite
+    Jacobian.  A row's standard errors are nan (degenerate covariance) when
+    ``cond(R) >= 1/sqrt(eps)`` or ``n <= p``.
+    """
+    n_rows, n, p = jac.shape
+    finite = np.all(np.isfinite(jac), axis=(1, 2))
+    if not finite.all():
+        jac = np.where(finite[:, None, None], jac, 0.0)
+    r = np.linalg.qr(jac, mode="r")
+    cond = np.linalg.cond(r)
+    cond = np.where(finite & np.isfinite(cond), cond, np.inf)
+    ok = cond < _SINGULAR_COND
+    if n <= p:
+        return np.full((n_rows, p), np.nan), cond
+    rinv = np.linalg.inv(np.where(ok[:, None, None], r, np.eye(p)))
+    # Each row's norm is taken on the row scaled by the power of two that brings its largest entry
+    # into [0.5, 1), so no square overflows; scaling by a power of two is exact.
+    scale = np.ldexp(1.0, -np.frexp(np.abs(rinv).max(axis=-1))[1])
+    se = np.sqrt(ssr / (n - p))[:, None] * (np.linalg.norm(rinv * scale[..., None], axis=-1) / scale)
+    se[~ok] = np.nan
+    return se, cond
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

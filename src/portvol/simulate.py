@@ -521,7 +521,13 @@ def _path_indices(c: PathConfig, indices) -> np.ndarray:
     if indices is None:
         return np.arange(c.n_paths, dtype=np.uint64)
     idx = np.asarray(indices)
-    if idx.ndim != 1 or (idx.dtype.kind not in "iu" and idx.size):  # [] comes out as float64, and holds no index
+    if idx.dtype.kind not in "iu" and not isinstance(indices, np.ndarray):
+        # numpy stores integers past 2**63 as floats or objects: such a sequence is checked index by index.
+        idx = np.asarray(indices, dtype=object)
+    integers = idx.dtype.kind in "iu" or all(
+        isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in idx.flat
+    )
+    if idx.ndim != 1 or not integers:
         raise TypeError("path indices must be integers: path_index one, path_indices a 1-D sequence of them")
     bad = np.flatnonzero((idx < 0) | (idx >= c.n_paths))
     if bad.size:

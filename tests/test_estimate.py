@@ -4,6 +4,7 @@ import importlib.util
 import math
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,7 +367,8 @@ class TestFitVolOfVol:
             except ValueError:  # refused: no stage 2 follows
                 continue
             E, PI = data.e[None], data.pi_star[None]
-            c6, c5, _ = portvol.estimate._linear_part(PI, E / (np.array([b.beta3])[:, None] + E))
+            u = E / (np.array([b.beta3])[:, None] + E)
+            c6, c5 = portvol.estimate._linear_part(*portvol.estimate._centred(PI), u, np.empty_like(u))[:2]
             assert (float(c6[0]).hex(), float(c5[0]).hex()) == (b.beta1.hex(), b.beta2.hex())
             checked += 1
         assert checked == (8 if source == "benchmark" else 5)
@@ -773,23 +775,23 @@ class TestMonteCarloValidation:
 
     def test_closed_form_fits_per_run(self, monkeypatch):
         # The benchmark's validation setting at 64 replications, one chunk:
-        # 16 calls for the grid and its best point, then one per pass of the
-        # search for the gradients and one per round of trial steps, and one
-        # for stage 2's start.  A search that chased rounding in the sum of
-        # squares made 65 calls on 1899 rows here.
+        # 15 calls for the grid, one per evaluation of the search (its start
+        # and each round of trial steps), and one for stage 2's start.  A
+        # gradient that made its own projection took 26 calls on 1538 rows,
+        # and a search that chased rounding in the sum of squares 65 on 1899.
         calls_and_rows = [0, 0]
         linear_part = portvol.estimate._linear_part
 
-        def counted(pi, u):
+        def counted(ybar, yc, u, du):
             calls_and_rows[0] += 1
-            calls_and_rows[1] += len(pi)
-            return linear_part(pi, u)
+            calls_and_rows[1] += len(u)
+            return linear_part(ybar, yc, u, du)
 
         monkeypatch.setattr(portvol.estimate, "_linear_part", counted)
         spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)
         report = monte_carlo_validation(spec, 64, master_seed=7, run_stage2=True, gauge_variant="pin-beta5")
         assert (report.n_converged, report.stage2_n_converged) == (64, 64)
-        assert calls_and_rows == [26, 1538]
+        assert calls_and_rows == [21, 1281]
 
     def test_rmse_dominates_bias(self):
         spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.02)
@@ -850,9 +852,10 @@ class TestMonteCarloValidation:
     @staticmethod
     def _reports_by_chunk_budget(monkeypatch, spec) -> list:
         # Budgets of 7 and 14 replications end their last chunk partway
-        # through the 20; the default and 10**6 take the run in one chunk.
+        # through the 20; 12800 (the earlier default), the default and
+        # 10**6 take the run in one chunk, with their own ladder depths.
         reports = []
-        for budget in (1, 7 * 50, 13 * 50 + 1, portvol.estimate._CHUNK_OBSERVATIONS, 10**6):
+        for budget in (1, 7 * 50, 13 * 50 + 1, 12800, portvol.estimate._CHUNK_OBSERVATIONS, 10**6):
             monkeypatch.setattr(portvol.estimate, "_CHUNK_OBSERVATIONS", budget)
             reports.append(monte_carlo_validation(spec, 20, master_seed=3, run_stage2=True))
         return reports
@@ -868,6 +871,27 @@ class TestMonteCarloValidation:
         reports = self._reports_by_chunk_budget(monkeypatch, spec)
         assert dict(reports[0].failures)["generation error"] == 13
         assert all(report == reports[0] for report in reports[1:])
+
+    def test_peak_memory_stays_within_a_few_chunks(self):
+        # Two chunks of the benchmark's fits, in chunk-sized float arrays
+        # above the baseline.  Measured: 6.84, in either stage the positions,
+        # the excess returns, the centred (stage 1) or inverse (stage 2)
+        # positions, three work arrays and small per-row objects; the earlier
+        # kernels reached 14.  One more chunk-sized array left alive in
+        # either stage crosses the bound.
+        spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)
+        chunk = portvol.estimate._CHUNK_OBSERVATIONS
+        replications = 2 * -(-chunk // spec.n)
+        monte_carlo_validation(spec, replications, master_seed=1, run_stage2=True)  # one-off costs first
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            report = monte_carlo_validation(spec, replications, master_seed=2, run_stage2=True)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert report.stage2_n_converged == replications
+        assert peak <= 7.5 * 8 * chunk
 
     def test_overflowing_sum_of_squares_is_a_named_failure(self):
         # Positions near the float limit overflow stage 1's sum of squares:
@@ -1018,6 +1042,42 @@ class TestStackedRows:
         assert [o[1] for o in second] == [
             _single_outcome(fit_vol_of_vol, datasets[i], f.params.beta3, GaugeRule.from_stage1(variant, f))
             for i, f in zip(fitted, stage1_fits)
+        ]
+
+
+class TestSearchPaths:
+    """Rows that are nearly the whole stack are evaluated in place, fewer are gathered; neither shows in a fit."""
+
+    def test_stacked_rows_match_one_row_fits(self, monkeypatch):
+        # Row 5 of 16 is refused, so the first evaluations cover 15 rows and
+        # run on the whole stack; once rows stop, the live ones are gathered.
+        spec = GenerationSpec(stage1=TRUTH, n=30, noise=0.05)
+        datasets = [generate_synthetic_dataset("model-implied", spec, 100 + i) for i in range(16)]
+        two_e = np.where(np.arange(30) % 2, 0.05, 0.07)  # stage 1 needs 3 distinct e
+        datasets[5] = Dataset(pi_star=datasets[5].pi_star, mu=two_e, r=np.full(30, 0.02))
+        E, PI = np.stack([d.e for d in datasets]), np.stack([d.pi_star for d in datasets])
+        evaluations = []
+        evaluate = portvol.estimate._evaluate
+
+        def spy(profile, x, rows, x_rows=None):
+            evaluations.append((len(rows), len(x)))
+            return evaluate(profile, x, rows, x_rows)
+
+        monkeypatch.setattr(portvol.estimate, "_evaluate", spy)
+        first = _row_outcomes(portvol.estimate._stage1_rows(E, PI))
+        assert (15, 16) in evaluations and min(evaluations)[0] <= 8
+        assert [o[1] for o in first] == [_single_outcome(fit_volatility, d) for d in datasets]
+
+        fits = [fit_volatility(d) if i != 5 else None for i, d in enumerate(datasets)]
+        b3h = np.array([0.04 if f is None else f.params.beta3 for f in fits])
+        pins = np.array([1.0 if f is None else f.params.beta2 for f in fits])
+        datasets[5] = Dataset(pi_star=np.where(np.arange(30) == 3, 0.0, PI[5]), mu=two_e, r=np.full(30, 0.02))
+        PI[5] = datasets[5].pi_star  # stage 2 refuses a zero position
+        evaluations.clear()
+        second = _row_outcomes(portvol.estimate._stage2_rows(E, PI, b3h, 1, pins))
+        assert (15, 16) in evaluations and min(evaluations)[0] <= 8
+        assert [o[1] for o in second] == [
+            _single_outcome(fit_vol_of_vol, d, b, GaugeRule("pin-beta5", pin)) for d, b, pin in zip(datasets, b3h, pins)
         ]
 
 

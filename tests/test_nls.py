@@ -1,5 +1,7 @@
 """Model functions, analytic Jacobians, and the damped least-squares solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,8 @@ def _no_rows(P, rows):
 
 
 _POLE = "PoleError: model evaluated within the pole guard of a vanishing denominator"
+# Both curves refuse what fit_vol_of_vol refuses: a beta3_hat that is not a finite number > 0, or a bool.
+_BETA3_HAT = "ValueError: beta3_hat must be finite and > 0"
 
 
 class TestGuards:
@@ -366,11 +370,18 @@ class TestGuards:
         "stage1-model-at-pole": (lambda: stage1_model(-0.04, Stage1Params(2.0, 0.5, 0.04)), _POLE),
         "stage2-model-at-pole": (lambda: stage2_model(0.02, Stage2Params(1.0, 0.5, -1.0), 0.04), _POLE),
         "stage2-jacobian-beta3-hat-zero": (
-            lambda: stage2_jacobian(0.05, Stage2Params(1.0, 0.5, 2.0), 0.0), "ValueError: beta3_hat must be > 0",
+            lambda: stage2_jacobian(0.05, Stage2Params(1.0, 0.5, 2.0), 0.0), _BETA3_HAT,
         ),
         "stage2-model-beta3-hat-negative": (
-            lambda: stage2_model(0.05, Stage2Params(1.0, 0.5, 2.0), -0.04), "ValueError: beta3_hat must be > 0",
+            lambda: stage2_model(0.05, Stage2Params(1.0, 0.5, 2.0), -0.04), _BETA3_HAT,
         ),
+        **{
+            f"stage2-{name}-beta3-hat-{value!r}": (
+                lambda f=f, value=value: f(0.05, Stage2Params(1.0, 0.5, 2.0), value), _BETA3_HAT,
+            )
+            for name, f in (("model", stage2_model), ("jacobian", stage2_jacobian))
+            for value in (math.inf, math.nan, True)
+        },
         "problem-no-params": (
             lambda: ResidualProblem(_no_rows, _no_rows, 0, 1), "ValueError: ResidualProblem dimensions must be >= 1",
         ),

@@ -304,14 +304,26 @@ class TestBatchKernel:
         for i in range(3):
             assert same_bits(simulate_variance_path(heston(), c, i), batch[i])
 
-    @pytest.mark.parametrize("path_indices", [[0, 4], [-1], np.array([7], dtype=np.uint64)])
+    # numpy stores [-1, 2**63] as floats and [0, 2**64] as objects; both are integers, and out of range.
+    @pytest.mark.parametrize("path_indices", [[0, 4], [-1], np.array([7], dtype=np.uint64), [-1, 2**63], [0, 2**64]])
     def test_out_of_range_index_is_named(self, path_indices):
         c = PathConfig(horizon=1.0, dt=0.1, seed=1, n_paths=4)
         bad = [i for i in path_indices if not 0 <= i < 4][0]
         with pytest.raises(ValueError, match=rf"path_index {bad} out of range for n_paths=4"):
             simulate_variance_batch(heston(), c, path_indices)
 
-    @pytest.mark.parametrize("path_indices", [[0.0, 1.0], [True], [[0, 1]], 1.5, 2.9, True])
+    @pytest.mark.parametrize("index", [2**64, 2**70, -(2**64)])
+    def test_index_past_64_bits_is_out_of_range(self, index):
+        # At the largest n_paths, through the batch and both single-path simulators.
+        c = PathConfig(horizon=1.0, dt=0.1, seed=1, n_paths=2**64)
+        message = rf"path_index {index} out of range for n_paths={2**64}"
+        for simulate, indices in [
+            (simulate_variance_path, index), (simulate_market_path, index), (simulate_variance_batch, [0, index]),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                simulate(heston(), c, indices)
+
+    @pytest.mark.parametrize("path_indices", [[0.0, 1.0], [True], [[0, 1]], [2**64, True], 1.5, 2.9, True])
     def test_non_integer_indices_rejected(self, path_indices):
         # A list goes to the batch, a single index to both single-path simulators.
         c = PathConfig(horizon=1.0, dt=0.1, seed=1, n_paths=4)
