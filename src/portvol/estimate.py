@@ -354,7 +354,8 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
     halvings in one evaluation, as many as ``_CHUNK_OBSERVATIONS`` rows of
     ``n`` observations allow.  A row stops with "gradient tolerance
     reached" once the predicted decrease ``g*g/h`` is below the rounding of
-    the sum of squares, ``eps*ssr``, or of the regressand, ``(eps*|y|)**2``;
+    the sum of squares, ``eps*ssr``, or of the regressand, ``(eps*|y|)**2``
+    (tested unsquared: ``|g| <= max(sqrt(eps*ssr), eps*|y|)*sqrt(h)``);
     with "step tolerance reached" when no step longer than ``_K_TOL``
     brings a decrease; and with "max iterations" after ``_MAX_ITERATIONS``
     accepted steps.  A row whose start is not finite stops there with
@@ -378,7 +379,7 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
             messages[i] = message
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        flat = (eps * np.sqrt(_rowdot(y, y))) ** 2
+        flat = eps * np.sqrt(_rowdot(y, y))
         rows = np.flatnonzero(live)
         ssr[rows], start, G[rows], H[rows] = _evaluate(profile, x, rows)
         coef = np.full((n_rows, start.shape[1]), math.nan)
@@ -389,7 +390,7 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
             g, h = G[rows], H[rows]
             secant = (g - g0[rows]) / (x[rows] - x0[rows])  # nan before the first step
             h = np.where(secant > 0.0, secant, h)  # h lacks the residual's own curvature; the secant has it
-            done = g * g <= np.fmax(flat[rows], eps * ssr[rows]) * h  # the predicted decrease, g*g/h, is rounding
+            done = np.abs(g) <= np.fmax(flat[rows], np.sqrt(eps * ssr[rows])) * np.sqrt(h)
             stop(rows[done], "gradient tolerance reached")
             out_of_steps = ~done & (iterations[rows] >= _MAX_ITERATIONS)
             stop(rows[out_of_steps], "max iterations")
@@ -505,8 +506,8 @@ def fit_volatility(data: Dataset) -> FitResult:
     ..., 6`` (skipping poles ``-beta3`` among the observed ``e``) and takes
     projected Gauss-Newton steps in ``k``: at most 200 accepted steps,
     stopping early once the predicted decrease is below the rounding of
-    the sum of squares, ``eps*ssr``, or of the positions, ``(eps*|pi|)**2``
-    (message "gradient tolerance reached"), or once a step of at most
+    the sum of squares, ``eps*ssr``, or of the positions, ``(eps*|pi|)**2``,
+    tested unsquared (message "gradient tolerance reached"), or once a step of at most
     1e-12 brings no decrease ("step tolerance reached").  Standard
     errors are None, with ``DEGENERATE_COVARIANCE``, when singular.
     Flat positions converge at the level fit with
@@ -562,8 +563,7 @@ def _stage2_rows(
     ))
     bh = b3h[:, None]
     denom = bh + E
-    _refuse(failures, _pole_rows(denom, bh, E), "stage2 pole guard",
-            lambda i: PoleError("model evaluated within the pole guard of a vanishing denominator"))
+    _refuse(failures, _pole_rows(denom, bh, E), "stage2 pole guard", lambda i: PoleError())
     _refuse(failures, E.min(axis=-1, initial=np.inf) == E.max(axis=-1, initial=-np.inf),
             "stage2 insufficient regressor variation",
             lambda i: ValueError("insufficient regressor variation: stage-2 fit needs at least 2 distinct e, got 1"))
@@ -624,7 +624,7 @@ def _stage2_rows(
     with np.errstate(divide="ignore", invalid="ignore"):  # a row that failed may have c5 or c6 = 0
         params, ratio = _apply_gauge(q, k, pins)
     name = ("beta4", "beta5", "beta6")[k]
-    _refuse(failures, ~(pins * ratio > 0.0), "stage2 gauge sign conflict", lambda i: ValueError(
+    _refuse(failures, ~(np.sign(pins) * np.sign(ratio) > 0.0), "stage2 gauge sign conflict", lambda i: ValueError(
         f"gauge sign conflict: {_GAUGE_VARIANTS[k]} pins {name} at {pins[i]:+.6g} but the data give "
         f"{name}/beta4 = {ratio[i]:+.6g}; opposite signs would make beta4 <= 0"
     ))

@@ -19,10 +19,10 @@ problem per row, and a single problem is the case of one row.  No fit of
 ``portvol.estimate`` uses it: both stages search one coordinate by
 variable projection there.  It stays public, with ``ResidualProblem`` and
 ``RowFits``, until the benchmark's tracer, which patches
-``portvol.estimate.lm_fit``, no longer needs the name.  The analytic
-Jacobians are stacked the same way, and their stacked QR (``_qr_rows``)
-gives the reported standard errors.  The stage-1 fit at a fixed ``beta3``
-in closed form (``_linear_part``) and the row helpers of the stacked fits
+``portvol.estimate.lm_fit``, no longer needs the name.  The curves and
+Jacobians are stacked the same way, the public ones being one row, and
+the Jacobians' stacked QR (``_qr_rows``) gives the reported standard
+errors.  The stage-1 fit at a fixed ``beta3`` in closed form (``_linear_part``) and the row helpers of the stacked fits
 are here too.
 """
 
@@ -55,6 +55,9 @@ _SINGULAR_COND = 1.0 / np.sqrt(np.finfo(float).eps)
 class PoleError(ValueError):
     """Raised when a model is evaluated too close to a pole of its rational form."""
 
+    def __init__(self, message: str = "model evaluated within the pole guard of a vanishing denominator"):
+        super().__init__(message)
+
 
 def _pole_rows(value, *scale_terms) -> np.ndarray:
     """Rows of ``value`` (its last axis) with an entry relatively tiny against its scale.
@@ -70,20 +73,20 @@ def _pole_rows(value, *scale_terms) -> np.ndarray:
     return tiny.any(axis=-1) if tiny.ndim else tiny
 
 
-def _guarded_denominator(value, *scale_terms):
-    """Return ``value`` after checking it is not relatively tiny.
+def _stage1_curve(E: np.ndarray, b1, b2, b3) -> tuple[np.ndarray, np.ndarray]:
+    """``(value, pole)``: the stage-1 curve ``(b1*e + b2*b3)/(b3 + e)`` at ``E``, ``(R, n)``.
 
-    A violation anywhere (see :func:`_pole_rows`) raises :class:`PoleError`.
+    Each parameter is a scalar or an ``(R, 1)`` column, one curve per row.
+    ``pole`` marks the rows with an ``e`` on the pole guard of
+    :func:`_pole_rows`; their values mean nothing.
     """
-    if np.any(_pole_rows(value, *scale_terms)):
-        raise PoleError("model evaluated within the pole guard of a vanishing denominator")
-    return value
-
-
-def _stage1_value(e, b1: float, b2: float, b3: float):
-    e = np.asarray(e, dtype=float)
-    denom = _guarded_denominator(b3 + e, b3, e)
-    return (b2 * b3 + b1 * e) / denom
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = b3 + E
+        pole = _pole_rows(denom, b3, E)
+        value = b1 * E
+        value += b2 * b3
+        value /= denom
+    return value, pole
 
 
 def _stage1_grad(E: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray):
@@ -135,11 +138,10 @@ def _linear_part(ybar, yc, u: np.ndarray, du: np.ndarray) -> tuple[np.ndarray, .
     return b2 + slope, b2, slope, sxx  # centred, so no cancellation in b2 + slope*u
 
 
-def _stage2_value(e, b4: float, b5: float, b6: float, b3h: float):
-    e = np.asarray(e, dtype=float)
-    n = _guarded_denominator(b3h + e, b3h, e)
-    d = _guarded_denominator(b5 * b3h + b6 * e, b5 * b3h, b6 * e)
-    return b4 * n / d
+def _stage2_terms(E: np.ndarray, b5, b6, bh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(num, den, pole)``: the stage-2 ``bh + e`` and ``b5*bh + b6*e``, and the rows with either on the pole guard."""
+    num, den = bh + E, b5 * bh + b6 * E
+    return num, den, _pole_rows(num, bh, E) | _pole_rows(den, b5 * bh, b6 * E)
 
 
 def _stage2_grad(E: np.ndarray, beta: np.ndarray, b3h: np.ndarray, columns=(0, 1, 2)):
@@ -151,8 +153,7 @@ def _stage2_grad(E: np.ndarray, beta: np.ndarray, b3h: np.ndarray, columns=(0, 1
     """
     b4, b5, b6 = (beta[:, i, None] for i in range(3))
     bh = b3h[:, None]
-    num, den = bh + E, b5 * bh + b6 * E
-    pole = _pole_rows(num, bh, E) | _pole_rows(den, b5 * bh, b6 * E)
+    num, den, pole = _stage2_terms(E, b5, b6, bh)
     jac = np.empty(E.shape + (len(columns),))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g4 = np.divide(num, den, out=num)
@@ -165,11 +166,12 @@ def _stage2_grad(E: np.ndarray, beta: np.ndarray, b3h: np.ndarray, columns=(0, 1
     return jac, pole
 
 
-def _one_curve(e, jac: np.ndarray, pole: np.ndarray) -> np.ndarray:
-    """A public Jacobian: the single row of ``jac``, shaped like ``e`` plus the parameter axis."""
+def _one_curve(e, out: np.ndarray, pole: np.ndarray):
+    """A public curve or Jacobian: row 0 of ``out`` shaped like ``e`` plus any axis, a float at a scalar ``e``."""
     if pole[0]:
-        raise PoleError("model evaluated within the pole guard of a vanishing denominator")
-    return jac[0].reshape(np.shape(e) + jac.shape[-1:])
+        raise PoleError()
+    out = out[0].reshape(np.shape(e) + out.shape[2:])[()]
+    return float(out) if np.isscalar(e) and out.ndim == 0 else out
 
 
 def stage1_model(e, b: Stage1Params):
@@ -186,8 +188,7 @@ def stage1_model(e, b: Stage1Params):
     PoleError
         If any ``|b.beta3 + e|`` falls below ``1e-12 * max(|beta3|, |e|, 1)``.
     """
-    out = _stage1_value(e, b.beta1, b.beta2, b.beta3)
-    return float(out) if np.isscalar(e) else out
+    return _one_curve(e, *_stage1_curve(np.asarray(e, dtype=float).reshape(1, -1), b.beta1, b.beta2, b.beta3))
 
 
 def stage1_jacobian(e, b: Stage1Params):
@@ -211,10 +212,13 @@ def stage2_model(e, b: Stage2Params, beta3_hat: float):
     """Predicted inverse position for excess return(s) ``e``.
 
     ``beta3_hat`` is the stage-1 volatility estimate, entering as a fixed
-    constant (it is data to this model, not a parameter).
+    constant (it is data to this model, not a parameter).  Either
+    denominator on the pole guard raises :class:`PoleError`.
     """
-    out = _stage2_value(e, b.beta4, b.beta5, b.beta6, _beta3_hat(beta3_hat))
-    return float(out) if np.isscalar(e) else out
+    bh = _beta3_hat(beta3_hat)
+    num, den, pole = _stage2_terms(np.asarray(e, dtype=float).reshape(1, -1), b.beta5, b.beta6, bh)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _one_curve(e, b.beta4 * num / den, pole)
 
 
 def stage2_jacobian(e, b: Stage2Params, beta3_hat: float):

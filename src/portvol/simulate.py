@@ -68,7 +68,7 @@ from typing import ClassVar
 import numpy as np
 
 from .model import Dataset, HestonParams, PolicyCoefficients, Stage1Params, _finite, _integer
-from .nls import PoleError, _pole_rows
+from .nls import PoleError, _stage1_curve
 
 __all__ = [
     "PathConfig",
@@ -708,13 +708,8 @@ def _model_implied_rows(spec: GenerationSpec, seeds: np.ndarray) -> tuple[np.nda
     e = mu
     e *= hi - lo
     e += lo
-    b1, b2, b3 = spec.stage1.beta1, spec.stage1.beta2, spec.stage1.beta3
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denom = b3 + e
-        pole = _pole_rows(denom, b3, e)
-        curve = b1 * e
-        curve += b2 * b3
-        curve /= denom
+    curve, pole = _stage1_curve(e, spec.stage1.beta1, spec.stage1.beta2, spec.stage1.beta3)
+    with np.errstate(over="ignore", invalid="ignore"):
         if pi is None:
             pi = curve
         else:
@@ -740,7 +735,7 @@ def generate_synthetic_dataset(mode: str, spec, seed: int) -> Dataset:
         seeds = np.array([_integer("seed", seed, 0, SEED_LIMIT)], dtype=np.uint64)
         mu, pi, pole = _model_implied_rows(spec, seeds)
         if pole[0]:
-            raise PoleError("model evaluated within the pole guard of a vanishing denominator")
+            raise PoleError()
         return Dataset(
             pi_star=pi[0],
             mu=mu[0],

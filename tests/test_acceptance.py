@@ -25,12 +25,12 @@ from portvol import (
     monte_carlo_validation,
     simulate_variance_batch,
     stage1_jacobian,
+    stage1_model,
     stage2_jacobian,
     stage2_model,
 )
 from portvol.cli import run_cli
 from portvol.estimate import DIAG_B1_EQ_B2, DIAG_DEGENERATE_COV, DIAG_GAUGE
-from portvol.nls import _stage1_value, _stage2_value
 
 
 @contextmanager
@@ -84,7 +84,7 @@ def test_03_jacobians_match_finite_differences():
             b = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.01, 0.5)])
             e = rng.uniform(0.005, 0.15)
             check(
-                lambda q: _stage1_value(e, *q),
+                lambda q: stage1_model(e, Stage1Params(*q)),
                 lambda q: stage1_jacobian(e, Stage1Params(*q)),
                 b,
                 range(3),
@@ -98,7 +98,7 @@ def test_03_jacobians_match_finite_differences():
             if abs(b[1] * b3h + b[2] * e) < 1e-3:
                 continue
             check(
-                lambda q: _stage2_value(e, q[0], q[1], q[2], b3h),
+                lambda q: stage2_model(e, Stage2Params(*q), b3h),
                 lambda q: stage2_jacobian(e, Stage2Params(*q), b3h),
                 b,
                 range(3),

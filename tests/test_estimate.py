@@ -318,6 +318,24 @@ class TestFitVolOfVol:
         with pytest.raises(ValueError, match=r"gauge sign conflict: pin-beta5 pins beta5 at -.*= \+"):
             fit_vol_of_vol(data, stage1.params.beta3, gauge)
 
+    def test_gauge_sign_test_survives_a_subnormal_pin(self):
+        # The free fit gives beta5/beta4 = +0.490372, so pin*ratio underflows to 0 at the smallest
+        # subnormal pin; the signs agree, so the pin is taken.
+        data = model_data(truth=TRUTH, n=40, noise=0.02, seed=3)
+        b3h = fit_volatility(data).params.beta3
+        fit = fit_vol_of_vol(data, b3h, GaugeRule("pin-beta5", 5e-324))
+        assert fit.params.beta5 == 5e-324 and fit.params.beta4 > 0.0
+        with pytest.raises(ValueError, match=r"pins beta5 at -4.94066e-324 but the data give beta5/beta4 = \+0.49037"):
+            fit_vol_of_vol(data, b3h, GaugeRule("pin-beta5", -5e-324))
+
+    def test_gauge_sign_test_survives_a_huge_pin(self):
+        # pin*ratio overflows near 2**1080, a warning the suite turns into an error.
+        data = model_data(truth=TRUTH, n=40, noise=0.02, seed=3)
+        b3h = fit_volatility(data).params.beta3
+        scaled = Dataset(pi_star=data.pi_star * 2.0**540, mu=data.mu, r=data.r)
+        fit = fit_vol_of_vol(scaled, b3h, GaugeRule("pin-beta5", 0.5 * 2.0**540))
+        assert fit.params.beta5 == 0.5 * 2.0**540 and 0.0 < fit.params.beta4 < math.inf
+
     @pytest.mark.parametrize("noise", [0.0, 0.01])
     def test_pin_beta5_with_negative_beta2_converges(self, noise):
         # beta2 < 0 < beta1: the fit must keep beta4 positive without
@@ -442,18 +460,43 @@ class TestFitVolOfVol:
 
     def test_standard_errors_of_huge_positions_do_not_overflow(self):
         # Entries of inv(R) near 1e200 would overflow as squares in their
-        # row norm, a warning the suite turns into an error.  Near these
-        # scales the search stops at its start (ROADMAP item 6), so the
-        # two scales are compared with each other, not with scale 1.
+        # row norm, a warning the suite turns into an error.  Scaling the
+        # positions by 2**j is exact, so the errors are those of scale 1
+        # times 2**j, bit for bit.
         data = model_data(truth=TRUTH, n=40, noise=0.02, seed=3)
         b3h = fit_volatility(data).params.beta3
-        ses = []
-        for scale in (1e100, 1e150):
-            scaled = Dataset(pi_star=data.pi_star * scale, mu=data.mu, r=data.r)
-            ses.append(np.array(fit_vol_of_vol(scaled, b3h, GaugeRule("free")).standard_errors) / scale)
-        assert ses[0][0] == ses[1][0] == 0.0
-        assert np.all(ses[0][1:] > 0.0)
-        assert ses[1] == pytest.approx(ses[0], rel=1e-12)
+        se = fit_vol_of_vol(data, b3h, GaugeRule("free")).standard_errors
+        assert se[0] == 0.0 and min(se[1:]) > 0.0
+        for j in (332, 498):
+            scaled = Dataset(pi_star=data.pi_star * 2.0**j, mu=data.mu, r=data.r)
+            se_scaled = fit_vol_of_vol(scaled, b3h, GaugeRule("free")).standard_errors
+            assert [s / 2.0**j for s in se_scaled] == list(se)
+
+    @pytest.mark.parametrize("j", [-480, -400, -332, 332, 400, 480])
+    def test_binary_units_far_from_one_scale_both_stages_exactly(self, j):
+        # Scaling the positions by 2**j is exact, and neither stop test
+        # squares a position, so far from unit scale both stages take the
+        # steps of scale 1 and do not stop at their start.  Stage 2 runs on
+        # TRUTH only: the other truth's positions cross zero.
+        for truth in (Stage1Params(0.8, -0.3, 0.05), TRUTH):
+            data = model_data(truth=truth, n=40, noise=0.02, seed=3)
+            both = (data, Dataset(pi_star=data.pi_star * 2.0**j, mu=data.mu, r=data.r))
+            stage1 = [fit_volatility(d) for d in both]
+            b = stage1[0].params
+            assert stage1[1].params == Stage1Params(2.0**j * b.beta1, 2.0**j * b.beta2, b.beta3)
+            pairs = [stage1]
+            for variant in ("free", "pin-beta5") if truth == TRUTH else ():
+                stage2 = [
+                    fit_vol_of_vol(d, s.params.beta3, GaugeRule.from_stage1(variant, s)) for d, s in zip(both, stage1)
+                ]
+                b = stage2[0].params
+                assert stage2[1].params == Stage2Params(b.beta4, 2.0**j * b.beta5, 2.0**j * b.beta6)
+                pairs.append(stage2)
+            for fit, fit_scaled in pairs:
+                assert fit.iterations >= 1
+                assert (fit_scaled.iterations, fit_scaled.message, fit_scaled.converged) == (
+                    fit.iterations, fit.message, fit.converged
+                )
 
     @settings(max_examples=40, deadline=None)
     @given(

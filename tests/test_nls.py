@@ -7,17 +7,20 @@ import pytest
 
 import portvol.nls
 from portvol import (
+    Dataset,
+    GaugeRule,
     PoleError,
     ResidualProblem,
     Stage1Params,
     Stage2Params,
+    fit_vol_of_vol,
     lm_fit,
     stage1_jacobian,
     stage1_model,
     stage2_jacobian,
     stage2_model,
 )
-from portvol.nls import UNEVALUABLE_START, _rowdot, _stage1_grad, _stage1_value
+from portvol.nls import UNEVALUABLE_START, _rowdot, _stage1_curve, _stage1_grad
 
 
 def stage1_log_problem(E, Y):
@@ -63,7 +66,7 @@ def linear_problem(a, y):
 def noiseless_stage1(seed, truth=(2.0, 0.5, 0.04), rows=1):
     rng = np.random.default_rng(seed)
     E = rng.uniform(0.01, 0.10, (rows, 50))
-    return stage1_log_problem(E, _stage1_value(E, *truth))
+    return stage1_log_problem(E, _stage1_curve(E, *truth)[0])
 
 
 def central_diff(f, x, h):
@@ -130,7 +133,7 @@ class TestStage1Jacobian:
                 def f(v, j=j):
                     q = params.copy()
                     q[j] = v
-                    return _stage1_value(e, q[0], q[1], q[2])
+                    return stage1_model(e, Stage1Params(*q))
 
                 assert rel_diff(central_diff(f, params[j], h), jac[j]) < 1e-6
 
@@ -194,14 +197,10 @@ class TestStage2Jacobian:
             for j in range(3):
                 h = 1e-6 * max(1.0, abs(params[j]))
 
-                # evaluate through the raw core so the perturbation can take
-                # beta4 slightly negative without tripping the dataclass guard
                 def g(v, j=j):
-                    from portvol.nls import _stage2_value
-
                     q = params.copy()
                     q[j] = v
-                    return _stage2_value(e, q[0], q[1], q[2], b3h)
+                    return stage2_model(e, Stage2Params(*q), b3h)  # beta4 - h stays >= 0.01 - 2e-6
 
                 assert rel_diff(central_diff(g, params[j], h), jac[j]) < 1e-6
             checked += 1
@@ -244,7 +243,7 @@ class TestLmFit:
         rng = np.random.default_rng(3)
         E = rng.uniform(0.01, 0.10, (6, 40))
         truths = [(2.0, 0.5, 0.04), (-1.0, 1.5, 0.2), (0.3, 2.0, 0.01)] * 2
-        Y = np.stack([_stage1_value(e, *t) for e, t in zip(E, truths)]) + 0.01 * rng.standard_normal(E.shape)
+        Y = _stage1_curve(E, *np.transpose(truths)[..., None])[0] + 0.01 * rng.standard_normal(E.shape)
         prob = stage1_log_problem(E, Y)
         seen = [[] for _ in range(len(E))]
 
@@ -369,6 +368,18 @@ class TestGuards:
         ),
         "stage1-model-at-pole": (lambda: stage1_model(-0.04, Stage1Params(2.0, 0.5, 0.04)), _POLE),
         "stage2-model-at-pole": (lambda: stage2_model(0.02, Stage2Params(1.0, 0.5, -1.0), 0.04), _POLE),
+        "stage2-model-at-numerator-pole": (lambda: stage2_model(-0.04, Stage2Params(1.0, 0.5, 2.0), 0.04), _POLE),
+        "stage2-jacobian-at-pole": (
+            lambda: stage2_jacobian(np.array([0.05, 0.02]), Stage2Params(1.0, 0.5, -1.0), 0.04), _POLE,
+        ),
+        "stage2-fit-pole-guard": (
+            lambda: fit_vol_of_vol(
+                Dataset(pi_star=[1.0, 1.1, 1.2, 1.3], mu=[-0.04, 0.01, 0.02, 0.03], r=[0.0] * 4),
+                0.04,
+                GaugeRule("free"),
+            ),
+            _POLE,
+        ),
         "stage2-jacobian-beta3-hat-zero": (
             lambda: stage2_jacobian(0.05, Stage2Params(1.0, 0.5, 2.0), 0.0), _BETA3_HAT,
         ),
@@ -400,3 +411,18 @@ class TestGuards:
         with pytest.raises(ValueError) as raised:
             call()
         assert f"{type(raised.value).__name__}: {raised.value}" == message
+
+
+@pytest.mark.parametrize(
+    "e, model_type, shape",
+    [(0.05, float, ()), (np.array(0.05), np.float64, ()), (np.array([0.01, 0.05]), np.ndarray, (2,))],
+    ids=["float", "0-d", "1-d"],
+)
+def test_return_types(e, model_type, shape):
+    # A curve gives a float at a float, a numpy float at a 0-d array and an
+    # array at an array; a Jacobian is an array with the parameter axis last.
+    b1, b2 = Stage1Params(2.0, 0.5, 0.04), Stage2Params(1.0, 0.5, 2.0)
+    for value in (stage1_model(e, b1), stage2_model(e, b2, 0.04)):
+        assert type(value) is model_type and np.shape(value) == shape
+    for jac in (stage1_jacobian(e, b1), stage2_jacobian(e, b2, 0.04)):
+        assert type(jac) is np.ndarray and jac.shape == shape + (3,)

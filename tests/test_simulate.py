@@ -32,7 +32,6 @@ from portvol import (
     stage1_model,
     variance_path_from_normals,
 )
-from portvol.nls import _guarded_denominator
 from portvol.simulate import (
     _BLOCK_PATHS,
     _TILE,
@@ -923,7 +922,7 @@ def reference_model_implied(spec: GenerationSpec, seed: int) -> Dataset:
     e = rng.uniform(lo, hi, spec.n)
     b = spec.stage1
     with np.errstate(over="ignore", invalid="ignore"):
-        pi = (b.beta2 * b.beta3 + b.beta1 * e) / _guarded_denominator(b.beta3 + e, b.beta3, e)
+        pi = stage1_model(e, b)
         if spec.noise > 0.0:
             pi = pi + spec.noise * rng.standard_normal(spec.n)
         mu = BASE_RATE + e
