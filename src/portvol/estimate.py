@@ -45,7 +45,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -192,21 +193,24 @@ def standard_errors(fit: FitResult, problem: ResidualProblem) -> tuple[float, ..
         jac = np.asarray(problem.jacobian(p[None], slice(None)), dtype=float)
     except (ValueError, ArithmeticError):
         return None
-    se = _qr_rows(jac, np.array([fit.residual_norm]))[0][0]
+    se = _qr_rows(lambda obs: jac[:, obs], jac.shape[1], np.array([fit.residual_norm]))[0][0]
     return None if np.isnan(se).any() else tuple(se.tolist())
 
 
 def _checks(E, b3, p: int, jacobian, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Standard errors and the diagnostics both stages share, per row, with the pole at ``-b3``.
 
-    ``jacobian(b)`` gives the ``p``-column Jacobians of the rows in the slice
-    ``b``.  They are taken in blocks of at most ``_CHUNK_OBSERVATIONS``
-    entries, so that they and the copy their QR makes stay within a chunk.
+    ``jacobian(b, obs)`` gives the ``p``-column Jacobians of the rows in the
+    slice ``b`` at the observations in the slice ``obs``.  Rows go in blocks
+    of at most ``_CHUNK_OBSERVATIONS`` entries, a longer row alone, which
+    :func:`_qr_rows` factors in blocks of ``_QR_BLOCK`` observations: so
+    they and the copy their QR makes stay within a chunk.
     """
+    n = E.shape[1]
     near = np.min(np.abs(b3[:, None] + E), axis=-1) < 1e-3 * b3
-    step = max(1, _CHUNK_OBSERVATIONS // (p * E.shape[1]))
+    step = max(1, _CHUNK_OBSERVATIONS // (p * n))
     blocks = [slice(i, i + step) for i in range(0, len(E), step)]
-    se, cond = map(np.concatenate, zip(*(_qr_rows(jacobian(b), ssr[b]) for b in blocks)))
+    se, cond = map(np.concatenate, zip(*(_qr_rows(partial(jacobian, b), n, ssr[b]) for b in blocks)))
     return se, {
         DIAG_POLE: near,
         DIAG_ILL_CONDITIONED: cond > _COND_LIMIT,
@@ -216,20 +220,20 @@ def _checks(E, b3, p: int, jacobian, ssr) -> tuple[np.ndarray, dict[str, np.ndar
 
 def _stage1_checks(E, b1, b2, b3, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Standard errors and diagnostics of stage-1 fits, per row, from :func:`stage1_jacobian`'s derivatives."""
-    se, flags = _checks(E, b3, 3, lambda b: _stage1_grad(E[b], b1[b], b2[b], b3[b])[0], ssr)
+    se, flags = _checks(E, b3, 3, lambda b, obs: _stage1_grad(E[b, obs], b1[b], b2[b], b3[b])[0], ssr)
     flags[DIAG_B1_EQ_B2] = np.abs(b1 - b2) < 1e-6 * np.maximum(np.maximum(np.abs(b1), np.abs(b2)), 1.0)
     return se, flags
 
 
 def _stage2_checks(E, beta, b3h, k: int, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Standard errors of the two betas the gauge leaves free and the diagnostics of stage-2 fits, per row.
+    """Standard errors (0.0 for the beta the gauge fixes) and diagnostics of stage-2 fits, per row.
 
-    The Jacobian is :func:`stage2_jacobian`'s in those two betas: the gauge-fixed problem's, up to sign.
+    The Jacobian is :func:`stage2_jacobian`'s in the two free betas: the gauge-fixed problem's, up to sign.
     """
     free = tuple(i for i in range(3) if i != k)
-    se, flags = _checks(E, b3h, 2, lambda b: _stage2_grad(E[b], beta[b], b3h[b], free)[0], ssr)
+    se, flags = _checks(E, b3h, 2, lambda b, obs: _stage2_grad(E[b, obs], beta[b], b3h[b], free)[0], ssr)
     flags[DIAG_GAUGE] = np.full(len(E), k == 0)
-    return se, flags
+    return np.insert(se, k, 0.0, axis=1), flags
 
 
 def identifiability_diagnostics(
@@ -275,9 +279,10 @@ def identifiability_diagnostics(
 class _Rows:
     """One stage fitted on stacked rows; entry ``i`` of each field is row ``i``'s.
 
-    ``flags`` maps each diagnostic to its rows.  ``failures`` maps a row
-    that yields no fit to ``(reason, error)``: its Monte Carlo tally key and
-    the error the single-dataset fit raises.
+    ``failures`` maps a row that yields no fit to ``(reason, error)``: its
+    Monte Carlo tally key and the error the single-dataset fit raises.
+    ``checks()`` gives ``(standard_errors, flags)``, each diagnostic's rows
+    in ``flags``, when either is first read: the harness never reads stage 2's.
     """
 
     kind: type
@@ -285,9 +290,20 @@ class _Rows:
     residual_norm: np.ndarray
     iterations: np.ndarray
     messages: list[str]
-    standard_errors: np.ndarray
-    flags: dict[str, np.ndarray]
     failures: dict[int, tuple[str, ValueError]]
+    checks: Callable[[], tuple[np.ndarray, dict[str, np.ndarray]]]
+
+    @cached_property
+    def _checked(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        return self.checks()
+
+    @property
+    def standard_errors(self) -> np.ndarray:
+        return self._checked[0]
+
+    @property
+    def flags(self) -> dict[str, np.ndarray]:
+        return self._checked[1]
 
     @cached_property
     def converged(self) -> np.ndarray:
@@ -300,7 +316,8 @@ class _Rows:
     def refused(cls, kind: type, failures: dict[int, tuple[str, ValueError]]) -> _Rows:
         """A stack whose every row is refused before any evaluation."""
         nan = np.full((len(failures), 3), math.nan)
-        return cls(kind, nan, nan[:, 0], np.zeros(len(failures), dtype=int), [""] * len(failures), nan, {}, failures)
+        return cls(kind, nan, nan[:, 0], np.zeros(len(failures), dtype=int), [""] * len(failures), failures,
+                   lambda: (nan, {}))
 
     def result(self, i: int) -> FitResult:
         """Row ``i`` as a :class:`FitResult`; raises its failure, if any."""
@@ -484,7 +501,6 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
             better = ssr < best[rows]
             k[rows[better]], best[rows[better]] = grid_k, ssr[better]
     k, ssr, coef, iterations, messages = _search(lambda k, sel: fit(k, sel, True), k, live, PI)
-    del work, YC  # before the checks' stacked Jacobian
     b1, b2 = coef.T
 
     _refuse(failures, (k < _LOG_BETA3_GRID[0]) | (k > _LOG_BETA3_GRID[-1]), "stage1 beta3 not identified", lambda i:
@@ -494,8 +510,8 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     # Inputs are finite, so a non-finite fit is one whose sums overflowed.
     _refuse(failures, ~(np.isfinite(ssr) & np.isfinite(params).all(axis=1)), "stage1 non-finite fit",
             lambda i: ValueError("stage-1 fit is not finite: positions too large, the sum of squares overflows"))
-    se, flags = _stage1_checks(E, b1, b2, b3, ssr)
-    return _Rows(Stage1Params, params, ssr, iterations, messages, se, flags, failures)
+    checks = partial(_stage1_checks, E, b1, b2, b3, ssr)
+    return _Rows(Stage1Params, params, ssr, iterations, messages, failures, checks)
 
 
 def fit_volatility(data: Dataset) -> FitResult:
@@ -617,7 +633,6 @@ def _stage2_rows(
         return ssr, np.hstack([cos, sin]) / a[:, None], a * _rowdot(q, res), a * a * _rowdot(q, q)
 
     theta, ssr, q, iterations, messages = _search(profile, theta, live, Y)
-    del work, Y
     _refuse(failures, [m == UNEVALUABLE_START for m in messages], "stage2 initial residuals unevaluable",
             lambda i: ValueError(UNEVALUABLE_START))
 
@@ -628,10 +643,8 @@ def _stage2_rows(
         f"gauge sign conflict: {_GAUGE_VARIANTS[k]} pins {name} at {pins[i]:+.6g} but the data give "
         f"{name}/beta4 = {ratio[i]:+.6g}; opposite signs would make beta4 <= 0"
     ))
-    se_free, flags = _stage2_checks(E, params, b3h, k, ssr)
-    return _Rows(
-        Stage2Params, params, ssr, iterations, messages, np.insert(se_free, k, 0.0, axis=1), flags, failures
-    )
+    checks = partial(_stage2_checks, E, params, b3h, k, ssr)
+    return _Rows(Stage2Params, params, ssr, iterations, messages, failures, checks)
 
 
 def fit_vol_of_vol(
@@ -824,7 +837,8 @@ def monte_carlo_validation(
             stage2_failed += len(stage2.failures)
             stage2_converged += int(stage2.converged.sum())
             gamma_hats.append(stage2.params[stage2.converged, 0])
-        del E, PI  # before the next chunk is drawn
+            del stage2
+        del mu, E, PI, stage1  # before the next chunk is drawn
 
     names = ("beta1", "beta2", "beta3")
     bias = rmse = coverage = None

@@ -50,6 +50,9 @@ __all__ = [
 _POLE_RTOL = 1e-12
 # A Jacobian whose condition number reaches this has a degenerate covariance (see _qr_rows).
 _SINGULAR_COND = 1.0 / np.sqrt(np.finfo(float).eps)
+# _qr_rows factors a row of more observations than this in blocks of this many: a constant, not a share of
+# a chunk, so a row's standard errors do not depend on the rows stacked with it.
+_QR_BLOCK = 8192
 
 
 class PoleError(ValueError):
@@ -316,22 +319,29 @@ def _evaluate(profile, x: np.ndarray, rows: np.ndarray, x_rows=None):
     return tuple(out[rows] for out in profile(x, slice(None)))
 
 
-def _qr_rows(jac: np.ndarray, ssr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standard errors and ``cond(J)`` per row, from one stacked QR of the Jacobians ``jac``, ``(R, n, p)``.
+def _qr_rows(jacobian, n: int, ssr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standard errors and ``cond(J)`` per row, from a stacked QR of the Jacobians, ``(R, n, p)``.
 
+    ``jacobian(obs)`` gives the Jacobians' observations in the slice ``obs``.
     Gauss-Newton standard errors ``sqrt(diag(s2 * inv(J'J)))`` with ``s2 =
     ssr/(n - p)``: with ``J = QR``, ``inv(J'J) = inv(R) inv(R)'``, so the
     condition number of ``J`` is never squared.  ``cond(R) = cond(J)``, so
     this one condition number serves both the standard errors and the
     ``ILL_CONDITIONED`` diagnostic; it is inf for a singular or non-finite
     Jacobian.  A row's standard errors are nan (degenerate covariance) when
-    ``cond(R) >= 1/sqrt(eps)`` or ``n <= p``.
+    ``cond(R) >= 1/sqrt(eps)`` or ``n <= p``.  Rows of more than
+    ``_QR_BLOCK`` observations are factored block by block, ``R`` being
+    that of the stacked blocks' ``R``s (tall-skinny QR), so no whole
+    Jacobian is held; shorter rows get one QR.
     """
-    n_rows, n, p = jac.shape
-    finite = np.all(np.isfinite(jac), axis=(1, 2))
-    if not finite.all():
-        jac = np.where(finite[:, None, None], jac, 0.0)
-    r = np.linalg.qr(jac, mode="r")
+    rs, finite, width = [], True, _QR_BLOCK if n > _QR_BLOCK else n
+    for i in range(0, n, width):
+        jac = jacobian(slice(i, i + width))
+        ok = np.all(np.isfinite(jac), axis=(1, 2))
+        finite = finite & ok
+        rs.append(np.linalg.qr(jac if ok.all() else np.where(ok[:, None, None], jac, 0.0), mode="r"))
+    r = rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=1), mode="r")
+    n_rows, p = len(r), r.shape[-1]
     cond = np.linalg.cond(r)
     cond = np.where(finite & np.isfinite(cond), cond, np.inf)
     ok = cond < _SINGULAR_COND

@@ -43,7 +43,9 @@ from portvol.estimate import (
     DIAG_POLE,
     DIAG_RHO_RANGE,
 )
+from portvol.estimate import _Rows, _stage1_checks, _stage2_checks
 from portvol.model import FitResult
+from portvol.nls import _qr_rows, _stage1_grad, _stage2_grad
 
 TRUTH = Stage1Params(2.0, 0.5, 0.04)
 _TOO_FEW_E_STAGE1 = "insufficient regressor variation: stage-1 fit needs at least 3 distinct e, got 1"
@@ -936,6 +938,20 @@ class TestMonteCarloValidation:
         assert report.stage2_n_converged == replications
         assert peak <= 7.5 * 8 * chunk
 
+    def test_stage2_checks_are_never_run(self, monkeypatch):
+        # The harness reads stage 2's estimates and convergence only, so it never builds a stage-2 Jacobian.
+        spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)
+        expected = monte_carlo_validation(spec, 20, master_seed=4, run_stage2=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stage-2 Jacobian built")
+
+        monkeypatch.setattr(portvol.estimate, "_stage2_grad", refuse)
+        report = monte_carlo_validation(spec, 20, master_seed=4, run_stage2=True)
+        assert report == expected and report.stage2_n_converged == 20
+        with pytest.raises(AssertionError, match="stage-2 Jacobian built"):
+            fit_vol_of_vol(model_data(), TRUTH.beta3, GaugeRule("free"))
+
     def test_overflowing_sum_of_squares_is_a_named_failure(self):
         # Positions near the float limit overflow stage 1's sum of squares:
         # the replications that generate are failures, not nan estimates.
@@ -1122,6 +1138,95 @@ class TestSearchPaths:
         assert [o[1] for o in second] == [
             _single_outcome(fit_vol_of_vol, d, b, GaugeRule("pin-beta5", pin)) for d, b, pin in zip(datasets, b3h, pins)
         ]
+
+
+class TestLongRows:
+    """A row of more than ``_QR_BLOCK`` observations gets its standard errors from a QR in blocks."""
+
+    @staticmethod
+    def _jacobians(n: int) -> dict:
+        """Per stage, the Jacobian builder and ``ssr`` of the fits of one noisy dataset of ``n`` rows."""
+        data = model_data(n=n, noise=0.01, seed=5)
+        stage1 = fit_volatility(data)
+        b1, b2, b3 = (np.array([v]) for v in stage1.params.as_array())
+        stage2 = fit_vol_of_vol(data, stage1.params.beta3, GaugeRule.from_stage1("pin-beta5", stage1))
+        beta, E = stage2.params.as_array()[None], data.e[None]
+        return {
+            "stage1": (lambda obs: _stage1_grad(E[:, obs], b1, b2, b3)[0], stage1.residual_norm),
+            "stage2": (lambda obs: _stage2_grad(E[:, obs], beta, b3, (0, 2))[0], stage2.residual_norm),
+        }
+
+    @staticmethod
+    def _factored(jacobian, n, ssr) -> tuple:
+        """``_qr_rows`` of the builder, with the observation slices it was asked for."""
+        asked = []
+
+        def spy(obs):
+            asked.append((obs.start, obs.stop))
+            return jacobian(obs)
+
+        return _qr_rows(spy, n, np.array([ssr])), asked
+
+    @pytest.mark.parametrize("n", [8193, 2 * 8192 + 2])  # the second's last block is 2 rows, fewer than p
+    def test_blocked_qr_agrees_with_one_qr(self, monkeypatch, n):
+        for jacobian, ssr in self._jacobians(n).values():
+            blocked, asked = self._factored(jacobian, n, ssr)
+            assert asked == [(i, i + 8192) for i in range(0, n, 8192)]
+            monkeypatch.setattr(portvol.nls, "_QR_BLOCK", 10**9)
+            single, asked = self._factored(jacobian, n, ssr)
+            monkeypatch.undo()
+            assert asked == [(0, n)]
+            for got, want in zip(blocked, single):  # standard errors, then cond
+                assert np.all(np.isfinite(want)) and np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_rows_of_one_block_keep_one_qr(self, monkeypatch):
+        n = 8192
+        data = model_data(n=n, noise=0.01, seed=5)
+        fits = []
+        for block in (portvol.nls._QR_BLOCK, 10**9):
+            monkeypatch.setattr(portvol.nls, "_QR_BLOCK", block)
+            stage1 = fit_volatility(data)
+            fits += [stage1, fit_vol_of_vol(data, stage1.params.beta3, GaugeRule.from_stage1("pin-beta5", stage1))]
+        assert [_fit_key(f) for f in fits[:2]] == [_fit_key(f) for f in fits[2:]]
+        for jacobian, ssr in self._jacobians(n).values():
+            assert self._factored(jacobian, n, ssr)[1] == [(0, n)]
+
+    def test_pole_guard_in_the_last_block_degenerates_the_covariance(self):
+        # The last of three blocks holds the one e on the pole guard: b3 + e = 0 in stage 1,
+        # b5*b3h + b6*e = 0 in stage 2.
+        n = 2 * 8192 + 2
+        b3h, stage1, stage2 = np.array([0.04]), np.array([[2.0, 0.5, 0.04]]), np.array([[1.0, 0.5, 2.0]])
+        cases = (
+            (Stage1Params, stage1, -0.04, lambda E: _stage1_checks(E, *stage1.T, np.ones(1))),
+            (Stage2Params, stage2, -0.01, lambda E: _stage2_checks(E, stage2, b3h, 1, np.ones(1))),
+        )
+        for kind, params, pole, checks in cases:
+            E = np.linspace(0.01, 0.1, n)[None]
+            assert not checks(E)[1][DIAG_DEGENERATE_COV][0]
+            E[0, -1] = pole
+            fit = _Rows(kind, params, np.ones(1), np.ones(1, dtype=int), [""], {}, lambda: checks(E)).result(0)
+            assert fit.standard_errors is None and DIAG_DEGENERATE_COV in fit.diagnostics
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_peak_memory_of_a_long_row(self, stage):
+        # Above its inputs, in arrays of n doubles.  Measured: 4.04 in either
+        # stage, the centred (stage 1) or inverse (stage 2) positions and
+        # three work arrays; with the whole Jacobian and its QR's copy the
+        # checks reached 6.14 (stage 1) and 5.14 (stage 2).
+        n = 50_000
+        data = model_data(n=n, noise=0.01, seed=1)
+        stage1 = fit_volatility(model_data(n=100, noise=0.01, seed=1))  # one-off costs first
+        fit_vol_of_vol(model_data(n=100, noise=0.01, seed=1), stage1.params.beta3, GaugeRule("free"))
+        stage1 = fit_volatility(data) if stage == 2 else None
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            fit = fit_volatility(data) if stage == 1 else fit_vol_of_vol(data, stage1.params.beta3, GaugeRule("free"))
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert fit.converged and fit.standard_errors is not None
+        assert peak <= 5 * 8 * n
 
 
 def _structural_spec():
