@@ -31,8 +31,6 @@ from .model import (
 )
 from .nls import (
     PoleError,
-    ResidualProblem,
-    lm_fit,
     stage1_jacobian,
     stage1_model,
     stage2_jacobian,
@@ -78,7 +76,6 @@ __all__ = [
     "PathConfig",
     "PoleError",
     "PolicyCoefficients",
-    "ResidualProblem",
     "RhoEstimate",
     "RunConfig",
     "SimPath",
@@ -92,7 +89,6 @@ __all__ = [
     "fit_volatility",
     "generate_synthetic_dataset",
     "identifiability_diagnostics",
-    "lm_fit",
     "market_path_from_normals",
     "monte_carlo_validation",
     "optimal_policy",

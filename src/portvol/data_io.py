@@ -173,13 +173,16 @@ def _format_column(column: np.ndarray):
     )
 
 
+def _needs_quotes(text: str) -> bool:
+    """Whether ``csv.writer`` quotes a cell holding ``text`` under ``QUOTE_MINIMAL``."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
 def _csv_label(label: str | None) -> str:
     """One label cell as ``csv.writer`` writes it under ``QUOTE_MINIMAL``."""
     if label is None:
         return ""
-    if "," in label or '"' in label or "\r" in label or "\n" in label:
-        return '"' + label.replace('"', '""') + '"'
-    return label
+    return '"' + label.replace('"', '""') + '"' if _needs_quotes(label) else label
 
 
 def _label_cells(labels: tuple) -> Iterable[str]:
@@ -188,7 +191,7 @@ def _label_cells(labels: tuple) -> Iterable[str]:
         joined = "".join(labels)
     except TypeError:  # a None label
         return map(_csv_label, labels)
-    if "," in joined or '"' in joined or "\r" in joined or "\n" in joined:
+    if _needs_quotes(joined):
         return map(_csv_label, labels)
     return labels
 

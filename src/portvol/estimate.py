@@ -53,9 +53,7 @@ import numpy as np
 from .model import Dataset, FitResult, Stage1Params, Stage2Params, _finite, _integer
 from .nls import (
     _POLE_RTOL,
-    UNEVALUABLE_START,
     PoleError,
-    ResidualProblem,
     _beta3_hat,
     _centred,
     _evaluate,
@@ -69,11 +67,6 @@ from .nls import (
     _stage2_grad,
     _take,
 )
-
-# No fit here runs Levenberg-Marquardt.  The name stays importable from this
-# module because the benchmark's tracer (perfbench/tracing.py) patches
-# portvol.estimate.lm_fit; it goes when that tracer reads a run record.
-from .nls import lm_fit  # noqa: F401
 from .simulate import BASE_RATE, SEED_LIMIT, GenerationSpec, _model_implied_rows, _stream_keys
 
 # The harness draws its replications as stacks and never calls
@@ -81,6 +74,14 @@ from .simulate import BASE_RATE, SEED_LIMIT, GenerationSpec, _model_implied_rows
 # because the benchmark's tracer (perfbench/tracing.py) patches
 # portvol.estimate.generate_synthetic_dataset.
 from .simulate import generate_synthetic_dataset  # noqa: F401
+
+
+def lm_fit(*args, **kwargs):
+    """Not a solver: both stages fit by the variable-projection search, :func:`_search`."""
+    # Exists only because the benchmark's tracer (perfbench/tracing.py) patches portvol.estimate.lm_fit;
+    # it goes with that patch.
+    raise NotImplementedError("no Levenberg-Marquardt solver: both stages fit by the variable-projection _search")
+
 
 __all__ = [
     "GaugeRule",
@@ -176,24 +177,23 @@ class RhoEstimate:
         return abs(self.rho_hat) <= 1.0
 
 
-def standard_errors(fit: FitResult, problem: ResidualProblem) -> tuple[float, ...] | None:
-    """Gauss-Newton standard errors ``sqrt(diag(s2 * inv(J'J)))``.
+def standard_errors(fit: FitResult, jacobian) -> tuple[float, ...] | None:
+    """Gauss-Newton standard errors ``sqrt(diag(s2 * inv(J'J)))`` from ``J = jacobian``, ``(n_obs, n_params)``.
 
-    ``s2`` is ``residual_norm / (n_obs - n_params)``.  With ``J = QR``,
-    ``inv(J'J) = inv(R) inv(R)'``, so the condition number of ``J`` is
-    never squared.  Returns None when ``cond(R) >= 1/sqrt(eps)``
-    (degenerate covariance) — absent, not zero.  Requires more
-    observations than parameters.  ``problem`` is evaluated as a stack of
-    one row, at ``fit.params``.
+    ``J`` holds the derivatives of the fitted curve (or of the residuals)
+    at ``fit.params``, one row per observation.  ``s2`` is ``residual_norm /
+    (n_obs - n_params)``.  With ``J = QR``, ``inv(J'J) = inv(R) inv(R)'``,
+    so the condition number of ``J`` is never squared.  Returns None when
+    ``cond(R) >= 1/sqrt(eps)`` or an entry of ``J`` is not finite
+    (degenerate covariance) — absent, not zero.  Requires a 2-D ``J`` with
+    more observations than parameters, and at least one parameter.
     """
-    if problem.n_obs <= problem.n_params:
+    jac = np.asarray(jacobian, dtype=float)
+    if jac.ndim != 2 or jac.shape[1] == 0:
+        raise ValueError(f"jacobian must be 2-D, (n_obs, n_params >= 1), got shape {jac.shape}")
+    if jac.shape[0] <= jac.shape[1]:
         raise ValueError("standard errors require n_obs > n_params")
-    p = fit.params.as_array() if hasattr(fit.params, "as_array") else np.asarray(fit.params, float)
-    try:
-        jac = np.asarray(problem.jacobian(p[None], slice(None)), dtype=float)
-    except (ValueError, ArithmeticError):
-        return None
-    se = _qr_rows(lambda obs: jac[:, obs], jac.shape[1], np.array([fit.residual_norm]))[0][0]
+    se = _qr_rows(lambda obs: jac[None, obs], jac.shape[0], np.array([fit.residual_norm]))[0][0]
     return None if np.isnan(se).any() else tuple(se.tolist())
 
 
@@ -355,6 +355,10 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
     last bit, and by CPU.
     """
     return np.array([f(v) for v in x.tolist()])
+
+
+# The message of a row whose starting sum of squares is not finite (see _search).
+UNEVALUABLE_START = "initial residuals are non-finite or unevaluable"
 
 
 def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):

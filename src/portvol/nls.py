@@ -1,4 +1,4 @@
-"""Regression models, analytic Jacobians, and a damped least-squares solver.
+"""Regression models, their analytic Jacobians, and the helpers of the stacked fits.
 
 The two model functions are rational in the excess return ``e = mu - r``:
 
@@ -13,23 +13,15 @@ The two model functions are rational in the excess return ``e = mu - r``:
   under a common rescaling of ``(beta4, beta5, beta6)``, so those
   parameters are only identified up to a gauge.
 
-``lm_fit`` is a deterministic Levenberg-Marquardt iteration with
-Marquardt (diagonal) scaling.  It runs on stacked rows, one independent
-problem per row, and a single problem is the case of one row.  No fit of
-``portvol.estimate`` uses it: both stages search one coordinate by
-variable projection there.  It stays public, with ``ResidualProblem`` and
-``RowFits``, until the benchmark's tracer, which patches
-``portvol.estimate.lm_fit``, no longer needs the name.  The curves and
-Jacobians are stacked the same way, the public ones being one row, and
-the Jacobians' stacked QR (``_qr_rows``) gives the reported standard
-errors.  The stage-1 fit at a fixed ``beta3`` in closed form (``_linear_part``) and the row helpers of the stacked fits
-are here too.
+Both fits of ``portvol.estimate`` search one coordinate by variable
+projection, on stacked rows with one independent dataset per row.  The
+curves and Jacobians here are stacked the same way, the public ones being
+one row, and the Jacobians' stacked QR (``_qr_rows``) gives the reported
+standard errors.  The stage-1 fit at a fixed ``beta3`` in closed form
+(``_linear_part``) and the row helpers of the stacked fits are here too.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,13 +29,10 @@ from .model import Stage1Params, Stage2Params, _finite
 
 __all__ = [
     "PoleError",
-    "ResidualProblem",
     "stage1_model",
     "stage1_jacobian",
     "stage2_model",
     "stage2_jacobian",
-    "lm_fit",
-    "RowFits",
 ]
 
 # Relative threshold below which a denominator counts as sitting on a pole.
@@ -233,62 +222,6 @@ def stage2_jacobian(e, b: Stage2Params, beta3_hat: float):
     return _one_curve(e, *_stage2_grad(e.reshape(1, -1), b.as_array()[None], np.array([_beta3_hat(beta3_hat)])))
 
 
-@dataclass(frozen=True)
-class ResidualProblem:
-    """Stacked least-squares problems in evaluator form, one independent problem per row.
-
-    ``residual(P, rows)`` maps the ``(len(rows), n_params)`` parameters of
-    the selected rows (an index array, or a slice for every row) to
-    ``(len(rows), n_obs)`` residuals, and ``jacobian(P, rows)`` to
-    ``(len(rows), n_obs, n_params)`` residual derivatives; a row that
-    cannot be evaluated comes back non-finite.  Both must be pure.
-    """
-
-    residual: Callable[[np.ndarray, object], np.ndarray]
-    jacobian: Callable[[np.ndarray, object], np.ndarray]
-    n_params: int
-    n_obs: int
-
-    def __post_init__(self):
-        if self.n_params < 1 or self.n_obs < 1:
-            raise ValueError("ResidualProblem dimensions must be >= 1")
-
-
-# Levenberg-Marquardt: a row converges when max|J'r| falls below _GRAD_TOL,
-# or when a step is shorter than _X_TOL relative to the parameters, and
-# stops unconverged after _MAX_ITERATIONS accepted steps.  Damping starts
-# at _DAMPING_START, shrinks by _DAMPING_FACTOR on an accepted step, grows
-# by it on a rejected one, and gives up past _DAMPING_MAX.
-_GRAD_TOL = 1e-10
-_X_TOL = 1e-12
-_MAX_ITERATIONS = 200
-_DAMPING_START = 1e-3
-_DAMPING_FACTOR = 10.0
-_DAMPING_MAX = 1e12
-
-# The message of a row whose starting residuals cannot be evaluated.
-UNEVALUABLE_START = "initial residuals are non-finite or unevaluable"
-
-
-@dataclass(frozen=True)
-class RowFits:
-    """:func:`lm_fit` over stacked rows: entry ``i`` of each field is row ``i``'s fit.
-
-    ``iterations`` is the total of the rows' accepted steps;
-    ``row_iterations`` holds the counts per row.
-    """
-
-    params: np.ndarray
-    residual_norm: np.ndarray
-    row_iterations: np.ndarray
-    converged: np.ndarray
-    messages: tuple[str, ...]
-
-    @property
-    def iterations(self) -> int:
-        return int(self.row_iterations.sum())
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching rows, reduced over the last axis only."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
@@ -354,135 +287,3 @@ def _qr_rows(jacobian, n: int, ssr: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     se = np.sqrt(ssr / (n - p))[:, None] * (np.linalg.norm(rinv * scale[..., None], axis=-1) / scale)
     se[~ok] = np.nan
     return se, cond
-
-
-def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve each ``a[i] x = b[i]``; a singular row comes back as nan."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full_like(b, np.nan)
-        for i in range(len(b)):
-            try:
-                out[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def lm_fit(problem: ResidualProblem, init: np.ndarray) -> RowFits:
-    """Minimize each row's ``sum(residual**2)`` by Levenberg-Marquardt iteration.
-
-    ``init`` is ``(R, n_params)``, one start per stacked problem.  Each
-    step solves ``(J^T J + lam * diag(J^T J)) delta = -J^T r`` and is
-    accepted only if the row's residual norm strictly decreases; the
-    iteration counts cover accepted steps only.  Every row keeps its own
-    damping, accept test and stop, and arithmetic reduces only along a row,
-    so a row's fit does not depend on the others.  Only a malformed
-    ``init`` raises.
-
-    Failures are reported per row, not raised: the row has
-    ``converged=False`` and a message of ``UNEVALUABLE_START``, ``"max
-    iterations"``, ``"damping exhausted"``, ``"singular normal equations at
-    iteration k"`` or ``"non-finite evaluation at iteration k"``.
-
-    Deterministic: identical problem and init give an identical result.
-    """
-    p = np.array(init, dtype=float)
-    if p.ndim != 2 or p.shape[1] != problem.n_params:
-        raise ValueError(f"init has shape {p.shape}, expected (R, {problem.n_params})")
-
-    n_rows = len(p)
-    res = problem.residual(p, slice(None))
-    ssr = _rowdot(res, res)
-    lam = np.full(n_rows, _DAMPING_START)
-    iterations = np.zeros(n_rows, dtype=int)
-    converged = np.zeros(n_rows, dtype=bool)
-    messages = [UNEVALUABLE_START] * n_rows
-    live = np.all(np.isfinite(res), axis=-1)
-
-    def stop(rows, ok: bool, message: str) -> None:
-        live[rows] = False
-        converged[rows] = ok
-        for i in rows.tolist():
-            messages[i] = message.format(iterations[i])
-
-    while live.any():
-        rows = np.flatnonzero(live)
-        sel = _select(rows, n_rows)
-        jac = problem.jacobian(p[sel], sel)
-        finite = np.all(np.isfinite(jac), axis=(1, 2))
-        # Overflow here is tolerated: a non-finite normal matrix surfaces as
-        # an unsolvable damped system below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = (jac.transpose(0, 2, 1) @ res[sel][..., None])[..., 0]
-            jtj = jac.transpose(0, 2, 1) @ jac
-        del jac
-        # A zero diagonal entry means that Jacobian column is identically
-        # zero; its gradient component is then zero as well, so the
-        # coordinate decouples: keep it fixed and solve the reduced system.
-        diag = np.diagonal(jtj, axis1=1, axis2=2)
-        active = diag > 0.0
-        small_grad = np.max(np.abs(grad), axis=-1) < _GRAD_TOL
-        stop(rows[~finite], False, "non-finite evaluation at iteration {}")
-        stop(rows[finite & small_grad], True, "gradient tolerance reached")
-        out_of_steps = finite & ~small_grad & (iterations[rows] >= _MAX_ITERATIONS)
-        stop(rows[out_of_steps], False, "max iterations")
-        flat = finite & ~small_grad & ~out_of_steps & ~active.any(axis=-1)
-        stop(rows[flat], True, "gradient tolerance reached")
-        keep = live[rows]
-        rows, grad, jtj, diag, active = rows[keep], grad[keep], jtj[keep], diag[keep], active[keep]
-        pair = active[:, :, None] & active[:, None, :]
-        eye = np.broadcast_to(np.eye(problem.n_params), jtj.shape)
-        rhs = np.where(active, -grad, 0.0)
-        failure = np.array(["damping exhausted"] * len(rows), dtype=object)
-
-        # Inner loop: escalate each row's damping until a strictly
-        # decreasing step is found, or the proposed step shrinks below the
-        # x tolerance (the iterate then cannot move and counts as converged
-        # in x).
-        search = np.ones(len(rows), dtype=bool)
-        while True:
-            exhausted = search & (lam[rows] > _DAMPING_MAX)
-            for message in set(failure[exhausted]):
-                stop(rows[exhausted & (failure == message)], False, message)
-            search &= ~exhausted
-            if not search.any():
-                break
-            at = np.flatnonzero(search)
-            sub = rows[at]
-            with np.errstate(over="ignore", invalid="ignore"):
-                damped = jtj[at] + lam[sub][:, None, None] * (eye[at] * diag[at][:, None, :])
-                delta = _solve_rows(np.where(pair[at], damped, eye[at]), rhs[at])
-            # An exactly zero step against a gradient above tolerance can
-            # only come from a numerically broken (e.g. overflowed) system.
-            solvable = np.all(np.isfinite(delta), axis=-1) & np.any(delta != 0.0, axis=-1)
-            stop(sub[~solvable], False, "singular normal equations at iteration {}")
-            search[at[~solvable]] = False
-            at, sub, delta = at[solvable], sub[solvable], delta[solvable]
-            if not len(at):
-                continue
-            norm_p = np.sqrt(_rowdot(p[sub], p[sub]))
-            small = np.sqrt(_rowdot(delta, delta)) < _X_TOL * (_X_TOL + norm_p)
-            trial = p[sub] + delta
-            sel = _select(sub, n_rows)
-            r_trial = problem.residual(trial, sel)
-            ok = np.all(np.isfinite(r_trial), axis=-1)
-            ssr_trial = _rowdot(r_trial, r_trial)
-            better = ok & (ssr_trial < ssr[sub])
-            # A step already below the tolerance that brings no decrease:
-            # the current point is the answer.
-            stop(sub[~better & small], True, "step tolerance reached")
-            retry = ~better & ~small
-            failure[at[retry & ok]] = "damping exhausted"
-            failure[at[retry & ~ok]] = "non-finite evaluation at iteration {}"
-            lam[sub[retry]] *= _DAMPING_FACTOR
-            search[at] = retry
-
-            won = sub[better]
-            p[won], res[won], ssr[won] = trial[better], r_trial[better], ssr_trial[better]
-            lam[won] /= _DAMPING_FACTOR
-            iterations[won] += 1
-            stop(won[small[better]], True, "step tolerance reached")
-
-    return RowFits(p, ssr, iterations, converged, tuple(messages))
