@@ -365,34 +365,35 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
     """Minimize a sum of squares along one coordinate per row, rows ``live`` starting at ``x``.
 
     ``y`` is the regressand, ``(R, n)``.  ``profile(x, rows)`` gives ``(ssr,
-    coef, g, h)`` of the selected rows (an index, or a slice for every row)
-    at ``x``: the sum of squares of the fit of ``y``, inf where ``x`` is on
-    a pole; the coefficients solved in closed form there, one row each;
-    and the gradient and Gauss-Newton curvature of ``ssr/2`` in ``x``.
-    Each step is ``-g/h``, at most one unit, where ``h`` is the secant of
-    successive gradients once it is positive, and is halved until the sum
-    of squares strictly falls; a row whose step failed tries several
-    halvings in one evaluation, as many as ``_CHUNK_OBSERVATIONS`` rows of
-    ``n`` observations allow.  A row stops with "gradient tolerance
-    reached" once the predicted decrease ``g*g/h`` is below the rounding of
-    the sum of squares, ``eps*ssr``, or of the regressand, ``(eps*|y|)**2``
-    (tested unsquared: ``|g| <= max(sqrt(eps*ssr), eps*|y|)*sqrt(h)``);
-    with "step tolerance reached" when no step longer than ``_K_TOL``
-    brings a decrease; and with "max iterations" after ``_MAX_ITERATIONS``
-    accepted steps.  A row whose start is not finite stops there with
+    coef, g, h, f)`` of the selected rows (an index, or a slice for every
+    row) at ``x``: the sum of squares of the fit, inf where ``x`` is on a
+    pole; the coefficients solved in closed form there, one row each; the
+    gradient and Gauss-Newton curvature of ``ssr/2`` in ``x``; and the
+    rounding scale of ``ssr``, ``f = sum|y_i|*|r_i|`` over the residuals
+    ``r`` and the array ``y_i`` they are subtracted from.  Each step is
+    ``-g/h``, at most one unit, where ``h`` is the secant of successive
+    gradients once it is positive; a step that does not strictly lower the
+    sum of squares is halved, once per evaluation.  A row stops with
+    "gradient tolerance reached" once the predicted decrease ``g*g/h`` is
+    below the rounding of the sum of squares, ``eps*f`` (Gill, Murray and
+    Wright 1981, section 8.2.3), or of the regressand, ``(eps*|y|)**2``,
+    tested unsquared: ``|g| <= max(eps*|y|, sqrt(eps*f))*sqrt(h)``; with
+    "step tolerance reached" when no step longer than ``_K_TOL`` brings a
+    decrease; and with "max iterations" after ``_MAX_ITERATIONS`` accepted
+    steps.  A row whose start is not finite stops there with
     ``UNEVALUABLE_START``.  Returns ``(x, ssr, coef, iterations,
     messages)``; rows not ``live`` are nan.  A selection of nearly every
     row is evaluated on the whole stack (:func:`_evaluate`), so ``profile``
     must accept any row at its current ``x``, nan included; only the
     selected rows' results are read.
     """
-    n_rows, n_obs = y.shape
+    n_rows = len(y)
     eps = np.finfo(float).eps
-    x, x0, g0 = x.copy(), np.full(n_rows, math.nan), np.full(n_rows, math.nan)
-    ssr, G, H = np.full(n_rows, math.nan), np.full(n_rows, math.nan), np.full(n_rows, math.nan)
+    x = x.copy()
+    x0, g0, step, ssr, G, H, F = (np.full(n_rows, math.nan) for _ in range(7))
     iterations = np.zeros(n_rows, dtype=int)
     messages = [""] * n_rows
-    live = live.copy()
+    live, halved = live.copy(), np.zeros(n_rows, dtype=bool)
 
     def stop(rows, message):
         live[rows] = False
@@ -402,50 +403,35 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         flat = eps * np.sqrt(_rowdot(y, y))
         rows = np.flatnonzero(live)
-        ssr[rows], start, G[rows], H[rows] = _evaluate(profile, x, rows)
+        ssr[rows], start, G[rows], H[rows], F[rows] = _evaluate(profile, x, rows)
         coef = np.full((n_rows, start.shape[1]), math.nan)
         coef[rows] = start
         stop(rows[~np.isfinite(ssr[rows])], UNEVALUABLE_START)
         while live.any():
-            rows = np.flatnonzero(live)
+            # Rows whose last trial was accepted test their stop and take a new step; the others retry half theirs.
+            rows = np.flatnonzero(live & ~halved)
             g, h = G[rows], H[rows]
             secant = (g - g0[rows]) / (x[rows] - x0[rows])  # nan before the first step
             h = np.where(secant > 0.0, secant, h)  # h lacks the residual's own curvature; the secant has it
-            done = np.abs(g) <= np.fmax(flat[rows], np.sqrt(eps * ssr[rows])) * np.sqrt(h)
+            done = np.abs(g) <= np.fmax(flat[rows], np.sqrt(eps * F[rows])) * np.sqrt(h)
             stop(rows[done], "gradient tolerance reached")
-            out_of_steps = ~done & (iterations[rows] >= _MAX_ITERATIONS)
-            stop(rows[out_of_steps], "max iterations")
-            go = ~done & ~out_of_steps
-            rows, g = rows[go], g[go]
-            step = np.clip(-g / h[go], -1.0, 1.0)
-            search = np.abs(step) > _K_TOL
-            stop(rows[~search], "step tolerance reached")
-            depth = 1
-            while search.any():
-                # Each row tries step, step/2, ..., at most depth of them, those longer than _K_TOL, in one
-                # evaluation: the first that lowers ssr is the one halving one at a time would accept.  The
-                # depth grows fourfold while rows fail, within the chunk budget of stacked observations.
-                at = np.flatnonzero(search)
-                ladder = step[at, None] * 0.5 ** np.arange(depth)
-                trial, rung = np.nonzero(np.abs(ladder) > _K_TOL)
-                sub = rows[at[trial]]
-                x_trial = x[sub] + ladder[trial, rung]
-                t_ssr, t_coef, t_g, t_h = profile(x_trial, sub) if depth > 1 else _evaluate(profile, x, sub, x_trial)
-                better = np.zeros(ladder.shape, dtype=bool)
-                better[trial, rung] = t_ssr < ssr[sub]
-                won = better.any(axis=1)
-                pick = np.flatnonzero(better[trial, rung] & (rung == better.argmax(axis=1)[trial]))
-                kept = rows[at[won]]
-                x0[kept], g0[kept], x[kept] = x[kept], g[at[won]], x_trial[pick]
-                ssr[kept], coef[kept], G[kept], H[kept] = t_ssr[pick], t_coef[pick], t_g[pick], t_h[pick]
-                iterations[kept] += 1
-                search[at[won]] = False
-                lost = at[~won]
-                step[lost] = ladder[~won, -1] * 0.5
-                short = lost[np.abs(step[lost]) <= _K_TOL]
-                stop(rows[short], "step tolerance reached")
-                search[short] = False
-                depth = max(1, min(4 * depth, _CHUNK_OBSERVATIONS // (n_obs * max(len(lost) - len(short), 1))))
+            stop(rows[~done & (iterations[rows] >= _MAX_ITERATIONS)], "max iterations")
+            step[rows] = np.clip(-g / h, -1.0, 1.0)
+            rows = np.flatnonzero(live)
+            short = ~(np.abs(step[rows]) > _K_TOL)  # a nan step too
+            stop(rows[short], "step tolerance reached")
+            rows = rows[~short]
+            if not len(rows):
+                break
+            x_trial = x[rows] + step[rows]
+            t_ssr, t_coef, t_g, t_h, t_f = _evaluate(profile, x, rows, x_trial)
+            won = t_ssr < ssr[rows]
+            kept = rows[won]
+            x0[kept], g0[kept], x[kept] = x[kept], G[kept], x_trial[won]
+            ssr[kept], coef[kept], G[kept], H[kept], F[kept] = t_ssr[won], t_coef[won], t_g[won], t_h[won], t_f[won]
+            iterations[kept] += 1
+            halved[rows] = ~won
+            step[rows[~won]] *= 0.5
     return x, ssr, coef, iterations, messages
 
 
@@ -470,12 +456,13 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     scale[scale == 0.0] = 1.0
 
     n = E.shape[1]
-    work = np.empty((3, max(n_rows, _CHUNK_OBSERVATIONS // n), n))  # every evaluation's arrays, reused
+    work = np.empty((3, n_rows, n))  # every evaluation's arrays, reused
 
     def fit(k, sel, grad=False):
         """``(ssr,)`` of rows ``sel`` at ``beta3 = max|e|*exp(k)``, inf on a pole among the e.
 
-        With ``grad``, the profile :func:`_search` takes: ``(ssr, (beta1, beta2), g, h)`` in ``k``.
+        With ``grad``, the profile :func:`_search` takes: ``(ssr, (beta1, beta2), g, h, f)`` in ``k``,
+        the residual being subtracted from the centred positions.
         """
         b3 = scale[sel] * _libm(math.exp, k)
         u, du, res = work[:, : len(b3)]
@@ -492,7 +479,10 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
         np.subtract(yc, np.multiply(slope[:, None], du, out=res), out=res)
         ssr = _rowdot(res, res)
         ssr[(lo[sel] <= -b3) & (-b3 <= hi[sel])] = np.inf
-        return (ssr, np.stack([b1, b2], axis=1), _rowdot(w, res), _rowdot(w, w)) if grad else (ssr,)
+        if not grad:
+            return (ssr,)
+        g, h = _rowdot(w, res), _rowdot(w, w)
+        return ssr, np.stack([b1, b2], axis=1), g, h, _rowdot(np.abs(yc, out=w), np.abs(res, out=res))
 
     live = ~np.isin(np.arange(n_rows), list(failures))
     rows = np.flatnonzero(live)
@@ -526,9 +516,10 @@ def fit_volatility(data: Dataset) -> FitResult:
     ..., 6`` (skipping poles ``-beta3`` among the observed ``e``) and takes
     projected Gauss-Newton steps in ``k``: at most 200 accepted steps,
     stopping early once the predicted decrease is below the rounding of
-    the sum of squares, ``eps*ssr``, or of the positions, ``(eps*|pi|)**2``,
-    tested unsquared (message "gradient tolerance reached"), or once a step of at most
-    1e-12 brings no decrease ("step tolerance reached").  Standard
+    the sum of squares, ``eps*sum|pi_i - mean(pi)|*|r_i|`` over the
+    residuals ``r``, or of the positions, ``(eps*|pi|)**2``, tested
+    unsquared (message "gradient tolerance reached"), or once a step of at
+    most 1e-12 brings no decrease ("step tolerance reached").  Standard
     errors are None, with ``DEGENERATE_COVARIANCE``, when singular.
     Flat positions converge at the level fit with
     ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at least 4 rows and at least 3
@@ -602,7 +593,7 @@ def _stage2_rows(
         Y = 1.0 / PI
     theta = np.full(n_rows, math.nan)
     theta[rows] = [math.atan2(s, c) for c, s in zip(c6.tolist(), c5.tolist())]
-    work = np.empty((3, max(n_rows, _CHUNK_OBSERVATIONS // n), n))  # every evaluation's arrays, reused
+    work = np.empty((3, n_rows, n))  # every evaluation's arrays, reused
 
     def profile(theta, sel):
         """The fit of ``y = 1/pi`` by ``a*w``, ``w = 1/(cos(theta)*u + sin(theta)*v)``, and the derivatives of ssr/2.
@@ -613,7 +604,8 @@ def _stage2_rows(
         sin(theta))/a``.  The derivative of the residual in ``theta`` is
         ``a*q``, ``q = w**2*(cos(theta)*v - sin(theta)*u)``, projected off
         ``w`` (Kaufman 1975); inf ssr: the denominator is on the pole guard
-        or changes sign on the row.  The arrays are rows of ``work``.
+        or changes sign on the row.  Last comes the rounding scale of ssr,
+        ``sum|y|*|res|``.  The arrays are rows of ``work``.
         """
         cos, sin = _libm(math.cos, theta)[:, None], _libm(math.sin, theta)[:, None]
         w, u, v = work[:, : len(theta)]
@@ -634,7 +626,9 @@ def _stage2_rows(
         res = np.subtract(y, np.multiply(a[:, None], w, out=w), out=u)
         ssr = _rowdot(res, res)
         ssr[pole] = np.inf
-        return ssr, np.hstack([cos, sin]) / a[:, None], a * _rowdot(q, res), a * a * _rowdot(q, q)
+        g, h = a * _rowdot(q, res), a * a * _rowdot(q, q)
+        y = np.abs(_take(Y, sel, w), out=w)  # y again: res overwrote it
+        return ssr, np.hstack([cos, sin]) / a[:, None], g, h, _rowdot(y, np.abs(res, out=res))
 
     theta, ssr, q, iterations, messages = _search(profile, theta, live, Y)
     _refuse(failures, [m == UNEVALUABLE_START for m in messages], "stage2 initial residuals unevaluable",
@@ -662,7 +656,9 @@ def fit_vol_of_vol(
     at a fixed ``theta`` the fit of ``1/pi`` is linear in ``a``, so
     ``theta`` is searched as stage 1 searches ``log beta3``, with the same
     stops and messages, from the direction of the stage-1 linear fit of
-    the positions at ``beta3_hat``.  A ``theta`` whose denominator changes
+    the positions at ``beta3_hat``; the rounding of its sum of squares is
+    ``eps*sum|1/pi_i|*|r_i|``, and that of its regressand
+    ``(eps*|1/pi|)**2``.  A ``theta`` whose denominator changes
     sign on the data or comes within 1e-12 of 0 is skipped, and a start
     there raises ValueError("initial residuals are non-finite or
     unevaluable").  The search sees only the direction of ``(c6, c5)``, so
@@ -674,8 +670,9 @@ def fit_vol_of_vol(
     raise ValueError("insufficient regressor variation: ...") unless one of
     those refusals comes first; then fewer than 3 rows raise
     ValueError("insufficient data: ..."), all before the search.  Standard
-    errors cover the two free parameters (the fixed one reports 0.0).  This is the one-row case of
-    the stacked fit the Monte Carlo harness runs.
+    errors cover the two free parameters (the fixed one reports 0.0).
+    This is the one-row case of the stacked fit the Monte Carlo harness
+    runs.
     """
     b3h, (k, pin) = np.array([_beta3_hat(beta3_hat)]), gauge.fixed
     return _stage2_rows(data.e[None], data.pi_star[None], b3h, k, np.array([pin]), data.labels).result(0)

@@ -262,10 +262,11 @@ def _qr_rows(jacobian, n: int, ssr: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     this one condition number serves both the standard errors and the
     ``ILL_CONDITIONED`` diagnostic; it is inf for a singular or non-finite
     Jacobian.  A row's standard errors are nan (degenerate covariance) when
-    ``cond(R) >= 1/sqrt(eps)`` or ``n <= p``.  Rows of more than
-    ``_QR_BLOCK`` observations are factored block by block, ``R`` being
-    that of the stacked blocks' ``R``s (tall-skinny QR), so no whole
-    Jacobian is held; shorter rows get one QR.
+    ``cond(R) >= 1/sqrt(eps)``.  Requires ``n > p``: every caller refuses
+    fewer observations first.  Rows of more than ``_QR_BLOCK``
+    observations are factored block by block, ``R`` being that of the
+    stacked blocks' ``R``s (tall-skinny QR), so no whole Jacobian is held;
+    shorter rows get one QR.
     """
     rs, finite, width = [], True, _QR_BLOCK if n > _QR_BLOCK else n
     for i in range(0, n, width):
@@ -274,12 +275,10 @@ def _qr_rows(jacobian, n: int, ssr: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         finite = finite & ok
         rs.append(np.linalg.qr(jac if ok.all() else np.where(ok[:, None, None], jac, 0.0), mode="r"))
     r = rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=1), mode="r")
-    n_rows, p = len(r), r.shape[-1]
+    p = r.shape[-1]
     cond = np.linalg.cond(r)
     cond = np.where(finite & np.isfinite(cond), cond, np.inf)
     ok = cond < _SINGULAR_COND
-    if n <= p:
-        return np.full((n_rows, p), np.nan), cond
     rinv = np.linalg.inv(np.where(ok[:, None, None], r, np.eye(p)))
     # Each row's norm is taken on the row scaled by the power of two that brings its largest entry
     # into [0.5, 1), so no square overflows; scaling by a power of two is exact.

@@ -6,7 +6,11 @@
 ``--check`` ends its diff with one block per moved case: the largest
 relative change of each numeric field that moved (validation floats are
 decoded from hex), or ``text changed`` when more than numbers moved, so a
-move at rounding level reads at a glance.
+move at rounding level reads at a glance.  A moved ``[stage1]`` or
+``[stage2]`` parameter also gets its move in units of the committed
+``se_*`` of its section, and a moved validation ``bias``, ``rmse`` or
+``beta3_mean`` in units of the committed ``rmse`` of its parameter: the
+scales the oracle tests and the corpus bounds are stated in.
 
 The corpus pins what the program gives back for a fixed set of cases:
 
@@ -363,6 +367,27 @@ def _fields(value, name: str, out: dict) -> dict:
     return out
 
 
+# (pattern of a field, template of the field that is its scale).
+_SCALES = (
+    (r"(report \[stage[12]\]) (beta\d)", r"\1 se_\2"),
+    (r"(report \[validation\]) (?:bias|rmse)_(beta\d)", r"\1 rmse_\2"),
+    (r"(report \[validation\]) beta3_mean", r"\1 rmse_beta3"),
+    (r"report\.(?:bias|rmse) (\[\d\])", r"report.rmse \1"),
+    (r"report\.beta3_mean", r"report.rmse [2]"),
+)
+
+
+def _scale(field: str, fields: dict) -> tuple[str, float] | None:
+    """``(name, value)`` of the scale of ``field`` among ``fields``, if it has one that is finite and nonzero."""
+    for pattern, template in _SCALES:
+        if re.fullmatch(pattern, field):
+            scale = re.sub(pattern, template, field)
+            values = fields.get(scale, ("", []))[1]
+            if len(values) == 1 and 0.0 < abs(values[0]) < float("inf"):
+                return re.sub(r"^report(?: \[\w+\] |\.)", "", scale), abs(values[0])
+    return None
+
+
 def _relative(old: float, new: float) -> float:
     if old == new or (old != old and new != new):
         return 0.0
@@ -372,8 +397,10 @@ def _relative(old: float, new: float) -> float:
 def moved_fields(old: dict, new: dict) -> dict[str, dict[str, str]]:
     """``{case: {field: change}}`` of every case that moved between two corpora.
 
-    A change is the largest relative change of the field's numbers, or
-    ``text changed`` when its text moved, or it was added or removed.
+    A change is the largest relative change of the field's numbers, then,
+    for a field with a scale (``_SCALES``), the largest move in units of
+    the old scale; or ``text changed`` when its text moved, or it was added
+    or removed.
     """
     moved = {}
     for group in ("cli", "validation"):
@@ -386,6 +413,10 @@ def moved_fields(old: dict, new: dict) -> dict[str, dict[str, str]]:
                     continue
                 if field in a and field in b and a[field][0] == b[field][0]:
                     changes[field] = f"{max(map(_relative, a[field][1], b[field][1])):.2g}"
+                    scale = _scale(field, a)
+                    if scale is not None:
+                        move = max(abs(y - x) for x, y in zip(a[field][1], b[field][1])) / scale[1]
+                        changes[field] += f" ({move:.2g} {scale[0]})"
                 else:
                     changes[field] = "text changed"
             if changes:

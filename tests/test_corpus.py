@@ -43,32 +43,45 @@ def test_validation_case(name):
     assert regenerate.run_validation_case(name) == CORPUS["validation"][name]
 
 
+def _number(holder, key):
+    """The float at ``holder[key]``: a hex float, or the number of a ``key = value`` line."""
+    value = holder[key]
+    return float(value.split(" = ")[1]) if " = " in value else float.fromhex(value)
+
+
 @pytest.mark.parametrize(
-    "group, case, path, field",
+    "group, case, path, field, scale",
     [
-        ("validation", "free", ("report", "stage2_gamma_mean"), "report.stage2_gamma_mean"),
-        ("cli", "volvol-pin-beta5-rho", ("report", 15), "report [stage2] beta6"),
+        ("validation", "free", ("report", "stage2_gamma_mean"), "report.stage2_gamma_mean", None),
+        ("validation", "free", ("report", "bias", 1), "report.bias [1]", (("report", "rmse", 1), "rmse [1]")),
+        ("cli", "volvol-pin-beta5-rho", ("report", 15), "report [stage2] beta6", (("report", 18), "se_beta6")),
     ],
-    ids=["validation-hex-float", "cli-report-line"],
+    ids=["validation-hex-float", "validation-bias-in-rmse", "cli-report-line"],
 )
-def test_check_names_the_relative_change_of_a_perturbed_float(monkeypatch, capsys, group, case, path, field):
+def test_check_names_the_relative_change_of_a_perturbed_float(monkeypatch, capsys, group, case, path, field, scale):
     # A corpus with one float moved by about 2**-30 relative: --check prints
-    # the diff, then that case and field with the change decoded from the text.
+    # the diff, then that case and field with the change decoded from the
+    # text, and for a parameter or a validation error also the move in units
+    # of its committed standard error or rmse.
     moved = copy.deepcopy(CORPUS)
-    *parents, last = path
-    holder = moved[group][case]
-    for key in parents:
-        holder = holder[key]
-    old = holder[last]
+
+    def entry(corpus, keys):
+        holder = corpus[group][case]
+        for key in keys[:-1]:
+            holder = holder[key]
+        return holder, keys[-1]
+
+    holder, last = entry(moved, path)
+    old = _number(holder, last)
     if group == "validation":
-        value = float.fromhex(old)
-        holder[last] = (value * (1.0 + 2.0**-30)).hex()
+        holder[last] = (old * (1.0 + 2.0**-30)).hex()
     else:
-        key, text = old.split(" = ")
-        value = float(text)
-        holder[last] = f"{key} = {value * (1.0 + 2.0**-30)!r}"
+        holder[last] = f"{holder[last].split(' = ')[0]} = {old * (1.0 + 2.0**-30)!r}"
+    suffix = ""
+    if scale is not None:
+        suffix = f" ({abs(_number(holder, last) - old) / _number(*entry(CORPUS, scale[0])):.2g} {scale[1]})"
     monkeypatch.setattr(regenerate, "build", lambda: moved)
     assert regenerate.main(["--check"]) == 1
     out = capsys.readouterr().out
-    assert out.endswith(f"moved: {group}/{case}\n  {field}: 9.3e-10\n"), out
+    assert out.endswith(f"moved: {group}/{case}\n  {field}: 9.3e-10{suffix}\n"), out
     assert out.count("moved: ") == 1

@@ -5,6 +5,7 @@ import math
 import pathlib
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -184,8 +185,9 @@ class TestFitVolatility:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_noisy_fits_stop_once_the_decrease_is_rounding(self, seed):
         # On noisy data the sum of squares is far above flat = (eps*|pi|)**2,
-        # and a predicted decrease below eps*ssr cannot show in it: the search
-        # stops there rather than halving its last step down to 1e-12.
+        # and a predicted decrease below its rounding, eps*sum|y|*|r|, cannot
+        # show in it: the search stops there rather than halving its last
+        # step down to 1e-12.
         fit = fit_volatility(model_data(n=200, noise=0.01, seed=seed))
         assert fit.converged
         assert fit.message == "gradient tolerance reached"
@@ -902,7 +904,7 @@ class TestMonteCarloValidation:
     def _reports_by_chunk_budget(monkeypatch, spec) -> list:
         # Budgets of 7 and 14 replications end their last chunk partway
         # through the 20; 12800 (the earlier default), the default and
-        # 10**6 take the run in one chunk, with their own ladder depths.
+        # 10**6 take the run in one chunk.
         reports = []
         for budget in (1, 7 * 50, 13 * 50 + 1, 12800, portvol.estimate._CHUNK_OBSERVATIONS, 10**6):
             monkeypatch.setattr(portvol.estimate, "_CHUNK_OBSERVATIONS", budget)
@@ -1114,8 +1116,13 @@ class TestSearchPaths:
     def test_stacked_rows_match_one_row_fits(self, monkeypatch):
         # Row 5 of 16 is refused, so the first evaluations cover 15 rows and
         # run on the whole stack; once rows stop, the live ones are gathered.
-        spec = GenerationSpec(stage1=TRUTH, n=30, noise=0.05)
-        datasets = [generate_synthetic_dataset("model-implied", spec, 100 + i) for i in range(16)]
+        # Rows 8-15 are noisier and take more steps in both stages, so their
+        # last evaluations run without the first rows.
+        noise = [0.05] * 8 + [0.2] * 8
+        datasets = [
+            generate_synthetic_dataset("model-implied", GenerationSpec(TRUTH, n=30, noise=noise[i]), 100 + i)
+            for i in range(16)
+        ]
         two_e = np.where(np.arange(30) % 2, 0.05, 0.07)  # stage 1 needs 3 distinct e
         datasets[5] = Dataset(pi_star=datasets[5].pi_star, mu=two_e, r=np.full(30, 0.02))
         E, PI = np.stack([d.e for d in datasets]), np.stack([d.pi_star for d in datasets])
@@ -1142,6 +1149,26 @@ class TestSearchPaths:
         assert [o[1] for o in second] == [
             _single_outcome(fit_vol_of_vol, d, b, GaugeRule("pin-beta5", pin)) for d, b, pin in zip(datasets, b3h, pins)
         ]
+
+
+class TestStopRule:
+    """A row stops once its predicted decrease is below the rounding of its own sum of squares."""
+
+    def test_benchmark_rows_stop_on_the_gradient_test(self, monkeypatch):
+        # The mc-model-implied op.  A stop test at eps*ssr, below the rounding
+        # of sums of y - fit with |fit| >> |y - fit|, left 3 stage-1 and 24
+        # stage-2 rows halving rounding-rejected steps to "step tolerance reached".
+        messages = Counter()
+        for name in ("_stage1_rows", "_stage2_rows"):
+            def spy(*args, _fit=getattr(portvol.estimate, name), _stage=name[1:7]):
+                rows = _fit(*args)
+                messages.update((_stage, m) for m in rows.messages)
+                return rows
+
+            monkeypatch.setattr(portvol.estimate, name, spy)
+        spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)
+        monte_carlo_validation(spec, 500, master_seed=1, run_stage2=True, gauge_variant="pin-beta5")
+        assert messages == {("stage1", "gradient tolerance reached"): 500, ("stage2", "gradient tolerance reached"): 500}
 
 
 class TestLongRows:
