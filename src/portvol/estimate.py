@@ -23,7 +23,8 @@ refuses data with one.  Each fit needs more rows than free parameters,
 4 in stage 1 and 3 in stage 2.  The rules around the search have one
 owner each: :func:`_refuse` keeps a row's first refusal, :func:`_search`
 its stop test and step cap, ``_Rows`` its convergence, and
-:func:`_checks` the diagnostics both stages share.
+:func:`_checks` the standard errors and diagnostics both stages share,
+from the ``R`` of each fit's own projections (:func:`_profile`).
 
 Under the default gauge (pin ``beta5`` at the stage-1 ``beta2_hat``),
 ``gamma_hat = beta2_hat / c5_hat``.  Both are estimates of the same
@@ -57,14 +58,11 @@ from .nls import (
     _beta3_hat,
     _centred,
     _evaluate,
-    _linear_part,
     _pole_rows,
-    _qr_rows,
+    _profile,
     _rowdot,
+    _se_and_cond,
     _select,
-    _slope,
-    _stage1_grad,
-    _stage2_grad,
     _take,
 )
 from .simulate import BASE_RATE, SEED_LIMIT, GenerationSpec, _model_implied_rows, _stream_keys
@@ -186,52 +184,74 @@ def standard_errors(fit: FitResult, jacobian) -> tuple[float, ...] | None:
     so the condition number of ``J`` is never squared.  Returns None when
     ``cond(R) >= 1/sqrt(eps)`` or an entry of ``J`` is not finite
     (degenerate covariance) — absent, not zero.  Requires a 2-D ``J`` with
-    more observations than parameters, and at least one parameter.
+    more observations than parameters, and at least one parameter.  The
+    fits take theirs from their own projections instead (:func:`_checks`).
     """
     jac = np.asarray(jacobian, dtype=float)
     if jac.ndim != 2 or jac.shape[1] == 0:
         raise ValueError(f"jacobian must be 2-D, (n_obs, n_params >= 1), got shape {jac.shape}")
     if jac.shape[0] <= jac.shape[1]:
         raise ValueError("standard errors require n_obs > n_params")
-    se = _qr_rows(lambda obs: jac[None, obs], jac.shape[0], np.array([fit.residual_norm]))[0][0]
+    if not np.isfinite(jac).all():
+        return None
+    r = np.linalg.qr(jac, mode="r")
+    se = _se_and_cond(r[None], np.array([fit.residual_norm]), jac.shape[0] - jac.shape[1])[0][0]
     return None if np.isnan(se).any() else tuple(se.tolist())
 
 
-def _checks(E, b3, p: int, jacobian, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Standard errors and the diagnostics both stages share, per row, with the pole at ``-b3``.
-
-    ``jacobian(b, obs)`` gives the ``p``-column Jacobians of the rows in the
-    slice ``b`` at the observations in the slice ``obs``.  Rows go in blocks
-    of at most ``_CHUNK_OBSERVATIONS`` entries, a longer row alone, which
-    :func:`_qr_rows` factors in blocks of ``_QR_BLOCK`` observations: so
-    they and the copy their QR makes stay within a chunk.
-    """
-    n = E.shape[1]
-    near = np.min(np.abs(b3[:, None] + E), axis=-1) < 1e-3 * b3
-    step = max(1, _CHUNK_OBSERVATIONS // (p * n))
-    blocks = [slice(i, i + step) for i in range(0, len(E), step)]
-    se, cond = map(np.concatenate, zip(*(_qr_rows(partial(jacobian, b), n, ssr[b]) for b in blocks)))
+def _checks(E, b3, r, ssr, unit=1.0) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Standard errors and the diagnostics both stages share, per row, from ``R`` factors (:func:`_se_and_cond`)."""
+    se, cond = _se_and_cond(r, ssr, E.shape[1] - r.shape[-1], unit)
     return se, {
-        DIAG_POLE: near,
+        DIAG_POLE: np.min(np.abs(b3[:, None] + E), axis=-1) < 1e-3 * b3,
         DIAG_ILL_CONDITIONED: cond > _COND_LIMIT,
         DIAG_DEGENERATE_COV: np.isnan(se).any(axis=-1),
     }
 
 
-def _stage1_checks(E, b1, b2, b3, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Standard errors and diagnostics of stage-1 fits, per row, from :func:`stage1_jacobian`'s derivatives."""
-    se, flags = _checks(E, b3, 3, lambda b, obs: _stage1_grad(E[b, obs], b1[b], b2[b], b3[b])[0], ssr)
+def _stage1_checks(E, params, ssr, r=None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Standard errors and diagnostics of stage-1 fits, per row, from :func:`_stage1_profile`'s ``R`` entries ``r``.
+
+    ``r``, each row's means of ``u`` and ``u(1 - u)`` and profile's ``R``
+    entries, is evaluated at ``beta3`` when None.  With ``sqrt(n)*(1, mean
+    u, mean u(1 - u))`` on top they make the ``R_B`` of ``B = [1, u, u(1 -
+    u)]``, and :func:`stage1_jacobian` is ``B T``, ``T = [[0, 1, 0], [1, -1,
+    0], [0, 0, (beta2 - beta1)/beta3]]``.
+    """
+    b1, b2, b3 = params.T
+    n, rb = E.shape[1], np.zeros((len(E), 3, 3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # nan at a pole among the e
+        if r is None:
+            r = _stage1_profile(E, np.zeros(len(E)), np.zeros_like(E), b3, np.empty((3,) + E.shape))[1][:, 2:]
+        rb.reshape(-1, 9)[:, [0, 1, 2, 4, 5, 8]] = np.column_stack([np.ones(len(E)), r]) * np.sqrt([n] * 3 + [1] * 3)
+        rb = np.stack([rb[..., 1], rb[..., 0] - rb[..., 1], rb[..., 2] * ((b2 - b1) / b3)[:, None]], axis=-1)
+    se, flags = _checks(E, b3, rb, ssr)
     flags[DIAG_B1_EQ_B2] = np.abs(b1 - b2) < 1e-6 * np.maximum(np.maximum(np.abs(b1), np.abs(b2)), 1.0)
     return se, flags
 
 
-def _stage2_checks(E, beta, b3h, k: int, ssr) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def _stage2_checks(E, beta, b3h, k: int, ssr, r=None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Standard errors (0.0 for the beta the gauge fixes) and diagnostics of stage-2 fits, per row.
 
-    The Jacobian is :func:`stage2_jacobian`'s in the two free betas: the gauge-fixed problem's, up to sign.
+    ``r`` holds each row's ``a`` and its profile's ``R`` of ``[w, q]``
+    (:func:`_stage2_profile`), evaluated at ``a = 1/|(c6, c5)|`` when None.
+    With ``(cos, sin) = a*(c6, c5)``, :func:`stage2_jacobian` is ``a/beta4
+    * [w, q] [[1, -a*sin, -a*cos], [0, -a*cos, a*sin]]``, of which the
+    gauge leaves two columns free.
     """
-    free = tuple(i for i in range(3) if i != k)
-    se, flags = _checks(E, b3h, 2, lambda b, obs: _stage2_grad(E[b, obs], beta[b], b3h[b], free)[0], ssr)
+    b4, c5, c6 = beta[:, 0], beta[:, 1] / beta[:, 0], beta[:, 2] / beta[:, 0]
+    one, zero = np.ones(len(E)), np.zeros(len(E))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # nan at a pole among the e
+        a = 1.0 / np.hypot(c6, c5) if r is None else r[:, 0]
+        cos, sin = a * c6, a * c5
+        if r is None:
+            r = _stage2_profile(E, np.zeros_like(E), b3h[:, None], cos[:, None], sin[:, None], slice(None),
+                                np.empty((3,) + E.shape))[1][:, 2:]
+        rwq = np.column_stack([r[:, 1:3], zero, r[:, 3]]).reshape(-1, 2, 2)
+        m = np.column_stack([one, -a * sin, -a * cos, zero, -a * cos, a * sin]).reshape(-1, 2, 3)
+        # a/b4 stays out of the R factor: times a*sin it underflows for huge positions.
+        rwq, unit = rwq @ m[..., [i for i in range(3) if i != k]], b4 / a
+    se, flags = _checks(E, b3h, rwq, ssr, unit)
     flags[DIAG_GAUGE] = np.full(len(E), k == 0)
     return np.insert(se, k, 0.0, axis=1), flags
 
@@ -254,8 +274,8 @@ def identifiability_diagnostics(
     For stage-2 results the same pole and conditioning checks run against
     ``beta3_hat`` and the Jacobian in the two parameters the gauge leaves
     free, and free-gauge fits always carry ``GAUGE_UNIDENTIFIED``.  The
-    condition number is ``cond(R)`` of the Jacobian's QR factor, the one
-    the fits' standard errors use.  ``beta3_hat`` must be finite and > 0,
+    condition number is the Jacobian's, from the ``R`` factor the fits'
+    standard errors use (:func:`_checks`).  ``beta3_hat`` must be finite and > 0,
     as in :func:`fit_vol_of_vol`, and data with too few rows for the fit's
     stage raise its ValueError("insufficient data: ...").
     """
@@ -268,7 +288,7 @@ def identifiability_diagnostics(
     if failures:
         raise failures[0][1]
     if stage1:
-        flags = _stage1_checks(E, *fit.params.as_array()[:, None], ssr)[1]
+        flags = _stage1_checks(E, fit.params.as_array()[None], ssr)[1]
     else:
         k = (gauge if gauge is not None else GaugeRule("free")).fixed[0]
         flags = _stage2_checks(E, fit.params.as_array()[None], b3h, k, ssr)[1]
@@ -366,26 +386,23 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
 
     ``y`` is the regressand, ``(R, n)``.  ``profile(x, rows)`` gives ``(ssr,
     coef, g, h, f)`` of the selected rows (an index, or a slice for every
-    row) at ``x``: the sum of squares of the fit, inf where ``x`` is on a
-    pole; the coefficients solved in closed form there, one row each; the
-    gradient and Gauss-Newton curvature of ``ssr/2`` in ``x``; and the
-    rounding scale of ``ssr``, ``f = sum|y_i|*|r_i|`` over the residuals
-    ``r`` and the array ``y_i`` they are subtracted from.  Each step is
-    ``-g/h``, at most one unit, where ``h`` is the secant of successive
-    gradients once it is positive; a step that does not strictly lower the
-    sum of squares is halved, once per evaluation.  A row stops with
-    "gradient tolerance reached" once the predicted decrease ``g*g/h`` is
-    below the rounding of the sum of squares, ``eps*f`` (Gill, Murray and
-    Wright 1981, section 8.2.3), or of the regressand, ``(eps*|y|)**2``,
-    tested unsquared: ``|g| <= max(eps*|y|, sqrt(eps*f))*sqrt(h)``; with
-    "step tolerance reached" when no step longer than ``_K_TOL`` brings a
-    decrease; and with "max iterations" after ``_MAX_ITERATIONS`` accepted
-    steps.  A row whose start is not finite stops there with
-    ``UNEVALUABLE_START``.  Returns ``(x, ssr, coef, iterations,
-    messages)``; rows not ``live`` are nan.  A selection of nearly every
-    row is evaluated on the whole stack (:func:`_evaluate`), so ``profile``
-    must accept any row at its current ``x``, nan included; only the
-    selected rows' results are read.
+    row) at ``x``, as :func:`_profile` does, with ssr inf where ``x`` is on
+    a pole and ``coef`` the row's values to keep from its last accepted
+    evaluation.  Each step is ``-g/h``, at most one unit, where ``h`` is the
+    secant of successive gradients once it is positive; a step that does not
+    strictly lower the sum of squares is halved, once per evaluation.  A row
+    stops with "gradient tolerance reached" once the predicted decrease
+    ``g*g/h`` is below the rounding of the sum of squares, ``eps*f`` (Gill,
+    Murray and Wright 1981, section 8.2.3), or of the regressand,
+    ``(eps*|y|)**2``, tested unsquared: ``|g| <= max(eps*|y|,
+    sqrt(eps*f))*sqrt(h)``; with "step tolerance reached" when no step
+    longer than ``_K_TOL`` brings a decrease; and with "max iterations"
+    after ``_MAX_ITERATIONS`` accepted steps.  A row whose start is not
+    finite stops there with ``UNEVALUABLE_START``.  Returns ``(x, ssr, coef,
+    iterations, messages)``; rows not ``live`` are nan.  A selection of
+    nearly every row is evaluated on the whole stack (:func:`_evaluate`), so
+    ``profile`` must accept any row at its current ``x``, nan included; only
+    the selected rows' results are read.
     """
     n_rows = len(y)
     eps = np.finfo(float).eps
@@ -435,6 +452,36 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
     return x, ssr, coef, iterations, messages
 
 
+def _stage1_profile(e, ybar, y, b3, work: np.ndarray, grad: bool = True):
+    """The stage-1 fit of each row at a fixed ``beta3``, in closed form, and the derivatives of its ssr/2 in ``k``.
+
+    The curve is then ``beta2 + (beta1 - beta2)*u`` with ``u = e/(beta3 +
+    e)``: :func:`_profile` fits the centred positions ``y`` (row means
+    ``ybar``, :func:`_centred`) on ``u`` centred, with ``u(1 - u) =
+    -du/dk``, ``k = log beta3``, centred as the derivative column.  A ``u``
+    that does not vary fits the level, ``beta1 = beta2 = mean(y)``.
+    Returns ``(ssr, coef, g, h, f)``, ``coef`` being ``(beta1, beta2)``,
+    the means of ``u`` and ``u(1 - u)`` and the profile's ``R`` entries;
+    without ``grad`` only ``(ssr, (beta1, beta2))``.  Arrays are ``(R,
+    n)``, with the three of an evaluation in ``work``.
+    """
+    n = e.shape[-1]
+    u, du, d = work[:, : len(b3)]
+    np.divide(e, np.add(b3[:, None], e, out=u), out=u)
+    np.subtract(u, u[:, :1], out=du)  # exact zeros when every u is the same
+    ubar = du.sum(axis=-1) / n
+    du -= ubar[:, None]
+    ubar += u[:, 0]
+    if grad:
+        d = np.multiply(u, np.subtract(1.0, u, out=d), out=d)
+        dbar = d.sum(axis=-1) / n
+        d -= dbar[:, None]
+    ssr, slope, *rest = _profile(y, du, d if grad else None, u)  # with grad, rest is g, h, f and the R entries
+    b2 = ybar - slope * ubar  # centred, so no cancellation in b2 + slope*u
+    coef = [b2 + slope, b2] + ([ubar, dbar, rest.pop()] if grad else [])
+    return ssr, np.column_stack(coef), *rest
+
+
 def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     """Stage 1 on stacked datasets: excess returns ``E`` and positions ``PI``, ``(R, n)``.
 
@@ -455,34 +502,13 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     scale = np.maximum(-lo, hi)
     scale[scale == 0.0] = 1.0
 
-    n = E.shape[1]
-    work = np.empty((3, n_rows, n))  # every evaluation's arrays, reused
+    work = np.empty((3,) + E.shape)  # every evaluation's arrays, reused
 
     def fit(k, sel, grad=False):
-        """``(ssr,)`` of rows ``sel`` at ``beta3 = max|e|*exp(k)``, inf on a pole among the e.
-
-        With ``grad``, the profile :func:`_search` takes: ``(ssr, (beta1, beta2), g, h, f)`` in ``k``,
-        the residual being subtracted from the centred positions.
-        """
         b3 = scale[sel] * _libm(math.exp, k)
-        u, du, res = work[:, : len(b3)]
-        e, yc = E[sel], YC[sel]  # views, or copies of the few rows gathered
-        np.divide(e, np.add(b3[:, None], e, out=u), out=u)
-        b1, b2, slope, sxx = _linear_part(ybar[sel], yc, u, du)
-        if grad:
-            # d(residual)/dk, from w = -du/dk = u(1 - u) projected off [1, u] with the fit's own du and sxx:
-            # the exact gradient (Kaufman 1975)
-            w = np.multiply(u, np.subtract(1.0, u, out=res), out=u)
-            w -= (w.sum(axis=-1) / n)[:, None]
-            w -= np.multiply(_slope(du, w, sxx)[:, None], du, out=res)
-            w *= (b1 - b2)[:, None]
-        np.subtract(yc, np.multiply(slope[:, None], du, out=res), out=res)
-        ssr = _rowdot(res, res)
-        ssr[(lo[sel] <= -b3) & (-b3 <= hi[sel])] = np.inf
-        if not grad:
-            return (ssr,)
-        g, h = _rowdot(w, res), _rowdot(w, w)
-        return ssr, np.stack([b1, b2], axis=1), g, h, _rowdot(np.abs(yc, out=w), np.abs(res, out=res))
+        out = _stage1_profile(E[sel], ybar[sel], YC[sel], b3, work, grad)  # views, or copies of the few rows
+        out[0][(lo[sel] <= -b3) & (-b3 <= hi[sel])] = np.inf  # a pole among the e
+        return out
 
     live = ~np.isin(np.arange(n_rows), list(failures))
     rows = np.flatnonzero(live)
@@ -495,16 +521,15 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
             better = ssr < best[rows]
             k[rows[better]], best[rows[better]] = grid_k, ssr[better]
     k, ssr, coef, iterations, messages = _search(lambda k, sel: fit(k, sel, True), k, live, PI)
-    b1, b2 = coef.T
 
     _refuse(failures, (k < _LOG_BETA3_GRID[0]) | (k > _LOG_BETA3_GRID[-1]), "stage1 beta3 not identified", lambda i:
             ValueError(f"beta3 is not identified: log(beta3/max|e|) ends at {float(k[i]):.6g}, outside [-8, 6]"))
     b3 = scale * _libm(math.exp, k)
-    params = np.stack([b1, b2, b3], axis=1)
+    params = np.column_stack([coef[:, :2], b3])
     # Inputs are finite, so a non-finite fit is one whose sums overflowed.
     _refuse(failures, ~(np.isfinite(ssr) & np.isfinite(params).all(axis=1)), "stage1 non-finite fit",
             lambda i: ValueError("stage-1 fit is not finite: positions too large, the sum of squares overflows"))
-    checks = partial(_stage1_checks, E, b1, b2, b3, ssr)
+    checks = partial(_stage1_checks, E, params, ssr, coef[:, 2:])
     return _Rows(Stage1Params, params, ssr, iterations, messages, failures, checks)
 
 
@@ -547,6 +572,33 @@ def _apply_gauge(q: np.ndarray, k: int, pins: np.ndarray) -> tuple[np.ndarray, n
     return beta, v[:, k]
 
 
+def _stage2_profile(E, Y, bh, cos, sin, sel, work: np.ndarray):
+    """The fit of rows ``sel`` of ``Y = 1/pi`` by ``a*w``, ``w = 1/(cos*u + sin*v)``, and the derivatives of ssr/2.
+
+    ``u = e/(b3h + e)`` and ``v = b3h/(b3h + e)`` are the curve's
+    derivatives in ``c6`` and ``c5``; ``bh``, ``cos`` and ``sin`` are
+    columns.  :func:`_profile` solves ``a``, with ``q = w**2*(cos*v -
+    sin*u) = -dw/dtheta`` as the derivative column.  Returns ``(ssr, coef,
+    g, h, f)``, ``coef`` being ``(c6, c5) = (cos, sin)/a``, ``a`` and the
+    profile's ``R`` entries; inf ssr: the denominator is on the pole guard
+    or changes sign on the row.  The arrays are rows of ``work``.
+    """
+    w, q, s = work[:, : len(cos)]
+    e, b = _take(E, sel, s), bh[sel]
+    np.divide(e, np.add(b, e, out=q), out=s)  # u
+    d = np.multiply(cos, s, out=w)
+    d += np.multiply(sin, np.divide(b, q, out=q), out=q)
+    # One sign and no entry on the pole guard: every d times the first one's sign is above it.
+    pole = np.min(np.multiply(d, np.sign(d[:, :1]), out=q), axis=-1) < _POLE_RTOL
+    w = np.divide(1.0, d, out=d)
+    q = np.multiply(cos, np.divide(b, np.add(b, _take(E, sel, q), out=q), out=q), out=q)  # v again
+    q -= np.multiply(sin, s, out=s)
+    q *= np.multiply(w, w, out=s)
+    ssr, a, g, h, f, r = _profile(Y[sel], w, q, s)
+    ssr[pole] = np.inf
+    return ssr, np.column_stack([np.hstack([cos, sin]) / a[:, None], a, r]), g, h, f
+
+
 def _stage2_rows(
     E: np.ndarray,
     PI: np.ndarray,
@@ -573,8 +625,7 @@ def _stage2_rows(
         "positions cross zero, so their inverses pass a pole"
     ))
     bh = b3h[:, None]
-    denom = bh + E
-    _refuse(failures, _pole_rows(denom, bh, E), "stage2 pole guard", lambda i: PoleError())
+    _refuse(failures, _pole_rows(bh + E, bh, E), "stage2 pole guard", lambda i: PoleError())
     _refuse(failures, E.min(axis=-1, initial=np.inf) == E.max(axis=-1, initial=-np.inf),
             "stage2 insufficient regressor variation",
             lambda i: ValueError("insufficient regressor variation: stage-2 fit needs at least 2 distinct e, got 1"))
@@ -582,66 +633,33 @@ def _stage2_rows(
     if len(failures) == n_rows:
         return _Rows.refused(Stage2Params, failures)
 
-    n = E.shape[1]
+    del zero, flips
     live = ~np.isin(np.arange(n_rows), list(failures))
     rows = np.flatnonzero(live)
     sel = _select(rows, n_rows)
+    work = np.empty((3,) + E.shape)  # every evaluation's arrays, reused
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = np.divide(E, denom, out=denom)  # the curve's derivative in c6
-        c6, c5 = _linear_part(*_centred(PI[sel]), u[sel], np.empty((len(rows), n)))[:2]
-        del u, denom, zero, flips
+        # The start: the stage-1 curve's linear part at beta3_hat, whose reciprocal is stage 2's at (c6, c5).
+        c6, c5 = _stage1_profile(E[sel], *_centred(PI[sel]), b3h[sel], work, False)[1].T
         Y = 1.0 / PI
     theta = np.full(n_rows, math.nan)
     theta[rows] = [math.atan2(s, c) for c, s in zip(c6.tolist(), c5.tolist())]
-    work = np.empty((3, n_rows, n))  # every evaluation's arrays, reused
 
     def profile(theta, sel):
-        """The fit of ``y = 1/pi`` by ``a*w``, ``w = 1/(cos(theta)*u + sin(theta)*v)``, and the derivatives of ssr/2.
+        return _stage2_profile(E, Y, bh, _libm(math.cos, theta)[:, None], _libm(math.sin, theta)[:, None], sel, work)
 
-        ``u = e/(b3h + e)`` and ``v = b3h/(b3h + e)`` are the curve's
-        derivatives in ``c6`` and ``c5``, ``a = <y, w>/<w, w>`` is solved in
-        closed form, and the coefficients are ``(c6, c5) = (cos(theta),
-        sin(theta))/a``.  The derivative of the residual in ``theta`` is
-        ``a*q``, ``q = w**2*(cos(theta)*v - sin(theta)*u)``, projected off
-        ``w`` (Kaufman 1975); inf ssr: the denominator is on the pole guard
-        or changes sign on the row.  Last comes the rounding scale of ssr,
-        ``sum|y|*|res|``.  The arrays are rows of ``work``.
-        """
-        cos, sin = _libm(math.cos, theta)[:, None], _libm(math.sin, theta)[:, None]
-        w, u, v = work[:, : len(theta)]
-        e, b = _take(E, sel, u), bh[sel]
-        np.divide(e, np.add(b, e, out=v), out=u)
-        d = np.multiply(cos, u, out=w)
-        d += np.multiply(sin, np.divide(b, v, out=v), out=v)
-        # One sign and no entry on the pole guard: every d times the first one's sign is above it.
-        pole = np.min(np.multiply(d, np.sign(d[:, :1]), out=v), axis=-1) < _POLE_RTOL
-        w = np.divide(1.0, d, out=d)
-        ww = _rowdot(w, w)
-        q = np.multiply(cos, np.divide(b, np.add(b, _take(E, sel, v), out=v), out=v), out=v)  # v again
-        q -= np.multiply(sin, u, out=u)
-        q *= np.multiply(w, w, out=u)
-        q -= np.multiply((_rowdot(q, w) / ww)[:, None], w, out=u)
-        y = _take(Y, sel, u)
-        a = _rowdot(y, w) / ww
-        res = np.subtract(y, np.multiply(a[:, None], w, out=w), out=u)
-        ssr = _rowdot(res, res)
-        ssr[pole] = np.inf
-        g, h = a * _rowdot(q, res), a * a * _rowdot(q, q)
-        y = np.abs(_take(Y, sel, w), out=w)  # y again: res overwrote it
-        return ssr, np.hstack([cos, sin]) / a[:, None], g, h, _rowdot(y, np.abs(res, out=res))
-
-    theta, ssr, q, iterations, messages = _search(profile, theta, live, Y)
+    theta, ssr, coef, iterations, messages = _search(profile, theta, live, Y)
     _refuse(failures, [m == UNEVALUABLE_START for m in messages], "stage2 initial residuals unevaluable",
             lambda i: ValueError(UNEVALUABLE_START))
 
     with np.errstate(divide="ignore", invalid="ignore"):  # a row that failed may have c5 or c6 = 0
-        params, ratio = _apply_gauge(q, k, pins)
+        params, ratio = _apply_gauge(coef[:, :2], k, pins)
     name = ("beta4", "beta5", "beta6")[k]
     _refuse(failures, ~(np.sign(pins) * np.sign(ratio) > 0.0), "stage2 gauge sign conflict", lambda i: ValueError(
         f"gauge sign conflict: {_GAUGE_VARIANTS[k]} pins {name} at {pins[i]:+.6g} but the data give "
         f"{name}/beta4 = {ratio[i]:+.6g}; opposite signs would make beta4 <= 0"
     ))
-    checks = partial(_stage2_checks, E, params, b3h, k, ssr)
+    checks = partial(_stage2_checks, E, params, b3h, k, ssr, coef[:, 2:])
     return _Rows(Stage2Params, params, ssr, iterations, messages, failures, checks)
 
 

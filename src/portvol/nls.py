@@ -14,11 +14,10 @@ The two model functions are rational in the excess return ``e = mu - r``:
   parameters are only identified up to a gauge.
 
 Both fits of ``portvol.estimate`` search one coordinate by variable
-projection, on stacked rows with one independent dataset per row.  The
-curves and Jacobians here are stacked the same way, the public ones being
-one row, and the Jacobians' stacked QR (``_qr_rows``) gives the reported
-standard errors.  The stage-1 fit at a fixed ``beta3`` in closed form
-(``_linear_part``) and the row helpers of the stacked fits are here too.
+projection (``_profile``), on stacked rows with one independent dataset
+per row, and take their standard errors from its ``R`` (``_se_and_cond``).
+The curves and Jacobians here are stacked the same way, the public ones
+being one row.  The row helpers of the stacked fits are here too.
 """
 
 from __future__ import annotations
@@ -37,11 +36,8 @@ __all__ = [
 
 # Relative threshold below which a denominator counts as sitting on a pole.
 _POLE_RTOL = 1e-12
-# A Jacobian whose condition number reaches this has a degenerate covariance (see _qr_rows).
+# A Jacobian whose condition number reaches this has a degenerate covariance (see _se_and_cond).
 _SINGULAR_COND = 1.0 / np.sqrt(np.finfo(float).eps)
-# _qr_rows factors a row of more observations than this in blocks of this many: a constant, not a share of
-# a chunk, so a row's standard errors do not depend on the rows stacked with it.
-_QR_BLOCK = 8192
 
 
 class PoleError(ValueError):
@@ -81,21 +77,20 @@ def _stage1_curve(E: np.ndarray, b1, b2, b3) -> tuple[np.ndarray, np.ndarray]:
     return value, pole
 
 
-def _stage1_grad(E: np.ndarray, b1: np.ndarray, b2: np.ndarray, b3: np.ndarray):
-    """``(jac, pole)``: derivatives of the stage-1 curve in (beta1, beta2, beta3), ``(R, n, 3)``.
+def _stage1_grad(E: np.ndarray, b1, b2, b3):
+    """``(jac, pole)``: derivatives of the stage-1 curve in (beta1, beta2, beta3) at ``E``, ``(R, n, 3)``.
 
-    ``E`` is ``(R, n)`` and each parameter ``(R,)``, one curve per row.  A
-    row on the pole guard of :func:`_pole_rows` is nan, and ``pole`` marks it.
+    Each parameter is a scalar or an ``(R, 1)`` column, one curve per row.
+    A row on the pole guard of :func:`_pole_rows` is nan, and ``pole`` marks it.
     """
-    b3c = b3[:, None]
-    denom = b3c + E
+    denom = b3 + E
     jac = np.empty(E.shape + (3,))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(E, denom, out=jac[..., 0])
-        np.divide(b3c, denom, out=jac[..., 1])
-        np.multiply((b2 - b1)[:, None], jac[..., 0], out=jac[..., 2])
+        np.divide(b3, denom, out=jac[..., 1])
+        np.multiply(b2 - b1, jac[..., 0], out=jac[..., 2])
         jac[..., 2] /= denom
-    pole = _pole_rows(denom, b3c, E)
+    pole = _pole_rows(denom, b3, E)
     jac[pole] = np.nan
     return jac, pole
 
@@ -106,54 +101,26 @@ def _centred(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ybar, y - ybar[:, None]
 
 
-def _slope(du: np.ndarray, yc: np.ndarray, sxx: np.ndarray) -> np.ndarray:
-    """Per row, the slope of centred ``yc`` on centred ``du`` with ``sxx = <du, du>``; 0 where ``du`` is 0."""
-    return np.divide(_rowdot(du, yc), sxx, out=np.zeros_like(sxx), where=sxx != 0.0)
-
-
-def _linear_part(ybar, yc, u: np.ndarray, du: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(beta1, beta2, slope, sxx)`` per row, the stage-1 fit at a fixed ``beta3`` in closed form.
-
-    The curve is then ``beta2 + (beta1 - beta2)*u`` with ``u = e/(beta3 + e)``,
-    a simple linear regression of ``y`` on ``u`` (Golub and Pereyra 1973):
-    ``ybar`` and ``yc`` are ``y``'s row means and centred rows (:func:`_centred`),
-    ``du`` receives ``u`` centred, and the residual, ``y`` projected off ``[1,
-    u]``, is ``yc - slope*du``.  A ``u`` that does not vary fits the level,
-    ``beta1 = beta2 = mean(y)``.  Arrays are ``(R, n)``; every sum runs along a row.
-    """
-    np.subtract(u, u[:, :1], out=du)  # exact zeros when every u is the same
-    ubar = du.sum(axis=-1) / u.shape[-1]
-    du -= ubar[:, None]
-    sxx = _rowdot(du, du)
-    slope = _slope(du, yc, sxx)
-    b2 = ybar - slope * (u[:, 0] + ubar)
-    return b2 + slope, b2, slope, sxx  # centred, so no cancellation in b2 + slope*u
-
-
 def _stage2_terms(E: np.ndarray, b5, b6, bh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(num, den, pole)``: the stage-2 ``bh + e`` and ``b5*bh + b6*e``, and the rows with either on the pole guard."""
     num, den = bh + E, b5 * bh + b6 * E
     return num, den, _pole_rows(num, bh, E) | _pole_rows(den, b5 * bh, b6 * E)
 
 
-def _stage2_grad(E: np.ndarray, beta: np.ndarray, b3h: np.ndarray, columns=(0, 1, 2)):
-    """``(jac, pole)``: derivatives of the stage-2 curve in the ``columns`` of (beta4, beta5, beta6).
+def _stage2_grad(E: np.ndarray, b4, b5, b6, bh):
+    """``(jac, pole)``: derivatives of the stage-2 curve in (beta4, beta5, beta6) at ``E``, ``(R, n, 3)``.
 
-    ``E`` is ``(R, n)``, ``beta`` ``(R, 3)`` and ``b3h`` ``(R,)``, one curve
-    per row; ``jac`` is ``(R, n, len(columns))``.  A row on the pole guard
-    of either denominator is nan, and ``pole`` marks it.
+    The parameters and ``bh = b3h`` are scalars or ``(R, 1)`` columns, one
+    curve per row.  A row on the pole guard of either denominator is nan,
+    and ``pole`` marks it.
     """
-    b4, b5, b6 = (beta[:, i, None] for i in range(3))
-    bh = b3h[:, None]
     num, den, pole = _stage2_terms(E, b5, b6, bh)
-    jac = np.empty(E.shape + (len(columns),))
+    jac = np.empty(E.shape + (3,))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g4 = np.divide(num, den, out=num)
+        g4 = np.divide(num, den, out=jac[..., 0])
         t = -b4 * g4 / den  # the derivatives in beta5 and beta6 are t*b3h and t*e
-        del den
-        factors = ((g4, 1.0), (t, bh), (t, E))
-        for col, i in enumerate(columns):
-            np.multiply(*factors[i], out=jac[..., col])
+        np.multiply(t, bh, out=jac[..., 1])
+        np.multiply(t, E, out=jac[..., 2])
     jac[pole] = np.nan
     return jac, pole
 
@@ -190,7 +157,7 @@ def stage1_jacobian(e, b: Stage1Params):
     These are the derivatives behind the stage-1 standard errors.
     """
     e = np.asarray(e, dtype=float)
-    return _one_curve(e, *_stage1_grad(e.reshape(1, -1), *(np.array([v]) for v in b.as_array())))
+    return _one_curve(e, *_stage1_grad(e.reshape(1, -1), *b.as_array()))
 
 
 def _beta3_hat(beta3_hat) -> float:
@@ -219,7 +186,7 @@ def stage2_jacobian(e, b: Stage2Params, beta3_hat: float):
     The stage-2 standard errors use the two columns the gauge leaves free.
     """
     e = np.asarray(e, dtype=float)
-    return _one_curve(e, *_stage2_grad(e.reshape(1, -1), b.as_array()[None], np.array([_beta3_hat(beta3_hat)])))
+    return _one_curve(e, *_stage2_grad(e.reshape(1, -1), *b.as_array(), _beta3_hat(beta3_hat)))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,37 +219,51 @@ def _evaluate(profile, x: np.ndarray, rows: np.ndarray, x_rows=None):
     return tuple(out[rows] for out in profile(x, slice(None)))
 
 
-def _qr_rows(jacobian, n: int, ssr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standard errors and ``cond(J)`` per row, from a stacked QR of the Jacobians, ``(R, n, p)``.
+def _profile(y: np.ndarray, b: np.ndarray, d, work: np.ndarray):
+    """Variable projection per row: ``y`` fitted by ``c*b``, the fit's derivative in the search coordinate ``-c*d``.
 
-    ``jacobian(obs)`` gives the Jacobians' observations in the slice ``obs``.
-    Gauss-Newton standard errors ``sqrt(diag(s2 * inv(J'J)))`` with ``s2 =
-    ssr/(n - p)``: with ``J = QR``, ``inv(J'J) = inv(R) inv(R)'``, so the
-    condition number of ``J`` is never squared.  ``cond(R) = cond(J)``, so
-    this one condition number serves both the standard errors and the
-    ``ILL_CONDITIONED`` diagnostic; it is inf for a singular or non-finite
-    Jacobian.  A row's standard errors are nan (degenerate covariance) when
-    ``cond(R) >= 1/sqrt(eps)``.  Requires ``n > p``: every caller refuses
-    fewer observations first.  Rows of more than ``_QR_BLOCK``
-    observations are factored block by block, ``R`` being that of the
-    stacked blocks' ``R``s (tall-skinny QR), so no whole Jacobian is held;
-    shorter rows get one QR.
+    Arrays are ``(R, n)``.  Returns ``(ssr, c, g, h, f, r)``: the sum of
+    squares of the residual ``y - c*b`` (left in ``work``), ``c = <y,
+    b>/<b, b>`` (0 where ``b`` is 0), the gradient and Gauss-Newton
+    curvature of ``ssr/2`` from ``d`` projected off ``b`` in place (Golub
+    and Pereyra 1973; Kaufman 1975), the rounding scale ``f = sum|y_i|*|r_i|``
+    of ``ssr``, and the modified Gram-Schmidt ``R`` of ``[b, d]``, ``(|b|,
+    <d, b>/|b|, |Pd|)`` per row (Bjorck 1967).  With ``d`` None only
+    ``(ssr, c)``.  ``b`` is overwritten.
     """
-    rs, finite, width = [], True, _QR_BLOCK if n > _QR_BLOCK else n
-    for i in range(0, n, width):
-        jac = jacobian(slice(i, i + width))
-        ok = np.all(np.isfinite(jac), axis=(1, 2))
-        finite = finite & ok
-        rs.append(np.linalg.qr(jac if ok.all() else np.where(ok[:, None, None], jac, 0.0), mode="r"))
-    r = rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=1), mode="r")
+    bb = _rowdot(b, b)
+    c = np.divide(_rowdot(b, y), bb, out=np.zeros_like(bb), where=bb != 0.0)
+    if d is not None:
+        db = _rowdot(b, d)
+        d -= np.multiply(np.divide(db, bb, out=np.zeros_like(bb), where=bb != 0.0)[:, None], b, out=work)
+    res = np.subtract(y, np.multiply(c[:, None], b, out=work), out=work)
+    ssr = _rowdot(res, res)
+    if d is None:
+        return ssr, c
+    dd = _rowdot(d, d)
+    g, h = c * _rowdot(d, res), c * c * dd
+    f = _rowdot(np.abs(y, out=b), np.abs(res, out=res))
+    nb = np.sqrt(bb)
+    return ssr, c, g, h, f, np.stack([nb, db / nb, np.sqrt(dd)], axis=1)
+
+
+def _se_and_cond(r: np.ndarray, ssr: np.ndarray, dof: int, unit=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Standard errors and ``cond(J)`` per row from ``r``, ``(R, p, p)``, with ``J = Q r/unit`` and orthonormal ``Q``.
+
+    Gauss-Newton standard errors ``sqrt(diag(s2 * inv(J'J)))``, ``s2 =
+    ssr/dof``, from ``inv(J'J) = inv(r) inv(r)'``: ``cond(J) = cond(r)`` is
+    never squared.  It is inf for a singular or non-finite ``r``, and the
+    standard errors are nan (degenerate covariance) from ``1/sqrt(eps)``.
+    """
     p = r.shape[-1]
-    cond = np.linalg.cond(r)
+    finite = np.isfinite(r).all(axis=(1, 2))
+    cond = np.linalg.cond(np.where(finite[:, None, None], r, np.eye(p)))
     cond = np.where(finite & np.isfinite(cond), cond, np.inf)
     ok = cond < _SINGULAR_COND
     rinv = np.linalg.inv(np.where(ok[:, None, None], r, np.eye(p)))
     # Each row's norm is taken on the row scaled by the power of two that brings its largest entry
     # into [0.5, 1), so no square overflows; scaling by a power of two is exact.
     scale = np.ldexp(1.0, -np.frexp(np.abs(rinv).max(axis=-1))[1])
-    se = np.sqrt(ssr / (n - p))[:, None] * (np.linalg.norm(rinv * scale[..., None], axis=-1) / scale)
+    se = (np.sqrt(ssr / dof) * np.abs(unit))[:, None] * (np.linalg.norm(rinv * scale[..., None], axis=-1) / scale)
     se[~ok] = np.nan
     return se, cond

@@ -13,8 +13,10 @@ dataset seed from ``integers(2**32)``; its dataset is
 uniform on (0.01, 0.1).  Stage 1 fits every draw, and stage 2 fits every
 draw stage 1 did not refuse, under ``pin-beta5`` and under ``free``.
 
-For each sweep and fit the output tallies the stop messages of the fits
-and the refusals by their message up to its first colon or row name.  The digest is
+For each sweep and fit the output tallies the stop messages of the fits,
+their diagnostics (each fit once, under the names of all its flags, or
+``no flags``) and the refusals by their message up to its first colon or
+row name.  The digest is
 the sha256 of every draw's record: each fit's parameters, residual norm
 and standard errors (in hex), iterations, convergence, message and
 diagnostics, or its full refusal message.  Two trees that give the same
@@ -104,11 +106,15 @@ def run(noise: float, n: int, seed: int, draws: int = DRAWS) -> list[dict]:
     return records
 
 
-def summary(records: list[dict]) -> dict[str, tuple[Counter, Counter]]:
-    """Per fit, the tally of its stop messages and of its refusals (by message up to a colon or row name)."""
+def summary(records: list[dict]) -> dict[str, tuple[Counter, Counter, Counter]]:
+    """Per fit, the tallies of its stop messages, its diagnostics and its refusals.
+
+    Each fit counts once among the diagnostics, under its flags' names joined by ``&``, or ``no flags``; a
+    refusal counts under its message up to a colon or row name.
+    """
     out = {}
     for key in ("stage1", *GAUGES):
-        stops, refusals = Counter(), Counter()
+        stops, flags, refusals = Counter(), Counter(), Counter()
         for record in records:
             if key in record:
                 outcome = record[key]
@@ -116,7 +122,8 @@ def summary(records: list[dict]) -> dict[str, tuple[Counter, Counter]]:
                     refusals[re.split(r":| at row ", outcome["refused"])[0]] += 1
                 else:
                     stops[outcome["message"]] += 1
-        out[key] = stops, refusals
+                    flags[" & ".join(outcome["diagnostics"]) or "no flags"] += 1
+        out[key] = stops, flags, refusals
     return out
 
 
@@ -137,10 +144,11 @@ def main(argv=None) -> int:
         noise, n, seed = SWEEPS[name]
         records = every[name] = run(noise, n, seed)
         print(f"{name} (noise {noise}, n {n}, seed {seed}, {DRAWS} draws): digest {digest(records)}")
-        for key, (stops, refusals) in summary(records).items():
-            fits = ", ".join(f"{m} {c}" for m, c in sorted(stops.items()))
-            refused = ", ".join(f"{m} {c}" for m, c in sorted(refusals.items()))
-            print(f"  {key}: {sum(stops.values())} fits ({fits}); {sum(refusals.values())} refused ({refused})")
+        for key, (stops, flags, refusals) in summary(records).items():
+            fits, flagged, refused = (", ".join(f"{m} {c}" for m, c in sorted(t.items()))
+                                      for t in (stops, flags, refusals))
+            print(f"  {key}: {sum(stops.values())} fits ({fits}); flags ({flagged}); "
+                  f"{sum(refusals.values())} refused ({refused})")
     if args.records:
         args.records.write_text(json.dumps(every, indent=0) + "\n", encoding="utf-8")
     return 0

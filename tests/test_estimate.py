@@ -45,7 +45,6 @@ from portvol.estimate import (
 )
 from portvol.estimate import _Rows, _stage1_checks, _stage2_checks
 from portvol.model import FitResult
-from portvol.nls import _qr_rows, _stage1_grad, _stage2_grad
 
 TRUTH = Stage1Params(2.0, 0.5, 0.04)
 _TOO_FEW_E_STAGE1 = "insufficient regressor variation: stage-1 fit needs at least 3 distinct e, got 1"
@@ -119,7 +118,7 @@ class TestFitVolatility:
         # is flat to rounding, far past the top of the start grid.
         data = model_data(truth=Stage1Params(1.0, 1.0, 0.04), noise=0.01, seed=8)
         with pytest.raises(
-            ValueError, match=r"beta3 is not identified: log\(beta3/max\|e\|\) ends at 29\.8013, outside \[-8, 6\]"
+            ValueError, match=r"beta3 is not identified: log\(beta3/max\|e\|\) ends at 29\.7985, outside \[-8, 6\]"
         ):
             fit_volatility(data)
 
@@ -388,9 +387,9 @@ class TestFitVolOfVol:
             except ValueError:  # refused: no stage 2 follows
                 continue
             E, PI = data.e[None], data.pi_star[None]
-            u = E / (np.array([b.beta3])[:, None] + E)
-            c6, c5 = portvol.estimate._linear_part(*portvol.estimate._centred(PI), u, np.empty_like(u))[:2]
-            assert (float(c6[0]).hex(), float(c5[0]).hex()) == (b.beta1.hex(), b.beta2.hex())
+            work, b3 = np.empty((3,) + E.shape), np.array([b.beta3])
+            c6, c5 = portvol.estimate._stage1_profile(E, *portvol.estimate._centred(PI), b3, work, False)[1][0]
+            assert (float(c6).hex(), float(c5).hex()) == (b.beta1.hex(), b.beta2.hex())
             checked += 1
         assert checked == (8 if source == "benchmark" else 5)
 
@@ -474,6 +473,9 @@ class TestFitVolOfVol:
             scaled = Dataset(pi_star=data.pi_star * 2.0**j, mu=data.mu, r=data.r)
             se_scaled = fit_vol_of_vol(scaled, b3h, GaugeRule("free")).standard_errors
             assert [s / 2.0**j for s in se_scaled] == list(se)
+        # Past 2**530 the fit is that of underflowing sums of squares (ROADMAP item 6), but it raises no warning:
+        # the Jacobian's entries near 2**-1070 are kept as a row factor times representable ones.
+        fit_vol_of_vol(Dataset(pi_star=data.pi_star * 2.0**535, mu=data.mu, r=data.r), b3h, GaugeRule("free"))
 
     @pytest.mark.parametrize("j", [-480, -400, -332, 332, 400, 480])
     def test_binary_units_far_from_one_scale_both_stages_exactly(self, j):
@@ -775,28 +777,49 @@ class TestStandardErrors:
 
 
 class TestOneJacobian:
-    """The reported standard errors come from the public Jacobians, bit for bit."""
+    """The reported standard errors and condition numbers are those of the public Jacobians' QR."""
 
-    def test_standard_errors_are_built_on_the_public_jacobians(self):
-        spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)
-        compared = {"stage1": 0, "free": 0, "pin-beta5": 0, "pin-beta6": 0}
-        for seed in range(50):
+    @pytest.mark.parametrize("noise", [0.01, 0.05])
+    @pytest.mark.parametrize("n", [30, 200, 8193, 2 * 8192 + 2])
+    def test_standard_errors_match_the_public_jacobians(self, monkeypatch, noise, n):
+        # The fits take both from the R of their profile's projections; the oracle is one LAPACK QR of
+        # stage1_jacobian's, or stage2_jacobian's in the two betas the gauge leaves free.
+        factored = []
+        se_and_cond = portvol.estimate._se_and_cond
+
+        def spy(*args):
+            factored.append(se_and_cond(*args))
+            return factored[-1]
+
+        monkeypatch.setattr(portvol.estimate, "_se_and_cond", spy)
+        spec = GenerationSpec(stage1=TRUTH, n=n, noise=noise)
+        compared = Counter()
+        for seed in range(20 if n <= 200 else 2):
             data = generate_synthetic_dataset("model-implied", spec, seed)
-            stage1 = fit_volatility(data)
-            se = standard_errors(stage1, stage1_jacobian(data.e, stage1.params))
-            assert se == stage1.standard_errors and se is not None
-            compared["stage1"] += 1
-            b3h = stage1.params.beta3
-            for variant in ("free", "pin-beta5", "pin-beta6"):
-                gauge = GaugeRule.from_stage1(variant, stage1)
-                stage2 = fit_vol_of_vol(data, b3h, gauge)
-                k = gauge.fixed[0]
-                jac = stage2_jacobian(data.e, stage2.params, b3h)[:, [i for i in range(3) if i != k]]
-                free = standard_errors(stage2, jac)
-                assert free is not None
-                assert free[:k] + (0.0,) + free[k:] == stage2.standard_errors
-                compared[variant] += 1
-        assert compared == {"stage1": 50, "free": 50, "pin-beta5": 50, "pin-beta6": 50}
+            fits = [(fit_volatility(data), None)]
+            b3h = fits[0][0].params.beta3
+            fits += [(fit_vol_of_vol(data, b3h, gauge), gauge) for gauge in (
+                GaugeRule.from_stage1(variant, fits[0][0]) for variant in ("free", "pin-beta5", "pin-beta6")
+            )]
+            for fit, gauge in fits:
+                factored.clear()
+                got = fit.standard_errors
+                if gauge is None:
+                    jac, k = stage1_jacobian(data.e, fit.params), None
+                else:
+                    k = gauge.fixed[0]
+                    jac = stage2_jacobian(data.e, fit.params, b3h)[:, [i for i in range(3) if i != k]]
+                    got = got[:k] + got[k + 1:]
+                want = standard_errors(fit, jac)
+                cond = np.linalg.cond(np.linalg.qr(jac, mode="r"))
+                assert want is not None and np.all(np.abs(np.subtract(got, want)) <= 1e-12 * np.abs(want))
+                assert abs(factored[0][1][0] - cond) <= 1e-12 * cond
+                others = fit.diagnostics - {DIAG_ILL_CONDITIONED, DIAG_DEGENERATE_COV}
+                assert fit.diagnostics == others | ({DIAG_ILL_CONDITIONED} if cond > 1e8 else set())
+                assert others == (identifiability_diagnostics(fit, data, beta3_hat=b3h, gauge=gauge)
+                                  if gauge else identifiability_diagnostics(fit, data)) - {DIAG_ILL_CONDITIONED}
+                compared["stage1" if gauge is None else gauge.variant] += 1
+        assert set(compared) == {"stage1", "free", "pin-beta5", "pin-beta6"}
 
 
 def test_lm_fit_is_a_name_that_solves_nothing():
@@ -826,23 +849,37 @@ class TestMonteCarloValidation:
 
     def test_closed_form_fits_per_run(self, monkeypatch):
         # The benchmark's validation setting at 64 replications, one chunk:
-        # 15 calls for the grid, one per evaluation of the search (its start
-        # and each round of trial steps), and one for stage 2's start.  A
-        # gradient that made its own projection took 26 calls on 1538 rows,
-        # and a search that chased rounding in the sum of squares 65 on 1899.
-        calls_and_rows = [0, 0]
-        linear_part = portvol.estimate._linear_part
+        # calls of the one profile and the rows they fit, by the stage
+        # curve's evaluator that makes them.  The stage-1 curve's: 15 calls
+        # for the grid, one per evaluation of the search (its start and each
+        # round of trial steps), and one for stage 2's start.  A gradient
+        # that made its own projection took 26 calls on 1538 rows, and a
+        # search that chased rounding in the sum of squares 65 on 1899.  The
+        # stage-2 curve's: one per evaluation of its search.
+        calls_and_rows = {"_stage1_profile": [0, 0], "_stage2_profile": [0, 0]}
+        caller = []
+        profile = portvol.estimate._profile
 
-        def counted(ybar, yc, u, du):
-            calls_and_rows[0] += 1
-            calls_and_rows[1] += len(u)
-            return linear_part(ybar, yc, u, du)
+        def counted(y, b, d, work):
+            calls_and_rows[caller[-1]][0] += 1
+            calls_and_rows[caller[-1]][1] += len(y)
+            return profile(y, b, d, work)
 
-        monkeypatch.setattr(portvol.estimate, "_linear_part", counted)
+        def spy(name):
+            def evaluate(*args):
+                caller.append(name)
+                return evaluator(*args)
+
+            evaluator = getattr(portvol.estimate, name)
+            return evaluate
+
+        monkeypatch.setattr(portvol.estimate, "_profile", counted)
+        for name in calls_and_rows:
+            monkeypatch.setattr(portvol.estimate, name, spy(name))
         spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)
         report = monte_carlo_validation(spec, 64, master_seed=7, run_stage2=True, gauge_variant="pin-beta5")
         assert (report.n_converged, report.stage2_n_converged) == (64, 64)
-        assert calls_and_rows == [21, 1281]
+        assert calls_and_rows == {"_stage1_profile": [21, 1281], "_stage2_profile": [4, 198]}
 
     def test_rmse_dominates_bias(self):
         spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.02)
@@ -925,7 +962,7 @@ class TestMonteCarloValidation:
 
     def test_peak_memory_stays_within_a_few_chunks(self):
         # Two chunks of the benchmark's fits, in chunk-sized float arrays
-        # above the baseline.  Measured: 6.84, in either stage the positions,
+        # above the baseline.  Measured: 6.87, in either stage the positions,
         # the excess returns, the centred (stage 1) or inverse (stage 2)
         # positions, three work arrays and small per-row objects; the earlier
         # kernels reached 14.  One more chunk-sized array left alive in
@@ -945,17 +982,17 @@ class TestMonteCarloValidation:
         assert peak <= 7.5 * 8 * chunk
 
     def test_stage2_checks_are_never_run(self, monkeypatch):
-        # The harness reads stage 2's estimates and convergence only, so it never builds a stage-2 Jacobian.
+        # The harness reads stage 2's estimates and convergence only, so it never runs the stage-2 checks.
         spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)
         expected = monte_carlo_validation(spec, 20, master_seed=4, run_stage2=True)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("stage-2 Jacobian built")
+            raise AssertionError("stage-2 checks run")
 
-        monkeypatch.setattr(portvol.estimate, "_stage2_grad", refuse)
+        monkeypatch.setattr(portvol.estimate, "_stage2_checks", refuse)
         report = monte_carlo_validation(spec, 20, master_seed=4, run_stage2=True)
         assert report == expected and report.stage2_n_converged == 20
-        with pytest.raises(AssertionError, match="stage-2 Jacobian built"):
+        with pytest.raises(AssertionError, match="stage-2 checks run"):
             fit_vol_of_vol(model_data(), TRUTH.beta3, GaugeRule("free"))
 
     def test_overflowing_sum_of_squares_is_a_named_failure(self):
@@ -1172,63 +1209,15 @@ class TestStopRule:
 
 
 class TestLongRows:
-    """A row of more than ``_QR_BLOCK`` observations gets its standard errors from a QR in blocks."""
-
-    @staticmethod
-    def _jacobians(n: int) -> dict:
-        """Per stage, the Jacobian builder and ``ssr`` of the fits of one noisy dataset of ``n`` rows."""
-        data = model_data(n=n, noise=0.01, seed=5)
-        stage1 = fit_volatility(data)
-        b1, b2, b3 = (np.array([v]) for v in stage1.params.as_array())
-        stage2 = fit_vol_of_vol(data, stage1.params.beta3, GaugeRule.from_stage1("pin-beta5", stage1))
-        beta, E = stage2.params.as_array()[None], data.e[None]
-        return {
-            "stage1": (lambda obs: _stage1_grad(E[:, obs], b1, b2, b3)[0], stage1.residual_norm),
-            "stage2": (lambda obs: _stage2_grad(E[:, obs], beta, b3, (0, 2))[0], stage2.residual_norm),
-        }
-
-    @staticmethod
-    def _factored(jacobian, n, ssr) -> tuple:
-        """``_qr_rows`` of the builder, with the observation slices it was asked for."""
-        asked = []
-
-        def spy(obs):
-            asked.append((obs.start, obs.stop))
-            return jacobian(obs)
-
-        return _qr_rows(spy, n, np.array([ssr])), asked
-
-    @pytest.mark.parametrize("n", [8193, 2 * 8192 + 2])  # the second's last block is 2 rows, fewer than p
-    def test_blocked_qr_agrees_with_one_qr(self, monkeypatch, n):
-        for jacobian, ssr in self._jacobians(n).values():
-            blocked, asked = self._factored(jacobian, n, ssr)
-            assert asked == [(i, i + 8192) for i in range(0, n, 8192)]
-            monkeypatch.setattr(portvol.nls, "_QR_BLOCK", 10**9)
-            single, asked = self._factored(jacobian, n, ssr)
-            monkeypatch.undo()
-            assert asked == [(0, n)]
-            for got, want in zip(blocked, single):  # standard errors, then cond
-                assert np.all(np.isfinite(want)) and np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-
-    def test_rows_of_one_block_keep_one_qr(self, monkeypatch):
-        n = 8192
-        data = model_data(n=n, noise=0.01, seed=5)
-        fits = []
-        for block in (portvol.nls._QR_BLOCK, 10**9):
-            monkeypatch.setattr(portvol.nls, "_QR_BLOCK", block)
-            stage1 = fit_volatility(data)
-            fits += [stage1, fit_vol_of_vol(data, stage1.params.beta3, GaugeRule.from_stage1("pin-beta5", stage1))]
-        assert [_fit_key(f) for f in fits[:2]] == [_fit_key(f) for f in fits[2:]]
-        for jacobian, ssr in self._jacobians(n).values():
-            assert self._factored(jacobian, n, ssr)[1] == [(0, n)]
+    """A long row's standard errors come from its profile's projections, with no Jacobian held."""
 
     def test_pole_guard_in_the_last_block_degenerates_the_covariance(self):
-        # The last of three blocks holds the one e on the pole guard: b3 + e = 0 in stage 1,
-        # b5*b3h + b6*e = 0 in stage 2.
+        # The row's last e is on the pole at the fit's parameters: b3 + e = 0 in stage 1,
+        # b5*b3h + b6*e = 0 in stage 2.  The checks evaluate the profile there, without a warning.
         n = 2 * 8192 + 2
         b3h, stage1, stage2 = np.array([0.04]), np.array([[2.0, 0.5, 0.04]]), np.array([[1.0, 0.5, 2.0]])
         cases = (
-            (Stage1Params, stage1, -0.04, lambda E: _stage1_checks(E, *stage1.T, np.ones(1))),
+            (Stage1Params, stage1, -0.04, lambda E: _stage1_checks(E, stage1, np.ones(1))),
             (Stage2Params, stage2, -0.01, lambda E: _stage2_checks(E, stage2, b3h, 1, np.ones(1))),
         )
         for kind, params, pole, checks in cases:
@@ -1240,10 +1229,9 @@ class TestLongRows:
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_peak_memory_of_a_long_row(self, stage):
-        # Above its inputs, in arrays of n doubles.  Measured: 4.04 in either
+        # Above its inputs, in arrays of n doubles.  Measured: 4.03 in either
         # stage, the centred (stage 1) or inverse (stage 2) positions and
-        # three work arrays; with the whole Jacobian and its QR's copy the
-        # checks reached 6.14 (stage 1) and 5.14 (stage 2).
+        # three work arrays; the checks hold no Jacobian.
         n = 50_000
         data = model_data(n=n, noise=0.01, seed=1)
         stage1 = fit_volatility(model_data(n=100, noise=0.01, seed=1))  # one-off costs first

@@ -14,8 +14,19 @@ def test_a_few_draws_are_tallied_and_digested_the_same_twice():
     records = sweeps.run(noise, n, seed, draws=12)
     assert sweeps.digest(sweeps.run(noise, n, seed, draws=12)) == sweeps.digest(records)
     tallies = sweeps.summary(records)
-    stops, refusals = tallies["stage1"]
+    stops, flags, refusals = tallies["stage1"]
     assert sum(stops.values()) + sum(refusals.values()) == 12
     fitted = sum(stops.values())
     for variant in sweeps.GAUGES:
-        assert sum(map(sum, (c.values() for c in tallies[variant]))) == fitted
+        stops, flags, refusals = tallies[variant]
+        assert sum(stops.values()) + sum(refusals.values()) == fitted
+
+
+def test_the_flag_tally_covers_every_fit():
+    # Each fit counts once, under all its flags; every free-gauge fit carries GAUGE_UNIDENTIFIED.
+    noise, n, seed = sweeps.SWEEPS["noise-0.05-n-30"]
+    records = sweeps.run(noise, n, seed, draws=12)
+    for key, (stops, flags, refusals) in sweeps.summary(records).items():
+        fits = sum(key in record and "refused" not in record[key] for record in records)
+        assert sum(flags.values()) == sum(stops.values()) == fits > 0
+        assert all(("GAUGE_UNIDENTIFIED" in name) == (key == "free") for name in flags)
