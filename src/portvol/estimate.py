@@ -3,9 +3,10 @@
 Stage 1 fits the observed positions against the excess return and reads
 the portfolio volatility off ``beta3``.  At a fixed ``beta3`` its curve is
 linear in ``(beta1, beta2)``, so the fit is a search in ``log beta3`` alone
-(variable projection).  It needs at least 3 distinct excess returns: with
-two, every ``beta3`` fits the two group means exactly.  Data with fewer,
-and a fit ending off its start grid, are refused.
+(variable projection), started from the curve's linearization in closed
+form.  It needs at least 3 distinct excess returns: with two, every
+``beta3`` fits the two group means exactly.  Data with fewer, and a fit
+whose ``log(beta3/max|e|)`` ends outside ``[-8, 6]``, are refused.
 
 Stage 2 fits the inverse positions and reads the volatility of
 volatility off ``beta4``.  Its curve ``beta4*(b3h+e)/(beta5*b3h+beta6*e)``
@@ -106,8 +107,8 @@ DIAG_GAUGE = "GAUGE_UNIDENTIFIED"
 DIAG_DEGENERATE_COV = "DEGENERATE_COVARIANCE"
 DIAG_RHO_RANGE = "RHO_OUT_OF_RANGE"
 
-# Stage 1 starts near the best of these log(beta3/max|e|), refusing fits ending outside.
-_LOG_BETA3_GRID = tuple(range(-8, 7))
+# Stage 1 refuses a fit whose log(beta3/max|e|) ends outside these bounds.
+_K_BOUNDS = (-8, 6)
 # Both stages' searches stop unconverged after this many accepted steps (see _search).
 _MAX_ITERATIONS = 200
 _K_TOL = 1e-12
@@ -452,7 +453,7 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
     return x, ssr, coef, iterations, messages
 
 
-def _stage1_profile(e, ybar, y, b3, work: np.ndarray, grad: bool = True):
+def _stage1_profile(e, ybar, y, b3, work: np.ndarray):
     """The stage-1 fit of each row at a fixed ``beta3``, in closed form, and the derivatives of its ssr/2 in ``k``.
 
     The curve is then ``beta2 + (beta1 - beta2)*u`` with ``u = e/(beta3 +
@@ -461,9 +462,8 @@ def _stage1_profile(e, ybar, y, b3, work: np.ndarray, grad: bool = True):
     -du/dk``, ``k = log beta3``, centred as the derivative column.  A ``u``
     that does not vary fits the level, ``beta1 = beta2 = mean(y)``.
     Returns ``(ssr, coef, g, h, f)``, ``coef`` being ``(beta1, beta2)``,
-    the means of ``u`` and ``u(1 - u)`` and the profile's ``R`` entries;
-    without ``grad`` only ``(ssr, (beta1, beta2))``.  Arrays are ``(R,
-    n)``, with the three of an evaluation in ``work``.
+    the means of ``u`` and ``u(1 - u)`` and the profile's ``R`` entries.
+    Arrays are ``(R, n)``, with the three of an evaluation in ``work``.
     """
     n = e.shape[-1]
     u, du, d = work[:, : len(b3)]
@@ -472,22 +472,20 @@ def _stage1_profile(e, ybar, y, b3, work: np.ndarray, grad: bool = True):
     ubar = du.sum(axis=-1) / n
     du -= ubar[:, None]
     ubar += u[:, 0]
-    if grad:
-        d = np.multiply(u, np.subtract(1.0, u, out=d), out=d)
-        dbar = d.sum(axis=-1) / n
-        d -= dbar[:, None]
-    ssr, slope, *rest = _profile(y, du, d if grad else None, u)  # with grad, rest is g, h, f and the R entries
+    d = np.multiply(u, np.subtract(1.0, u, out=d), out=d)
+    dbar = d.sum(axis=-1) / n
+    d -= dbar[:, None]
+    ssr, slope, g, h, f, r = _profile(y, du, d, u)
     b2 = ybar - slope * ubar  # centred, so no cancellation in b2 + slope*u
-    coef = [b2 + slope, b2] + ([ubar, dbar, rest.pop()] if grad else [])
-    return ssr, np.column_stack(coef), *rest
+    return ssr, np.column_stack([b2 + slope, b2, ubar, dbar, r]), g, h, f
 
 
 def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     """Stage 1 on stacked datasets: excess returns ``E`` and positions ``PI``, ``(R, n)``.
 
-    Each row runs the search of :func:`fit_volatility` with its own grid
-    start, steps, halvings, stop and refusal; a row with fewer than 4
-    observations or 3 distinct ``e`` is refused first and never evaluated.
+    Each row runs the search of :func:`fit_volatility` with its own start,
+    steps, halvings, stop and refusal; a row with fewer than 4 observations
+    or 3 distinct ``e`` is refused first and never evaluated.
     """
     n_rows = len(E)
     failures: dict[int, tuple[str, ValueError]] = {}
@@ -504,26 +502,31 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
 
     work = np.empty((3,) + E.shape)  # every evaluation's arrays, reused
 
-    def fit(k, sel, grad=False):
+    def fit(k, sel):
         b3 = scale[sel] * _libm(math.exp, k)
-        out = _stage1_profile(E[sel], ybar[sel], YC[sel], b3, work, grad)  # views, or copies of the few rows
+        out = _stage1_profile(E[sel], ybar[sel], YC[sel], b3, work)  # views, or copies of the few rows
         out[0][(lo[sel] <= -b3) & (-b3 <= hi[sel])] = np.inf  # a pole among the e
         return out
 
-    live = ~np.isin(np.arange(n_rows), list(failures))
-    rows = np.flatnonzero(live)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ybar, YC = _centred(PI)  # once per stack, not per evaluation
-        # Finite: for k >= 1 the pole lies below -max|e|.
-        k, best = np.full(n_rows, math.nan), np.full(n_rows, np.inf)
-        for grid_k in _LOG_BETA3_GRID:
-            ssr = _evaluate(fit, np.full(n_rows, float(grid_k)), rows)[0]
-            better = ssr < best[rows]
-            k[rows[better]], best[rows[better]] = grid_k, ssr[better]
-    k, ssr, coef, iterations, messages = _search(lambda k, sel: fit(k, sel, True), k, live, PI)
+        # The start: pi*e = beta2*beta3 + beta1*e - beta3*pi is linear (Levy 1959); its beta3 by Cramer's rule,
+        # regressing centred (pi - mean pi)*e on centred e and pi, else k = 1, whose pole lies below every e.
+        ec = np.subtract(E, (E.sum(axis=-1) / E.shape[1])[:, None], out=work[0])
+        y = np.multiply(YC, E, out=work[1])
+        y -= (y.sum(axis=-1) / E.shape[1])[:, None]
+        ee, ep, pp = _rowdot(ec, ec), _rowdot(ec, YC), _rowdot(YC, YC)
+        ratio = (ep * _rowdot(ec, y) - ee * _rowdot(YC, y)) / (ee * pp - ep * ep) / scale
+        k, ok = np.ones(n_rows), (ratio > 0.0) & (ratio < np.inf)
+        k[ok] = _libm(math.log, ratio[ok])
+        b3 = scale * _libm(math.exp, k)
+        k[(lo <= -b3) & (-b3 <= hi)] = 1.0
+    live = ~np.isin(np.arange(n_rows), list(failures))
+    k, ssr, coef, iterations, messages = _search(fit, k, live, PI)
 
-    _refuse(failures, (k < _LOG_BETA3_GRID[0]) | (k > _LOG_BETA3_GRID[-1]), "stage1 beta3 not identified", lambda i:
-            ValueError(f"beta3 is not identified: log(beta3/max|e|) ends at {float(k[i]):.6g}, outside [-8, 6]"))
+    _refuse(failures, (k < _K_BOUNDS[0]) | (k > _K_BOUNDS[1]), "stage1 beta3 not identified", lambda i: ValueError(
+        f"beta3 is not identified: log(beta3/max|e|) ends at {float(k[i]):.6g}, outside {list(_K_BOUNDS)}"
+    ))
     b3 = scale * _libm(math.exp, k)
     params = np.column_stack([coef[:, :2], b3])
     # Inputs are finite, so a non-finite fit is one whose sums overflowed.
@@ -537,24 +540,27 @@ def fit_volatility(data: Dataset) -> FitResult:
     """Stage-1 fit: positions against excess returns, by variable projection.
 
     At a fixed ``k = log(beta3/max|e|)`` the closed-form ``(beta1, beta2)``
-    leave a one-parameter fit in ``k``.  It starts at the best of ``k = -8,
-    ..., 6`` (skipping poles ``-beta3`` among the observed ``e``) and takes
-    projected Gauss-Newton steps in ``k``: at most 200 accepted steps,
-    stopping early once the predicted decrease is below the rounding of
-    the sum of squares, ``eps*sum|pi_i - mean(pi)|*|r_i|`` over the
-    residuals ``r``, or of the positions, ``(eps*|pi|)**2``, tested
-    unsquared (message "gradient tolerance reached"), or once a step of at
-    most 1e-12 brings no decrease ("step tolerance reached").  Standard
-    errors are None, with ``DEGENERATE_COVARIANCE``, when singular.
-    Flat positions converge at the level fit with
-    ``IDENTIFIABILITY_B1_EQ_B2``.  Needs at least 4 rows and at least 3
-    distinct ``e`` (with two, every ``beta3`` fits the two group means
-    exactly); fewer raise ValueError("insufficient data: ...") or
-    ValueError("insufficient regressor variation: ...") before any search.
-    Raises ValueError("beta3 is not identified: ...") when ``k`` ends off
-    the grid, and ValueError("stage-1 fit is not finite: ...") when
-    positions are so large that the sum of squares overflows.  This is the
-    one-row case of the stacked fit the Monte Carlo harness runs.
+    leave a one-parameter fit in ``k``.  Multiplied out, the curve is ``pi*e
+    = beta2*beta3 + beta1*e - beta3*pi``, linear in ``(e, pi)``, and the
+    search starts at the ``beta3`` of that regression, or at ``k = 1``
+    (whose pole lies below every ``e``) when it is not positive and finite
+    or puts its pole among the observed ``e``.  It takes projected
+    Gauss-Newton steps in ``k``: at most 200 accepted steps, stopping early
+    once the predicted decrease is below the rounding of the sum of
+    squares, ``eps*sum|pi_i - mean(pi)|*|r_i|`` over the residuals ``r``,
+    or of the positions, ``(eps*|pi|)**2``, tested unsquared (message
+    "gradient tolerance reached"), or once a step of at most 1e-12 brings
+    no decrease ("step tolerance reached").  Standard errors are None, with
+    ``DEGENERATE_COVARIANCE``, when singular.  Flat positions converge at
+    the level fit with ``IDENTIFIABILITY_B1_EQ_B2``, at the ``k = 1``
+    start.  Needs at least 4 rows and at least 3 distinct ``e`` (with two,
+    every ``beta3`` fits the two group means exactly); fewer raise
+    ValueError("insufficient data: ...") or ValueError("insufficient
+    regressor variation: ...") before any search.  Raises ValueError("beta3
+    is not identified: ...") when ``k`` ends outside ``[-8, 6]``, and
+    ValueError("stage-1 fit is not finite: ...") when positions are so
+    large that the sum of squares overflows.  This is the one-row case of
+    the stacked fit the Monte Carlo harness runs.
     """
     return _stage1_rows(data.e[None], data.pi_star[None]).result(0)
 
@@ -640,7 +646,7 @@ def _stage2_rows(
     work = np.empty((3,) + E.shape)  # every evaluation's arrays, reused
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # The start: the stage-1 curve's linear part at beta3_hat, whose reciprocal is stage 2's at (c6, c5).
-        c6, c5 = _stage1_profile(E[sel], *_centred(PI[sel]), b3h[sel], work, False)[1].T
+        c6, c5 = _stage1_profile(E[sel], *_centred(PI[sel]), b3h[sel], work)[1][:, :2].T
         Y = 1.0 / PI
     theta = np.full(n_rows, math.nan)
     theta[rows] = [math.atan2(s, c) for c, s in zip(c6.tolist(), c5.tolist())]

@@ -228,18 +228,14 @@ def _profile(y: np.ndarray, b: np.ndarray, d, work: np.ndarray):
     curvature of ``ssr/2`` from ``d`` projected off ``b`` in place (Golub
     and Pereyra 1973; Kaufman 1975), the rounding scale ``f = sum|y_i|*|r_i|``
     of ``ssr``, and the modified Gram-Schmidt ``R`` of ``[b, d]``, ``(|b|,
-    <d, b>/|b|, |Pd|)`` per row (Bjorck 1967).  With ``d`` None only
-    ``(ssr, c)``.  ``b`` is overwritten.
+    <d, b>/|b|, |Pd|)`` per row (Bjorck 1967).  ``b`` is overwritten.
     """
     bb = _rowdot(b, b)
     c = np.divide(_rowdot(b, y), bb, out=np.zeros_like(bb), where=bb != 0.0)
-    if d is not None:
-        db = _rowdot(b, d)
-        d -= np.multiply(np.divide(db, bb, out=np.zeros_like(bb), where=bb != 0.0)[:, None], b, out=work)
+    db = _rowdot(b, d)
+    d -= np.multiply(np.divide(db, bb, out=np.zeros_like(bb), where=bb != 0.0)[:, None], b, out=work)
     res = np.subtract(y, np.multiply(c[:, None], b, out=work), out=work)
     ssr = _rowdot(res, res)
-    if d is None:
-        return ssr, c
     dd = _rowdot(d, d)
     g, h = c * _rowdot(d, res), c * c * dd
     f = _rowdot(np.abs(y, out=b), np.abs(res, out=res))

@@ -14,9 +14,10 @@ uniform on (0.01, 0.1).  Stage 1 fits every draw, and stage 2 fits every
 draw stage 1 did not refuse, under ``pin-beta5`` and under ``free``.
 
 For each sweep and fit the output tallies the stop messages of the fits,
-their diagnostics (each fit once, under the names of all its flags, or
-``no flags``) and the refusals by their message up to its first colon or
-row name.  The digest is
+gives the mean and maximum of their accepted steps, tallies their
+diagnostics (each fit once, under the names of all its flags, or ``no
+flags``) and the refusals by their message up to its first colon or row
+name.  The digest is
 the sha256 of every draw's record: each fit's parameters, residual norm
 and standard errors (in hex), iterations, convergence, message and
 diagnostics, or its full refusal message.  Two trees that give the same
@@ -106,15 +107,16 @@ def run(noise: float, n: int, seed: int, draws: int = DRAWS) -> list[dict]:
     return records
 
 
-def summary(records: list[dict]) -> dict[str, tuple[Counter, Counter, Counter]]:
-    """Per fit, the tallies of its stop messages, its diagnostics and its refusals.
+def summary(records: list[dict]) -> dict[str, tuple[Counter, Counter, Counter, tuple[float, int] | None]]:
+    """Per fit, the tallies of its stop messages, its diagnostics and its refusals, and its steps.
 
     Each fit counts once among the diagnostics, under its flags' names joined by ``&``, or ``no flags``; a
-    refusal counts under its message up to a colon or row name.
+    refusal counts under its message up to a colon or row name.  The steps are the mean and maximum of the
+    fits' accepted steps (``iterations``), None without a fit.
     """
     out = {}
     for key in ("stage1", *GAUGES):
-        stops, flags, refusals = Counter(), Counter(), Counter()
+        stops, flags, refusals, steps = Counter(), Counter(), Counter(), []
         for record in records:
             if key in record:
                 outcome = record[key]
@@ -123,7 +125,8 @@ def summary(records: list[dict]) -> dict[str, tuple[Counter, Counter, Counter]]:
                 else:
                     stops[outcome["message"]] += 1
                     flags[" & ".join(outcome["diagnostics"]) or "no flags"] += 1
-        out[key] = stops, flags, refusals
+                    steps.append(outcome["iterations"])
+        out[key] = stops, flags, refusals, (sum(steps) / len(steps), max(steps)) if steps else None
     return out
 
 
@@ -144,10 +147,11 @@ def main(argv=None) -> int:
         noise, n, seed = SWEEPS[name]
         records = every[name] = run(noise, n, seed)
         print(f"{name} (noise {noise}, n {n}, seed {seed}, {DRAWS} draws): digest {digest(records)}")
-        for key, (stops, flags, refusals) in summary(records).items():
+        for key, (stops, flags, refusals, steps) in summary(records).items():
             fits, flagged, refused = (", ".join(f"{m} {c}" for m, c in sorted(t.items()))
                                       for t in (stops, flags, refusals))
-            print(f"  {key}: {sum(stops.values())} fits ({fits}); flags ({flagged}); "
+            stepped = "none" if steps is None else f"mean {steps[0]:.1f}, max {steps[1]}"
+            print(f"  {key}: {sum(stops.values())} fits ({fits}); accepted steps ({stepped}); flags ({flagged}); "
                   f"{sum(refusals.values())} refused ({refused})")
     if args.records:
         args.records.write_text(json.dumps(every, indent=0) + "\n", encoding="utf-8")

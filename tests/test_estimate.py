@@ -115,12 +115,43 @@ class TestFitVolatility:
     def test_beta3_underflow_names_the_cause(self):
         # With beta1 = beta2 the curve is flat in e; on this draw the sum of
         # squares keeps falling as beta3 grows, and the fit walks up until it
-        # is flat to rounding, far past the top of the start grid.
+        # is flat to rounding, far past the bound k = 6.  Where it stops is
+        # rounding: 29.7985 from the earlier grid start, 30.1471 from the
+        # linear start.
         data = model_data(truth=Stage1Params(1.0, 1.0, 0.04), noise=0.01, seed=8)
         with pytest.raises(
-            ValueError, match=r"beta3 is not identified: log\(beta3/max\|e\|\) ends at 29\.7985, outside \[-8, 6\]"
+            ValueError, match=r"beta3 is not identified: log\(beta3/max\|e\|\) ends at 30\.1471, outside \[-8, 6\]"
         ):
             fit_volatility(data)
+
+    @pytest.mark.parametrize("case", ["singular", "negative-beta3", "pole-among-e"])
+    def test_start_falls_back_to_k_1(self, case, monkeypatch):
+        # The linearized curve gives no start on these, and the search starts
+        # at k = 1, whose pole lies below every e: flat positions make its
+        # system singular, a curve with its pole above the e (beta3 = -0.2)
+        # gives beta3_lin < 0, and a pole among e of both signs puts
+        # -beta3_lin among them.  Each converges or is refused for its own
+        # reason, never as an unevaluable start or a non-finite fit.
+        starts = []
+        search = portvol.estimate._search
+
+        def spy(profile, x, live, y):
+            starts.append(x.tolist())
+            return search(profile, x, live, y)
+
+        monkeypatch.setattr(portvol.estimate, "_search", spy)
+        e = np.linspace(-0.05, 0.05, 40) + 0.0013 if case == "pole-among-e" else np.linspace(0.01, 0.1, 30)
+        b3 = -0.2 if case == "negative-beta3" else 0.01
+        pi = np.full(len(e), 0.7) if case == "singular" else (0.5 * b3 + 2.0 * e) / (b3 + e)
+        data = Dataset(pi_star=pi, mu=e + 0.02, r=np.full(len(e), 0.02))
+        if case == "singular":
+            fit = fit_volatility(data)
+            assert (fit.converged, fit.iterations, fit.params.beta3) == (True, 0, data.e.max() * math.exp(1.0))
+            assert DIAG_B1_EQ_B2 in fit.diagnostics
+        else:
+            with pytest.raises(ValueError, match=r"^beta3 is not identified: log\(beta3/max\|e\|\) ends at 3"):
+                fit_volatility(data)
+        assert starts == [[1.0]]
 
     def test_slow_valley_converges(self):
         # A curved, weakly identified valley where a three-parameter
@@ -206,8 +237,8 @@ class TestFitVolatility:
     @example(b1=-0.233, b2=-0.452, b3=0.314, seed=543)
     @example(b1=-1.911, b2=0.554, b3=0.0105, seed=5)
     @example(b1=-1.45, b2=1.273, b3=0.0092, seed=685)
-    # A truth 1e-4 from the start grid point max(e)*exp(2), where a start on
-    # the grid point itself passed the gradient test with no step taken.
+    # A truth 1e-4 from the earlier start grid's point max(e)*exp(2), where a
+    # start on the grid point itself passed the gradient test with no step taken.
     @example(b1=0.763, b2=0.646, b3=0.729557, seed=0)
     def test_noiseless_identified_truths_recovered(self, b1, b2, b3, seed):
         assume(abs(b1 - b2) > 0.1)
@@ -215,6 +246,10 @@ class TestFitVolatility:
         data = model_data(truth=truth, n=50, seed=seed)
         fit = fit_volatility(data)
         assert fit.converged
+        # The linearized curve is exact on noiseless data, so the search
+        # starts at the truth to rounding (a 15-point grid start took 5.3
+        # steps on average on the noiseless sweep of tests/data/sweeps.py).
+        assert fit.iterations <= 1
         assert np.max(np.abs(stage1_model(data.e, fit.params) - data.pi_star)) < 1e-6
         assert fit.params.beta3 == pytest.approx(b3, rel=1e-9)
         assert (fit.params.beta1, fit.params.beta2) == pytest.approx((b1, b2), rel=1e-9, abs=1e-9)
@@ -388,7 +423,7 @@ class TestFitVolOfVol:
                 continue
             E, PI = data.e[None], data.pi_star[None]
             work, b3 = np.empty((3,) + E.shape), np.array([b.beta3])
-            c6, c5 = portvol.estimate._stage1_profile(E, *portvol.estimate._centred(PI), b3, work, False)[1][0]
+            c6, c5 = portvol.estimate._stage1_profile(E, *portvol.estimate._centred(PI), b3, work)[1][0, :2]
             assert (float(c6).hex(), float(c5).hex()) == (b.beta1.hex(), b.beta2.hex())
             checked += 1
         assert checked == (8 if source == "benchmark" else 5)
@@ -850,12 +885,14 @@ class TestMonteCarloValidation:
     def test_closed_form_fits_per_run(self, monkeypatch):
         # The benchmark's validation setting at 64 replications, one chunk:
         # calls of the one profile and the rows they fit, by the stage
-        # curve's evaluator that makes them.  The stage-1 curve's: 15 calls
-        # for the grid, one per evaluation of the search (its start and each
-        # round of trial steps), and one for stage 2's start.  A gradient
-        # that made its own projection took 26 calls on 1538 rows, and a
-        # search that chased rounding in the sum of squares 65 on 1899.  The
-        # stage-2 curve's: one per evaluation of its search.
+        # curve's evaluator that makes them.  The stage-1 curve's: one per
+        # evaluation of the search (its start and each round of trial
+        # steps), and one for stage 2's start; the search starts from the
+        # linearized curve in closed form, with no evaluation.  A 15-point
+        # start grid took 21 calls on 1281 rows, a gradient that made its
+        # own projection 26 on 1538, and a search that chased rounding in
+        # the sum of squares 65 on 1899.  The stage-2 curve's: one per
+        # evaluation of its search.
         calls_and_rows = {"_stage1_profile": [0, 0], "_stage2_profile": [0, 0]}
         caller = []
         profile = portvol.estimate._profile
@@ -879,7 +916,7 @@ class TestMonteCarloValidation:
         spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)
         report = monte_carlo_validation(spec, 64, master_seed=7, run_stage2=True, gauge_variant="pin-beta5")
         assert (report.n_converged, report.stage2_n_converged) == (64, 64)
-        assert calls_and_rows == {"_stage1_profile": [21, 1281], "_stage2_profile": [4, 198]}
+        assert calls_and_rows == {"_stage1_profile": [5, 320], "_stage2_profile": [4, 198]}
 
     def test_rmse_dominates_bias(self):
         spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.02)
@@ -920,7 +957,7 @@ class TestMonteCarloValidation:
         assert report.n_converged + report.n_failed == 2
 
     def test_unidentified_beta3_counted_as_failed(self, monkeypatch):
-        # Every replication draws the seed-8 data, whose fit ends past the grid.
+        # Every replication draws the seed-8 data, whose fit ends past k = 6.
         monkeypatch.setattr(
             portvol.estimate, "_stream_keys", lambda master_seed, reps: np.full((len(reps), 2), 8, dtype=np.uint64)
         )
@@ -962,7 +999,7 @@ class TestMonteCarloValidation:
 
     def test_peak_memory_stays_within_a_few_chunks(self):
         # Two chunks of the benchmark's fits, in chunk-sized float arrays
-        # above the baseline.  Measured: 6.87, in either stage the positions,
+        # above the baseline.  Measured: 6.89, in either stage the positions,
         # the excess returns, the centred (stage 1) or inverse (stage 2)
         # positions, three work arrays and small per-row objects; the earlier
         # kernels reached 14.  One more chunk-sized array left alive in

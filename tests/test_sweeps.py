@@ -14,11 +14,11 @@ def test_a_few_draws_are_tallied_and_digested_the_same_twice():
     records = sweeps.run(noise, n, seed, draws=12)
     assert sweeps.digest(sweeps.run(noise, n, seed, draws=12)) == sweeps.digest(records)
     tallies = sweeps.summary(records)
-    stops, flags, refusals = tallies["stage1"]
+    stops, flags, refusals, steps = tallies["stage1"]
     assert sum(stops.values()) + sum(refusals.values()) == 12
     fitted = sum(stops.values())
     for variant in sweeps.GAUGES:
-        stops, flags, refusals = tallies[variant]
+        stops, flags, refusals, steps = tallies[variant]
         assert sum(stops.values()) + sum(refusals.values()) == fitted
 
 
@@ -26,7 +26,17 @@ def test_the_flag_tally_covers_every_fit():
     # Each fit counts once, under all its flags; every free-gauge fit carries GAUGE_UNIDENTIFIED.
     noise, n, seed = sweeps.SWEEPS["noise-0.05-n-30"]
     records = sweeps.run(noise, n, seed, draws=12)
-    for key, (stops, flags, refusals) in sweeps.summary(records).items():
+    for key, (stops, flags, refusals, steps) in sweeps.summary(records).items():
         fits = sum(key in record and "refused" not in record[key] for record in records)
         assert sum(flags.values()) == sum(stops.values()) == fits > 0
         assert all(("GAUGE_UNIDENTIFIED" in name) == (key == "free") for name in flags)
+
+
+def test_the_step_figures_are_those_of_the_records():
+    noise, n, seed = sweeps.SWEEPS["noise-0.05-n-30"]
+    records = sweeps.run(noise, n, seed, draws=12)
+    for key, (stops, flags, refusals, steps) in sweeps.summary(records).items():
+        iterations = [record[key]["iterations"] for record in records if key in record and "refused" not in record[key]]
+        assert len(iterations) == sum(stops.values()) > 0
+        assert steps == (sum(iterations) / len(iterations), max(iterations))
+    assert sweeps.summary([{"stage1": {"refused": "beta3 is not identified: ..."}}])["stage1"][3] is None
