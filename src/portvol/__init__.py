@@ -25,12 +25,10 @@ from .model import (
     FitResult,
     HestonParams,
     MarketObservation,
+    PoleError,
     PolicyCoefficients,
     Stage1Params,
     Stage2Params,
-)
-from .nls import (
-    PoleError,
     stage1_jacobian,
     stage1_model,
     stage2_jacobian,

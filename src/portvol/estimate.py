@@ -52,19 +52,17 @@ from typing import Callable
 
 import numpy as np
 
-from .model import Dataset, FitResult, Stage1Params, Stage2Params, _finite, _integer
-from .nls import (
+from .model import (
     _POLE_RTOL,
+    Dataset,
+    FitResult,
     PoleError,
+    Stage1Params,
+    Stage2Params,
     _beta3_hat,
-    _centred,
-    _evaluate,
+    _finite,
+    _integer,
     _pole_rows,
-    _profile,
-    _rowdot,
-    _se_and_cond,
-    _select,
-    _take,
 )
 from .simulate import BASE_RATE, SEED_LIMIT, GenerationSpec, _model_implied_rows, _stream_keys
 
@@ -113,6 +111,8 @@ _K_BOUNDS = (-8, 6)
 _MAX_ITERATIONS = 200
 _K_TOL = 1e-12
 _COND_LIMIT = 1e8
+# A Jacobian whose condition number reaches this has a degenerate covariance (see _se_and_cond).
+_SINGULAR_COND = 1.0 / np.sqrt(np.finfo(float).eps)
 # A variant's index is the parameter of (beta4, beta5, beta6) it holds
 # fixed; free fixes the scale, beta4 = 1.
 _GAUGE_VARIANTS = ("free", "pin-beta5", "pin-beta6")
@@ -174,6 +174,28 @@ class RhoEstimate:
     @property
     def in_range(self) -> bool:
         return abs(self.rho_hat) <= 1.0
+
+
+def _se_and_cond(r: np.ndarray, ssr: np.ndarray, dof: int, unit=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Standard errors and ``cond(J)`` per row from ``r``, ``(R, p, p)``, with ``J = Q r/unit`` and orthonormal ``Q``.
+
+    Gauss-Newton standard errors ``sqrt(diag(s2 * inv(J'J)))``, ``s2 =
+    ssr/dof``, from ``inv(J'J) = inv(r) inv(r)'``: ``cond(J) = cond(r)`` is
+    never squared.  It is inf for a singular or non-finite ``r``, and the
+    standard errors are nan (degenerate covariance) from ``1/sqrt(eps)``.
+    """
+    p = r.shape[-1]
+    finite = np.isfinite(r).all(axis=(1, 2))
+    cond = np.linalg.cond(np.where(finite[:, None, None], r, np.eye(p)))
+    cond = np.where(finite & np.isfinite(cond), cond, np.inf)
+    ok = cond < _SINGULAR_COND
+    rinv = np.linalg.inv(np.where(ok[:, None, None], r, np.eye(p)))
+    # Each row's norm is taken on the row scaled by the power of two that brings its largest entry
+    # into [0.5, 1), so no square overflows; scaling by a power of two is exact.
+    scale = np.ldexp(1.0, -np.frexp(np.abs(rinv).max(axis=-1))[1])
+    se = (np.sqrt(ssr / dof) * np.abs(unit))[:, None] * (np.linalg.norm(rinv * scale[..., None], axis=-1) / scale)
+    se[~ok] = np.nan
+    return se, cond
 
 
 def standard_errors(fit: FitResult, jacobian) -> tuple[float, ...] | None:
@@ -376,6 +398,66 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
     last bit, and by CPU.
     """
     return np.array([f(v) for v in x.tolist()])
+
+
+def _centred(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ybar, yc)``: the mean of each row of ``y`` and ``y`` less it."""
+    ybar = y.sum(axis=-1) / y.shape[-1]
+    return ybar, y - ybar[:, None]
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, reduced over the last axis only."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _select(rows: np.ndarray, n_rows: int):
+    """``rows`` as an index, a slice when it is every row (no copy of the data)."""
+    return slice(None) if len(rows) == n_rows else rows
+
+
+def _take(x: np.ndarray, sel, out: np.ndarray) -> np.ndarray:
+    """Rows ``sel`` of ``x``: a view for a slice, else gathered into ``out``."""
+    return x[sel] if isinstance(sel, slice) else np.take(x, sel, axis=0, out=out, mode="clip")
+
+
+def _evaluate(profile, x: np.ndarray, rows: np.ndarray, x_rows=None):
+    """``profile`` of the distinct, sorted ``rows`` at ``x_rows``, by default ``x[rows]``.
+
+    Rows that are nearly the whole stack are evaluated as the whole stack,
+    the others at ``x``, keeping only their results: that is cheaper than
+    gathering copies of their data, and holds no such copy.
+    """
+    x_rows = x[rows] if x_rows is None else x_rows
+    if 8 * len(rows) < 7 * len(x):
+        return profile(x_rows, rows)
+    x = x.copy()
+    x[rows] = x_rows
+    return tuple(out[rows] for out in profile(x, slice(None)))
+
+
+def _profile(y: np.ndarray, b: np.ndarray, d, work: np.ndarray):
+    """Variable projection per row: ``y`` fitted by ``c*b``, the fit's derivative in the search coordinate ``-c*d``.
+
+    Arrays are ``(R, n)``.  Returns ``(ssr, c, g, h, f, r)``: the sum of
+    squares of the residual ``y - c*b`` (left in ``work``), ``c = <y,
+    b>/<b, b>`` (0 where ``b`` is 0), the gradient and Gauss-Newton
+    curvature of ``ssr/2`` from ``d`` projected off ``b`` in place (Golub
+    and Pereyra 1973; Kaufman 1975), the rounding scale ``f = sum|y_i|*|r_i|``
+    of ``ssr``, and the modified Gram-Schmidt ``R`` of ``[b, d]``, ``(|b|,
+    <d, b>/|b|, |Pd|)`` per row (Bjorck 1967).  ``b`` is overwritten.
+    """
+    bb = _rowdot(b, b)
+    c = np.divide(_rowdot(b, y), bb, out=np.zeros_like(bb), where=bb != 0.0)
+    db = _rowdot(b, d)
+    d -= np.multiply(np.divide(db, bb, out=np.zeros_like(bb), where=bb != 0.0)[:, None], b, out=work)
+    res = np.subtract(y, np.multiply(c[:, None], b, out=work), out=work)
+    ssr = _rowdot(res, res)
+    dd = _rowdot(d, d)
+    g, h = c * _rowdot(d, res), c * c * dd
+    f = _rowdot(np.abs(y, out=b), np.abs(res, out=res))
+    nb = np.sqrt(bb)
+    return ssr, c, g, h, f, np.stack([nb, db / nb, np.sqrt(dd)], axis=1)
 
 
 # The message of a row whose starting sum of squares is not finite (see _search).

@@ -1,4 +1,4 @@
-"""Domain types shared across the library.
+"""Domain types shared across the library, and the two regression curves with their analytic Jacobians.
 
 Every container is immutable and validates its invariants on
 construction, so a held instance is always safe to share between threads.
@@ -11,6 +11,23 @@ Quantities follow the wealth-model conventions used throughout:
   ``pi**2 * sigma_bar``); take ``sqrt(sigma_bar)`` for a volatility.
 * ``pi_star`` is a position in currency units, not a weight.
 * The excess return ``e = mu - r`` is the regressor of both fits.
+
+The two model functions are rational in ``e``:
+
+* stage 1 predicts the risky position,
+      ``f(e) = (beta2*beta3 + beta1*e) / (beta3 + e)``,
+  which equals the two-term display
+  ``beta2 / (1 + e/beta3) + beta1*e / (beta3 + e)`` wherever both are
+  defined but carries a single pole at ``e = -beta3``.
+* stage 2 predicts the inverse position,
+      ``g(e) = beta4*(b3h + e) / (beta5*b3h + beta6*e)``,
+  with ``b3h`` the fixed stage-1 volatility estimate.  ``g`` is invariant
+  under a common rescaling of ``(beta4, beta5, beta6)``, so those
+  parameters are only identified up to a gauge.
+
+The curves and Jacobians are evaluated on stacked rows, ``(R, n)`` arrays
+with one independent dataset per row, as the fits of
+``portvol.estimate`` use them; the public ones are the case of one row.
 """
 
 from __future__ import annotations
@@ -275,6 +292,154 @@ class Stage2Params:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.beta4, self.beta5, self.beta6], dtype=float)
+
+
+# Relative threshold below which a denominator counts as sitting on a pole.
+_POLE_RTOL = 1e-12
+
+
+class PoleError(ValueError):
+    """Raised when a model is evaluated too close to a pole of its rational form."""
+
+    def __init__(self, message: str = "model evaluated within the pole guard of a vanishing denominator"):
+        super().__init__(message)
+
+
+def _pole_rows(value, *scale_terms) -> np.ndarray:
+    """Rows of ``value`` (its last axis) with an entry relatively tiny against its scale.
+
+    The guard compares |value| against ``_POLE_RTOL * max(scale_terms, 1)``
+    elementwise.
+    """
+    scale = 1.0
+    for term in scale_terms:
+        scale = np.maximum(scale, np.abs(term))
+    scale *= _POLE_RTOL  # in place: one array of value's size besides |value|
+    tiny = np.abs(value) < scale
+    return tiny.any(axis=-1) if tiny.ndim else tiny
+
+
+def _stage1_curve(E: np.ndarray, b1, b2, b3) -> tuple[np.ndarray, np.ndarray]:
+    """``(value, pole)``: the stage-1 curve ``(b1*e + b2*b3)/(b3 + e)`` at ``E``, ``(R, n)``.
+
+    Each parameter is a scalar or an ``(R, 1)`` column, one curve per row.
+    ``pole`` marks the rows with an ``e`` on the pole guard of
+    :func:`_pole_rows`; their values mean nothing.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = b3 + E
+        pole = _pole_rows(denom, b3, E)
+        value = b1 * E
+        value += b2 * b3
+        value /= denom
+    return value, pole
+
+
+def _stage1_grad(E: np.ndarray, b1, b2, b3):
+    """``(jac, pole)``: derivatives of the stage-1 curve in (beta1, beta2, beta3) at ``E``, ``(R, n, 3)``.
+
+    Each parameter is a scalar or an ``(R, 1)`` column, one curve per row.
+    A row on the pole guard of :func:`_pole_rows` is nan, and ``pole`` marks it.
+    """
+    denom = b3 + E
+    jac = np.empty(E.shape + (3,))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(E, denom, out=jac[..., 0])
+        np.divide(b3, denom, out=jac[..., 1])
+        np.multiply(b2 - b1, jac[..., 0], out=jac[..., 2])
+        jac[..., 2] /= denom
+    pole = _pole_rows(denom, b3, E)
+    jac[pole] = np.nan
+    return jac, pole
+
+
+def _stage2_terms(E: np.ndarray, b5, b6, bh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(num, den, pole)``: the stage-2 ``bh + e`` and ``b5*bh + b6*e``, and the rows with either on the pole guard."""
+    num, den = bh + E, b5 * bh + b6 * E
+    return num, den, _pole_rows(num, bh, E) | _pole_rows(den, b5 * bh, b6 * E)
+
+
+def _stage2_grad(E: np.ndarray, b4, b5, b6, bh):
+    """``(jac, pole)``: derivatives of the stage-2 curve in (beta4, beta5, beta6) at ``E``, ``(R, n, 3)``.
+
+    The parameters and ``bh = b3h`` are scalars or ``(R, 1)`` columns, one
+    curve per row.  A row on the pole guard of either denominator is nan,
+    and ``pole`` marks it.
+    """
+    num, den, pole = _stage2_terms(E, b5, b6, bh)
+    jac = np.empty(E.shape + (3,))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g4 = np.divide(num, den, out=jac[..., 0])
+        t = -b4 * g4 / den  # the derivatives in beta5 and beta6 are t*b3h and t*e
+        np.multiply(t, bh, out=jac[..., 1])
+        np.multiply(t, E, out=jac[..., 2])
+    jac[pole] = np.nan
+    return jac, pole
+
+
+def _one_curve(e, out: np.ndarray, pole: np.ndarray):
+    """A public curve or Jacobian: row 0 of ``out`` shaped like ``e`` plus any axis, a float at a scalar ``e``."""
+    if pole[0]:
+        raise PoleError()
+    out = out[0].reshape(np.shape(e) + out.shape[2:])[()]
+    return float(out) if np.isscalar(e) and out.ndim == 0 else out
+
+
+def stage1_model(e, b: Stage1Params):
+    """Predicted risky position for excess return(s) ``e``.
+
+    Parameters
+    ----------
+    e : float or array_like
+        Excess return ``mu - r``.
+    b : Stage1Params
+
+    Raises
+    ------
+    PoleError
+        If any ``|b.beta3 + e|`` falls below ``1e-12 * max(|beta3|, |e|, 1)``.
+    """
+    return _one_curve(e, *_stage1_curve(np.asarray(e, dtype=float).reshape(1, -1), b.beta1, b.beta2, b.beta3))
+
+
+def stage1_jacobian(e, b: Stage1Params):
+    """Partial derivatives of :func:`stage1_model` w.r.t. (beta1, beta2, beta3).
+
+    Returns shape ``(3,)`` for scalar ``e`` and ``(n, 3)`` for a vector.
+    These are the derivatives behind the stage-1 standard errors.
+    """
+    e = np.asarray(e, dtype=float)
+    return _one_curve(e, *_stage1_grad(e.reshape(1, -1), *b.as_array()))
+
+
+def _beta3_hat(beta3_hat) -> float:
+    """The stage-1 ``beta3_hat`` stage 2 is evaluated at, as a float; ValueError unless finite and > 0."""
+    if not (_finite(beta3_hat) and beta3_hat > 0.0):
+        raise ValueError("beta3_hat must be finite and > 0")
+    return float(beta3_hat)
+
+
+def stage2_model(e, b: Stage2Params, beta3_hat: float):
+    """Predicted inverse position for excess return(s) ``e``.
+
+    ``beta3_hat`` is the stage-1 volatility estimate, entering as a fixed
+    constant (it is data to this model, not a parameter).  Either
+    denominator on the pole guard raises :class:`PoleError`.
+    """
+    bh = _beta3_hat(beta3_hat)
+    num, den, pole = _stage2_terms(np.asarray(e, dtype=float).reshape(1, -1), b.beta5, b.beta6, bh)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _one_curve(e, b.beta4 * num / den, pole)
+
+
+def stage2_jacobian(e, b: Stage2Params, beta3_hat: float):
+    """Partial derivatives of :func:`stage2_model` w.r.t. (beta4, beta5, beta6).
+
+    The stage-2 standard errors use the two columns the gauge leaves free.
+    """
+    e = np.asarray(e, dtype=float)
+    return _one_curve(e, *_stage2_grad(e.reshape(1, -1), *b.as_array(), _beta3_hat(beta3_hat)))
+
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import Dataset, HestonParams, PolicyCoefficients, Stage1Params, _finite, _integer
-from .nls import PoleError, _stage1_curve
+from .model import Dataset, HestonParams, PolicyCoefficients, PoleError, Stage1Params, _finite, _integer, _stage1_curve
 
 __all__ = [
     "PathConfig",
@@ -428,10 +427,11 @@ def variance_path_from_normals(
 ) -> np.ndarray:
     """Full-truncation Euler variance path driven by explicit normals.
 
-    ``z2`` has one standard normal per step (last axis); leading axes
-    batch independent paths.  Returns an array with one more grid point
-    than steps, starting at ``sigma_bar``.  A 1-D ``z2`` is stepped on
-    Python floats and gives the same bits as the same row of a batch.
+    ``dts`` is 1-D, each step finite and > 0.  ``z2`` has one standard
+    normal per step (last axis); leading axes batch independent paths.
+    Returns an array with one more grid point than steps, starting at
+    ``sigma_bar``.  A 1-D ``z2`` is stepped on Python floats and gives the
+    same bits as the same row of a batch.
 
     ``out``, as in numpy, is a writable float64 array of the result's
     shape that receives the paths and is returned.  The normals may live
@@ -445,6 +445,10 @@ def variance_path_from_normals(
     """
     z2 = np.asarray(z2, dtype=float)
     dts = np.asarray(dts, dtype=float)
+    if dts.ndim != 1 or not (np.isfinite(dts) & (dts > 0.0)).all():
+        raise ValueError("time steps dts must be 1-D, finite and > 0")
+    if z2.ndim == 0:
+        raise ValueError("z2 must be at least 1-D, one normal per step on its last axis")
     n = dts.shape[0]
     if z2.shape[-1] != n:
         raise ValueError(f"z2 last axis has length {z2.shape[-1]}, expected {n}")
@@ -491,6 +495,7 @@ def market_path_from_normals(
 
     ``z1`` drives the price-specific shock and ``z2`` the variance; the
     price Brownian increment is ``sqrt(dt) * (rho*z2 + sqrt(1-rho**2)*z1)``.
+    ``times`` must increase strictly.
     Exposed so experiments can share or aggregate increments across grid
     resolutions.
     """

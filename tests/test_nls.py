@@ -1,12 +1,14 @@
 """The model curves and their analytic Jacobians: values, pole guards, derivatives and return types."""
 
+import importlib.util
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
 import portvol
-import portvol.nls
+import portvol.model
 from portvol import (
     Dataset,
     GaugeRule,
@@ -223,11 +225,15 @@ def test_return_types(e, model_type, shape):
 
 
 def test_no_levenberg_marquardt_solver():
-    # Both stages fit by variable projection: the unused solver is gone, and with it its problem and result
-    # types, so the one class nls defines is PoleError.
-    assert not hasattr(portvol, "lm_fit") and not hasattr(portvol.nls, "lm_fit")
-    classes = [v for v in vars(portvol.nls).values() if isinstance(v, type) and v.__module__ == portvol.nls.__name__]
-    assert classes == [PoleError]
-    exported = {name for name in portvol.__all__ if getattr(portvol, name).__module__ == portvol.nls.__name__}
-    curves = {"stage1_model", "stage1_jacobian", "stage2_model", "stage2_jacobian"}
-    assert exported == set(portvol.nls.__all__) == {"PoleError"} | curves
+    # Both stages fit by variable projection: the unused solver is gone, and with it its problem, result and
+    # option types.  The curves and PoleError live in model beside their parameter types, and no nls module
+    # is left.
+    assert not hasattr(portvol, "lm_fit")
+    for info in pkgutil.iter_modules(portvol.__path__):
+        module = importlib.import_module(f"portvol.{info.name}")
+        defined = {n for n, v in vars(module).items() if isinstance(v, type) and v.__module__ == module.__name__}
+        assert not defined & {"ResidualProblem", "RowFits", "SolverOptions"}, info.name
+    for name in ("PoleError", "stage1_model", "stage1_jacobian", "stage2_model", "stage2_jacobian"):
+        assert name in portvol.__all__ and getattr(portvol, name) is getattr(portvol.model, name)
+        assert getattr(portvol, name).__module__ == portvol.model.__name__
+    assert importlib.util.find_spec("portvol.nls") is None

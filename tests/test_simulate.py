@@ -988,6 +988,8 @@ class TestStackedGeneration:
 _PATH = PathConfig(horizon=1.0, dt=0.5, seed=0)
 _CURVE = Stage1Params(2.0, 0.5, 0.04)
 _INF = math.inf
+_STEPS = "time steps dts must be 1-D, finite and > 0"
+_NORMALS = "z2 must be at least 1-D, one normal per step on its last axis"
 
 
 class TestValidators:
@@ -1068,6 +1070,26 @@ class TestValidators:
         "path-non-finite": (
             lambda: SimPath(times=np.array([0.0, 1.0]), variance=np.array([0.0, _INF]), price=np.ones(2)),
             "SimPath field variance contains non-finite values",
+        ),
+        # Malformed steps or normals are refused before any arithmetic.
+        "normals-0d": (lambda: variance_path_from_normals(heston(), np.full(2, 0.1), np.array(0.0)), _NORMALS),
+        "steps-0d": (lambda: variance_path_from_normals(heston(), np.array(0.1), np.zeros(1)), _STEPS),
+        "steps-2d": (lambda: variance_path_from_normals(heston(), np.full((2, 2), 0.1), np.zeros((2, 2))), _STEPS),
+        "steps-zero": (lambda: variance_path_from_normals(heston(), np.array([0.1, 0.0]), np.zeros(2)), _STEPS),
+        "steps-negative-batch": (
+            lambda: variance_path_from_normals(heston(), np.array([0.1, -0.1]), np.zeros((3, 2))), _STEPS
+        ),
+        "steps-nan": (lambda: variance_path_from_normals(heston(), np.array([0.1, math.nan]), np.zeros(2)), _STEPS),
+        "steps-infinite": (lambda: variance_path_from_normals(heston(), np.array([0.1, _INF]), np.zeros(2)), _STEPS),
+        "times-decreasing": (
+            lambda: market_path_from_normals(heston(), np.array([0.0, 0.2, 0.1]), np.zeros(2), np.zeros(2)), _STEPS
+        ),
+        "times-repeated": (
+            lambda: market_path_from_normals(heston(), np.array([0.0, 0.0, 0.1]), np.zeros(2), np.zeros(2)), _STEPS
+        ),
+        "times-nan": (
+            lambda: market_path_from_normals(heston(), np.array([0.0, math.nan, 0.1]), np.zeros(2), np.zeros(2)),
+            _STEPS,
         ),
     }
 
