@@ -50,6 +50,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _usage_error(parser: _Parser, message: str) -> int:
+    print(f"usage error: {message}", file=sys.stderr)
+    parser.print_help(sys.stderr)
+    return 1
+
+
 def _stage_error(stage: str, exc: Exception) -> int:
     print(f"error in {stage} stage: {exc}", file=sys.stderr)
     return 2
@@ -172,20 +178,14 @@ def run_cli(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_help(sys.stderr)
-        return 1
+        return _usage_error(parser, str(exc))
     if args.command is None:
-        print("usage error: a subcommand is required", file=sys.stderr)
-        parser.print_help(sys.stderr)
-        return 1
+        return _usage_error(parser, "a subcommand is required")
     if args.command == "help":
         parser.print_help(sys.stdout)
         return 0
     if args.config is None:
-        print("usage error: --config is required", file=sys.stderr)
-        parser.print_help(sys.stderr)
-        return 1
+        return _usage_error(parser, "--config is required")
     try:
         cfg = data_io.parse_config(args.config)
     except (ValueError, OSError) as exc:
@@ -197,9 +197,7 @@ def run_cli(argv=None) -> int:
         )
     if args.seed is not None:
         if not 0 <= args.seed < SEED_LIMIT:
-            print("usage error: --seed must be in [0, 2**64)", file=sys.stderr)
-            parser.print_help(sys.stderr)
-            return 1
+            return _usage_error(parser, "--seed must be in [0, 2**64)")
         cfg = replace(cfg, seed=args.seed)
     if args.output is not None:
         cfg = replace(cfg, output=args.output)

@@ -62,6 +62,7 @@ from .model import (
     _beta3_hat,
     _finite,
     _integer,
+    _pole_between,
     _pole_rows,
 )
 from .simulate import BASE_RATE, SEED_LIMIT, GenerationSpec, _model_implied_rows, _stream_keys
@@ -587,7 +588,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
     def fit(k, sel):
         b3 = scale[sel] * _libm(math.exp, k)
         out = _stage1_profile(E[sel], ybar[sel], YC[sel], b3, work)  # views, or copies of the few rows
-        out[0][(lo[sel] <= -b3) & (-b3 <= hi[sel])] = np.inf  # a pole among the e
+        out[0][_pole_between(b3, lo[sel], hi[sel])] = np.inf
         return out
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -601,8 +602,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
         ratio = (ep * _rowdot(ec, y) - ee * _rowdot(YC, y)) / (ee * pp - ep * ep) / scale
         k, ok = np.ones(n_rows), (ratio > 0.0) & (ratio < np.inf)
         k[ok] = _libm(math.log, ratio[ok])
-        b3 = scale * _libm(math.exp, k)
-        k[(lo <= -b3) & (-b3 <= hi)] = 1.0
+        k[_pole_between(scale * _libm(math.exp, k), lo, hi)] = 1.0
     live = ~np.isin(np.arange(n_rows), list(failures))
     k, ssr, coef, iterations, messages = _search(fit, k, live, PI)
 

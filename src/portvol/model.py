@@ -25,9 +25,11 @@ The two model functions are rational in ``e``:
   under a common rescaling of ``(beta4, beta5, beta6)``, so those
   parameters are only identified up to a gauge.
 
-The curves and Jacobians are evaluated on stacked rows, ``(R, n)`` arrays
-with one independent dataset per row, as the fits of
-``portvol.estimate`` use them; the public ones are the case of one row.
+The public curves and Jacobians evaluate ``e`` of any shape elementwise, a
+Jacobian adding a last axis for the three parameters.  The fits of
+``portvol.estimate`` work from their own projections instead, and the
+generator of ``portvol.simulate`` draws its positions from
+:func:`_stage1_curve`, one dataset per row.
 """
 
 from __future__ import annotations
@@ -305,25 +307,27 @@ class PoleError(ValueError):
         super().__init__(message)
 
 
-def _pole_rows(value, *scale_terms) -> np.ndarray:
+def _pole_rows(value, scale_a, scale_b) -> np.ndarray:
     """Rows of ``value`` (its last axis) with an entry relatively tiny against its scale.
 
-    The guard compares |value| against ``_POLE_RTOL * max(scale_terms, 1)``
-    elementwise.
+    The guard compares |value| against ``_POLE_RTOL * max(|scale_a|,
+    |scale_b|, 1)`` elementwise.
     """
-    scale = 1.0
-    for term in scale_terms:
-        scale = np.maximum(scale, np.abs(term))
+    scale = np.maximum(np.maximum(1.0, np.abs(scale_a)), np.abs(scale_b))
     scale *= _POLE_RTOL  # in place: one array of value's size besides |value|
     tiny = np.abs(value) < scale
     return tiny.any(axis=-1) if tiny.ndim else tiny
 
 
-def _stage1_curve(E: np.ndarray, b1, b2, b3) -> tuple[np.ndarray, np.ndarray]:
-    """``(value, pole)``: the stage-1 curve ``(b1*e + b2*b3)/(b3 + e)`` at ``E``, ``(R, n)``.
+def _pole_between(b3, lo, hi):
+    """Whether the stage-1 pole ``-b3`` lies in ``[lo, hi]``, elementwise."""
+    return (lo <= -b3) & (-b3 <= hi)
 
-    Each parameter is a scalar or an ``(R, 1)`` column, one curve per row.
-    ``pole`` marks the rows with an ``e`` on the pole guard of
+
+def _stage1_curve(E: np.ndarray, b1, b2, b3) -> tuple[np.ndarray, np.ndarray]:
+    """``(value, pole)``: the stage-1 curve ``(b1*e + b2*b3)/(b3 + e)`` at ``E``.
+
+    ``pole`` marks the rows of ``E`` with an ``e`` on the pole guard of
     :func:`_pole_rows`; their values mean nothing.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -335,54 +339,13 @@ def _stage1_curve(E: np.ndarray, b1, b2, b3) -> tuple[np.ndarray, np.ndarray]:
     return value, pole
 
 
-def _stage1_grad(E: np.ndarray, b1, b2, b3):
-    """``(jac, pole)``: derivatives of the stage-1 curve in (beta1, beta2, beta3) at ``E``, ``(R, n, 3)``.
-
-    Each parameter is a scalar or an ``(R, 1)`` column, one curve per row.
-    A row on the pole guard of :func:`_pole_rows` is nan, and ``pole`` marks it.
-    """
-    denom = b3 + E
-    jac = np.empty(E.shape + (3,))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(E, denom, out=jac[..., 0])
-        np.divide(b3, denom, out=jac[..., 1])
-        np.multiply(b2 - b1, jac[..., 0], out=jac[..., 2])
-        jac[..., 2] /= denom
-    pole = _pole_rows(denom, b3, E)
-    jac[pole] = np.nan
-    return jac, pole
-
-
-def _stage2_terms(E: np.ndarray, b5, b6, bh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(num, den, pole)``: the stage-2 ``bh + e`` and ``b5*bh + b6*e``, and the rows with either on the pole guard."""
-    num, den = bh + E, b5 * bh + b6 * E
-    return num, den, _pole_rows(num, bh, E) | _pole_rows(den, b5 * bh, b6 * E)
-
-
-def _stage2_grad(E: np.ndarray, b4, b5, b6, bh):
-    """``(jac, pole)``: derivatives of the stage-2 curve in (beta4, beta5, beta6) at ``E``, ``(R, n, 3)``.
-
-    The parameters and ``bh = b3h`` are scalars or ``(R, 1)`` columns, one
-    curve per row.  A row on the pole guard of either denominator is nan,
-    and ``pole`` marks it.
-    """
-    num, den, pole = _stage2_terms(E, b5, b6, bh)
-    jac = np.empty(E.shape + (3,))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g4 = np.divide(num, den, out=jac[..., 0])
-        t = -b4 * g4 / den  # the derivatives in beta5 and beta6 are t*b3h and t*e
-        np.multiply(t, bh, out=jac[..., 1])
-        np.multiply(t, E, out=jac[..., 2])
-    jac[pole] = np.nan
-    return jac, pole
-
-
-def _one_curve(e, out: np.ndarray, pole: np.ndarray):
-    """A public curve or Jacobian: row 0 of ``out`` shaped like ``e`` plus any axis, a float at a scalar ``e``."""
-    if pole[0]:
+def _stage2_terms(E: np.ndarray, b5, b6, bh) -> tuple[np.ndarray, np.ndarray]:
+    """``(num, den)``: the stage-2 ``bh + e`` and ``b5*bh + b6*e``; PoleError if either is on the pole guard."""
+    # np.add, not +: at a 0-d e both terms are numpy scalars, whose + names an overflow "scalar add".
+    num, den = bh + E, np.add(b5 * bh, b6 * E)
+    if (_pole_rows(num, bh, E) | _pole_rows(den, b5 * bh, b6 * E)).any():
         raise PoleError()
-    out = out[0].reshape(np.shape(e) + out.shape[2:])[()]
-    return float(out) if np.isscalar(e) and out.ndim == 0 else out
+    return num, den
 
 
 def stage1_model(e, b: Stage1Params):
@@ -399,17 +362,29 @@ def stage1_model(e, b: Stage1Params):
     PoleError
         If any ``|b.beta3 + e|`` falls below ``1e-12 * max(|beta3|, |e|, 1)``.
     """
-    return _one_curve(e, *_stage1_curve(np.asarray(e, dtype=float).reshape(1, -1), b.beta1, b.beta2, b.beta3))
+    value, pole = _stage1_curve(np.asarray(e, dtype=float), b.beta1, b.beta2, b.beta3)
+    if pole.any():
+        raise PoleError()
+    return float(value) if np.isscalar(e) else value
 
 
 def stage1_jacobian(e, b: Stage1Params):
     """Partial derivatives of :func:`stage1_model` w.r.t. (beta1, beta2, beta3).
 
-    Returns shape ``(3,)`` for scalar ``e`` and ``(n, 3)`` for a vector.
+    Returns shape ``(3,)`` for scalar ``e`` and ``e.shape + (3,)`` for an array.
     These are the derivatives behind the stage-1 standard errors.
     """
-    e = np.asarray(e, dtype=float)
-    return _one_curve(e, *_stage1_grad(e.reshape(1, -1), *b.as_array()))
+    E, (b1, b2, b3) = np.asarray(e, dtype=float), b.as_array()
+    denom = b3 + E
+    if _pole_rows(denom, b3, E).any():
+        raise PoleError()
+    jac = np.empty(E.shape + (3,))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(E, denom, out=jac[..., 0])
+        np.divide(b3, denom, out=jac[..., 1])
+        np.multiply(b2 - b1, jac[..., 0], out=jac[..., 2])
+        jac[..., 2] /= denom
+    return jac
 
 
 def _beta3_hat(beta3_hat) -> float:
@@ -427,9 +402,10 @@ def stage2_model(e, b: Stage2Params, beta3_hat: float):
     denominator on the pole guard raises :class:`PoleError`.
     """
     bh = _beta3_hat(beta3_hat)
-    num, den, pole = _stage2_terms(np.asarray(e, dtype=float).reshape(1, -1), b.beta5, b.beta6, bh)
+    num, den = _stage2_terms(np.asarray(e, dtype=float), b.beta5, b.beta6, bh)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _one_curve(e, b.beta4 * num / den, pole)
+        value = b.beta4 * num / den
+    return float(value) if np.isscalar(e) else value
 
 
 def stage2_jacobian(e, b: Stage2Params, beta3_hat: float):
@@ -437,9 +413,15 @@ def stage2_jacobian(e, b: Stage2Params, beta3_hat: float):
 
     The stage-2 standard errors use the two columns the gauge leaves free.
     """
-    e = np.asarray(e, dtype=float)
-    return _one_curve(e, *_stage2_grad(e.reshape(1, -1), *b.as_array(), _beta3_hat(beta3_hat)))
-
+    E, (b4, b5, b6), bh = np.asarray(e, dtype=float), b.as_array(), _beta3_hat(beta3_hat)
+    num, den = _stage2_terms(E, b5, b6, bh)
+    jac = np.empty(E.shape + (3,))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g4 = np.divide(num, den, out=jac[..., 0])
+        t = -b4 * g4 / den  # the derivatives in beta5 and beta6 are t*b3h and t*e
+        np.multiply(t, bh, out=jac[..., 1])
+        np.multiply(t, E, out=jac[..., 2])
+    return jac
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import Dataset, HestonParams, PolicyCoefficients, PoleError, Stage1Params, _finite, _integer, _stage1_curve
+from .model import (Dataset, HestonParams, PolicyCoefficients, PoleError, Stage1Params, _finite, _integer,
+                    _pole_between, _stage1_curve)
 
 __all__ = [
     "PathConfig",
@@ -671,7 +672,7 @@ class GenerationSpec:
             raise ValueError("e_interval must be a finite (low, high) pair with low < high")
         if not math.isfinite(hi - lo):
             raise ValueError("e_interval is too wide: its width high - low overflows")
-        if lo <= -self.stage1.beta3 <= hi:
+        if _pole_between(self.stage1.beta3, lo, hi):
             raise ValueError("e_interval contains the model pole at -beta3")
 
 

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from portvol.cli import run_cli
+from portvol.cli import _build_parser, run_cli
 from portvol import GenerationSpec, Stage1Params, generate_synthetic_dataset, write_dataset
 
 NOISELESS_GEN = "[generation]\nn = 50\nnoise = 0.0\nbeta1 = 2.0\nbeta2 = 0.5\nbeta3 = 0.04\n"
@@ -50,6 +50,25 @@ class TestUsageErrors:
     def test_missing_config_flag_exits_1(self, capsys):
         assert run_cli(["fit"]) == 1
         assert "--config is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--confg", "x.cfg"], "unrecognized arguments: --confg x.cfg"),
+            ([], "a subcommand is required"),
+            (["fit"], "--config is required"),
+            (["fit", "--config", "{config}", "--seed", str(2**64)], "--seed must be in [0, 2**64)"),
+        ],
+        ids=["bad-argument", "no-subcommand", "no-config", "seed-out-of-range"],
+    )
+    def test_exact_stderr(self, argv, message, tmp_path, capsys):
+        # Every usage error prints its message and then the help on stderr, nothing on stdout, and exits 1.
+        if "{config}" in argv:
+            argv = [str(fit_config(tmp_path)) if a == "{config}" else a for a in argv]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n" + _build_parser().format_help()
+        assert captured.out == ""
 
     def test_help_exits_0_on_stdout(self, capsys):
         assert run_cli(["help"]) == 0

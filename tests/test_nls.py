@@ -186,6 +186,20 @@ class TestGuards:
             ),
             _POLE,
         ),
+        # A pole in any row of a 2-D e refuses the whole call.
+        "stage1-model-at-pole-2d": (
+            lambda: stage1_model(np.array([[0.01, 0.02], [0.03, -0.04]]), Stage1Params(2.0, 0.5, 0.04)), _POLE,
+        ),
+        "stage1-jacobian-at-pole-2d": (
+            lambda: stage1_jacobian(np.array([[0.01, 0.02], [-0.04, 0.03]]), Stage1Params(2.0, 0.5, 0.04)), _POLE,
+        ),
+        "stage2-model-at-pole-2d": (
+            lambda: stage2_model(np.array([[0.05, 0.03], [0.01, 0.02]]), Stage2Params(1.0, 0.5, -1.0), 0.04), _POLE,
+        ),
+        "stage2-jacobian-at-numerator-pole-2d": (
+            lambda: stage2_jacobian(np.array([[0.05, 0.03], [-0.04, 0.01]]), Stage2Params(1.0, 0.5, 2.0), 0.04),
+            _POLE,
+        ),
         "stage2-jacobian-beta3-hat-zero": (
             lambda: stage2_jacobian(0.05, Stage2Params(1.0, 0.5, 2.0), 0.0), _BETA3_HAT,
         ),
@@ -211,17 +225,28 @@ class TestGuards:
 
 @pytest.mark.parametrize(
     "e, model_type, shape",
-    [(0.05, float, ()), (np.array(0.05), np.float64, ()), (np.array([0.01, 0.05]), np.ndarray, (2,))],
-    ids=["float", "0-d", "1-d"],
+    [
+        (0.05, float, ()),
+        (np.array(0.05), np.float64, ()),
+        (np.array([0.01, 0.05]), np.ndarray, (2,)),
+        (np.array([[0.01, 0.05, 0.1], [0.02, 0.03, 0.04]]), np.ndarray, (2, 3)),
+    ],
+    ids=["float", "0-d", "1-d", "2-d"],
 )
 def test_return_types(e, model_type, shape):
     # A curve gives a float at a float, a numpy float at a 0-d array and an
-    # array at an array; a Jacobian is an array with the parameter axis last.
+    # array of e's shape at an array; a Jacobian is an array with the
+    # parameter axis last.  Every entry is the one of the flattened e.
     b1, b2 = Stage1Params(2.0, 0.5, 0.04), Stage2Params(1.0, 0.5, 2.0)
-    for value in (stage1_model(e, b1), stage2_model(e, b2, 0.04)):
+    curves = (lambda x: stage1_model(x, b1), lambda x: stage2_model(x, b2, 0.04))
+    for curve in curves:
+        value = curve(e)
         assert type(value) is model_type and np.shape(value) == shape
-    for jac in (stage1_jacobian(e, b1), stage2_jacobian(e, b2, 0.04)):
+        assert np.array_equal(value, curve(np.ravel(e)).reshape(shape))
+    for jacobian in (lambda x: stage1_jacobian(x, b1), lambda x: stage2_jacobian(x, b2, 0.04)):
+        jac = jacobian(e)
         assert type(jac) is np.ndarray and jac.shape == shape + (3,)
+        assert np.array_equal(jac, jacobian(np.ravel(e)).reshape(shape + (3,)))
 
 
 def test_no_levenberg_marquardt_solver():
