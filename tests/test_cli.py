@@ -63,8 +63,7 @@ class TestUsageErrors:
     )
     def test_exact_stderr(self, argv, message, tmp_path, capsys):
         # Every usage error prints its message and then the help on stderr, nothing on stdout, and exits 1.
-        if "{config}" in argv:
-            argv = [str(fit_config(tmp_path)) if a == "{config}" else a for a in argv]
+        argv = [str(fit_config(tmp_path)) if a == "{config}" else a for a in argv]
         assert run_cli(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"usage error: {message}\n" + _build_parser().format_help()
