@@ -219,25 +219,6 @@ def write_dataset(data: Dataset, path) -> None:
             handle.write("\r\n".join(block))
 
 
-def _fit_lines(section: str, fit: FitResult, param_names: tuple[str, ...]) -> list[str]:
-    lines = [f"[{section}]"]
-    values = fit.params.as_array() if hasattr(fit.params, "as_array") else fit.params
-    for name, value in zip(param_names, values):
-        lines.append(f"{name} = {_fmt(float(value))}")
-    for i, name in enumerate(param_names):
-        se = None if fit.standard_errors is None else fit.standard_errors[i]
-        lines.append(f"se_{name} = {_fmt(se)}")
-    lines.append(f"residual_norm = {_fmt(fit.residual_norm)}")
-    lines.append(f"iterations = {_fmt(fit.iterations)}")
-    lines.append(f"converged = {_fmt(fit.converged)}")
-    lines.append(f"message = {fit.message if fit.message else 'null'}")
-    return lines
-
-
-def _diag_value(diags: frozenset[str]) -> str:
-    return ",".join(sorted(diags)) if diags else "none"
-
-
 def write_report(
     path,
     *,
@@ -251,51 +232,47 @@ def write_report(
 
     Sections appear in a fixed order (stage1, stage2, rho, diagnostics,
     validation), each with a fixed key order, so identical inputs produce
-    byte-identical files.
+    byte-identical files.  Each section is built as ``(key, value)`` pairs,
+    and every value is rendered by :func:`_fmt`.
     """
-    lines: list[str] = []
-    if stage1 is not None:
-        lines += _fit_lines("stage1", stage1, ("beta1", "beta2", "beta3"))
-        lines.append("")
-    if stage2 is not None:
-        lines += _fit_lines("stage2", stage2, ("beta4", "beta5", "beta6"))
-        lines.append(f"gamma_hat = {_fmt(float(stage2.params.beta4))}")
-        lines.append(f"gauge = {gauge.variant if gauge is not None else 'null'}")
-        pin = None if gauge is None else gauge.pin_value
-        lines.append(f"gauge_pin_value = {_fmt(pin)}")
-        lines.append("")
+    sections: list[tuple[str, list[tuple[str, object]]]] = []
+    fits = {"stage1": (stage1, ("beta1", "beta2", "beta3")), "stage2": (stage2, ("beta4", "beta5", "beta6"))}
+    for name, (fit, params) in fits.items():
+        if fit is None:
+            continue
+        values = fit.params.as_array() if hasattr(fit.params, "as_array") else fit.params
+        se = repeat(None) if fit.standard_errors is None else fit.standard_errors
+        pairs = [*zip(params, map(float, values)), *zip([f"se_{p}" for p in params], se)]
+        pairs += [("residual_norm", fit.residual_norm), ("iterations", fit.iterations), ("converged", fit.converged)]
+        pairs.append(("message", fit.message or None))
+        if name == "stage2":
+            pairs.append(("gamma_hat", float(fit.params.beta4)))
+            pairs.append(("gauge", None if gauge is None else gauge.variant))
+            pairs.append(("gauge_pin_value", None if gauge is None else gauge.pin_value))
+        sections.append((name, pairs))
     if rho is not None:
-        lines.append("[rho]")
-        lines.append(f"rho_hat = {_fmt(rho.rho_hat)}")
-        lines.append(f"in_range = {_fmt(rho.in_range)}")
-        lines.append("")
-    if stage1 is not None or stage2 is not None or rho is not None:
-        lines.append("[diagnostics]")
-        if stage1 is not None:
-            lines.append(f"stage1 = {_diag_value(stage1.diagnostics)}")
-        if stage2 is not None:
-            lines.append(f"stage2 = {_diag_value(stage2.diagnostics)}")
-        if rho is not None:
-            lines.append(f"rho = {_diag_value(rho.diagnostics)}")
-        lines.append("")
+        sections.append(("rho", [("rho_hat", rho.rho_hat), ("in_range", rho.in_range)]))
+    diagnostics = [
+        (name, ",".join(sorted(part.diagnostics)) if part.diagnostics else "none")
+        for name, part in (("stage1", stage1), ("stage2", stage2), ("rho", rho))
+        if part is not None
+    ]
+    if diagnostics:
+        sections.append(("diagnostics", diagnostics))
     if validation is not None:
         v = validation
-        lines.append("[validation]")
-        lines.append(f"replications = {_fmt(v.replications)}")
-        lines.append(f"converged = {_fmt(v.n_converged)}")
-        lines.append(f"failed = {_fmt(v.n_failed)}")
-        lines.append(f"convergence_rate = {_fmt(v.convergence_rate)}")
+        pairs = [("replications", v.replications), ("converged", v.n_converged), ("failed", v.n_failed)]
+        pairs.append(("convergence_rate", v.convergence_rate))
         for i, name in enumerate(v.param_names):
-            lines.append(f"truth_{name} = {_fmt(float(v.truth.as_array()[i]))}")
-            lines.append(f"bias_{name} = {_fmt(None if v.bias is None else v.bias[i])}")
-            lines.append(f"rmse_{name} = {_fmt(None if v.rmse is None else v.rmse[i])}")
-            lines.append(f"coverage_{name} = {_fmt(None if v.coverage is None else v.coverage[i])}")
-        lines.append(f"coverage_evaluated = {_fmt(v.coverage_evaluated)}")
-        lines.append(f"beta3_mean = {_fmt(v.beta3_mean)}")
-        lines.append(f"stage2_gamma_mean = {_fmt(v.stage2_gamma_mean)}")
-        lines.append(f"stage2_converged = {_fmt(v.stage2_n_converged)}")
-        lines.append("")
-    text = "\n".join(lines)
+            pairs.append((f"truth_{name}", float(v.truth.as_array()[i])))
+            for stat, column in (("bias", v.bias), ("rmse", v.rmse), ("coverage", v.coverage)):
+                pairs.append((f"{stat}_{name}", None if column is None else column[i]))
+        pairs += [("coverage_evaluated", v.coverage_evaluated), ("beta3_mean", v.beta3_mean)]
+        pairs += [("stage2_gamma_mean", v.stage2_gamma_mean), ("stage2_converged", v.stage2_n_converged)]
+        sections.append(("validation", pairs))
+    text = "\n".join(
+        f"[{name}]\n" + "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs) for name, pairs in sections
+    )
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -303,33 +280,39 @@ def write_report(
         raise OSError(f"cannot write report {path}: {exc}") from exc
 
 
-# Sections that are exactly the fields of one type.
-_SECTION_TYPES = {"heston": HestonParams, "policy": PolicyCoefficients}
-_SECTION_KEYS = {
+_MODES = ("simulate", "fit", "volvol", "validate", "pipeline")
+_GENERATING_MODES = ("simulate", "validate", "pipeline")
+# The keys of each config section; any other key or section is an error.
+_KEYS = {
     "run": {"mode", "input", "output", "dataset_output", "seed", "gauge", "beta3_hat", "alpha_ratio"},
     "generation": {"kind", "n", "noise", "e_min", "e_max", "beta1", "beta2", "beta3", "replications"},
+    "heston": {f.name for f in fields(HestonParams)},
+    "policy": {f.name for f in fields(PolicyCoefficients)},
     "path": {"horizon", "dt", "x0"},
-    **{section: {f.name for f in fields(cls)} for section, cls in _SECTION_TYPES.items()},
 }
-_MODES = ("simulate", "fit", "volvol", "validate", "pipeline")
-# The modes that read each other [run] key (every mode reads mode,
-# output and seed), checked in this order; each requires the keys it reads
-# but gauge, beta3_hat and alpha_ratio.  Only the generating modes read
-# [generation], only validate its replications, and only structural
-# generation reads [heston], [policy] and [path] and not the curve keys.
+# Who reads each part of a config, in check order: (part, "mode" or "kind")
+# -> (the modes or generation kinds that read it, whether a mode that reads
+# the key must give it; a required section is checked where it is parsed).
+# A part given where nothing reads it is refused.  Every mode reads [run]
+# mode, output and seed, and every generation kind reads [generation] kind.
 # Structural generation is for simulate and pipeline: every row of a wealth
-# path has one excess return, which stage 1 refuses, so validate would
-# tally nothing but refusals.
-_RUN_KEY_MODES = {
-    "beta3_hat": ("volvol",),
-    "alpha_ratio": ("volvol", "pipeline"),
-    "gauge": ("volvol", "pipeline"),
-    "input": ("fit", "volvol"),
-    "dataset_output": ("pipeline",),
+# path has one excess return, which stage 1 refuses, so validate would tally
+# nothing but refusals.
+_READERS = {
+    ("[run] beta3_hat", "mode"): (("volvol",), False),
+    ("[run] alpha_ratio", "mode"): (("volvol", "pipeline"), False),
+    ("[run] gauge", "mode"): (("volvol", "pipeline"), False),
+    ("[run] input", "mode"): (("fit", "volvol"), True),
+    ("[run] dataset_output", "mode"): (("pipeline",), True),
+    **{(f"[{section}]", "mode"): (_GENERATING_MODES, False) for section in ("generation", "heston", "policy", "path")},
+    ("[generation] replications", "mode"): (("validate",), True),
+    ("[generation] kind = structural", "mode"): (("simulate", "pipeline"), False),
+    **{
+        (f"[generation] {key}", "kind"): (("model-implied",), False)
+        for key in ("n", "noise", "e_min", "e_max", "beta1", "beta2", "beta3")
+    },
+    **{(f"[{section}]", "kind"): (("structural",), False) for section in ("heston", "policy", "path")},
 }
-_GENERATING_MODES = ("simulate", "validate", "pipeline")
-_STRUCTURAL_SECTIONS = ("heston", "policy", "path")
-_MODEL_IMPLIED_KEYS = ("n", "noise", "e_min", "e_max", "beta1", "beta2", "beta3")
 
 
 @dataclass(frozen=True)
@@ -363,43 +346,13 @@ def _number(parser: configparser.ConfigParser, section: str, key: str, default=N
         ) from None
 
 
-def _check_known_keys(parser: configparser.ConfigParser) -> None:
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ValueError(f"unknown section: {section}")
-        for key in parser.options(section):
-            if key not in _SECTION_KEYS[section]:
-                raise ValueError(f"unknown key: {key}")
-
-
-def _not_read(name: str, what: str, readers: tuple[str, ...], actual: str) -> ValueError:
-    listed = readers[0] if len(readers) == 1 else f"{', '.join(readers[:-1])} and {readers[-1]}"
-    plural = "s" if len(readers) > 1 else ""
-    return ValueError(f"{name} is for {what}{plural} {listed} only, not {actual}")
-
-
-def _check_read_keys(parser: configparser.ConfigParser, mode: str, kind: str | None) -> None:
-    """Refuse a key or section that ``mode``, or its generation ``kind``, never reads."""
-    for key, modes in _RUN_KEY_MODES.items():
-        if parser.has_option("run", key) and mode not in modes:
-            raise _not_read(f"[run] {key}", "mode", modes, mode)
-    if mode not in _GENERATING_MODES:
-        for section in ("generation", *_STRUCTURAL_SECTIONS):
-            if parser.has_section(section):
-                raise _not_read(f"[{section}]", "mode", _GENERATING_MODES, mode)
-        return
-    if mode != "validate" and parser.has_option("generation", "replications"):
-        raise _not_read("[generation] replications", "mode", ("validate",), mode)
-    if kind == "structural":
-        if mode == "validate":
-            raise _not_read("[generation] kind = structural", "mode", ("simulate", "pipeline"), mode)
-        for key in _MODEL_IMPLIED_KEYS:
-            if parser.has_option("generation", key):
-                raise _not_read(f"[generation] {key}", "kind", ("model-implied",), kind)
-    else:
-        for section in _STRUCTURAL_SECTIONS:
-            if parser.has_section(section):
-                raise _not_read(f"[{section}]", "kind", ("structural",), kind)
+def _check_read_keys(given: set[str], mode: str, kind: str | None) -> None:
+    """Refuse a part of ``given`` that ``mode``, or its generation ``kind``, never reads (``_READERS``)."""
+    for (part, what), (readers, _) in _READERS.items():
+        actual = mode if what == "mode" else kind
+        if part in given and actual not in readers:
+            listed = readers[0] if len(readers) == 1 else f"{', '.join(readers[:-1])} and {readers[-1]}"
+            raise ValueError(f"{part} is for {what}{'s' if len(readers) > 1 else ''} {listed} only, not {actual}")
 
 
 def _from_fields(parser: configparser.ConfigParser, section: str, cls):
@@ -428,7 +381,7 @@ def _generation_spec(parser: configparser.ConfigParser, mode: str):
             ),
         )
         return spec, replications
-    for section in _STRUCTURAL_SECTIONS:
+    for section in ("heston", "policy", "path"):
         if not parser.has_section(section):
             raise ValueError(f"missing required section for structural generation: [{section}]")
     heston = _from_fields(parser, "heston", HestonParams)
@@ -447,11 +400,13 @@ def parse_config(path) -> RunConfig:
     """Parse and validate a run config.
 
     Format: UTF-8 ``key = value`` lines under ``[section]`` headers, after
-    an optional byte-order mark.  Unknown sections and keys are errors, as
-    are missing keys required by the declared mode and keys it never reads,
-    such as ``[run] alpha_ratio`` in ``fit`` or ``[generation] replications``
-    outside ``validate``, and structural generation in ``validate``; ``#``
-    starts a comment line.
+    an optional byte-order mark; ``#`` starts a comment line.  A section or
+    key not in ``_KEYS`` is an error.  ``_READERS`` names the modes and
+    generation kinds that read each part of a config: a part none of them
+    reads is an error, such as ``[run] alpha_ratio`` in ``fit`` or
+    structural generation in ``validate``, and so is a key missing from a
+    mode that requires it.  The checks run in one fixed order, so a config
+    with several faults always reports the same one.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -462,7 +417,15 @@ def parse_config(path) -> RunConfig:
         raise OSError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ValueError(f"config syntax error in {path}: {exc}") from None
-    _check_known_keys(parser)
+    given = set()  # "[section]" and "[section] key" of every section and key in the file
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ValueError(f"unknown section: {section}")
+        given.add(f"[{section}]")
+        for key in parser.options(section):
+            if key not in _KEYS[section]:
+                raise ValueError(f"unknown key: {key}")
+            given.add(f"[{section}] {key}")
 
     mode = parser.get("run", "mode", fallback=None)
     if mode is None:
@@ -488,15 +451,13 @@ def parse_config(path) -> RunConfig:
     replications = None
     if mode in _GENERATING_MODES:
         generation, replications = _generation_spec(parser, mode)
-    if mode == "validate":
-        if replications is None:
-            raise ValueError("missing required key for mode validate: [generation] replications")
-        if replications < 2:
-            raise ValueError("type error: [generation] replications must be >= 2")
-    for key, modes in _RUN_KEY_MODES.items():
-        if mode in modes and key not in ("gauge", "beta3_hat", "alpha_ratio") and not parser.has_option("run", key):
-            raise ValueError(f"missing required key for mode {mode}: [run] {key}")
-    _check_read_keys(parser, mode, None if generation is None else generation.kind)
+        given.add(f"[generation] kind = {generation.kind}")
+    for (part, _), (readers, required) in _READERS.items():
+        if required and mode in readers and part not in given:
+            raise ValueError(f"missing required key for mode {mode}: {part}")
+    if mode == "validate" and replications < 2:
+        raise ValueError("type error: [generation] replications must be >= 2")
+    _check_read_keys(given, mode, None if generation is None else generation.kind)
     for key, value in (("beta3_hat", beta3_hat), ("alpha_ratio", alpha_ratio)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"type error: [run] {key} must be finite, got {value!r}")

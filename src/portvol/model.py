@@ -341,10 +341,10 @@ def _stage1_curve(E: np.ndarray, b1, b2, b3) -> tuple[np.ndarray, np.ndarray]:
 
 def _stage2_terms(E: np.ndarray, b5, b6, bh) -> tuple[np.ndarray, np.ndarray]:
     """``(num, den)``: the stage-2 ``bh + e`` and ``b5*bh + b6*e``; PoleError if either is on the pole guard."""
-    # np.add, not +: at a 0-d e both terms are numpy scalars, whose + names an overflow "scalar add".
-    num, den = bh + E, np.add(b5 * bh, b6 * E)
-    if (_pole_rows(num, bh, E) | _pole_rows(den, b5 * bh, b6 * E)).any():
-        raise PoleError()
+    with np.errstate(over="ignore", invalid="ignore"):
+        num, den = bh + E, b5 * bh + b6 * E
+        if (_pole_rows(num, bh, E) | _pole_rows(den, b5 * bh, b6 * E)).any():
+            raise PoleError()
     return num, den
 
 
@@ -375,11 +375,11 @@ def stage1_jacobian(e, b: Stage1Params):
     These are the derivatives behind the stage-1 standard errors.
     """
     E, (b1, b2, b3) = np.asarray(e, dtype=float), b.as_array()
-    denom = b3 + E
-    if _pole_rows(denom, b3, E).any():
-        raise PoleError()
     jac = np.empty(E.shape + (3,))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = b3 + E
+        if _pole_rows(denom, b3, E).any():
+            raise PoleError()
         np.divide(E, denom, out=jac[..., 0])
         np.divide(b3, denom, out=jac[..., 1])
         np.multiply(b2 - b1, jac[..., 0], out=jac[..., 2])

@@ -3,6 +3,9 @@
     python tests/data/regenerate.py           # rewrite the corpus from the current source
     python tests/data/regenerate.py --check   # print a unified diff and exit 1 if a case moved
 
+A passing ``--check`` prints one line with the number of CLI and
+validation cases that matched.
+
 ``--check`` ends its diff with one block per moved case: the largest
 relative change of each numeric field that moved (validation floats are
 decoded from hex), or ``text changed`` when more than numbers moved, so a
@@ -442,7 +445,10 @@ def main(argv=None) -> int:
         print(f"moved: {case}")
         for field, change in changes.items():
             print(f"  {field}: {change}")
-    return 1 if diff else 0
+    if diff:
+        return 1
+    print(f"{CORPUS.name} matches: {len(CLI_CASES)} CLI and {len(VALIDATION_CASES)} validation cases")
+    return 0
 
 
 if __name__ == "__main__":

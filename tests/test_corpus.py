@@ -85,3 +85,10 @@ def test_check_names_the_relative_change_of_a_perturbed_float(monkeypatch, capsy
     out = capsys.readouterr().out
     assert out.endswith(f"moved: {group}/{case}\n  {field}: 9.3e-10{suffix}\n"), out
     assert out.count("moved: ") == 1
+
+
+def test_passing_check_counts_the_cases(monkeypatch, capsys):
+    monkeypatch.setattr(regenerate, "build", lambda: copy.deepcopy(CORPUS))
+    assert regenerate.main(["--check"]) == 0
+    n_cli, n_validation = len(regenerate.CLI_CASES), len(regenerate.VALIDATION_CASES)
+    assert capsys.readouterr().out == f"corpus.json matches: {n_cli} CLI and {n_validation} validation cases\n"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from portvol import (
     Dataset,
+    FitResult,
     GaugeRule,
     GenerationSpec,
     HestonParams,
@@ -22,7 +23,9 @@ from portvol import (
     PolicyCoefficients,
     RhoEstimate,
     Stage1Params,
+    Stage2Params,
     StructuralSpec,
+    ValidationReport,
     data_io,
     fit_vol_of_vol,
     fit_volatility,
@@ -502,6 +505,54 @@ class TestWriteReport:
         assert lines[-1] == "stage2_converged = null"
 
 
+_NULL_REPORTS = {
+    # No gauge, a stage 1 with no message and no standard errors, and a rho at infinity.
+    "fits": (
+        lambda: {
+            "stage1": FitResult(Stage1Params(2.0, 0.5, 0.04), 0.25, 0, False),
+            "stage2": FitResult(
+                Stage2Params(1.5, 1.0, -2.0), 0.0, 7, True, (0.125, 0.0, 3.0),
+                {"ILL_CONDITIONED", "GAUGE_UNIDENTIFIED"}, "gradient tolerance reached",
+            ),
+            "rho": RhoEstimate(math.inf),
+        },
+        "[stage1]\nbeta1 = 2\nbeta2 = 0.5\nbeta3 = 0.040000000000000001\n"
+        "se_beta1 = null\nse_beta2 = null\nse_beta3 = null\n"
+        "residual_norm = 0.25\niterations = 0\nconverged = false\nmessage = null\n\n"
+        "[stage2]\nbeta4 = 1.5\nbeta5 = 1\nbeta6 = -2\nse_beta4 = 0.125\nse_beta5 = 0\nse_beta6 = 3\n"
+        "residual_norm = 0\niterations = 7\nconverged = true\nmessage = gradient tolerance reached\n"
+        "gamma_hat = 1.5\ngauge = null\ngauge_pin_value = null\n\n"
+        "[rho]\nrho_hat = null\nin_range = false\n\n"
+        "[diagnostics]\nstage1 = none\nstage2 = GAUGE_UNIDENTIFIED,ILL_CONDITIONED\nrho = none\n",
+    ),
+    # Every replication refused: the truth stays, the statistics are null.
+    "validation": (
+        lambda: {
+            "validation": ValidationReport(
+                2, Stage1Params(2.0, 0.5, 0.04), ("beta1", "beta2", "beta3"), 0, 2, None, None, None, 0, None,
+            ),
+        },
+        "[validation]\nreplications = 2\nconverged = 0\nfailed = 2\nconvergence_rate = 0\n"
+        "truth_beta1 = 2\nbias_beta1 = null\nrmse_beta1 = null\ncoverage_beta1 = null\n"
+        "truth_beta2 = 0.5\nbias_beta2 = null\nrmse_beta2 = null\ncoverage_beta2 = null\n"
+        "truth_beta3 = 0.040000000000000001\nbias_beta3 = null\nrmse_beta3 = null\ncoverage_beta3 = null\n"
+        "coverage_evaluated = 0\nbeta3_mean = null\nstage2_gamma_mean = null\nstage2_converged = null\n",
+    ),
+    "no-sections": (dict, ""),
+}
+
+
+class TestReportBytes:
+    """Reports that take every ``null`` branch, in exact bytes."""
+
+    @pytest.mark.parametrize("case", _NULL_REPORTS)
+    def test_exact_bytes(self, tmp_path, case):
+        sections, text = _NULL_REPORTS[case]
+        path = tmp_path / "r.txt"
+        write_report(path, **sections())
+        assert path.read_bytes() == text.encode("utf-8")
+
+
 class TestParseConfig:
     def test_minimal_fit_config_applies_defaults(self, tmp_path):
         p = write(tmp_path / "c.cfg", "[run]\nmode = fit\ninput = d.csv\noutput = r.txt\n")
@@ -754,3 +805,182 @@ class TestRarelyTakenRefusals:
         with pytest.raises(ValueError) as raised:
             (read_dataset if name.endswith(".csv") else parse_config)(path)
         assert str(raised.value) == message.format(path=path)
+
+
+_MODEL = {"n": "10", "beta1": "2.0", "beta2": "0.5", "beta3": "0.04"}
+_HESTON = {
+    "mu": "0.08", "r": "0.02", "alpha": "0.08", "beta_rev": "2.0", "gamma": "0.3", "rho": "-0.5", "sigma_bar": "0.04",
+}
+_POLICY = {"alpha0": "1.0", "alpha1": "-2.0", "alpha2": "0.5"}
+_PATH = {"horizon": "1.0", "dt": "0.01", "x0": "1.0"}
+_STRUCTURAL = {"generation": {"kind": "structural"}, "heston": _HESTON, "policy": _POLICY, "path": _PATH}
+
+# The smallest valid config of each mode, and of each generation kind a mode takes.
+_BASES = {
+    "simulate": {"run": {"mode": "simulate", "output": "d.csv"}, "generation": _MODEL},
+    "simulate-structural": {"run": {"mode": "simulate", "output": "d.csv"}, **_STRUCTURAL},
+    "fit": {"run": {"mode": "fit", "input": "d.csv", "output": "r.txt"}},
+    "volvol": {"run": {"mode": "volvol", "input": "d.csv", "output": "r.txt"}},
+    "validate": {"run": {"mode": "validate", "output": "r.txt"}, "generation": {**_MODEL, "replications": "5"}},
+    "pipeline": {"run": {"mode": "pipeline", "output": "r.txt", "dataset_output": "o.csv"}, "generation": _MODEL},
+    "pipeline-structural": {"run": {"mode": "pipeline", "output": "r.txt", "dataset_output": "o.csv"}, **_STRUCTURAL},
+}
+_NOT_GENERATING = "[generation] is for modes simulate, validate and pipeline only, not {mode}"
+_NOT_STRUCTURAL = "missing required section for structural generation: [heston]"
+
+# Each part of a config: what it adds to a base, and the outcome at each
+# base that refuses it ("{mode}" is the base's mode); the other bases accept it.
+_PARTS = {
+    "[run] beta3_hat": ({"run": {"beta3_hat": "0.04"}}, {
+        **dict.fromkeys(_BASES, "[run] beta3_hat is for mode volvol only, not {mode}"),
+        "volvol": "pin gauges take their pin value from a stage-1 fit; with beta3_hat given, use gauge = free",
+    }),
+    "[run] alpha_ratio": ({"run": {"alpha_ratio": "-0.25"}}, dict.fromkeys(
+        ("simulate", "simulate-structural", "fit", "validate"),
+        "[run] alpha_ratio is for modes volvol and pipeline only, not {mode}",
+    )),
+    "[run] gauge": ({"run": {"gauge": "free"}}, dict.fromkeys(
+        ("simulate", "simulate-structural", "fit", "validate"),
+        "[run] gauge is for modes volvol and pipeline only, not {mode}",
+    )),
+    "[run] input": ({"run": {"input": "d.csv"}}, dict.fromkeys(
+        ("simulate", "simulate-structural", "validate", "pipeline", "pipeline-structural"),
+        "[run] input is for modes fit and volvol only, not {mode}",
+    )),
+    "[run] dataset_output": ({"run": {"dataset_output": "o.csv"}}, dict.fromkeys(
+        ("simulate", "simulate-structural", "fit", "volvol", "validate"),
+        "[run] dataset_output is for mode pipeline only, not {mode}",
+    )),
+    "[generation]": ({"generation": _MODEL}, {
+        **dict.fromkeys(("fit", "volvol"), _NOT_GENERATING),
+        **dict.fromkeys(
+            ("simulate-structural", "pipeline-structural"),
+            "[generation] n is for kind model-implied only, not structural",
+        ),
+    }),
+    **{
+        f"[{section}]": ({section: keys}, {
+            **dict.fromkeys(
+                ("fit", "volvol"), f"[{section}] is for modes simulate, validate and pipeline only, not {{mode}}"
+            ),
+            **dict.fromkeys(
+                ("simulate", "validate", "pipeline"), f"[{section}] is for kind structural only, not model-implied"
+            ),
+        })
+        for section, keys in (("heston", _HESTON), ("policy", _POLICY), ("path", _PATH))
+    },
+    "[generation] replications": ({"generation": {"replications": "5"}}, {
+        **dict.fromkeys(("fit", "volvol"), _NOT_GENERATING),
+        **dict.fromkeys(
+            ("simulate", "simulate-structural", "pipeline", "pipeline-structural"),
+            "[generation] replications is for mode validate only, not {mode}",
+        ),
+    }),
+    "[generation] kind = structural": ({"generation": {"kind": "structural"}}, {
+        **dict.fromkeys(("fit", "volvol"), _NOT_GENERATING),
+        **dict.fromkeys(("simulate", "validate", "pipeline"), _NOT_STRUCTURAL),
+    }),
+    **{
+        f"[generation] {key}": ({"generation": {key: value}}, {
+            **dict.fromkeys(("fit", "volvol"), _NOT_GENERATING),
+            **dict.fromkeys(
+                ("simulate-structural", "pipeline-structural"),
+                f"[generation] {key} is for kind model-implied only, not structural",
+            ),
+        })
+        for key, value in (
+            ("n", "10"), ("noise", "0.01"), ("e_min", "0.01"), ("e_max", "0.1"),
+            ("beta1", "2.0"), ("beta2", "0.5"), ("beta3", "0.04"),
+        )
+    },
+}
+
+def _config_text(base: dict, part: dict) -> str:
+    """A config's text: ``base`` with the keys of ``part`` added, section by section."""
+    sections = {section: dict(keys) for section, keys in base.items()}
+    for section, keys in part.items():
+        sections.setdefault(section, {}).update(keys)
+    return "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for s, keys in sections.items())
+
+
+# Configs with more than one fault, each with the fault reported first.
+_FIRST_FAULT = {
+    # kind is read before replications, and replications before the spec's keys.
+    "bad-kind-bad-replications": (
+        "[run]\nmode = validate\noutput = r.txt\n[generation]\nkind = bootstrap\nreplications = x\n",
+        "type error: [generation] kind must be model-implied or structural, got 'bootstrap'",
+    ),
+    "bad-replications-missing-n": (
+        "[run]\nmode = validate\noutput = r.txt\n[generation]\nbeta1 = 2.0\nreplications = x\n",
+        "type error: [generation] replications expects an integer, got 'x'",
+    ),
+    "one-replication-structural": (
+        "[run]\nmode = validate\noutput = r.txt\n"
+        + _STRUCTURAL_GEN.replace("structural\n", "structural\nreplications = 1\n"),
+        "type error: [generation] replications must be >= 2",
+    ),
+    # A missing required key comes before a key the mode does not read.
+    "unread-key-missing-input": (
+        "[run]\nmode = fit\noutput = r.txt\nalpha_ratio = -0.25\n", "missing required key for mode fit: [run] input",
+    ),
+    "unread-section-missing-dataset-output": (
+        "[run]\nmode = pipeline\noutput = r.txt\n" + _MODEL_GEN + "[heston]\nmu = 0.08\n",
+        "missing required key for mode pipeline: [run] dataset_output",
+    ),
+    "unread-section-missing-n": (
+        "[run]\nmode = simulate\noutput = d.csv\n" + _MODEL_GEN.replace("n = 10\n", "") + "[path]\nx0 = 1.0\n",
+        "missing required key: [generation] n",
+    ),
+    # Unknown keys and sections come before everything else, a missing mode included.
+    "unknown-key-no-mode": ("[run]\noutput = r.txt\nfoo = 1\n", "unknown key: foo"),
+    "unknown-section-no-mode": ("[run]\noutput = r.txt\n[extra]\n", "unknown section: extra"),
+    # A key the mode does not read comes before a bad value of it.
+    "unread-key-bad-value": (
+        "[run]\nmode = fit\ninput = d.csv\noutput = r.txt\nbeta3_hat = 0\n",
+        "[run] beta3_hat is for mode volvol only, not fit",
+    ),
+    # The seed is checked before the mode's required keys.
+    "bad-seed-missing-input": (
+        "[run]\nmode = fit\noutput = r.txt\nseed = -1\n", "type error: [run] seed must be in [0, 2**64), got -1",
+    ),
+    "missing-output-missing-input": ("[run]\nmode = volvol\n", "missing required key for mode volvol: [run] output"),
+    # Each base without the key its mode requires.
+    **{
+        f"{mode}-missing-{key}": (
+            _config_text({**_BASES[mode], section: {k: v for k, v in _BASES[mode][section].items() if k != key}}, {}),
+            f"missing required key for mode {mode}: [{section}] {key}",
+        )
+        for mode, section, key in (
+            ("fit", "run", "input"), ("volvol", "run", "input"),
+            ("pipeline", "run", "dataset_output"), ("validate", "generation", "replications"),
+        )
+    },
+}
+
+
+_READER_CASES = {
+    **{
+        f"{base}+{part}": (
+            _config_text(_BASES[base], added),
+            refusals[base].format(mode=_BASES[base]["run"]["mode"]) if base in refusals else None,
+        )
+        for part, (added, refusals) in _PARTS.items()
+        for base in _BASES
+    },
+    **_FIRST_FAULT,
+}
+
+
+class TestReaders:
+    """Which mode and generation kind read each part of a config, and which fault of several is reported."""
+
+    @pytest.mark.parametrize("case", _READER_CASES)
+    def test_exact_outcome(self, tmp_path, case):
+        text, message = _READER_CASES[case]
+        path = write(tmp_path / "c.cfg", text)
+        if message is None:
+            parse_config(path)
+            return
+        with pytest.raises(ValueError) as raised:
+            parse_config(path)
+        assert str(raised.value) == message

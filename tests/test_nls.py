@@ -222,6 +222,21 @@ class TestGuards:
             call()
         assert f"{type(raised.value).__name__}: {raised.value}" == message
 
+    # An overflowing e or parameter gives the IEEE value with no warning, as stage1_model does.
+    OVERFLOW_CASES = {
+        "stage1-jacobian": (lambda: stage1_jacobian(1e308, Stage1Params(1, 1, 1e308)), "[0.0, 0.0, 0.0]"),
+        "stage2-model-e-1e308": (lambda: stage2_model(1e308, Stage2Params(1, 1, 1), 1e308), "nan"),
+        "stage2-model-beta6-1e200": (lambda: stage2_model(1e200, Stage2Params(1, 1, 1e200), 0.04), "0.0"),
+        "stage2-jacobian-beta6-1e200": (
+            lambda: stage2_jacobian(1e200, Stage2Params(1, 1, 1e200), 0.04), "[0.0, -0.0, -0.0]",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", OVERFLOW_CASES)
+    def test_overflow_is_silent(self, case):
+        call, value = self.OVERFLOW_CASES[case]
+        assert repr(np.asarray(call()).tolist()) == value
+
 
 @pytest.mark.parametrize(
     "e, model_type, shape",
