@@ -269,8 +269,8 @@ def _stage2_checks(E, beta, b3h, k: int, ssr, r=None) -> tuple[np.ndarray, dict[
         a = 1.0 / np.hypot(c6, c5) if r is None else r[:, 0]
         cos, sin = a * c6, a * c5
         if r is None:
-            r = _stage2_profile(E, np.zeros_like(E), b3h[:, None], cos[:, None], sin[:, None], slice(None),
-                                np.empty((3,) + E.shape))[1][:, 2:]
+            r = _stage2_profile(E, np.zeros_like(E), b3h[:, None], cos[:, None], sin[:, None], np.empty((3,) + E.shape))
+            r = r[1][:, 2:]
         rwq = np.column_stack([r[:, 1:3], zero, r[:, 3]]).reshape(-1, 2, 2)
         m = np.column_stack([one, -a * sin, -a * cos, zero, -a * cos, a * sin]).reshape(-1, 2, 3)
         # a/b4 stays out of the R factor: times a*sin it underflows for huge positions.
@@ -417,24 +417,20 @@ def _select(rows: np.ndarray, n_rows: int):
     return slice(None) if len(rows) == n_rows else rows
 
 
-def _take(x: np.ndarray, sel, out: np.ndarray) -> np.ndarray:
-    """Rows ``sel`` of ``x``: a view for a slice, else gathered into ``out``."""
-    return x[sel] if isinstance(sel, slice) else np.take(x, sel, axis=0, out=out, mode="clip")
+def _evaluate(profile, data: tuple, x: np.ndarray, rows: np.ndarray, x_rows=None):
+    """``profile(x, *arrays)`` of the distinct, sorted ``rows`` at ``x_rows``, by default ``x[rows]``.
 
-
-def _evaluate(profile, x: np.ndarray, rows: np.ndarray, x_rows=None):
-    """``profile`` of the distinct, sorted ``rows`` at ``x_rows``, by default ``x[rows]``.
-
-    Rows that are nearly the whole stack are evaluated as the whole stack,
-    the others at ``x``, keeping only their results: that is cheaper than
-    gathering copies of their data, and holds no such copy.
+    ``arrays`` are those rows of the per-row arrays ``data``.  Rows that are
+    nearly the whole stack are evaluated as the whole stack, on views of
+    ``data``, the others at ``x``, keeping only their results: that is
+    cheaper than gathering copies of their data, and holds no such copy.
     """
     x_rows = x[rows] if x_rows is None else x_rows
     if 8 * len(rows) < 7 * len(x):
-        return profile(x_rows, rows)
+        return profile(x_rows, *(a[rows] for a in data))
     x = x.copy()
     x[rows] = x_rows
-    return tuple(out[rows] for out in profile(x, slice(None)))
+    return tuple(out[rows] for out in profile(x, *data))
 
 
 def _profile(y: np.ndarray, b: np.ndarray, d, work: np.ndarray):
@@ -465,14 +461,14 @@ def _profile(y: np.ndarray, b: np.ndarray, d, work: np.ndarray):
 UNEVALUABLE_START = "initial residuals are non-finite or unevaluable"
 
 
-def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
+def _search(profile, data: tuple, x: np.ndarray, live: np.ndarray, y: np.ndarray):
     """Minimize a sum of squares along one coordinate per row, rows ``live`` starting at ``x``.
 
-    ``y`` is the regressand, ``(R, n)``.  ``profile(x, rows)`` gives ``(ssr,
-    coef, g, h, f)`` of the selected rows (an index, or a slice for every
-    row) at ``x``, as :func:`_profile` does, with ssr inf where ``x`` is on
-    a pole and ``coef`` the row's values to keep from its last accepted
-    evaluation.  Each step is ``-g/h``, at most one unit, where ``h`` is the
+    ``y`` is the regressand, ``(R, n)``.  ``profile(x, *arrays)`` gives
+    ``(ssr, coef, g, h, f)`` at ``x`` of the rows of ``data`` that
+    :func:`_evaluate` hands it as ``arrays``, as :func:`_profile` does, with
+    ssr inf where ``x`` is on a pole and ``coef`` the row's values to keep
+    from its last accepted evaluation.  Each step is ``-g/h``, at most one unit, where ``h`` is the
     secant of successive gradients once it is positive; a step that does not
     strictly lower the sum of squares is halved, once per evaluation.  A row
     stops with "gradient tolerance reached" once the predicted decrease
@@ -484,9 +480,9 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
     after ``_MAX_ITERATIONS`` accepted steps.  A row whose start is not
     finite stops there with ``UNEVALUABLE_START``.  Returns ``(x, ssr, coef,
     iterations, messages)``; rows not ``live`` are nan.  A selection of
-    nearly every row is evaluated on the whole stack (:func:`_evaluate`), so
-    ``profile`` must accept any row at its current ``x``, nan included; only
-    the selected rows' results are read.
+    nearly every row is evaluated on the whole stack, so ``profile`` must
+    accept any row at its current ``x``, nan included; only the selected
+    rows' results are read.
     """
     n_rows = len(y)
     eps = np.finfo(float).eps
@@ -504,7 +500,7 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         flat = eps * np.sqrt(_rowdot(y, y))
         rows = np.flatnonzero(live)
-        ssr[rows], start, G[rows], H[rows], F[rows] = _evaluate(profile, x, rows)
+        ssr[rows], start, G[rows], H[rows], F[rows] = _evaluate(profile, data, x, rows)
         coef = np.full((n_rows, start.shape[1]), math.nan)
         coef[rows] = start
         stop(rows[~np.isfinite(ssr[rows])], UNEVALUABLE_START)
@@ -525,7 +521,7 @@ def _search(profile, x: np.ndarray, live: np.ndarray, y: np.ndarray):
             if not len(rows):
                 break
             x_trial = x[rows] + step[rows]
-            t_ssr, t_coef, t_g, t_h, t_f = _evaluate(profile, x, rows, x_trial)
+            t_ssr, t_coef, t_g, t_h, t_f = _evaluate(profile, data, x, rows, x_trial)
             won = t_ssr < ssr[rows]
             kept = rows[won]
             x0[kept], g0[kept], x[kept] = x[kept], G[kept], x_trial[won]
@@ -585,10 +581,10 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
 
     work = np.empty((3,) + E.shape)  # every evaluation's arrays, reused
 
-    def fit(k, sel):
-        b3 = scale[sel] * _libm(math.exp, k)
-        out = _stage1_profile(E[sel], ybar[sel], YC[sel], b3, work)  # views, or copies of the few rows
-        out[0][_pole_between(b3, lo[sel], hi[sel])] = np.inf
+    def fit(k, e, ybar, yc, scale, lo, hi):
+        b3 = scale * _libm(math.exp, k)
+        out = _stage1_profile(e, ybar, yc, b3, work)
+        out[0][_pole_between(b3, lo, hi)] = np.inf
         return out
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -604,7 +600,7 @@ def _stage1_rows(E: np.ndarray, PI: np.ndarray) -> _Rows:
         k[ok] = _libm(math.log, ratio[ok])
         k[_pole_between(scale * _libm(math.exp, k), lo, hi)] = 1.0
     live = ~np.isin(np.arange(n_rows), list(failures))
-    k, ssr, coef, iterations, messages = _search(fit, k, live, PI)
+    k, ssr, coef, iterations, messages = _search(fit, (E, ybar, YC, scale, lo, hi), k, live, PI)
 
     _refuse(failures, (k < _K_BOUNDS[0]) | (k > _K_BOUNDS[1]), "stage1 beta3 not identified", lambda i: ValueError(
         f"beta3 is not identified: log(beta3/max|e|) ends at {float(k[i]):.6g}, outside {list(_K_BOUNDS)}"
@@ -660,29 +656,28 @@ def _apply_gauge(q: np.ndarray, k: int, pins: np.ndarray) -> tuple[np.ndarray, n
     return beta, v[:, k]
 
 
-def _stage2_profile(E, Y, bh, cos, sin, sel, work: np.ndarray):
-    """The fit of rows ``sel`` of ``Y = 1/pi`` by ``a*w``, ``w = 1/(cos*u + sin*v)``, and the derivatives of ssr/2.
+def _stage2_profile(e, y, b, cos, sin, work: np.ndarray):
+    """The fit of each row of ``y = 1/pi`` by ``a*w``, ``w = 1/(cos*u + sin*v)``, and the derivatives of ssr/2.
 
-    ``u = e/(b3h + e)`` and ``v = b3h/(b3h + e)`` are the curve's
-    derivatives in ``c6`` and ``c5``; ``bh``, ``cos`` and ``sin`` are
-    columns.  :func:`_profile` solves ``a``, with ``q = w**2*(cos*v -
+    ``u = e/(b + e)`` and ``v = b/(b + e)`` are the curve's derivatives in
+    ``c6`` and ``c5``; ``b`` (each row's ``beta3_hat``), ``cos`` and ``sin``
+    are columns.  :func:`_profile` solves ``a``, with ``q = w**2*(cos*v -
     sin*u) = -dw/dtheta`` as the derivative column.  Returns ``(ssr, coef,
     g, h, f)``, ``coef`` being ``(c6, c5) = (cos, sin)/a``, ``a`` and the
     profile's ``R`` entries; inf ssr: the denominator is on the pole guard
     or changes sign on the row.  The arrays are rows of ``work``.
     """
     w, q, s = work[:, : len(cos)]
-    e, b = _take(E, sel, s), bh[sel]
     np.divide(e, np.add(b, e, out=q), out=s)  # u
     d = np.multiply(cos, s, out=w)
     d += np.multiply(sin, np.divide(b, q, out=q), out=q)
     # One sign and no entry on the pole guard: every d times the first one's sign is above it.
     pole = np.min(np.multiply(d, np.sign(d[:, :1]), out=q), axis=-1) < _POLE_RTOL
     w = np.divide(1.0, d, out=d)
-    q = np.multiply(cos, np.divide(b, np.add(b, _take(E, sel, q), out=q), out=q), out=q)  # v again
+    q = np.multiply(cos, np.divide(b, np.add(b, e, out=q), out=q), out=q)  # v again
     q -= np.multiply(sin, s, out=s)
     q *= np.multiply(w, w, out=s)
-    ssr, a, g, h, f, r = _profile(Y[sel], w, q, s)
+    ssr, a, g, h, f, r = _profile(y, w, q, s)
     ssr[pole] = np.inf
     return ssr, np.column_stack([np.hstack([cos, sin]) / a[:, None], a, r]), g, h, f
 
@@ -724,19 +719,18 @@ def _stage2_rows(
     del zero, flips
     live = ~np.isin(np.arange(n_rows), list(failures))
     rows = np.flatnonzero(live)
-    sel = _select(rows, n_rows)
     work = np.empty((3,) + E.shape)  # every evaluation's arrays, reused
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # The start: the stage-1 curve's linear part at beta3_hat, whose reciprocal is stage 2's at (c6, c5).
-        c6, c5 = _stage1_profile(E[sel], *_centred(PI[sel]), b3h[sel], work)[1][:, :2].T
+        c6, c5 = _evaluate(lambda b, e, pi: _stage1_profile(e, *_centred(pi), b, work), (E, PI), b3h, rows)[1][:, :2].T
         Y = 1.0 / PI
     theta = np.full(n_rows, math.nan)
     theta[rows] = [math.atan2(s, c) for c, s in zip(c6.tolist(), c5.tolist())]
 
-    def profile(theta, sel):
-        return _stage2_profile(E, Y, bh, _libm(math.cos, theta)[:, None], _libm(math.sin, theta)[:, None], sel, work)
+    def profile(theta, e, y, b):
+        return _stage2_profile(e, y, b, _libm(math.cos, theta)[:, None], _libm(math.sin, theta)[:, None], work)
 
-    theta, ssr, coef, iterations, messages = _search(profile, theta, live, Y)
+    theta, ssr, coef, iterations, messages = _search(profile, (E, Y, bh), theta, live, Y)
     _refuse(failures, [m == UNEVALUABLE_START for m in messages], "stage2 initial residuals unevaluable",
             lambda i: ValueError(UNEVALUABLE_START))
 

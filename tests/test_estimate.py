@@ -135,9 +135,9 @@ class TestFitVolatility:
         starts = []
         search = portvol.estimate._search
 
-        def spy(profile, x, live, y):
+        def spy(profile, data, x, live, y):
             starts.append(x.tolist())
-            return search(profile, x, live, y)
+            return search(profile, data, x, live, y)
 
         monkeypatch.setattr(portvol.estimate, "_search", spy)
         e = np.linspace(-0.05, 0.05, 40) + 0.0013 if case == "pole-among-e" else np.linspace(0.01, 0.1, 30)
@@ -1203,9 +1203,9 @@ class TestSearchPaths:
         evaluations = []
         evaluate = portvol.estimate._evaluate
 
-        def spy(profile, x, rows, x_rows=None):
+        def spy(profile, data, x, rows, x_rows=None):
             evaluations.append((len(rows), len(x)))
-            return evaluate(profile, x, rows, x_rows)
+            return evaluate(profile, data, x, rows, x_rows)
 
         monkeypatch.setattr(portvol.estimate, "_evaluate", spy)
         first = _row_outcomes(portvol.estimate._stage1_rows(E, PI))
