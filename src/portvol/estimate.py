@@ -174,7 +174,7 @@ class RhoEstimate:
 
     @property
     def in_range(self) -> bool:
-        return abs(self.rho_hat) <= 1.0
+        return bool(abs(self.rho_hat) <= 1.0)
 
 
 def _se_and_cond(r: np.ndarray, ssr: np.ndarray, dof: int, unit=1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -269,8 +269,8 @@ def _stage2_checks(E, beta, b3h, k: int, ssr, r=None) -> tuple[np.ndarray, dict[
         a = 1.0 / np.hypot(c6, c5) if r is None else r[:, 0]
         cos, sin = a * c6, a * c5
         if r is None:
-            r = _stage2_profile(E, np.zeros_like(E), b3h[:, None], cos[:, None], sin[:, None], np.empty((3,) + E.shape))
-            r = r[1][:, 2:]
+            r = _stage2_profile(E, np.zeros_like(E), b3h[:, None], cos[:, None], sin[:, None],
+                                np.empty((3,) + E.shape))[1][:, 2:]
         rwq = np.column_stack([r[:, 1:3], zero, r[:, 3]]).reshape(-1, 2, 2)
         m = np.column_stack([one, -a * sin, -a * cos, zero, -a * cos, a * sin]).reshape(-1, 2, 3)
         # a/b4 stays out of the R factor: times a*sin it underflows for huge positions.
@@ -408,8 +408,8 @@ def _centred(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows, reduced over the last axis only."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """Dot products of matching rows over the last axis, in numpy's own loop: a BLAS's bits vary by host."""
+    return np.einsum("...i,...i->...", a, b)
 
 
 def _select(rows: np.ndarray, n_rows: int):
@@ -468,10 +468,10 @@ def _search(profile, data: tuple, x: np.ndarray, live: np.ndarray, y: np.ndarray
     ``(ssr, coef, g, h, f)`` at ``x`` of the rows of ``data`` that
     :func:`_evaluate` hands it as ``arrays``, as :func:`_profile` does, with
     ssr inf where ``x`` is on a pole and ``coef`` the row's values to keep
-    from its last accepted evaluation.  Each step is ``-g/h``, at most one unit, where ``h`` is the
-    secant of successive gradients once it is positive; a step that does not
-    strictly lower the sum of squares is halved, once per evaluation.  A row
-    stops with "gradient tolerance reached" once the predicted decrease
+    from its last accepted evaluation.  Each step is ``-g/h``, at most one
+    unit, where ``h`` is the secant of successive gradients once it is
+    positive; a step that does not strictly lower the sum of squares is
+    halved, once per evaluation.  A row stops with "gradient tolerance reached" once the predicted decrease
     ``g*g/h`` is below the rounding of the sum of squares, ``eps*f`` (Gill,
     Murray and Wright 1981, section 8.2.3), or of the regressand,
     ``(eps*|y|)**2``, tested unsquared: ``|g| <= max(eps*|y|,

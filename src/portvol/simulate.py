@@ -219,15 +219,6 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's coercion of a nonnegative int: little-endian uint32 words, ``[0]`` for 0."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
 def _seed_pool(words: list) -> tuple[list, int]:
     """The hash pool and hash constant once an entropy of at most four uint32 words is mixed in.
 
@@ -276,12 +267,13 @@ def _stream_keys(seed: int, idx: np.ndarray, *tail: int) -> np.ndarray:
     ``SeedSequence(entropy=seed, spawn_key=(idx[j], *tail)).generate_state(2, np.uint64)``:
     for path indices and the tail ``(role,)``, the key ``Philox(SeedSequence)``
     runs from; for replication indices and no tail, its first word is the
-    replication's seed.  The seed is mixed once; each index and the tail
-    are then mixed in on uint32 arrays.  An index below 2**32 (0 included)
-    is one uint32 word and a larger one two, so the two groups are hashed
-    in separate passes.
+    replication's seed.  The seed is mixed once, as its two uint32 words
+    (:func:`_seed_pool` pads them to four, so a one-word seed hashes
+    alike); each index and the tail are then mixed in on uint32 arrays.
+    An index below 2**32 (0 included) is one uint32 word and a larger one
+    two, so the two groups are hashed in separate passes.
     """
-    pool, const = _seed_pool(_uint32_words(seed))
+    pool, const = _seed_pool([seed & _MASK32, seed >> 32])
     keys = np.empty((idx.shape[0], 2), dtype=np.uint64)
     wide = idx > _MASK32
     for rows in (np.flatnonzero(~wide), np.flatnonzero(wide)):

@@ -7,6 +7,9 @@ tests/data/regenerate.py``; the diff of the corpus is then the change.
 import copy
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,67 @@ def test_cli_case(name, inputs, tmp_path):
 @pytest.mark.parametrize("name", regenerate.VALIDATION_CASES)
 def test_validation_case(name):
     assert regenerate.run_validation_case(name) == CORPUS["validation"][name]
+
+
+# A child process that prints, as JSON, the OpenBLAS core and thread count
+# it got (read as the CI log reads them; None without numpy's OpenBLAS) and
+# the records of the corpus cases named on its command line.
+_CHILD = r"""
+import ctypes, glob, importlib.util, json, os, sys
+from pathlib import Path
+
+import numpy
+
+spec = importlib.util.spec_from_file_location("corpus_regenerate", sys.argv[1])
+regenerate = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(regenerate)
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+core = threads = None
+for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[:1]:
+    blas = ctypes.CDLL(path)
+    blas.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+    core, threads = blas.scipy_openblas_get_corename64_().decode(), blas.scipy_openblas_get_num_threads64_()
+root = Path(sys.argv[2])
+(root / "inputs").mkdir()
+inputs = regenerate.make_inputs(root / "inputs")
+records = {}
+for name in sys.argv[3:]:
+    group, case = name.split("/")
+    if group == "cli":
+        (root / "cases" / case).mkdir(parents=True)
+        records[name] = regenerate.run_cli_case(case, root / "cases" / case, inputs)
+    else:
+        records[name] = regenerate.run_validation_case(case)
+print(json.dumps({"core": core, "threads": threads, "records": records}))
+"""
+
+# Cases whose bits moved with the BLAS kernel while the fits' row sums ran
+# through it: a validation, the 200k-row fit (which also moved under one
+# thread), a refusal that prints where the search stopped, and a noisy
+# pipeline.
+_BLAS_CASES = [
+    "validation/benchmark-1901", "cli/volvol-200k-rows", "cli/fit-flat-seed-8", "cli/pipeline-n-30-noise-0.05",
+]
+
+
+@pytest.mark.parametrize(
+    "variable, value, got",
+    [("OPENBLAS_CORETYPE", "Haswell", "core"), ("OPENBLAS_NUM_THREADS", "1", "threads")],
+    ids=["haswell-core", "one-thread"],
+)
+def test_cases_match_under_another_blas_setting(variable, value, got, tmp_path):
+    env = dict(os.environ, **{variable: value})
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(_PATH), str(tmp_path), *_BLAS_CASES],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    child = json.loads(done.stdout)
+    if str(child[got]).lower() != value.lower():
+        pytest.skip(f"{variable}={value} is not honoured here: the child's OpenBLAS {got} is {child[got]}")
+    for name in _BLAS_CASES:
+        group, case = name.split("/")
+        assert child["records"][name] == CORPUS[group][case], name
 
 
 def _number(holder, key):

@@ -539,11 +539,16 @@ _NULL_REPORTS = {
         "coverage_evaluated = 0\nbeta3_mean = null\nstage2_gamma_mean = null\nstage2_converged = null\n",
     ),
     "no-sections": (dict, ""),
+    # A rho_hat from numpy arithmetic: in_range is written as a bool all the same.
+    "numpy-rho": (
+        lambda: {"rho": RhoEstimate(np.float64(0.5))},
+        "[rho]\nrho_hat = 0.5\nin_range = true\n\n[diagnostics]\nrho = none\n",
+    ),
 }
 
 
 class TestReportBytes:
-    """Reports that take every ``null`` branch, in exact bytes."""
+    """Reports that take every ``null`` branch, and a numpy ``rho_hat``, in exact bytes."""
 
     @pytest.mark.parametrize("case", _NULL_REPORTS)
     def test_exact_bytes(self, tmp_path, case):

@@ -117,10 +117,11 @@ class TestFitVolatility:
         # squares keeps falling as beta3 grows, and the fit walks up until it
         # is flat to rounding, far past the bound k = 6.  Where it stops is
         # rounding: 29.7985 from the earlier grid start, 30.1471 from the
-        # linear start.
+        # linear start with row sums by the BLAS, whose kernel and thread
+        # count moved it, and 30.1516 with row sums that do not use it.
         data = model_data(truth=Stage1Params(1.0, 1.0, 0.04), noise=0.01, seed=8)
         with pytest.raises(
-            ValueError, match=r"beta3 is not identified: log\(beta3/max\|e\|\) ends at 30\.1471, outside \[-8, 6\]"
+            ValueError, match=r"beta3 is not identified: log\(beta3/max\|e\|\) ends at 30\.1516, outside \[-8, 6\]"
         ):
             fit_volatility(data)
 
