@@ -10,8 +10,10 @@ A dataset CSV is the bytes of ``csv.writer``'s default dialect: a header
 CRLF.  Numbers are ``.17g`` and never quoted; a label is quoted only when
 it holds ``,``, ``"``, CR or LF (``QUOTE_MINIMAL``), with ``"`` doubled,
 and a None label is an empty cell.  The writer joins pre-formatted cells
-and writes a block of rows per call, so it never holds the whole file;
-the reader parses lines as it reads them from the file, so neither does it.
+and writes a block of rows per call, so it never holds the whole file.
+Neither does the reader: numpy's C reader opens a label-free regular file
+itself and reads it in chunks, and the row loop parses each record as it
+reads it.
 
 Config sections ``[heston]`` and ``[policy]`` take exactly the fields of
 ``HestonParams`` and ``PolicyCoefficients``, each a required number.
@@ -22,7 +24,9 @@ from __future__ import annotations
 import configparser
 import csv
 import math
-from collections.abc import Iterable, Iterator
+import os
+import stat
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from itertools import chain, islice, repeat
 
@@ -56,26 +60,52 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_fast(lines: Iterator[str], n_fields: int) -> np.ndarray | None:
-    """Parse the lines of a label-free CSV body with numpy's C reader.
+# numpy opens a name with one of these suffixes through a decompressor.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-    Returns an ``(n, n_fields)`` array, or None whenever the body is not
-    plain finite numbers in ``n_fields`` columns (blank body, quoting,
-    short rows, ``1_0``, non-finite values, ...); the row loop then reads
-    it and raises the error the file deserves.  The C reader converts
+
+def _parse_fast(path: str, skiprows: int, n_fields: int) -> np.ndarray | None:
+    """Parse a label-free CSV body with numpy's C reader, which opens ``path`` and reads it in chunks.
+
+    The first ``skiprows`` lines are skipped.  Returns an ``(n, n_fields)``
+    array, or None whenever the body is not plain finite numbers in
+    ``n_fields`` columns (quoting, blank-cell or short rows, ``1_0``,
+    non-finite values, bytes that are not UTF-8, ...); the row loop then
+    reads it and raises the error the file deserves.  The C reader converts
     with CPython's string-to-double, so accepted values are bit-identical
-    to ``float(cell.strip())``.  ``lines`` may be left part-read.
+    to ``float(cell.strip())``.  The body must hold a non-blank line:
+    ``loadtxt`` warns on input with no rows.
     """
-    first = next((line for line in lines if line.strip()), None)
-    if first is None:  # loadtxt warns on input with no rows
-        return None
     try:
-        values = np.loadtxt(chain((first,), lines), delimiter=",", comments=None, ndmin=2, dtype=float)
+        values = np.loadtxt(
+            path, skiprows=skiprows, encoding="utf-8-sig", delimiter=",", comments=None, ndmin=2, dtype=float
+        )
     except ValueError:
         return None
     if values.shape[1] != n_fields or not np.all(np.isfinite(values)):
         return None
     return values
+
+
+def _reopenable(handle) -> str | None:
+    """The absolute name by which numpy may open ``handle``'s file again, or None.
+
+    Only a regular file can be read twice: a second reader of a pipe would
+    take its data, and opening a FIFO again blocks.  A name that numpy
+    would read through a decompressor is not opened either.
+    """
+    if isinstance(handle.name, int) or not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+        return None
+    name = os.path.abspath(os.fsdecode(handle.name))  # absolute: numpy reads a "scheme://" name as a URL
+    return None if os.path.splitext(name)[1] in _COMPRESSED_SUFFIXES else name
+
+
+def _names(name: str, handle) -> bool:
+    """Whether ``name`` still leads to the file open in ``handle``."""
+    try:
+        return os.path.samestat(os.stat(name), os.fstat(handle.fileno()))
+    except OSError:
+        return False
 
 
 def _parse_rows(rows: Iterable[list[str]], header: list[str]) -> tuple[dict[str, list[float]], list[str | None] | None]:
@@ -118,10 +148,12 @@ def read_dataset(path) -> Dataset:
     ``label`` in any order; nothing else.  A present label column gives
     the dataset labels, which tag it as a time series; without one
     ``labels`` is None.  Error messages reference file
-    rows (the header is row 1).  A label-free body of plain numbers is
-    parsed in C; any other body, and every malformed one, goes through the
-    row loop, from the top of the file again if the C parse gave up.  Both
-    read lines from the open file and never hold its body as one string.
+    rows (the header is row 1).  A label-free regular file whose body is
+    plain numbers is parsed by numpy's C reader, which opens the file again
+    by name and starts at the first non-blank record.  Any other input
+    (a labelled or malformed body, a pipe) goes through the row loop, which
+    continues on the records after the header.  Neither holds the body as
+    one string.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -138,13 +170,21 @@ def read_dataset(path) -> Dataset:
                     raise ValueError(f"missing column: {name}")
             if len(set(header)) != len(header):
                 raise ValueError(f"duplicate column in header of {path}")
-            values = None if "label" in header else _parse_fast(handle, len(header))
-            if values is not None:
+            c_path = None if "label" in header else _reopenable(handle)
+            values, head = None, []  # head: the records read past, replayed to the row loop
+            if c_path is not None:
+                skip = rows.line_num  # numpy starts at the first non-blank record: it warns on a body with none
+                for row in rows:
+                    head.append(row)
+                    if any(cell.strip() for cell in row):
+                        values = _parse_fast(c_path, skip, len(header))
+                        break
+                    skip = rows.line_num
+            if values is not None and _names(c_path, handle):  # and numpy read the file this handle holds
                 columns = {name: values[:, header.index(name)] for name in _CSV_COLUMNS}
                 labels = None
             else:
-                handle.seek(0)
-                columns, labels = _parse_rows(islice(csv.reader(handle), 1, None), header)
+                columns, labels = _parse_rows(chain(head, rows), header)
     except OSError as exc:
         raise OSError(f"cannot read dataset {path}: {exc}") from exc
     if not len(columns["pi_star"]):

@@ -689,12 +689,16 @@ def _stage2_rows(
     k: int,
     pins: np.ndarray,
     labels=None,
+    start: np.ndarray | None = None,
 ) -> _Rows:
     """Stage 2 on stacked datasets, ``(R, n)``, each row with its own ``beta3_hat`` and pin.
 
     ``k`` indexes the parameter of ``(beta4, beta5, beta6)`` the gauge
     holds at ``pins`` (``free`` holds ``beta4 = 1``); ``labels`` name the
-    observations in the errors of :func:`fit_vol_of_vol`.
+    observations in the errors of :func:`fit_vol_of_vol`.  The search
+    starts from the direction of each row's ``start``, ``(c6, c5)``, by
+    default the stage-1 curve's linear part at ``beta3_hat``: the
+    ``(beta1, beta2)`` of a stage-1 fit that ended at ``beta3_hat``.
     """
     n_rows = len(E)
     failures: dict[int, tuple[str, ValueError]] = {}
@@ -721,8 +725,12 @@ def _stage2_rows(
     rows = np.flatnonzero(live)
     work = np.empty((3,) + E.shape)  # every evaluation's arrays, reused
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # The start: the stage-1 curve's linear part at beta3_hat, whose reciprocal is stage 2's at (c6, c5).
-        c6, c5 = _evaluate(lambda b, e, pi: _stage1_profile(e, *_centred(pi), b, work), (E, PI), b3h, rows)[1][:, :2].T
+        if start is None:
+            # The stage-1 curve's linear part at beta3_hat, whose reciprocal is stage 2's at (c6, c5).
+            start = _evaluate(lambda b, e, pi: _stage1_profile(e, *_centred(pi), b, work), (E, PI), b3h, rows)[1]
+        else:
+            start = start[rows]
+        c6, c5 = start[:, :2].T
         Y = 1.0 / PI
     theta = np.full(n_rows, math.nan)
     theta[rows] = [math.atan2(s, c) for c, s in zip(c6.tolist(), c5.tolist())]
@@ -933,7 +941,7 @@ def monte_carlo_validation(
             b = stage1.params[ok]
             pins = b[:, _STAGE1_PIN[gauge_variant]] if k else np.ones(len(ok))
             keep = _select(ok, len(E))  # every row converged: no copy of the chunk
-            stage2 = _stage2_rows(E[keep], PI[keep], b[:, 2], k, pins)
+            stage2 = _stage2_rows(E[keep], PI[keep], b[:, 2], k, pins, start=b)
             _tally(failures, "stage2", stage2)
             stage2_failed += len(stage2.failures)
             stage2_converged += int(stage2.converged.sum())

@@ -1,9 +1,11 @@
 """CSV, report, and config serialization: strictness and round-trips."""
 
+import contextlib
 import csv
-import io
 import math
+import os
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -74,8 +76,9 @@ class TestReadDataset:
         ids=["c-parse", "labelled"],
     )
     def test_byte_order_mark_is_skipped(self, tmp_path, text):
-        # Spreadsheet exports lead with a UTF-8 byte-order mark.  The labelled
-        # file is read again from the top by the row loop, which skips it too.
+        # Spreadsheet exports lead with a UTF-8 byte-order mark.  numpy's C
+        # reader opens the label-free file again by name, decoding it as
+        # the header was, and skips it too.
         path = write(tmp_path / "d.csv", text)
         plain = read_dataset(path)
         path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
@@ -110,7 +113,7 @@ class TestReadDataset:
         with pytest.raises(ValueError, match="row 2"):
             read_dataset(p)
 
-    @pytest.mark.parametrize("content", ["", "pi_star,mu,r\n", "pi_star,mu,r\n\r\n\n"])
+    @pytest.mark.parametrize("content", ["", "pi_star,mu,r\n", "pi_star,mu,r\n\r\n\n", 'pi_star,mu,r\n \n"\n",,\t\n'])
     def test_empty_dataset(self, tmp_path, content):
         p = write(tmp_path / "d.csv", content)
         with pytest.raises(ValueError, match="empty dataset"):
@@ -137,7 +140,7 @@ class TestReadDataset:
         finally:
             tracemalloc.stop()
         assert back.pi_star.tobytes() == data.pi_star.tobytes()
-        # Lines are read from the file as they are parsed: the peak was 3.3 MB
+        # The body is read in chunks or record by record: the peak was 3.3 MB
         # label-free and 11.1 MB labelled (13.2 and 21.7 MB when the body was
         # read into one string and copied into a StringIO).
         assert peak < factor * path.stat().st_size
@@ -237,13 +240,13 @@ class TestFastReadMatchesReference:
         ],
     )
     def test_plain_numbers_take_the_c_parse(self, tmp_path, body):
-        assert data_io._parse_fast(io.StringIO(body), 3) is not None
         p = write(tmp_path / "d.csv", "pi_star,mu,r\n" + body)
+        assert data_io._parse_fast(str(p), 1, 3) is not None
         assert read_dataset(p).pi_star.tolist() == [1.5, -0.5]
 
     def test_underscore_digits_fall_back_to_the_row_loop(self, tmp_path):
         p = write(tmp_path / "d.csv", "pi_star,mu,r\n1_0,0.05,0.02\n")
-        assert data_io._parse_fast(io.StringIO("1_0,0.05,0.02\n"), 3) is None
+        assert data_io._parse_fast(str(p), 1, 3) is None
         assert read_dataset(p).pi_star.tolist() == [10.0]
 
     def test_non_finite_cell_names_its_row(self, tmp_path):
@@ -262,7 +265,8 @@ class TestFastReadMatchesReference:
     @pytest.mark.parametrize("at_end", [True, False])
     def test_long_file_falls_back_from_the_top(self, tmp_path, bad, at_end):
         # 20,000 rows span many reads of the file, so the C parse has consumed
-        # part or all of the body before the row loop starts again from the top.
+        # part or all of the body, through its own handle, before the row loop
+        # starts on the first record after the header.
         rng = np.random.default_rng(20_000)
         rows = [f"{x:.17g},{y:.17g},0.02" for x, y in rng.standard_normal((20_000, 2))]
         rows.insert(len(rows) if at_end else 0, bad)
@@ -271,6 +275,117 @@ class TestFastReadMatchesReference:
         assert outcome == _reference_outcome(p)
         assert outcome[0] == "error"
         assert outcome[1].startswith(f"row parse error at row {20_002 if at_end else 2}: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "pi_star,mu,r\n1.5,0.07,0.02\n-0.5,0.03,0.02\n",
+            "\ufeffr,mu,pi_star\r\n\r\n \r\n0.02,0.07,1.5\r\n0.02,0.03,-0.5\r\n",
+            '"pi_star\n",mu,r\r1.5,0.07,0.02\r\r-0.5,0.03,0.02',
+        ],
+        ids=["lf", "bom-crlf-blank-lead", "two-line-header-cr"],
+    )
+    def test_plain_regular_file_never_enters_the_row_loop(self, tmp_path, text):
+        # numpy skips the header's lines and any blank records before the first
+        # number, counting lines as the csv reader does, so a header cell
+        # spanning two lines costs nothing.
+        p = write(tmp_path / "d.csv", text)
+        with mock.patch.object(data_io, "_parse_rows", side_effect=AssertionError("row loop entered")):
+            outcome = _read_outcome(p)
+        assert outcome == _reference_outcome(p)
+        assert np.frombuffer(outcome[1]).tolist() == [1.5, -0.5]
+
+    @pytest.mark.parametrize(
+        ("text", "error"),
+        [
+            ('"pi_star\n",mu,r\n\n1.0,x,0.02\n', "row parse error at row 3: field mu is not a number: 'x'"),
+            ('"pi_star\n",mu,"label\r\n",r\n\n1.0,x,a,0.02\n', "row parse error at row 3: field mu is not a number: 'x'"),
+            ('pi_star,"m\nu",r\n1.0,0.05,0.02\n', "unknown column: m\nu"),
+        ],
+        ids=["c-parse-gives-up", "labelled", "unknown-column"],
+    )
+    def test_header_spanning_lines_matches_the_row_loop(self, tmp_path, text, error):
+        # Rows count records, not lines, after the records the C route read past.
+        p = write(tmp_path / "d.csv", text)
+        assert _read_outcome(p) == _reference_outcome(p) == ("error", error)
+
+    def test_file_descriptor_is_read_by_the_row_loop(self, tmp_path):
+        # A descriptor has no name for numpy to open.
+        p = write(tmp_path / "d.csv", "pi_star,mu,r\n1.5,0.07,0.02\n")
+        assert read_dataset(os.open(p, os.O_RDONLY)).pi_star.tolist() == [1.5]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_looking_name_is_read_as_text(self, tmp_path, suffix):
+        # numpy opens these names through a decompressor, so the C parse leaves them alone.
+        text = "pi_star,mu,r\n1.5,0.07,0.02\n-0.5,0.03,0.02\n"
+        p = write(tmp_path / f"d.csv{suffix}", text)
+        assert _read_outcome(p) == _reference_outcome(p) == _read_outcome(write(tmp_path / "d.csv", text))
+
+    def test_file_replaced_under_its_name_is_read_from_the_open_one(self, tmp_path, monkeypatch):
+        # numpy opens the file again by name; if that name now leads to another
+        # file, the row loop reads the one whose header was read.
+        p = write(tmp_path / "d.csv", "pi_star,mu,r\n1.5,0.07,0.02\n")
+        other = write(tmp_path / "other.csv", "pi_star,mu,r\n9.0,0.07,0.02\n")
+        parse_fast = data_io._parse_fast
+
+        def replace_then_parse(path, *args):
+            os.replace(other, p)
+            return parse_fast(path, *args)
+
+        monkeypatch.setattr(data_io, "_parse_fast", replace_then_parse)
+        assert read_dataset(p).pi_star.tolist() == [1.5]
+
+
+def _fifo_outcome(path, text):
+    """``_read_outcome`` of a FIFO at ``path`` that a thread feeds ``text``; None if the read blocks."""
+    os.mkfifo(path)
+    outcome = []
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as pipe:
+            pipe.write(text.encode("utf-8"))
+
+    def read():
+        try:
+            outcome.append(_read_outcome(path))
+        except Exception as exc:  # an error that is not the outcome of a bad file, e.g. a seek on the pipe
+            outcome.append(("raised", repr(exc)))
+
+    threads = [threading.Thread(target=feed, daemon=True), threading.Thread(target=read, daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    if any(thread.is_alive() for thread in threads):
+        # A read-write descriptor is a reader and a writer, so a thread blocked
+        # opening the FIFO, at either end, gets its partner and finishes.
+        os.close(os.open(path, os.O_RDWR | os.O_NONBLOCK))
+        return None
+    return outcome[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+class TestPipes:
+    """A pipe is read once, through the row loop: the C parse would open it again, and it cannot seek."""
+
+    @pytest.mark.parametrize("kind", ["plain", "labelled", "malformed"])
+    def test_fifo_reads_as_the_regular_file(self, tmp_path, kind):
+        rng = np.random.default_rng(20)
+        labels = [f"t{i}" for i in range(20)] if kind == "labelled" else None
+        data = Dataset(pi_star=rng.standard_normal(20), mu=np.full(20, 0.05), r=np.full(20, 0.02), labels=labels)
+        regular = tmp_path / "d.csv"
+        write_dataset(data, regular)
+        text = regular.read_bytes().decode("utf-8")
+        if kind == "malformed":
+            lines = text.split("\r\n")
+            lines[5] = "abc" + lines[5][lines[5].index(","):]
+            text = "\r\n".join(lines)
+            regular.write_bytes(text.encode("utf-8"))
+        outcome = _fifo_outcome(tmp_path / "fifo.csv", text)
+        assert outcome is not None, "the read blocked"
+        assert outcome == _read_outcome(regular)
+        if kind == "malformed":
+            assert outcome == ("error", "row parse error at row 6: field pi_star is not a number: 'abc'")
 
 
 class TestRoundTrip:

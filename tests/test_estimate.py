@@ -888,12 +888,13 @@ class TestMonteCarloValidation:
         # calls of the one profile and the rows they fit, by the stage
         # curve's evaluator that makes them.  The stage-1 curve's: one per
         # evaluation of the search (its start and each round of trial
-        # steps), and one for stage 2's start; the search starts from the
-        # linearized curve in closed form, with no evaluation.  A 15-point
-        # start grid took 21 calls on 1281 rows, a gradient that made its
-        # own projection 26 on 1538, and a search that chased rounding in
-        # the sum of squares 65 on 1899.  The stage-2 curve's: one per
-        # evaluation of its search.
+        # steps); the search starts from the linearized curve in closed
+        # form, with no evaluation.  A 15-point start grid took 21 calls on
+        # 1281 rows, a gradient that made its own projection 26 on 1538,
+        # and a search that chased rounding in the sum of squares 65 on
+        # 1899; evaluating stage 2's start, which stage 1's fit already
+        # holds, took one more call on 64 rows.  The stage-2 curve's: one
+        # per evaluation of its search.
         calls_and_rows = {"_stage1_profile": [0, 0], "_stage2_profile": [0, 0]}
         caller = []
         profile = portvol.estimate._profile
@@ -917,7 +918,26 @@ class TestMonteCarloValidation:
         spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)
         report = monte_carlo_validation(spec, 64, master_seed=7, run_stage2=True, gauge_variant="pin-beta5")
         assert (report.n_converged, report.stage2_n_converged) == (64, 64)
-        assert calls_and_rows == {"_stage1_profile": [5, 320], "_stage2_profile": [4, 198]}
+        assert calls_and_rows == {"_stage1_profile": [4, 256], "_stage2_profile": [4, 198]}
+
+    @pytest.mark.parametrize("variant", ["free", "pin-beta5", "pin-beta6"])
+    def test_stage2_starts_from_the_stage1_fit(self, monkeypatch, variant):
+        # Stage 2's default start is the stage-1 curve's (beta1, beta2) at
+        # beta3_hat; each converged row's stage-1 fit ended there, so the
+        # harness passes its (beta1, beta2) and no bit moves.
+        stage2_rows, starts = portvol.estimate._stage2_rows, []
+
+        def both(E, PI, b3h, k, pins, labels=None, start=None):
+            given = stage2_rows(E, PI, b3h, k, pins, labels, start)
+            assert _row_outcomes(given) == _row_outcomes(stage2_rows(E, PI, b3h, k, pins, labels))
+            starts.append(start)
+            return given
+
+        monkeypatch.setattr(portvol.estimate, "_stage2_rows", both)
+        spec = GenerationSpec(stage1=TRUTH, n=30, noise=0.3)  # some rows fail stage 1, and under pin-beta5 stage 2
+        report = monte_carlo_validation(spec, 100, master_seed=1, run_stage2=True, gauge_variant=variant)
+        assert len(starts) == 1 and starts[0] is not None
+        assert 0 < report.n_converged < report.replications
 
     def test_rmse_dominates_bias(self):
         spec = GenerationSpec(stage1=TRUTH, n=200, noise=0.02)
@@ -1235,8 +1255,8 @@ class TestStopRule:
         # stage-2 rows halving rounding-rejected steps to "step tolerance reached".
         messages = Counter()
         for name in ("_stage1_rows", "_stage2_rows"):
-            def spy(*args, _fit=getattr(portvol.estimate, name), _stage=name[1:7]):
-                rows = _fit(*args)
+            def spy(*args, _fit=getattr(portvol.estimate, name), _stage=name[1:7], **kwargs):
+                rows = _fit(*args, **kwargs)
                 messages.update((_stage, m) for m in rows.messages)
                 return rows
 
