@@ -4,13 +4,18 @@ Subcommands: ``simulate``, ``fit``, ``volvol``, ``validate``,
 ``pipeline``, ``help``.  Runs are defined by a config file; the only
 flags are ``--config``, ``--seed``, ``--output`` and ``--verbose``
 (flag overrides win over config values).  Exit status: 0 success,
-1 usage error, 2 data or convergence error.  The stdout summary is
-informational; machine consumers should read the report file.
+1 usage error, 2 data or convergence error.  Every stage's
+``ValueError`` or ``OSError``, and a fit that did not converge, exits 2
+with the one stderr line ``error in <stage> stage: <error>``.  With
+``--verbose``, ``validate`` also prints why replications failed.  The
+stdout summary is informational; machine consumers should read the
+report file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 
@@ -32,6 +37,19 @@ class _UsageError(Exception):
     pass
 
 
+class _StageError(Exception):
+    """A data or convergence error; its text is the stderr line ``error in <stage> stage: <error>``."""
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Raise a ``ValueError`` or ``OSError`` from the block as the ``_StageError`` of stage ``name``."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise _StageError(f"error in {name} stage: {exc}") from exc
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage problems; the contract here
     # reserves 2 for data errors, so route usage failures through an
@@ -50,17 +68,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _usage_error(parser: _Parser, message: str) -> int:
-    print(f"usage error: {message}", file=sys.stderr)
-    parser.print_help(sys.stderr)
-    return 1
-
-
-def _stage_error(stage: str, exc: Exception) -> int:
-    print(f"error in {stage} stage: {exc}", file=sys.stderr)
-    return 2
-
-
 def _print_fit(tag: str, fit: FitResult, names, verbose: bool) -> None:
     values = fit.params.as_array()
     for name, value in zip(names, values):
@@ -73,68 +80,50 @@ def _print_fit(tag: str, fit: FitResult, names, verbose: bool) -> None:
 
 
 def _generate_and_write(cfg, path):
-    """``(dataset, 0)`` once the configured dataset is generated and written to ``path``, else ``(None, status)``."""
-    try:
+    """The configured dataset, generated and written to ``path``."""
+    with _stage("generate"):
         data = generate_synthetic_dataset(cfg.generation.kind, cfg.generation, cfg.seed)
-    except ValueError as exc:
-        return None, _stage_error("generate", exc)
-    try:
+    with _stage("write"):
         data_io.write_dataset(data, path)
-    except OSError as exc:
-        return None, _stage_error("write", exc)
-    return data, 0
+    return data
 
 
-def _run_simulate(cfg, verbose: bool) -> int:
-    data, status = _generate_and_write(cfg, cfg.output)
-    if data is not None:
-        print(f"wrote {data.n_rows} rows to {cfg.output}")
-    return status
+def _run_simulate(cfg, verbose: bool) -> None:
+    data = _generate_and_write(cfg, cfg.output)
+    print(f"wrote {data.n_rows} rows to {cfg.output}")
 
 
-def _run_fits(cfg, verbose: bool) -> int:
+def _run_fits(cfg, verbose: bool) -> None:
     """``fit``, ``volvol`` and ``pipeline``: data in, the fits, one report and summary.
 
     Stage 1 runs unless ``volvol`` is given ``beta3_hat``; every mode but
     ``fit`` goes on to stage 2 and, with ``alpha_ratio``, to rho.
     """
     if cfg.mode == "pipeline":
-        data, status = _generate_and_write(cfg, cfg.dataset_output)
-        if data is None:
-            return status
+        data = _generate_and_write(cfg, cfg.dataset_output)
         if verbose:
             print(f"dataset written to {cfg.dataset_output} ({data.n_rows} rows)")
     else:
-        try:
+        with _stage("read"):
             data = data_io.read_dataset(cfg.input)
-        except (ValueError, OSError) as exc:
-            return _stage_error("read", exc)
     stage1 = None
     beta3_hat = cfg.beta3_hat
     if beta3_hat is None:
-        try:
+        with _stage("stage1 fit"):
             stage1 = fit_volatility(data)
-        except ValueError as exc:
-            return _stage_error("stage1 fit", exc)
         beta3_hat = stage1.params.beta3
     stage2 = gauge = rho = None
     if cfg.mode != "fit":
-        try:
+        with _stage("stage2 fit"):
             gauge = GaugeRule.from_stage1(cfg.gauge_variant, stage1)
             stage2 = fit_vol_of_vol(data, beta3_hat, gauge)
-        except ValueError as exc:
-            return _stage_error("stage2 fit", exc)
         if cfg.alpha_ratio is not None:
             # Config validation guarantees stage1 is present whenever
             # alpha_ratio is set (the inversion needs the fitted beta2).
-            try:
+            with _stage("rho"):
                 rho = estimate_rho(stage1.params.beta2, stage2.params.beta4, cfg.alpha_ratio)
-            except ValueError as exc:
-                return _stage_error("rho", exc)
-    try:
+    with _stage("report"):
         data_io.write_report(cfg.output, stage1=stage1, stage2=stage2, gauge=gauge, rho=rho)
-    except OSError as exc:
-        return _stage_error("report", exc)
     if stage1 is not None:
         _print_fit("stage1", stage1, ("beta1", "beta2", "beta3"), verbose)
     if stage2 is not None:
@@ -145,27 +134,23 @@ def _run_fits(cfg, verbose: bool) -> int:
     print(f"report written to {cfg.output}")
     for stage, fit in (("stage1 fit", stage1), ("stage2 fit", stage2)):
         if fit is not None and not fit.converged:
-            return _stage_error(stage, ValueError(f"did not converge: {fit.message}"))
-    return 0
+            with _stage(stage):
+                raise ValueError(f"did not converge: {fit.message}")
 
 
-def _run_validate(cfg, verbose: bool) -> int:
-    try:
-        report = monte_carlo_validation(
-            cfg.generation, cfg.replications, master_seed=cfg.seed
-        )
-    except ValueError as exc:
-        return _stage_error("validate", exc)
-    try:
+def _run_validate(cfg, verbose: bool) -> None:
+    with _stage("validate"):
+        report = monte_carlo_validation(cfg.generation, cfg.replications, master_seed=cfg.seed)
+    with _stage("report"):
         data_io.write_report(cfg.output, validation=report)
-    except OSError as exc:
-        return _stage_error("report", exc)
     print(f"validation: {report.n_converged}/{report.replications} converged")
+    if verbose:
+        failures = ", ".join(f"{reason} {count}" for reason, count in report.failures)
+        print(f"validation failures = {failures or 'none'}")
     if report.bias is not None:
         print(f"validation bias_beta3 = {report.bias[2]:.17g}")
         print(f"validation rmse_beta3 = {report.rmse[2]:.17g}")
     print(f"report written to {cfg.output}")
-    return 0
 
 
 # Every other mode runs the fits.
@@ -177,31 +162,32 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            raise _UsageError("a subcommand is required")
+        if args.command == "help":
+            parser.print_help(sys.stdout)
+            return 0
+        if args.config is None:
+            raise _UsageError("--config is required")
+        with _stage("config"):
+            cfg = data_io.parse_config(args.config)
+            if cfg.mode != args.command:
+                raise ValueError(f"config declares mode {cfg.mode!r} but subcommand is {args.command!r}")
+        if args.seed is not None:
+            if not 0 <= args.seed < SEED_LIMIT:
+                raise _UsageError("--seed must be in [0, 2**64)")
+            cfg = replace(cfg, seed=args.seed)
+        if args.output is not None:
+            cfg = replace(cfg, output=args.output)
+        _RUNNERS.get(cfg.mode, _run_fits)(cfg, args.verbose)
     except _UsageError as exc:
-        return _usage_error(parser, str(exc))
-    if args.command is None:
-        return _usage_error(parser, "a subcommand is required")
-    if args.command == "help":
-        parser.print_help(sys.stdout)
-        return 0
-    if args.config is None:
-        return _usage_error(parser, "--config is required")
-    try:
-        cfg = data_io.parse_config(args.config)
-    except (ValueError, OSError) as exc:
-        return _stage_error("config", exc)
-    if cfg.mode != args.command:
-        return _stage_error(
-            "config",
-            ValueError(f"config declares mode {cfg.mode!r} but subcommand is {args.command!r}"),
-        )
-    if args.seed is not None:
-        if not 0 <= args.seed < SEED_LIMIT:
-            return _usage_error(parser, "--seed must be in [0, 2**64)")
-        cfg = replace(cfg, seed=args.seed)
-    if args.output is not None:
-        cfg = replace(cfg, output=args.output)
-    return _RUNNERS.get(cfg.mode, _run_fits)(cfg, args.verbose)
+        print(f"usage error: {exc}", file=sys.stderr)
+        parser.print_help(sys.stderr)
+        return 1
+    except _StageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    return 0
 
 
 def main() -> None:

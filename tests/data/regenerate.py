@@ -212,6 +212,11 @@ CLI_CASES = {
     "volvol-2-rows": ("volvol", _run("volvol", "input = {two}", OUT, "gauge = free", "beta3_hat = 0.04"), []),
     "fit-byte-order-mark": ("fit", _run("fit", "input = {csv50_bom}", OUT), []),
     "simulate-n-0": ("simulate", _run("simulate", "output = {tmp}/d.csv") + _gen(n=0), []),
+    # A NUL byte in an output path: open() raises ValueError, not OSError.
+    "simulate-nul-output": ("simulate", _run("simulate", "output = {tmp}/d\0.csv") + _gen(), []),
+    "pipeline-nul-dataset-output": ("pipeline", _run("pipeline", OUT, "dataset_output = {tmp}/d\0.csv") + _gen(), []),
+    "fit-nul-output": ("fit", _run("fit", "input = {csv50}", "output = {tmp}/r\0.txt"), []),
+    "validate-nul-output": ("validate", _run("validate", "output = {tmp}/r\0.txt") + _gen("replications = 2"), []),
 }
 
 _BENCHMARK = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)

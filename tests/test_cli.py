@@ -1,10 +1,15 @@
 """Exit-code contract, summaries, and file outputs of the command line."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import portvol.cli
 from portvol.cli import _build_parser, run_cli
 from portvol import GenerationSpec, Stage1Params, generate_synthetic_dataset, write_dataset
 
@@ -565,3 +570,80 @@ class TestSimulateFailures:
         captured = capsys.readouterr()
         assert (captured.out, captured.err.replace(str(tmp_path), "{tmp}")) == ("", stderr)
         assert not (tmp_path / "d.csv").exists()
+
+
+class TestProcessExitStatus:
+    """``python -m portvol.cli`` in a child process: the exit status is the process's, and no traceback escapes."""
+
+    @staticmethod
+    def run(*argv, cwd):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "portvol.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+
+    def test_write_stage_value_error_exits_2(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[run]\nmode = simulate\noutput = d\0.csv\n" + NOISELESS_GEN)
+        done = self.run("simulate", "--config", str(cfg), cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error in write stage: embedded null byte\n")
+
+    def test_help_exits_0(self, tmp_path):
+        done = self.run("help", cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: portvol")
+
+
+class TestLibraryNames:
+    """The runners look up the library functions as ``portvol.cli`` globals at call time.
+
+    The benchmark's tracer patches those names, so a patch there must see every call.
+    """
+
+    NAMES = ("generate_synthetic_dataset", "fit_volatility", "fit_vol_of_vol", "estimate_rho", "monte_carlo_validation")
+
+    def test_every_name_is_called_through_the_module(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def spy(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name in self.NAMES:
+            monkeypatch.setattr(portvol.cli, name, spy(name, getattr(portvol.cli, name)))
+        pipeline, validate = tmp_path / "p.cfg", tmp_path / "v.cfg"
+        pipeline.write_text(
+            f"[run]\nmode = pipeline\noutput = {tmp_path / 'r.txt'}\ndataset_output = {tmp_path / 'd.csv'}\n"
+            "alpha_ratio = -0.25\n" + NOISELESS_GEN.replace("noise = 0.0", "noise = 0.01")
+        )
+        validate.write_text(
+            f"[run]\nmode = validate\noutput = {tmp_path / 'v.txt'}\n" + NOISELESS_GEN + "replications = 2\n"
+        )
+        assert run_cli(["pipeline", "--config", str(pipeline)]) == 0
+        assert run_cli(["validate", "--config", str(validate)]) == 0
+        assert sorted(set(calls)) == sorted(self.NAMES)
+
+
+class TestValidateVerbose:
+    # The validation corpus's overflowing-sum-of-squares case: 13 generation errors and 7 non-finite fits.
+    CONFIG = (
+        "[run]\nmode = validate\noutput = {tmp}/r.txt\nseed = 3\n"
+        "[generation]\nn = 50\nbeta1 = 1e308\nbeta2 = 0.0\nbeta3 = 1.0\ne_min = 1.0\ne_max = 1.81\n"
+        "replications = 20\n"
+    )
+
+    def test_failures_line_follows_the_converged_line(self, tmp_path, capsys):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(self.CONFIG.format(tmp=tmp_path))
+        assert run_cli(["validate", "--config", str(cfg)]) == 0
+        quiet, report = capsys.readouterr().out, (tmp_path / "r.txt").read_bytes()
+        assert run_cli(["validate", "--config", str(cfg), "--verbose"]) == 0
+        assert capsys.readouterr().out == quiet.replace(
+            "converged\n", "converged\nvalidation failures = generation error 13, stage1 non-finite fit 7\n", 1
+        )
+        assert quiet == f"validation: 0/20 converged\nreport written to {tmp_path / 'r.txt'}\n"
+        assert (tmp_path / "r.txt").read_bytes() == report

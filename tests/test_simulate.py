@@ -163,6 +163,50 @@ class TestVariancePath:
             simulate_variance_path(heston(), c, 4)
 
 
+# The sim-ensemble parameters: kappa = beta_rev = 2, theta = alpha/beta_rev = 0.04,
+# gamma = 0.3 and v0 = sigma_bar = 0.02 (Feller holds: 2*alpha = 0.16 >= gamma**2).
+LAW = heston(mu=0.0, r=0.0, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=0.0, sigma_bar=0.02)
+LAW_PATHS = PathConfig(horizon=1.0, dt=1e-3, seed=2012, n_paths=20_000)
+
+
+@pytest.fixture(scope="module")
+def terminal_variance():
+    """``v_T`` of every ``LAW_PATHS`` path, drawn 2000 paths (16 MB) at a time."""
+    chunks = range(0, LAW_PATHS.n_paths, 2000)
+    return np.concatenate([simulate_variance_batch(LAW, LAW_PATHS, range(a, a + 2000))[:, -1] for a in chunks])
+
+
+class TestVarianceLaw:
+    """The law of the Euler variance at ``T = 1``, not only its mean, against the CIR process's closed forms.
+
+    The seed was fixed before the results were seen.
+    """
+
+    def test_terminal_variance_matches_the_closed_form(self, terminal_variance):
+        kappa, theta, gamma, v0, t = LAW.beta_rev, LAW.alpha / LAW.beta_rev, LAW.gamma, LAW.sigma_bar, 1.0
+        decay = math.exp(-kappa * t)
+        exact = v0 * gamma**2 / kappa * (decay - decay**2) + theta * gamma**2 / (2 * kappa) * (1 - decay) ** 2
+        centred = terminal_variance - terminal_variance.mean()
+        s2, m4 = centred.var(ddof=1), (centred**4).mean()
+        # The sample variance's standard error, sqrt((m4 - s2**2)/n); a
+        # 4-sigma band fails a correct scheme with probability 6e-5.
+        se = math.sqrt((m4 - s2**2) / terminal_variance.size)
+        assert abs(s2 - exact) < 4.0 * se, (s2, exact, se)
+
+    def test_terminal_law_is_the_scaled_noncentral_chi_square(self, terminal_variance):
+        # Cox, Ingersoll & Ross (1985): v_T / c ~ ncx2(4*kappa*theta/gamma**2, v0*exp(-kappa*T)/c).
+        # scipy.special, not scipy.stats, whose import costs more than this whole test.
+        special = pytest.importorskip("scipy.special")
+        kappa, gamma, v0, t = LAW.beta_rev, LAW.gamma, LAW.sigma_bar, 1.0
+        c = gamma**2 * (1 - math.exp(-kappa * t)) / (4 * kappa)
+        cdf = special.chndtr(np.sort(terminal_variance) / c, 4 * LAW.alpha / gamma**2, v0 * math.exp(-kappa * t) / c)
+        n = cdf.size
+        ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        # The Kolmogorov-Smirnov test at level 1e-4 (Kolmogorov's limit law):
+        # it fails a correct scheme with probability 1e-4.
+        assert ks < special.kolmogi(1e-4) / math.sqrt(n), ks
+
+
 class TestSinglePathKernel:
     """A 1-D path is stepped on Python floats; a batch on arrays.  The bits must agree."""
 
