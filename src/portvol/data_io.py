@@ -34,7 +34,7 @@ import numpy as np
 
 from .estimate import _GAUGE_VARIANTS, GaugeRule, RhoEstimate, ValidationReport
 from .model import Dataset, FitResult, HestonParams, PolicyCoefficients, Stage1Params
-from .simulate import SEED_LIMIT, GenerationSpec, PathConfig, StructuralSpec
+from .simulate import SEED_LIMIT, GenerationSpec, StructuralSpec
 
 __all__ = [
     "RunConfig",
@@ -280,9 +280,8 @@ def write_report(
     for name, (fit, params) in fits.items():
         if fit is None:
             continue
-        values = fit.params.as_array() if hasattr(fit.params, "as_array") else fit.params
         se = repeat(None) if fit.standard_errors is None else fit.standard_errors
-        pairs = [*zip(params, map(float, values)), *zip([f"se_{p}" for p in params], se)]
+        pairs = [*zip(params, map(float, fit.params.as_array())), *zip([f"se_{p}" for p in params], se)]
         pairs += [("residual_norm", fit.residual_norm), ("iterations", fit.iterations), ("converged", fit.converged)]
         pairs.append(("message", fit.message or None))
         if name == "stage2":
@@ -397,10 +396,7 @@ def _check_read_keys(given: set[str], mode: str, kind: str | None) -> None:
 
 def _from_fields(parser: configparser.ConfigParser, section: str, cls):
     """``cls`` built from ``[section]``, one required number per field, read in field order."""
-    values = {}
-    for f in fields(cls):
-        values[f.name] = _number(parser, section, f.name, required=True)
-    return cls(**values)
+    return cls(**{f.name: _number(parser, section, f.name, required=True) for f in fields(cls)})
 
 
 def _generation_spec(parser: configparser.ConfigParser, mode: str):
@@ -426,14 +422,8 @@ def _generation_spec(parser: configparser.ConfigParser, mode: str):
             raise ValueError(f"missing required section for structural generation: [{section}]")
     heston = _from_fields(parser, "heston", HestonParams)
     policy = _from_fields(parser, "policy", PolicyCoefficients)
-    path_cfg = PathConfig(
-        horizon=_number(parser, "path", "horizon", required=True),
-        dt=_number(parser, "path", "dt", required=True),
-        seed=0,
-    )
-    x0 = _number(parser, "path", "x0", required=True)
-    spec = StructuralSpec(heston=heston, policy=policy, path=path_cfg, x0=x0)
-    return spec, replications
+    horizon, dt, x0 = (_number(parser, "path", key, required=True) for key in ("horizon", "dt", "x0"))
+    return StructuralSpec(heston=heston, policy=policy, horizon=horizon, dt=dt, x0=x0), replications
 
 
 def parse_config(path) -> RunConfig:
@@ -487,8 +477,7 @@ def parse_config(path) -> RunConfig:
     input_path = parser.get("run", "input", fallback=None)
     dataset_output = parser.get("run", "dataset_output", fallback=None)
 
-    generation = None
-    replications = None
+    generation = replications = None
     if mode in _GENERATING_MODES:
         generation, replications = _generation_spec(parser, mode)
         given.add(f"[generation] kind = {generation.kind}")

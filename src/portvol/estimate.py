@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
 
@@ -54,6 +54,7 @@ import numpy as np
 
 from .model import (
     _POLE_RTOL,
+    DIAG_DEGENERATE_COV,
     Dataset,
     FitResult,
     PoleError,
@@ -103,7 +104,6 @@ DIAG_B1_EQ_B2 = "IDENTIFIABILITY_B1_EQ_B2"
 DIAG_POLE = "POLE_PROXIMITY"
 DIAG_ILL_CONDITIONED = "ILL_CONDITIONED"
 DIAG_GAUGE = "GAUGE_UNIDENTIFIED"
-DIAG_DEGENERATE_COV = "DEGENERATE_COVARIANCE"
 DIAG_RHO_RANGE = "RHO_OUT_OF_RANGE"
 
 # Stage 1 refuses a fit whose log(beta3/max|e|) ends outside these bounds.
@@ -167,14 +167,17 @@ class GaugeRule:
 
 @dataclass(frozen=True)
 class RhoEstimate:
-    """Correlation-factor estimate; out-of-range values are reported, never clamped."""
+    """Correlation-factor estimate; out-of-range values, inf and nan included, are flagged, never clamped."""
 
     rho_hat: float
-    diagnostics: frozenset[str] = frozenset()
 
     @property
     def in_range(self) -> bool:
         return bool(abs(self.rho_hat) <= 1.0)
+
+    @property
+    def diagnostics(self) -> frozenset[str]:
+        return frozenset() if self.in_range else frozenset([DIAG_RHO_RANGE])
 
 
 def _se_and_cond(r: np.ndarray, ssr: np.ndarray, dof: int, unit=1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -226,11 +229,8 @@ def standard_errors(fit: FitResult, jacobian) -> tuple[float, ...] | None:
 def _checks(E, b3, r, ssr, unit=1.0) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Standard errors and the diagnostics both stages share, per row, from ``R`` factors (:func:`_se_and_cond`)."""
     se, cond = _se_and_cond(r, ssr, E.shape[1] - r.shape[-1], unit)
-    return se, {
-        DIAG_POLE: np.min(np.abs(b3[:, None] + E), axis=-1) < 1e-3 * b3,
-        DIAG_ILL_CONDITIONED: cond > _COND_LIMIT,
-        DIAG_DEGENERATE_COV: np.isnan(se).any(axis=-1),
-    }
+    pole = np.min(np.abs(b3[:, None] + E), axis=-1) < 1e-3 * b3
+    return se, {DIAG_POLE: pole, DIAG_ILL_CONDITIONED: cond > _COND_LIMIT}
 
 
 def _stage1_checks(E, params, ssr, r=None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -316,7 +316,7 @@ def identifiability_diagnostics(
     else:
         k = (gauge if gauge is not None else GaugeRule("free")).fixed[0]
         flags = _stage2_checks(E, fit.params.as_array()[None], b3h, k, ssr)[1]
-    return frozenset(name for name, rows in flags.items() if rows[0] and name != DIAG_DEGENERATE_COV)
+    return frozenset(name for name, rows in flags.items() if rows[0])
 
 
 @dataclass(frozen=True)
@@ -792,7 +792,8 @@ def estimate_rho(beta2_hat: float, gamma_hat: float, alpha_ratio: float) -> RhoE
     Inverts ``beta2 = -rho * gamma * alpha_ratio`` where ``alpha_ratio``
     is the user-supplied ``alpha2 / alpha1`` of the marginal-value
     expansion.  Values outside [-1, 1] are returned as-is with the
-    ``RHO_OUT_OF_RANGE`` diagnostic.  A non-finite input raises ValueError.
+    ``RHO_OUT_OF_RANGE`` diagnostic.  A non-finite input, and a product
+    ``gamma_hat * alpha_ratio`` that underflows to 0, raise ValueError.
     """
     for name, value in (("beta2_hat", beta2_hat), ("gamma_hat", gamma_hat), ("alpha_ratio", alpha_ratio)):
         if not _finite(value):
@@ -801,35 +802,35 @@ def estimate_rho(beta2_hat: float, gamma_hat: float, alpha_ratio: float) -> RhoE
         raise ValueError("gamma_hat must be > 0")
     if alpha_ratio == 0.0:
         raise ValueError("alpha_ratio must be nonzero")
-    raw = -beta2_hat / (gamma_hat * alpha_ratio)
-    diags = frozenset([DIAG_RHO_RANGE]) if abs(raw) > 1.0 else frozenset()
-    return RhoEstimate(rho_hat=raw, diagnostics=diags)
+    if gamma_hat * alpha_ratio == 0.0:
+        raise ValueError(f"gamma_hat * alpha_ratio underflows to 0 ({gamma_hat!r} * {alpha_ratio!r})")
+    return RhoEstimate(-beta2_hat / (gamma_hat * alpha_ratio))
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     """Aggregate accuracy of the pipeline over Monte Carlo replications.
 
-    ``bias``, ``rmse`` and ``coverage`` are per parameter (stage-1 order
-    beta1, beta2, beta3) and are computed over converged replications;
+    ``bias``, ``rmse`` and ``coverage`` are per parameter of ``param_names``,
+    ``("beta1", "beta2", "beta3")``, over converged replications;
     ``coverage`` counts nominal-95% Gauss-Newton intervals containing the
     truth among the ``coverage_evaluated`` replications that produced
     standard errors; the three are None when no replication converged.
-    ``stage2_n_failed`` counts stage-2 fits that raised (None when stage 2
-    was not run).  ``failures`` tallies, as sorted ``(reason, count)``
-    pairs, every replication that gave no converged fit in a stage it ran:
-    ``"stage1 insufficient regressor variation"``, ``"stage1 beta3 not
-    identified"``, ``"stage1 non-finite fit"``,
-    ``"stage1 not converged: max iterations"``, ``"stage2 position sign
-    change"``, ``"stage2 pole guard"`` and so on.  Neither is written to
-    the report.
+    ``n_failed`` is ``replications - n_converged``.  ``stage2_n_failed``
+    counts stage-2 fits that raised (None when stage 2 was not run).
+    ``failures`` tallies, as sorted ``(reason, count)`` pairs, every
+    replication that gave no converged fit in a stage it ran: ``"stage1
+    insufficient regressor variation"``, ``"stage1 beta3 not identified"``,
+    ``"stage1 non-finite fit"``, ``"stage1 not converged: max
+    iterations"``, ``"stage2 position sign change"``, ``"stage2 pole
+    guard"`` and so on.  Neither of these two is written to the report.
     """
 
     replications: int
     truth: Stage1Params
-    param_names: tuple[str, ...]
+    param_names: tuple[str, ...] = field(init=False)
     n_converged: int
-    n_failed: int
+    n_failed: int = field(init=False)
     bias: tuple[float, ...] | None
     rmse: tuple[float, ...] | None
     coverage: tuple[int, ...] | None
@@ -841,6 +842,8 @@ class ValidationReport:
     failures: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "param_names", ("beta1", "beta2", "beta3"))
+        object.__setattr__(self, "n_failed", self.replications - self.n_converged)
         if self.bias is not None and self.rmse is not None:
             for b, r in zip(self.bias, self.rmse):
                 if r + 1e-12 * (1.0 + r) < abs(b):
@@ -949,9 +952,7 @@ def monte_carlo_validation(
             del stage2
         del mu, E, PI, stage1  # before the next chunk is drawn
 
-    names = ("beta1", "beta2", "beta3")
-    bias = rmse = coverage = None
-    beta3_mean = None
+    bias = rmse = coverage = beta3_mean = None
     coverage_evaluated = 0
     est = np.concatenate(estimates)
     if len(est):
@@ -969,9 +970,7 @@ def monte_carlo_validation(
     return ValidationReport(
         replications=replications,
         truth=spec.stage1,
-        param_names=names,
         n_converged=len(est),
-        n_failed=replications - len(est),
         bias=bias,
         rmse=rmse,
         coverage=coverage,

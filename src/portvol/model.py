@@ -424,13 +424,17 @@ def stage2_jacobian(e, b: Stage2Params, beta3_hat: float):
     return jac
 
 
+DIAG_DEGENERATE_COV = "DEGENERATE_COVARIANCE"
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Converged (or terminated) state of one fit.
 
     ``iterations`` counts accepted steps.  ``standard_errors`` is None
-    when the Gauss-Newton covariance is degenerate.  ``message`` holds
-    the termination reason when ``converged`` is False.
+    when the Gauss-Newton covariance is degenerate, and ``diagnostics``
+    holds ``DEGENERATE_COVARIANCE`` exactly then, whatever was passed.
+    ``message`` holds the termination reason when ``converged`` is False.
     """
 
     params: object
@@ -446,4 +450,5 @@ class FitResult:
             raise ValueError("invalid FitResult: residual_norm must be finite and >= 0")
         if self.standard_errors is not None and any(s < 0.0 for s in self.standard_errors):
             raise ValueError("invalid FitResult: standard errors must be >= 0")
-        object.__setattr__(self, "diagnostics", frozenset(self.diagnostics))
+        degenerate = {DIAG_DEGENERATE_COV} if self.standard_errors is None else set()
+        object.__setattr__(self, "diagnostics", frozenset(self.diagnostics) - {DIAG_DEGENERATE_COV} | degenerate)

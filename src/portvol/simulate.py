@@ -62,7 +62,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -124,6 +124,16 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
+def _check_grid(horizon, dt) -> None:
+    """Refuse a time grid unless ``horizon`` and ``dt`` are finite and ``0 < dt < horizon``."""
+    if not (_finite(horizon) and horizon > 0.0):
+        raise ValueError("horizon must be finite and > 0")
+    if not (_finite(dt) and dt > 0.0):
+        raise ValueError("dt must be finite and > 0")
+    if not dt < horizon:
+        raise ValueError("dt must be < horizon")
+
+
 @dataclass(frozen=True)
 class PathConfig:
     """Time grid and stream addressing for one simulation run.
@@ -139,12 +149,7 @@ class PathConfig:
     n_paths: int = 1
 
     def __post_init__(self):
-        if not (_finite(self.horizon) and self.horizon > 0.0):
-            raise ValueError("horizon must be finite and > 0")
-        if not (_finite(self.dt) and self.dt > 0.0):
-            raise ValueError("dt must be finite and > 0")
-        if not self.dt < self.horizon:
-            raise ValueError("dt must be < horizon")
+        _check_grid(self.horizon, self.dt)
         object.__setattr__(self, "n_paths", _integer("n_paths", self.n_paths, 1))
         _integer("the largest path index n_paths - 1", self.n_paths - 1, 0, SEED_LIMIT)
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0, SEED_LIMIT))
@@ -670,15 +675,17 @@ class GenerationSpec:
 
 @dataclass(frozen=True)
 class StructuralSpec:
-    """Structural synthetic data: one row per grid point of a wealth path."""
+    """Structural synthetic data: one row per grid point of a wealth path on the grid of ``horizon`` and ``dt``."""
 
     kind: ClassVar[str] = "structural"
     heston: HestonParams
     policy: PolicyCoefficients
-    path: PathConfig
+    horizon: float
+    dt: float
     x0: float
 
     def __post_init__(self):
+        _check_grid(self.horizon, self.dt)
         if not _finite(self.x0):
             raise ValueError("x0 must be finite")
 
@@ -743,8 +750,7 @@ def generate_synthetic_dataset(mode: str, spec, seed: int) -> Dataset:
     if mode == "structural":
         if not isinstance(spec, StructuralSpec):
             raise TypeError("structural generation requires a StructuralSpec")
-        cfg = replace(spec.path, seed=seed)
-        market = simulate_market_path(spec.heston, cfg, path_index=0)
+        market = simulate_market_path(spec.heston, PathConfig(spec.horizon, spec.dt, seed), path_index=0)
         path = simulate_wealth_path(market, spec.policy, spec.heston, spec.x0)
         n = len(path.times)
         return Dataset(

@@ -21,7 +21,6 @@ from portvol import (
     GaugeRule,
     GenerationSpec,
     HestonParams,
-    PathConfig,
     PolicyCoefficients,
     RhoEstimate,
     Stage1Params,
@@ -529,7 +528,8 @@ class TestWriteMatchesCsvWriter:
         spec = StructuralSpec(
             heston=heston,
             policy=PolicyCoefficients(alpha0=1.0, alpha1=-2.0, alpha2=0.5),
-            path=PathConfig(horizon=5.0, dt=1e-4, seed=0),
+            horizon=5.0,
+            dt=1e-4,
             x0=1.0,
         )
         data = generate_synthetic_dataset("structural", spec, seed=620)
@@ -621,7 +621,8 @@ class TestWriteReport:
 
 
 _NULL_REPORTS = {
-    # No gauge, a stage 1 with no message and no standard errors, and a rho at infinity.
+    # No gauge, a stage 1 with no message and no standard errors, and a rho at infinity:
+    # each is flagged, from its standard errors and from rho_hat.
     "fits": (
         lambda: {
             "stage1": FitResult(Stage1Params(2.0, 0.5, 0.04), 0.25, 0, False),
@@ -638,14 +639,13 @@ _NULL_REPORTS = {
         "residual_norm = 0\niterations = 7\nconverged = true\nmessage = gradient tolerance reached\n"
         "gamma_hat = 1.5\ngauge = null\ngauge_pin_value = null\n\n"
         "[rho]\nrho_hat = null\nin_range = false\n\n"
-        "[diagnostics]\nstage1 = none\nstage2 = GAUGE_UNIDENTIFIED,ILL_CONDITIONED\nrho = none\n",
+        "[diagnostics]\nstage1 = DEGENERATE_COVARIANCE\nstage2 = GAUGE_UNIDENTIFIED,ILL_CONDITIONED\n"
+        "rho = RHO_OUT_OF_RANGE\n",
     ),
     # Every replication refused: the truth stays, the statistics are null.
     "validation": (
         lambda: {
-            "validation": ValidationReport(
-                2, Stage1Params(2.0, 0.5, 0.04), ("beta1", "beta2", "beta3"), 0, 2, None, None, None, 0, None,
-            ),
+            "validation": ValidationReport(2, Stage1Params(2.0, 0.5, 0.04), 0, None, None, None, 0, None),
         },
         "[validation]\nreplications = 2\nconverged = 0\nfailed = 2\nconvergence_rate = 0\n"
         "truth_beta1 = 2\nbias_beta1 = null\nrmse_beta1 = null\ncoverage_beta1 = null\n"
@@ -1064,6 +1064,16 @@ _FIRST_FAULT = {
         "[run]\nmode = fit\noutput = r.txt\nseed = -1\n", "type error: [run] seed must be in [0, 2**64), got -1",
     ),
     "missing-output-missing-input": ("[run]\nmode = volvol\n", "missing required key for mode volvol: [run] output"),
+    # Every [path] number is read before the structural spec checks the grid, as in [heston] and [policy].
+    "bad-horizon-missing-x0": (
+        "[run]\nmode = simulate\noutput = d.csv\n"
+        + _STRUCTURAL_GEN.replace("horizon = 1.0", "horizon = -1.0").replace("x0 = 1.0\n", ""),
+        "missing required key: [path] x0",
+    ),
+    "bad-horizon": (
+        "[run]\nmode = simulate\noutput = d.csv\n" + _STRUCTURAL_GEN.replace("horizon = 1.0", "horizon = -1.0"),
+        "horizon must be finite and > 0",
+    ),
     # Each base without the key its mode requires.
     **{
         f"{mode}-missing-{key}": (

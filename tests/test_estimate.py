@@ -18,11 +18,12 @@ from portvol import (
     GaugeRule,
     GenerationSpec,
     HestonParams,
-    PathConfig,
     PolicyCoefficients,
+    RhoEstimate,
     Stage1Params,
     Stage2Params,
     StructuralSpec,
+    ValidationReport,
     estimate_rho,
     fit_vol_of_vol,
     fit_volatility,
@@ -697,6 +698,21 @@ class TestEstimateRho:
         with pytest.raises(ValueError):
             estimate_rho(0.1, 0.3, 0.0)
 
+    def test_underflowing_denominator_raises_value_error(self):
+        # 1e-200 * 1e-200 is 0 in doubles; the division would raise ZeroDivisionError.
+        with pytest.raises(ValueError, match=r"^gamma_hat \* alpha_ratio underflows to 0 \(1e-200 \* 1e-200\)$"):
+            estimate_rho(1.0, 1e-200, 1e-200)
+
+    @pytest.mark.parametrize("rho_hat", [math.inf, -math.inf, math.nan, 1.5])
+    def test_out_of_range_flag_follows_rho_hat(self, rho_hat):
+        # inf and nan are out of range too: the flag is in_range's negation.
+        est = RhoEstimate(rho_hat)
+        assert not est.in_range and est.diagnostics == {DIAG_RHO_RANGE}
+
+    def test_diagnostics_are_not_an_argument(self):
+        with pytest.raises(TypeError, match="diagnostics"):
+            RhoEstimate(0.5, diagnostics=frozenset())
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_non_finite_input_raises(self, bad, position):
@@ -876,6 +892,13 @@ class TestMonteCarloValidation:
         spec = GenerationSpec(stage1=TRUTH, n=50)
         with pytest.raises(ValueError):
             monte_carlo_validation(spec, 1)
+
+    def test_failed_count_and_names_are_derived(self):
+        report = ValidationReport(5, TRUTH, 3, None, None, None, 0, None)
+        assert (report.n_failed, report.param_names) == (2, ("beta1", "beta2", "beta3"))
+        for name, value in (("n_failed", 2), ("param_names", ("beta1", "beta2", "beta3"))):
+            with pytest.raises(TypeError, match=name):
+                ValidationReport(5, TRUTH, 3, None, None, None, 0, None, **{name: value})
 
     def test_bit_identical_reports(self):
         spec = GenerationSpec(stage1=TRUTH, n=100, noise=0.02)
@@ -1280,7 +1303,7 @@ class TestLongRows:
         )
         for kind, params, pole, checks in cases:
             E = np.linspace(0.01, 0.1, n)[None]
-            assert not checks(E)[1][DIAG_DEGENERATE_COV][0]
+            assert not np.isnan(checks(E)[0]).any()
             E[0, -1] = pole
             fit = _Rows(kind, params, np.ones(1), np.ones(1, dtype=int), [""], {}, lambda: checks(E)).result(0)
             assert fit.standard_errors is None and DIAG_DEGENERATE_COV in fit.diagnostics
@@ -1308,8 +1331,7 @@ class TestLongRows:
 
 def _structural_spec():
     heston = HestonParams(mu=0.08, r=0.02, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=-0.5, sigma_bar=0.04)
-    path = PathConfig(horizon=1.0, dt=0.004, seed=0)
-    return StructuralSpec(heston=heston, policy=PolicyCoefficients(1.0, -2.0, 0.5), path=path, x0=1.0)
+    return StructuralSpec(heston=heston, policy=PolicyCoefficients(1.0, -2.0, 0.5), horizon=1.0, dt=0.004, x0=1.0)
 
 
 def _stage2_diagnostics(data, variant):

@@ -14,6 +14,7 @@ from portvol import (
     Stage1Params,
     Stage2Params,
 )
+from portvol.estimate import DIAG_DEGENERATE_COV
 
 
 def valid_heston(**overrides):
@@ -237,3 +238,11 @@ class TestFitResult:
         fr = FitResult(params=np.zeros(2), residual_norm=0.0, iterations=0, converged=True,
                        diagnostics={"A", "B"})
         assert isinstance(fr.diagnostics, frozenset)
+
+    def test_degenerate_covariance_follows_the_standard_errors(self):
+        # DEGENERATE_COVARIANCE is derived: present exactly when standard_errors is None, whatever is passed.
+        kw = dict(params=np.zeros(2), residual_norm=0.0, iterations=0, converged=True)
+        assert FitResult(**kw).diagnostics == {DIAG_DEGENERATE_COV}
+        assert FitResult(**kw, diagnostics={"A"}).diagnostics == {"A", DIAG_DEGENERATE_COV}
+        fr = FitResult(**kw, standard_errors=(0.1, 0.2), diagnostics={"A", DIAG_DEGENERATE_COV})
+        assert fr.diagnostics == {"A"}

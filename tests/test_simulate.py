@@ -207,6 +207,45 @@ class TestVarianceLaw:
         assert ks < special.kolmogi(1e-4) / math.sqrt(n), ks
 
 
+# A Feller-violating case: 2*alpha = 0.04 < gamma**2 = 0.25, so the variance is truncated on most paths.
+ROUGH = heston(mu=0.0, r=0.0, alpha=0.02, beta_rev=2.0, gamma=0.5, rho=0.0, sigma_bar=0.01)
+
+
+class TestSchemeMeans:
+    """The Euler schemes' means at ``T = 1`` against closed forms, on normals drawn here.
+
+    The seeds were fixed before the results were seen.
+    """
+
+    def test_truncation_bias_of_the_variance_mean_shrinks_as_dt_halves(self):
+        # Truncation biases E[v_T] upward, less on a finer grid (Lord, Koekkoek & van Dijk 2010).
+        # 20,000 paths on 64, 32 and 16 steps, coupled: a coarse normal is (z_a + z_b)/sqrt(2) of the two
+        # finer normals it spans, so each grid sees the same Brownian path and the bias differences resolve.
+        z = np.random.default_rng(19).standard_normal((20_000, 64))
+        bias = []
+        for n in (64, 32, 16):
+            bias.append(variance_path_from_normals(ROUGH, np.full(n, 1.0 / n), z)[:, -1] - cir_mean(ROUGH, 1.0))
+            z = (z[:, 0::2] + z[:, 1::2]) / math.sqrt(2.0)
+        for fine, coarse in zip(bias, bias[1:]):
+            # coarse > fine and coarse > -fine, so |fine| < coarse: each one-sided at 4 standard errors.
+            # The biases were 0.0043, 0.0051 and 0.0063 against cir_mean 0.01, the z of the differences
+            # 14.8 and 16.2 and of the sums 23 and 28: a correct scheme fails with probability below 1e-20.
+            for gap in (coarse - fine, coarse + fine):
+                assert gap.mean() > 4.0 * gap.std(ddof=1) / math.sqrt(gap.size), (coarse.mean(), fine.mean())
+
+    @pytest.mark.parametrize("rho", [0.0, -0.7])
+    def test_log_euler_price_mean_is_exact(self, rho):
+        # E[S_T] = S_0*exp(mu*T) on any grid and for any rho: a step's price shock sqrt(v_k)*dW1_k is
+        # independent of the v_k that scales it, so E[exp(-v_k*dt/2 + sqrt(v_k)*dW1_k) | v_k] = 1.
+        p = heston(mu=0.05, r=0.0, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=rho, sigma_bar=0.04)
+        times = np.linspace(0.0, 1.0, 21)
+        z1, z2 = np.random.default_rng(2012).standard_normal((2, 4000, 20))
+        price = np.array([market_path_from_normals(p, times, a, b).price[-1] for a, b in zip(z1, z2)])
+        # A two-sided band of 4 standard errors fails a correct scheme with probability 6e-5.
+        se = price.std(ddof=1) / math.sqrt(price.size)
+        assert abs(price.mean() - math.exp(0.05)) < 4.0 * se, (price.mean(), se)
+
+
 class TestSinglePathKernel:
     """A 1-D path is stepped on Python floats; a batch on arrays.  The bits must agree."""
 
@@ -915,7 +954,7 @@ class TestGenerateSyntheticDataset:
         p = heston()
         coeffs = PolicyCoefficients(1.0, -2.0, 0.5)
         cfg = PathConfig(horizon=1.0, dt=0.01, seed=0)
-        spec = StructuralSpec(heston=p, policy=coeffs, path=cfg, x0=1.0)
+        spec = StructuralSpec(heston=p, policy=coeffs, horizon=1.0, dt=0.01, x0=1.0)
         data = generate_synthetic_dataset("structural", spec, seed=21)
         assert data.labels == tuple(map(str, range(data.n_rows)))
         assert data.n_rows == cfg.n_steps + 1
@@ -1029,7 +1068,10 @@ class TestStackedGeneration:
         assert report.failures == (("generation error", 3),)
 
 
-_PATH = PathConfig(horizon=1.0, dt=0.5, seed=0)
+def _structural(horizon=1.0, dt=0.5, x0=1.0):
+    return StructuralSpec(heston=heston(), policy=PolicyCoefficients(1.0, -2.0, 0.5), horizon=horizon, dt=dt, x0=x0)
+
+
 _CURVE = Stage1Params(2.0, 0.5, 0.04)
 _INF = math.inf
 _STEPS = "time steps dts must be 1-D, finite and > 0"
@@ -1086,14 +1128,12 @@ class TestValidators:
             lambda: GenerationSpec(stage1=Stage1Params(2.0, 0.5, 1.7e308), n=10, e_interval=(-1.6e308, 1.7e308)),
             "e_interval is too wide: its width high - low overflows",
         ),
-        "x0-infinite": (
-            lambda: StructuralSpec(heston=heston(), policy=PolicyCoefficients(1.0, -2.0, 0.5), path=_PATH, x0=_INF),
-            "x0 must be finite",
-        ),
-        "x0-bool": (
-            lambda: StructuralSpec(heston=heston(), policy=PolicyCoefficients(1.0, -2.0, 0.5), path=_PATH, x0=True),
-            "x0 must be finite",
-        ),
+        "x0-infinite": (lambda: _structural(x0=_INF), "x0 must be finite"),
+        "x0-bool": (lambda: _structural(x0=True), "x0 must be finite"),
+        # A structural spec checks its grid by PathConfig's rules, before x0.
+        "structural-horizon-nan": (lambda: _structural(horizon=math.nan, x0=_INF), "horizon must be finite and > 0"),
+        "structural-dt-bool": (lambda: _structural(dt=True), "dt must be finite and > 0"),
+        "structural-dt-not-below-horizon": (lambda: _structural(dt=1.0), "dt must be < horizon"),
         "elapsed-time-nan": (lambda: cir_mean(heston(), math.nan), "elapsed time must be finite and >= 0"),
         "path-length": (
             lambda: SimPath(times=np.array([0.0, 1.0]), variance=np.array([0.1]), price=np.ones(2)),
