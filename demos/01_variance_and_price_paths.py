@@ -1,6 +1,6 @@
 """Simulate square-root variance and log-Euler price paths.
 
-Shows the full-truncation scheme staying nonnegative even when the
+Shows the Euler scheme absorbed at 0 staying nonnegative even when the
 Feller condition fails, and checks the Monte Carlo mean of the terminal
 variance against the closed-form expectation.
 """
@@ -30,7 +30,7 @@ print(f"\nmean of v_T over {config.n_paths} paths = {terminal.mean():.6f}")
 print(f"closed-form expectation             = {expected:.6f}")
 print(f"difference in MC standard errors    = {(terminal.mean() - expected) / se:+.2f}")
 
-# Full truncation keeps every grid value nonnegative even without Feller.
+# Absorption at 0 keeps every grid value nonnegative even without Feller.
 rough = HestonParams(mu=0.0, r=0.0, alpha=0.01, beta_rev=1.0, gamma=0.5, rho=0.0, sigma_bar=0.04)
 block = simulate_variance_batch(rough, PathConfig(horizon=1.0, dt=1e-3, seed=7, n_paths=2_000))
 print(f"\nFeller-violating set: Feller={rough.feller_ok}, "

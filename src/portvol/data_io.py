@@ -187,6 +187,8 @@ def read_dataset(path) -> Dataset:
                 columns, labels = _parse_rows(chain(head, rows), header)
     except OSError as exc:
         raise OSError(f"cannot read dataset {path}: {exc}") from exc
+    except csv.Error as exc:  # such as a cell past the csv module's field size limit
+        raise ValueError(f"CSV error at line {rows.line_num}: {exc}") from None
     if not len(columns["pi_star"]):
         raise ValueError(f"empty dataset: {path} has no data rows")
     return Dataset(**columns, labels=labels, source=str(path))

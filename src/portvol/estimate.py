@@ -373,7 +373,7 @@ class _Rows:
             float(self.residual_norm[i]),
             int(self.iterations[i]),
             bool(self.converged[i]),
-            standard_errors=None if np.isnan(se).any() else tuple(se.tolist()),
+            standard_errors=tuple(se.tolist()) if np.isfinite(se).all() else None,
             diagnostics=frozenset(name for name, rows in self.flags.items() if rows[i]),
             message=self.messages[i],
         )

@@ -118,8 +118,8 @@ class HestonParams:
     def feller_ok(self) -> bool:
         """True when ``2*alpha >= gamma**2`` (variance never hits zero in continuous time).
 
-        The flag is diagnostic only: the full-truncation scheme is well
-        defined without it.
+        The flag is diagnostic only: the simulator's Euler scheme, absorbed
+        at 0, is well defined without it.
         """
         return 2.0 * self.alpha >= self.gamma * self.gamma
 
@@ -173,15 +173,15 @@ class MarketObservation:
         return self.mu - self.r
 
 
-def _column(name: str, values) -> np.ndarray:
-    """Validated read-only float64 copy of one dataset column; a bool column is not numeric."""
+def _column(owner: str, name: str, values) -> np.ndarray:
+    """Validated read-only float64 copy of column ``name`` of the record ``owner``; a bool column is not numeric."""
     raw = np.asarray(values)
     if raw.ndim != 1 or raw.dtype.kind not in "iuf":
-        raise ValueError(f"invalid Dataset: {name} must be a one-dimensional numeric column")
+        raise ValueError(f"invalid {owner}: {name} must be a one-dimensional numeric column")
     column = raw.astype(float)
     bad = np.flatnonzero(~np.isfinite(column))
     if bad.size:
-        raise ValueError(f"invalid Dataset: {name} must be finite (first bad row {bad[0]})")
+        raise ValueError(f"invalid {owner}: {name} must be finite (first bad row {bad[0]})")
     column.setflags(write=False)
     return column
 
@@ -220,7 +220,8 @@ class Dataset:
         labels=None,
         source: str | None = None,
     ):
-        columns = {name: _column(name, values) for name, values in (("pi_star", pi_star), ("mu", mu), ("r", r))}
+        observed = (("pi_star", pi_star), ("mu", mu), ("r", r))
+        columns = {name: _column("Dataset", name, values) for name, values in observed}
         lengths = {name: len(column) for name, column in columns.items()}
         if labels is not None:
             labels = tuple(labels)
@@ -233,7 +234,7 @@ class Dataset:
             sizes = ", ".join(f"{name} {n}" for name, n in lengths.items())
             raise ValueError(f"invalid Dataset: columns differ in length ({sizes})")
         with np.errstate(over="ignore"):
-            e = _column("e = mu - r", columns["mu"] - columns["r"])
+            e = _column("Dataset", "e = mu - r", columns["mu"] - columns["r"])
         for name, value in (*columns.items(), ("e", e), ("labels", labels), ("source", source)):
             object.__setattr__(self, name, value)
 
@@ -446,9 +447,9 @@ class FitResult:
     message: str = ""
 
     def __post_init__(self):
-        if not (math.isfinite(self.residual_norm) and self.residual_norm >= 0.0):
+        if not (_finite(self.residual_norm) and self.residual_norm >= 0.0):
             raise ValueError("invalid FitResult: residual_norm must be finite and >= 0")
-        if self.standard_errors is not None and any(s < 0.0 for s in self.standard_errors):
-            raise ValueError("invalid FitResult: standard errors must be >= 0")
+        if self.standard_errors is not None and not all(_finite(s) and s >= 0.0 for s in self.standard_errors):
+            raise ValueError("invalid FitResult: standard errors must be finite and >= 0")
         degenerate = {DIAG_DEGENERATE_COV} if self.standard_errors is None else set()
         object.__setattr__(self, "diagnostics", frozenset(self.diagnostics) - {DIAG_DEGENERATE_COV} | degenerate)

@@ -3,9 +3,10 @@
 Dynamics simulated here:
 
 * variance: ``dv = (alpha - beta_rev*v) ds + gamma*sqrt(v) dW2``,
-  discretized by full-truncation Euler (drift and diffusion evaluate at
-  ``max(v, 0)`` and the stored value is floored at 0, so every grid
-  value is nonnegative regardless of the Feller condition);
+  discretized by Euler with absorption at 0 (Lord, Koekkoek & van Dijk
+  2010; not their full truncation): each stored value is floored at 0 and
+  the next step starts from it, so every grid value is nonnegative
+  regardless of the Feller condition;
 * price: ``dS = S (mu ds + sqrt(v) dW1)``, discretized in log space so
   prices stay positive;
 * wealth: ``dX = (r X + (mu - r) pi) ds + pi sqrt(v) dW1`` under the
@@ -62,13 +63,13 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
-from .model import (Dataset, HestonParams, PolicyCoefficients, PoleError, Stage1Params, _finite, _integer,
-                    _pole_between, _stage1_curve)
+from .model import (Dataset, HestonParams, PolicyCoefficients, PoleError, Stage1Params, _column, _finite,
+                    _integer, _pole_between, _stage1_curve)
 
 __all__ = [
     "PathConfig",
@@ -125,13 +126,15 @@ _MASK32 = 0xFFFFFFFF
 
 
 def _check_grid(horizon, dt) -> None:
-    """Refuse a time grid unless ``horizon`` and ``dt`` are finite and ``0 < dt < horizon``."""
+    """Refuse a time grid unless ``horizon``, ``dt`` and ``horizon / dt`` are finite and ``0 < dt < horizon``."""
     if not (_finite(horizon) and horizon > 0.0):
         raise ValueError("horizon must be finite and > 0")
     if not (_finite(dt) and dt > 0.0):
         raise ValueError("dt must be finite and > 0")
     if not dt < horizon:
         raise ValueError("dt must be < horizon")
+    if not math.isfinite(horizon / dt):
+        raise ValueError("dt is too small: the step count horizon / dt overflows")
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ class PathConfig:
 
 @dataclass(frozen=True)
 class SimPath:
-    """One simulated path on a common time grid.
+    """One simulated path on a common time grid, each field stored as a read-only float64 copy of what was given.
 
     ``wealth`` and ``policy`` are filled only when a position rule was
     applied (see :func:`simulate_wealth_path`).
@@ -183,25 +186,18 @@ class SimPath:
     policy: np.ndarray | None = None
 
     def __post_init__(self):
-        n = len(self.times)
-        for name in ("variance", "price", "wealth", "policy"):
-            arr = getattr(self, name)
-            if arr is not None and len(arr) != n:
-                raise ValueError(f"SimPath field {name} has length {len(arr)}, expected {n}")
+        for f in fields(self):  # times first, so every other field is measured against the stored times
+            if getattr(self, f.name) is not None:
+                column = _column("SimPath", f.name, getattr(self, f.name))
+                if len(column) != len(self.times):
+                    raise ValueError(f"SimPath field {f.name} has length {len(column)}, expected {len(self.times)}")
+                object.__setattr__(self, f.name, column)
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("SimPath times must be strictly increasing")
         if np.any(self.variance < 0.0):
             raise ValueError("SimPath variance must be nonnegative")
         if np.any(self.price <= 0.0):
             raise ValueError("SimPath price must be positive")
-        for name in ("times", "variance", "price", "wealth", "policy"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                if not np.all(np.isfinite(arr)):
-                    raise ValueError(f"SimPath field {name} contains non-finite values")
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
 
     @property
     def risk_free_holding(self) -> np.ndarray:
@@ -362,7 +358,7 @@ def cir_mean(p: HestonParams, s: float) -> float:
     """
     if not (_finite(s) and s >= 0.0):
         raise ValueError("elapsed time must be finite and >= 0")
-    level = p.alpha / p.beta_rev
+    level = p.mean_reversion_level
     return level + (p.sigma_bar - level) * math.exp(-p.beta_rev * s)
 
 
@@ -423,7 +419,7 @@ def _draw_rows(keys: np.ndarray, out: np.ndarray, a: int, b: int) -> None:
 def variance_path_from_normals(
     p: HestonParams, dts: np.ndarray, z2: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Full-truncation Euler variance path driven by explicit normals.
+    """Euler variance path absorbed at 0 (see the module docstring), driven by explicit normals.
 
     ``dts`` is 1-D, each step finite and > 0.  ``z2`` has one standard
     normal per step (last axis); leading axes batch independent paths.

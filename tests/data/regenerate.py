@@ -72,6 +72,8 @@ INPUTS = {
     "large": (TRUTH, 200_000, 0.01, 1),  # the fit-csv-large benchmark file at seed 1
     "zero": "pi_star,mu,r\n1.0,0.05,0.02\n0.0,0.06,0.02\n1.2,0.07,0.02\n1.3,0.08,0.02\n",
     "two": "pi_star,mu,r\n1.0,0.05,0.02\n1.2,0.07,0.02\n",
+    # One cell past the csv module's field size limit (131072 characters).
+    "long_cell": "pi_star,mu,r\n" + "1" * 131_073 + ",0.05,0.02\n",
     # The curve (2.0, 0.5, 0.04) at e = -0.03999 (1e-5 from its pole), -0.035, ..., -0.012.
     "near_pole": (
         "pi_star,mu,r\n-5997.999999998163,0.010010000000000005,0.05\n-10.000000000000005,0.015,0.05\n"
@@ -217,6 +219,14 @@ CLI_CASES = {
     "pipeline-nul-dataset-output": ("pipeline", _run("pipeline", OUT, "dataset_output = {tmp}/d\0.csv") + _gen(), []),
     "fit-nul-output": ("fit", _run("fit", "input = {csv50}", "output = {tmp}/r\0.txt"), []),
     "validate-nul-output": ("validate", _run("validate", "output = {tmp}/r\0.txt") + _gen("replications = 2"), []),
+    # A grid whose step count horizon / dt overflows, and a CSV cell past the field size limit.
+    "simulate-grid-overflows": (
+        "simulate",
+        _run("simulate", "output = {tmp}/d.csv")
+        + STRUCTURAL.replace("horizon = 1.0\ndt = 0.004", "horizon = 1e300\ndt = 1e-300"),
+        [],
+    ),
+    "fit-long-cell": ("fit", _run("fit", "input = {long_cell}", OUT), []),
 }
 
 _BENCHMARK = GenerationSpec(stage1=TRUTH, n=200, noise=0.01)

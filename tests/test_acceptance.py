@@ -107,7 +107,7 @@ def test_03_jacobians_match_finite_differences():
 
 
 def test_04_simulator_moment_check():
-    with criterion(4, "full-truncation mean variance at T=1 within 3 MC standard errors of the closed form"):
+    with criterion(4, "absorbed-Euler mean variance at T=1 within 3 MC standard errors of the closed form"):
         p = HestonParams(mu=0.0, r=0.0, alpha=0.08, beta_rev=2.0, gamma=0.3, rho=0.0, sigma_bar=0.02)
         c = PathConfig(horizon=1.0, dt=1e-3, seed=20240811, n_paths=100_000)
         terminal = np.empty(c.n_paths)

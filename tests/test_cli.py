@@ -590,6 +590,15 @@ class TestProcessExitStatus:
         done = self.run("simulate", "--config", str(cfg), cwd=tmp_path)
         assert (done.returncode, done.stdout, done.stderr) == (2, "", "error in write stage: embedded null byte\n")
 
+    def test_read_stage_csv_error_exits_2(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("pi_star,mu,r\n" + "1" * 131_073 + ",0.05,0.02\n", encoding="utf-8")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[run]\nmode = fit\ninput = {data}\noutput = r.txt\n")
+        done = self.run("fit", "--config", str(cfg), cwd=tmp_path)
+        stderr = "error in read stage: CSV error at line 2: field larger than field limit (131072)\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", stderr)
+
     def test_help_exits_0(self, tmp_path):
         done = self.run("help", cwd=tmp_path)
         assert (done.returncode, done.stderr) == (0, "")

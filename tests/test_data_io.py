@@ -144,6 +144,24 @@ class TestReadDataset:
         # read into one string and copied into a StringIO).
         assert peak < factor * path.stat().st_size
 
+    # A cell past the csv module's field size limit (131072 characters) is
+    # an error naming the line the reader reached, wherever the cell is.
+    @pytest.mark.parametrize(
+        ("text", "line"),
+        [
+            ("pi_star,mu,{long}\n1.0,0.05,0.02\n", 1),
+            ("pi_star,mu,r\n{long},0.05,0.02\n", 2),
+            ("pi_star,mu,r\n1.0,0.05,0.02\n{long},0.06,0.02\n", 3),
+            ("label,pi_star,mu,r\na,1.0,0.05,0.02\n{long},1.0,0.06,0.02\n", 3),
+        ],
+        ids=["header", "label-free-first-row", "label-free-later-row", "labelled"],
+    )
+    def test_cell_past_the_field_limit_is_an_error(self, tmp_path, text, line):
+        p = write(tmp_path / "d.csv", text.format(long="1" * 131_073))
+        with pytest.raises(ValueError) as raised:
+            read_dataset(p)
+        assert str(raised.value) == f"CSV error at line {line}: field larger than field limit (131072)"
+
     # 5000 clean rows put the byte past the first 64 KB: the file is decoded a
     # chunk at a time, so the byte sits past what the header read decoded.
     @pytest.mark.parametrize("clean_rows", [0, 5000])
@@ -1073,6 +1091,16 @@ _FIRST_FAULT = {
     "bad-horizon": (
         "[run]\nmode = simulate\noutput = d.csv\n" + _STRUCTURAL_GEN.replace("horizon = 1.0", "horizon = -1.0"),
         "horizon must be finite and > 0",
+    ),
+    "overflowing-step-count-missing-x0": (
+        "[run]\nmode = simulate\noutput = d.csv\n"
+        + _STRUCTURAL_GEN.replace("horizon = 1.0\ndt = 0.01", "horizon = 1e300\ndt = 1e-300").replace("x0 = 1.0\n", ""),
+        "missing required key: [path] x0",
+    ),
+    "overflowing-step-count": (
+        "[run]\nmode = simulate\noutput = d.csv\n"
+        + _STRUCTURAL_GEN.replace("horizon = 1.0\ndt = 0.01", "horizon = 1e300\ndt = 1e-300"),
+        "dt is too small: the step count horizon / dt overflows",
     ),
     # Each base without the key its mode requires.
     **{

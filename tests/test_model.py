@@ -234,6 +234,19 @@ class TestFitResult:
                 standard_errors=(0.1, -0.1),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True], ids=["nan", "inf", "bool"])
+    def test_rejects_standard_errors_that_are_not_finite(self, bad):
+        # A nan or infinite standard error is a degenerate covariance, which is written as None.
+        with pytest.raises(ValueError) as raised:
+            FitResult(params=np.zeros(3), residual_norm=0.0, iterations=0, converged=True,
+                      standard_errors=(bad, 1.0, 1.0))
+        assert str(raised.value) == "invalid FitResult: standard errors must be finite and >= 0"
+
+    def test_rejects_bool_residual_norm(self):
+        with pytest.raises(ValueError) as raised:
+            FitResult(params=np.zeros(3), residual_norm=True, iterations=0, converged=True)
+        assert str(raised.value) == "invalid FitResult: residual_norm must be finite and >= 0"
+
     def test_diagnostics_normalized_to_frozenset(self):
         fr = FitResult(params=np.zeros(2), residual_norm=0.0, iterations=0, converged=True,
                        diagnostics={"A", "B"})

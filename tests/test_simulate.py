@@ -765,6 +765,35 @@ class TestMarketPath:
             simulate_market_path(p, c, 0)
 
 
+class TestSimPath:
+    """Each field is stored as a read-only float64 copy, checked by the column rule of ``Dataset``."""
+
+    FIELDS = dict(times=[0, 0.5, 1], variance=[0.04, 0, 0.03], price=[1, 1.1, 0.9], wealth=[1, 2, 3], policy=[0, 1, 2])
+
+    def test_sequences_give_the_path_of_arrays(self):
+        from_lists = SimPath(**self.FIELDS)
+        from_arrays = SimPath(**{name: np.array(values, dtype=float) for name, values in self.FIELDS.items()})
+        for name in self.FIELDS:
+            assert getattr(from_lists, name).dtype == np.float64
+            assert same_bits(getattr(from_lists, name), getattr(from_arrays, name))
+
+    def test_stores_read_only_copies_and_leaves_the_callers_arrays_writeable(self):
+        given = {name: np.array(values, dtype=float) for name, values in self.FIELDS.items()}
+        path = SimPath(**given)
+        for name, values in given.items():
+            stored = getattr(path, name)
+            assert values.flags.writeable and not stored.flags.writeable
+            assert not np.shares_memory(stored, values)
+        with pytest.raises(ValueError):
+            path.variance[0] = 1.0
+
+    def test_market_path_leaves_the_callers_arrays_writeable(self):
+        times, z1, z2 = np.linspace(0.0, 1.0, 5), np.zeros(4), np.ones(4)
+        path = market_path_from_normals(heston(), times, z1, z2)
+        assert times.flags.writeable and z1.flags.writeable and z2.flags.writeable
+        assert not path.times.flags.writeable and same_bits(path.times, times)
+
+
 class TestOptimalPolicy:
     def test_vanishes_when_no_excess_return_and_no_hedge(self):
         p = heston(mu=0.05, r=0.05, rho=0.0)
@@ -1076,6 +1105,7 @@ _CURVE = Stage1Params(2.0, 0.5, 0.04)
 _INF = math.inf
 _STEPS = "time steps dts must be 1-D, finite and > 0"
 _NORMALS = "z2 must be at least 1-D, one normal per step on its last axis"
+_OVERFLOWING_GRID = "dt is too small: the step count horizon / dt overflows"
 
 
 class TestValidators:
@@ -1087,6 +1117,8 @@ class TestValidators:
         "dt-infinite": (lambda: PathConfig(horizon=1.0, dt=_INF, seed=0), "dt must be finite and > 0"),
         "dt-zero": (lambda: PathConfig(horizon=1.0, dt=0.0, seed=0), "dt must be finite and > 0"),
         "dt-not-below-horizon": (lambda: PathConfig(horizon=1.0, dt=1.0, seed=0), "dt must be < horizon"),
+        # Only the overflowing ratio: a finite but huge step count would ask for that many normals.
+        "step-count-overflows": (lambda: PathConfig(horizon=1e300, dt=1e-300, seed=0), _OVERFLOWING_GRID),
         "horizon-bool": (lambda: PathConfig(horizon=True, dt=0.1, seed=0), "horizon must be finite and > 0"),
         "n-paths-zero": (
             lambda: PathConfig(horizon=1.0, dt=0.1, seed=0, n_paths=0), "n_paths must be an integer >= 1, got 0"
@@ -1134,6 +1166,7 @@ class TestValidators:
         "structural-horizon-nan": (lambda: _structural(horizon=math.nan, x0=_INF), "horizon must be finite and > 0"),
         "structural-dt-bool": (lambda: _structural(dt=True), "dt must be finite and > 0"),
         "structural-dt-not-below-horizon": (lambda: _structural(dt=1.0), "dt must be < horizon"),
+        "structural-step-count-overflows": (lambda: _structural(horizon=1e300, dt=1e-300), _OVERFLOWING_GRID),
         "elapsed-time-nan": (lambda: cir_mean(heston(), math.nan), "elapsed time must be finite and >= 0"),
         "path-length": (
             lambda: SimPath(times=np.array([0.0, 1.0]), variance=np.array([0.1]), price=np.ones(2)),
@@ -1153,7 +1186,15 @@ class TestValidators:
         ),
         "path-non-finite": (
             lambda: SimPath(times=np.array([0.0, 1.0]), variance=np.array([0.0, _INF]), price=np.ones(2)),
-            "SimPath field variance contains non-finite values",
+            "invalid SimPath: variance must be finite (first bad row 1)",
+        ),
+        "path-2d": (
+            lambda: SimPath(times=np.array([0.0, 1.0]), variance=np.zeros((2, 1)), price=np.ones(2)),
+            "invalid SimPath: variance must be a one-dimensional numeric column",
+        ),
+        "path-bool": (
+            lambda: SimPath(times=[0, 1], variance=[0, 0], price=[1, 1], wealth=[1, 1], policy=[True, False]),
+            "invalid SimPath: policy must be a one-dimensional numeric column",
         ),
         # Malformed steps or normals are refused before any arithmetic.
         "normals-0d": (lambda: variance_path_from_normals(heston(), np.full(2, 0.1), np.array(0.0)), _NORMALS),
